@@ -19,7 +19,7 @@ from .tilts import (NormalizerEstimate, estimate_normalizer,
                     sample_linear_tilt, tilt_exact, tilted_score)
 from .kl_align import (Alg1Params, Envelope, MixtureProposal, Net,
                        build_envelope, build_net, build_proposal,
-                       compute_params, sample_kl_aligned)
+                       compute_params, proposal_model, sample_kl_aligned)
 from .w2_align import (Alg2Params, LowRankDecomp, alg2_prox, objective_value,
                        prox_concave, prox_quadratic, sample_w2_aligned)
 from . import metrics

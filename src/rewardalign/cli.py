@@ -278,8 +278,6 @@ def _validate_unit_interval(name: str, value: float) -> None:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rewardalign",
                                 description=__doc__.splitlines()[0])
-    p.add_argument("--threads", type=int, default=None,
-                   help="advisory worker count recorded in manifests")
     sub = p.add_subparsers(dest="command", required=True)
 
     kl = sub.add_parser("align-kl", help="KL alignment for convex low-rank rewards")

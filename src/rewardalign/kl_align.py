@@ -15,12 +15,11 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import (BudgetError, EnvelopeViolationError, ValidationError)
-from .models import (DiscreteModel, Model, SampleBatch, _rng_from,
-                     recommended_steps, sample_exact, sample_via_diffusion,
-                     score_oracle)
+from .models import (DiscreteModel, GaussianMixtureModel, Model, SampleBatch,
+                     _rng_from, recommended_steps, sample_exact,
+                     sample_via_diffusion, score_oracle)
 from .rewards import LowDimFunction, first_order
-from .tilts import (estimate_normalizer, log_normalizer_exact, tilt_exact,
-                    tilted_oracle)
+from .tilts import estimate_normalizer, tilt_exact, tilted_oracle
 
 NET_CARDINALITY_CAP = 1_000_000
 
@@ -28,6 +27,13 @@ NET_CARDINALITY_CAP = 1_000_000
 # loop; the theory-driven eps_lin can be far below what any discretization
 # reaches, so the step count is clamped and recorded.
 DIFFUSION_STEP_CAP = 4000
+
+# Scores per block in Envelope.value (32 KiB of float64: an L1-sized
+# temporary, reused by the allocator from block to block).  A block holds
+# at least ENVELOPE_MIN_ROWS rows, so at large m the per-block Python cost
+# stays small against the block's m * rows exponentials.
+ENVELOPE_BLOCK = 4096
+ENVELOPE_MIN_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -107,10 +113,22 @@ class Envelope:
         return np.exp(self.offsets)
 
     def value(self, u: np.ndarray) -> np.ndarray:
-        """G at a point (k,) or a batch (n, k)."""
+        """G at a point (k,) or a batch (n, k).
+
+        Rows go in blocks of about ``ENVELOPE_BLOCK`` scores, so the
+        (rows x m) score array stays cache-sized and is not allocated
+        afresh at the size of the whole batch."""
         u = np.asarray(u, dtype=float)
-        scores = np.atleast_2d(u) @ self.slopes.T + self.offsets
-        out = 1.0 + logsumexp(scores, axis=1)
+        rows = np.atleast_2d(u)
+        out = np.empty(rows.shape[0])
+        step = max(ENVELOPE_MIN_ROWS, ENVELOPE_BLOCK // self.m)
+        for s in range(0, rows.shape[0], step):
+            scores = rows[s:s + step] @ self.slopes.T
+            scores += self.offsets
+            top = scores.max(axis=1)
+            scores -= top[:, None]
+            np.exp(scores, out=scores)
+            out[s:s + step] = 1.0 + top + np.log(scores.sum(axis=1))
         return float(out[0]) if u.ndim == 1 else out
 
     def to_dict(self) -> dict:
@@ -223,20 +241,39 @@ def build_proposal(base: Model, env: Envelope, A, eta: float, delta: float,
     return MixtureProposal(tilt_vectors=vs, log_zhat=log_zhat, log_pi=log_pi)
 
 
+def proposal_model(base: Model, proposal: MixtureProposal) -> Model:
+    """The proposal sum_i pi_i * tilt(base, v_i) as one model.
+
+    Linear tilts are closed under atom sets and Gaussian mixtures, so the
+    mixture is itself one: an atom set with probabilities
+    sum_i pi_i * tilt_i, or an m*J-component mixture with weights
+    pi_i * w'_ij and the tilted components' means and covariances.  The
+    pieces are tilted one at a time, so no (m x atoms) array is built.
+    pi comes from ``proposal.log_pi``, so estimated normalizers carry
+    through.
+    """
+    pi = proposal.pi
+    if isinstance(base, DiscreteModel):
+        probs = np.zeros(base.n_atoms)
+        for p, v in zip(pi, proposal.tilt_vectors):
+            probs += p * tilt_exact(base, v).probs
+        return DiscreteModel(base.atoms, probs / probs.sum(),
+                             base.support_radius)
+    tilted = [tilt_exact(base, v) for v in proposal.tilt_vectors]
+    weights = np.concatenate([p * t.weights for p, t in zip(pi, tilted)])
+    return GaussianMixtureModel(weights / weights.sum(),
+                                np.concatenate([t.means for t in tilted]),
+                                np.concatenate([t.covs for t in tilted]),
+                                base.support_radius)
+
+
 def proposal_law_discrete(base: DiscreteModel, env: Envelope,
                           A) -> DiscreteModel:
     """The exact mixture law sum_i pi_i * tilt(base, v_i) on a discrete
     base, with exact normalizers (used to check the mixture identity)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    vs = env.slopes @ A
-    log_z = np.array([log_normalizer_exact(base, v) for v in vs])
-    log_pi = env.offsets + log_z
-    log_pi -= logsumexp(log_pi)
-    probs = np.zeros(base.n_atoms)
-    for i in range(env.m):
-        probs += np.exp(log_pi[i]) * tilt_exact(base, vs[i]).probs
-    probs /= probs.sum()
-    return DiscreteModel(base.atoms, probs, base.support_radius)
+    # the exact backend uses eta and delta only to validate them
+    return proposal_model(base, build_proposal(base, env, A, eta=0.5,
+                                               delta=0.5))
 
 
 @dataclass
@@ -267,8 +304,16 @@ class KLAlignResult:
         return rep
 
 
-def _draw_components(rng, pi, count):
-    return rng.choice(len(pi), size=count, p=pi)
+def _log_acceptance(f: LowDimFunction, envelope: Envelope,
+                    u: np.ndarray) -> np.ndarray:
+    """Log acceptance f(u) - G(u) at projected points u (n, k); at most 0
+    unless the envelope fails to dominate f."""
+    log_a = np.asarray(f.value(u), dtype=float) - envelope.value(u)
+    if np.any(log_a > 1e-9):
+        raise EnvelopeViolationError(
+            f"acceptance exp({log_a.max():.3e}) above 1: envelope does "
+            f"not dominate the reward (broken oracle?)")
+    return log_a
 
 
 def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
@@ -287,6 +332,8 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                               "concave rewards are outside this sampler")
     if not (0.0 < delta < 1.0):
         raise ValidationError("delta must be in (0,1)")
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape != (f.k, base.d):
         raise ValidationError("A must be k x d")
@@ -317,43 +364,45 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                               seed=rng, backend=("exact" if backend == "exact"
                                                  else "mc"))
 
-    pts = np.empty((n, base.d))
-    active = np.arange(n)
-    pi = proposal.pi
-    draws = 0
-    accepted = 0
-
-    tilted_models = None
-    oracle = None
-    diff_steps = None
+    # draw(count) -> (candidates, their log acceptance); one vectorized
+    # proposal draw per round whatever the number of envelope pieces
+    diff_steps = 0
     if backend == "exact":
-        tilted_models = [tilt_exact(base, v) for v in proposal.tilt_vectors]
+        model = proposal_model(base, proposal)
+        if isinstance(model, DiscreteModel):
+            # exp(f - G) is a function of the atom alone
+            atom_log_a = _log_acceptance(f, envelope, model.atoms @ A.T)
+
+            def draw(count):
+                idx = rng.choice(model.n_atoms, size=count, p=model.probs)
+                return model.atoms[idx], atom_log_a[idx]
+        else:
+            def draw(count):
+                xs = sample_exact(model, count, rng).points
+                return xs, _log_acceptance(f, envelope, xs @ A.T)
     else:
         oracle = score_oracle(base)
         diff_steps = min(recommended_steps(max(params.eps_lin, eps / 8.0), C),
                          DIFFUSION_STEP_CAP)
+        pi = proposal.pi
 
+        def draw(count):
+            # one reverse pass; row j follows the tilt of its own piece
+            comps = rng.choice(proposal.m, size=count, p=pi)
+            xs = sample_via_diffusion(
+                tilted_oracle(oracle, proposal.tilt_vectors[comps]),
+                n=count, steps=diff_steps, seed=rng).points
+            return xs, _log_acceptance(f, envelope, xs @ A.T)
+
+    pts = np.empty((n, base.d))
+    active = np.arange(n)
+    draws = 0
+    accepted = 0
     for _ in range(params.N_rej):
         if active.size == 0:
             break
-        comps = _draw_components(rng, pi, active.size)
-        xs = np.empty((active.size, base.d))
-        for i in np.unique(comps):
-            sel = comps == i
-            cnt = int(sel.sum())
-            if backend == "exact":
-                xs[sel] = sample_exact(tilted_models[i], cnt, rng).points
-            else:
-                xs[sel] = sample_via_diffusion(
-                    tilted_oracle(oracle, proposal.tilt_vectors[i]),
-                    n=cnt, steps=diff_steps, seed=rng).points
+        xs, log_a = draw(active.size)
         draws += active.size
-        u = xs @ A.T
-        log_a = np.asarray(f.value(u), dtype=float) - envelope.value(u)
-        if np.any(log_a > 1e-9):
-            raise EnvelopeViolationError(
-                f"acceptance exp({log_a.max():.3e}) above 1: envelope does "
-                f"not dominate the reward (broken oracle?)")
         acc = np.log(rng.random(active.size)) < log_a
         pts[active[acc]] = xs[acc]
         accepted += int(acc.sum())
@@ -371,7 +420,7 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                          acceptance_rate=accepted / max(draws, 1),
                          fallback_count=fallback, proposal_draws=draws,
                          backend=backend,
-                         diffusion_steps=diff_steps or 0, eta_used=eta_used)
+                         diffusion_steps=diff_steps, eta_used=eta_used)
 
 
 def _base_draw(base, n, rng, backend, eps, C):

@@ -80,7 +80,8 @@ def tilted_score(base: ScoreOracle, v, sigma, x: np.ndarray) -> np.ndarray:
     Uses the identity grad log ptilde_sigma(x) = v/a + s_sigma(x + (sigma^2/a) v)
     with a = sqrt(1 - sigma^2), which holds because linear tilts commute
     with Gaussian noising up to a shift (verified against closed forms in
-    the test suite).
+    the test suite).  ``v`` is one tilt (d,) or one tilt per row of ``x``
+    (n, d); the identity holds row by row.
     """
     nl = _as_noise(sigma)
     v = np.asarray(v, dtype=float)
@@ -146,8 +147,8 @@ def _hoeffding_draws(vc: float, eta: float, delta: float) -> int:
 
 
 def estimate_normalizer(base, v, eta: float, delta: float, seed=None,
-                        backend: str = "exact", mc_cap: int = MC_SAMPLE_CAP,
-                        tilt_backend: str = "exact") -> NormalizerEstimate:
+                        backend: str = "exact",
+                        mc_cap: int = MC_SAMPLE_CAP) -> NormalizerEstimate:
     """Estimate Z_P(v) to relative accuracy eta with failure probability
     delta.
 
@@ -194,7 +195,7 @@ def estimate_normalizer(base, v, eta: float, delta: float, seed=None,
             t_prev = j / stages
             dv = v / stages
             xs = sample_linear_tilt(base, t_prev * v, eps=1.0, seed=rng,
-                                    backend=tilt_backend, n=n_j).points
+                                    backend="exact", n=n_j).points
             log_val += float(np.log(np.mean(np.exp(xs @ dv))))
             total += n_j
         return NormalizerEstimate(value=float(np.exp(log_val)), eta=eta,

@@ -299,8 +299,8 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if lam <= 0:
-        raise ValidationError("lambda must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValidationError(f"lambda must be finite and positive, got {lam}")
     rng = _rng_from(seed)
     C = base.support_radius
     seed_tag = seed if isinstance(seed, int) else -1

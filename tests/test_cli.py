@@ -143,6 +143,26 @@ def test_invalid_delta_no_partial_outputs(model_file, kl_reward_file,
     assert not os.path.exists(os.path.join(out_dir, "manifest.json"))
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_align_kl_bad_n_rejected(model_file, kl_reward_file, tmp_path,
+                                 capsys, n):
+    out_dir = str(tmp_path / "bad_n")
+    rc = main(["align-kl", "--model", model_file, "--reward", kl_reward_file,
+               "--n", n, "--seed", "0", "--out", out_dir])
+    assert rc == 2
+    assert not os.path.exists(os.path.join(out_dir, "samples.csv"))
+
+
+def test_align_w2_nan_lambda_rejected(gmm_file, quad_reward_file, tmp_path,
+                                      capsys):
+    out_dir = str(tmp_path / "nan_lam")
+    rc = main(["align-w2", "--model", gmm_file, "--reward", quad_reward_file,
+               "--lambda", "nan", "--n", "10", "--seed", "0",
+               "--backend", "quad", "--out", out_dir])
+    assert rc == 2
+    assert not os.path.exists(os.path.join(out_dir, "pairs.csv"))
+
+
 def test_quadratic_reward_rejected_for_kl(model_file, quad_reward_file,
                                           tmp_path, capsys):
     rc = main(["align-kl", "--model", model_file, "--reward",

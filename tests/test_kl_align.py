@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import rewardalign as ra
-from rewardalign.kl_align import Net, proposal_law_discrete
-from rewardalign.metrics import empirical_to_discrete, oracle_kl_tilt, tv_discrete
+from rewardalign.kl_align import MixtureProposal, Net, proposal_law_discrete
+from rewardalign.metrics import (QuadratureTilt1D, empirical_to_discrete,
+                                 oracle_kl_tilt, tv_discrete,
+                                 w2_1d_samples_vs_quantiles)
 from rewardalign.validate import (random_discrete, random_maxaffine,
                                   random_orthogonal_rows, random_unit_ball)
 
@@ -95,6 +97,18 @@ class TestBuildEnvelope:
         with pytest.raises(ra.ValidationError):
             ra.build_envelope(f, net)
 
+    def test_value_in_blocks_matches_logsumexp(self):
+        # 3 pieces: 1365 rows per block, so 5000 rows span four blocks,
+        # the last one partial
+        from scipy.special import logsumexp
+        rng = np.random.default_rng(11)
+        env = ra.Envelope.from_pieces(rng.standard_normal((3, 2)),
+                                      rng.standard_normal(3))
+        us = rng.standard_normal((5000, 2)) * 3.0
+        direct = 1.0 + logsumexp(us @ env.slopes.T + env.offsets, axis=1)
+        assert np.allclose(env.value(us), direct, rtol=0, atol=1e-12)
+        assert env.value(us[7]) == pytest.approx(direct[7], abs=1e-12)
+
 
 class TestComputeParams:
     def test_worked_example_m5(self):
@@ -177,6 +191,34 @@ class TestBuildProposal:
             probs /= probs.sum()
             direct = ra.DiscreteModel(base.atoms, probs, base.support_radius)
             assert tv_discrete(mixture, direct) <= 1e-10
+
+
+    def test_gmm_proposal_is_weighted_sum_of_tilts(self):
+        rng = np.random.default_rng(9)
+        base = ra.GaussianMixtureModel(
+            [0.3, 0.7], [[0.5, -0.2], [-0.4, 0.3]],
+            [[[0.2, 0.05], [0.05, 0.1]], [[0.15, -0.03], [-0.03, 0.25]]],
+            8.0)
+        vs = rng.standard_normal((3, 2)) * 0.5
+        # log_pi need not come from exact normalizers
+        log_pi = np.log([0.2, 0.5, 0.3])
+        prop = MixtureProposal(tilt_vectors=vs, log_zhat=np.zeros(3),
+                               log_pi=log_pi)
+        model = ra.proposal_model(base, prop)
+        assert model.n_components == 6
+        for i, v in enumerate(vs):
+            # tilt of component j: mean mu_j + Sigma_j v, weight
+            # ~ w_j exp(<v, mu_j> + v' Sigma_j v / 2)
+            logw = np.log(base.weights) + base.means @ v + 0.5 * np.einsum(
+                "a,jab,b->j", v, base.covs, v)
+            w = np.exp(logw - logw.max())
+            w /= w.sum()
+            rows = slice(2 * i, 2 * i + 2)
+            assert np.max(np.abs(model.weights[rows]
+                                 - np.exp(log_pi[i]) * w)) <= 1e-12
+            assert np.max(np.abs(model.means[rows]
+                                 - (base.means + base.covs @ v))) <= 1e-12
+            assert np.max(np.abs(model.covs[rows] - base.covs)) <= 1e-12
 
 
 class TestSampleKLAligned:
@@ -265,6 +307,32 @@ class TestSampleKLAligned:
         assert rep["backend"] == "diffusion"
         assert rep["diffusion_steps"] > 0
         assert np.all(np.abs(res.batch.points) <= 1.0 + 1e-12)
+
+    def test_gmm_base_matches_quadrature(self):
+        # one-mode 1D mixture: W2 to the quadrature truth at criterion 2's
+        # tolerance, through the flattened m*J-component proposal
+        base = ra.GaussianMixtureModel([0.4, 0.6], [[-0.6], [0.7]],
+                                       [[[0.5]], [[0.3]]], 6.0)
+        f = ra.make_max_affine([(np.array([0.25]), 0.0),
+                                (np.array([-0.15]), 0.1)])
+        f.radius = 6.0
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1, delta=0.05,
+                                   seed=21, n=10**5)
+        truth = QuadratureTilt1D(base, ra.LowRankReward(np.eye(1), f))
+        w2 = w2_1d_samples_vs_quantiles(res.batch.points[:, 0], truth.ppf)
+        assert w2 <= 0.02
+        assert res.envelope.m > 1
+
+    def test_diffusion_backend_distinct_tilts(self):
+        # |u| on atoms {-1, 0.5}: the envelope's pieces tilt by -1, 0 and
+        # +1, so the rows of one reverse pass carry different tilts
+        base = ra.DiscreteModel([[-1.0], [0.5]], [0.5, 0.5], 1.0)
+        res = ra.sample_kl_aligned(base, np.eye(1), abs_function(), eps=0.5,
+                                   delta=0.1, seed=1, n=400,
+                                   backend="diffusion")
+        assert len(np.unique(res.proposal.tilt_vectors)) == 3
+        p_left = np.mean(res.batch.points[:, 0] < -0.25)
+        assert abs(p_left - 1.0 / (1.0 + np.exp(-0.5))) < 0.08
 
     def test_determinism(self):
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)

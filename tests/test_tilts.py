@@ -85,6 +85,17 @@ class TestTiltedScore:
                 rhs = ra.score(ra.tilt_exact(m, v), sig, x)
                 assert np.max(np.abs(lhs - rhs)) < 1e-8
 
+    def test_tilt_matrix_matches_rows(self):
+        rng = np.random.default_rng(12)
+        m = random_gmm(rng, 3, 2)
+        oracle = ra.score_oracle(m)
+        V = rng.standard_normal((7, 3)) * 0.3
+        x = rng.standard_normal((7, 3))
+        rows = np.array([ra.tilted_score(oracle, v, 0.4, xi)
+                         for v, xi in zip(V, x)])
+        batch = ra.tilted_score(oracle, V, 0.4, x)
+        assert np.max(np.abs(batch - rows)) <= 1e-12
+
 
 class TestSampleLinearTilt:
     def test_exact_gaussian_mean(self):
