@@ -68,6 +68,16 @@ def _write_batch_csv(path: str, batch: SampleBatch) -> None:
     os.replace(tmp, path)
 
 
+def _write_pairs_csv(path: str, ys: np.ndarray, xs: np.ndarray) -> None:
+    """The coupling as rows (y0..y{d-1}, x0..x{d-1}), written atomically."""
+    d = xs.shape[1]
+    header = ",".join([f"y{i}" for i in range(d)] + [f"x{i}" for i in range(d)])
+    tmp = path + ".tmp"
+    np.savetxt(tmp, np.hstack([ys, xs]), delimiter=",", header=header,
+               comments="", fmt="%.17e")
+    os.replace(tmp, path)
+
+
 def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(t) for t in text.split(",") if t.strip() != ""])
 
@@ -130,12 +140,7 @@ def cmd_align_w2(args) -> int:
                                seed=args.seed, backend=args.backend,
                                eps=args.eps)
     os.makedirs(args.out, exist_ok=True)
-    d = result.xs.shape[1]
-    header = ",".join([f"y{i}" for i in range(d)] + [f"x{i}" for i in range(d)])
-    tmp = os.path.join(args.out, "pairs.csv.tmp")
-    np.savetxt(tmp, np.hstack([result.ys, result.xs]), delimiter=",",
-               header=header, comments="", fmt="%.17e")
-    os.replace(tmp, os.path.join(args.out, "pairs.csv"))
+    _write_pairs_csv(os.path.join(args.out, "pairs.csv"), result.ys, result.xs)
     diagnostics = {"objective_value": result.objective,
                    "objective_stderr": result.objective_stderr}
     derived = {"backend": args.backend}
@@ -227,11 +232,7 @@ def reproduce_fig1(seed: int, n: int, out_dir: str) -> dict:
 
     w2 = sample_w2_aligned(base, reward, lam=0.15, n=n, seed=seed + 2,
                            backend="quad")
-    header = "y0,x0"
-    tmp = os.path.join(out_dir, "w2_pairs.csv.tmp")
-    np.savetxt(tmp, np.hstack([w2.ys, w2.xs]), delimiter=",", header=header,
-               comments="", fmt="%.17e")
-    os.replace(tmp, os.path.join(out_dir, "w2_pairs.csv"))
+    _write_pairs_csv(os.path.join(out_dir, "w2_pairs.csv"), w2.ys, w2.xs)
 
     bins = np.linspace(-6.0, 6.0, 121)
     hist = {
@@ -351,7 +352,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
-    except RewardAlignError as exc:
+    except (RewardAlignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,10 +42,13 @@ def tv_discrete(p: DiscreteModel, q: DiscreteModel) -> float:
 
 
 def empirical_to_discrete(points: np.ndarray, C: float) -> DiscreteModel:
-    """Frequency law of a sample (exact row matching)."""
+    """Frequency law of a sample: rows match exactly, by bytes as in
+    ``tv_discrete``, through a 1-D sort of one opaque key per row."""
     pts = np.ascontiguousarray(np.atleast_2d(points), dtype=float)
-    uniq, counts = np.unique(pts, axis=0, return_counts=True)
-    return DiscreteModel(uniq, counts / counts.sum(), C)
+    keys = pts.view(np.dtype((np.void, pts.itemsize * pts.shape[1])))
+    _, first, counts = np.unique(keys.ravel(), return_index=True,
+                                 return_counts=True)
+    return DiscreteModel(pts[first], counts / counts.sum(), C)
 
 
 def mix_discrete(components, weights) -> DiscreteModel:

@@ -117,7 +117,9 @@ class GaussianMixtureModel:
         for j in range(J):
             if not np.allclose(self.covs[j], self.covs[j].T, atol=1e-12):
                 raise ValidationError(f"covariance {j} is not symmetric")
-        self._eigvals = np.linalg.eigvalsh(self.covs)
+        # Sigma_j = V_j diag(lam_j) V_j'; the noised covariances
+        # a^2 Sigma_j + sigma^2 I share these eigenvectors
+        self._eigvals, self._eigvecs = np.linalg.eigh(self.covs)
         if np.any(self._eigvals <= 0):
             raise ValidationError("covariances must be positive definite")
         if check_support:
@@ -128,9 +130,6 @@ class GaussianMixtureModel:
                     f">= {SUPPORT_MASS_TOL:.0e}; enlarge C or tighten the mixture")
 
         self._chols = np.linalg.cholesky(self.covs)
-        # log-normalizers of each component
-        self._logdets = 2.0 * np.sum(
-            np.log(np.diagonal(self._chols, axis1=1, axis2=2)), axis=1)
 
     @property
     def d(self) -> int:
@@ -142,31 +141,30 @@ class GaussianMixtureModel:
 
     def mass_outside_ball(self) -> float:
         """Chi-square tail upper bound on the untruncated mass outside B(C)."""
-        C = self.support_radius
-        total = 0.0
-        for j in range(self.n_components):
-            mu_norm = np.linalg.norm(self.means[j])
-            lam_max = self._eigvals[j, -1]
-            if C <= mu_norm:
-                total += self.weights[j]
-                continue
-            t = (C - mu_norm) / np.sqrt(lam_max)
-            total += self.weights[j] * chi2.sf(t * t, df=self.d)
-        return float(total)
+        # a component centred at or beyond the sphere counts whole (t = 0)
+        gap = np.maximum(self.support_radius
+                         - np.linalg.norm(self.means, axis=1), 0.0)
+        t = gap / np.sqrt(self._eigvals[:, -1])
+        return float(self.weights @ chi2.sf(t * t, df=self.d))
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Untruncated mixture log-density at points ``x`` of shape (n, d)."""
+        return logsumexp(self._components(x, 1.0, 0.0)[0], axis=1)
+
+    def _components(self, x: np.ndarray, a: float, s2: float):
+        """Per-component terms of the mixture with means a mu_j and
+        covariances S_j = a^2 Sigma_j + s2 I = V_j diag(a^2 lam_j + s2) V_j'
+        at points x (n, d): log(w_j N(x; a mu_j, S_j)) of shape (n, J), and
+        V_j' S_j^{-1} (x - a mu_j) of shape (n, J, d)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        n = x.shape[0]
-        logps = np.empty((n, self.n_components))
-        for j in range(self.n_components):
-            diff = x - self.means[j]
-            sol = np.linalg.solve(self._chols[j], diff.T)  # (d, n)
-            maha = np.sum(sol**2, axis=0)
-            logps[:, j] = (np.log(self.weights[j]) - 0.5 * maha
-                           - 0.5 * self._logdets[j]
-                           - 0.5 * self.d * np.log(2.0 * np.pi))
-        return logsumexp(logps, axis=1)
+        ev = a * a * self._eigvals + s2                       # (J, d)
+        z = np.einsum("njd,jde->nje", x[:, None, :] - a * self.means,
+                      self._eigvecs)
+        zw = z / ev
+        logp = (np.log(self.weights) - 0.5 * np.sum(z * zw, axis=2)
+                - 0.5 * np.sum(np.log(ev), axis=1)
+                - 0.5 * self.d * np.log(2.0 * np.pi))
+        return logp, zw
 
     def to_dict(self) -> dict:
         return {"type": "gmm", "weights": self.weights.tolist(),
@@ -209,11 +207,14 @@ Model = Union[GaussianMixtureModel, DiscreteModel]
 def model_from_dict(spec: dict) -> Model:
     """Build a model from its JSON document form."""
     kind = spec.get("type")
-    if kind == "gmm":
-        return GaussianMixtureModel(spec["weights"], spec["means"],
-                                    spec["covs"], spec["C"])
-    if kind == "discrete":
-        return DiscreteModel(spec["atoms"], spec["probs"], spec["C"])
+    try:
+        if kind == "gmm":
+            return GaussianMixtureModel(spec["weights"], spec["means"],
+                                        spec["covs"], spec["C"])
+        if kind == "discrete":
+            return DiscreteModel(spec["atoms"], spec["probs"], spec["C"])
+    except (LookupError, TypeError) as exc:
+        raise ValidationError(f"malformed {kind} model spec: {exc!r}") from exc
     raise ValidationError(f"unknown model type {kind!r}")
 
 
@@ -267,37 +268,24 @@ def score(model: Model, sigma, x: np.ndarray) -> np.ndarray:
     if xb.shape[1] != model.d:
         raise ValidationError("dimension mismatch in score query")
 
+    a, s2 = nl.a, nl.sigma**2
     if isinstance(model, DiscreteModel):
-        a, s2 = nl.a, nl.sigma**2
         diff = xb[:, None, :] - a * model.atoms[None, :, :]
         logw = np.log(model.probs)[None, :] - 0.5 * np.sum(diff**2, axis=2) / s2
-        shift = logw.max(axis=1, keepdims=True)
-        if not np.all(np.isfinite(shift)):
-            raise NumericalError("score query numerically unreachable")
-        resp = np.exp(logw - shift)
-        resp /= resp.sum(axis=1, keepdims=True)
+    else:
+        logw, zw = model._components(xb, a, s2)
+    shift = logw.max(axis=1, keepdims=True)
+    if not np.all(np.isfinite(shift)):
+        raise NumericalError("score query numerically unreachable")
+    resp = np.exp(logw - shift)
+    resp /= resp.sum(axis=1, keepdims=True)
+    if isinstance(model, DiscreteModel):
         posterior_mean = resp @ model.atoms
         out = (a * posterior_mean - xb) / s2
     else:
-        noised = noised_params(model, nl)
-        n = xb.shape[0]
-        J = noised.n_components
-        logw = np.empty((n, J))
-        kernels = np.empty((n, J, model.d))
-        for j in range(J):
-            diff = xb - noised.means[j]
-            sol = np.linalg.solve(noised._chols[j], diff.T)
-            maha = np.sum(sol**2, axis=0)
-            logw[:, j] = (np.log(noised.weights[j]) - 0.5 * maha
-                          - 0.5 * noised._logdets[j])
-            kernels[:, j, :] = -np.linalg.solve(
-                noised._chols[j].T, sol).T  # -Sigma^{-1}(x - mu)
-        shift = logw.max(axis=1, keepdims=True)
-        if not np.all(np.isfinite(shift)):
-            raise NumericalError("score query numerically unreachable")
-        resp = np.exp(logw - shift)
-        resp /= resp.sum(axis=1, keepdims=True)
-        out = np.einsum("nj,njd->nd", resp, kernels)
+        # sum_j resp_j * -S_j^{-1}(x - a mu_j)
+        out = -np.einsum("nje,jde->nd", resp[:, :, None] * zw,
+                         model._eigvecs)
 
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite score value")
@@ -309,7 +297,7 @@ def noised_log_density(model: Model, sigma, x: np.ndarray) -> np.ndarray:
     nl = _as_noise(sigma)
     if isinstance(model, DiscreteModel):
         return _noised_discrete_logdensity(model, nl, np.atleast_2d(x))
-    return noised_params(model, nl).log_density(x)
+    return logsumexp(model._components(x, nl.a, nl.sigma**2)[0], axis=1)
 
 
 @dataclass(frozen=True)

@@ -267,23 +267,26 @@ class MaxAffineLowRankReward(LowRankReward):
 
 def reward_from_dict(spec: dict):
     kind = spec.get("type")
-    if kind == "linear":
-        return LinearReward(spec["theta"])
-    if kind == "quadratic":
-        return QuadraticReward(spec["B"], spec["b"], spec.get("c", 0.0))
-    if kind == "lowrank_maxaffine":
-        pieces = [(p[0], p[1]) for p in spec["pieces"]]
-        r = MaxAffineLowRankReward(spec["A"], pieces, spec.get("R"))
-        if "L" in spec:
-            declared = float(spec["L"])
-            if declared + 1e-12 < r.f.lipschitz:
-                raise ValidationError(
-                    f"declared L={declared} below the max piece slope "
-                    f"{r.f.lipschitz:.6g}")
-            r.f.lipschitz = declared
-        return r
-    if kind == "logsumexp":
-        return LogSumExpReward(spec["w"], spec["z"], spec["A"])
+    try:
+        if kind == "linear":
+            return LinearReward(spec["theta"])
+        if kind == "quadratic":
+            return QuadraticReward(spec["B"], spec["b"], spec.get("c", 0.0))
+        if kind == "lowrank_maxaffine":
+            pieces = [(p[0], p[1]) for p in spec["pieces"]]
+            r = MaxAffineLowRankReward(spec["A"], pieces, spec.get("R"))
+            if "L" in spec:
+                declared = float(spec["L"])
+                if declared + 1e-12 < r.f.lipschitz:
+                    raise ValidationError(
+                        f"declared L={declared} below the max piece slope "
+                        f"{r.f.lipschitz:.6g}")
+                r.f.lipschitz = declared
+            return r
+        if kind == "logsumexp":
+            return LogSumExpReward(spec["w"], spec["z"], spec["A"])
+    except (LookupError, TypeError) as exc:
+        raise ValidationError(f"malformed {kind} reward spec: {exc!r}") from exc
     raise ValidationError(f"unknown reward type {kind!r}")
 
 

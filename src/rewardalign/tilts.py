@@ -161,6 +161,8 @@ def estimate_normalizer(base, v, eta: float, delta: float, seed=None,
     if not (0.0 < eta < 1.0 and 0.0 < delta < 1.0):
         raise ValidationError("eta and delta must lie in (0,1)")
     v = np.asarray(v, dtype=float)
+    if v.shape != (base.d,):
+        raise ValidationError("tilt vector dimension mismatch")
     C = base.support_radius
     vc = float(np.linalg.norm(v) * C)
     rng = _rng_from(seed)

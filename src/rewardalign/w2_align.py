@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .kl_align import build_net
+from .kl_align import NET_CARDINALITY_CAP, build_net
 from .models import (Model, SampleBatch, _rng_from, project_ball,
                      recommended_steps, sample_exact, sample_via_diffusion,
                      score_oracle)
@@ -28,70 +28,66 @@ PROX_TIE_TOL = 1e-9
 # Quadratic backend (closed form + ball-constrained trust region)
 # ---------------------------------------------------------------------------
 
+def _check_prox_args(lam, C, y: np.ndarray, d: int) -> None:
+    """Prox entry checks: lam, C finite and positive; y's last axis is d."""
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValidationError(f"lambda must be finite and positive, got {lam}")
+    if not (np.isfinite(C) and C > 0):
+        raise ValidationError(f"C must be finite and positive, got {C}")
+    if y.shape[-1] != d:
+        raise ValidationError(f"y must have last axis {d}, got shape {y.shape}")
+
+
 def prox_quadratic(Bmat, b, lam: float, y, C: float) -> np.ndarray:
     """Exact maximizer of -x'Bx + b'x - lam ||x - y||^2 over the ball B(C),
-    for symmetric positive semidefinite B.
+    for symmetric positive semidefinite B, at a point y (d,) or at every
+    row of a batch (n, d).
 
     Unconstrained solution (B + lam I)^{-1} (b/2 + lam y); if it leaves the
     ball, the KKT multiplier is found by bisection on the monotone secular
     equation ||x(nu)|| = C.
     """
-    x, _ = _prox_quadratic_kkt(Bmat, b, lam, y, C)
-    return x
+    return _prox_quadratic_kkt(Bmat, b, lam, y, C)[0]
 
 
 def _prox_quadratic_kkt(Bmat, b, lam, y, C):
+    """x and its KKT multiplier nu (shaped like y without its last axis):
+    one eigh of B, and one bisection in its eigenbasis for all rows."""
     Bmat = np.atleast_2d(np.asarray(Bmat, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if lam <= 0:
-        raise ValidationError("lambda must be positive")
+    _check_prox_args(lam, C, y, Bmat.shape[0])
     if not np.allclose(Bmat, Bmat.T, atol=1e-12):
         raise ValidationError("B must be symmetric")
     evals, evecs = np.linalg.eigh(Bmat)
     if evals[0] < -1e-10:
         raise ValidationError("B must be PSD (concave reward); use the "
                               "low-rank backend for non-concave rewards")
-    rhs = b / 2.0 + lam * y
-    w = evecs.T @ rhs
-
-    def x_of(nu):
-        return evecs @ (w / (evals + lam + nu))
-
-    x = x_of(0.0)
-    if np.linalg.norm(x) <= C:
-        return x, 0.0
-
-    lo, hi = 0.0, lam + np.linalg.norm(rhs) / C
+    rhs = b / 2.0 + lam * np.atleast_2d(y)   # (n, d)
+    w = rhs @ evecs                          # coordinates in B's eigenbasis
+    z = w / (evals + lam)
+    nu = np.zeros(len(w))
+    over = np.flatnonzero(np.linalg.norm(z, axis=1) > C)
+    wo = w[over]
+    lo = np.zeros(len(over))
+    hi = lam + np.linalg.norm(rhs[over], axis=1) / C
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if np.linalg.norm(x_of(mid)) > C:
-            lo = mid
-        else:
-            hi = mid
-    nu = 0.5 * (lo + hi)
-    x = x_of(nu)
+        outside = np.linalg.norm(wo / (evals + lam + mid[:, None]), axis=1) > C
+        lo = np.where(outside, mid, lo)
+        hi = np.where(outside, hi, mid)
+    nu[over] = 0.5 * (lo + hi)
+    z[over] = wo / (evals + lam + nu[over, None])
+    x = z @ evecs.T
     # land exactly on the sphere; the direction is already converged
-    x *= C / np.linalg.norm(x)
-    return x, nu
+    x[over] *= C / np.linalg.norm(x[over], axis=1, keepdims=True)
+    return x.reshape(y.shape), nu.reshape(y.shape[:-1])
 
 
 def prox_quadratic_batch(reward: QuadraticReward, lam: float, ys: np.ndarray,
                          C: float) -> np.ndarray:
-    """Vectorized prox over many base points; the shared eigendecomposition
-    handles all unconstrained cases at once and only boundary cases fall
-    back to per-point bisection."""
-    if not reward.concave:
-        raise ValidationError("quadratic prox backend needs PSD B")
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    evals, evecs = np.linalg.eigh(reward.B)
-    rhs = reward.b / 2.0 + lam * ys          # (n, d)
-    w = rhs @ evecs                          # (n, d)
-    xs = (w / (evals + lam)) @ evecs.T
-    over = np.linalg.norm(xs, axis=1) > C
-    for i in np.flatnonzero(over):
-        xs[i] = prox_quadratic(reward.B, reward.b, lam, ys[i], C)
-    return xs
+    """Prox of every row of ``ys`` (n, d) under a concave quadratic reward."""
+    return prox_quadratic(reward.B, reward.b, lam, np.atleast_2d(ys), C)
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +105,10 @@ def prox_concave(reward, lam: float, y, C: float, tol: float = 1e-8,
     """
     if getattr(reward, "concave", False) is not True:
         raise ValidationError("prox_concave requires a concave reward oracle")
-    if lam <= 0 or tol <= 0:
-        raise ValidationError("need lam > 0 and tol > 0")
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    _check_prox_args(lam, C, y, reward.d)
+    if tol <= 0:
+        raise ValidationError("need tol > 0")
 
     if step is None:
         if isinstance(reward, QuadraticReward):
@@ -206,26 +203,29 @@ def reduced_objective(decomp: LowRankDecomp, f, lam: float, y: np.ndarray,
     """Phi_y(u) = f(U Sigma u) - lam [ ||u - u_y||^2 + (||w_y|| - rho(u))_+^2 ]
     evaluated at a batch of reduced coordinates ``us`` (n, r)."""
     us = np.atleast_2d(us)
-    u_y = decomp.V1.T @ y
-    w_norm = float(np.linalg.norm(decomp.V0.T @ y)) if decomp.V0.size else 0.0
-    rho = np.sqrt(np.maximum(C**2 - np.sum(us**2, axis=1), 0.0))
-    penalty = np.maximum(w_norm - rho, 0.0) ** 2
     fvals = np.asarray(f(us * decomp.Sigma @ decomp.U.T), dtype=float)
-    return fvals - lam * (np.sum((us - u_y) ** 2, axis=1) + penalty)
+    return fvals - lam * _reduced_cost(decomp, y, C, us)
+
+
+def _reduced_cost(decomp: LowRankDecomp, y: np.ndarray, C: float,
+                  us: np.ndarray) -> np.ndarray:
+    """The y-dependent bracket of Phi_y at every row of ``us`` (n, r)."""
+    u_y = decomp.V1.T @ y
+    w_norm = float(np.linalg.norm(decomp.V0.T @ y))
+    rho = np.sqrt(np.maximum(C**2 - np.sum(us**2, axis=1), 0.0))
+    return np.sum((us - u_y) ** 2, axis=1) + np.maximum(w_norm - rho, 0.0) ** 2
 
 
 def lift_reduced_point(decomp: LowRankDecomp, y: np.ndarray, u: np.ndarray,
                        C: float) -> np.ndarray:
     """x(u) = V1 u + V0 w(u), with w(u) the projection of y's orthogonal
-    part onto the leftover radius."""
-    rho = float(np.sqrt(max(C**2 - float(u @ u), 0.0)))
-    x = decomp.V1 @ u
-    if decomp.V0.size:
-        w_y = decomp.V0.T @ y
-        w_norm = float(np.linalg.norm(w_y))
-        w = w_y if w_norm <= rho else w_y * (rho / max(w_norm, 1e-300))
-        x = x + decomp.V0 @ w
-    return x
+    part onto the leftover radius; at one u (r,) or each row of (n, r)."""
+    rho = np.sqrt(np.maximum(C**2 - np.sum(u * u, axis=-1, keepdims=True),
+                             0.0))
+    w_y = decomp.V0.T @ y
+    w_norm = float(np.linalg.norm(w_y))
+    w = np.where(w_norm <= rho, w_y, w_y * (rho / max(w_norm, 1e-300)))
+    return u @ decomp.V1.T + w @ decomp.V0.T
 
 
 def alg2_prox(decomp: LowRankDecomp, f, lam: float, y, C: float, eps: float,
@@ -235,21 +235,24 @@ def alg2_prox(decomp: LowRankDecomp, f, lam: float, y, C: float, eps: float,
     an h-net of the rank-r_A ball; guarantees the achieved objective is
     within eps/3 of the pointwise optimum V(y).
 
-    ``net`` may be passed in to share one net across many base points.
+    ``y`` is a point (d,) or a batch (n, d); f is evaluated on the net once
+    per call.  ``net`` may be passed in to share one net across calls.
     Ties within 1e-9 of the best value resolve to the lexicographically
     smallest lifted point.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    _check_prox_args(lam, C, y, decomp.V1.shape[0])
     if net is None:
         params = Alg2Params.from_problem(L, decomp.S, lam, C, eps, decomp.r_A)
         net = build_net(decomp.r_A, C, params.h, cap=net_cap).points
-    vals = reduced_objective(decomp, f, lam, y, C, net)
-    best = vals.max()
-    tied = np.flatnonzero(vals >= best - PROX_TIE_TOL)
-    candidates = np.array([lift_reduced_point(decomp, y, net[i], C)
-                           for i in tied])
-    order = np.lexsort(candidates.T[::-1])
-    return candidates[order[0]]
+    fvals = np.asarray(f(net * decomp.Sigma @ decomp.U.T), dtype=float)
+    xs = []
+    for yi in np.atleast_2d(y):
+        vals = fvals - lam * _reduced_cost(decomp, yi, C, net)
+        tied = net[vals >= vals.max() - PROX_TIE_TOL]
+        candidates = lift_reduced_point(decomp, yi, tied, C)
+        xs.append(candidates[np.lexsort(candidates.T[::-1])[0]])
+    return np.reshape(xs, y.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +333,9 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
     elif backend == "lowrank":
         if not isinstance(reward, LowRankReward):
             raise ValidationError("lowrank backend needs a LowRankReward")
-        decomp = LowRankDecomp.from_matrix(reward.A)
-        L = reward.f.lipschitz
-        params = Alg2Params.from_problem(L, decomp.S, lam, C, eps, decomp.r_A)
-        net = build_net(decomp.r_A, C, params.h).points
-        xs = np.array([alg2_prox(decomp, reward.f.value, lam, y, C, eps, L,
-                                 net=net) for y in ys])
+        xs = alg2_prox(LowRankDecomp.from_matrix(reward.A), reward.f.value,
+                       lam, ys, C, eps, reward.f.lipschitz,
+                       net_cap=NET_CARDINALITY_CAP)
     else:
         raise ValidationError(f"unknown prox backend {backend!r}")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rewardalign as ra
-from rewardalign.cli import main, reproduce_fig1
+from rewardalign.cli import fig1_base, fig1_reward, main, reproduce_fig1
 
 
 @pytest.fixture
@@ -229,3 +229,71 @@ def test_linear_reward_adapter(model_file, tmp_path):
     samples = np.loadtxt(os.path.join(out_dir, "samples.csv"), delimiter=",",
                          skiprows=1)
     assert abs(np.mean(samples > 0.5) - np.e / (1 + np.e)) < 0.02
+
+
+@pytest.mark.parametrize("extra", [["--C", "-1"], ["--C", "nan"],
+                                   ["--lambda", "nan"], ["--y", "0.0,1.0"]])
+def test_prox_demo_bad_input_rejected(quad_reward_file, capsys, extra):
+    argv = ["prox-demo", "--reward", quad_reward_file, "--lambda", "0.15",
+            "--y", "0.0", "--C", "10.0"] + extra
+    rc = main(argv)
+    assert rc == 2
+    assert "nan" not in capsys.readouterr().out.lower()
+
+
+def test_model_spec_missing_key_rejected(tmp_path, capsys):
+    path = tmp_path / "noC.json"
+    path.write_text(json.dumps({
+        "type": "gmm", "weights": [1.0], "means": [[0.0]],
+        "covs": [[[1.0]]]}))
+    rc = main(["estimate-z", "--model", str(path), "--v", "0.1"])
+    assert rc == 2
+    assert "'C'" in capsys.readouterr().err
+
+
+def test_reward_spec_missing_key_rejected(tmp_path, capsys):
+    path = tmp_path / "nob.json"
+    path.write_text(json.dumps({"type": "quadratic", "B": [[0.15]]}))
+    rc = main(["prox-demo", "--reward", str(path), "--lambda", "0.15",
+               "--y", "0.0"])
+    assert rc == 2
+
+
+def test_missing_model_file_rejected(tmp_path, capsys):
+    rc = main(["estimate-z", "--model", str(tmp_path / "absent.json"),
+               "--v", "0.1"])
+    assert rc == 2
+
+
+def test_estimate_z_wrong_tilt_length_rejected(model_file, capsys):
+    for backend in ("exact", "mc", "annealed"):
+        rc = main(["estimate-z", "--model", model_file, "--v", "0.1,0.2",
+                   "--backend", backend])
+        assert rc == 2
+
+
+def _pairs_text(ys, xs):
+    d = xs.shape[1]
+    head = ",".join([f"y{i}" for i in range(d)] + [f"x{i}" for i in range(d)])
+    rows = [",".join("%.17e" % v for v in row) for row in np.hstack([ys, xs])]
+    return "\n".join([head] + rows) + "\n"
+
+
+def test_pair_csv_bytes(gmm_file, quad_reward_file, tmp_path):
+    out_dir = str(tmp_path / "w2")
+    rc = main(["align-w2", "--model", gmm_file, "--reward", quad_reward_file,
+               "--lambda", "0.15", "--n", "300", "--seed", "5",
+               "--backend", "quad", "--out", out_dir])
+    assert rc == 0
+    res = ra.sample_w2_aligned(ra.load_model(gmm_file),
+                               ra.load_reward(quad_reward_file), lam=0.15,
+                               n=300, seed=5, backend="quad")
+    got = open(os.path.join(out_dir, "pairs.csv"), "rb").read()
+    assert got == _pairs_text(res.ys, res.xs).encode()
+
+    fig_dir = str(tmp_path / "fig1")
+    reproduce_fig1(seed=3, n=300, out_dir=fig_dir)
+    w2 = ra.sample_w2_aligned(fig1_base(), fig1_reward(), lam=0.15, n=300,
+                              seed=5, backend="quad")
+    got = open(os.path.join(fig_dir, "w2_pairs.csv"), "rb").read()
+    assert got == _pairs_text(w2.ys, w2.xs).encode()

@@ -35,6 +35,17 @@ class TestTV:
         assert got == pytest.approx(0.3808, abs=1e-4)
 
 
+    def test_empirical_law_matches_row_sort(self):
+        rng = np.random.default_rng(3)
+        atoms = rng.uniform(-0.5, 0.5, (32, 4))
+        pts = atoms[rng.integers(0, 32, 5000)]
+        emp = metrics.empirical_to_discrete(pts, 1.0)
+        uniq, counts = np.unique(pts, axis=0, return_counts=True)
+        ref = ra.DiscreteModel(uniq, counts / counts.sum(), 1.0)
+        assert emp.n_atoms == ref.n_atoms == 32
+        assert metrics.tv_discrete(emp, ref) == 0.0
+
+
 class TestW2Empirical:
     def test_identical_samples(self):
         xs = np.random.default_rng(1).standard_normal((50, 3))

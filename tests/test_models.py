@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 import rewardalign as ra
 from rewardalign.models import noised_log_density, recommended_steps
@@ -98,6 +100,39 @@ class TestScore:
     def test_dimension_mismatch(self):
         with pytest.raises(ra.ValidationError):
             ra.score(std_normal_1d(), 0.5, np.array([1.0, 2.0]))
+
+    def test_mixture_score_matches_per_component_solve(self):
+        rng = np.random.default_rng(21)
+        m = random_gmm(rng, 3, 3)
+        xs = random_unit_ball(rng, 50, 3, radius=m.support_radius / 2)
+        for sigma in (0.05, 0.4, 0.9):
+            a = np.sqrt(1 - sigma**2)
+            logp = np.empty((len(xs), 3))
+            kernels = np.empty((len(xs), 3, 3))
+            for j in range(3):
+                S = a * a * m.covs[j] + sigma**2 * np.eye(3)
+                diff = xs - a * m.means[j]
+                sol = np.linalg.solve(S, diff.T).T
+                logp[:, j] = (np.log(m.weights[j])
+                              - 0.5 * np.sum(diff * sol, axis=1)
+                              - 0.5 * np.linalg.slogdet(S)[1])
+                kernels[:, j] = -sol
+            resp = np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
+            expected = np.einsum("nj,njd->nd", resp, kernels)
+            assert np.max(np.abs(ra.score(m, sigma, xs) - expected)) <= 1e-10
+
+
+class TestLogDensity:
+    def test_matches_scipy_mixture(self):
+        rng = np.random.default_rng(22)
+        for d, J in ((1, 2), (2, 3), (3, 3)):
+            m = random_gmm(rng, d, J)
+            xs = random_unit_ball(rng, 40, d, radius=m.support_radius / 2)
+            comps = [np.log(m.weights[j])
+                     + multivariate_normal(m.means[j], m.covs[j]).logpdf(xs)
+                     for j in range(J)]
+            expected = logsumexp(np.array(comps).reshape(J, -1), axis=0)
+            assert np.max(np.abs(m.log_density(xs) - expected)) <= 1e-12
 
 
 class TestSampleExact:

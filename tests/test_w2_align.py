@@ -79,6 +79,40 @@ class TestProxQuadratic:
         with pytest.raises(ra.ValidationError):
             ra.prox_quadratic([[-1.0]], [0.0], 1.0, np.array([0.0]), 1.0)
 
+    def test_batch_matches_rows_interior_and_boundary(self):
+        rng = np.random.default_rng(30)
+        for d in range(1, 6):
+            M = rng.standard_normal((d, d))
+            B, b = M @ M.T / d, rng.standard_normal(d)
+            lam, C = float(rng.uniform(0.3, 1.5)), 1.0
+            # small ys stay inside the ball, large ones are pushed onto it
+            ys = rng.standard_normal((40, d)) * np.repeat([0.05, 4.0], 20)[:, None]
+            xs, nus = ra.w2_align._prox_quadratic_kkt(B, b, lam, ys, C)
+            assert xs.shape == ys.shape and nus.shape == (40,)
+            assert np.any(nus == 0.0) and np.any(nus > 0.0)
+            for y, x, nu in zip(ys, xs, nus):
+                x1, nu1 = ra.w2_align._prox_quadratic_kkt(B, b, lam, y, C)
+                assert np.max(np.abs(x - x1)) <= 1e-12
+                assert abs(nu - nu1) <= 1e-12
+                resid = (B + (lam + nu) * np.eye(d)) @ x - (b / 2 + lam * y)
+                assert np.linalg.norm(resid) <= 1e-9
+                assert abs(nu * (np.linalg.norm(x) - C)) <= 1e-9
+
+    @pytest.mark.parametrize("lam, C, y", [
+        (1.0, -1.0, [0.0]), (1.0, np.nan, [0.0]), (1.0, np.inf, [0.0]),
+        (np.nan, 1.0, [0.0]), (0.0, 1.0, [0.0]), (1.0, 1.0, [0.0, 1.0])])
+    def test_bad_inputs_rejected(self, lam, C, y):
+        r = fig1_reward()
+        y = np.array(y)
+        with pytest.raises(ra.ValidationError):
+            ra.prox_quadratic(r.B, r.b, lam, y, C)
+        with pytest.raises(ra.ValidationError):
+            ra.prox_concave(r, lam, y, C)
+        decomp = LowRankDecomp.from_matrix([[1.0]])
+        f = ra.make_max_affine([(np.array([1.0]), 0.0)])
+        with pytest.raises(ra.ValidationError):
+            ra.alg2_prox(decomp, f.value, lam, y, C, eps=0.1, L=1.0)
+
 
 class TestProxConcave:
     def test_matches_quadratic_backend(self):
@@ -149,6 +183,39 @@ class TestAlg2Prox:
             y = random_unit_ball(rng, 1, 3)[0] * 0.9
             x = ra.alg2_prox(decomp, reward.f.value, lam, y, C, eps, L)
             assert np.linalg.norm(x - y) <= L * S / (2 * lam) + 2 * h + 1e-6
+
+    def test_batch_equals_per_point_calls(self):
+        rng = np.random.default_rng(31)
+        for r_A, d in ((1, 3), (2, 4), (2, 2)):
+            A = rng.standard_normal((r_A, d))
+            f = ra.make_max_affine([(rng.standard_normal(r_A), 0.1),
+                                    (rng.standard_normal(r_A), -0.2)])
+            decomp = LowRankDecomp.from_matrix(A)
+            ys = random_unit_ball(rng, 25, d) * 1.2
+            xs = ra.alg2_prox(decomp, f.value, 0.1, ys, 1.0, 0.3, f.lipschitz)
+            rows = np.array([ra.alg2_prox(decomp, f.value, 0.1, y, 1.0, 0.3,
+                                          f.lipschitz) for y in ys])
+            assert np.array_equal(xs, rows)
+
+    def test_constant_reward_tie_batch(self):
+        # y's reduced coordinate halfway between two net points: both tie,
+        # and the lexicographically smaller lift wins in a batch as alone
+        A = np.array([[1.0, 0.0]])
+        f = ra.make_max_affine([(np.array([0.0]), 0.7)])
+        decomp = LowRankDecomp.from_matrix(A)
+        net = ra.build_net(1, 1.0, 0.05).points
+        mid = 0.5 * (net[10, 0] + net[11, 0])
+        y_tie = decomp.V1[:, 0] * mid + np.array([0.0, 0.3])
+        ys = np.array([[0.2, -0.1], y_tie, [3.0, 4.0], y_tie])
+        vals = reduced_objective(decomp, f.value, 0.5, y_tie, 1.0, net)
+        assert np.sum(vals >= vals.max() - 1e-9) == 2
+        xs = ra.alg2_prox(decomp, f.value, 0.5, ys, 1.0, 0.1, 0.1, net=net)
+        rows = np.array([ra.alg2_prox(decomp, f.value, 0.5, y, 1.0, 0.1, 0.1,
+                                      net=net) for y in ys])
+        assert np.array_equal(xs, rows)
+        lifts = sorted(tuple(decomp.V1 @ u + np.array([0.0, 0.3]))
+                       for u in net[10:12])
+        assert np.array_equal(xs[1], lifts[0])
 
     def test_decomposition_invariants(self):
         rng = np.random.default_rng(3)
