@@ -3,8 +3,10 @@
 Pipeline: cover the projected ball with an h-net, build a log-sum-exp
 upper envelope of f from supporting hyperplanes, sample the envelope tilt
 as a mixture of linear tilts, and correct to the target by rejection with
-acceptance exp(f - G).  A bounded number of rejection rounds is followed
-by a base-sample fallback so the runtime is deterministic.
+acceptance exp(f - G).  Candidates come as one i.i.d. stream, drawn in
+passes sized by the acceptance floor; output slots take them in order.
+Each slot gets at most N_rej candidates and then falls back to a base
+sample, so the work is bounded by n * N_rej candidates.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from scipy.special import logsumexp
 
 from .errors import (BudgetError, EnvelopeViolationError, ValidationError)
 from .models import (DiscreteModel, GaussianMixtureModel, Model, SampleBatch,
-                     _rng_from, recommended_steps, sample_exact,
-                     sample_via_diffusion, score_oracle)
+                     _rng_from, _seed_tag, recommended_steps,
+                     sample_exact, sample_via_diffusion, score_oracle)
 from .rewards import LowDimFunction, first_order
 from .tilts import estimate_normalizer, tilt_exact, tilted_oracle
 
@@ -185,8 +187,8 @@ class Alg1Params:
 def compute_params(L: float, A_opnorm: float, C: float, m: int,
                    eps: float) -> Alg1Params:
     """Parameter block: gap bound, acceptance floor, perturbation budget
-    rho, per-tilt sampling accuracy, normalizer accuracy, and the rejection
-    round count ceil(2/a0 * log(16 C^2 / eps^2))."""
+    rho, per-tilt sampling accuracy, normalizer accuracy, and the per-slot
+    candidate budget N_rej = ceil(2/a0 * log(16 C^2 / eps^2))."""
     if not (0.0 < eps < 1.0):
         raise ValidationError("eps must be in (0,1)")
     if m < 1:
@@ -278,6 +280,13 @@ def proposal_law_discrete(base: DiscreteModel, env: Envelope,
 
 @dataclass
 class KLAlignResult:
+    """Samples and counters of one ``sample_kl_aligned`` call.
+
+    ``proposal_draws`` counts the candidates up to the end of the last
+    served slot; the discarded tail of the last pass is not in it.
+    ``passes`` counts proposal draws of a whole pass each.
+    """
+
     batch: SampleBatch
     params: Alg1Params
     envelope: Envelope
@@ -289,11 +298,13 @@ class KLAlignResult:
     backend: str = "exact"
     diffusion_steps: int = 0
     eta_used: float = 0.0
+    passes: int = 0  # proposal passes (reverse passes on diffusion)
 
     def report(self) -> dict:
         rep = {"acceptance_rate": self.acceptance_rate,
                "fallback_count": self.fallback_count,
                "proposal_draws": self.proposal_draws,
+               "passes": self.passes,
                "used_base_shortcut": self.used_base_shortcut,
                "backend": self.backend}
         if self.backend == "diffusion":
@@ -314,6 +325,35 @@ def _log_acceptance(f: LowDimFunction, envelope: Envelope,
             f"acceptance exp({log_a.max():.3e}) above 1: envelope does "
             f"not dominate the reward (broken oracle?)")
     return log_a
+
+
+def _serve(ok: np.ndarray, carry: int, N_rej: int, slots: int):
+    """Walk one pass of accept flags as a candidate stream for ``slots``
+    waiting slots, the head one having already rejected ``carry``
+    (0 <= carry < N_rej; N_rej >= 1).
+
+    An accept ends the current slot with that candidate; each run of N_rej
+    rejects ends it with a fallback (-1).  Returns the outcomes of the
+    slots served (at most ``slots``), the number of this pass's candidates
+    they used, and the head slot's reject count for the next pass.
+    """
+    acc = np.flatnonzero(ok)
+    # rejects before each accept, the head slot's carried ones included
+    gaps = np.diff(acc, prepend=-1 - carry) - 1
+    fallbacks = gaps // N_rej
+    tail = ok.size - 1 - (acc[-1] if acc.size else -1 - carry)
+    out = np.full(int(fallbacks.sum()) + acc.size + tail // N_rej, -1)
+    out[np.cumsum(fallbacks + 1) - 1] = acc
+    if out.size < slots:
+        return out, ok.size, int(tail % N_rej)
+    out = out[:slots]
+    if out[-1] >= 0:
+        return out, int(out[-1]) + 1, 0
+    # the last slot ends at the N_rej-th reject of a run after an accept
+    hits = np.flatnonzero(out >= 0)
+    start = out[hits[-1]] if hits.size else -1 - carry
+    runs = slots - 1 - (hits[-1] if hits.size else -1)
+    return out, int(start + runs * N_rej) + 1, 0
 
 
 def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
@@ -340,7 +380,7 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     rng = _rng_from(seed)
     C = base.support_radius
     L = f.lipschitz
-    seed_tag = seed if isinstance(seed, int) else -1
+    seed_tag = _seed_tag(seed)
 
     if L == 0 and envelope is None:
         batch = _base_draw(base, n, rng, backend, eps, C)
@@ -349,7 +389,7 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         return KLAlignResult(batch=batch, params=None, envelope=None,
                              proposal=None, acceptance_rate=1.0,
                              fallback_count=0, proposal_draws=n,
-                             used_base_shortcut=True)
+                             used_base_shortcut=True, passes=1)
 
     op_norm = float(np.linalg.norm(A, 2))
     R = op_norm * C
@@ -365,7 +405,7 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                                                  else "mc"))
 
     # draw(count) -> (candidates, their log acceptance); one vectorized
-    # proposal draw per round whatever the number of envelope pieces
+    # proposal draw per pass whatever the number of envelope pieces
     diff_steps = 0
     if backend == "exact":
         model = proposal_model(base, proposal)
@@ -394,33 +434,38 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                 n=count, steps=diff_steps, seed=rng).points
             return xs, _log_acceptance(f, envelope, xs @ A.T)
 
+    # slots done..n-1 wait in order; by the floor a pass of waiting/a0
+    # candidates expects at least one accept per waiting slot.  A budget
+    # N_rej <= 0 (C <= eps/4) draws no candidates: every slot falls back
     pts = np.empty((n, base.d))
-    active = np.arange(n)
-    draws = 0
-    accepted = 0
-    for _ in range(params.N_rej):
-        if active.size == 0:
-            break
-        xs, log_a = draw(active.size)
-        draws += active.size
-        acc = np.log(rng.random(active.size)) < log_a
-        pts[active[acc]] = xs[acc]
-        accepted += int(acc.sum())
-        active = active[~acc]
+    fell = np.ones(n, dtype=bool)
+    done = carry = draws = passes = 0
+    while done < n and params.N_rej > 0:
+        count = min(int(np.ceil((n - done) / params.a0)), n)
+        xs, log_a = draw(count)
+        ok = np.log(rng.random(count)) < log_a
+        outcome, used, carry = _serve(ok, carry, params.N_rej, n - done)
+        hit = outcome >= 0
+        pts[done:done + outcome.size][hit] = xs[outcome[hit]]
+        fell[done:done + outcome.size] = ~hit
+        # free this pass's candidates before the next draw makes its own
+        del xs, log_a, ok
+        done += outcome.size
+        draws += used
+        passes += 1
 
-    fallback = active.size
+    fallback = int(fell.sum())
     if fallback:
-        fb = _base_draw(base, fallback, rng, backend, eps, C)
-        pts[active] = fb.points
+        pts[fell] = _base_draw(base, fallback, rng, backend, eps, C).points
 
     batch = SampleBatch(points=pts, seed=seed_tag, producer="kl_align/alg1",
                         d=base.d, C=C)
     return KLAlignResult(batch=batch, params=params, envelope=envelope,
                          proposal=proposal,
-                         acceptance_rate=accepted / max(draws, 1),
+                         acceptance_rate=(n - fallback) / max(draws, 1),
                          fallback_count=fallback, proposal_draws=draws,
-                         backend=backend,
-                         diffusion_steps=diff_steps, eta_used=eta_used)
+                         backend=backend, diffusion_steps=diff_steps,
+                         eta_used=eta_used, passes=passes)
 
 
 def _base_draw(base, n, rng, backend, eps, C):

@@ -206,6 +206,9 @@ Model = Union[GaussianMixtureModel, DiscreteModel]
 
 def model_from_dict(spec: dict) -> Model:
     """Build a model from its JSON document form."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"a model spec must be a JSON object, got "
+                              f"{type(spec).__name__}")
     kind = spec.get("type")
     try:
         if kind == "gmm":
@@ -213,14 +216,19 @@ def model_from_dict(spec: dict) -> Model:
                                         spec["covs"], spec["C"])
         if kind == "discrete":
             return DiscreteModel(spec["atoms"], spec["probs"], spec["C"])
-    except (LookupError, TypeError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {kind} model spec: {exc!r}") from exc
     raise ValidationError(f"unknown model type {kind!r}")
 
 
 def load_model(path) -> Model:
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            spec = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValidationError(f"{path} is not a JSON model spec: "
+                                  f"{exc}") from exc
+    return model_from_dict(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +339,12 @@ def _rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _seed_tag(seed) -> int:
+    """The seed recorded on a batch: the integer seed, or -1 when the
+    caller passed a Generator or nothing."""
+    return int(seed) if isinstance(seed, (int, np.integer)) else -1
+
+
 def _sample_gmm_raw(model: GaussianMixtureModel, n: int,
                     rng: np.random.Generator) -> np.ndarray:
     comps = rng.choice(model.n_components, size=n, p=model.weights)
@@ -365,8 +379,7 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
                 pts[bad] = _sample_gmm_raw(model, int(bad.sum()), rng)
                 bad[bad] = np.linalg.norm(pts[bad], axis=1) > C
 
-    seed_tag = seed if isinstance(seed, int) else -1
-    return SampleBatch(points=pts, seed=seed_tag,
+    return SampleBatch(points=pts, seed=_seed_tag(seed),
                        producer=f"sample_exact/{type(model).__name__}",
                        d=model.d, C=C)
 
@@ -416,7 +429,6 @@ def sample_via_diffusion(oracle: ScoreOracle, n: int = 1, steps: int = None,
         else:
             x = x0
     x = project_ball(x, oracle.C)
-    seed_tag = seed if isinstance(seed, int) else -1
-    return SampleBatch(points=x, seed=seed_tag,
+    return SampleBatch(points=x, seed=_seed_tag(seed),
                        producer=f"diffusion/{oracle.tag}/steps={steps}",
                        d=oracle.d, C=oracle.C)

@@ -266,6 +266,9 @@ class MaxAffineLowRankReward(LowRankReward):
 
 
 def reward_from_dict(spec: dict):
+    if not isinstance(spec, dict):
+        raise ValidationError(f"a reward spec must be a JSON object, got "
+                              f"{type(spec).__name__}")
     kind = spec.get("type")
     try:
         if kind == "linear":
@@ -285,11 +288,16 @@ def reward_from_dict(spec: dict):
             return r
         if kind == "logsumexp":
             return LogSumExpReward(spec["w"], spec["z"], spec["A"])
-    except (LookupError, TypeError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {kind} reward spec: {exc!r}") from exc
     raise ValidationError(f"unknown reward type {kind!r}")
 
 
 def load_reward(path):
     with open(path) as fh:
-        return reward_from_dict(json.load(fh))
+        try:
+            spec = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValidationError(f"{path} is not a JSON reward spec: "
+                                  f"{exc}") from exc
+    return reward_from_dict(spec)

@@ -18,6 +18,10 @@ from .models import (DiscreteModel, GaussianMixtureModel, Model,
 
 MC_SAMPLE_CAP = 10_000_000
 
+# Draws per block when a Monte Carlo normalizer sums exp(<v, X>), so its
+# memory stays flat up to MC_SAMPLE_CAP draws.
+MC_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class NormalizerEstimate:
@@ -140,6 +144,16 @@ def sample_linear_tilt(base, v, eps: float, seed, backend: str = "exact",
 # Normalizer estimation
 # ---------------------------------------------------------------------------
 
+def _mean_exp(model: Model, v: np.ndarray, n: int, rng) -> float:
+    """Mean of exp(<v, X>) over n exact draws of the model, summed block
+    by block."""
+    total = 0.0
+    for s in range(0, n, MC_BLOCK):
+        xs = sample_exact(model, min(MC_BLOCK, n - s), rng).points
+        total += float(np.exp(xs @ v).sum())
+    return total / n
+
+
 def _hoeffding_draws(vc: float, eta: float, delta: float) -> int:
     # Hoeffding on exp(<v,X>) with range within [e^{-vc}, e^{vc}] and mean
     # at least e^{-vc}; the crude e^{4 vc} covers range^2 / mean^2.
@@ -177,9 +191,8 @@ def estimate_normalizer(base, v, eta: float, delta: float, seed=None,
             raise BudgetError(
                 f"mc normalizer needs {n} draws (cap {mc_cap}); use the "
                 f"annealed backend for ||v||C = {vc:.3g}")
-        xs = sample_exact(base, n, rng).points
-        val = float(np.mean(np.exp(xs @ v)))
-        return NormalizerEstimate(value=val, eta=eta, delta=delta,
+        return NormalizerEstimate(value=_mean_exp(base, v, n, rng),
+                                  eta=eta, delta=delta,
                                   method="mc", n_draws=n)
 
     if backend == "annealed":
@@ -192,16 +205,11 @@ def estimate_normalizer(base, v, eta: float, delta: float, seed=None,
             raise BudgetError(
                 f"annealed normalizer needs {n_j * stages} draws (cap {mc_cap})")
         log_val = 0.0
-        total = 0
         for j in range(stages):
-            t_prev = j / stages
-            dv = v / stages
-            xs = sample_linear_tilt(base, t_prev * v, eps=1.0, seed=rng,
-                                    backend="exact", n=n_j).points
-            log_val += float(np.log(np.mean(np.exp(xs @ dv))))
-            total += n_j
+            stage = tilt_exact(base, (j / stages) * v)
+            log_val += float(np.log(_mean_exp(stage, v / stages, n_j, rng)))
         return NormalizerEstimate(value=float(np.exp(log_val)), eta=eta,
                                   delta=delta, method="annealed",
-                                  n_draws=total)
+                                  n_draws=n_j * stages)
 
     raise ValidationError(f"unknown backend {backend!r}")

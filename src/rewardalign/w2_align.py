@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .kl_align import NET_CARDINALITY_CAP, build_net
-from .models import (Model, SampleBatch, _rng_from, project_ball,
+from .models import (Model, SampleBatch, _rng_from, _seed_tag, project_ball,
                      recommended_steps, sample_exact, sample_via_diffusion,
                      score_oracle)
 from .rewards import LowRankReward, QuadraticReward
@@ -306,7 +306,7 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
         raise ValidationError(f"lambda must be finite and positive, got {lam}")
     rng = _rng_from(seed)
     C = base.support_radius
-    seed_tag = seed if isinstance(seed, int) else -1
+    seed_tag = _seed_tag(seed)
 
     if base_backend == "exact":
         ys = sample_exact(base, n, rng).points

@@ -80,6 +80,11 @@ def test_align_kl_run(model_file, kl_reward_file, tmp_path, capsys):
     assert manifest["derived_parameters"]["B"] == pytest.approx(params.B)
     p1 = np.mean(samples > 0.5)
     assert abs(p1 - np.e / (1 + np.e)) < 0.03
+    # each pass is one proposal draw; a pass of n/a0 candidates serves
+    # every slot with high probability, so a handful of passes suffice
+    diag = manifest["diagnostics"]
+    assert 1 <= diag["passes"] <= params.N_rej
+    assert diag["proposal_draws"] <= 5000 * params.N_rej
 
 
 def test_align_kl_byte_identical_reruns(model_file, kl_reward_file, tmp_path):
@@ -263,6 +268,32 @@ def test_missing_model_file_rejected(tmp_path, capsys):
     rc = main(["estimate-z", "--model", str(tmp_path / "absent.json"),
                "--v", "0.1"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"type": "discrete", "atoms": [[0.0], [1.0]], "probs": [0.5',
+    '{"type": "gmm", "weights": [0.5, 0.5], "means": [[0.0], [1.0, 2.0]], '
+    '"covs": [[[0.1]], [[0.1]]], "C": 4.0}',
+    '[0.5, 0.5]'])
+def test_malformed_model_file_rejected(tmp_path, capsys, text):
+    # truncated JSON, a ragged array, and a document that is not an object
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc = main(["estimate-z", "--model", str(path), "--v", "0.1"])
+    assert rc == 2
+    assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"type": "quadratic", "B": [[0.15]], "b": [0.6',
+    '{"type": "quadratic", "B": [[0.15], [0.1, 0.2]], "b": [0.6]}'])
+def test_malformed_reward_file_rejected(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc = main(["prox-demo", "--reward", str(path), "--lambda", "0.15",
+               "--y", "0.0"])
+    assert rc == 2
+    assert "validation error" in capsys.readouterr().err
 
 
 def test_estimate_z_wrong_tilt_length_rejected(model_file, capsys):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import rewardalign as ra
-from rewardalign.kl_align import MixtureProposal, Net, proposal_law_discrete
+from rewardalign.kl_align import (MixtureProposal, Net, _serve,
+                                  proposal_law_discrete)
 from rewardalign.metrics import (QuadratureTilt1D, empirical_to_discrete,
                                  oracle_kl_tilt, tv_discrete,
                                  w2_1d_samples_vs_quantiles)
@@ -221,6 +222,64 @@ class TestBuildProposal:
             assert np.max(np.abs(model.covs[rows] - base.covs)) <= 1e-12
 
 
+def serve_reference(ok, carry, N_rej, slots):
+    """Scalar walk of one pass: slot by slot, candidate by candidate."""
+    out, rejects = [], carry
+    for i, flag in enumerate(ok):
+        rejects = 0 if flag else rejects + 1
+        if flag or rejects == N_rej:
+            out.append(i if flag else -1)
+            rejects = 0
+            if len(out) == slots:
+                return out, i + 1, 0
+    return out, len(ok), rejects
+
+
+class TestServe:
+    def check(self, ok, carry, N_rej, slots):
+        out, used, left = _serve(np.asarray(ok, dtype=bool), carry, N_rej,
+                                 slots)
+        ref = serve_reference(ok, carry, N_rej, slots)
+        assert (out.tolist(), used, left) == ref
+        return out, used, left
+
+    @pytest.mark.parametrize("N_rej", [1, 2, 5])
+    def test_matches_scalar_walk(self, N_rej):
+        rng = np.random.default_rng(N_rej)
+        for _ in range(400):
+            p = rng.choice([0.05, 0.3, 0.9])
+            ok = rng.random(int(rng.integers(0, 60))) < p
+            self.check(ok, int(rng.integers(0, N_rej)), N_rej,
+                       int(rng.integers(1, 40)))
+
+    @pytest.mark.parametrize("N_rej", [1, 2, 5])
+    def test_long_reject_runs(self, N_rej):
+        for carry in range(N_rej):
+            ok = np.zeros(2 * N_rej + 3, dtype=bool)
+            out = self.check(ok, carry, N_rej, 100)[0]
+            assert out.tolist() == [-1] * ((ok.size + carry) // N_rej)
+            ok[-1] = True
+            self.check(ok, carry, N_rej, 100)
+            self.check(ok, carry, N_rej, 1)
+
+    @pytest.mark.parametrize("N_rej", [1, 2, 5])
+    def test_carry_across_passes(self, N_rej):
+        # two passes served with the carry equal one pass of both streams
+        rng = np.random.default_rng(10 + N_rej)
+        for _ in range(200):
+            ok = rng.random(int(rng.integers(0, 80))) < 0.2
+            cut = int(rng.integers(0, ok.size + 1))
+            slots = int(rng.integers(1, 30))
+            out1, used1, carry = self.check(ok[:cut], 0, N_rej, slots)
+            if out1.size == slots:
+                continue
+            out2, used2, left = self.check(ok[cut:], carry, N_rej,
+                                           slots - out1.size)
+            joined = [o if o < 0 else o + cut for o in out2.tolist()]
+            assert (out1.tolist() + joined, used1 + used2, left) \
+                == serve_reference(ok, 0, N_rej, slots)
+
+
 class TestSampleKLAligned:
     def test_two_atom_identity_reward(self):
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
@@ -292,6 +351,91 @@ class TestSampleKLAligned:
                                    delta=0.05, seed=7, n=2000, envelope=env)
         # acceptance = 1/e exactly, so the empirical rate concentrates there
         assert abs(res.acceptance_rate - np.exp(-1)) < 0.03
+
+    def test_fallback_law_at_exact_acceptance(self):
+        # one explicit log-sum-exp piece: G = f + 1, so each candidate is
+        # accepted with probability exactly 1/e and a slot falls back
+        # after N_rej = 16 rejects with probability (1 - 1/e)^16
+        rng = np.random.default_rng(12)
+        base = random_discrete(rng, 6, 2)
+        reward = ra.LogSumExpReward([1.0], [[0.5]],
+                                    random_orthogonal_rows(rng, 1, 2))
+        env = ra.Envelope.from_pieces(*reward.envelope_pieces())
+        n = 10**5
+        res = ra.sample_kl_aligned(base, reward.A, reward.f, eps=0.99,
+                                   delta=0.05, seed=13, n=n, envelope=env)
+        assert res.params.N_rej == 16
+        p = (1.0 - np.exp(-1.0)) ** 16
+        assert abs(res.fallback_count - n * p) <= 4 * np.sqrt(n * p * (1 - p))
+        assert res.proposal_draws <= n * res.params.N_rej
+        assert abs(res.acceptance_rate - np.exp(-1)) < 0.01
+
+    def test_nonpositive_budget_falls_back_to_base(self):
+        # C = 0.1 <= eps/4 makes N_rej = ceil(2/a0 * log(0.64)) negative:
+        # no candidate is drawn and every slot is a base sample
+        base = ra.DiscreteModel([[-0.1], [0.0], [0.1]], [0.2, 0.5, 0.3], 0.1)
+        f = ra.make_max_affine([(np.array([1.0]), 0.0)])
+        f.radius = 0.1
+        n = 10**5
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.5, delta=0.05,
+                                   seed=3, n=n)
+        assert res.params.N_rej <= 0
+        assert (res.fallback_count, res.proposal_draws, res.passes) \
+            == (n, 0, 0)
+        emp = empirical_to_discrete(res.batch.points, 0.1)
+        assert tv_discrete(emp, base) <= 0.02
+
+    def test_stream_matches_scalar_walk(self):
+        # the sampler against a candidate-by-candidate walk of the same
+        # draws, pass by pass; at acceptance 1/e and N_rej = 3 (C = 0.3)
+        # the head slot's rejects carry across passes and a quarter of the
+        # slots fall back
+        rng = np.random.default_rng(14)
+        base = random_discrete(rng, 6, 2, C=0.3)
+        reward = ra.LogSumExpReward([1.0], [[0.5]],
+                                    random_orthogonal_rows(rng, 1, 2))
+        A, f = reward.A, reward.f
+        env = ra.Envelope.from_pieces(*reward.envelope_pieces())
+        model = proposal_law_discrete(base, env, A)
+        u = model.atoms @ A.T
+        log_a = np.asarray(f.value(u)) - env.value(u)
+        n = 2000
+        for seed in range(8):
+            res = ra.sample_kl_aligned(base, A, f, eps=0.99, delta=0.05,
+                                       seed=seed, n=n, envelope=env)
+            N_rej, a0 = res.params.N_rej, res.params.a0
+            assert N_rej == 3
+            gen = np.random.default_rng(seed)
+            pts, rejects, draws, passes = [], 0, 0, 0
+            while len(pts) < n:
+                count = min(int(np.ceil((n - len(pts)) / a0)), n)
+                idx = gen.choice(model.n_atoms, size=count, p=model.probs)
+                flags = np.log(gen.random(count)) < log_a[idx]
+                passes += 1
+                for i, flag in zip(idx, flags):
+                    draws += 1
+                    rejects = 0 if flag else rejects + 1
+                    if flag or rejects == N_rej:
+                        pts.append(model.atoms[i] if flag else None)
+                        rejects = 0
+                        if len(pts) == n:
+                            break
+            fell = [j for j, x in enumerate(pts) if x is None]
+            fb = ra.sample_exact(base, len(fell), gen).points
+            for j, x in zip(fell, fb):
+                pts[j] = x
+            assert (res.fallback_count, res.proposal_draws, res.passes) \
+                == (len(fell), draws, passes)
+            assert np.array_equal(res.batch.points, np.array(pts))
+
+    def test_numpy_integer_seed_recorded(self):
+        base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
+        f = ra.make_max_affine([(np.array([1.0]), 0.0)])
+        f.radius = 1.0
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1, delta=0.05,
+                                   seed=np.int64(5), n=10)
+        assert res.batch.seed == 5
+        assert type(res.batch.seed) is int
 
     def test_diffusion_backend_end_to_end(self):
         # oracle-only pipeline: tilted-score reverse diffusion inside the

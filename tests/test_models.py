@@ -162,6 +162,18 @@ class TestSampleExact:
         with pytest.raises(ra.ConfigurationError):
             ra.GaussianMixtureModel([1.0], [[0.0]], [[[1.0]]], 2.0)
 
+    def test_seed_recorded(self):
+        m = ra.DiscreteModel([[-1.0], [1.0]], [0.5, 0.5], 1.0)
+        oracle = ra.score_oracle(m)
+        for seed in (5, np.int64(5), np.uint32(5)):
+            for batch in (ra.sample_exact(m, 3, seed),
+                          ra.sample_via_diffusion(oracle, n=3, steps=10,
+                                                  seed=seed)):
+                assert batch.seed == 5 and type(batch.seed) is int
+        gen = np.random.default_rng(5)
+        assert ra.sample_exact(m, 3, gen).seed == -1
+        assert ra.sample_exact(m, 3, None).seed == -1
+
 
 class TestProjectBall:
     def test_inside_unchanged(self):

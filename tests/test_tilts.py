@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import rewardalign as ra
-from rewardalign.tilts import log_normalizer_exact
+from rewardalign.tilts import MC_BLOCK, _mean_exp, log_normalizer_exact
 from rewardalign.validate import random_gmm
 
 
@@ -154,6 +156,29 @@ class TestEstimateNormalizer:
                                          seed=trial, backend="mc")
             hits += abs(est.value - truth) <= 0.1 * truth
         assert hits >= 40
+
+    def test_mc_sums_every_block(self):
+        # an atom set's blocked draws are the one-shot draws of the same
+        # stream; 3 blocks and a partial one
+        m = ra.DiscreteModel([[-0.5], [0.25], [1.0]], [0.2, 0.3, 0.5], 1.0)
+        v = np.array([0.8])
+        n = 3 * MC_BLOCK + 5
+        got = _mean_exp(m, v, n, np.random.default_rng(3))
+        xs = ra.sample_exact(m, n, np.random.default_rng(3)).points
+        assert got == pytest.approx(np.mean(np.exp(xs @ v)), rel=1e-12)
+
+    def test_mc_memory_flat_in_draws(self):
+        # about 4.6e5 draws; one-shot draws would hold several MB
+        m = two_point()
+        tracemalloc.start()
+        try:
+            est = ra.estimate_normalizer(m, np.array([0.0]), eta=0.002,
+                                         delta=0.05, seed=0, backend="mc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.n_draws > 50 * MC_BLOCK
+        assert peak < 1_000_000
 
     def test_annealed_agrees_with_exact(self):
         rng = np.random.default_rng(13)

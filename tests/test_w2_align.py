@@ -240,6 +240,12 @@ class TestPushforward:
                                    seed=4, backend="quad")
         assert np.max(np.abs(res.xs - (1 + res.ys / 2))) <= 1e-12
 
+    def test_numpy_integer_seed_recorded(self):
+        base = ra.DiscreteModel([[-1.0], [1.0]], [0.5, 0.5], 1.0)
+        res = ra.sample_w2_aligned(base, fig1_reward(), lam=0.15, n=10,
+                                   seed=np.int64(5), backend="quad")
+        assert res.seed == 5 and type(res.seed) is int
+
     def test_constant_reward_identity_transport(self):
         base = random_discrete(np.random.default_rng(5), 6, 2)
         r = ra.QuadraticReward(np.zeros((2, 2)), np.zeros(2))
