@@ -372,6 +372,8 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                               "concave rewards are outside this sampler")
     if not (0.0 < delta < 1.0):
         raise ValidationError("delta must be in (0,1)")
+    if backend not in ("exact", "diffusion"):
+        raise ValidationError(f"unknown KL backend {backend!r}")
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"n must be an integer >= 1, got {n!r}")
     A = np.atleast_2d(np.asarray(A, dtype=float))

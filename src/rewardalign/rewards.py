@@ -155,7 +155,10 @@ def make_logsumexp_function(weights, slopes) -> LowDimFunction:
 # ---------------------------------------------------------------------------
 
 class LinearReward:
-    """r(x) = <theta, x>."""
+    """r(x) = <theta, x>; ``value`` and ``grad`` take a point (d,) or a
+    batch (n, d)."""
+
+    concave = True
 
     def __init__(self, theta):
         self.theta = np.asarray(theta, dtype=float)
@@ -166,7 +169,7 @@ class LinearReward:
         return x @ self.theta
 
     def grad(self, x):
-        return self.theta.copy()
+        return np.broadcast_to(self.theta, np.shape(x)).copy()
 
     def to_dict(self):
         return {"type": "linear", "theta": self.theta.tolist()}
@@ -177,6 +180,7 @@ class QuadraticReward:
 
     The sign convention orients B so that a positive semidefinite B means a
     concave reward (the regime where the proximal map is a convex program).
+    ``value`` and ``grad`` take a point (d,) or a batch (n, d).
     """
 
     def __init__(self, B, b, c: float = 0.0):
@@ -200,7 +204,8 @@ class QuadraticReward:
         return float(out[0]) if x.ndim == 1 else out
 
     def grad(self, x):
-        return -2.0 * (self.B @ np.asarray(x, dtype=float)) + self.b
+        # B is symmetric, so x @ B is B x at a point (d,) and row-wise on (n, d)
+        return -2.0 * (np.asarray(x, dtype=float) @ self.B) + self.b
 
     def to_dict(self):
         return {"type": "quadratic", "B": self.B.tolist(),

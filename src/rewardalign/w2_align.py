@@ -97,11 +97,14 @@ def prox_quadratic_batch(reward: QuadraticReward, lam: float, ys: np.ndarray,
 def prox_concave(reward, lam: float, y, C: float, tol: float = 1e-8,
                  step: float = None, max_iter: int = 200_000) -> np.ndarray:
     """Projected gradient ascent on x -> r(x) - lam ||x - y||^2, which is
-    2*lam strongly concave for concave r.
+    2*lam strongly concave for concave r, at a point y (d,) or at every row
+    of a batch (n, d).
 
-    The reward must expose ``value``/``grad`` and be flagged concave.
-    Stops when the gradient-mapping norm drops below tol; strong concavity
-    then certifies the objective within tol * 2C of the optimum.
+    The reward must expose ``value``/``grad`` and be flagged concave.  A
+    point is handed to the oracles as (d,), a batch as the (rows, d) block
+    of rows still ascending.  Each row keeps its own step size and stall
+    count, and stops when its gradient-mapping norm drops below tol; strong
+    concavity then certifies its objective within tol * 2C of the optimum.
     """
     if getattr(reward, "concave", False) is not True:
         raise ValidationError("prox_concave requires a concave reward oracle")
@@ -116,27 +119,45 @@ def prox_concave(reward, lam: float, y, C: float, tol: float = 1e-8,
         else:
             step = 1.0 / (2.0 * lam)
 
-    def objective(x):
-        return float(reward.value(x)) - lam * float(np.sum((x - y) ** 2))
+    def oracle(fn, x, shape):
+        out = np.asarray(fn(x[0] if y.ndim == 1 else x), dtype=float)
+        if out.size != np.prod(shape):
+            raise ValidationError(
+                f"reward oracle returned shape {out.shape} for {len(x)} "
+                f"point(s); a batch needs oracles that take (n, d)")
+        return out.reshape(shape)
 
-    x = project_ball(y, C)
-    fx = objective(x)
-    stalls = 0
+    def objective(x, yr):
+        return (oracle(reward.value, x, len(x))
+                - lam * np.sum((x - yr) ** 2, axis=1))
+
+    ys = np.atleast_2d(y)
+    out = np.empty_like(ys)
+    live = np.arange(len(ys))           # rows of out still ascending
+    x = project_ball(ys, C)
+    fx = objective(x, ys)
+    steps = np.full(len(x), float(step))
+    stalls = np.zeros(len(x), dtype=int)
     for _ in range(max_iter):
-        g = np.asarray(reward.grad(x), dtype=float) - 2.0 * lam * (x - y)
-        x_next = project_ball(x + step * g, C)
-        if np.linalg.norm(x - x_next) / step <= tol:
-            return x_next
-        f_next = objective(x_next)
-        if f_next < fx - 1e-12:
-            step *= 0.5
-            stalls += 1
-            if stalls > 200:
-                raise NumericalError(
-                    f"prox_concave stalled: step {step:.3e}, gradient map "
-                    f"{np.linalg.norm(x - x_next) / step:.3e} > tol {tol}")
-            continue
-        x, fx = x_next, f_next
+        g = oracle(reward.grad, x, x.shape) - 2.0 * lam * (x - ys)
+        x_next = project_ball(x + steps[:, None] * g, C)
+        done = np.linalg.norm(x - x_next, axis=1) / steps <= tol
+        out[live[done]] = x_next[done]
+        live, ys, x, x_next, fx, steps, stalls = (
+            a[~done] for a in (live, ys, x, x_next, fx, steps, stalls))
+        if not live.size:
+            return out.reshape(y.shape)
+        f_next = objective(x_next, ys)
+        worse = f_next < fx - 1e-12
+        steps[worse] *= 0.5
+        stalls[worse] += 1
+        if np.any(stalls > 200):
+            i = int(np.argmax(stalls))
+            raise NumericalError(
+                f"prox_concave stalled: step {steps[i]:.3e}, gradient map "
+                f"{np.linalg.norm(x[i] - x_next[i]) / steps[i]:.3e} > tol {tol}")
+        x[~worse] = x_next[~worse]
+        fx[~worse] = f_next[~worse]
     raise NumericalError(f"prox_concave did not reach tol={tol} within "
                          f"{max_iter} iterations")
 
@@ -300,10 +321,18 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
     backend: "quad" (closed-form concave quadratic), "pga" (projected
     gradient ascent, concave oracle), "lowrank" (value-oracle net search).
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
     if not (np.isfinite(lam) and lam > 0):
         raise ValidationError(f"lambda must be finite and positive, got {lam}")
+    if backend not in ("quad", "pga", "lowrank"):
+        raise ValidationError(f"unknown prox backend {backend!r}")
+    if backend == "quad" and not isinstance(reward, QuadraticReward):
+        raise ValidationError("quad backend needs a QuadraticReward")
+    if backend == "pga" and getattr(reward, "concave", False) is not True:
+        raise ValidationError("pga backend needs a concave reward oracle")
+    if backend == "lowrank" and not isinstance(reward, LowRankReward):
+        raise ValidationError("lowrank backend needs a LowRankReward")
     rng = _rng_from(seed)
     C = base.support_radius
     seed_tag = _seed_tag(seed)
@@ -325,19 +354,13 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
         raise ValidationError(f"unknown base backend {base_backend!r}")
 
     if backend == "quad":
-        if not isinstance(reward, QuadraticReward):
-            raise ValidationError("quad backend needs a QuadraticReward")
         xs = prox_quadratic_batch(reward, lam, ys, C)
     elif backend == "pga":
-        xs = np.array([prox_concave(reward, lam, y, C, tol=tol) for y in ys])
-    elif backend == "lowrank":
-        if not isinstance(reward, LowRankReward):
-            raise ValidationError("lowrank backend needs a LowRankReward")
+        xs = prox_concave(reward, lam, ys, C, tol=tol)
+    else:
         xs = alg2_prox(LowRankDecomp.from_matrix(reward.A), reward.f.value,
                        lam, ys, C, eps, reward.f.lipschitz,
                        net_cap=NET_CARDINALITY_CAP)
-    else:
-        raise ValidationError(f"unknown prox backend {backend!r}")
 
     obj, se = objective_value(ys, xs, reward, lam)
     return W2AlignResult(ys=ys, xs=xs, seed=seed_tag,

@@ -61,6 +61,18 @@ def test_prox_demo(quad_reward_file, capsys):
     assert out["T_lambda_y"] == pytest.approx([1.0], abs=1e-12)
 
 
+def test_prox_demo_linear_reward(tmp_path, capsys):
+    reward = tmp_path / "lin.json"
+    reward.write_text(json.dumps({"type": "linear", "theta": [0.4, -0.3]}))
+    rc = main(["prox-demo", "--reward", str(reward), "--lambda", "0.5",
+               "--y", "0.2,0.1", "--C", "1.0"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    want = ra.prox_quadratic(np.zeros((2, 2)), [0.4, -0.3], 0.5,
+                             np.array([0.2, 0.1]), 1.0)
+    assert np.max(np.abs(np.array(out["T_lambda_y"]) - want)) <= 1e-8
+
+
 def test_align_kl_run(model_file, kl_reward_file, tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     rc = main(["align-kl", "--model", model_file, "--reward", kl_reward_file,

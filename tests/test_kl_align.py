@@ -310,6 +310,20 @@ class TestSampleKLAligned:
             ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1, delta=0.05,
                                  seed=0)
 
+    def test_unknown_backend_rejected_before_any_draw(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work before the backend check")
+
+        for name in ("build_net", "build_proposal", "_base_draw",
+                     "sample_via_diffusion"):
+            monkeypatch.setattr(ra.kl_align, name, no_work)
+        base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
+        f = ra.make_max_affine([(np.array([1.0]), 0.0)])
+        f.radius = 1.0
+        with pytest.raises(ra.ValidationError, match="exakt"):
+            ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1, delta=0.05,
+                                 seed=0, n=10, backend="exakt")
+
     def test_broken_oracle_detected(self):
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
 

@@ -30,6 +30,23 @@ class TestEval:
         with pytest.raises(Exception):
             r.value(np.array([1.0, 2.0, 3.0]))
 
+    def test_batch_grad_matches_rows(self):
+        rng = np.random.default_rng(40)
+        for d in range(1, 6):
+            M = rng.standard_normal((d, d))
+            quad = ra.QuadraticReward(M @ M.T, rng.standard_normal(d))
+            lin = ra.LinearReward(rng.standard_normal(d))
+            xs = rng.standard_normal((25, d)) * 2.0
+            for r in (quad, lin):
+                g = r.grad(xs)
+                assert g.shape == xs.shape
+                for x, gx in zip(xs, g):
+                    assert r.grad(x).shape == (d,)
+                    assert np.max(np.abs(gx - r.grad(x))) <= 1e-12
+            # the quadratic gradient is -2Bx + b at each row
+            want = -2.0 * xs @ quad.B.T + quad.b
+            assert np.max(np.abs(quad.grad(xs) - want)) <= 1e-12
+
 
 class TestFirstOrder:
     def test_abs_away_from_kink(self):

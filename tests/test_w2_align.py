@@ -146,6 +146,59 @@ class TestProxConcave:
         with pytest.raises(ra.ValidationError):
             ra.prox_concave(r, 1.0, np.array([0.0]), 1.0)
 
+    def test_batch_matches_rows_interior_and_boundary(self):
+        rng = np.random.default_rng(32)
+        for d in range(1, 6):
+            M = rng.standard_normal((d, d))
+            r = ra.QuadraticReward(M @ M.T / d + 0.2 * np.eye(d),
+                                   0.5 * rng.standard_normal(d))
+            lam, C = float(rng.uniform(0.3, 1.5)), 1.0
+            # small ys stay inside the ball, large ones are pushed onto it
+            ys = rng.standard_normal((40, d)) * np.repeat([0.05, 4.0], 20)[:, None]
+            xs = ra.prox_concave(r, lam, ys, C, tol=1e-10)
+            assert xs.shape == ys.shape
+            norms = np.linalg.norm(xs, axis=1)
+            assert np.any(norms < C - 1e-6) and np.any(norms > C - 1e-12)
+            rows = np.array([ra.prox_concave(r, lam, y, C, tol=1e-10)
+                             for y in ys])
+            assert np.max(np.abs(xs - rows)) <= 1e-12
+
+    def test_oversized_step_halves_per_row(self):
+        # from 40 times the safe step, each row halves its own step when its
+        # own objective drops, so rows leave at different step sizes; one
+        # step shared by the batch would change the paths and the results
+        rng = np.random.default_rng(33)
+        M = rng.standard_normal((3, 3))
+        r = ra.QuadraticReward(M @ M.T, rng.standard_normal(3))
+        lam, C = 0.5, 1.0
+        step = 40.0 / (2.0 * np.linalg.eigvalsh(r.B)[-1] + 2.0 * lam)
+        ys = rng.standard_normal((30, 3)) * np.repeat([0.1, 3.0], 15)[:, None]
+        xs = ra.prox_concave(r, lam, ys, C, tol=1e-6, step=step)
+        rows = np.array([ra.prox_concave(r, lam, y, C, tol=1e-6, step=step)
+                         for y in ys])
+        assert np.max(np.abs(xs - rows)) <= 1e-12
+        closed = ra.prox_quadratic(r.B, r.b, lam, ys, C)
+        assert np.max(np.linalg.norm(xs - closed, axis=1)) <= 1e-5
+
+    def test_single_point_oracle_refused_on_batch(self):
+        # a gradient oracle that returns one (d,) vector whatever it is given
+        class PointGrad(ra.LinearReward):
+            def grad(self, x):
+                return self.theta.copy()
+
+        r = PointGrad([0.3, -0.2])
+        x = ra.prox_concave(r, 0.5, np.array([0.1, 0.2]), 1.0)
+        assert x == pytest.approx([0.4, 0.0], abs=1e-8)
+        with pytest.raises(ra.ValidationError, match="batch"):
+            ra.prox_concave(r, 0.5, np.array([[0.1, 0.2], [0.0, 0.0]]), 1.0)
+
+    def test_batch_iteration_cap(self):
+        r = ra.QuadraticReward([[1.0, 0.3], [0.3, 0.2]], [0.3, -0.2])
+        ys = np.array([[0.5, 0.5], [2.0, -1.0]])
+        assert np.all(np.isfinite(ra.prox_concave(r, 0.5, ys, 1.0, tol=1e-10)))
+        with pytest.raises(ra.NumericalError):
+            ra.prox_concave(r, 0.5, ys, 1.0, tol=1e-10, max_iter=2)
+
 
 class TestAlg2Prox:
     def test_worked_2d_example(self):
@@ -280,6 +333,35 @@ class TestPushforward:
                                    backend="pga", tol=1e-10)
         assert np.array_equal(quad.ys, pga.ys)
         assert np.max(np.abs(quad.xs - pga.xs)) <= 1e-6
+
+    @pytest.mark.parametrize("backend, reward, n", [
+        ("exakt", fig1_reward(), 10), ("quad", ra.LinearReward([1.0]), 10),
+        ("lowrank", fig1_reward(), 10),
+        ("pga", ra.QuadraticReward([[-0.5]], [0.0]), 10),
+        ("quad", fig1_reward(), 2.5), ("quad", fig1_reward(), True),
+        ("quad", fig1_reward(), 0)])
+    def test_bad_arguments_rejected_before_base_draw(self, monkeypatch,
+                                                     backend, reward, n):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("base draw before the argument checks")
+
+        monkeypatch.setattr(ra.w2_align, "sample_exact", no_draw)
+        monkeypatch.setattr(ra.w2_align, "sample_via_diffusion", no_draw)
+        base = ra.GaussianMixtureModel([1.0], [[0.0]], [[[1.0]]], 8.0)
+        for base_backend in ("exact", "diffusion"):
+            with pytest.raises(ra.ValidationError):
+                ra.sample_w2_aligned(base, reward, lam=0.15, n=n, seed=0,
+                                     backend=backend,
+                                     base_backend=base_backend)
+
+    def test_pga_linear_reward(self):
+        base = random_discrete(np.random.default_rng(22), 6, 2)
+        r = ra.LinearReward([0.4, -0.3])
+        res = ra.sample_w2_aligned(base, r, lam=0.5, n=50, seed=23,
+                                   backend="pga", tol=1e-10)
+        closed = ra.prox_quadratic(np.zeros((2, 2)), r.theta, 0.5, res.ys,
+                                   base.support_radius)
+        assert np.max(np.abs(res.xs - closed)) <= 1e-8
 
     def test_diffusion_base_backend(self):
         base = ra.GaussianMixtureModel([1.0], [[0.0]], [[[1.0]]], 8.0)
