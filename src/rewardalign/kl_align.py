@@ -1,12 +1,16 @@
 """KL alignment for convex low-dimensional rewards r(x) = f(Ax).
 
 Pipeline: cover the projected ball with an h-net, build a log-sum-exp
-upper envelope of f from supporting hyperplanes, sample the envelope tilt
+upper envelope of f from supporting hyperplanes, keep one piece per
+distinct hyperplane slope (the largest offset), sample the envelope tilt
 as a mixture of linear tilts, and correct to the target by rejection with
-acceptance exp(f - G).  Candidates come as one i.i.d. stream, drawn in
-passes sized by the acceptance floor; output slots take them in order.
-Each slot gets at most N_rej candidates and then falls back to a base
-sample, so the work is bounded by n * N_rej candidates.
+acceptance exp(f - G).  The sandwich f <= G <= f + 1 + log m', the
+acceptance floor and the rejection budget all follow the number m' of
+pieces kept, not the number of net points.  Candidates come as one
+i.i.d. stream, drawn in passes sized by the acceptance floor; output
+slots take them in order.  Each slot gets at most N_rej candidates and
+then falls back to a base sample, so the work is bounded by n * N_rej
+candidates.
 """
 
 from __future__ import annotations
@@ -90,7 +94,8 @@ def build_net(k: int, R: float, h: float,
 class Envelope:
     """Log-sum-exp upper envelope G(u) = 1 + log sum_i exp(b_i + <z_i, u>)
     built from supporting hyperplanes; satisfies f <= G <= f + 1 + log m
-    on the net's ball."""
+    on the net's ball.  ``sample_kl_aligned`` keeps one net piece per
+    distinct slope, so there the bounds hold with m' <= m pieces."""
 
     slopes: np.ndarray   # (m, k)
     offsets: np.ndarray  # (m,)
@@ -144,6 +149,26 @@ class Envelope:
         a log-sum-exp reward)."""
         return cls(slopes=np.atleast_2d(np.asarray(slopes, dtype=float)),
                    offsets=np.asarray(offsets, dtype=float))
+
+
+def _collapse_net_pieces(env: Envelope) -> Envelope:
+    """One piece per distinct slope (exact bytes), with the largest offset
+    of its group, groups in first-occurrence order.
+
+    Valid for supporting hyperplanes only: each is <= f, and the kept piece
+    dominates the ones it replaces, so f <= G' <= f + 1 + log m' still
+    holds.  Same-slope offsets from the net differ by rounding alone.  An
+    envelope with distinct slopes comes back as it is."""
+    rows = np.ascontiguousarray(env.slopes)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    _, first, group = np.unique(keys.ravel(), return_index=True,
+                                return_inverse=True)
+    if first.size == env.m:
+        return env
+    top = np.full(first.size, -np.inf)
+    np.maximum.at(top, group, env.offsets)
+    order = np.argsort(first)
+    return Envelope(slopes=env.slopes[first[order]], offsets=top[order])
 
 
 def build_envelope(f: LowDimFunction, net: Net) -> Envelope:
@@ -285,6 +310,9 @@ class KLAlignResult:
     ``proposal_draws`` counts the candidates up to the end of the last
     served slot; the discarded tail of the last pass is not in it.
     ``passes`` counts proposal draws of a whole pass each.
+    ``envelope`` is the envelope the sampler used: on the net path, one
+    piece per distinct slope out of ``net_pieces`` net pieces; an explicit
+    envelope as given (``net_pieces`` is then its own ``m``).
     """
 
     batch: SampleBatch
@@ -299,6 +327,7 @@ class KLAlignResult:
     diffusion_steps: int = 0
     eta_used: float = 0.0
     passes: int = 0  # proposal passes (reverse passes on diffusion)
+    net_pieces: int = 0  # envelope pieces before the per-slope collapse
 
     def report(self) -> dict:
         rep = {"acceptance_rate": self.acceptance_rate,
@@ -311,6 +340,7 @@ class KLAlignResult:
             rep["diffusion_steps"] = self.diffusion_steps
             rep["eta_used"] = self.eta_used
         if self.params is not None:
+            rep["net_pieces"] = self.net_pieces
             rep.update(self.params.to_dict())
         return rep
 
@@ -365,7 +395,8 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     Requires f flagged convex and L-Lipschitz on the projected ball of
     radius ||A||_op * C.  L = 0 short-circuits to base sampling.  An
     explicit ``envelope`` overrides the net construction (used when the
-    reward is itself a log-sum-exp with known pieces).
+    reward is itself a log-sum-exp with known pieces) and is used as
+    given; a net envelope keeps one piece per distinct slope.
     """
     if not f.convex:
         raise ValidationError("KL alignment requires a convex reward; "
@@ -398,6 +429,10 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     if envelope is None:
         net = build_net(f.k, R, 1.0 / (2.0 * L), cap=net_cap)
         envelope = build_envelope(f, net)
+        net_pieces = envelope.m
+        envelope = _collapse_net_pieces(envelope)
+    else:
+        net_pieces = envelope.m
     params = compute_params(L, op_norm, C, envelope.m, eps)
     # the schedule's eta is far below any Monte Carlo budget; the oracle-only
     # path floors it and records the substitution in the result
@@ -467,7 +502,8 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                          acceptance_rate=(n - fallback) / max(draws, 1),
                          fallback_count=fallback, proposal_draws=draws,
                          backend=backend, diffusion_steps=diff_steps,
-                         eta_used=eta_used, passes=passes)
+                         eta_used=eta_used, passes=passes,
+                         net_pieces=net_pieces)
 
 
 def _base_draw(base, n, rng, backend, eps, C):

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import chi2
+from scipy.special import chdtrc, logsumexp
 
 from .errors import ConfigurationError, NumericalError, ValidationError
 
@@ -145,7 +144,7 @@ class GaussianMixtureModel:
         gap = np.maximum(self.support_radius
                          - np.linalg.norm(self.means, axis=1), 0.0)
         t = gap / np.sqrt(self._eigvals[:, -1])
-        return float(self.weights @ chi2.sf(t * t, df=self.d))
+        return float(self.weights @ chdtrc(self.d, t * t))
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Untruncated mixture log-density at points ``x`` of shape (n, d)."""

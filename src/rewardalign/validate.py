@@ -8,12 +8,11 @@ same functions, so the CLI report and pytest agree by construction.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import chi2
+from scipy.special import chdtri, logsumexp
 
 from . import metrics
-from .kl_align import (Envelope, build_envelope, build_net, build_proposal,
-                       proposal_law_discrete)
+from .kl_align import (Envelope, _collapse_net_pieces, build_envelope,
+                       build_net, build_proposal, proposal_law_discrete)
 from .models import (DiscreteModel, GaussianMixtureModel, sample_exact,
                      score, noised_log_density)
 from .rewards import (LogSumExpReward, LowDimFunction, make_max_affine)
@@ -63,7 +62,7 @@ def random_gmm(rng, d, n_components, spread=1.5, scale=0.5,
         covs[j] = M @ M.T + 0.05 * np.eye(d)
     weights = rng.dirichlet(np.ones(n_components))
     lam_max = np.linalg.eigvalsh(covs)[:, -1]
-    z = np.sqrt(chi2.isf(1e-13, df=d))
+    z = np.sqrt(chdtri(d, 1e-13))
     C = float(np.max(np.linalg.norm(means, axis=1) + z * np.sqrt(lam_max)))
     return GaussianMixtureModel(weights, means, covs, 1.05 * C + margin)
 
@@ -89,8 +88,10 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
     rng = np.random.default_rng(seed)
     checks = []
 
-    worst_low = np.inf
-    worst_high = np.inf
+    # the net envelope, and the one-piece-per-slope envelope the sampler
+    # uses, whose gap bound comes from its own m'
+    worst_low = worst_high = np.inf
+    worst_low_c = worst_high_c = np.inf
     for _ in range(n_instances):
         k = int(rng.integers(1, 4))
         L = float(rng.uniform(0.4, 1.6))
@@ -103,14 +104,25 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
         gv = env.value(us)
         worst_low = min(worst_low, float(np.min(gv - fv)))
         worst_high = min(worst_high, float(np.min(fv + env.gap_bound - gv)))
+        kept = _collapse_net_pieces(env)
+        gv = kept.value(us)
+        worst_low_c = min(worst_low_c, float(np.min(gv - fv)))
+        worst_high_c = min(worst_high_c,
+                           float(np.min(fv + kept.gap_bound - gv)))
     checks.append({"name": "envelope_sandwich",
                    "passed": worst_low >= -1e-9 and worst_high >= -1e-9,
                    "min_slack_lower": worst_low,
                    "min_slack_upper": worst_high})
+    checks.append({"name": "collapsed_envelope_sandwich",
+                   "passed": worst_low_c >= -1e-9 and worst_high_c >= -1e-9,
+                   "min_slack_lower": worst_low_c,
+                   "min_slack_upper": worst_high_c})
 
-    # acceptance floor on actual proposal draws
-    floor_ok = True
-    worst_floor = np.inf
+    # acceptance floor on actual proposal draws, from the net envelope and
+    # from the collapsed one; the collapsed draws use their own generator,
+    # so the net envelope's check sees the instances and draws it saw alone
+    collapsed_rng = np.random.default_rng([seed, 1])
+    worst_floor = worst_floor_c = np.inf
     for _ in range(20):
         d = int(rng.integers(1, 4))
         k = int(rng.integers(1, min(d, 2) + 1))
@@ -122,18 +134,20 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
         net = build_net(k, R, 1.0 / (2.0 * L))
         env = build_envelope(f, net)
         proposal = build_proposal(base, env, A, eta=1e-12, delta=0.1, seed=rng)
-        comps = rng.choice(env.m, size=200, p=proposal.pi)
-        for i in np.unique(comps):
-            pts = sample_exact(tilt_exact(base, proposal.tilt_vectors[i]),
-                               int((comps == i).sum()), rng).points
-            u = pts @ A.T
-            log_a = np.asarray(f.value(u)) - env.value(u)
-            a0 = env.acceptance_floor
-            worst_floor = min(worst_floor, float(np.min(np.exp(log_a) - a0)))
-            if np.any(np.exp(log_a) < a0 - 1e-9):
-                floor_ok = False
-    checks.append({"name": "acceptance_floor", "passed": floor_ok,
+        worst_floor = min(worst_floor,
+                          _floor_margin(base, A, f, env, proposal, rng))
+        kept = _collapse_net_pieces(env)
+        proposal = build_proposal(base, kept, A, eta=1e-12, delta=0.1,
+                                  seed=collapsed_rng)
+        worst_floor_c = min(worst_floor_c,
+                            _floor_margin(base, A, f, kept, proposal,
+                                          collapsed_rng))
+    checks.append({"name": "acceptance_floor",
+                   "passed": worst_floor >= -1e-9,
                    "min_margin": worst_floor})
+    checks.append({"name": "collapsed_acceptance_floor",
+                   "passed": worst_floor_c >= -1e-9,
+                   "min_margin": worst_floor_c})
 
     # log-sum-exp self reward: exact pieces imply constant acceptance 1/e
     worst_dev = 0.0
@@ -162,6 +176,19 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
     checks.append({"name": "softmax_bounds", "passed": ok})
 
     return _suite_report("envelope", checks)
+
+
+def _floor_margin(base, A, f, env, proposal, rng) -> float:
+    """Smallest exp(f - G) - a0 over 200 draws of the envelope tilt."""
+    comps = rng.choice(env.m, size=200, p=proposal.pi)
+    worst = np.inf
+    for i in np.unique(comps):
+        pts = sample_exact(tilt_exact(base, proposal.tilt_vectors[i]),
+                           int((comps == i).sum()), rng).points
+        u = pts @ A.T
+        log_a = np.asarray(f.value(u)) - env.value(u)
+        worst = min(worst, float(np.min(np.exp(log_a) - env.acceptance_floor)))
+    return worst
 
 
 # ---------------------------------------------------------------------------

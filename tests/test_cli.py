@@ -97,6 +97,9 @@ def test_align_kl_run(model_file, kl_reward_file, tmp_path, capsys):
     diag = manifest["diagnostics"]
     assert 1 <= diag["passes"] <= params.N_rej
     assert diag["proposal_draws"] <= 5000 * params.N_rej
+    # f(u) = u: every net piece has slope 1, so one piece is kept
+    assert diag["net_pieces"] == ra.build_net(1, 1.0, 0.5).m
+    assert diag["m"] == env["m"] == 1
 
 
 def test_align_kl_byte_identical_reruns(model_file, kl_reward_file, tmp_path):

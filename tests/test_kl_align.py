@@ -1,14 +1,19 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 import rewardalign as ra
-from rewardalign.kl_align import (MixtureProposal, Net, _serve,
-                                  proposal_law_discrete)
+from rewardalign.cli import main
+from rewardalign.kl_align import (MixtureProposal, Net, _collapse_net_pieces,
+                                  _serve, proposal_law_discrete)
 from rewardalign.metrics import (QuadratureTilt1D, empirical_to_discrete,
                                  oracle_kl_tilt, tv_discrete,
                                  w2_1d_samples_vs_quantiles)
 from rewardalign.validate import (random_discrete, random_maxaffine,
-                                  random_orthogonal_rows, random_unit_ball)
+                                  random_orthogonal_rows, random_unit_ball,
+                                  run_envelope_suite)
 
 
 def abs_function(R=1.0):
@@ -519,3 +524,143 @@ class TestSampleKLAligned:
             acc = np.exp(np.asarray(f.value(u)) - env.value(u))
             assert np.all(acc >= env.acceptance_floor - 1e-9)
             assert np.all(acc <= 1.0 + 1e-9)
+
+
+def criterion3_instance(idx):
+    """Instance ``idx`` of acceptance criterion 3's fixture: the same draws,
+    in the same order, from its generator seed 2024."""
+    rng = np.random.default_rng(2024)
+    for _ in range(idx + 1):
+        d = int(rng.integers(1, 5))
+        k = int(rng.integers(1, min(d, 2) + 1))
+        base = random_discrete(rng, int(rng.integers(4, 33)), d, C=1.0)
+        s = float(rng.uniform(0.5, 1.5))
+        A = random_orthogonal_rows(rng, k, d, op_norm=s)
+        R = s * base.support_radius
+        LR = float(rng.uniform(0.3, 2.0))
+        f = random_maxaffine(rng, k, int(rng.integers(1, 6)), LR / R, R)
+        seed = int(rng.integers(2**31))
+    return base, A, f, seed
+
+
+class TestNetPieceCollapse:
+    def test_sandwich_random_maxaffine(self):
+        # f <= G' <= f + 1 + log m' over the ball, for the collapsed net
+        # pieces and for the net pieces behind copies lowered by 1 to 2:
+        # those are minorants of f too, and keeping them instead of the
+        # originals would leave G' below f
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            k = int(rng.integers(1, 4))
+            L = float(rng.uniform(0.4, 1.6))
+            R = float(rng.uniform(0.5, 2.0 / L))
+            n_pieces = int(rng.integers(1, 6))
+            f = random_maxaffine(rng, k, n_pieces, L, R)
+            env = ra.build_envelope(f, ra.build_net(k, R, 1 / (2 * L)))
+            lowered = ra.Envelope(
+                np.vstack([env.slopes, env.slopes]),
+                np.concatenate([env.offsets - rng.uniform(1, 2, env.m),
+                                env.offsets]))
+            us = random_unit_ball(rng, 1000, k, radius=R)
+            fv = np.asarray(f.value(us))
+            for pieces in (env, lowered):
+                kept = _collapse_net_pieces(pieces)
+                assert kept.m <= n_pieces
+                gv = kept.value(us)
+                assert np.min(gv - fv) >= -1e-9
+                assert np.min(fv + kept.gap_bound - gv) >= -1e-9
+
+    def test_envelope_suite_checks_collapsed_envelope(self):
+        rep = run_envelope_suite(seed=3, n_instances=30, n_points=300)
+        by_name = {c["name"]: c for c in rep["checks"]}
+        sandwich = by_name["collapsed_envelope_sandwich"]
+        assert sandwich["min_slack_lower"] >= -1e-9
+        assert sandwich["min_slack_upper"] >= -1e-9
+        assert by_name["collapsed_acceptance_floor"]["min_margin"] >= -1e-9
+        assert rep["passed"]
+
+    def test_ulp_offsets_keep_the_largest(self):
+        z, other = np.array([0.3, -0.7]), np.array([0.1, 0.2])
+        b = 0.4
+        up, down = np.nextafter(b, 1.0), np.nextafter(b, 0.0)
+        up2 = np.nextafter(up, 1.0)
+        near_z = np.array([np.nextafter(0.3, 1.0), -0.7])  # one ulp off
+        env = ra.Envelope.from_pieces([z, z, other, z, near_z, z],
+                                      [b, up, 1.0, up2, down, down])
+        kept = _collapse_net_pieces(env)
+        # groups in first-occurrence order; exact bytes, so a slope one
+        # ulp away is a piece of its own
+        assert np.array_equal(kept.slopes, [z, other, near_z])
+        assert np.array_equal(kept.offsets, [up2, 1.0, down])
+
+    def test_criterion3_instance_collapses_to_one_piece(self):
+        # 37 net pieces on one affine reward: one piece kept, so G' = f + 1
+        # and every candidate is accepted with probability 1/e
+        base, A, f, seed = criterion3_instance(2)
+        res = ra.sample_kl_aligned(base, A, f, eps=0.1, delta=0.05,
+                                   seed=seed, n=2 * 10**4)
+        assert (res.net_pieces, res.envelope.m) == (37, 1)
+        rep = res.report()
+        assert (rep["net_pieces"], rep["m"]) == (37, 1)
+        params = ra.compute_params(f.lipschitz, float(np.linalg.norm(A, 2)),
+                                   base.support_radius, m=1, eps=0.1)
+        assert res.params.N_rej == params.N_rej
+        p = np.exp(-1.0)
+        sd = np.sqrt(p * (1 - p) / res.proposal_draws)
+        assert abs(res.acceptance_rate - p) <= 4 * sd
+        target = oracle_kl_tilt(base, ra.LowRankReward(A, f))
+        emp = empirical_to_discrete(res.batch.points, base.support_radius)
+        assert tv_discrete(emp, target) <= 0.03
+
+    def test_criterion3_instance_manifest(self, tmp_path):
+        base, A, f, seed = criterion3_instance(2)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(base.to_dict()))
+        # one affine piece: its slope and offset are f's gradient and value
+        # at the origin
+        z, c = f.grad(np.zeros(f.k)), f.value(np.zeros(f.k))
+        reward = tmp_path / "reward.json"
+        reward.write_text(json.dumps({
+            "type": "lowrank_maxaffine", "A": A.tolist(),
+            "pieces": [[z.tolist(), c]], "L": f.lipschitz, "R": f.radius}))
+        out = str(tmp_path / "out")
+        rc = main(["align-kl", "--model", str(model), "--reward", str(reward),
+                   "--n", "500", "--seed", str(seed), "--out", out])
+        assert rc == 0
+        manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+        diag = manifest["diagnostics"]
+        assert (diag["net_pieces"], diag["m"]) == (37, 1)
+        assert manifest["derived_parameters"]["m"] == 1
+
+    def test_explicit_envelope_used_as_given(self):
+        # two exact log-sum-exp pieces sharing a slope: G = f + 1 only with
+        # both, so an explicit envelope must not be collapsed
+        rng = np.random.default_rng(6)
+        base = random_discrete(rng, 6, 2)
+        reward = ra.LogSumExpReward([1.0, 0.7], [[0.5], [0.5]],
+                                    random_orthogonal_rows(rng, 1, 2))
+        env = ra.Envelope.from_pieces(*reward.envelope_pieces())
+        res = ra.sample_kl_aligned(base, reward.A, reward.f, eps=0.3,
+                                   delta=0.05, seed=7, n=2000, envelope=env)
+        assert res.envelope is env
+        assert (res.net_pieces, res.params.m) == (2, 2)
+        assert res.report()["net_pieces"] == res.report()["m"] == 2
+        u = base.atoms @ reward.A.T
+        acc = np.exp(np.asarray(reward.f.value(u)) - env.value(u))
+        assert np.max(np.abs(acc - np.exp(-1.0))) <= 1e-12
+        assert abs(res.acceptance_rate - np.exp(-1)) < 0.03
+
+    def test_distinct_slopes_unchanged(self):
+        rng = np.random.default_rng(9)
+        env = ra.Envelope.from_pieces(rng.standard_normal((6, 2)),
+                                      rng.standard_normal(6))
+        kept = _collapse_net_pieces(env)
+        assert kept.slopes.tobytes() == env.slopes.tobytes()
+        assert kept.offsets.tobytes() == env.offsets.tobytes()
+        # a net envelope whose slopes are already distinct: |u| with a
+        # net point at the kink has slopes -1, 0 and +1
+        net = Net(points=np.array([[-1.0], [0.0], [1.0]]), h=0.5, k=1, R=1.0)
+        env = ra.build_envelope(abs_function(), net)
+        kept = _collapse_net_pieces(env)
+        assert kept.slopes.tobytes() == env.slopes.tobytes()
+        assert kept.offsets.tobytes() == env.offsets.tobytes()

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import logsumexp
-from scipy.stats import multivariate_normal
+from scipy.special import chdtrc, chdtri, logsumexp
+from scipy.stats import chi2, multivariate_normal
 
 import rewardalign as ra
 from rewardalign.models import noised_log_density, recommended_steps
@@ -255,3 +259,34 @@ class TestJson:
             ra.DiscreteModel([[0.0], [1.0]], [0.6, 0.6], 1.0)
         with pytest.raises(ra.ValidationError):
             ra.model_from_dict({"type": "mystery"})
+
+
+class TestChiSquareTails:
+    def test_special_functions_equal_scipy_stats(self):
+        # the library calls scipy.special directly, which is what chi2.sf
+        # and chi2.isf compute, so the values are the same bytes
+        x = np.linspace(0.0, 120.0, 4001)
+        for d in range(1, 8):
+            assert np.array_equal(chdtrc(d, x), chi2.sf(x, df=d))
+            assert chdtri(d, 1e-13) == chi2.isf(1e-13, df=d)
+
+    def test_mass_outside_ball_equals_chi2_sf(self):
+        rng = np.random.default_rng(3)
+        for d in range(1, 5):
+            m = random_gmm(rng, d, 3, margin=0.5)
+            gap = np.maximum(m.support_radius
+                             - np.linalg.norm(m.means, axis=1), 0.0)
+            t = gap / np.sqrt(np.linalg.eigvalsh(m.covs)[:, -1])
+            expected = float(m.weights @ chi2.sf(t * t, df=d))
+            assert m.mass_outside_ball() == pytest.approx(expected,
+                                                          rel=1e-12, abs=0)
+
+    def test_import_leaves_out_scipy_stats(self):
+        code = ("import sys, rewardalign, rewardalign.validate, "
+                "rewardalign.metrics; "
+                "print('scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ,
+                                  "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout.strip() == "False"
