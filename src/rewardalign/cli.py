@@ -111,8 +111,6 @@ def cmd_align_kl(args) -> int:
               "delta": args.delta, "n": args.n, "seed": args.seed,
               "backend": args.backend}
     reward = _as_lowrank(raw_reward)
-    _validate_unit_interval("eps", args.eps)
-    _validate_unit_interval("delta", args.delta)
     result = sample_kl_aligned(model, reward.A, reward.f, eps=args.eps,
                                delta=args.delta, seed=args.seed, n=args.n,
                                backend=args.backend)
@@ -270,11 +268,6 @@ def cmd_reproduce_fig1(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser / entry point
 # ---------------------------------------------------------------------------
-
-def _validate_unit_interval(name: str, value: float) -> None:
-    if not (0.0 < value < 1.0):
-        raise ValidationError(f"{name} must be in (0,1), got {value}")
-
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rewardalign",

@@ -21,9 +21,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import (BudgetError, EnvelopeViolationError, ValidationError)
-from .models import (DiscreteModel, GaussianMixtureModel, Model, SampleBatch,
-                     _rng_from, _seed_tag, recommended_steps,
-                     sample_exact, sample_via_diffusion, score_oracle)
+from .models import (DiscreteModel, Model, SampleBatch, _rng_from, _seed_tag,
+                     recommended_steps, sample_exact, sample_via_diffusion,
+                     score_oracle)
 from .rewards import LowDimFunction, first_order
 from .tilts import estimate_normalizer, tilt_exact, tilted_oracle
 
@@ -113,11 +113,6 @@ class Envelope:
     def acceptance_floor(self) -> float:
         """a0 = exp(-B)."""
         return float(np.exp(-self.gap_bound))
-
-    @property
-    def weights(self) -> np.ndarray:
-        """w_i = exp(b_i)."""
-        return np.exp(self.offsets)
 
     def value(self, u: np.ndarray) -> np.ndarray:
         """G at a point (k,) or a batch (n, k).
@@ -252,46 +247,23 @@ class MixtureProposal:
 
 def build_proposal(base: Model, env: Envelope, A, eta: float, delta: float,
                    seed=None, backend: str = "exact") -> MixtureProposal:
-    """Estimate every tilt normalizer with per-call failure budget delta/m
-    and normalize the weights in log space."""
+    """Estimate every tilt normalizer, in one call with per-row failure
+    budget delta/m, and normalize the weights in log space."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     vs = env.slopes @ A  # (m, d): rows are A' z_i
-    rng = _rng_from(seed)
-    log_zhat = np.empty(env.m)
-    for i in range(env.m):
-        est = estimate_normalizer(base, vs[i], eta=max(eta, 1e-12),
-                                  delta=delta / env.m, seed=rng,
-                                  backend=backend)
-        log_zhat[i] = est.log_value
+    log_zhat = estimate_normalizer(base, vs, eta=max(eta, 1e-12),
+                                   delta=delta / env.m, seed=seed,
+                                   backend=backend).log_value
     logits = env.offsets + log_zhat
     log_pi = logits - logsumexp(logits)
     return MixtureProposal(tilt_vectors=vs, log_zhat=log_zhat, log_pi=log_pi)
 
 
 def proposal_model(base: Model, proposal: MixtureProposal) -> Model:
-    """The proposal sum_i pi_i * tilt(base, v_i) as one model.
-
-    Linear tilts are closed under atom sets and Gaussian mixtures, so the
-    mixture is itself one: an atom set with probabilities
-    sum_i pi_i * tilt_i, or an m*J-component mixture with weights
-    pi_i * w'_ij and the tilted components' means and covariances.  The
-    pieces are tilted one at a time, so no (m x atoms) array is built.
-    pi comes from ``proposal.log_pi``, so estimated normalizers carry
-    through.
-    """
-    pi = proposal.pi
-    if isinstance(base, DiscreteModel):
-        probs = np.zeros(base.n_atoms)
-        for p, v in zip(pi, proposal.tilt_vectors):
-            probs += p * tilt_exact(base, v).probs
-        return DiscreteModel(base.atoms, probs / probs.sum(),
-                             base.support_radius)
-    tilted = [tilt_exact(base, v) for v in proposal.tilt_vectors]
-    weights = np.concatenate([p * t.weights for p, t in zip(pi, tilted)])
-    return GaussianMixtureModel(weights / weights.sum(),
-                                np.concatenate([t.means for t in tilted]),
-                                np.concatenate([t.covs for t in tilted]),
-                                base.support_radius)
+    """The proposal sum_i pi_i * tilt(base, v_i) as one model: an atom
+    set, or an m*J-component mixture (``tilt_exact``).  pi comes from
+    ``proposal.log_pi``, so estimated normalizers carry through."""
+    return tilt_exact(base, proposal.tilt_vectors, proposal.log_pi)
 
 
 def proposal_law_discrete(base: DiscreteModel, env: Envelope,
@@ -401,8 +373,10 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     if not f.convex:
         raise ValidationError("KL alignment requires a convex reward; "
                               "concave rewards are outside this sampler")
+    if not (0.0 < eps < 1.0):
+        raise ValidationError(f"eps must be in (0,1), got {eps}")
     if not (0.0 < delta < 1.0):
-        raise ValidationError("delta must be in (0,1)")
+        raise ValidationError(f"delta must be in (0,1), got {delta}")
     if backend not in ("exact", "diffusion"):
         raise ValidationError(f"unknown KL backend {backend!r}")
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:

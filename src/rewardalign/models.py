@@ -113,9 +113,9 @@ class GaussianMixtureModel:
             raise ValidationError("weights must be a probability vector (1e-12)")
         if self.support_radius <= 0:
             raise ValidationError("support_radius must be positive")
-        for j in range(J):
-            if not np.allclose(self.covs[j], self.covs[j].T, atol=1e-12):
-                raise ValidationError(f"covariance {j} is not symmetric")
+        ok = np.isclose(covs, np.swapaxes(covs, 1, 2), atol=1e-12).all((1, 2))
+        if not ok.all():
+            raise ValidationError(f"covariance {ok.argmin()} is not symmetric")
         # Sigma_j = V_j diag(lam_j) V_j'; the noised covariances
         # a^2 Sigma_j + sigma^2 I share these eigenvectors
         self._eigvals, self._eigvecs = np.linalg.eigh(self.covs)

@@ -1,6 +1,9 @@
 """The linear-tilt primitive: exact tilts of closed-form bases, a
 tilted-score identity for oracle-only bases, approximate tilt sampling,
 and normalizer estimation with exact / Monte Carlo / annealed backends.
+
+A tilt is a vector v (d,) or a matrix V (m, d) of m tilts, one per row.
+A pi-mixture of tilts of atoms or a Gaussian mixture is again one model.
 """
 
 from __future__ import annotations
@@ -18,64 +21,95 @@ from .models import (DiscreteModel, GaussianMixtureModel, Model,
 
 MC_SAMPLE_CAP = 10_000_000
 
-# Draws per block when a Monte Carlo normalizer sums exp(<v, X>), so its
-# memory stays flat up to MC_SAMPLE_CAP draws.
+# Draws per block when a Monte Carlo normalizer sums exp(<v, X>), and
+# entries per (tilts x atoms) or (draws x tilts) temporary (512 KiB).
 MC_BLOCK = 8192
+TILT_BLOCK = 65536
 
 
 @dataclass(frozen=True)
 class NormalizerEstimate:
-    """Estimate of Z_P(v) = E_P exp(<v, X>)."""
+    """Estimate of log Z_P(v) = log E_P exp(<v, X>): a float for one tilt,
+    an (m,) array for a tilt matrix."""
 
-    value: float
+    log_value: float | np.ndarray
     eta: float
     delta: float
     method: str
     n_draws: int = 0
 
     def __post_init__(self):
-        if self.value <= 0:
+        if not np.all(np.asarray(self.log_value) > -np.inf):
             raise ValidationError("normalizer estimate must be positive")
 
     @property
-    def log_value(self) -> float:
-        return float(np.log(self.value))
+    def value(self):
+        """Z_P(v); overflows to inf where log Z_P(v) exceeds ~709."""
+        return np.exp(self.log_value)
 
 
-def tilt_exact(model: Model, v) -> Model:
-    """Exact linear exponential tilt p(x; v) ~ p(x) exp(<v, x>).
-
-    Gaussian mixtures stay Gaussian mixtures (means shift by Sigma_j v,
-    weights pick up the component MGF); atom sets are reweighted.  The
-    support-mass invariant is re-checked for mixtures.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (model.d,):
+def _tilt_rows(model: Model, V) -> np.ndarray:
+    """V as an (m, d) tilt matrix; one tilt (d,) is the m = 1 case."""
+    V = np.asarray(V, dtype=float)
+    if V.shape[-1:] != (model.d,) or V.ndim not in (1, 2) or V.size == 0:
         raise ValidationError("tilt vector dimension mismatch")
+    return np.atleast_2d(V)
+
+
+def _tilt_blocks(model: Model, V: np.ndarray):
+    """Yield (rows, logw, log_z) per block of tilts: log-weights
+    log p_a + <v_i, x_a> over atoms (TILT_BLOCK-sized blocks), or
+    log w_j + <v_i, mu_j> + v_i' Sigma_j v_i / 2 over components (one
+    block), and their log-sum-exp per tilt, the log normalizer."""
+    atoms = isinstance(model, DiscreteModel)
+    step = max(1, TILT_BLOCK // model.n_atoms) if atoms else len(V)
+    for s in range(0, len(V), step):
+        W = V[s:s + step]
+        if atoms:
+            logw = np.log(model.probs) + W @ model.atoms.T
+        else:
+            logw = np.log(model.weights) + (
+                W @ model.means.T
+                + 0.5 * np.einsum("ia,jab,ib->ij", W, model.covs, W))
+        yield slice(s, s + step), logw, logsumexp(logw, axis=1)
+
+
+def tilt_exact(model: Model, V, log_pi=None) -> Model:
+    """Exact linear tilt p(x; v) ~ p(x) exp(<v, x>), or the mixture
+    sum_i pi_i * tilt(v_i) over the rows of V (m, d) with log-weights
+    ``log_pi`` (equal when None), as one model.
+
+    Atoms are reweighted.  Tilt i moves mixture component j to mean
+    mu_j + Sigma_j v_i with weight pi_i * w'_ij and the same Sigma_j: m*J
+    components, tilt-major, support mass re-checked.
+    """
+    V = _tilt_rows(model, V)
+    log_pi = np.zeros(len(V)) if log_pi is None else np.asarray(log_pi, float)
+    if log_pi.shape != (len(V),) or not np.isfinite(log_pi.max()):
+        raise ValidationError("log_pi: one log-weight per tilt, max finite")
+    log_pi = log_pi - log_pi.max()
+    # pi_i * tilt_i per block of tilts, over atoms or components
+    blocks = (np.exp(logw + (log_pi[rows] - log_z)[:, None])
+              for rows, logw, log_z in _tilt_blocks(model, V))
 
     if isinstance(model, DiscreteModel):
-        logits = np.log(model.probs) + model.atoms @ v
-        probs = np.exp(logits - logsumexp(logits))
-        probs /= probs.sum()
-        return DiscreteModel(model.atoms, probs, model.support_radius)
+        probs = sum(block.sum(axis=0) for block in blocks)
+        return DiscreteModel(model.atoms, probs / probs.sum(),
+                             model.support_radius)
 
-    sigv = np.einsum("jab,b->ja", model.covs, v)          # Sigma_j v
-    log_mgf = model.means @ v + 0.5 * (v @ sigv.T)        # <v,mu_j> + v'Sigma_j v / 2
-    logw = np.log(model.weights) + log_mgf
-    weights = np.exp(logw - logsumexp(logw))
-    weights /= weights.sum()
-    return GaussianMixtureModel(weights, model.means + sigv, model.covs,
+    weights = next(blocks).ravel()
+    means = model.means + np.einsum("jab,ib->ija", model.covs, V)
+    return GaussianMixtureModel(weights / weights.sum(),
+                                means.reshape(-1, model.d),
+                                np.tile(model.covs, (len(V), 1, 1)),
                                 model.support_radius)
 
 
-def log_normalizer_exact(model: Model, v) -> float:
-    """log Z_P(v) in closed form."""
-    v = np.asarray(v, dtype=float)
-    if isinstance(model, DiscreteModel):
-        return float(logsumexp(np.log(model.probs) + model.atoms @ v))
-    sigv = np.einsum("jab,b->ja", model.covs, v)
-    log_mgf = model.means @ v + 0.5 * (v @ sigv.T)
-    return float(logsumexp(np.log(model.weights) + log_mgf))
+def log_normalizer_exact(model: Model, V):
+    """log Z_P(v) in closed form per tilt; a float for one tilt (d,)."""
+    out = np.concatenate([log_z for _, _, log_z
+                          in _tilt_blocks(model, _tilt_rows(model, V))])
+    return float(out[0]) if np.ndim(V) == 1 else out
 
 
 def tilted_score(base: ScoreOracle, v, sigma, x: np.ndarray) -> np.ndarray:
@@ -115,13 +149,11 @@ def sample_linear_tilt(base, v, eps: float, seed, backend: str = "exact",
     """
     if eps <= 0:
         raise ValidationError("eps must be positive")
-    v = np.asarray(v, dtype=float)
 
     if backend == "exact":
         if not isinstance(base, (GaussianMixtureModel, DiscreteModel)):
             raise ValidationError("exact backend needs a closed-form model")
-        tilted = tilt_exact(base, v)
-        batch = sample_exact(tilted, n, seed)
+        batch = sample_exact(tilt_exact(base, v), n, seed)
         pts = project_ball(batch.points, base.support_radius)
         return SampleBatch(points=pts, seed=batch.seed,
                            producer="lin_tilt_exact", d=base.d,
@@ -144,14 +176,18 @@ def sample_linear_tilt(base, v, eps: float, seed, backend: str = "exact",
 # Normalizer estimation
 # ---------------------------------------------------------------------------
 
-def _mean_exp(model: Model, v: np.ndarray, n: int, rng) -> float:
-    """Mean of exp(<v, X>) over n exact draws of the model, summed block
-    by block."""
-    total = 0.0
-    for s in range(0, n, MC_BLOCK):
-        xs = sample_exact(model, min(MC_BLOCK, n - s), rng).points
-        total += float(np.exp(xs @ v).sum())
-    return total / n
+def _mean_exp(model: Model, V, n: int, rng):
+    """Mean of exp(<v_i, X>) per tilt over one stream of n exact draws,
+    summed in blocks of at most MC_BLOCK draws and TILT_BLOCK terms, so
+    memory stays flat in n and m."""
+    rows = np.atleast_2d(V)
+    total = np.zeros(len(rows))
+    block = min(MC_BLOCK, max(1, TILT_BLOCK // len(rows)))
+    for s in range(0, n, block):
+        xs = sample_exact(model, min(block, n - s), rng).points
+        total += np.exp(xs @ rows.T).sum(axis=0)
+    total /= n
+    return float(total[0]) if np.ndim(V) == 1 else total
 
 
 def _hoeffding_draws(vc: float, eta: float, delta: float) -> int:
@@ -160,29 +196,27 @@ def _hoeffding_draws(vc: float, eta: float, delta: float) -> int:
     return int(np.ceil(np.exp(4.0 * vc) * np.log(2.0 / delta) / (2.0 * eta**2)))
 
 
-def estimate_normalizer(base, v, eta: float, delta: float, seed=None,
+def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
                         backend: str = "exact",
                         mc_cap: int = MC_SAMPLE_CAP) -> NormalizerEstimate:
-    """Estimate Z_P(v) to relative accuracy eta with failure probability
-    delta.
+    """Estimate log Z_P(v) per tilt to relative accuracy eta on Z, with
+    failure probability delta per tilt.
 
-    exact: closed form (eta trivially satisfied).  mc: Hoeffding-sized
-    empirical mean of exp(<v,X>) over base draws.  annealed: telescoping
-    product of ratio estimates along t_j * v, each stage estimated under
-    the tilt at the previous stage; keeps per-stage integrands in a narrow
-    range so the budget stays flat in ||v||C.
+    exact: closed form.  mc: Hoeffding-sized mean of exp(<v_i, X>) over
+    one stream of base draws shared by all tilts, sized for the largest
+    ||v_i||C (a union bound over tilts needs no independence).  annealed
+    (one tilt only): telescoping product of ratio estimates along t_j * v,
+    each under the tilt at the previous stage, so the budget stays flat
+    in ||v||C.
     """
     if not (0.0 < eta < 1.0 and 0.0 < delta < 1.0):
         raise ValidationError("eta and delta must lie in (0,1)")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (base.d,):
-        raise ValidationError("tilt vector dimension mismatch")
-    C = base.support_radius
-    vc = float(np.linalg.norm(v) * C)
+    rows = _tilt_rows(base, V)
+    vc = float(np.linalg.norm(rows, axis=1).max() * base.support_radius)
     rng = _rng_from(seed)
 
     if backend == "exact":
-        return NormalizerEstimate(value=float(np.exp(log_normalizer_exact(base, v))),
+        return NormalizerEstimate(log_value=log_normalizer_exact(base, V),
                                   eta=eta, delta=delta, method="exact")
 
     if backend == "mc":
@@ -191,16 +225,17 @@ def estimate_normalizer(base, v, eta: float, delta: float, seed=None,
             raise BudgetError(
                 f"mc normalizer needs {n} draws (cap {mc_cap}); use the "
                 f"annealed backend for ||v||C = {vc:.3g}")
-        return NormalizerEstimate(value=_mean_exp(base, v, n, rng),
+        return NormalizerEstimate(log_value=np.log(_mean_exp(base, V, n, rng)),
                                   eta=eta, delta=delta,
                                   method="mc", n_draws=n)
 
     if backend == "annealed":
+        if np.ndim(V) != 1:
+            raise ValidationError("the annealed backend takes one tilt vector")
+        v, = rows
         stages = max(1, int(np.ceil(2.0 * vc)))
-        eta_j = eta / (2.0 * stages)
-        delta_j = delta / stages
-        dvc = vc / stages
-        n_j = _hoeffding_draws(dvc, eta_j, delta_j)
+        n_j = _hoeffding_draws(vc / stages, eta / (2.0 * stages),
+                               delta / stages)
         if n_j * stages > mc_cap:
             raise BudgetError(
                 f"annealed normalizer needs {n_j * stages} draws (cap {mc_cap})")
@@ -208,8 +243,7 @@ def estimate_normalizer(base, v, eta: float, delta: float, seed=None,
         for j in range(stages):
             stage = tilt_exact(base, (j / stages) * v)
             log_val += float(np.log(_mean_exp(stage, v / stages, n_j, rng)))
-        return NormalizerEstimate(value=float(np.exp(log_val)), eta=eta,
-                                  delta=delta, method="annealed",
-                                  n_draws=n_j * stages)
+        return NormalizerEstimate(log_value=log_val, eta=eta, delta=delta,
+                                  method="annealed", n_draws=n_j * stages)
 
     raise ValidationError(f"unknown backend {backend!r}")

@@ -12,12 +12,13 @@ from scipy.special import chdtri, logsumexp
 
 from . import metrics
 from .kl_align import (Envelope, _collapse_net_pieces, build_envelope,
-                       build_net, build_proposal, proposal_law_discrete)
+                       build_net, build_proposal, proposal_law_discrete,
+                       proposal_model)
 from .models import (DiscreteModel, GaussianMixtureModel, sample_exact,
-                     score, noised_log_density)
-from .rewards import (LogSumExpReward, LowDimFunction, make_max_affine)
+                     score, score_oracle, noised_log_density)
+from .rewards import (LinearReward, LogSumExpReward, LowDimFunction,
+                      QuadraticReward, make_max_affine)
 from .tilts import tilt_exact, tilted_score
-from .models import score_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +93,7 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
     # uses, whose gap bound comes from its own m'
     worst_low = worst_high = np.inf
     worst_low_c = worst_high_c = np.inf
+    keeps_largest = True
     for _ in range(n_instances):
         k = int(rng.integers(1, 4))
         L = float(rng.uniform(0.4, 1.6))
@@ -109,6 +111,13 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
         worst_low_c = min(worst_low_c, float(np.min(gv - fv)))
         worst_high_c = min(worst_high_c,
                            float(np.min(fv + kept.gap_bound - gv)))
+        # lowered same-slope copies before and after the net pieces must
+        # not change the offset each slope keeps
+        pieces = (np.vstack([env.slopes] * 3), np.concatenate(
+            [env.offsets - 1e-3, env.offsets, env.offsets - 1.0]))
+        padded = _collapse_net_pieces(Envelope(*pieces))
+        keeps_largest &= (np.array_equal(padded.slopes, kept.slopes)
+                          and np.array_equal(padded.offsets, kept.offsets))
     checks.append({"name": "envelope_sandwich",
                    "passed": worst_low >= -1e-9 and worst_high >= -1e-9,
                    "min_slack_lower": worst_low,
@@ -117,6 +126,8 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
                    "passed": worst_low_c >= -1e-9 and worst_high_c >= -1e-9,
                    "min_slack_lower": worst_low_c,
                    "min_slack_upper": worst_high_c})
+    checks.append({"name": "collapse_keeps_largest_offset",
+                   "passed": bool(keeps_largest)})
 
     # acceptance floor on actual proposal draws, from the net envelope and
     # from the collapsed one; the collapsed draws use their own generator,
@@ -133,15 +144,9 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
         f = random_maxaffine(rng, k, int(rng.integers(1, 5)), L, R)
         net = build_net(k, R, 1.0 / (2.0 * L))
         env = build_envelope(f, net)
-        proposal = build_proposal(base, env, A, eta=1e-12, delta=0.1, seed=rng)
-        worst_floor = min(worst_floor,
-                          _floor_margin(base, A, f, env, proposal, rng))
-        kept = _collapse_net_pieces(env)
-        proposal = build_proposal(base, kept, A, eta=1e-12, delta=0.1,
-                                  seed=collapsed_rng)
-        worst_floor_c = min(worst_floor_c,
-                            _floor_margin(base, A, f, kept, proposal,
-                                          collapsed_rng))
+        worst_floor = min(worst_floor, _floor_margin(base, A, f, env, rng))
+        worst_floor_c = min(worst_floor_c, _floor_margin(
+            base, A, f, _collapse_net_pieces(env), collapsed_rng))
     checks.append({"name": "acceptance_floor",
                    "passed": worst_floor >= -1e-9,
                    "min_margin": worst_floor})
@@ -178,17 +183,12 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
     return _suite_report("envelope", checks)
 
 
-def _floor_margin(base, A, f, env, proposal, rng) -> float:
-    """Smallest exp(f - G) - a0 over 200 draws of the envelope tilt."""
-    comps = rng.choice(env.m, size=200, p=proposal.pi)
-    worst = np.inf
-    for i in np.unique(comps):
-        pts = sample_exact(tilt_exact(base, proposal.tilt_vectors[i]),
-                           int((comps == i).sum()), rng).points
-        u = pts @ A.T
-        log_a = np.asarray(f.value(u)) - env.value(u)
-        worst = min(worst, float(np.min(np.exp(log_a) - env.acceptance_floor)))
-    return worst
+def _floor_margin(base, A, f, env, rng) -> float:
+    """Smallest exp(f - G) - a0 over 200 draws of the exact envelope tilt."""
+    proposal = build_proposal(base, env, A, eta=1e-12, delta=0.1, seed=rng)
+    u = sample_exact(proposal_model(base, proposal), 200, rng).points @ A.T
+    log_a = np.asarray(f.value(u)) - env.value(u)
+    return float(np.min(np.exp(log_a) - env.acceptance_floor))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,6 @@ def run_oracle_suite(seed: int = 0) -> dict:
         d = int(rng.integers(1, 3))
         base = random_discrete(rng, int(rng.integers(2, 10)), d)
         th1, th2 = rng.standard_normal(d), rng.standard_normal(d)
-        from .rewards import LinearReward
         twice = metrics.oracle_kl_tilt(metrics.oracle_kl_tilt(base,
                                                               LinearReward(th1)),
                                        LinearReward(th2))
@@ -377,7 +376,6 @@ def run_oracle_suite(seed: int = 0) -> dict:
                    "passed": worst <= 1e-10, "max_tv": worst})
 
     # prox grid refinement monotonicity
-    from .rewards import QuadraticReward
     ok = True
     for _ in range(10):
         d = int(rng.integers(1, 3))

@@ -163,6 +163,17 @@ def test_invalid_delta_no_partial_outputs(model_file, kl_reward_file,
     assert not os.path.exists(os.path.join(out_dir, "manifest.json"))
 
 
+def test_invalid_eps_at_base_shortcut_no_outputs(model_file, tmp_path,
+                                                 capsys):
+    reward = tmp_path / "zero.json"
+    reward.write_text(json.dumps({"type": "linear", "theta": [0.0]}))
+    out_dir = str(tmp_path / "bad_eps")
+    rc = main(["align-kl", "--model", model_file, "--reward", str(reward),
+               "--eps", "1.5", "--n", "10", "--seed", "0", "--out", out_dir])
+    assert rc == 2
+    assert not os.path.exists(os.path.join(out_dir, "samples.csv"))
+
+
 @pytest.mark.parametrize("n", ["0", "-5"])
 def test_align_kl_bad_n_rejected(model_file, kl_reward_file, tmp_path,
                                  capsys, n):

@@ -306,6 +306,25 @@ class TestSampleKLAligned:
         emp = empirical_to_discrete(res.batch.points, 1.0)
         assert tv_discrete(emp, base) <= 0.02
 
+    def test_tilt_beyond_exp_range(self):
+        # log Z ~ 800 overflows exp: the proposal stays in log space and
+        # puts all but e^-800 of its mass on atom 1
+        base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
+        f = ra.make_max_affine([([800.0], 0.0)])
+        f.radius = 1.0
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1, delta=0.05,
+                                   seed=3, n=200)
+        assert np.all(np.isfinite(res.proposal.log_pi))
+        assert np.all(res.batch.points == 1.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, 5.0, -1.0])
+    def test_eps_checked_at_base_shortcut(self, eps):
+        base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
+        f = ra.make_max_affine([(np.array([0.0]), 0.0)])
+        with pytest.raises(ra.ValidationError):
+            ra.sample_kl_aligned(base, np.eye(1), f, eps=eps, delta=0.05,
+                                 seed=0, n=10)
+
     def test_concave_reward_rejected(self):
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
         f = ra.LowDimFunction(value=lambda u: -float(np.sum(u**2)), k=1,

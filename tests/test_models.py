@@ -261,6 +261,22 @@ class TestJson:
             ra.model_from_dict({"type": "mystery"})
 
 
+class TestMixtureChecks:
+    def test_asymmetric_covariance_named(self):
+        covs = np.stack([np.eye(2) * 0.1] * 3)
+        covs[2, 0, 1] += 1e-6
+        with pytest.raises(ra.ValidationError, match="covariance 2"):
+            ra.GaussianMixtureModel(np.full(3, 1 / 3), np.zeros((3, 2)),
+                                    covs, 4.0)
+
+    def test_symmetry_tolerance(self):
+        # allclose's rule: |S - S'| <= 1e-12 + 1e-5 |S'|
+        covs = np.stack([np.eye(2) * 0.1] * 2)
+        covs[1, 0, 1] = 5e-13
+        m = ra.GaussianMixtureModel([0.5, 0.5], np.zeros((2, 2)), covs, 4.0)
+        assert m.n_components == 2
+
+
 class TestChiSquareTails:
     def test_special_functions_equal_scipy_stats(self):
         # the library calls scipy.special directly, which is what chi2.sf

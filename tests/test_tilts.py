@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import rewardalign as ra
+from rewardalign import tilts
 from rewardalign.tilts import MC_BLOCK, _mean_exp, log_normalizer_exact
 from rewardalign.validate import random_gmm
 
@@ -201,3 +202,123 @@ class TestEstimateNormalizer:
     def test_parameter_gates(self):
         with pytest.raises(ra.ValidationError):
             ra.estimate_normalizer(two_point(), np.zeros(1), eta=1.5, delta=0.1)
+
+
+class TestTiltMatrix:
+    """A tilt matrix (m, d) is m tilts at once; one tilt is the m = 1 case."""
+
+    def gmm(self):
+        return ra.GaussianMixtureModel(
+            [0.3, 0.7], [[0.5, -0.2], [-0.4, 0.3]],
+            [[[0.2, 0.05], [0.05, 0.1]], [[0.15, -0.03], [-0.03, 0.25]]],
+            8.0)
+
+    def atoms(self, rng, n=7):
+        pts = rng.standard_normal((n, 2))
+        pts /= 1.5 * np.linalg.norm(pts, axis=1, keepdims=True)
+        return ra.DiscreteModel(pts, rng.dirichlet(np.ones(n)), 1.0)
+
+    def test_log_normalizer_rows(self):
+        rng = np.random.default_rng(21)
+        V = rng.standard_normal((5, 2))
+        for model in (self.gmm(), self.atoms(rng)):
+            rows = [log_normalizer_exact(model, v) for v in V]
+            got = log_normalizer_exact(model, V)
+            assert got.shape == (5,)
+            assert np.max(np.abs(got - rows)) <= 1e-12
+
+    def test_atom_logits_in_row_blocks(self, monkeypatch):
+        # blocks of one tilt give the same log normalizers and mixture
+        rng = np.random.default_rng(22)
+        model, V = self.atoms(rng, 30), rng.standard_normal((9, 2))
+        log_pi = np.log(rng.dirichlet(np.ones(9)))
+        whole = log_normalizer_exact(model, V)
+        mix = ra.tilt_exact(model, V, log_pi).probs
+        monkeypatch.setattr(tilts, "TILT_BLOCK", 30)
+        assert np.max(np.abs(log_normalizer_exact(model, V) - whole)) <= 1e-12
+        assert np.max(np.abs(ra.tilt_exact(model, V, log_pi).probs
+                             - mix)) <= 1e-15
+
+    def test_atom_mixture_is_weighted_sum(self):
+        rng = np.random.default_rng(23)
+        model, V = self.atoms(rng), rng.standard_normal((4, 2))
+        pi = rng.dirichlet(np.ones(4))
+        want = sum(p * ra.tilt_exact(model, v).probs for p, v in zip(pi, V))
+        got = ra.tilt_exact(model, V, np.log(pi))
+        assert np.max(np.abs(got.probs - want)) <= 1e-15
+
+    def test_single_tilt_is_one_row(self):
+        rng = np.random.default_rng(24)
+        v = rng.standard_normal(2)
+        for model in (self.gmm(), self.atoms(rng)):
+            one, row = ra.tilt_exact(model, v), ra.tilt_exact(model, v[None])
+            for attr in ("probs", "weights", "means", "covs"):
+                if hasattr(one, attr):
+                    assert np.array_equal(getattr(one, attr),
+                                          getattr(row, attr))
+
+    def test_equal_weights_by_default(self):
+        rng = np.random.default_rng(25)
+        model, V = self.atoms(rng), rng.standard_normal((3, 2))
+        assert np.max(np.abs(ra.tilt_exact(model, V).probs
+                             - ra.tilt_exact(model, V, np.zeros(3)).probs)) \
+            <= 1e-15
+
+    def test_bad_inputs_rejected(self):
+        model = self.gmm()
+        for V, log_pi in ((np.zeros((2, 3)), None), (np.zeros((0, 2)), None),
+                          (np.zeros((2, 2)), np.zeros(3)),
+                          (np.zeros((2, 2)), np.full(2, -np.inf)),
+                          (np.zeros((2, 2)), np.array([0.0, np.nan]))):
+            with pytest.raises(ra.ValidationError):
+                ra.tilt_exact(model, V, log_pi)
+
+    def test_exact_backend_rows(self):
+        rng = np.random.default_rng(26)
+        V = rng.standard_normal((4, 2))
+        for model in (self.gmm(), self.atoms(rng)):
+            est = ra.estimate_normalizer(model, V, eta=0.1, delta=0.1)
+            assert np.array_equal(est.log_value,
+                                  log_normalizer_exact(model, V))
+            assert est.value == pytest.approx(np.exp(est.log_value),
+                                              rel=1e-15)
+
+    def test_exact_log_normalizer_beyond_exp_range(self):
+        # log Z ~ 1500: the value overflows, the log does not
+        m = random_gmm(np.random.default_rng(27), 1, 2)
+        v = np.array([400.0])
+        est = ra.estimate_normalizer(m, v, eta=0.1, delta=0.1)
+        assert np.isfinite(est.log_value)
+        assert est.log_value == log_normalizer_exact(m, v)
+
+    def test_mc_rows_hit_relative_error(self):
+        m = two_point()
+        V = np.array([[1.0], [0.5], [-0.3]])
+        truth = np.cosh(V[:, 0])
+        eta, delta, trials = 0.1, 0.1, 50
+        hits = np.zeros(3)
+        for trial in range(trials):
+            est = ra.estimate_normalizer(m, V, eta=eta, delta=delta,
+                                         seed=trial, backend="mc")
+            hits += np.abs(est.value - truth) <= eta * truth
+        assert np.all(hits >= (1 - delta) * trials)
+
+    def test_mc_rows_share_one_stream(self):
+        # one stream of max n_i draws: the count of the largest ||v_i||C,
+        # and each row's mean is the mean over that one stream
+        m = ra.DiscreteModel([[-0.5], [0.25], [1.0]], [0.2, 0.3, 0.5], 1.0)
+        V = np.array([[0.2], [0.9], [-0.4]])
+        est = ra.estimate_normalizer(m, V, eta=0.1, delta=0.1, seed=5,
+                                     backend="mc")
+        alone = ra.estimate_normalizer(m, V[1], eta=0.1, delta=0.1, seed=5,
+                                       backend="mc")
+        assert est.n_draws == alone.n_draws
+        assert est.log_value[1] == pytest.approx(alone.log_value, rel=1e-12)
+        xs = ra.sample_exact(m, est.n_draws, np.random.default_rng(5)).points
+        want = np.log(np.mean(np.exp(xs @ V.T), axis=0))
+        assert np.max(np.abs(est.log_value - want)) <= 1e-12
+
+    def test_annealed_takes_one_tilt(self):
+        with pytest.raises(ra.ValidationError):
+            ra.estimate_normalizer(two_point(), np.ones((2, 1)), eta=0.2,
+                                   delta=0.2, seed=0, backend="annealed")
