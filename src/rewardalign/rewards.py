@@ -26,8 +26,8 @@ class LowDimFunction:
     """Low-dimensional function with a value oracle and an optional
     subgradient oracle.
 
-    ``value`` accepts a single point ``(k,)`` or a batch ``(n, k)`` and
-    returns a scalar / ``(n,)`` array.  ``grad`` takes a single point.
+    ``value`` and ``grad`` take a point ``(k,)`` or a batch ``(n, k)`` and
+    return a scalar / ``(n,)`` value and a ``(k,)`` / ``(n, k)`` subgradient.
     ``lipschitz`` is the declared constant on the ball of radius
     ``radius``; oracles must remain valid on radius*(1 + 1e-3).
     """
@@ -44,33 +44,36 @@ class LowDimFunction:
 
 
 def first_order(f: LowDimFunction, u: np.ndarray):
-    """Query the first-order oracle: returns ``(f(u), g)`` with ``g`` a
-    subgradient.  Raises outside the declared domain ball (with its small
-    validity margin) or when no subgradient oracle is present.
-    """
+    """First-order oracle at a point ``(k,)`` or a batch ``(n, k)``:
+    ``(f(u), g)`` as ``(float, (k,))`` or ``((n,), (n, k))``, g a
+    subgradient.  The one check of oracle answers: raises without a
+    subgradient oracle, outside the domain ball (with its small validity
+    margin), on answers not shaped like the query, or where |g| > L > 0."""
     u = np.asarray(u, dtype=float)
+    rows = np.atleast_2d(u)
     if f.grad is None:
         raise ValidationError("no subgradient oracle declared for this function")
-    limit = f.radius * (1.0 + DOMAIN_SLACK) + 1e-12
-    if np.linalg.norm(u) > limit:
-        raise ValidationError(
-            f"first-order query at norm {np.linalg.norm(u):.6g} outside the "
-            f"declared ball of radius {f.radius:.6g}")
-    val = float(f.value(u))
+    norm = np.linalg.norm(rows, axis=1).max(initial=0.0)
+    if norm > f.radius * (1.0 + DOMAIN_SLACK) + 1e-12:
+        raise ValidationError(f"first-order query at norm {norm:.6g} outside "
+                              f"the declared ball of radius {f.radius:.6g}")
+    val = np.asarray(f.value(u), dtype=float)
     g = np.asarray(f.grad(u), dtype=float)
-    if f.convex and f.lipschitz > 0 and np.linalg.norm(g) > f.lipschitz * (1 + 1e-9):
+    if g.shape != u.shape or val.size != len(rows):
         raise ValidationError(
-            f"subgradient norm {np.linalg.norm(g):.6g} exceeds the declared "
-            f"Lipschitz constant {f.lipschitz:.6g}")
-    return val, g
+            f"oracle answered a {u.shape} query with values {val.shape} and "
+            f"subgradients {g.shape}; a batch (n, k) needs (n,) and (n, k)")
+    g_norm = np.linalg.norm(np.atleast_2d(g), axis=1).max(initial=0.0)
+    if f.lipschitz > 0 and g_norm > f.lipschitz * (1 + 1e-9):
+        raise ValidationError(f"subgradient norm {g_norm:.6g} exceeds the "
+                              f"declared Lipschitz constant {f.lipschitz:.6g}")
+    return (float(val), g) if u.ndim == 1 else (val.reshape(-1), g)
 
 
 def _min_norm_in_hull(vectors: np.ndarray) -> np.ndarray:
     """Exact minimum-norm point of the convex hull of a handful of vectors
     (subset enumeration of the simplex QP's KKT systems)."""
     t = vectors.shape[0]
-    if t == 1:
-        return vectors[0].copy()
     if t > 12:  # ties this wide only arise from degenerate inputs
         return vectors[np.argmin(np.linalg.norm(vectors, axis=1))].copy()
     best, best_sq = None, np.inf
@@ -111,16 +114,18 @@ def make_max_affine(pieces) -> LowDimFunction:
 
     def value(u):
         u = np.asarray(u, dtype=float)
-        vals = np.atleast_2d(u) @ slopes.T + offsets
-        out = vals.max(axis=1)
+        out = (np.atleast_2d(u) @ slopes.T + offsets).max(axis=1)
         return float(out[0]) if u.ndim == 1 else out
 
     def grad(u):
-        vals = slopes @ np.asarray(u, dtype=float) + offsets
-        top = np.flatnonzero(vals >= vals.max() - 1e-12)
-        if len(top) == 1:
-            return slopes[top[0]].copy()
-        return _min_norm_in_hull(slopes[top])
+        u = np.asarray(u, dtype=float)
+        vals = np.atleast_2d(u) @ slopes.T + offsets
+        top = vals >= vals.max(axis=1, keepdims=True) - 1e-12
+        g = slopes[np.argmax(top, axis=1)]
+        tied = top.sum(axis=1) > 1  # one hull solve per distinct tie set
+        for t in np.unique(top[tied], axis=0):
+            g[tied & np.all(top == t, axis=1)] = _min_norm_in_hull(slopes[t])
+        return g[0] if u.ndim == 1 else g
 
     return LowDimFunction(value=value, k=k, lipschitz=L, radius=np.inf,
                           grad=grad, convex=True)
@@ -138,13 +143,13 @@ def make_logsumexp_function(weights, slopes) -> LowDimFunction:
 
     def value(u):
         u = np.asarray(u, dtype=float)
-        scores = np.atleast_2d(u) @ z.T + logw
-        out = logsumexp(scores, axis=1)
+        out = logsumexp(np.atleast_2d(u) @ z.T + logw, axis=1)
         return float(out[0]) if u.ndim == 1 else out
 
     def grad(u):
-        scores = z @ np.asarray(u, dtype=float) + logw
-        return softmax(scores) @ z
+        # (.., 1, k) rows: one vector-matrix product per row, as for a point
+        u = np.asarray(u, dtype=float)[..., None, :]
+        return (softmax(u @ z.T + logw, axis=-1) @ z)[..., 0, :]
 
     return LowDimFunction(value=value, k=z.shape[1], lipschitz=L,
                           radius=np.inf, grad=grad, convex=True)

@@ -53,6 +53,20 @@ def test_estimate_z(model_file, capsys):
     assert out["method"] == "exact"
 
 
+@pytest.mark.filterwarnings("error")
+def test_estimate_z_overflow_prints_strict_json(model_file, capsys):
+    # Z = (1 + e^800) / 2 overflows a double; log Z does not
+    rc = main(["estimate-z", "--model", model_file, "--v", "800"])
+    assert rc == 0
+
+    def reject(name):
+        raise AssertionError(f"non-JSON constant {name}")
+
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert out["value"] is None
+    assert out["log_value"] == pytest.approx(800 - np.log(2), rel=1e-12)
+
+
 def test_prox_demo(quad_reward_file, capsys):
     rc = main(["prox-demo", "--reward", quad_reward_file, "--lambda", "0.15",
                "--y", "0.0", "--C", "10.0"])

@@ -103,6 +103,27 @@ class TestBuildEnvelope:
         with pytest.raises(ra.ValidationError):
             ra.build_envelope(f, net)
 
+    def test_one_oracle_call_per_net(self, monkeypatch):
+        f = ra.LogSumExpReward([1.0, 0.5, 2.0], [[1.0, 0.2], [-0.5, 0.7],
+                                                 [0.1, -1.0]], np.eye(2)).f
+        f.radius = 1.0
+        net = ra.build_net(2, 1.0, 0.0125)
+        assert net.m > 10**4
+        calls = {"first_order": 0, "grad": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ra.kl_align, "first_order",
+                            counted("first_order", ra.kl_align.first_order))
+        f.grad = counted("grad", f.grad)
+        env = ra.build_envelope(f, net)
+        assert calls == {"first_order": 1, "grad": 1}
+        assert env.m == net.m
+
     def test_value_in_blocks_matches_logsumexp(self):
         # 3 pieces: 1365 rows per block, so 5000 rows span four blocks,
         # the last one partial
@@ -351,17 +372,18 @@ class TestSampleKLAligned:
     def test_broken_oracle_detected(self):
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
 
-        # impure oracle: scalar queries (envelope construction) see |u|,
-        # batch queries (acceptance) see |u| + 5, so the envelope built
-        # from the scalar answers cannot dominate the acceptance values
+        # impure oracle: its first answer (the envelope's one batch query)
+        # is |u|, every later one (acceptance) |u| + 5, so the envelope
+        # built from the first answers cannot dominate the later ones
+        calls = []
+
         def two_faced(u):
-            u = np.asarray(u, dtype=float)
-            if u.ndim > 1:
-                return np.abs(u[:, 0]) + 5.0
-            return float(np.abs(u[0]))
+            calls.append(1)
+            shift = 5.0 if len(calls) > 1 else 0.0
+            return np.abs(np.asarray(u, dtype=float)[..., 0]) + shift
 
         f = ra.LowDimFunction(value=two_faced, k=1, lipschitz=1.0, radius=1.0,
-                              grad=lambda u: np.array([np.sign(u[0])]),
+                              grad=lambda u: np.sign(np.asarray(u, dtype=float)),
                               convex=True)
         with pytest.raises(ra.EnvelopeViolationError):
             ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1, delta=0.05,
@@ -488,6 +510,7 @@ class TestSampleKLAligned:
         rep = res.report()
         assert rep["backend"] == "diffusion"
         assert rep["diffusion_steps"] > 0
+        assert rep["normalizer"] == "mc, exact base draws"
         assert np.all(np.abs(res.batch.points) <= 1.0 + 1e-12)
 
     def test_gmm_base_matches_quadrature(self):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rewardalign as ra
-from rewardalign.rewards import DOMAIN_SLACK
+from rewardalign.kl_align import build_net
+from rewardalign.rewards import DOMAIN_SLACK, make_logsumexp_function
 from rewardalign.validate import random_maxaffine, random_unit_ball
 
 
@@ -85,6 +86,48 @@ class TestFirstOrder:
         ra.first_order(f, np.array([1.0 * (1 + DOMAIN_SLACK) - 1e-9]))
         with pytest.raises(ra.ValidationError):
             ra.first_order(f, np.array([1.0 * (1 + DOMAIN_SLACK) + 1e-6]))
+
+    @pytest.mark.parametrize("make", [
+        abs_function,
+        lambda: ra.make_max_affine([([1.0, 1.0], 0.0), ([1.0, -1.0], 0.0)]),
+        lambda: make_logsumexp_function([0.5, 1.0, 2.0], [[1.0, 0.3],
+                                                          [-0.7, 0.2],
+                                                          [0.1, -1.1]]),
+    ])
+    def test_batch_equals_point_queries(self, make):
+        f = make()
+        f.radius = 1.0
+        pts = build_net(f.k, 1.0, 0.05).points
+        assert np.any(np.all(pts == 0.0, axis=1))
+        vals, g = ra.first_order(f, pts)
+        assert vals.shape == (len(pts),) and g.shape == pts.shape
+        rows = [ra.first_order(f, u) for u in pts]
+        assert np.array_equal(g, np.array([gu for _, gu in rows]))
+        # the value oracle's point and batch products may differ by ulps
+        assert np.allclose(vals, [v for v, _ in rows], rtol=0, atol=1e-14)
+        if f.k == 1:  # |.|: the tie-break gives 0 at the kink
+            assert g[np.flatnonzero(pts[:, 0] == 0.0)[0]] == [0.0]
+
+    def test_point_only_grad_rejects_batch(self):
+        f = ra.LowDimFunction(
+            value=lambda u: np.abs(np.asarray(u)[..., 0]), k=1,
+            lipschitz=1.0, radius=1.0,
+            grad=lambda u: np.array([np.sign(u[0])]), convex=True)
+        _, g = ra.first_order(f, np.array([0.5]))
+        assert g.shape == (1,)
+        with pytest.raises(ra.ValidationError, match=r"batch \(n, k\)"):
+            ra.first_order(f, np.array([[0.5], [-0.2], [0.1]]))
+
+    def test_nonconvex_slope_above_declared_l(self):
+        f = ra.LowDimFunction(
+            value=lambda u: -np.sum(np.asarray(u) ** 2, axis=-1), k=1,
+            lipschitz=0.5, radius=1.0, grad=lambda u: -2.0 * np.asarray(u),
+            convex=False)
+        ra.first_order(f, np.array([0.2]))
+        with pytest.raises(ra.ValidationError, match="Lipschitz"):
+            ra.first_order(f, np.array([0.8]))
+        with pytest.raises(ra.ValidationError, match="Lipschitz"):
+            ra.first_order(f, np.array([[0.1], [0.8]]))
 
     def test_missing_oracle(self):
         f = ra.LowDimFunction(value=lambda u: 0.0, k=1, lipschitz=0.0,
