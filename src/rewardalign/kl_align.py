@@ -63,6 +63,10 @@ def build_net(k: int, R: float, h: float,
     in-ball lattice points and radial projections of boundary-adjacent
     ones.  Projection onto the ball is nonexpansive, so the covering
     radius stays <= h.
+
+    Points are rounded to 12 decimals and put in lexicographic order, and
+    a point equal to the one before it is dropped, so a projection that
+    meets another point is kept once.
     """
     if k < 1 or h <= 0 or R < 0:
         raise ValidationError("need k >= 1, h > 0, R >= 0")
@@ -78,16 +82,19 @@ def build_net(k: int, R: float, h: float,
             f"net would have {predicted} lattice points (cap {cap}); "
             f"reduce LR or the dimension k")
 
-    grids = np.meshgrid(*([ticks] * k), indexing="ij")
-    lattice = np.stack([g.ravel() for g in grids], axis=1)
+    grids = np.meshgrid(*([ticks] * k), indexing="ij", copy=False)
+    lattice = np.stack(grids, axis=-1).reshape(-1, k)
     norms = np.linalg.norm(lattice, axis=1)
 
     inside = lattice[norms <= R]
     near = (norms > R) & (norms - R <= h)
     projected = lattice[near] * (R / norms[near])[:, None]
-    points = np.vstack([inside, projected]) if projected.size else inside
-    points = np.unique(np.round(points, 12), axis=0)
-    return Net(points=points, h=h, k=k, R=R)
+    points = np.vstack([inside, projected])
+    np.round(points, 12, out=points)
+    points = points[np.lexsort(points.T[::-1])]
+    fresh = np.ones(len(points), dtype=bool)
+    fresh[1:] = np.any(points[1:] != points[:-1], axis=1)
+    return Net(points=points[fresh], h=h, k=k, R=R)
 
 
 @dataclass(frozen=True)
@@ -302,9 +309,11 @@ class KLAlignResult:
                "backend": self.backend}
         if self.backend == "diffusion":
             rep["diffusion_steps"] = self.diffusion_steps
-            rep["eta_used"] = self.eta_used
-            rep["normalizer"] = "mc, exact base draws"
         if self.params is not None:
+            # the base shortcut estimates no normalizer
+            if self.backend == "diffusion":
+                rep["eta_used"] = self.eta_used
+                rep["normalizer"] = "mc, exact base draws"
             rep["net_pieces"] = self.net_pieces
             rep.update(self.params.to_dict())
         return rep
@@ -389,7 +398,10 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         return KLAlignResult(batch=batch, params=None, envelope=None,
                              proposal=None, acceptance_rate=1.0,
                              fallback_count=0, proposal_draws=n,
-                             used_base_shortcut=True, passes=1)
+                             used_base_shortcut=True, backend=backend,
+                             diffusion_steps=(0 if backend == "exact"
+                                              else _base_steps(eps, C)),
+                             passes=1)
 
     op_norm = float(np.linalg.norm(A, 2))
     R = op_norm * C
@@ -473,9 +485,14 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                          net_pieces=net_pieces)
 
 
+def _base_steps(eps, C) -> int:
+    """Reverse steps of a base draw on the diffusion backend."""
+    return min(recommended_steps(eps, C), DIFFUSION_STEP_CAP)
+
+
 def _base_draw(base, n, rng, backend, eps, C):
     """v = 0 linear-tilt sample, i.e. the base itself."""
     if backend == "exact":
         return sample_exact(base, n, rng)
-    steps = min(recommended_steps(eps, C), DIFFUSION_STEP_CAP)
-    return sample_via_diffusion(score_oracle(base), n=n, steps=steps, seed=rng)
+    return sample_via_diffusion(score_oracle(base), n=n,
+                                steps=_base_steps(eps, C), seed=rng)

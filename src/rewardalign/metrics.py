@@ -10,6 +10,8 @@ no approximate solver is allowed to stand in.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
@@ -269,10 +271,15 @@ def oracle_kl_tilt(p: DiscreteModel, reward) -> DiscreteModel:
     return DiscreteModel(p.atoms, probs / probs.sum(), p.support_radius)
 
 
+@functools.lru_cache(maxsize=2)
 def _anchored_ball_grid(dim: int, C: float, resolution: float) -> np.ndarray:
     """Grid of multiples of ``resolution`` covering B(C), with radial
     projections of just-outside points so sphere optima are reachable.
-    Anchored at 0 so halving the resolution yields a superset."""
+    Anchored at 0 so halving the resolution yields a superset.
+
+    A pure function of its arguments: the two most recent grids are kept
+    and shared read-only, since an oracle sweep asks for one grid per y.
+    """
     n_side = int(np.floor(C / resolution)) + 1
     if (2 * n_side + 1) ** dim > GRID_POINT_CAP:
         raise BudgetError(f"oracle grid would need {(2 * n_side + 1) ** dim} "
@@ -284,7 +291,9 @@ def _anchored_ball_grid(dim: int, C: float, resolution: float) -> np.ndarray:
     inside = pts[norms <= C]
     near = (norms > C) & (norms <= C + resolution * np.sqrt(dim))
     proj = pts[near] * (C / norms[near])[:, None]
-    return np.vstack([inside, proj]) if proj.size else inside
+    grid = np.vstack([inside, proj]) if proj.size else inside
+    grid.flags.writeable = False
+    return grid
 
 
 def _chunked_argmax(points: np.ndarray, objective, chunk: int = 1 << 20):

@@ -224,17 +224,12 @@ def reduced_objective(decomp: LowRankDecomp, f, lam: float, y: np.ndarray,
     """Phi_y(u) = f(U Sigma u) - lam [ ||u - u_y||^2 + (||w_y|| - rho(u))_+^2 ]
     evaluated at a batch of reduced coordinates ``us`` (n, r)."""
     us = np.atleast_2d(us)
-    fvals = np.asarray(f(us * decomp.Sigma @ decomp.U.T), dtype=float)
-    return fvals - lam * _reduced_cost(decomp, y, C, us)
-
-
-def _reduced_cost(decomp: LowRankDecomp, y: np.ndarray, C: float,
-                  us: np.ndarray) -> np.ndarray:
-    """The y-dependent bracket of Phi_y at every row of ``us`` (n, r)."""
     u_y = decomp.V1.T @ y
     w_norm = float(np.linalg.norm(decomp.V0.T @ y))
     rho = np.sqrt(np.maximum(C**2 - np.sum(us**2, axis=1), 0.0))
-    return np.sum((us - u_y) ** 2, axis=1) + np.maximum(w_norm - rho, 0.0) ** 2
+    fvals = np.asarray(f(us * decomp.Sigma @ decomp.U.T), dtype=float)
+    return fvals - lam * (np.sum((us - u_y) ** 2, axis=1)
+                          + np.maximum(w_norm - rho, 0.0) ** 2)
 
 
 def lift_reduced_point(decomp: LowRankDecomp, y: np.ndarray, u: np.ndarray,
@@ -256,10 +251,17 @@ def alg2_prox(decomp: LowRankDecomp, f, lam: float, y, C: float, eps: float,
     an h-net of the rank-r_A ball; guarantees the achieved objective is
     within eps/3 of the pointwise optimum V(y).
 
-    ``y`` is a point (d,) or a batch (n, d); f is evaluated on the net once
-    per call.  ``net`` may be passed in to share one net across calls.
-    Ties within 1e-9 of the best value resolve to the lexicographically
-    smallest lifted point.
+    ``y`` is a point (d,) or a batch (n, d).  ``net`` may be passed in to
+    share one net across calls.  Ties within 1e-9 of the best value
+    resolve to the lexicographically smallest lifted point.
+
+    Phi_y(u) = [f(U Sigma u) - lam ||u||^2] + 2 lam <u, u_y>
+    - lam (||w_y|| - rho(u))_+^2 - lam ||u_y||^2.  The bracket and rho are
+    computed once per call, with the net put in increasing order of rho;
+    per base point the search is one (net x r_A) product plus the penalty,
+    which is non-zero only on the leading slice of rows with
+    rho(u) < ||w_y||.  The constant -lam ||u_y||^2 moves every row alike
+    and is left out.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     _check_prox_args(lam, C, y, decomp.V1.shape[0])
@@ -267,10 +269,19 @@ def alg2_prox(decomp: LowRankDecomp, f, lam: float, y, C: float, eps: float,
         params = Alg2Params.from_problem(L, decomp.S, lam, C, eps, decomp.r_A)
         net = build_net(decomp.r_A, C, params.h, cap=net_cap).points
     fvals = np.asarray(f(net * decomp.Sigma @ decomp.U.T), dtype=float)
+    sq = np.sum(net**2, axis=1)
+    rho = np.sqrt(np.maximum(C**2 - sq, 0.0))
+    order = np.argsort(rho)
+    net, rho = net[order], rho[order]
+    bracket = fvals[order] - lam * sq[order]
     xs = []
     for yi in np.atleast_2d(y):
-        vals = fvals - lam * _reduced_cost(decomp, yi, C, net)
-        tied = net[vals >= vals.max() - PROX_TIE_TOL]
+        w_norm = float(np.linalg.norm(decomp.V0.T @ yi))
+        vals = net @ (2.0 * lam * (decomp.V1.T @ yi))
+        vals += bracket
+        j = np.searchsorted(rho, w_norm)        # rows with rho < ||w_y||
+        vals[:j] -= lam * (w_norm - rho[:j]) ** 2
+        tied = net[np.flatnonzero(vals >= vals.max() - PROX_TIE_TOL)]
         candidates = lift_reduced_point(decomp, yi, tied, C)
         xs.append(candidates[np.lexsort(candidates.T[::-1])[0]])
     return np.reshape(xs, y.shape)

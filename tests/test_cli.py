@@ -252,6 +252,23 @@ def test_constant_reward_base_shortcut(model_file, tmp_path):
     assert abs(np.mean(samples > 0.5) - 0.5) < 0.03
 
 
+def test_base_shortcut_manifest_names_diffusion(model_file, tmp_path):
+    reward = tmp_path / "const.json"
+    reward.write_text(json.dumps({
+        "type": "lowrank_maxaffine", "A": [[1.0]],
+        "pieces": [[[0.0], 0.3]], "R": 1.0}))
+    out_dir = str(tmp_path / "const_diffusion")
+    rc = main(["align-kl", "--model", model_file, "--reward", str(reward),
+               "--eps", "0.5", "--n", "20", "--seed", "5",
+               "--backend", "diffusion", "--out", out_dir])
+    assert rc == 0
+    manifest = json.loads(open(os.path.join(out_dir, "manifest.json")).read())
+    diag = manifest["diagnostics"]
+    assert diag["used_base_shortcut"]
+    assert diag["backend"] == "diffusion"
+    assert diag["diffusion_steps"] == 250   # recommended_steps(0.5, 1.0)
+
+
 def test_estimate_z_stochastic_backends(model_file, capsys):
     for backend in ("mc", "annealed"):
         rc = main(["estimate-z", "--model", model_file, "--v", "0.8",

@@ -3,14 +3,17 @@ import os
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import rewardalign as ra
 from rewardalign.cli import main
-from rewardalign.kl_align import (MixtureProposal, Net, _collapse_net_pieces,
-                                  _serve, proposal_law_discrete)
+from rewardalign.kl_align import (DIFFUSION_STEP_CAP, MixtureProposal, Net,
+                                  _collapse_net_pieces, _serve,
+                                  proposal_law_discrete)
 from rewardalign.metrics import (QuadratureTilt1D, empirical_to_discrete,
                                  oracle_kl_tilt, tv_discrete,
                                  w2_1d_samples_vs_quantiles)
+from rewardalign.models import recommended_steps
 from rewardalign.validate import (random_discrete, random_maxaffine,
                                   random_orthogonal_rows, random_unit_ball,
                                   run_envelope_suite)
@@ -22,7 +25,37 @@ def abs_function(R=1.0):
     return f
 
 
+def unique_net_reference(k, R, h):
+    """The net as one ``np.unique`` over all rounded rows: the in-ball
+    lattice points and the radial projections of the near-outside ones."""
+    s = 2.0 * h / np.sqrt(k)
+    n_side = int(np.floor((R + s / 2.0) / s))
+    ticks = s * np.arange(-n_side, n_side + 1)
+    grids = np.meshgrid(*([ticks] * k), indexing="ij")
+    lattice = np.stack([g.ravel() for g in grids], axis=1)
+    norms = np.linalg.norm(lattice, axis=1)
+    inside = lattice[norms <= R]
+    near = (norms > R) & (norms - R <= h)
+    projected = lattice[near] * (R / norms[near])[:, None]
+    return np.unique(np.round(np.vstack([inside, projected]), 12), axis=0)
+
+
 class TestBuildNet:
+    # k = 1 projects onto +-R; R a multiple of the spacing 2h/sqrt(k) puts
+    # lattice points on the sphere; (1, 1.0, 1e-5) and (2, 0.8, 0.0031)
+    # have about 1e5 points each
+    @pytest.mark.parametrize("k, R, h", [
+        (1, 1.0, 0.3), (1, 1.0, 0.05), (1, 0.7, 0.013), (1, 1.0, 1e-5),
+        (2, 1.0, 0.5), (2, 1.0, 0.05 * np.sqrt(2)), (2, 0.9, 0.03),
+        (2, 0.8, 0.0031), (3, 1.0, 0.1 * np.sqrt(3) / 2), (3, 1.0, 0.05),
+        (3, 0.6, 0.04)])
+    def test_points_equal_unique_reference(self, k, R, h):
+        net = ra.build_net(k, R, h)
+        assert np.array_equal(net.points, unique_net_reference(k, R, h))
+        probe = random_unit_ball(np.random.default_rng(k), 2000, k) * R
+        dist, _ = cKDTree(net.points).query(probe)
+        assert dist.max() <= h + 1e-12
+
     def test_1d_covering_dense_sweep(self):
         net = ra.build_net(1, 1.0, 0.5)
         sweep = np.linspace(-1, 1, 10001)[:, None]
@@ -337,6 +370,28 @@ class TestSampleKLAligned:
                                    seed=3, n=200)
         assert np.all(np.isfinite(res.proposal.log_pi))
         assert np.all(res.batch.points == 1.0)
+
+    def test_base_shortcut_reports_diffusion_backend(self, monkeypatch):
+        # L = 0 on the diffusion backend: the report names the backend and
+        # the reverse steps the base draw ran, and claims no normalizer
+        steps = []
+        reverse = ra.kl_align.sample_via_diffusion
+
+        def spy(*args, **kwargs):
+            steps.append(kwargs["steps"])
+            return reverse(*args, **kwargs)
+
+        monkeypatch.setattr(ra.kl_align, "sample_via_diffusion", spy)
+        base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
+        f = ra.make_max_affine([(np.array([0.0]), 0.3)])
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.5, delta=0.05,
+                                   seed=2, n=20, backend="diffusion")
+        rep = res.report()
+        assert res.used_base_shortcut
+        assert steps == [min(recommended_steps(0.5, 1.0), DIFFUSION_STEP_CAP)]
+        assert rep["backend"] == "diffusion"
+        assert rep["diffusion_steps"] == steps[0]
+        assert "normalizer" not in rep and "eta_used" not in rep
 
     @pytest.mark.parametrize("eps", [np.nan, 5.0, -1.0])
     def test_eps_checked_at_base_shortcut(self, eps):

@@ -223,6 +223,17 @@ class TestOracles:
                 for res in (0.2, 0.1, 0.05, 0.025)]
         assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(3))
 
+    def test_cached_grid_is_shared_read_only(self):
+        # a sweep over base points reuses one grid; no caller may write it
+        grid = metrics._anchored_ball_grid(2, 1.0, 0.1)
+        assert metrics._anchored_ball_grid(2, 1.0, 0.1) is grid
+        with pytest.raises(ValueError):
+            grid[0, 0] = 5.0
+        r = ra.QuadraticReward(np.eye(2), np.zeros(2))
+        x = metrics.oracle_prox_grid(r, 1.0, np.array([0.2, -0.1]), 1.0, 0.1)
+        assert np.allclose(x, [0.1, -0.05], atol=1e-2)
+        assert metrics._anchored_ball_grid(2, 1.0, 0.1) is grid
+
     def test_dimension_gate(self):
         r = ra.QuadraticReward(np.eye(4), np.zeros(4))
         with pytest.raises(ra.CapabilityError):

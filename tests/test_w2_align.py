@@ -250,6 +250,31 @@ class TestAlg2Prox:
                                           f.lipschitz) for y in ys])
             assert np.array_equal(xs, rows)
 
+    def test_pick_attains_reduced_objective_max(self):
+        # the hoisted search picks a net row within the tie tolerance of
+        # the plain definition's maximum, with base points inside and
+        # outside the ball
+        rng = np.random.default_rng(41)
+        for r_A in (1, 2):
+            net = ra.build_net(r_A, 1.0, 0.02).points
+            for d in (r_A, r_A + 1, 4):
+                A = rng.standard_normal((r_A, d))
+                f = ra.make_max_affine([(rng.standard_normal(r_A),
+                                         float(rng.uniform(-0.2, 0.2)))
+                                        for _ in range(3)])
+                decomp = LowRankDecomp.from_matrix(A)
+                lam = float(rng.uniform(0.05, 2.0))
+                ys = random_unit_ball(rng, 12, d) * rng.uniform(0.2, 2.0,
+                                                                (12, 1))
+                xs = ra.alg2_prox(decomp, f.value, lam, ys, 1.0, 0.1,
+                                  f.lipschitz, net=net)
+                for y, x in zip(ys, xs):
+                    gaps = np.linalg.norm(net - decomp.V1.T @ x, axis=1)
+                    assert gaps.min() <= 1e-12
+                    vals = reduced_objective(decomp, f.value, lam, y, 1.0,
+                                             net)
+                    assert vals[np.argmin(gaps)] >= vals.max() - 1e-9 - 1e-12
+
     def test_constant_reward_tie_batch(self):
         # y's reduced coordinate halfway between two net points: both tie,
         # and the lexicographically smaller lift wins in a batch as alone
