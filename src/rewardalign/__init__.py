@@ -7,10 +7,10 @@ __version__ = "0.1.0"
 from .errors import (BudgetError, CapabilityError, ConfigurationError,
                      EnvelopeViolationError, NumericalError, RewardAlignError,
                      ValidationError)
-from .models import (DiscreteModel, GaussianMixtureModel, NoiseLevel,
-                     SampleBatch, ScoreOracle, load_model, model_from_dict,
-                     noised_params, project_ball, sample_exact,
-                     sample_via_diffusion, score, score_oracle)
+from .models import (DiscreteModel, GaussianMixtureModel, SampleBatch,
+                     ScoreOracle, load_model, model_from_dict, noised_params,
+                     project_ball, sample_exact, sample_via_diffusion, score,
+                     score_oracle)
 from .rewards import (LinearReward, LogSumExpReward, LowDimFunction,
                       LowRankReward, MaxAffineLowRankReward, QuadraticReward,
                       first_order, load_reward, make_max_affine,

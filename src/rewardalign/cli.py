@@ -176,6 +176,8 @@ def cmd_prox_demo(args) -> int:
         x = prox_quadratic(reward.B, reward.b, args.lam, y, args.C)
     else:
         x = prox_concave(reward, args.lam, y, args.C)
+    x = SampleBatch(points=x[None], seed=-1, producer="prox-demo",
+                    d=len(y), C=args.C).points[0]  # the finite output gate
     print(json.dumps({"y": y.tolist(), "T_lambda_y": x.tolist(),
                       "lambda": args.lam, "C": args.C}, indent=2))
     return 0

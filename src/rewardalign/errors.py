@@ -4,6 +4,8 @@ Exit-code mapping for the CLI: ValidationError -> 2, BudgetError -> 3,
 NumericalError -> 4.
 """
 
+import numpy as np
+
 
 class RewardAlignError(Exception):
     """Base class for all library errors."""
@@ -36,3 +38,14 @@ class EnvelopeViolationError(NumericalError):
 class CapabilityError(ValidationError):
     """Requested an exact computation outside the supported regime
     (e.g. high-dimensional exact Wasserstein)."""
+
+
+def finite(name: str, x, positive: bool = False) -> np.ndarray:
+    """``x`` as a float array; raises ValidationError naming ``name``
+    unless every entry is finite (and > 0 if ``positive``).  The one input
+    check of the library: NaN fails it."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr) & ((arr > 0) | (not positive))):
+        raise ValidationError(f"{name} must be finite"
+                              f"{' and positive' * positive}")
+    return arr

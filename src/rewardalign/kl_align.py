@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import (BudgetError, EnvelopeViolationError, ValidationError)
+from .errors import (BudgetError, EnvelopeViolationError, ValidationError,
+                     finite)
 from .models import (DiscreteModel, Model, SampleBatch, _rng_from, _seed_tag,
-                     recommended_steps, sample_exact, sample_via_diffusion,
-                     score_oracle)
+                     check_count, recommended_steps, sample_exact,
+                     sample_via_diffusion, score_oracle)
 from .rewards import LowDimFunction, first_order
 from .tilts import estimate_normalizer, tilt_exact, tilted_oracle
 
@@ -57,19 +58,19 @@ class Net:
         return self.points.shape[0]
 
 
-def build_net(k: int, R: float, h: float,
-              cap: int = NET_CARDINALITY_CAP) -> Net:
+def build_net(k: int, R: float, h: float) -> Net:
     """Axis-aligned grid with spacing 2h/sqrt(k) over [-R, R]^k, keeping
     in-ball lattice points and radial projections of boundary-adjacent
     ones.  Projection onto the ball is nonexpansive, so the covering
-    radius stays <= h.
+    radius stays <= h.  Raises BudgetError beyond NET_CARDINALITY_CAP
+    lattice points.
 
     Points are rounded to 12 decimals and put in lexicographic order, and
     a point equal to the one before it is dropped, so a projection that
     meets another point is kept once.
     """
-    if k < 1 or h <= 0 or R < 0:
-        raise ValidationError("need k >= 1, h > 0, R >= 0")
+    if not (k >= 1 and 0 < h < np.inf and 0 <= R < np.inf):
+        raise ValidationError(f"need k >= 1, finite h > 0, R >= 0: {k, h, R}")
     if R == 0:
         return Net(points=np.zeros((1, k)), h=h, k=k, R=R)
 
@@ -77,9 +78,10 @@ def build_net(k: int, R: float, h: float,
     n_side = int(np.floor((R + s / 2.0) / s))
     ticks = s * np.arange(-n_side, n_side + 1)
     predicted = len(ticks) ** k
-    if predicted > cap:
+    if predicted > NET_CARDINALITY_CAP:
         raise BudgetError(
-            f"net would have {predicted} lattice points (cap {cap}); "
+            f"net would have {predicted} lattice points "
+            f"(cap {NET_CARDINALITY_CAP}); "
             f"reduce LR or the dimension k")
 
     grids = np.meshgrid(*([ticks] * k), indexing="ij", copy=False)
@@ -106,6 +108,16 @@ class Envelope:
 
     slopes: np.ndarray   # (m, k)
     offsets: np.ndarray  # (m,)
+
+    def __post_init__(self):
+        slopes = np.atleast_2d(finite("envelope slopes", self.slopes))
+        offsets = finite("envelope offsets", self.offsets)
+        m = len(slopes)
+        if slopes.ndim != 2 or offsets.shape != (m,) or m == 0:
+            raise ValidationError("an envelope needs slopes (m, k) and "
+                                  "offsets (m,), m >= 1")
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def m(self) -> int:
@@ -149,8 +161,7 @@ class Envelope:
     def from_pieces(cls, slopes, offsets) -> "Envelope":
         """Envelope with explicitly given pieces (e.g. the exact pieces of
         a log-sum-exp reward)."""
-        return cls(slopes=np.atleast_2d(np.asarray(slopes, dtype=float)),
-                   offsets=np.asarray(offsets, dtype=float))
+        return cls(slopes=slopes, offsets=offsets)
 
 
 def _collapse_net_pieces(env: Envelope) -> Envelope:
@@ -176,8 +187,6 @@ def _collapse_net_pieces(env: Envelope) -> Envelope:
 def build_envelope(f: LowDimFunction, net: Net) -> Envelope:
     """One batch first-order oracle call on the whole net; piece i is the
     supporting hyperplane at net point i."""
-    if net.m == 0:
-        raise ValidationError("empty net")
     vals, slopes = first_order(f, net.points)
     offsets = vals - np.einsum("ij,ij->i", slopes, net.points)
     return Envelope(slopes=slopes, offsets=offsets)
@@ -362,8 +371,8 @@ def _serve(ok: np.ndarray, carry: int, N_rej: int, slots: int):
 
 def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                       delta: float, seed, n: int = 1,
-                      backend: str = "exact", envelope: Envelope = None,
-                      net_cap: int = NET_CARDINALITY_CAP) -> KLAlignResult:
+                      backend: str = "exact",
+                      envelope: Envelope = None) -> KLAlignResult:
     """Sample from the KL-aligned law q(x) ~ p(x) exp(f(Ax)) for convex f.
 
     Requires f flagged convex and L-Lipschitz on the projected ball of
@@ -381,9 +390,8 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         raise ValidationError(f"delta must be in (0,1), got {delta}")
     if backend not in ("exact", "diffusion"):
         raise ValidationError(f"unknown KL backend {backend!r}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    check_count(n)
+    A = np.atleast_2d(finite("A", A))
     if A.shape != (f.k, base.d):
         raise ValidationError("A must be k x d")
     rng = _rng_from(seed)
@@ -406,7 +414,7 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     op_norm = float(np.linalg.norm(A, 2))
     R = op_norm * C
     if envelope is None:
-        net = build_net(f.k, R, 1.0 / (2.0 * L), cap=net_cap)
+        net = build_net(f.k, R, 1.0 / (2.0 * L))
         envelope = build_envelope(f, net)
         net_pieces = envelope.m
         envelope = _collapse_net_pieces(envelope)

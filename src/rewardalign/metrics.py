@@ -23,6 +23,7 @@ from .models import DiscreteModel, project_ball
 ASSIGNMENT_CAP = 512
 LP_CELL_CAP = 1 << 22
 GRID_POINT_CAP = 30_000_000
+GRID_CHUNK = 1 << 20  # grid rows per objective evaluation
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +297,15 @@ def _anchored_ball_grid(dim: int, C: float, resolution: float) -> np.ndarray:
     return grid
 
 
-def _chunked_argmax(points: np.ndarray, objective, chunk: int = 1 << 20):
+def _chunked_argmax(points: np.ndarray, objective, chunk: int = GRID_CHUNK):
+    """Best point and value of ``objective(block, rows)`` over blocks of
+    rows of ``points`` (``rows`` is the block's slice of ``points``)."""
     best_val = -np.inf
     best_pt = None
     for start in range(0, len(points), chunk):
-        block = points[start:start + chunk]
-        vals = np.asarray(objective(block), dtype=float)
+        rows = slice(start, start + chunk)
+        block = points[rows]
+        vals = np.asarray(objective(block, rows), dtype=float)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
@@ -314,12 +318,16 @@ def oracle_prox_grid(reward, lam: float, y, C: float,
     """Dense-grid argmax of r(x) - lam ||x - y||^2 over B(C), followed by
     one local refinement pass at a tenth of the resolution.
 
-    Low-rank rewards are reduced to their rank-r coordinates first (the
-    orthogonal part only enters through the transport cost, so its optimum
-    is the projection of y's orthogonal part onto the leftover radius).
-    Effective search dimension must be at most 3.
+    ``y`` is a point (d,) or a batch (n, d) answered row by row; the rows
+    of a batch share one reward evaluation on the grid.  Low-rank rewards
+    are reduced to their rank-r coordinates first (the orthogonal part only
+    enters through the transport cost, so its optimum is the projection of
+    y's orthogonal part onto the leftover radius); a full-space reward is
+    the case U = V1 = I with no orthogonal part.  Effective search
+    dimension must be at most 3.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = np.asarray(y, dtype=float)
+    ys = np.atleast_2d(y)
 
     if hasattr(reward, "A") and hasattr(reward, "f"):
         A = np.atleast_2d(np.asarray(reward.A, dtype=float))
@@ -328,39 +336,46 @@ def oracle_prox_grid(reward, lam: float, y, C: float,
         if r > 3:
             raise CapabilityError("effective dimension above 3")
         V1, V0 = Vt[:r].T, Vt[r:].T
-        u_y = V1.T @ y
-        w_y = V0.T @ y if V0.size else np.zeros(0)
-        w_norm = float(np.linalg.norm(w_y))
         Ured = U_full[:, :r] * svals[:r]  # maps u to Ax
 
-        def phi(us):
-            rho = np.sqrt(np.maximum(C**2 - np.sum(us**2, axis=1), 0.0))
-            pen = np.maximum(w_norm - rho, 0.0) ** 2
-            fv = np.asarray(reward.f.value(us @ Ured.T), dtype=float)
+        def value(us):
+            return np.asarray(reward.f.value(us @ Ured.T), dtype=float)
+    else:
+        r = ys.shape[1]
+        if r > 3:
+            raise CapabilityError("dimension above 3 for full-space grid search")
+        V1, V0 = np.eye(r), np.zeros((r, 0))
+
+        def value(us):
+            return np.asarray(reward.value(us), dtype=float)
+
+    def leftover(us):  # radius left for the orthogonal part
+        return np.sqrt(np.maximum(C**2 - np.sum(us**2, axis=1), 0.0))
+
+    # the y-free terms of every grid point, computed once for all ys
+    grid = _anchored_ball_grid(r, C, resolution)
+    grid_f = np.concatenate([value(grid[s:s + GRID_CHUNK])
+                             for s in range(0, len(grid), GRID_CHUNK)])
+    grid_rho = leftover(grid)
+    xs = []
+    for yi in ys:
+        u_y = V1.T @ yi
+        w_y = V0.T @ yi
+        w_norm = float(np.linalg.norm(w_y))
+
+        def phi(us, fv, rh):
+            pen = np.maximum(w_norm - rh, 0.0) ** 2
             return fv - lam * (np.sum((us - u_y) ** 2, axis=1) + pen)
 
-        grid = _anchored_ball_grid(r, C, resolution)
-        best_u, _ = _chunked_argmax(grid, phi)
-        best_u, _ = _refine(best_u, phi, resolution, C, r)
+        best_u, _ = _chunked_argmax(
+            grid, lambda us, rows: phi(us, grid_f[rows], grid_rho[rows]))
+        best_u, _ = _refine(
+            best_u, lambda us, _: phi(us, value(us), leftover(us)),
+            resolution, C, r)
         rho = float(np.sqrt(max(C**2 - best_u @ best_u, 0.0)))
-        x = V1 @ best_u
-        if V0.size:
-            w = w_y if w_norm <= rho else w_y * (rho / max(w_norm, 1e-300))
-            x = x + V0 @ w
-        return x
-
-    d = y.shape[0]
-    if d > 3:
-        raise CapabilityError("dimension above 3 for full-space grid search")
-
-    def obj(xs):
-        return (np.asarray(reward.value(xs), dtype=float)
-                - lam * np.sum((xs - y) ** 2, axis=1))
-
-    grid = _anchored_ball_grid(d, C, resolution)
-    best, _ = _chunked_argmax(grid, obj)
-    best, _ = _refine(best, obj, resolution, C, d)
-    return best
+        w = w_y if w_norm <= rho else w_y * (rho / max(w_norm, 1e-300))
+        xs.append(V1 @ best_u + V0 @ w)
+    return np.reshape(xs, y.shape)
 
 
 def _refine(center, objective, resolution, C, dim):

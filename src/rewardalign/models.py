@@ -16,7 +16,8 @@ from typing import Callable, Union
 import numpy as np
 from scipy.special import chdtrc, logsumexp
 
-from .errors import ConfigurationError, NumericalError, ValidationError
+from .errors import (ConfigurationError, NumericalError, ValidationError,
+                     finite)
 
 # Untruncated mass allowed outside the support ball at construction time.
 SUPPORT_MASS_TOL = 1e-10
@@ -37,22 +38,13 @@ def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
     return x * scale
 
 
-@dataclass(frozen=True)
-class NoiseLevel:
-    sigma: float
-
-    def __post_init__(self):
-        if not (0.0 < self.sigma < 1.0):
-            raise ValidationError(f"sigma must be in (0,1), got {self.sigma}")
-
-    @property
-    def a(self) -> float:
-        """Signal scale sqrt(1 - sigma^2)."""
-        return float(np.sqrt(1.0 - self.sigma**2))
-
-
-def _as_noise(sigma) -> NoiseLevel:
-    return sigma if isinstance(sigma, NoiseLevel) else NoiseLevel(float(sigma))
+def _noise(sigma) -> tuple:
+    """(a, sigma^2) at a noise level sigma in (0, 1): the noised law is
+    that of a X + sigma Z, with signal scale a = sqrt(1 - sigma^2)."""
+    sigma = float(sigma)
+    if not 0.0 < sigma < 1.0:
+        raise ValidationError(f"sigma must be in (0,1), got {sigma}")
+    return float(np.sqrt(1.0 - sigma**2)), sigma**2
 
 
 @dataclass(frozen=True)
@@ -65,10 +57,12 @@ class SampleBatch:
     d: int
     C: float
 
-    def __post_init__(self):
+    def __post_init__(self):  # the gate every sample leaves through
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ValidationError("points must have shape (n, d)")
+        if not np.all(np.isfinite(pts)):
+            raise NumericalError(f"{self.producer} produced non-finite points")
         object.__setattr__(self, "points", pts)
 
     def __len__(self):
@@ -78,6 +72,15 @@ class SampleBatch:
         header = ",".join(f"x{i}" for i in range(self.d))
         np.savetxt(path, self.points, delimiter=",", header=header,
                    comments="", fmt="%.17e")
+
+
+def _probability_vector(name: str, p, n: int) -> np.ndarray:
+    """p as n finite nonnegative entries summing to 1 within 1e-12."""
+    p = finite(name, p)
+    if not (p.shape == (n,) and np.all(p >= 0) and abs(p.sum() - 1) <= 1e-12):
+        raise ValidationError(f"{name} must be a probability vector of "
+                              f"length {n} (1e-12)")
+    return p
 
 
 class GaussianMixtureModel:
@@ -97,22 +100,18 @@ class GaussianMixtureModel:
 
     def __init__(self, weights, means, covs, support_radius,
                  check_support: bool = True):
-        self.weights = np.asarray(weights, dtype=float)
-        self.means = np.atleast_2d(np.asarray(means, dtype=float))
-        covs = np.asarray(covs, dtype=float)
+        self.means = np.atleast_2d(finite("means", means))
+        covs = finite("covs", covs)
         if covs.ndim == 2:
             covs = covs[None, :, :]
         self.covs = covs
-        self.support_radius = float(support_radius)
+        self.support_radius = float(finite("C", support_radius, positive=True))
         self.support_checked = bool(check_support)
 
         J, d = self.means.shape
-        if self.weights.shape != (J,) or self.covs.shape != (J, d, d):
+        self.weights = _probability_vector("weights", weights, J)
+        if self.covs.shape != (J, d, d):
             raise ValidationError("inconsistent mixture shapes")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValidationError("weights must be a probability vector (1e-12)")
-        if self.support_radius <= 0:
-            raise ValidationError("support_radius must be positive")
         ok = np.isclose(covs, np.swapaxes(covs, 1, 2), atol=1e-12).all((1, 2))
         if not ok.all():
             raise ValidationError(f"covariance {ok.argmin()} is not symmetric")
@@ -175,14 +174,9 @@ class DiscreteModel:
     """Finite atom set with probabilities; every atom inside the ball."""
 
     def __init__(self, atoms, probs, support_radius):
-        self.atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-        self.probs = np.asarray(probs, dtype=float)
-        self.support_radius = float(support_radius)
-        n, d = self.atoms.shape
-        if self.probs.shape != (n,):
-            raise ValidationError("probs must match the number of atoms")
-        if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-12:
-            raise ValidationError("probs must be a probability vector (1e-12)")
+        self.atoms = np.atleast_2d(finite("atoms", atoms))
+        self.support_radius = float(finite("C", support_radius, positive=True))
+        self.probs = _probability_vector("probs", probs, len(self.atoms))
         norms = np.linalg.norm(self.atoms, axis=1)
         if np.any(norms > self.support_radius * (1 + 1e-12)):
             raise ValidationError("every atom must have norm <= C")
@@ -241,24 +235,12 @@ def noised_params(model: GaussianMixtureModel, sigma) -> GaussianMixtureModel:
     The returned model is not support-checked: noised laws are genuinely
     unbounded and only the base is required to live in B(C).
     """
-    nl = _as_noise(sigma)
-    a = nl.a
+    a, s2 = _noise(sigma)
     eye = np.eye(model.d)
     return GaussianMixtureModel(
         model.weights, a * model.means,
-        a * a * model.covs + nl.sigma**2 * eye,
+        a * a * model.covs + s2 * eye,
         model.support_radius, check_support=False)
-
-
-def _noised_discrete_logdensity(model: DiscreteModel, nl: NoiseLevel,
-                                x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(x)
-    a, s2 = nl.a, nl.sigma**2
-    diff = x[:, None, :] - a * model.atoms[None, :, :]  # (n, m, d)
-    logw = (np.log(model.probs)[None, :]
-            - 0.5 * np.sum(diff**2, axis=2) / s2
-            - 0.5 * model.d * np.log(2.0 * np.pi * s2))
-    return logsumexp(logw, axis=1)
 
 
 def score(model: Model, sigma, x: np.ndarray) -> np.ndarray:
@@ -268,14 +250,13 @@ def score(model: Model, sigma, x: np.ndarray) -> np.ndarray:
     input shape.  Log-sum-exp stabilized; raises NumericalError if the
     responsibilities degenerate (non-finite input or overflow).
     """
-    nl = _as_noise(sigma)
+    a, s2 = _noise(sigma)
     x_arr = np.asarray(x, dtype=float)
     single = x_arr.ndim == 1
     xb = np.atleast_2d(x_arr)
     if xb.shape[1] != model.d:
         raise ValidationError("dimension mismatch in score query")
 
-    a, s2 = nl.a, nl.sigma**2
     if isinstance(model, DiscreteModel):
         diff = xb[:, None, :] - a * model.atoms[None, :, :]
         logw = np.log(model.probs)[None, :] - 0.5 * np.sum(diff**2, axis=2) / s2
@@ -301,10 +282,14 @@ def score(model: Model, sigma, x: np.ndarray) -> np.ndarray:
 
 def noised_log_density(model: Model, sigma, x: np.ndarray) -> np.ndarray:
     """Log-density of the noised model at ``x`` (batch)."""
-    nl = _as_noise(sigma)
-    if isinstance(model, DiscreteModel):
-        return _noised_discrete_logdensity(model, nl, np.atleast_2d(x))
-    return logsumexp(model._components(x, nl.a, nl.sigma**2)[0], axis=1)
+    a, s2 = _noise(sigma)
+    if isinstance(model, GaussianMixtureModel):
+        return logsumexp(model._components(x, a, s2)[0], axis=1)
+    diff = np.atleast_2d(x)[:, None, :] - a * model.atoms[None, :, :]
+    logw = (np.log(model.probs)[None, :]
+            - 0.5 * np.sum(diff**2, axis=2) / s2
+            - 0.5 * model.d * np.log(2.0 * np.pi * s2))
+    return logsumexp(logw, axis=1)
 
 
 @dataclass(frozen=True)
@@ -352,12 +337,17 @@ def _sample_gmm_raw(model: GaussianMixtureModel, n: int,
     return out
 
 
+def check_count(n) -> None:
+    """The sample count check of every sampler entry: an integer >= 1."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
+
+
 def sample_exact(model: Model, n: int, seed) -> SampleBatch:
     """i.i.d. exact draws.  Gaussian mixtures are rejected against the
     support ball (acceptance ~ 1 by the mass invariant); atom sets use a
     categorical draw."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    check_count(n)
     rng = _rng_from(seed)
     C = model.support_radius
 
@@ -390,26 +380,20 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
 def recommended_steps(eps_p: float, C: float) -> int:
     """Step count heuristic for a target W2 accuracy (validated empirically,
     not derived)."""
-    if eps_p <= 0:
-        raise ValidationError("eps_p must be positive")
+    if not eps_p > 0:
+        raise ValidationError(f"eps_p must be positive, got {eps_p}")
     return max(250, int(np.ceil(50.0 * C / eps_p)))
 
 
 def sample_via_diffusion(oracle: ScoreOracle, n: int = 1, steps: int = None,
-                         eps_p: float = None, seed=None) -> SampleBatch:
+                         seed=None) -> SampleBatch:
     """Discretized reverse process from N(0, I) driven only by the score
-    oracle, on a geometric sigma grid, with a final posterior-mean denoise
-    and projection onto the support ball.
-
-    Either ``steps`` or ``eps_p`` must be given; ``eps_p`` maps to a step
-    count through :func:`recommended_steps`.
+    oracle, on a geometric sigma grid of ``steps`` levels (required; see
+    :func:`recommended_steps`), with a final posterior-mean denoise and
+    projection onto the support ball.
     """
-    if steps is None:
-        if eps_p is None:
-            raise ValidationError("provide steps or eps_p")
-        steps = recommended_steps(eps_p, oracle.C)
-    if steps < 2:
-        raise ValidationError("steps must be >= 2")
+    if not (isinstance(steps, (int, np.integer)) and steps >= 2):
+        raise ValidationError(f"steps must be an integer >= 2, got {steps!r}")
     rng = _rng_from(seed)
     sigmas = np.geomspace(SIGMA_MAX, SIGMA_MIN, steps)
     x = rng.standard_normal((n, oracle.d))

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import logsumexp, softmax
 
-from .errors import ValidationError
+from .errors import ValidationError, finite
 
 # First-order oracles must be valid slightly beyond the declared ball.
 DOMAIN_SLACK = 1e-3
@@ -28,8 +28,10 @@ class LowDimFunction:
 
     ``value`` and ``grad`` take a point ``(k,)`` or a batch ``(n, k)`` and
     return a scalar / ``(n,)`` value and a ``(k,)`` / ``(n, k)`` subgradient.
-    ``lipschitz`` is the declared constant on the ball of radius
-    ``radius``; oracles must remain valid on radius*(1 + 1e-3).
+    A point and the same row of a batch may get values a few ulps apart
+    (a (1, k) product against an (n, k) one): compare them with a
+    tolerance.  ``lipschitz`` is the declared constant on the ball of
+    radius ``radius``; oracles must remain valid on radius*(1 + 1e-3).
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -107,8 +109,8 @@ def make_max_affine(pieces) -> LowDimFunction:
     """
     if len(pieces) == 0:
         raise ValidationError("need at least one affine piece")
-    slopes = np.atleast_2d(np.asarray([p[0] for p in pieces], dtype=float))
-    offsets = np.asarray([p[1] for p in pieces], dtype=float)
+    slopes = np.atleast_2d(finite("max-affine slopes", [p[0] for p in pieces]))
+    offsets = finite("max-affine offsets", [p[1] for p in pieces])
     k = slopes.shape[1]
     L = float(np.max(np.linalg.norm(slopes, axis=1)))
 
@@ -134,10 +136,8 @@ def make_max_affine(pieces) -> LowDimFunction:
 def make_logsumexp_function(weights, slopes) -> LowDimFunction:
     """Smooth convex ``f(u) = log sum_i w_i exp(<z_i, u>)`` with exact
     gradient (softmax-weighted slope average)."""
-    w = np.asarray(weights, dtype=float)
-    z = np.atleast_2d(np.asarray(slopes, dtype=float))
-    if np.any(w <= 0):
-        raise ValidationError("log-sum-exp weights must be positive")
+    w = finite("log-sum-exp weights", weights, positive=True)
+    z = np.atleast_2d(finite("log-sum-exp slopes", slopes))
     logw = np.log(w)
     L = float(np.max(np.linalg.norm(z, axis=1)))
 
@@ -166,7 +166,7 @@ class LinearReward:
     concave = True
 
     def __init__(self, theta):
-        self.theta = np.asarray(theta, dtype=float)
+        self.theta = finite("theta", theta)
         self.d = self.theta.shape[0]
 
     def value(self, x):
@@ -189,9 +189,9 @@ class QuadraticReward:
     """
 
     def __init__(self, B, b, c: float = 0.0):
-        self.B = np.atleast_2d(np.asarray(B, dtype=float))
-        self.b = np.atleast_1d(np.asarray(b, dtype=float))
-        self.c = float(c)
+        self.B = np.atleast_2d(finite("B", B))
+        self.b = np.atleast_1d(finite("b", b))
+        self.c = float(finite("c", c))
         if not np.allclose(self.B, self.B.T, atol=1e-12):
             raise ValidationError("B must be symmetric")
         if self.B.shape[0] != self.b.shape[0]:
@@ -221,13 +221,11 @@ class LowRankReward:
     """r(x) = f(Ax) for a wide matrix A and a low-dimensional function f."""
 
     def __init__(self, A, f: LowDimFunction):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
+        self.A = np.atleast_2d(finite("A", A))
         self.f = f
         if self.A.shape[0] != f.k:
             raise ValidationError("A row count must match f's dimension")
         self.k, self.d = self.A.shape
-        if not np.all(np.isfinite(self.A)):
-            raise ValidationError("A must be finite")
         self.op_norm = float(np.linalg.norm(self.A, 2))
 
     def value(self, x):
@@ -262,10 +260,9 @@ class MaxAffineLowRankReward(LowRankReward):
 
     def __init__(self, A, pieces, radius=None):
         f = make_max_affine(pieces)
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        if radius is None:
-            radius = np.inf
-        f.radius = float(radius)
+        f.radius = np.inf if radius is None else float(radius)
+        if not f.radius > 0:  # inf: no declared ball
+            raise ValidationError(f"R must be positive or inf, got {radius}")
         super().__init__(A, f)
         self.pieces = [(np.asarray(s, dtype=float), float(c)) for s, c in pieces]
 
@@ -289,8 +286,8 @@ def reward_from_dict(spec: dict):
             pieces = [(p[0], p[1]) for p in spec["pieces"]]
             r = MaxAffineLowRankReward(spec["A"], pieces, spec.get("R"))
             if "L" in spec:
-                declared = float(spec["L"])
-                if declared + 1e-12 < r.f.lipschitz:
+                declared = float(finite("L", spec["L"]))
+                if not declared + 1e-12 >= r.f.lipschitz:
                     raise ValidationError(
                         f"declared L={declared} below the max piece slope "
                         f"{r.f.lipschitz:.6g}")

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, finite
 from .models import (DiscreteModel, GaussianMixtureModel, Model,
-                     SampleBatch, ScoreOracle, _as_noise, _rng_from,
+                     SampleBatch, ScoreOracle, _noise, _rng_from,
                      project_ball, recommended_steps, sample_exact,
                      sample_via_diffusion, score_oracle)
 
@@ -49,8 +49,8 @@ class NormalizerEstimate:
 
 
 def _tilt_rows(model: Model, V) -> np.ndarray:
-    """V as an (m, d) tilt matrix; one tilt (d,) is the m = 1 case."""
-    V = np.asarray(V, dtype=float)
+    """V as a finite (m, d) tilt matrix; one tilt (d,) is the m = 1 case."""
+    V = finite("tilt", V)
     if V.shape[-1:] != (model.d,) or V.ndim not in (1, 2) or V.size == 0:
         raise ValidationError("tilt vector dimension mismatch")
     return np.atleast_2d(V)
@@ -121,11 +121,10 @@ def tilted_score(base: ScoreOracle, v, sigma, x: np.ndarray) -> np.ndarray:
     the test suite).  ``v`` is one tilt (d,) or one tilt per row of ``x``
     (n, d); the identity holds row by row.
     """
-    nl = _as_noise(sigma)
+    a, s2 = _noise(sigma)
     v = np.asarray(v, dtype=float)
-    a = nl.a
-    shifted = np.asarray(x, dtype=float) + (nl.sigma**2 / a) * v
-    return v / a + np.asarray(base(nl.sigma, shifted), dtype=float)
+    shifted = np.asarray(x, dtype=float) + (s2 / a) * v
+    return v / a + np.asarray(base(float(sigma), shifted), dtype=float)
 
 
 def tilted_oracle(base: ScoreOracle, v) -> ScoreOracle:
@@ -147,8 +146,8 @@ def sample_linear_tilt(base, v, eps: float, seed, backend: str = "exact",
     the reverse process on the tilted score, with the step count mapped
     from the W2 target eps.  Outputs live in the support ball either way.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    if not eps > 0:
+        raise ValidationError(f"eps must be positive, got {eps}")
 
     if backend == "exact":
         if not isinstance(base, (GaussianMixtureModel, DiscreteModel)):
@@ -190,15 +189,24 @@ def _mean_exp(model: Model, V, n: int, rng):
     return float(total[0]) if np.ndim(V) == 1 else total
 
 
-def _hoeffding_draws(vc: float, eta: float, delta: float) -> int:
-    # Hoeffding on exp(<v,X>) with range within [e^{-vc}, e^{vc}] and mean
-    # at least e^{-vc}; the crude e^{4 vc} covers range^2 / mean^2.
-    return int(np.ceil(np.exp(4.0 * vc) * np.log(2.0 / delta) / (2.0 * eta**2)))
+def _hoeffding_draws(vc: float, eta: float, delta: float,
+                     stages: int = 1) -> int:
+    """Draws per stage, for ``stages`` stages within MC_SAMPLE_CAP in all
+    (checked before the int: at large vc the count is inf, or NaN over
+    inf stages).  Hoeffding on exp(<v,X>) with range within
+    [e^{-vc}, e^{vc}] and mean at least e^{-vc}; the crude e^{4 vc}
+    covers range^2 / mean^2."""
+    with np.errstate(all="ignore"):
+        n = np.ceil(np.exp(4.0 * vc) * np.log(2.0 / delta) / (2.0 * eta**2))
+    total = np.nan_to_num(n * stages, nan=np.inf, posinf=np.inf)
+    if not total <= MC_SAMPLE_CAP:
+        raise BudgetError(f"normalizer needs {total:.3g} draws (cap "
+                          f"{MC_SAMPLE_CAP}); reduce ||v||C")
+    return int(n)
 
 
 def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
-                        backend: str = "exact",
-                        mc_cap: int = MC_SAMPLE_CAP) -> NormalizerEstimate:
+                        backend: str = "exact") -> NormalizerEstimate:
     """Estimate log Z_P(v) per tilt to relative accuracy eta on Z, with
     failure probability delta per tilt.
 
@@ -221,10 +229,6 @@ def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
 
     if backend == "mc":
         n = _hoeffding_draws(vc, eta, delta)
-        if n > mc_cap:
-            raise BudgetError(
-                f"mc normalizer needs {n} draws (cap {mc_cap}); use the "
-                f"annealed backend for ||v||C = {vc:.3g}")
         return NormalizerEstimate(log_value=np.log(_mean_exp(base, V, n, rng)),
                                   eta=eta, delta=delta,
                                   method="mc", n_draws=n)
@@ -233,12 +237,10 @@ def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
         if np.ndim(V) != 1:
             raise ValidationError("the annealed backend takes one tilt vector")
         v, = rows
-        stages = max(1, int(np.ceil(2.0 * vc)))
+        stages = max(1.0, np.ceil(2.0 * vc))  # inf at huge vc: no int yet
         n_j = _hoeffding_draws(vc / stages, eta / (2.0 * stages),
-                               delta / stages)
-        if n_j * stages > mc_cap:
-            raise BudgetError(
-                f"annealed normalizer needs {n_j * stages} draws (cap {mc_cap})")
+                               delta / stages, stages)
+        stages = int(stages)
         log_val = 0.0
         for j in range(stages):
             stage = tilt_exact(base, (j / stages) * v)

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .kl_align import NET_CARDINALITY_CAP, build_net
-from .models import (Model, SampleBatch, _rng_from, _seed_tag, project_ball,
-                     recommended_steps, sample_exact, sample_via_diffusion,
-                     score_oracle)
+from .errors import NumericalError, ValidationError, finite
+from .kl_align import build_net
+from .models import (Model, SampleBatch, _rng_from, _seed_tag, check_count,
+                     project_ball, recommended_steps, sample_exact,
+                     sample_via_diffusion, score_oracle)
 from .rewards import LowRankReward, QuadraticReward
 
 PROX_TIE_TOL = 1e-9
@@ -29,13 +29,12 @@ PROX_TIE_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 def _check_prox_args(lam, C, y: np.ndarray, d: int) -> None:
-    """Prox entry checks: lam, C finite and positive; y's last axis is d."""
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValidationError(f"lambda must be finite and positive, got {lam}")
-    if not (np.isfinite(C) and C > 0):
-        raise ValidationError(f"C must be finite and positive, got {C}")
+    """Prox entry checks: lam, C finite and positive; y finite, axis -1 d."""
+    finite("lambda", lam, positive=True)
+    finite("C", C, positive=True)
     if y.shape[-1] != d:
         raise ValidationError(f"y must have last axis {d}, got shape {y.shape}")
+    finite("y", y)
 
 
 def prox_quadratic(Bmat, b, lam: float, y, C: float) -> np.ndarray:
@@ -110,8 +109,8 @@ def prox_concave(reward, lam: float, y, C: float, tol: float = 1e-8,
         raise ValidationError("prox_concave requires a concave reward oracle")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     _check_prox_args(lam, C, y, reward.d)
-    if tol <= 0:
-        raise ValidationError("need tol > 0")
+    if not tol > 0:
+        raise ValidationError(f"need tol > 0, got {tol}")
 
     if step is None:
         if isinstance(reward, QuadraticReward):
@@ -206,8 +205,8 @@ class Alg2Params:
     @classmethod
     def from_problem(cls, L: float, S: float, lam: float, C: float,
                      eps: float, r_A: int) -> "Alg2Params":
-        if lam <= 0 or eps <= 0:
-            raise ValidationError("need lam > 0 and eps > 0")
+        if not (lam > 0 and eps > 0):
+            raise ValidationError(f"need lam > 0 and eps > 0: {lam, eps}")
         h = min(eps / (6.0 * (L * S + 4.0 * lam * C)),
                 eps**2 / (288.0 * lam**2 * C**3))
         eps_P = eps / (24.0 * lam * C)
@@ -245,8 +244,7 @@ def lift_reduced_point(decomp: LowRankDecomp, y: np.ndarray, u: np.ndarray,
 
 
 def alg2_prox(decomp: LowRankDecomp, f, lam: float, y, C: float, eps: float,
-              L: float, net: "np.ndarray | None" = None,
-              net_cap: int = 4_000_000) -> np.ndarray:
+              L: float, net: "np.ndarray | None" = None) -> np.ndarray:
     """Value-oracle prox via exhaustive search of the reduced objective on
     an h-net of the rank-r_A ball; guarantees the achieved objective is
     within eps/3 of the pointwise optimum V(y).
@@ -267,7 +265,7 @@ def alg2_prox(decomp: LowRankDecomp, f, lam: float, y, C: float, eps: float,
     _check_prox_args(lam, C, y, decomp.V1.shape[0])
     if net is None:
         params = Alg2Params.from_problem(L, decomp.S, lam, C, eps, decomp.r_A)
-        net = build_net(decomp.r_A, C, params.h, cap=net_cap).points
+        net = build_net(decomp.r_A, C, params.h).points
     fvals = np.asarray(f(net * decomp.Sigma @ decomp.U.T), dtype=float)
     sq = np.sum(net**2, axis=1)
     rho = np.sqrt(np.maximum(C**2 - sq, 0.0))
@@ -293,21 +291,17 @@ def alg2_prox(decomp: LowRankDecomp, f, lam: float, y, C: float, eps: float,
 
 @dataclass
 class W2AlignResult:
-    """Explicit coupling (base draws, transported points) plus diagnostics."""
+    """Explicit coupling, base draws ``ys`` and transported points ``xs``
+    (the points of ``batch``), plus diagnostics."""
 
     ys: np.ndarray
-    xs: np.ndarray
-    seed: int
-    producer: str
-    C: float
+    batch: SampleBatch
     objective: float = 0.0
     objective_stderr: float = 0.0
 
     @property
-    def batch(self) -> SampleBatch:
-        return SampleBatch(points=self.xs, seed=self.seed,
-                           producer=self.producer, d=self.xs.shape[1],
-                           C=self.C)
+    def xs(self) -> np.ndarray:
+        return self.batch.points
 
 
 def objective_value(ys: np.ndarray, xs: np.ndarray, reward, lam: float):
@@ -332,10 +326,9 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
     backend: "quad" (closed-form concave quadratic), "pga" (projected
     gradient ascent, concave oracle), "lowrank" (value-oracle net search).
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValidationError(f"lambda must be finite and positive, got {lam}")
+    check_count(n)
+    finite("lambda", lam, positive=True)
+    finite("eps", eps, positive=True)
     if backend not in ("quad", "pga", "lowrank"):
         raise ValidationError(f"unknown prox backend {backend!r}")
     if backend == "quad" and not isinstance(reward, QuadraticReward):
@@ -370,10 +363,10 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
         xs = prox_concave(reward, lam, ys, C, tol=tol)
     else:
         xs = alg2_prox(LowRankDecomp.from_matrix(reward.A), reward.f.value,
-                       lam, ys, C, eps, reward.f.lipschitz,
-                       net_cap=NET_CARDINALITY_CAP)
+                       lam, ys, C, eps, reward.f.lipschitz)
 
+    batch = SampleBatch(points=xs, seed=seed_tag,
+                        producer=f"w2_align/{backend}", d=base.d, C=C)
     obj, se = objective_value(ys, xs, reward, lam)
-    return W2AlignResult(ys=ys, xs=xs, seed=seed_tag,
-                         producer=f"w2_align/{backend}", C=C,
-                         objective=obj, objective_stderr=se)
+    return W2AlignResult(ys=ys, batch=batch, objective=obj,
+                         objective_stderr=se)

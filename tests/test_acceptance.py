@@ -201,14 +201,14 @@ def test_criterion_08_alg2_epsilon_optimality():
         decomp = LowRankDecomp.from_matrix(A)
         L = f.lipschitz
         params = Alg2Params.from_problem(L, decomp.S, lam, C, eps, r_A)
-        net = ra.build_net(r_A, C, params.h, cap=4_000_000).points
-        for _ in range(n_y):
-            y = random_unit_ball(rng, 1, d)[0]
+        net = ra.build_net(r_A, C, params.h).points
+        ys = np.array([random_unit_ball(rng, 1, d)[0] for _ in range(n_y)])
+        # one grid-oracle call per config: its ys share one reward pass
+        gxs = oracle_prox_grid(reward, lam, ys, C, resolution=params.h / 10.0)
+        for y, gx in zip(ys, gxs):
             x = alg2_prox(decomp, f.value, lam, y, C, eps, L, net=net)
             val = (float(np.asarray(reward.value(x[None]))[0])
                    - lam * float(np.sum((x - y) ** 2)))
-            gx = oracle_prox_grid(reward, lam, y, C,
-                                  resolution=params.h / 10.0)
             oracle_val = (float(np.asarray(reward.value(gx[None]))[0])
                           - lam * float(np.sum((gx - y) ** 2)))
             worst_gap = max(worst_gap, oracle_val - val)

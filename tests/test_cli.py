@@ -294,13 +294,65 @@ def test_linear_reward_adapter(model_file, tmp_path):
 
 
 @pytest.mark.parametrize("extra", [["--C", "-1"], ["--C", "nan"],
-                                   ["--lambda", "nan"], ["--y", "0.0,1.0"]])
+                                   ["--lambda", "nan"], ["--y", "0.0,1.0"],
+                                   ["--y", "nan"]])
 def test_prox_demo_bad_input_rejected(quad_reward_file, capsys, extra):
     argv = ["prox-demo", "--reward", quad_reward_file, "--lambda", "0.15",
             "--y", "0.0", "--C", "10.0"] + extra
     rc = main(argv)
     assert rc == 2
     assert "nan" not in capsys.readouterr().out.lower()
+
+
+TWO_ATOMS = ('{"type": "discrete", "atoms": [[0.0], [0.5]], '
+             '"probs": [0.5, 0.5], "C": 1.0}')
+QUAD = '{"type": "quadratic", "B": [[0.15]], "b": [0.6]}'
+MAXAFF = ('{"type": "lowrank_maxaffine", "A": [[1.0]], '
+          '"pieces": [[[1.0], 0.0]], "L": 1.0, "R": 1.0}')
+
+
+@pytest.mark.parametrize("cmd, model, reward, extra, code", [
+    ("align-w2", TWO_ATOMS, QUAD.replace("0.6", "NaN"), ["quad"], 2),
+    ("align-w2", TWO_ATOMS.replace("0.0", "NaN"), QUAD, ["quad"], 2),
+    ("align-w2", '{"type": "gmm", "weights": [1.0], "means": [[NaN]], '
+     '"covs": [[[0.01]]], "C": 1.0}', QUAD, ["quad"], 2),
+    # finite input, non-finite transport: the output gate
+    ("align-w2", TWO_ATOMS, QUAD.replace("0.6", "1e308"), ["quad"], 4),
+    ("align-w2", TWO_ATOMS, '{"type": "linear", "theta": [NaN]}', ["pga"], 2),
+    ("align-w2", TWO_ATOMS, MAXAFF, ["lowrank", "--eps", "nan"], 2),
+    ("align-w2", TWO_ATOMS, MAXAFF, ["lowrank", "--eps", "inf"], 2),
+    ("align-kl", TWO_ATOMS, MAXAFF.replace('[1.0], 0.0]], "L": 1.0',
+                                           '[NaN], 0.0]]'), [], 2),
+    ("align-kl", TWO_ATOMS, MAXAFF.replace('"L": 1.0', '"L": NaN'), [], 2),
+    ("align-kl", TWO_ATOMS, MAXAFF.replace('"R": 1.0', '"R": NaN'), [], 2),
+    ("align-kl", '{"type": "discrete", "atoms": [[0.0]], "probs": [1.0], '
+     '"C": 0}', MAXAFF, [], 2),
+    ("align-kl", TWO_ATOMS.replace("0.0", "NaN"), MAXAFF, [], 2),
+    ("estimate-z", TWO_ATOMS, None, ["--backend", "mc", "--v", "nan"], 2),
+    ("estimate-z", TWO_ATOMS, None, ["--backend", "mc", "--v", "1e308"], 3),
+    ("prox-demo", None, QUAD.replace("0.6", "1e308"), ["--y", "0.0"], 4),
+])
+def test_bad_or_non_finite_input_exit_code(tmp_path, capsys, cmd, model,
+                                           reward, extra, code):
+    # each run either fails with its documented code or writes nothing
+    argv, out_dir = [cmd], str(tmp_path / "out")
+    for flag, text in (("--model", model), ("--reward", reward)):
+        if text is not None:
+            (tmp_path / flag[2:]).write_text(text)
+            argv += [flag, str(tmp_path / flag[2:])]
+    if cmd.startswith("align"):
+        argv += ["--n", "5", "--out", out_dir]
+        argv += (["--lambda", "0.15", "--backend"] if cmd == "align-w2"
+                 else []) + extra
+    elif cmd == "prox-demo":
+        argv += ["--lambda", "0.15"] + extra
+    else:
+        argv += extra
+    with np.errstate(all="ignore"):
+        assert main(argv) == code
+    assert "nan" not in capsys.readouterr().out.lower()
+    for name in ("samples.csv", "pairs.csv"):
+        assert not os.path.exists(os.path.join(out_dir, name))
 
 
 def test_model_spec_missing_key_rejected(tmp_path, capsys):

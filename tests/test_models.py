@@ -10,6 +10,7 @@ from scipy.stats import chi2, multivariate_normal
 
 import rewardalign as ra
 from rewardalign.models import noised_log_density, recommended_steps
+from rewardalign.rewards import make_logsumexp_function
 from rewardalign.validate import random_gmm, random_unit_ball
 
 
@@ -306,3 +307,66 @@ class TestChiSquareTails:
                              env={**os.environ,
                                   "PYTHONPATH": os.pathsep.join(sys.path)})
         assert out.stdout.strip() == "False"
+
+
+def _with_nan(tree):
+    """Copies of a nested list/tuple of numbers, one per numeric leaf, each
+    with that leaf set to NaN (other leaves, e.g. functions, are kept)."""
+    if isinstance(tree, (list, tuple)):
+        for i, item in enumerate(tree):
+            for sub in _with_nan(item):
+                yield tree[:i] + type(tree)([sub]) + tree[i + 1:]
+    elif isinstance(tree, float):
+        yield float("nan")
+
+
+def _abs_f():
+    return ra.make_max_affine([([1.0], 0.0), ([-1.0], 0.0)])
+
+
+@pytest.mark.parametrize("build, args", [
+    (ra.DiscreteModel, ([[0.0], [0.5]], [0.5, 0.5], 1.0)),
+    (ra.GaussianMixtureModel, ([0.5, 0.5], [[-1.0], [1.0]],
+                               [[[0.04]], [[0.04]]], 4.0)),
+    (ra.LinearReward, ([1.0, 2.0],)),
+    (ra.QuadraticReward, ([[1.0, 0.0], [0.0, 2.0]], [0.5, 1.0], 0.2)),
+    (lambda A: ra.LowRankReward(A, _abs_f()), ([[1.0, 0.5]],)),
+    (ra.LogSumExpReward, ([1.0, 0.5], [[1.0], [-1.0]], [[1.0, 0.5]])),
+    (ra.MaxAffineLowRankReward, ([[1.0, 0.5]], [([1.0], 0.0)], 2.0)),
+    (ra.make_max_affine, ([([1.0], 0.0), ([-1.0], 0.5)],)),
+    (make_logsumexp_function, ([1.0, 0.5], [[1.0], [-1.0]])),
+    (ra.Envelope, ([[1.0], [-1.0]], [0.0, 0.5])),
+    (ra.Envelope.from_pieces, ([[1.0], [-1.0]], [0.0, 0.5])),
+])
+def test_nan_in_any_constructor_entry_rejected(build, args):
+    build(*args)  # the clean arguments are accepted
+    variants = list(_with_nan(args))
+    assert variants
+    for bad in variants:
+        with pytest.raises(ra.ValidationError, match="finite|inf"):
+            build(*bad)
+
+
+def test_envelope_shapes_and_sample_gate():
+    for slopes, offsets in (([[1.0], [2.0]], [0.0]), ([[1.0]], [[0.0]]),
+                            (np.zeros((0, 2)), np.zeros(0))):
+        with pytest.raises(ra.ValidationError, match="envelope"):
+            ra.Envelope(np.asarray(slopes), np.asarray(offsets))
+    # the radius: inf declares no ball
+    assert ra.MaxAffineLowRankReward([[1.0]], [([1.0], 0.0)],
+                                     np.inf).f.radius == np.inf
+    with pytest.raises(ra.NumericalError):
+        ra.SampleBatch(points=[[0.0], [np.inf]], seed=0, producer="t",
+                       d=1, C=1.0)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.0, True])
+def test_one_count_check_for_every_sampler(n):
+    base = ra.DiscreteModel([[0.0], [0.5]], [0.5, 0.5], 1.0)
+    reward = ra.QuadraticReward([[0.15]], [0.6])
+    for draw in (lambda: ra.sample_exact(base, n, 0),
+                 lambda: ra.sample_w2_aligned(base, reward, 0.15, n, 0),
+                 lambda: ra.sample_kl_aligned(base, [[1.0]], _abs_f(), 0.1,
+                                              0.05, 0, n=n)):
+        with pytest.raises(ra.ValidationError, match="n must be"):
+            draw()

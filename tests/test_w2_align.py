@@ -322,7 +322,7 @@ class TestPushforward:
         base = ra.DiscreteModel([[-1.0], [1.0]], [0.5, 0.5], 1.0)
         res = ra.sample_w2_aligned(base, fig1_reward(), lam=0.15, n=10,
                                    seed=np.int64(5), backend="quad")
-        assert res.seed == 5 and type(res.seed) is int
+        assert res.batch.seed == 5 and type(res.batch.seed) is int
 
     def test_constant_reward_identity_transport(self):
         base = random_discrete(np.random.default_rng(5), 6, 2)
@@ -341,9 +341,8 @@ class TestPushforward:
         lam, eps, C = 0.3, 0.1, base.support_radius
         res = ra.sample_w2_aligned(base, reward, lam=lam, n=40, seed=8,
                                    backend="lowrank", eps=eps)
-        for y, x in zip(res.ys, res.xs):
-            gx = oracle_prox_grid(reward, lam, y, C, resolution=1e-3)
-
+        gxs = oracle_prox_grid(reward, lam, res.ys, C, resolution=1e-3)
+        for y, x, gx in zip(res.ys, res.xs, gxs):
             def val(z):
                 return float(np.asarray(reward.value(z))) - lam * np.sum((z - y) ** 2)
 
