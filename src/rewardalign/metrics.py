@@ -114,6 +114,23 @@ def _w2_1d(xs, ws, ys, vs) -> float:
     return float(np.sqrt(np.sum(lengths * (xq - yq) ** 2)))
 
 
+@functools.lru_cache(maxsize=16)
+def _transport_constraints(n: int, m: int) -> sparse.csr_matrix:
+    """Row sums then column sums of an n x m plan (raveled row-major) as
+    one sparse equality matrix.
+
+    A pure function of the shape, built once per shape and shared
+    read-only: a sweep of small LPs spends a large share of each call on
+    building it.
+    """
+    rows_p = sparse.kron(sparse.eye(n), np.ones((1, m)))
+    rows_q = sparse.kron(np.ones((1, n)), sparse.eye(m))
+    A_eq = sparse.vstack([rows_p, rows_q]).tocsr()
+    for arr in (A_eq.data, A_eq.indices, A_eq.indptr):
+        arr.flags.writeable = False
+    return A_eq
+
+
 def _lp_transport_cost(px, pw, qx, qw) -> float:
     """Exact optimal squared-cost transport between weighted atom sets via
     the transportation LP (HiGHS)."""
@@ -123,12 +140,9 @@ def _lp_transport_cost(px, pw, qx, qw) -> float:
                               f"subsample first")
     diff = px[:, None, :] - qx[None, :, :]
     cost = np.sum(diff * diff, axis=2).ravel()
-    rows_p = sparse.kron(sparse.eye(n), np.ones((1, m)))
-    rows_q = sparse.kron(np.ones((1, n)), sparse.eye(m))
-    A_eq = sparse.vstack([rows_p, rows_q]).tocsr()
     b_eq = np.concatenate([pw, qw])
-    res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs")
+    res = linprog(cost, A_eq=_transport_constraints(n, m), b_eq=b_eq,
+                  bounds=(0, None), method="highs")
     if not res.success:
         raise CapabilityError(f"transport LP failed: {res.message}")
     return float(max(res.fun, 0.0))

@@ -116,7 +116,9 @@ def make_max_affine(pieces) -> LowDimFunction:
 
     def value(u):
         u = np.asarray(u, dtype=float)
-        out = (np.atleast_2d(u) @ slopes.T + offsets).max(axis=1)
+        vals = np.atleast_2d(u) @ slopes.T
+        vals += offsets  # in place: one (n, p) temporary, not two
+        out = vals.max(axis=1)
         return float(out[0]) if u.ndim == 1 else out
 
     def grad(u):

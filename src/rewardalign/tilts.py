@@ -220,12 +220,12 @@ def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
     if not (0.0 < eta < 1.0 and 0.0 < delta < 1.0):
         raise ValidationError("eta and delta must lie in (0,1)")
     rows = _tilt_rows(base, V)
-    vc = float(np.linalg.norm(rows, axis=1).max() * base.support_radius)
-    rng = _rng_from(seed)
-
     if backend == "exact":
         return NormalizerEstimate(log_value=log_normalizer_exact(base, V),
                                   eta=eta, delta=delta, method="exact")
+
+    vc = float(np.linalg.norm(rows, axis=1).max() * base.support_radius)
+    rng = _rng_from(seed)
 
     if backend == "mc":
         n = _hoeffding_draws(vc, eta, delta)

@@ -6,6 +6,8 @@ import pytest
 
 import rewardalign as ra
 from rewardalign.cli import fig1_base, fig1_reward, main, reproduce_fig1
+from rewardalign.kl_align import DIFFUSION_STEP_CAP
+from rewardalign.models import recommended_steps
 
 
 @pytest.fixture
@@ -54,17 +56,21 @@ def test_estimate_z(model_file, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_estimate_z_overflow_prints_strict_json(model_file, capsys):
-    # Z = (1 + e^800) / 2 overflows a double; log Z does not
-    rc = main(["estimate-z", "--model", model_file, "--v", "800"])
+@pytest.mark.parametrize("v", ["800", "1e308"])
+def test_estimate_z_overflow_prints_strict_json(model_file, capsys, v):
+    # Z = (1 + e^v) / 2 overflows a double; log Z does not, and the exact
+    # backend never forms ||v|| C (which overflows at 1e308)
+    rc = main(["estimate-z", "--model", model_file, "--v", v])
     assert rc == 0
 
     def reject(name):
         raise AssertionError(f"non-JSON constant {name}")
 
-    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out, parse_constant=reject)
     assert out["value"] is None
-    assert out["log_value"] == pytest.approx(800 - np.log(2), rel=1e-12)
+    assert out["log_value"] == pytest.approx(float(v) - np.log(2), rel=1e-12)
 
 
 def test_prox_demo(quad_reward_file, capsys):
@@ -266,7 +272,8 @@ def test_base_shortcut_manifest_names_diffusion(model_file, tmp_path):
     diag = manifest["diagnostics"]
     assert diag["used_base_shortcut"]
     assert diag["backend"] == "diffusion"
-    assert diag["diffusion_steps"] == 250   # recommended_steps(0.5, 1.0)
+    assert diag["diffusion_steps"] == min(recommended_steps(0.5, 1.0),
+                                          DIFFUSION_STEP_CAP)
 
 
 def test_estimate_z_stochastic_backends(model_file, capsys):

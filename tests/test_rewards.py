@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +155,22 @@ class TestMaxAffine:
     def test_empty_rejected(self):
         with pytest.raises(ra.ValidationError):
             ra.make_max_affine([])
+
+    def test_value_bytes_and_one_temporary(self):
+        # same bytes as (u @ S' + c).max(1), with one (n, p) product alive
+        rng = np.random.default_rng(4)
+        S, c = rng.normal(size=(4, 2)), rng.normal(size=4)
+        f = ra.make_max_affine(list(zip(S, c)))
+        u = rng.normal(size=(10**5, 2))
+        tracemalloc.start()
+        try:
+            vals = f.value(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(vals, (u @ S.T + c).max(axis=1))
+        assert f.value(u[0]) == (u[0] @ S.T + c).max()
+        assert peak < 1.5 * u.shape[0] * S.shape[0] * 8, peak
 
     def test_midpoint_convexity(self):
         rng = np.random.default_rng(2)
