@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import chdtrc, logsumexp
+from scipy.special import chdtrc
 
 from .errors import (ConfigurationError, NumericalError, ValidationError,
                      finite)
@@ -148,23 +148,21 @@ class GaussianMixtureModel:
         return float(self.weights @ chdtrc(self.d, t * t))
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
-        """Untruncated mixture log-density at points ``x`` of shape (n, d)."""
-        return logsumexp(self._components(x, 1.0, 0.0)[0], axis=1)
+        """Untruncated log-density at x (d,) or (n, d), as an (n,) array."""
+        return _logsumexp0(self._components(_batch(self, x), 1.0, 0.0)[0])
 
-    def _components(self, x: np.ndarray, a: float, s2: float):
-        """Per-component terms of the mixture with means a mu_j and
-        covariances S_j = a^2 Sigma_j + s2 I = V_j diag(a^2 lam_j + s2) V_j'
-        at points x (n, d): log(w_j N(x; a mu_j, S_j)) of shape (n, J), and
-        V_j' S_j^{-1} (x - a mu_j) of shape (n, J, d)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        ev = a * a * self._eigvals + s2                       # (J, d)
-        z = np.einsum("njd,jde->nje", x[:, None, :] - a * self.means,
-                      self._eigvecs)
-        zw = z / ev
-        logp = (np.log(self.weights) - 0.5 * np.sum(z * zw, axis=2)
-                - 0.5 * np.sum(np.log(ev), axis=1)
-                - 0.5 * self.d * np.log(2.0 * np.pi))
-        return logp, zw
+    def _components(self, xb: np.ndarray, a: float, s2: float):
+        """Terms of the mixture with means a mu_j and covariances S_j =
+        a^2 Sigma_j + s2 I = V_j diag(ev_j) V_j' at xb (n, d), component-major:
+        log(w_j N(x; a mu_j, S_j)) as (J, n), and z_j / ev_j as (J, e, n),
+        with z_j = V_j'(x - a mu_j) in component j's eigen-coordinates e."""
+        ev = a * a * self._eigvals + s2                       # (J, e)
+        vt = np.swapaxes(self._eigvecs, 1, 2)                 # V_j'
+        z = vt @ xb.T - a * (vt @ self.means[:, :, None])
+        zw = z / ev[:, :, None]
+        logp = (np.log(self.weights) - 0.5 * np.sum(np.log(ev), axis=1)
+                - 0.5 * self.d * np.log(2.0 * np.pi))[:, None]
+        return logp - 0.5 * np.sum(z * zw, axis=1), zw
 
     def to_dict(self) -> dict:
         return {"type": "gmm", "weights": self.weights.tolist(),
@@ -190,6 +188,13 @@ class DiscreteModel:
     @property
     def n_atoms(self) -> int:
         return self.atoms.shape[0]
+
+    def _components(self, xb: np.ndarray, a: float, s2: float):
+        """log(p_j N(x; a x_j, s2 I)) + ||x||^2 / (2 s2) at xb (n, d), as
+        (J, n): the ||x||^2 term is the same for every j; and None."""
+        c = (np.log(self.probs) - 0.5 * self.d * np.log(2.0 * np.pi * s2)
+             - (0.5 * a * a / s2) * np.sum(self.atoms**2, axis=1))
+        return (a / s2) * (self.atoms @ xb.T) + c[:, None], None
 
     def to_dict(self) -> dict:
         return {"type": "discrete", "atoms": self.atoms.tolist(),
@@ -238,60 +243,55 @@ def noised_params(model: GaussianMixtureModel, sigma) -> GaussianMixtureModel:
     unbounded and only the base is required to live in B(C).
     """
     a, s2 = _noise(sigma)
-    eye = np.eye(model.d)
-    return GaussianMixtureModel(
-        model.weights, a * model.means,
-        a * a * model.covs + s2 * eye,
-        model.support_radius, check_support=False)
+    return GaussianMixtureModel(model.weights, a * model.means,
+                                a * a * model.covs + s2 * np.eye(model.d),
+                                model.support_radius, check_support=False)
+
+
+def _batch(model: Model, x) -> np.ndarray:
+    """A query point (d,) or batch (n, d) as an (n, d) array."""
+    xb = np.asarray(x, dtype=float)
+    if xb.ndim not in (1, 2) or xb.shape[-1] != model.d:
+        raise ValidationError(f"query must be (d,) or (n, d), d = {model.d}")
+    return xb.reshape(-1, model.d)
+
+
+def _logsumexp0(logw: np.ndarray) -> np.ndarray:
+    """Max-shifted log-sum-exp over axis 0; -inf where every term is."""
+    shift = np.nan_to_num(logw.max(axis=0), neginf=0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.exp(logw - shift).sum(axis=0))
 
 
 def score(model: Model, sigma, x: np.ndarray) -> np.ndarray:
-    """Exact score of the noised model, ``grad log p_sigma(x)``.
-
-    Accepts a single point ``(d,)`` or a batch ``(n, d)`` and mirrors the
-    input shape.  Log-sum-exp stabilized; raises NumericalError if the
-    responsibilities degenerate (non-finite input or overflow).
-    """
+    """Exact score ``grad log p_sigma(x)`` of the noised model at x (d,) or
+    (n, d), mirroring its shape: a softmax over the (J, n) log-weights,
+    max-shifted over axis 0; NumericalError if it degenerates (non-finite)."""
     a, s2 = _noise(sigma)
-    x_arr = np.asarray(x, dtype=float)
-    single = x_arr.ndim == 1
-    xb = np.atleast_2d(x_arr)
-    if xb.shape[1] != model.d:
-        raise ValidationError("dimension mismatch in score query")
-
-    if isinstance(model, DiscreteModel):
-        diff = xb[:, None, :] - a * model.atoms[None, :, :]
-        logw = np.log(model.probs)[None, :] - 0.5 * np.sum(diff**2, axis=2) / s2
-    else:
-        logw, zw = model._components(xb, a, s2)
-    shift = logw.max(axis=1, keepdims=True)
+    xb = _batch(model, x)
+    logw, zw = model._components(xb, a, s2)
+    shift = logw.max(axis=0)
     if not np.all(np.isfinite(shift)):
         raise NumericalError("score query numerically unreachable")
     resp = np.exp(logw - shift)
-    resp /= resp.sum(axis=1, keepdims=True)
+    resp /= resp.sum(axis=0)
     if isinstance(model, DiscreteModel):
-        posterior_mean = resp @ model.atoms
-        out = (a * posterior_mean - xb) / s2
-    else:
-        # sum_j resp_j * -S_j^{-1}(x - a mu_j)
-        out = -np.einsum("nje,jde->nd", resp[:, :, None] * zw,
-                         model._eigvecs)
-
+        out = (a * (resp.T @ model.atoms) - xb) / s2
+    else:  # sum_j resp_j * -S_j^{-1}(x - a mu_j) = -sum_j V_j resp_j zw_j
+        out = -(model._eigvecs @ (resp[:, None] * zw)).sum(axis=0).T
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite score value")
-    return out[0] if single else out
+    return out[0] if np.ndim(x) == 1 else out
 
 
 def noised_log_density(model: Model, sigma, x: np.ndarray) -> np.ndarray:
-    """Log-density of the noised model at ``x`` (batch)."""
+    """Log-density of the noised model at x (d,) or (n, d), as (n,)."""
     a, s2 = _noise(sigma)
-    if isinstance(model, GaussianMixtureModel):
-        return logsumexp(model._components(x, a, s2)[0], axis=1)
-    diff = np.atleast_2d(x)[:, None, :] - a * model.atoms[None, :, :]
-    logw = (np.log(model.probs)[None, :]
-            - 0.5 * np.sum(diff**2, axis=2) / s2
-            - 0.5 * model.d * np.log(2.0 * np.pi * s2))
-    return logsumexp(logw, axis=1)
+    xb = _batch(model, x)
+    out = _logsumexp0(model._components(xb, a, s2)[0])
+    if isinstance(model, DiscreteModel):  # the term _components leaves out
+        out -= 0.5 * np.sum(xb * xb, axis=1) / s2
+    return out
 
 
 @dataclass(frozen=True)

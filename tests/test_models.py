@@ -9,9 +9,10 @@ from scipy.special import chdtrc, chdtri, logsumexp
 from scipy.stats import chi2, multivariate_normal
 
 import rewardalign as ra
-from rewardalign.models import noised_log_density, recommended_steps
+from rewardalign.models import (SIGMA_MAX, SIGMA_MIN, noised_log_density,
+                                recommended_steps)
 from rewardalign.rewards import make_logsumexp_function
-from rewardalign.validate import random_gmm, random_unit_ball
+from rewardalign.validate import random_discrete, random_gmm, random_unit_ball
 
 
 def std_normal_1d(C=8.0):
@@ -128,6 +129,70 @@ class TestScore:
             resp = np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
             expected = np.einsum("nj,njd->nd", resp, kernels)
             assert np.max(np.abs(ra.score(m, sigma, xs) - expected)) <= 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_atom_score_matches_unexpanded_softmax(self, d):
+        # score expands ||x - a x_j||^2; the reference softmax does not
+        rng = np.random.default_rng(30 + d)
+        m = random_discrete(rng, 5, d, C=1.5)
+        xs = random_unit_ball(rng, 200, d, radius=2 * m.support_radius)
+        for sigma in (SIGMA_MAX, 0.5, 1e-2, SIGMA_MIN):
+            a = np.sqrt(1 - sigma**2)
+            logw = np.empty((len(xs), m.n_atoms))
+            for j in range(m.n_atoms):
+                logw[:, j] = (np.log(m.probs[j]) - 0.5 * np.sum(
+                    (xs - a * m.atoms[j]) ** 2, axis=1) / sigma**2)
+            resp = np.exp(logw - logsumexp(logw, axis=1, keepdims=True))
+            expected = (a * resp @ m.atoms - xs) / sigma**2
+            err = np.linalg.norm(ra.score(m, sigma, xs) - expected, axis=1)
+            assert np.all(err <= 1e-10 * np.linalg.norm(expected, axis=1))
+
+    def test_mixture_score_matches_per_component_solve_at_schedule_ends(self):
+        rng = np.random.default_rng(23)
+        for d in (1, 2, 3):
+            m = random_gmm(rng, d, 3)
+            xs = random_unit_ball(rng, 50, d, radius=2 * m.support_radius)
+            for sigma in (SIGMA_MAX, SIGMA_MIN):
+                a = np.sqrt(1 - sigma**2)
+                logp = np.empty((len(xs), 3))
+                kernels = np.empty((len(xs), 3, d))
+                for j in range(3):
+                    S = a * a * m.covs[j] + sigma**2 * np.eye(d)
+                    diff = xs - a * m.means[j]
+                    sol = np.linalg.solve(S, diff.T).T
+                    logp[:, j] = (np.log(m.weights[j])
+                                  - 0.5 * np.sum(diff * sol, axis=1)
+                                  - 0.5 * np.linalg.slogdet(S)[1])
+                    kernels[:, j] = -sol
+                resp = np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
+                expected = np.einsum("nj,njd->nd", resp, kernels)
+                got = ra.score(m, sigma, xs)
+                assert np.max(np.abs(got - expected)) <= 1e-10
+
+
+# every query entry on both families; log_density exists on mixtures only
+QUERIES = {
+    "score/gmm": lambda x: ra.score(std_normal_1d(), 0.5, x),
+    "score/atoms": lambda x: ra.score(TWO_ATOMS, 0.5, x),
+    "noised_log_density/gmm": lambda x: noised_log_density(std_normal_1d(),
+                                                           0.5, x),
+    "noised_log_density/atoms": lambda x: noised_log_density(TWO_ATOMS,
+                                                             0.5, x),
+    "log_density/gmm": lambda x: std_normal_1d().log_density(x),
+}
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_query_shape_is_point_or_batch(query):
+    fn = QUERIES[query]
+    for x in (np.zeros((3, 1, 1)), np.array(0.5), 0.5, np.zeros((2, 2)),
+              np.zeros(0)):
+        with pytest.raises(ra.ValidationError):
+            fn(x)
+    # a point (d,) gives a score (d,) and a density (1,); a batch mirrors
+    assert np.shape(fn(np.array([0.3]))) == (1,)
+    batch = (4, 1) if query.startswith("score") else (4,)
+    assert np.shape(fn(np.full((4, 1), 0.3))) == batch
 
 
 class TestLogDensity:
@@ -254,6 +319,16 @@ class TestDiffusionSampler:
         bad = ra.ScoreOracle(fn=lambda s, x: x * np.nan, d=1, C=1.0)
         with pytest.raises(ra.NumericalError):
             ra.sample_via_diffusion(bad, n=2, steps=10, seed=0)
+
+    @pytest.mark.parametrize("model", [
+        fig1_gmm(),
+        ra.DiscreteModel([[-0.95, 0.2], [0.0, -0.6], [0.95, 0.2]],
+                         [0.2, 0.3, 0.5], 1.0)], ids=["gmm", "atoms"])
+    def test_same_seed_same_bytes(self, model):
+        oracle = ra.score_oracle(model)
+        b1, b2 = (ra.sample_via_diffusion(oracle, n=500, steps=48, seed=12)
+                  for _ in range(2))
+        assert b1.points.tobytes() == b2.points.tobytes()
 
 
 def _step_row(steps):
