@@ -18,26 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (BudgetError, EnvelopeViolationError, ValidationError,
                      finite)
-from .models import (DiscreteModel, Model, SampleBatch, _rng_from, _seed_tag,
-                     check_count, recommended_steps, sample_exact,
-                     sample_via_diffusion, score_oracle)
+from .models import (DiscreteModel, Model, SampleBatch, _logsumexp,
+                     _rng_from, _seed_tag, check_count, recommended_steps,
+                     sample_exact)
+# bound though unused here: bench/tracer.py wraps it in this module by name
+from .models import sample_via_diffusion  # noqa: F401
 from .rewards import LowDimFunction, first_order
-from .tilts import estimate_normalizer, tilt_exact, tilted_oracle
+from .tilts import estimate_normalizer, sample_linear_tilt, tilt_exact
 
 NET_CARDINALITY_CAP = 1_000_000
-
-# Step budget for the diffusion backend inside the rejection loop.  The
-# theory-driven eps_lin can be far below what any discretization reaches,
-# so the W2 target is floored at eps / 8 (24 C / eps steps by
-# recommended_steps) and the step count clamped and recorded.  The table
-# in tests/test_models.py::TestStepRule is flat from about 50 steps on (the
-# start bias, not the steps, is what is left), so steps past 1000 buy
-# nothing.
-DIFFUSION_STEP_CAP = 1000
 
 # Scores per block in Envelope.value (32 KiB of float64: an L1-sized
 # temporary, reused by the allocator from block to block).  A block holds
@@ -242,7 +234,8 @@ def compute_params(L: float, A_opnorm: float, C: float, m: int,
 @dataclass(frozen=True)
 class MixtureProposal:
     """Envelope tilt realized as a mixture of linear tilts: tilt vectors
-    v_i = A' z_i, normalizer estimates, and stability-safe weights
+    v_i = A' z_i, normalizer estimates (NaN for the one tilt of a one-piece
+    envelope, which needs none), and stability-safe weights
     pi_i ~ w_i Zhat_i computed in log space."""
 
     tilt_vectors: np.ndarray  # (m, d)
@@ -262,14 +255,19 @@ class MixtureProposal:
 def build_proposal(base: Model, env: Envelope, A, eta: float, delta: float,
                    seed=None, backend: str = "exact") -> MixtureProposal:
     """Estimate every tilt normalizer, in one call with per-row failure
-    budget delta/m, and normalize the weights in log space."""
+    budget delta/m, and normalize the weights in log space.  One piece
+    (m = 1) has pi = 1 whatever Zhat is: no estimate is made, and
+    ``log_zhat`` is NaN."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     vs = env.slopes @ A  # (m, d): rows are A' z_i
+    if env.m == 1:
+        return MixtureProposal(tilt_vectors=vs, log_zhat=np.full(1, np.nan),
+                               log_pi=np.zeros(1))
     log_zhat = estimate_normalizer(base, vs, eta=max(eta, 1e-12),
                                    delta=delta / env.m, seed=seed,
                                    backend=backend).log_value
     logits = env.offsets + log_zhat
-    log_pi = logits - logsumexp(logits)
+    log_pi = logits - _logsumexp(logits)
     return MixtureProposal(tilt_vectors=vs, log_zhat=log_zhat, log_pi=log_pi)
 
 
@@ -325,8 +323,8 @@ class KLAlignResult:
         if self.backend == "diffusion":
             rep["diffusion_steps"] = self.diffusion_steps
         if self.params is not None:
-            # the base shortcut estimates no normalizer
-            if self.backend == "diffusion":
+            # the base shortcut and a one-piece envelope estimate none
+            if self.backend == "diffusion" and self.proposal.m > 1:
                 rep["eta_used"] = self.eta_used
                 rep["normalizer"] = "mc, exact base draws"
             rep["net_pieces"] = self.net_pieces
@@ -406,7 +404,7 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     seed_tag = _seed_tag(seed)
 
     if L == 0 and envelope is None:
-        batch = _base_draw(base, n, rng, backend, eps, C)
+        batch = sample_linear_tilt(base, None, eps, rng, backend, n=n)
         batch = SampleBatch(points=batch.points, seed=seed_tag,
                             producer="kl_align/base_shortcut", d=base.d, C=C)
         return KLAlignResult(batch=batch, params=None, envelope=None,
@@ -414,7 +412,7 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                              fallback_count=0, proposal_draws=n,
                              used_base_shortcut=True, backend=backend,
                              diffusion_steps=(0 if backend == "exact"
-                                              else _base_steps(eps, C)),
+                                              else recommended_steps(eps, C)),
                              passes=1)
 
     op_norm = float(np.linalg.norm(A, 2))
@@ -451,17 +449,18 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                 xs = sample_exact(model, count, rng).points
                 return xs, _log_acceptance(f, envelope, xs @ A.T)
     else:
-        oracle = score_oracle(base)
-        diff_steps = min(recommended_steps(max(params.eps_lin, eps / 8.0), C),
-                         DIFFUSION_STEP_CAP)
+        # the theory-driven eps_lin can be far below what any discretization
+        # reaches: the W2 target is floored at eps / 8 (24 C / eps steps)
+        eps_draw = max(params.eps_lin, eps / 8.0)
+        diff_steps = recommended_steps(eps_draw, C)
         pi = proposal.pi
 
         def draw(count):
             # one reverse pass; row j follows the tilt of its own piece
             comps = rng.choice(proposal.m, size=count, p=pi)
-            xs = sample_via_diffusion(
-                tilted_oracle(oracle, proposal.tilt_vectors[comps]),
-                n=count, steps=diff_steps, seed=rng).points
+            xs = sample_linear_tilt(base, proposal.tilt_vectors[comps],
+                                    eps_draw, rng, "diffusion", n=count,
+                                    steps=diff_steps).points
             return xs, _log_acceptance(f, envelope, xs @ A.T)
 
     # slots done..n-1 wait in order; by the floor a pass of waiting/a0
@@ -486,7 +485,8 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
 
     fallback = int(fell.sum())
     if fallback:
-        pts[fell] = _base_draw(base, fallback, rng, backend, eps, C).points
+        pts[fell] = sample_linear_tilt(base, None, eps, rng, backend,
+                                       n=fallback).points
 
     batch = SampleBatch(points=pts, seed=seed_tag, producer="kl_align/alg1",
                         d=base.d, C=C)
@@ -498,15 +498,3 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                          eta_used=eta_used, passes=passes,
                          net_pieces=net_pieces)
 
-
-def _base_steps(eps, C) -> int:
-    """Reverse steps of a base draw on the diffusion backend."""
-    return min(recommended_steps(eps, C), DIFFUSION_STEP_CAP)
-
-
-def _base_draw(base, n, rng, backend, eps, C):
-    """v = 0 linear-tilt sample, i.e. the base itself."""
-    if backend == "exact":
-        return sample_exact(base, n, rng)
-    return sample_via_diffusion(score_oracle(base), n=n,
-                                steps=_base_steps(eps, C), seed=rng)

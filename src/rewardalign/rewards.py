@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .errors import ValidationError, finite
+from .models import _logsumexp
 
 # First-order oracles must be valid slightly beyond the declared ball.
 DOMAIN_SLACK = 1e-3
@@ -145,13 +145,14 @@ def make_logsumexp_function(weights, slopes) -> LowDimFunction:
 
     def value(u):
         u = np.asarray(u, dtype=float)
-        out = logsumexp(np.atleast_2d(u) @ z.T + logw, axis=1)
+        out = _logsumexp(np.atleast_2d(u) @ z.T + logw, axis=1)
         return float(out[0]) if u.ndim == 1 else out
 
     def grad(u):
         # (.., 1, k) rows: one vector-matrix product per row, as for a point
         u = np.asarray(u, dtype=float)[..., None, :]
-        return (softmax(u @ z.T + logw, axis=-1) @ z)[..., 0, :]
+        s = u @ z.T + logw
+        return (np.exp(s - _logsumexp(s, axis=-1)[..., None]) @ z)[..., 0, :]
 
     return LowDimFunction(value=value, k=z.shape[1], lipschitz=L,
                           radius=np.inf, grad=grad, convex=True)

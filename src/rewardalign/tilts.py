@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import BudgetError, ValidationError, finite
 from .models import (DiscreteModel, GaussianMixtureModel, Model,
-                     SampleBatch, ScoreOracle, _noise, _rng_from,
-                     project_ball, recommended_steps, sample_exact,
+                     SampleBatch, ScoreOracle, _logsumexp, _noise,
+                     _rng_from, recommended_steps, sample_exact,
                      sample_via_diffusion, score_oracle)
 
 MC_SAMPLE_CAP = 10_000_000
@@ -71,7 +70,7 @@ def _tilt_blocks(model: Model, V: np.ndarray):
             logw = np.log(model.weights) + (
                 W @ model.means.T
                 + 0.5 * np.einsum("ia,jab,ib->ij", W, model.covs, W))
-        yield slice(s, s + step), logw, logsumexp(logw, axis=1)
+        yield slice(s, s + step), logw, _logsumexp(logw, axis=1)
 
 
 def tilt_exact(model: Model, V, log_pi=None) -> Model:
@@ -127,48 +126,42 @@ def tilted_score(base: ScoreOracle, v, sigma, x: np.ndarray) -> np.ndarray:
     return v / a + np.asarray(base(float(sigma), shifted), dtype=float)
 
 
-def tilted_oracle(base: ScoreOracle, v) -> ScoreOracle:
-    v = np.asarray(v, dtype=float)
-
-    def fn(sigma, xb):
-        return tilted_score(base, v, sigma, xb)
-
-    return ScoreOracle(fn=fn, d=base.d, C=base.C,
-                       tag=f"tilt({base.tag})")
-
-
 def sample_linear_tilt(base, v, eps: float, seed, backend: str = "exact",
                        n: int = 1, steps: int = None) -> SampleBatch:
-    """Draw from the linear tilt of the base.
+    """Draw from the linear tilt of the base: the one draw path of the
+    samplers.  ``v=None`` is the zero tilt, the base itself, drawn as
+    ``sample_exact`` or ``sample_via_diffusion(score_oracle(base))`` would.
 
     backend="exact" needs a closed-form model and samples the tilted model
-    directly; backend="diffusion" accepts a model or a ScoreOracle and runs
-    the reverse process on the tilted score, with the step count mapped
-    from the W2 target eps.  Outputs live in the support ball either way.
+    directly, for one tilt (d,); backend="diffusion" accepts a model or a
+    ScoreOracle and runs the reverse process on the tilted score, for one
+    tilt (d,) or one per row (n, d), in ``steps`` steps or, when None,
+    ``recommended_steps`` of the W2 target eps (capped).  Outputs live in
+    the support ball either way.
     """
     if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")
+    shapes = {"exact": [(base.d,)], "diffusion": [(base.d,), (n, base.d)]}
+    if backend not in shapes:
+        raise ValidationError(f"unknown backend {backend!r}")
+    if v is not None and finite("tilt", v).shape not in shapes[backend]:
+        raise ValidationError(f"a tilt on the {backend} backend has shape "
+                              f"{' or '.join(map(str, shapes[backend]))}")
 
     if backend == "exact":
         if not isinstance(base, (GaussianMixtureModel, DiscreteModel)):
             raise ValidationError("exact backend needs a closed-form model")
-        batch = sample_exact(tilt_exact(base, v), n, seed)
-        pts = project_ball(batch.points, base.support_radius)
-        return SampleBatch(points=pts, seed=batch.seed,
-                           producer="lin_tilt_exact", d=base.d,
-                           C=base.support_radius)
+        return sample_exact(base if v is None else tilt_exact(base, v), n,
+                            seed)
 
-    if backend == "diffusion":
-        oracle = base if isinstance(base, ScoreOracle) else score_oracle(base)
-        if steps is None:
-            steps = recommended_steps(eps, oracle.C)
-        batch = sample_via_diffusion(tilted_oracle(oracle, v), n=n,
-                                     steps=steps, seed=seed)
-        return SampleBatch(points=batch.points, seed=batch.seed,
-                           producer="lin_tilt_diffusion", d=oracle.d,
-                           C=oracle.C)
-
-    raise ValidationError(f"unknown backend {backend!r}")
+    oracle = base if isinstance(base, ScoreOracle) else score_oracle(base)
+    if v is not None:
+        untilted, v = oracle, np.asarray(v, dtype=float)
+        oracle = ScoreOracle(fn=lambda s, xb: tilted_score(untilted, v, s, xb),
+                             d=oracle.d, C=oracle.C, tag=f"tilt({oracle.tag})")
+    if steps is None:
+        steps = recommended_steps(eps, oracle.C)
+    return sample_via_diffusion(oracle, n=n, steps=steps, seed=seed)
 
 
 # ---------------------------------------------------------------------------

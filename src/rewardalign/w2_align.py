@@ -17,9 +17,11 @@ import numpy as np
 from .errors import NumericalError, ValidationError, finite
 from .kl_align import build_net
 from .models import (Model, SampleBatch, _rng_from, _seed_tag, check_count,
-                     project_ball, recommended_steps, sample_exact,
-                     sample_via_diffusion, score_oracle)
+                     project_ball)
+# bound though unused here: bench/tracer.py wraps them in this module by name
+from .models import sample_exact, sample_via_diffusion  # noqa: F401
 from .rewards import LowRankReward, QuadraticReward
+from .tilts import sample_linear_tilt
 
 PROX_TIE_TOL = 1e-9
 
@@ -325,6 +327,8 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
 
     backend: "quad" (closed-form concave quadratic), "pga" (projected
     gradient ascent, concave oracle), "lowrank" (value-oracle net search).
+    The base draw is ``sample_linear_tilt`` with no tilt on ``base_backend``
+    ("exact" or "diffusion"), with W2 target eps, or eps_P on lowrank.
     """
     check_count(n)
     finite("lambda", lam, positive=True)
@@ -341,21 +345,12 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
     C = base.support_radius
     seed_tag = _seed_tag(seed)
 
-    if base_backend == "exact":
-        ys = sample_exact(base, n, rng).points
-    elif base_backend == "diffusion":
-        if steps is None:
-            if backend == "lowrank":
-                L = reward.f.lipschitz
-                S = float(np.linalg.norm(np.atleast_2d(reward.A), 2))
-                eps_P = Alg2Params.from_problem(L, S, lam, C, eps, 1).eps_P
-            else:
-                eps_P = eps
-            steps = recommended_steps(eps_P, C)
-        ys = sample_via_diffusion(score_oracle(base), n=n, steps=steps,
-                                  seed=rng).points
-    else:
-        raise ValidationError(f"unknown base backend {base_backend!r}")
+    eps_P = eps
+    if backend == "lowrank":
+        eps_P = Alg2Params.from_problem(reward.f.lipschitz, reward.op_norm,
+                                        lam, C, eps, 1).eps_P
+    ys = sample_linear_tilt(base, None, eps_P, rng, base_backend, n=n,
+                            steps=steps).points
 
     if backend == "quad":
         xs = prox_quadratic_batch(reward, lam, ys, C)

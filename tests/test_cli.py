@@ -6,8 +6,7 @@ import pytest
 
 import rewardalign as ra
 from rewardalign.cli import fig1_base, fig1_reward, main, reproduce_fig1
-from rewardalign.kl_align import DIFFUSION_STEP_CAP
-from rewardalign.models import recommended_steps
+from rewardalign.models import DIFFUSION_STEP_CAP, recommended_steps
 
 
 @pytest.fixture
@@ -274,6 +273,28 @@ def test_base_shortcut_manifest_names_diffusion(model_file, tmp_path):
     assert diag["backend"] == "diffusion"
     assert diag["diffusion_steps"] == min(recommended_steps(0.5, 1.0),
                                           DIFFUSION_STEP_CAP)
+
+
+def test_align_kl_diffusion_one_piece_steep_tilt(model_file, tmp_path):
+    # f(u) = 3u is one envelope piece: no normalizer is estimated, where a
+    # Monte Carlo one would need 9.75e7 draws and exit 3 over the budget
+    reward = tmp_path / "steep.json"
+    reward.write_text(json.dumps({
+        "type": "lowrank_maxaffine", "A": [[1.0]],
+        "pieces": [[[3.0], 0.0]], "R": 1.0}))
+    out_dir = str(tmp_path / "steep")
+    rc = main(["align-kl", "--model", model_file, "--reward", str(reward),
+               "--eps", "0.5", "--delta", "0.1", "--n", "400", "--seed", "3",
+               "--backend", "diffusion", "--out", out_dir])
+    assert rc == 0
+    manifest = json.loads(open(os.path.join(out_dir, "manifest.json")).read())
+    diag = manifest["diagnostics"]
+    assert diag["m"] == 1
+    assert "normalizer" not in diag and "eta_used" not in diag
+    samples = np.loadtxt(os.path.join(out_dir, "samples.csv"), delimiter=",",
+                         skiprows=1)
+    # the tolerance of test_diffusion_backend_end_to_end
+    assert abs(np.mean(samples > 0.5) - np.exp(3) / (1 + np.exp(3))) < 0.08
 
 
 def test_estimate_z_stochastic_backends(model_file, capsys):

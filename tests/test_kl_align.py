@@ -7,13 +7,12 @@ from scipy.spatial import cKDTree
 
 import rewardalign as ra
 from rewardalign.cli import main
-from rewardalign.kl_align import (DIFFUSION_STEP_CAP, MixtureProposal, Net,
-                                  _collapse_net_pieces, _serve,
-                                  proposal_law_discrete)
+from rewardalign.kl_align import (MixtureProposal, Net, _collapse_net_pieces,
+                                  _serve, proposal_law_discrete)
 from rewardalign.metrics import (QuadratureTilt1D, empirical_to_discrete,
                                  oracle_kl_tilt, tv_discrete,
                                  w2_1d_samples_vs_quantiles)
-from rewardalign.models import recommended_steps
+from rewardalign.models import DIFFUSION_STEP_CAP, recommended_steps
 from rewardalign.validate import (random_discrete, random_maxaffine,
                                   random_orthogonal_rows, random_unit_ball,
                                   run_envelope_suite)
@@ -375,13 +374,13 @@ class TestSampleKLAligned:
         # L = 0 on the diffusion backend: the report names the backend and
         # the reverse steps the base draw ran, and claims no normalizer
         steps = []
-        reverse = ra.kl_align.sample_via_diffusion
+        reverse = ra.tilts.sample_via_diffusion
 
         def spy(*args, **kwargs):
             steps.append(kwargs["steps"])
             return reverse(*args, **kwargs)
 
-        monkeypatch.setattr(ra.kl_align, "sample_via_diffusion", spy)
+        monkeypatch.setattr(ra.tilts, "sample_via_diffusion", spy)
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
         f = ra.make_max_affine([(np.array([0.0]), 0.3)])
         res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.5, delta=0.05,
@@ -414,7 +413,7 @@ class TestSampleKLAligned:
         def no_work(*args, **kwargs):
             raise AssertionError("work before the backend check")
 
-        for name in ("build_net", "build_proposal", "_base_draw",
+        for name in ("build_net", "build_proposal", "sample_linear_tilt",
                      "sample_via_diffusion"):
             monkeypatch.setattr(ra.kl_align, name, no_work)
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
@@ -565,8 +564,28 @@ class TestSampleKLAligned:
         rep = res.report()
         assert rep["backend"] == "diffusion"
         assert rep["diffusion_steps"] > 0
-        assert rep["normalizer"] == "mc, exact base draws"
+        # one envelope piece: pi = 1, so no normalizer is estimated
+        assert "normalizer" not in rep and "eta_used" not in rep
         assert np.all(np.abs(res.batch.points) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("backend", ["exact", "diffusion"])
+    def test_one_piece_envelope_estimates_no_normalizer(self, monkeypatch,
+                                                        backend):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("normalizer estimated for one piece")
+
+        monkeypatch.setattr(ra.kl_align, "estimate_normalizer", no_estimate)
+        base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
+        f = ra.make_max_affine([(np.array([1.0]), 0.0)])
+        f.radius = 1.0
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.5, delta=0.1,
+                                   seed=6, n=400, backend=backend)
+        assert res.envelope.m == 1
+        assert np.isnan(res.proposal.log_zhat).all()
+        assert np.array_equal(res.proposal.log_pi, [0.0])
+        p1 = np.mean(res.batch.points[:, 0] > 0.5)
+        assert abs(p1 - np.e / (1 + np.e)) < 0.08
+        assert "normalizer" not in res.report()
 
     def test_gmm_base_matches_quadrature(self):
         # one-mode 1D mixture: W2 to the quadrature truth at criterion 2's
@@ -593,6 +612,7 @@ class TestSampleKLAligned:
         assert len(np.unique(res.proposal.tilt_vectors)) == 3
         p_left = np.mean(res.batch.points[:, 0] < -0.25)
         assert abs(p_left - 1.0 / (1.0 + np.exp(-0.5))) < 0.08
+        assert res.report()["normalizer"] == "mc, exact base draws"
 
     def test_determinism(self):
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)

@@ -9,7 +9,8 @@ from scipy.special import chdtrc, chdtri, logsumexp
 from scipy.stats import chi2, multivariate_normal
 
 import rewardalign as ra
-from rewardalign.models import (SIGMA_MAX, SIGMA_MIN, noised_log_density,
+from rewardalign.models import (DIFFUSION_STEP_CAP, SIGMA_MAX, SIGMA_MIN,
+                                _logsumexp, noised_log_density,
                                 recommended_steps)
 from rewardalign.rewards import make_logsumexp_function
 from rewardalign.validate import random_discrete, random_gmm, random_unit_ball
@@ -25,6 +26,21 @@ TWO_ATOMS = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
 def fig1_gmm():
     return ra.GaussianMixtureModel([0.5, 0.5], [[-2.0], [2.0]],
                                    [[[0.49]], [[0.49]]], 8.0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 800.0, -800.0])
+def test_logsumexp_matches_scipy(offset):
+    rng = np.random.default_rng(41)
+    for shape in ((1, 12), (7, 5), (3, 4, 6), (9,)):
+        a = 3.0 * rng.standard_normal(shape) + offset
+        for axis in range(-1, a.ndim):
+            got, want = _logsumexp(a, axis=axis), logsumexp(a, axis=axis)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want) / np.abs(want).clip(1.0)) \
+                <= 1e-12
+    # a slice of -inf terms only sums to -inf, beside finite ones
+    a = np.array([[-np.inf, -np.inf], [offset, -np.inf]])
+    assert np.array_equal(_logsumexp(a, axis=1), [-np.inf, offset])
 
 
 class TestNoisedParams:
@@ -301,6 +317,9 @@ class TestDiffusionSampler:
         for eps_p in (0.0, -1.0, np.nan):
             with pytest.raises(ra.ValidationError):
                 recommended_steps(eps_p, 1.0)
+        # capped, also where 3 C / eps_p overflows to inf
+        for eps_p in (1e-6, 5e-324):
+            assert recommended_steps(eps_p, 1.0) == DIFFUSION_STEP_CAP
         oracle = ra.score_oracle(std_normal_1d())
         with pytest.raises(ra.ValidationError):
             ra.sample_via_diffusion(oracle, n=1, seed=0)

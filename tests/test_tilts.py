@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 import rewardalign as ra
 from rewardalign import tilts
+from rewardalign.models import recommended_steps
 from rewardalign.tilts import MC_BLOCK, _mean_exp, log_normalizer_exact
 from rewardalign.validate import random_gmm
 
@@ -124,6 +125,41 @@ class TestSampleLinearTilt:
         batch = ra.sample_linear_tilt(m, np.array([0.3]), eps=0.2, seed=3,
                                       backend="diffusion", n=200)
         assert np.all(np.linalg.norm(batch.points, axis=1) <= m.support_radius + 1e-12)
+
+    @pytest.mark.parametrize("base", [two_point(), std_normal_1d(),
+                                      random_gmm(np.random.default_rng(4), 3,
+                                                 2)])
+    def test_no_tilt_is_the_base_draw(self, base):
+        exact = ra.sample_linear_tilt(base, None, 0.2, seed=8, n=300)
+        assert np.array_equal(exact.points,
+                              ra.sample_exact(base, 300, 8).points)
+        steps = recommended_steps(0.2, base.support_radius)
+        reverse = ra.sample_linear_tilt(base, None, 0.2, seed=8, n=300,
+                                        backend="diffusion")
+        direct = ra.sample_via_diffusion(ra.score_oracle(base), n=300,
+                                         steps=steps, seed=8)
+        assert np.array_equal(reverse.points, direct.points)
+
+    def test_one_tilt_per_row_on_diffusion(self):
+        base = two_point()
+        V = np.linspace(-1.0, 1.0, 40)[:, None]
+        batch = ra.sample_linear_tilt(base, V, 0.1, seed=2, n=40,
+                                      backend="diffusion", steps=30)
+        oracle = ra.score_oracle(base)
+        tilted = ra.ScoreOracle(
+            fn=lambda s, x: ra.tilted_score(oracle, V, s, x), d=1, C=1.0)
+        direct = ra.sample_via_diffusion(tilted, n=40, steps=30, seed=2)
+        assert np.array_equal(batch.points, direct.points)
+
+    @pytest.mark.parametrize("backend, v", [
+        ("exact", np.ones((5, 1))), ("exact", np.ones((1, 1))),
+        ("exact", np.ones(2)), ("diffusion", np.ones((4, 1))),
+        ("diffusion", np.ones((5, 2))), ("diffusion", np.ones((1, 5, 1))),
+        ("diffusion", np.array(1.0)), ("exact", np.array([np.nan]))])
+    def test_tilt_shape_checked(self, backend, v):
+        with pytest.raises(ra.ValidationError):
+            ra.sample_linear_tilt(two_point(), v, 0.1, seed=0, n=5,
+                                  backend=backend)
 
 
 class TestEstimateNormalizer:

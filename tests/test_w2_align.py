@@ -3,6 +3,7 @@ import pytest
 
 import rewardalign as ra
 from rewardalign.metrics import oracle_prox_grid, w2_discrete
+from rewardalign.models import DIFFUSION_STEP_CAP
 from rewardalign.w2_align import (Alg2Params, LowRankDecomp,
                                   prox_quadratic_batch, reduced_objective)
 from rewardalign.validate import random_discrete, random_unit_ball
@@ -369,8 +370,7 @@ class TestPushforward:
         def no_draw(*args, **kwargs):
             raise AssertionError("base draw before the argument checks")
 
-        monkeypatch.setattr(ra.w2_align, "sample_exact", no_draw)
-        monkeypatch.setattr(ra.w2_align, "sample_via_diffusion", no_draw)
+        monkeypatch.setattr(ra.w2_align, "sample_linear_tilt", no_draw)
         base = ra.GaussianMixtureModel([1.0], [[0.0]], [[[1.0]]], 8.0)
         for base_backend in ("exact", "diffusion"):
             with pytest.raises(ra.ValidationError):
@@ -386,6 +386,23 @@ class TestPushforward:
         closed = ra.prox_quadratic(np.zeros((2, 2)), r.theta, 0.5, res.ys,
                                    base.support_radius)
         assert np.max(np.abs(res.xs - closed)) <= 1e-8
+
+    def test_diffusion_base_steps_capped(self, monkeypatch):
+        # eps = 0.01 at C = 8 asks 2400 steps of the rule; the cap holds
+        steps = []
+        reverse = ra.tilts.sample_via_diffusion
+
+        def spy(*args, **kwargs):
+            steps.append(kwargs["steps"])
+            return reverse(*args, **kwargs)
+
+        monkeypatch.setattr(ra.tilts, "sample_via_diffusion", spy)
+        base = ra.GaussianMixtureModel([1.0], [[0.0]], [[[1.0]]], 8.0)
+        res = ra.sample_w2_aligned(base, fig1_reward(), lam=0.15, n=5,
+                                   seed=9, backend="quad", eps=0.01,
+                                   base_backend="diffusion")
+        assert steps == [DIFFUSION_STEP_CAP]
+        assert np.max(np.abs(res.xs - (1 + res.ys / 2))) <= 1e-12
 
     def test_diffusion_base_backend(self):
         base = ra.GaussianMixtureModel([1.0], [[0.0]], [[[1.0]]], 8.0)
