@@ -31,11 +31,12 @@ from .tilts import estimate_normalizer, sample_linear_tilt, tilt_exact
 
 NET_CARDINALITY_CAP = 1_000_000
 
-# Scores per block in Envelope.value (32 KiB of float64: an L1-sized
-# temporary, reused by the allocator from block to block).  A block holds
-# at least ENVELOPE_MIN_ROWS rows, so at large m the per-block Python cost
-# stays small against the block's m * rows exponentials.
-ENVELOPE_BLOCK = 4096
+# Scores per block in Envelope.value (128 KiB of float64, inside L2, reused
+# by the allocator from block to block).  A block of at least m rows
+# (m <= 128) is piece-major; the two layouts measured even near m = 180.
+# A block holds at least ENVELOPE_MIN_ROWS rows, so at large m the
+# per-block Python cost stays small against its exponentials.
+ENVELOPE_BLOCK = 16384
 ENVELOPE_MIN_ROWS = 16
 
 
@@ -134,20 +135,25 @@ class Envelope:
     def value(self, u: np.ndarray) -> np.ndarray:
         """G at a point (k,) or a batch (n, k).
 
-        Rows go in blocks of about ``ENVELOPE_BLOCK`` scores, so the
-        (rows x m) score array stays cache-sized and is not allocated
-        afresh at the size of the whole batch."""
+        Rows go in blocks of about ``ENVELOPE_BLOCK`` scores, so the score
+        array stays cache-sized.  A block of at least m rows is piece-major,
+        (m, rows), and otherwise row-major, (rows, m): the max, exp, sum and
+        log run along its longer axis, which numpy reduces fastest."""
         u = np.asarray(u, dtype=float)
         rows = np.atleast_2d(u)
         out = np.empty(rows.shape[0])
         step = max(ENVELOPE_MIN_ROWS, ENVELOPE_BLOCK // self.m)
+        axis = 0 if step >= self.m else 1
+        offsets = self.offsets[:, None] if axis == 0 else self.offsets
         for s in range(0, rows.shape[0], step):
-            scores = rows[s:s + step] @ self.slopes.T
-            scores += self.offsets
-            top = scores.max(axis=1)
-            scores -= top[:, None]
+            scores = (self.slopes @ rows[s:s + step].T if axis == 0
+                      else rows[s:s + step] @ self.slopes.T)
+            scores += offsets
+            top = scores.max(axis=axis, keepdims=True)
+            scores -= top
             np.exp(scores, out=scores)
-            out[s:s + step] = 1.0 + top + np.log(scores.sum(axis=1))
+            out[s:s + step] = (1.0 + top.ravel()
+                               + np.log(scores.sum(axis=axis)))
         return float(out[0]) if u.ndim == 1 else out
 
     def to_dict(self) -> dict:
@@ -433,17 +439,20 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                                                  else "mc"))
 
     # draw(count) -> (candidates, their log acceptance); one vectorized
-    # proposal draw per pass whatever the number of envelope pieces
+    # proposal draw per pass whatever the number of envelope pieces.  Atom
+    # candidates are indices: only the ones a slot takes are gathered
     diff_steps = 0
+    atoms = None
     if backend == "exact":
         model = proposal_model(base, proposal)
         if isinstance(model, DiscreteModel):
             # exp(f - G) is a function of the atom alone
-            atom_log_a = _log_acceptance(f, envelope, model.atoms @ A.T)
+            atoms = model.atoms
+            atom_log_a = _log_acceptance(f, envelope, atoms @ A.T)
 
             def draw(count):
                 idx = rng.choice(model.n_atoms, size=count, p=model.probs)
-                return model.atoms[idx], atom_log_a[idx]
+                return idx, atom_log_a[idx]
         else:
             def draw(count):
                 xs = sample_exact(model, count, rng).points
@@ -471,14 +480,16 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     done = carry = draws = passes = 0
     while done < n and params.N_rej > 0:
         count = min(int(np.ceil((n - done) / params.a0)), n)
-        xs, log_a = draw(count)
+        cand, log_a = draw(count)
         ok = np.log(rng.random(count)) < log_a
         outcome, used, carry = _serve(ok, carry, params.N_rej, n - done)
         hit = outcome >= 0
-        pts[done:done + outcome.size][hit] = xs[outcome[hit]]
+        taken = cand[outcome[hit]]
+        pts[done:done + outcome.size][hit] = (taken if atoms is None
+                                              else atoms[taken])
         fell[done:done + outcome.size] = ~hit
         # free this pass's candidates before the next draw makes its own
-        del xs, log_a, ok
+        del cand, log_a, ok
         done += outcome.size
         draws += used
         passes += 1

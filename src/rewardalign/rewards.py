@@ -114,21 +114,23 @@ def make_max_affine(pieces) -> LowDimFunction:
     k = slopes.shape[1]
     L = float(np.max(np.linalg.norm(slopes, axis=1)))
 
+    # values piece-major, (p, n): numpy reduces over the long axis fastest
     def value(u):
         u = np.asarray(u, dtype=float)
-        vals = np.atleast_2d(u) @ slopes.T
-        vals += offsets  # in place: one (n, p) temporary, not two
-        out = vals.max(axis=1)
+        vals = slopes @ np.atleast_2d(u).T
+        vals += offsets[:, None]  # in place: one (p, n) temporary, not two
+        out = vals.max(axis=0)
         return float(out[0]) if u.ndim == 1 else out
 
     def grad(u):
         u = np.asarray(u, dtype=float)
-        vals = np.atleast_2d(u) @ slopes.T + offsets
-        top = vals >= vals.max(axis=1, keepdims=True) - 1e-12
-        g = slopes[np.argmax(top, axis=1)]
-        tied = top.sum(axis=1) > 1  # one hull solve per distinct tie set
-        for t in np.unique(top[tied], axis=0):
-            g[tied & np.all(top == t, axis=1)] = _min_norm_in_hull(slopes[t])
+        vals = slopes @ np.atleast_2d(u).T + offsets[:, None]
+        top = vals >= vals.max(axis=0) - 1e-12
+        g = slopes[np.argmax(top, axis=0)]
+        tied = np.flatnonzero(top.sum(axis=0) > 1)
+        sets = top[:, tied].T  # one row per tied point
+        for t in np.unique(sets, axis=0):  # one hull solve per tie set
+            g[tied[np.all(sets == t, axis=1)]] = _min_norm_in_hull(slopes[t])
         return g[0] if u.ndim == 1 else g
 
     return LowDimFunction(value=value, k=k, lipschitz=L, radius=np.inf,
@@ -137,7 +139,7 @@ def make_max_affine(pieces) -> LowDimFunction:
 
 def make_logsumexp_function(weights, slopes) -> LowDimFunction:
     """Smooth convex ``f(u) = log sum_i w_i exp(<z_i, u>)`` with exact
-    gradient (softmax-weighted slope average)."""
+    gradient (softmax-weighted slope average); values piece-major."""
     w = finite("log-sum-exp weights", weights, positive=True)
     z = np.atleast_2d(finite("log-sum-exp slopes", slopes))
     logw = np.log(w)
@@ -145,7 +147,7 @@ def make_logsumexp_function(weights, slopes) -> LowDimFunction:
 
     def value(u):
         u = np.asarray(u, dtype=float)
-        out = _logsumexp(np.atleast_2d(u) @ z.T + logw, axis=1)
+        out = _logsumexp(z @ np.atleast_2d(u).T + logw[:, None], axis=0)
         return float(out[0]) if u.ndim == 1 else out
 
     def grad(u):

@@ -156,17 +156,31 @@ class TestBuildEnvelope:
         assert calls == {"first_order": 1, "grad": 1}
         assert env.m == net.m
 
-    def test_value_in_blocks_matches_logsumexp(self):
-        # 3 pieces: 1365 rows per block, so 5000 rows span four blocks,
-        # the last one partial
-        from scipy.special import logsumexp
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 37, 300, 10_000])
+    def test_value_in_blocks_matches_logsumexp(self, m, k):
+        # m <= 128 runs piece-major blocks, larger m row-major ones; the
+        # rows fill two blocks and spill one row into a third
+        from rewardalign.kl_align import ENVELOPE_BLOCK, ENVELOPE_MIN_ROWS
+        step = max(ENVELOPE_MIN_ROWS, ENVELOPE_BLOCK // m)
         rng = np.random.default_rng(11)
-        env = ra.Envelope.from_pieces(rng.standard_normal((3, 2)),
-                                      rng.standard_normal(3))
-        us = rng.standard_normal((5000, 2)) * 3.0
-        direct = 1.0 + logsumexp(us @ env.slopes.T + env.offsets, axis=1)
-        assert np.allclose(env.value(us), direct, rtol=0, atol=1e-12)
-        assert env.value(us[7]) == pytest.approx(direct[7], abs=1e-12)
+        env = ra.Envelope.from_pieces(rng.standard_normal((m, k)),
+                                      rng.standard_normal(m))
+        us = rng.standard_normal((2 * step + 1, k)) * 3.0
+        scores = us @ env.slopes.T + env.offsets
+        top = scores.max(axis=1)
+        direct = 1.0 + top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
+        vals = env.value(us)
+        # at k = 1 the scores are exact products, so the values match the
+        # row formula bit for bit, except where the piece-major block adds
+        # its 8 or more terms in order and numpy's row sum goes pairwise
+        if k == 1 and (m < 8 or step < m):
+            assert np.array_equal(vals, direct)
+        else:
+            assert np.allclose(vals, direct, rtol=0, atol=1e-12)
+        for j in (0, step - 1, step, 2 * step):
+            assert env.value(us[j]) == pytest.approx(vals[j], rel=0,
+                                                     abs=1e-12)
 
 
 class TestComputeParams:

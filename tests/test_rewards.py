@@ -172,6 +172,22 @@ class TestMaxAffine:
         assert f.value(u[0]) == (u[0] @ S.T + c).max()
         assert peak < 1.5 * u.shape[0] * S.shape[0] * 8, peak
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 10_000])
+    def test_value_matches_row_formula(self, p, k):
+        # n = 1e5 rows, or 100 at p = 1e4 so the product stays at 8 MB
+        rng = np.random.default_rng(p + k)
+        S, c = rng.normal(size=(p, k)), rng.normal(size=p)
+        f = ra.make_max_affine(list(zip(S, c)))
+        u = rng.normal(size=(10**5 if p < 10**4 else 100, k))
+        direct = (u @ S.T + c).max(axis=1)
+        vals = f.value(u)
+        if k == 1:  # exact products, and the max is exact
+            assert np.array_equal(vals, direct)
+        else:
+            assert np.allclose(vals, direct, rtol=0, atol=1e-12)
+        assert f.value(u[3]) == pytest.approx(direct[3], rel=0, abs=1e-12)
+
     def test_midpoint_convexity(self):
         rng = np.random.default_rng(2)
         f = random_maxaffine(rng, 2, 3, L=1.0, R=1.0)
@@ -242,6 +258,27 @@ class TestLogSumExp:
         u = np.array([0.7])
         direct = np.log(np.sum(np.exp(b + z @ u)))
         assert r.f.value(u) == pytest.approx(direct)
+
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 10_000])
+    def test_value_matches_row_formula(self, p, k):
+        # n = 1e5 rows, or 100 at p = 1e4 so the product stays at 8 MB
+        rng = np.random.default_rng(p + k)
+        w, z = rng.uniform(0.1, 2.0, size=p), rng.normal(size=(p, k))
+        f = make_logsumexp_function(w, z)
+        u = rng.normal(size=(10**5 if p < 10**4 else 100, k))
+        s = u @ z.T + np.log(w)
+        top = s.max(axis=1)
+        direct = top + np.log(np.exp(s - top[:, None]).sum(axis=1))
+        vals = f.value(u)
+        # exact products at k = 1; numpy's row sum goes pairwise from 8
+        # terms on, while the piece-major sum adds the pieces in order
+        if k == 1 and p < 8:
+            assert np.array_equal(vals, direct)
+        else:
+            assert np.allclose(vals, direct, rtol=0, atol=1e-12)
+        assert f.value(u[3]) == pytest.approx(direct[3], rel=0, abs=1e-12)
 
 
 class TestJson:
