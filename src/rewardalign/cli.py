@@ -62,24 +62,23 @@ def _write_manifest(out_dir: str, name: str, config: dict, derived: dict,
     return manifest
 
 
-def _write_batch_csv(path: str, batch: SampleBatch) -> None:
+def _write_csv(path: str, **blocks: np.ndarray) -> None:
+    """Blocks (n, d) side by side, columns named by keyword and index
+    (``y=ys, x=xs``: y0..y{d-1}, x0..x{d-1}), as %.17e, written atomically."""
+    header = ",".join(f"{name}{i}" for name, block in blocks.items()
+                      for i in range(block.shape[1]))
     tmp = path + ".tmp"
-    batch.to_csv(tmp)
-    os.replace(tmp, path)
-
-
-def _write_pairs_csv(path: str, ys: np.ndarray, xs: np.ndarray) -> None:
-    """The coupling as rows (y0..y{d-1}, x0..x{d-1}), written atomically."""
-    d = xs.shape[1]
-    header = ",".join([f"y{i}" for i in range(d)] + [f"x{i}" for i in range(d)])
-    tmp = path + ".tmp"
-    np.savetxt(tmp, np.hstack([ys, xs]), delimiter=",", header=header,
-               comments="", fmt="%.17e")
+    np.savetxt(tmp, np.hstack(list(blocks.values())), delimiter=",",
+               header=header, comments="", fmt="%.17e")
     os.replace(tmp, path)
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(t) for t in text.split(",") if t.strip() != ""])
+    try:
+        return np.array([float(t) for t in text.split(",") if t.strip()])
+    except ValueError as exc:
+        raise ValidationError(f"{text!r} is not a comma-separated list of "
+                              f"numbers") from exc
 
 
 def _as_lowrank(reward) -> LowRankReward:
@@ -88,9 +87,8 @@ def _as_lowrank(reward) -> LowRankReward:
     if isinstance(reward, LinearReward):
         norm = float(np.linalg.norm(reward.theta))
         if norm == 0.0:
-            f = make_max_affine([(np.zeros(1), 0.0)])
-            f.lipschitz = 0.0
-            return LowRankReward(np.zeros((1, reward.d)), f)
+            return LowRankReward(np.zeros((1, reward.d)),
+                                 make_max_affine([(np.zeros(1), 0.0)]))
         f = make_max_affine([(np.array([norm]), 0.0)])
         return LowRankReward(reward.theta[None, :] / norm, f)
     raise ValidationError(
@@ -115,7 +113,7 @@ def cmd_align_kl(args) -> int:
                                delta=args.delta, seed=args.seed, n=args.n,
                                backend=args.backend)
     os.makedirs(args.out, exist_ok=True)
-    _write_batch_csv(os.path.join(args.out, "samples.csv"), result.batch)
+    _write_csv(os.path.join(args.out, "samples.csv"), x=result.batch.points)
     if result.envelope is not None:
         _write_atomic(os.path.join(args.out, "envelope.json"),
                       json.dumps(result.envelope.to_dict(), indent=2))
@@ -138,17 +136,12 @@ def cmd_align_w2(args) -> int:
                                seed=args.seed, backend=args.backend,
                                eps=args.eps)
     os.makedirs(args.out, exist_ok=True)
-    _write_pairs_csv(os.path.join(args.out, "pairs.csv"), result.ys, result.xs)
+    _write_csv(os.path.join(args.out, "pairs.csv"), y=result.ys, x=result.xs)
     diagnostics = {"objective_value": result.objective,
                    "objective_stderr": result.objective_stderr}
     derived = {"backend": args.backend}
-    if args.backend == "lowrank":
-        from .w2_align import Alg2Params, LowRankDecomp
-        decomp = LowRankDecomp.from_matrix(reward.A)
-        derived.update(Alg2Params.from_problem(
-            reward.f.lipschitz, decomp.S, args.lam, model.support_radius,
-            args.eps, decomp.r_A).to_dict())
-        derived["r_A"] = decomp.r_A
+    if result.params is not None:
+        derived.update(result.params.to_dict())
     _write_manifest(args.out, "manifest.json", config, derived, diagnostics,
                     time.perf_counter() - t0)
     print(json.dumps({"out": args.out, **diagnostics}, indent=2))
@@ -177,7 +170,7 @@ def cmd_prox_demo(args) -> int:
     else:
         x = prox_concave(reward, args.lam, y, args.C)
     x = SampleBatch(points=x[None], seed=-1, producer="prox-demo",
-                    d=len(y), C=args.C).points[0]  # the finite output gate
+                    d=len(y)).points[0]  # the finite output gate
     print(json.dumps({"y": y.tolist(), "T_lambda_y": x.tolist(),
                       "lambda": args.lam, "C": args.C}, indent=2))
     return 0
@@ -224,17 +217,17 @@ def reproduce_fig1(seed: int, n: int, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
 
     base_batch = sample_exact(base, n, np.random.default_rng(seed))
-    _write_batch_csv(os.path.join(out_dir, "base.csv"), base_batch)
+    _write_csv(os.path.join(out_dir, "base.csv"), x=base_batch.points)
 
     quad = QuadratureTilt1D(base, reward)
     kl_points = quad.sample(n, np.random.default_rng(seed + 1))[:, None]
     kl_batch = SampleBatch(points=kl_points, seed=seed + 1,
-                           producer="fig1/kl_quadrature_oracle", d=1, C=8.0)
-    _write_batch_csv(os.path.join(out_dir, "kl.csv"), kl_batch)
+                           producer="fig1/kl_quadrature_oracle", d=1)
+    _write_csv(os.path.join(out_dir, "kl.csv"), x=kl_batch.points)
 
     w2 = sample_w2_aligned(base, reward, lam=0.15, n=n, seed=seed + 2,
                            backend="quad")
-    _write_pairs_csv(os.path.join(out_dir, "w2_pairs.csv"), w2.ys, w2.xs)
+    _write_csv(os.path.join(out_dir, "w2_pairs.csv"), y=w2.ys, x=w2.xs)
 
     bins = np.linspace(-6.0, 6.0, 121)
     hist = {

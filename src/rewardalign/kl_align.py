@@ -46,9 +46,6 @@ class Net:
     a net point."""
 
     points: np.ndarray  # (m, k)
-    h: float
-    k: int
-    R: float
 
     @property
     def m(self) -> int:
@@ -69,7 +66,7 @@ def build_net(k: int, R: float, h: float) -> Net:
     if not (k >= 1 and 0 < h < np.inf and 0 <= R < np.inf):
         raise ValidationError(f"need k >= 1, finite h > 0, R >= 0: {k, h, R}")
     if R == 0:
-        return Net(points=np.zeros((1, k)), h=h, k=k, R=R)
+        return Net(points=np.zeros((1, k)))
 
     s = 2.0 * h / np.sqrt(k)
     n_side = int(np.floor((R + s / 2.0) / s))
@@ -95,7 +92,7 @@ def build_net(k: int, R: float, h: float) -> Net:
     points = points[np.lexsort(points.T[::-1])]
     fresh = np.ones(len(points), dtype=bool)
     fresh[1:] = np.any(points[1:] != points[:-1], axis=1)
-    return Net(points=points[fresh], h=h, k=k, R=R)
+    return Net(points=points[fresh])
 
 
 @dataclass(frozen=True)
@@ -277,20 +274,13 @@ def build_proposal(base: Model, env: Envelope, A, eta: float, delta: float,
     return MixtureProposal(tilt_vectors=vs, log_zhat=log_zhat, log_pi=log_pi)
 
 
-def proposal_model(base: Model, proposal: MixtureProposal) -> Model:
-    """The proposal sum_i pi_i * tilt(base, v_i) as one model: an atom
-    set, or an m*J-component mixture (``tilt_exact``).  pi comes from
-    ``proposal.log_pi``, so estimated normalizers carry through."""
-    return tilt_exact(base, proposal.tilt_vectors, proposal.log_pi)
-
-
 def proposal_law_discrete(base: DiscreteModel, env: Envelope,
                           A) -> DiscreteModel:
     """The exact mixture law sum_i pi_i * tilt(base, v_i) on a discrete
     base, with exact normalizers (used to check the mixture identity)."""
     # the exact backend uses eta and delta only to validate them
-    return proposal_model(base, build_proposal(base, env, A, eta=0.5,
-                                               delta=0.5))
+    p = build_proposal(base, env, A, eta=0.5, delta=0.5)
+    return tilt_exact(base, p.tilt_vectors, p.log_pi)
 
 
 @dataclass
@@ -404,6 +394,9 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     A = np.atleast_2d(finite("A", A))
     if A.shape != (f.k, base.d):
         raise ValidationError("A must be k x d")
+    if envelope is not None and envelope.slopes.shape[1] != f.k:
+        raise ValidationError(f"envelope slopes must have k = {f.k} "
+                              f"columns, got {envelope.slopes.shape[1]}")
     rng = _rng_from(seed)
     C = base.support_radius
     L = f.lipschitz
@@ -412,7 +405,7 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     if L == 0 and envelope is None:
         batch = sample_linear_tilt(base, None, eps, rng, backend, n=n)
         batch = SampleBatch(points=batch.points, seed=seed_tag,
-                            producer="kl_align/base_shortcut", d=base.d, C=C)
+                            producer="kl_align/base_shortcut", d=base.d)
         return KLAlignResult(batch=batch, params=None, envelope=None,
                              proposal=None, acceptance_rate=1.0,
                              fallback_count=0, proposal_draws=n,
@@ -444,7 +437,8 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     diff_steps = 0
     atoms = None
     if backend == "exact":
-        model = proposal_model(base, proposal)
+        # the proposal sum_i pi_i * tilt(base, v_i) as one model
+        model = tilt_exact(base, proposal.tilt_vectors, proposal.log_pi)
         if isinstance(model, DiscreteModel):
             # exp(f - G) is a function of the atom alone
             atoms = model.atoms
@@ -500,7 +494,7 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                                        n=fallback).points
 
     batch = SampleBatch(points=pts, seed=seed_tag, producer="kl_align/alg1",
-                        d=base.d, C=C)
+                        d=base.d)
     return KLAlignResult(batch=batch, params=params, envelope=envelope,
                          proposal=proposal,
                          acceptance_rate=(n - fallback) / max(draws, 1),

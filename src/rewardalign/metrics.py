@@ -24,6 +24,7 @@ ASSIGNMENT_CAP = 512
 LP_CELL_CAP = 1 << 22
 GRID_POINT_CAP = 30_000_000
 GRID_CHUNK = 1 << 20  # grid rows per objective evaluation
+QUADRATURE_GRID = 200_001  # points of the 1D quadrature grid on [-C, C]
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +197,13 @@ def w2_empirical(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.sqrt(cost[ridx, cidx].mean()))
 
 
-def w2_1d_samples_vs_quantiles(samples: np.ndarray, ppf, n_quantiles=None) -> float:
+def w2_1d_samples_vs_quantiles(samples: np.ndarray, ppf) -> float:
     """Exact W2 between a 1D uniform empirical law and a continuous law
     given by its quantile function, via midpoint-quantile discretization of
     the continuous side at the sample resolution."""
     s = np.sort(np.asarray(samples, dtype=float).ravel())
-    n = len(s) if n_quantiles is None else n_quantiles
-    grid = ppf((np.arange(n) + 0.5) / n)
-    if len(grid) == len(s):
-        return float(np.sqrt(np.mean((s - np.sort(grid)) ** 2)))
-    return w2_empirical(s[:, None], np.sort(grid)[:, None])
+    grid = ppf((np.arange(len(s)) + 0.5) / len(s))
+    return float(np.sqrt(np.mean((s - np.sort(grid)) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +309,13 @@ def _anchored_ball_grid(dim: int, C: float, resolution: float) -> np.ndarray:
     return grid
 
 
-def _chunked_argmax(points: np.ndarray, objective, chunk: int = GRID_CHUNK):
+def _chunked_argmax(points: np.ndarray, objective):
     """Best point and value of ``objective(block, rows)`` over blocks of
-    rows of ``points`` (``rows`` is the block's slice of ``points``)."""
+    GRID_CHUNK rows of ``points`` (``rows`` is the block's slice)."""
     best_val = -np.inf
     best_pt = None
-    for start in range(0, len(points), chunk):
-        rows = slice(start, start + chunk)
+    for start in range(0, len(points), GRID_CHUNK):
+        rows = slice(start, start + GRID_CHUNK)
         block = points[rows]
         vals = np.asarray(objective(block, rows), dtype=float)
         i = int(np.argmax(vals))
@@ -409,11 +407,11 @@ class QuadratureTilt1D:
     density ~ p(x) exp(r(x)) with trapezoid normalization, inverse-CDF
     sampling, and quantile access for ground-truth comparisons."""
 
-    def __init__(self, model, reward=None, n_grid: int = 200_001):
+    def __init__(self, model, reward=None):
         if model.d != 1:
             raise CapabilityError("quadrature tilt is 1D only")
         C = model.support_radius
-        self.grid = np.linspace(-C, C, n_grid)
+        self.grid = np.linspace(-C, C, QUADRATURE_GRID)
         log_dens = model.log_density(self.grid[:, None])
         if reward is not None:
             log_dens = log_dens + np.asarray(reward.value(self.grid[:, None]),

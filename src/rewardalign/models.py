@@ -64,7 +64,6 @@ class SampleBatch:
     seed: int
     producer: str
     d: int
-    C: float
 
     def __post_init__(self):  # the gate every sample leaves through
         pts = np.asarray(self.points, dtype=float)
@@ -77,19 +76,16 @@ class SampleBatch:
     def __len__(self):
         return self.points.shape[0]
 
-    def to_csv(self, path) -> None:
-        header = ",".join(f"x{i}" for i in range(self.d))
-        np.savetxt(path, self.points, delimiter=",", header=header,
-                   comments="", fmt="%.17e")
 
-
-def _probability_vector(name: str, p, n: int) -> np.ndarray:
-    """p as n finite nonnegative entries summing to 1 within 1e-12."""
+def _probability_vector(name: str, p, n: int) -> tuple:
+    """p as n finite nonnegative entries summing to 1 within 1e-12, and
+    log p, taken once with -inf for a zero entry and no divide warning."""
     p = finite(name, p)
     if not (p.shape == (n,) and np.all(p >= 0) and abs(p.sum() - 1) <= 1e-12):
         raise ValidationError(f"{name} must be a probability vector of "
                               f"length {n} (1e-12)")
-    return p
+    with np.errstate(divide="ignore"):
+        return p, np.log(p)
 
 
 class GaussianMixtureModel:
@@ -118,7 +114,8 @@ class GaussianMixtureModel:
         self.support_checked = bool(check_support)
 
         J, d = self.means.shape
-        self.weights = _probability_vector("weights", weights, J)
+        self.weights, self._log_weights = _probability_vector(
+            "weights", weights, J)
         if self.covs.shape != (J, d, d):
             raise ValidationError("inconsistent mixture shapes")
         ok = np.isclose(covs, np.swapaxes(covs, 1, 2), atol=1e-12).all((1, 2))
@@ -167,7 +164,7 @@ class GaussianMixtureModel:
         vt = np.swapaxes(self._eigvecs, 1, 2)                 # V_j'
         z = vt @ xb.T - a * (vt @ self.means[:, :, None])
         zw = z / ev[:, :, None]
-        logp = (np.log(self.weights) - 0.5 * np.sum(np.log(ev), axis=1)
+        logp = (self._log_weights - 0.5 * np.sum(np.log(ev), axis=1)
                 - 0.5 * self.d * np.log(2.0 * np.pi))[:, None]
         return logp - 0.5 * np.sum(z * zw, axis=1), zw
 
@@ -183,7 +180,8 @@ class DiscreteModel:
     def __init__(self, atoms, probs, support_radius):
         self.atoms = np.atleast_2d(finite("atoms", atoms))
         self.support_radius = float(finite("C", support_radius, positive=True))
-        self.probs = _probability_vector("probs", probs, len(self.atoms))
+        self.probs, self._log_probs = _probability_vector(
+            "probs", probs, len(self.atoms))
         norms = np.linalg.norm(self.atoms, axis=1)
         if np.any(norms > self.support_radius * (1 + 1e-12)):
             raise ValidationError("every atom must have norm <= C")
@@ -199,7 +197,7 @@ class DiscreteModel:
     def _components(self, xb: np.ndarray, a: float, s2: float):
         """log(p_j N(x; a x_j, s2 I)) + ||x||^2 / (2 s2) at xb (n, d), as
         (J, n): the ||x||^2 term is the same for every j; and None."""
-        c = (np.log(self.probs) - 0.5 * self.d * np.log(2.0 * np.pi * s2)
+        c = (self._log_probs - 0.5 * self.d * np.log(2.0 * np.pi * s2)
              - (0.5 * a * a / s2) * np.sum(self.atoms**2, axis=1))
         return (a / s2) * (self.atoms @ xb.T) + c[:, None], None
 
@@ -228,14 +226,19 @@ def model_from_dict(spec: dict) -> Model:
     raise ValidationError(f"unknown model type {kind!r}")
 
 
-def load_model(path) -> Model:
+def _read_spec(path, kind: str):
+    """The JSON document of a model or reward spec file; ValidationError if
+    it is not JSON."""
     with open(path) as fh:
         try:
-            spec = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise ValidationError(f"{path} is not a JSON model spec: "
+            raise ValidationError(f"{path} is not a JSON {kind} spec: "
                                   f"{exc}") from exc
-    return model_from_dict(spec)
+
+
+def load_model(path) -> Model:
+    return model_from_dict(_read_spec(path, "model"))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +386,7 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
 
     return SampleBatch(points=pts, seed=_seed_tag(seed),
                        producer=f"sample_exact/{type(model).__name__}",
-                       d=model.d, C=C)
+                       d=model.d)
 
 
 # ---------------------------------------------------------------------------
@@ -453,4 +456,4 @@ def sample_via_diffusion(oracle: ScoreOracle, n: int = 1, steps: int = None,
     x = project_ball(x, oracle.C)
     return SampleBatch(points=x, seed=_seed_tag(seed),
                        producer=f"diffusion/{oracle.tag}/steps={steps}",
-                       d=oracle.d, C=oracle.C)
+                       d=oracle.d)

@@ -8,14 +8,13 @@ estimated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ValidationError, finite
-from .models import _logsumexp
+from .models import _logsumexp, _read_spec
 
 # First-order oracles must be valid slightly beyond the declared ball.
 DOMAIN_SLACK = 1e-3
@@ -231,7 +230,6 @@ class LowRankReward:
         if self.A.shape[0] != f.k:
             raise ValidationError("A row count must match f's dimension")
         self.k, self.d = self.A.shape
-        self.op_norm = float(np.linalg.norm(self.A, 2))
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -306,10 +304,4 @@ def reward_from_dict(spec: dict):
 
 
 def load_reward(path):
-    with open(path) as fh:
-        try:
-            spec = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise ValidationError(f"{path} is not a JSON reward spec: "
-                                  f"{exc}") from exc
-    return reward_from_dict(spec)
+    return reward_from_dict(_read_spec(path, "reward"))

@@ -65,9 +65,9 @@ def _tilt_blocks(model: Model, V: np.ndarray):
     for s in range(0, len(V), step):
         W = V[s:s + step]
         if atoms:
-            logw = np.log(model.probs) + W @ model.atoms.T
+            logw = model._log_probs + W @ model.atoms.T
         else:
-            logw = np.log(model.weights) + (
+            logw = model._log_weights + (
                 W @ model.means.T
                 + 0.5 * np.einsum("ia,jab,ib->ij", W, model.covs, W))
         yield slice(s, s + step), logw, _logsumexp(logw, axis=1)

@@ -12,8 +12,7 @@ from scipy.special import chdtri, logsumexp
 
 from . import metrics
 from .kl_align import (Envelope, _collapse_net_pieces, build_envelope,
-                       build_net, build_proposal, proposal_law_discrete,
-                       proposal_model)
+                       build_net, build_proposal, proposal_law_discrete)
 from .models import (DiscreteModel, GaussianMixtureModel, sample_exact,
                      score, score_oracle, noised_log_density)
 from .rewards import (LinearReward, LogSumExpReward, LowDimFunction,
@@ -52,14 +51,14 @@ def random_maxaffine(rng, k, n_pieces, L, R) -> LowDimFunction:
     return f
 
 
-def random_gmm(rng, d, n_components, spread=1.5, scale=0.5,
-               margin=5.0) -> GaussianMixtureModel:
-    """Random mixture whose support radius leaves ``margin`` of headroom,
-    so moderate exact tilts keep the mass invariant satisfied."""
-    means = rng.uniform(-spread, spread, (n_components, d))
+def random_gmm(rng, d, n_components, margin=5.0) -> GaussianMixtureModel:
+    """Random mixture, means in [-1.5, 1.5]^d, whose support radius leaves
+    ``margin`` of headroom, so moderate exact tilts keep the mass invariant
+    satisfied."""
+    means = rng.uniform(-1.5, 1.5, (n_components, d))
     covs = np.empty((n_components, d, d))
     for j in range(n_components):
-        M = rng.standard_normal((d, d)) * scale
+        M = rng.standard_normal((d, d)) * 0.5
         covs[j] = M @ M.T + 0.05 * np.eye(d)
     weights = rng.dirichlet(np.ones(n_components))
     lam_max = np.linalg.eigvalsh(covs)[:, -1]
@@ -186,7 +185,8 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
 def _floor_margin(base, A, f, env, rng) -> float:
     """Smallest exp(f - G) - a0 over 200 draws of the exact envelope tilt."""
     proposal = build_proposal(base, env, A, eta=1e-12, delta=0.1, seed=rng)
-    u = sample_exact(proposal_model(base, proposal), 200, rng).points @ A.T
+    model = tilt_exact(base, proposal.tilt_vectors, proposal.log_pi)
+    u = sample_exact(model, 200, rng).points @ A.T
     log_a = np.asarray(f.value(u)) - env.value(u)
     return float(np.min(np.exp(log_a) - env.acceptance_floor))
 

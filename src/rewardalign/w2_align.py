@@ -198,11 +198,13 @@ class LowRankDecomp:
 
 @dataclass(frozen=True)
 class Alg2Params:
-    """Net spacing and base-sampling accuracy for the low-rank search."""
+    """Net spacing and base-sampling accuracy for the low-rank search on
+    the rank-r_A ball."""
 
     h: float
     eps_P: float
     net_cardinality_bound: float
+    r_A: int
 
     @classmethod
     def from_problem(cls, L: float, S: float, lam: float, C: float,
@@ -213,11 +215,13 @@ class Alg2Params:
                 eps**2 / (288.0 * lam**2 * C**3))
         eps_P = eps / (24.0 * lam * C)
         return cls(h=float(h), eps_P=float(eps_P),
-                   net_cardinality_bound=float((1.0 + 2.0 * C / h) ** r_A))
+                   net_cardinality_bound=float((1.0 + 2.0 * C / h) ** r_A),
+                   r_A=int(r_A))
 
     def to_dict(self) -> dict:
         return {"h": self.h, "eps_P": self.eps_P,
-                "net_cardinality_bound": self.net_cardinality_bound}
+                "net_cardinality_bound": self.net_cardinality_bound,
+                "r_A": self.r_A}
 
 
 def reduced_objective(decomp: LowRankDecomp, f, lam: float, y: np.ndarray,
@@ -294,12 +298,14 @@ def alg2_prox(decomp: LowRankDecomp, f, lam: float, y, C: float, eps: float,
 @dataclass
 class W2AlignResult:
     """Explicit coupling, base draws ``ys`` and transported points ``xs``
-    (the points of ``batch``), plus diagnostics."""
+    (the points of ``batch``), plus diagnostics; ``params`` is the
+    low-rank schedule (None on the other backends)."""
 
     ys: np.ndarray
     batch: SampleBatch
     objective: float = 0.0
     objective_stderr: float = 0.0
+    params: Alg2Params = None
 
     @property
     def xs(self) -> np.ndarray:
@@ -320,7 +326,7 @@ def objective_value(ys: np.ndarray, xs: np.ndarray, reward, lam: float):
 
 def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
                       backend: str = "quad", eps: float = 0.1,
-                      tol: float = 1e-8, base_backend: str = "exact",
+                      base_backend: str = "exact",
                       steps: int = None) -> W2AlignResult:
     """Draw Y_1..Y_n from the base and push each through the proximal
     transport map; returns the coupling so the transport is auditable.
@@ -345,23 +351,27 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
     C = base.support_radius
     seed_tag = _seed_tag(seed)
 
-    eps_P = eps
+    eps_P, params = eps, None
     if backend == "lowrank":
-        eps_P = Alg2Params.from_problem(reward.f.lipschitz, reward.op_norm,
-                                        lam, C, eps, 1).eps_P
+        decomp = LowRankDecomp.from_matrix(reward.A)
+        params = Alg2Params.from_problem(reward.f.lipschitz, decomp.S, lam,
+                                         C, eps, decomp.r_A)
+        eps_P = params.eps_P
     ys = sample_linear_tilt(base, None, eps_P, rng, base_backend, n=n,
                             steps=steps).points
 
     if backend == "quad":
         xs = prox_quadratic_batch(reward, lam, ys, C)
     elif backend == "pga":
-        xs = prox_concave(reward, lam, ys, C, tol=tol)
+        xs = prox_concave(reward, lam, ys, C)
     else:
-        xs = alg2_prox(LowRankDecomp.from_matrix(reward.A), reward.f.value,
-                       lam, ys, C, eps, reward.f.lipschitz)
+        # built inline, so alg2_prox holds the only reference to the net
+        xs = alg2_prox(decomp, reward.f.value, lam, ys, C, eps,
+                       reward.f.lipschitz,
+                       net=build_net(decomp.r_A, C, params.h).points)
 
     batch = SampleBatch(points=xs, seed=seed_tag,
-                        producer=f"w2_align/{backend}", d=base.d, C=C)
+                        producer=f"w2_align/{backend}", d=base.d)
     obj, se = objective_value(ys, xs, reward, lam)
     return W2AlignResult(ys=ys, batch=batch, objective=obj,
-                         objective_stderr=se)
+                         objective_stderr=se, params=params)

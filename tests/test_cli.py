@@ -169,6 +169,9 @@ def test_align_w2_lowrank_manifest(tmp_path):
                                         eps=0.2, r_A=1)
     assert derived["h"] == pytest.approx(params.h)
     assert derived["eps_P"] == pytest.approx(params.eps_P)
+    assert derived["net_cardinality_bound"] == pytest.approx(
+        params.net_cardinality_bound)
+    assert derived["r_A"] == 1
 
 
 def test_invalid_delta_no_partial_outputs(model_file, kl_reward_file,
@@ -359,6 +362,8 @@ MAXAFF = ('{"type": "lowrank_maxaffine", "A": [[1.0]], '
     ("estimate-z", TWO_ATOMS, None, ["--backend", "mc", "--v", "nan"], 2),
     ("estimate-z", TWO_ATOMS, None, ["--backend", "mc", "--v", "1e308"], 3),
     ("prox-demo", None, QUAD.replace("0.6", "1e308"), ["--y", "0.0"], 4),
+    ("estimate-z", TWO_ATOMS, None, ["--v", "1,abc"], 2),
+    ("prox-demo", None, QUAD, ["--y", "0.5,x"], 2),
 ])
 def test_bad_or_non_finite_input_exit_code(tmp_path, capsys, cmd, model,
                                            reward, extra, code):

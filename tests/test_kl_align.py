@@ -7,8 +7,8 @@ from scipy.spatial import cKDTree
 
 import rewardalign as ra
 from rewardalign.cli import main
-from rewardalign.kl_align import (MixtureProposal, Net, _collapse_net_pieces,
-                                  _serve, proposal_law_discrete)
+from rewardalign.kl_align import (Net, _collapse_net_pieces, _serve,
+                                  proposal_law_discrete)
 from rewardalign.metrics import (QuadratureTilt1D, empirical_to_discrete,
                                  oracle_kl_tilt, tv_discrete,
                                  w2_1d_samples_vs_quantiles)
@@ -94,8 +94,7 @@ class TestBuildNet:
 
 class TestBuildEnvelope:
     def test_worked_abs_example(self):
-        net = Net(points=np.array([[-1.0], [-0.5], [0.0], [0.5], [1.0]]),
-                  h=0.5, k=1, R=1.0)
+        net = Net(points=np.array([[-1.0], [-0.5], [0.0], [0.5], [1.0]]))
         env = ra.build_envelope(abs_function(), net)
         u = np.array([0.25])
         expected = 1 + np.log(2 * np.exp(-0.25) + 1 + 2 * np.exp(0.25))
@@ -131,7 +130,7 @@ class TestBuildEnvelope:
     def test_slope_bound_enforced(self):
         f = abs_function()
         f.lipschitz = 0.5  # lie about L
-        net = Net(points=np.array([[0.8]]), h=1.0, k=1, R=1.0)
+        net = Net(points=np.array([[0.8]]))
         with pytest.raises(ra.ValidationError):
             ra.build_envelope(f, net)
 
@@ -275,9 +274,7 @@ class TestBuildProposal:
         vs = rng.standard_normal((3, 2)) * 0.5
         # log_pi need not come from exact normalizers
         log_pi = np.log([0.2, 0.5, 0.3])
-        prop = MixtureProposal(tilt_vectors=vs, log_zhat=np.zeros(3),
-                               log_pi=log_pi)
-        model = ra.proposal_model(base, prop)
+        model = ra.tilt_exact(base, vs, log_pi)
         assert model.n_components == 6
         for i, v in enumerate(vs):
             # tilt of component j: mean mu_j + Sigma_j v, weight
@@ -413,6 +410,15 @@ class TestSampleKLAligned:
         with pytest.raises(ra.ValidationError):
             ra.sample_kl_aligned(base, np.eye(1), f, eps=eps, delta=0.05,
                                  seed=0, n=10)
+
+    def test_envelope_of_wrong_width_rejected(self):
+        # f.k = 1; an envelope with two slope columns cannot bound f(Ax)
+        base = random_discrete(np.random.default_rng(3), 4, 2)
+        f = ra.make_max_affine([(np.array([1.0]), 0.0)])
+        env = ra.Envelope.from_pieces([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+        with pytest.raises(ra.ValidationError, match="envelope"):
+            ra.sample_kl_aligned(base, [[1.0, 0.0]], f, eps=0.3, delta=0.05,
+                                 seed=0, n=10, envelope=env)
 
     def test_concave_reward_rejected(self):
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
@@ -790,7 +796,7 @@ class TestNetPieceCollapse:
         assert kept.offsets.tobytes() == env.offsets.tobytes()
         # a net envelope whose slopes are already distinct: |u| with a
         # net point at the kink has slopes -1, 0 and +1
-        net = Net(points=np.array([[-1.0], [0.0], [1.0]]), h=0.5, k=1, R=1.0)
+        net = Net(points=np.array([[-1.0], [0.0], [1.0]]))
         env = ra.build_envelope(abs_function(), net)
         kept = _collapse_net_pieces(env)
         assert kept.slopes.tobytes() == env.slopes.tobytes()

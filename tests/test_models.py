@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -520,8 +521,28 @@ def test_envelope_shapes_and_sample_gate():
     assert ra.MaxAffineLowRankReward([[1.0]], [([1.0], 0.0)],
                                      np.inf).f.radius == np.inf
     with pytest.raises(ra.NumericalError):
-        ra.SampleBatch(points=[[0.0], [np.inf]], seed=0, producer="t",
-                       d=1, C=1.0)
+        ra.SampleBatch(points=[[0.0], [np.inf]], seed=0, producer="t", d=1)
+
+
+def test_zero_weight_is_silent():
+    # a zero weight is a valid probability: its log is -inf, taken once at
+    # construction, so scores, densities and tilts print no divide warning
+    twins = [(ra.DiscreteModel([[0.0], [0.5], [1.0]], [0.5, 0.0, 0.5], 1.0),
+              ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)),
+             (ra.GaussianMixtureModel([0.0, 1.0], [[-1.0], [1.0]],
+                                      [[[0.1]], [[0.1]]], 8.0),
+              ra.GaussianMixtureModel([1.0], [[1.0]], [[[0.1]]], 8.0))]
+    x = np.array([[0.2], [0.7]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, twin in twins:
+            assert np.allclose(ra.score(model, 0.5, x),
+                               ra.score(twin, 0.5, x), rtol=1e-12)
+            assert np.allclose(noised_log_density(model, 0.5, x),
+                               noised_log_density(twin, 0.5, x), rtol=1e-12)
+            tilted = ra.tilt_exact(model, [0.3])
+            assert 0.0 in (tilted.probs if isinstance(tilted, ra.DiscreteModel)
+                           else tilted.weights)
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.0, True])

@@ -342,6 +342,10 @@ class TestPushforward:
         lam, eps, C = 0.3, 0.1, base.support_radius
         res = ra.sample_w2_aligned(base, reward, lam=lam, n=40, seed=8,
                                    backend="lowrank", eps=eps)
+        # the schedule the run used: the true rank and the SVD's norm
+        decomp = LowRankDecomp.from_matrix(A)
+        assert res.params == Alg2Params.from_problem(
+            reward.f.lipschitz, decomp.S, lam, C, eps, decomp.r_A)
         gxs = oracle_prox_grid(reward, lam, res.ys, C, resolution=1e-3)
         for y, x, gx in zip(res.ys, res.xs, gxs):
             def val(z):
@@ -355,7 +359,7 @@ class TestPushforward:
         quad = ra.sample_w2_aligned(base, r, lam=0.5, n=60, seed=21,
                                     backend="quad")
         pga = ra.sample_w2_aligned(base, r, lam=0.5, n=60, seed=21,
-                                   backend="pga", tol=1e-10)
+                                   backend="pga")
         assert np.array_equal(quad.ys, pga.ys)
         assert np.max(np.abs(quad.xs - pga.xs)) <= 1e-6
 
@@ -382,7 +386,7 @@ class TestPushforward:
         base = random_discrete(np.random.default_rng(22), 6, 2)
         r = ra.LinearReward([0.4, -0.3])
         res = ra.sample_w2_aligned(base, r, lam=0.5, n=50, seed=23,
-                                   backend="pga", tol=1e-10)
+                                   backend="pga")
         closed = ra.prox_quadratic(np.zeros((2, 2)), r.theta, 0.5, res.ys,
                                    base.support_radius)
         assert np.max(np.abs(res.xs - closed)) <= 1e-8
