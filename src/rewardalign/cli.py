@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 import scipy
@@ -117,7 +118,7 @@ def cmd_align_kl(args) -> int:
     if result.envelope is not None:
         _write_atomic(os.path.join(args.out, "envelope.json"),
                       json.dumps(result.envelope.to_dict(), indent=2))
-    derived = result.params.to_dict() if result.params else {"L": 0.0}
+    derived = asdict(result.params) if result.params else {"L": 0.0}
     _write_manifest(args.out, "manifest.json", config, derived,
                     result.report(), time.perf_counter() - t0)
     print(json.dumps({"out": args.out, **result.report()}, indent=2))
@@ -141,7 +142,7 @@ def cmd_align_w2(args) -> int:
                    "objective_stderr": result.objective_stderr}
     derived = {"backend": args.backend}
     if result.params is not None:
-        derived.update(result.params.to_dict())
+        derived.update(asdict(result.params))
     _write_manifest(args.out, "manifest.json", config, derived, diagnostics,
                     time.perf_counter() - t0)
     print(json.dumps({"out": args.out, **diagnostics}, indent=2))
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     ez.add_argument("--v", required=True, help="comma-separated tilt vector")
     ez.add_argument("--eta", type=float, default=0.1)
     ez.add_argument("--delta", type=float, default=0.05)
-    ez.add_argument("--backend", choices=["exact", "mc", "annealed"],
+    ez.add_argument("--backend", choices=["exact", "mc"],
                     default="exact")
     ez.add_argument("--seed", type=int, default=0)
     ez.set_defaults(fn=cmd_estimate_z)

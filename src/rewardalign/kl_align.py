@@ -15,7 +15,7 @@ candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -207,11 +207,6 @@ class Alg1Params:
     eta: float
     N_rej: int
 
-    def to_dict(self) -> dict:
-        return {"h": self.h, "m": self.m, "B": self.B, "a0": self.a0,
-                "L_a": self.L_a, "rho": self.rho, "eps_lin": self.eps_lin,
-                "eta": self.eta, "N_rej": self.N_rej}
-
 
 def compute_params(L: float, A_opnorm: float, C: float, m: int,
                    eps: float) -> Alg1Params:
@@ -299,15 +294,24 @@ class KLAlignResult:
     params: Alg1Params
     envelope: Envelope
     proposal: MixtureProposal
-    acceptance_rate: float
     fallback_count: int
     proposal_draws: int
-    used_base_shortcut: bool = False
     backend: str = "exact"
     diffusion_steps: int = 0
     eta_used: float = 0.0
     passes: int = 0  # proposal passes (reverse passes on diffusion)
     net_pieces: int = 0  # envelope pieces before the per-slope collapse
+
+    @property
+    def acceptance_rate(self) -> float:
+        """Slots served by an accepted candidate per candidate drawn."""
+        return (len(self.batch) - self.fallback_count) / max(
+            self.proposal_draws, 1)
+
+    @property
+    def used_base_shortcut(self) -> bool:
+        """A reward with L = 0 is the base itself: no schedule was made."""
+        return self.params is None
 
     def report(self) -> dict:
         rep = {"acceptance_rate": self.acceptance_rate,
@@ -322,9 +326,9 @@ class KLAlignResult:
             # the base shortcut and a one-piece envelope estimate none
             if self.backend == "diffusion" and self.proposal.m > 1:
                 rep["eta_used"] = self.eta_used
-                rep["normalizer"] = "mc, exact base draws"
+                rep["normalizer"] = "mc, exact draws"
             rep["net_pieces"] = self.net_pieces
-            rep.update(self.params.to_dict())
+            rep.update(asdict(self.params))
         return rep
 
 
@@ -407,9 +411,8 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         batch = SampleBatch(points=batch.points, seed=seed_tag,
                             producer="kl_align/base_shortcut", d=base.d)
         return KLAlignResult(batch=batch, params=None, envelope=None,
-                             proposal=None, acceptance_rate=1.0,
-                             fallback_count=0, proposal_draws=n,
-                             used_base_shortcut=True, backend=backend,
+                             proposal=None, fallback_count=0,
+                             proposal_draws=n, backend=backend,
                              diffusion_steps=(0 if backend == "exact"
                                               else recommended_steps(eps, C)),
                              passes=1)
@@ -496,9 +499,8 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     batch = SampleBatch(points=pts, seed=seed_tag, producer="kl_align/alg1",
                         d=base.d)
     return KLAlignResult(batch=batch, params=params, envelope=envelope,
-                         proposal=proposal,
-                         acceptance_rate=(n - fallback) / max(draws, 1),
-                         fallback_count=fallback, proposal_draws=draws,
+                         proposal=proposal, fallback_count=fallback,
+                         proposal_draws=draws,
                          backend=backend, diffusion_steps=diff_steps,
                          eta_used=eta_used, passes=passes,
                          net_pieces=net_pieces)

@@ -279,7 +279,8 @@ def oracle_kl_tilt(p: DiscreteModel, reward) -> DiscreteModel:
     """Direct renormalization q_i ~ p_i exp(r(x_i)) (the exact KL optimizer
     on a finite base)."""
     r_vals = np.asarray(reward.value(p.atoms), dtype=float)
-    logits = np.log(p.probs) + r_vals
+    with np.errstate(divide="ignore"):  # an atom of mass 0 keeps mass 0
+        logits = np.log(p.probs) + r_vals
     probs = np.exp(logits - logsumexp(logits))
     return DiscreteModel(p.atoms, probs / probs.sum(), p.support_radius)
 

@@ -40,9 +40,6 @@ class LowDimFunction:
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     convex: bool = False
 
-    def __call__(self, u):
-        return self.value(np.asarray(u, dtype=float))
-
 
 def first_order(f: LowDimFunction, u: np.ndarray):
     """First-order oracle at a point ``(k,)`` or a batch ``(n, k)``:

@@ -1,6 +1,7 @@
 """The linear-tilt primitive: exact tilts of closed-form bases, a
 tilted-score identity for oracle-only bases, approximate tilt sampling,
-and normalizer estimation with exact / Monte Carlo / annealed backends.
+and normalizer estimation in closed form or by Monte Carlo over exact
+draws, as a product of ratios along the tilt.
 
 A tilt is a vector v (d,) or a matrix V (m, d) of m tilts, one per row.
 A pi-mixture of tilts of atoms or a Gaussian mixture is again one model.
@@ -19,6 +20,8 @@ from .models import (DiscreteModel, GaussianMixtureModel, Model,
                      sample_via_diffusion, score_oracle)
 
 MC_SAMPLE_CAP = 10_000_000
+# S stages take over S^3 log(2) / 2 draws (eta_S <= eta / S): no more fit
+MAX_STAGES = int(np.cbrt(2.0 * MC_SAMPLE_CAP / np.log(2.0)))
 
 # Draws per block when a Monte Carlo normalizer sums exp(<v, X>), and
 # entries per (tilts x atoms) or (draws x tilts) temporary (512 KiB).
@@ -168,8 +171,8 @@ def sample_linear_tilt(base, v, eps: float, seed, backend: str = "exact",
 # Normalizer estimation
 # ---------------------------------------------------------------------------
 
-def _mean_exp(model: Model, V, n: int, rng):
-    """Mean of exp(<v_i, X>) per tilt over one stream of n exact draws,
+def _mean_exp(model: Model, V, n: int, rng) -> np.ndarray:
+    """Mean of exp(<v_i, X>) per tilt row over one stream of n exact draws,
     summed in blocks of at most MC_BLOCK draws and TILT_BLOCK terms, so
     memory stays flat in n and m."""
     rows = np.atleast_2d(V)
@@ -178,24 +181,29 @@ def _mean_exp(model: Model, V, n: int, rng):
     for s in range(0, n, block):
         xs = sample_exact(model, min(block, n - s), rng).points
         total += np.exp(xs @ rows.T).sum(axis=0)
-    total /= n
-    return float(total[0]) if np.ndim(V) == 1 else total
+    return total / n
 
 
-def _hoeffding_draws(vc: float, eta: float, delta: float,
-                     stages: int = 1) -> int:
-    """Draws per stage, for ``stages`` stages within MC_SAMPLE_CAP in all
-    (checked before the int: at large vc the count is inf, or NaN over
-    inf stages).  Hoeffding on exp(<v,X>) with range within
-    [e^{-vc}, e^{vc}] and mean at least e^{-vc}; the crude e^{4 vc}
-    covers range^2 / mean^2."""
+def _stage_plan(vc: float, eta: float, delta: float, m: int):
+    """(S, n): the stage count and draws per stream with the fewest draws
+    n (1 + m (S - 1)) in all, checked against MC_SAMPLE_CAP before the int
+    (at large vc every count is inf).  Stage j estimates Z((j+1) v/S) /
+    Z(j v/S) = E_{tilt(j v/S)} exp(<v/S, X>) to relative accuracy
+    eta_S = (1 + eta)^(1/S) - 1 with failure probability delta/S, so the
+    product is within (1 +- eta_S)^S, inside 1 +- eta.  Hoeffding: the
+    crude e^{4 vc/S} covers range^2 / mean^2 of exp(<v/S, X>)."""
+    S = np.arange(1, MAX_STAGES + 1)
+    eta_s = np.expm1(np.log1p(eta) / S)
+    eta_s[0] = eta  # S = 1 is the one-stream mean, to the bit
     with np.errstate(all="ignore"):
-        n = np.ceil(np.exp(4.0 * vc) * np.log(2.0 / delta) / (2.0 * eta**2))
-    total = np.nan_to_num(n * stages, nan=np.inf, posinf=np.inf)
-    if not total <= MC_SAMPLE_CAP:
-        raise BudgetError(f"normalizer needs {total:.3g} draws (cap "
+        n = np.ceil(np.exp(4.0 * vc / S) * np.log(2.0 * S / delta)
+                    / (2.0 * eta_s**2))
+        total = n * (1 + m * (S - 1))
+    best = int(np.argmin(total))
+    if not total[best] <= MC_SAMPLE_CAP:
+        raise BudgetError(f"normalizer needs {total[best]:.3g} draws (cap "
                           f"{MC_SAMPLE_CAP}); reduce ||v||C")
-    return int(n)
+    return best + 1, int(n[best])
 
 
 def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
@@ -203,12 +211,11 @@ def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
     """Estimate log Z_P(v) per tilt to relative accuracy eta on Z, with
     failure probability delta per tilt.
 
-    exact: closed form.  mc: Hoeffding-sized mean of exp(<v_i, X>) over
-    one stream of base draws shared by all tilts, sized for the largest
-    ||v_i||C (a union bound over tilts needs no independence).  annealed
-    (one tilt only): telescoping product of ratio estimates along t_j * v,
-    each under the tilt at the previous stage, so the budget stays flat
-    in ||v||C.
+    exact: closed form.  mc: a product of S ratio estimates along
+    (j/S) v_i with one S for all tilts (``_stage_plan``).  Stage 0 is one
+    stream of base draws shared by all tilts (a union bound over tilts
+    needs no independence); stage j >= 1 draws each tilt from
+    tilt(j v_i/S).  At S = 1 it is one mean of exp(<v_i, X>).
     """
     if not (0.0 < eta < 1.0 and 0.0 < delta < 1.0):
         raise ValidationError("eta and delta must lie in (0,1)")
@@ -216,29 +223,19 @@ def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
     if backend == "exact":
         return NormalizerEstimate(log_value=log_normalizer_exact(base, V),
                                   eta=eta, delta=delta, method="exact")
+    if backend != "mc":
+        raise ValidationError(f"unknown backend {backend!r}")
 
     vc = float(np.linalg.norm(rows, axis=1).max() * base.support_radius)
+    stages, n = _stage_plan(vc, eta, delta, len(rows))
     rng = _rng_from(seed)
-
-    if backend == "mc":
-        n = _hoeffding_draws(vc, eta, delta)
-        return NormalizerEstimate(log_value=np.log(_mean_exp(base, V, n, rng)),
-                                  eta=eta, delta=delta,
-                                  method="mc", n_draws=n)
-
-    if backend == "annealed":
-        if np.ndim(V) != 1:
-            raise ValidationError("the annealed backend takes one tilt vector")
-        v, = rows
-        stages = max(1.0, np.ceil(2.0 * vc))  # inf at huge vc: no int yet
-        n_j = _hoeffding_draws(vc / stages, eta / (2.0 * stages),
-                               delta / stages, stages)
-        stages = int(stages)
-        log_val = 0.0
-        for j in range(stages):
-            stage = tilt_exact(base, (j / stages) * v)
-            log_val += float(np.log(_mean_exp(stage, v / stages, n_j, rng)))
-        return NormalizerEstimate(log_value=log_val, eta=eta, delta=delta,
-                                  method="annealed", n_draws=n_j * stages)
-
-    raise ValidationError(f"unknown backend {backend!r}")
+    steps = rows / stages
+    log_value = np.log(_mean_exp(base, steps, n, rng))
+    for j in range(1, stages):
+        for i, v in enumerate(steps):
+            log_value[i] += np.log(_mean_exp(tilt_exact(base, j * v), v, n,
+                                             rng))[0]
+    return NormalizerEstimate(
+        log_value=float(log_value[0]) if np.ndim(V) == 1 else log_value,
+        eta=eta, delta=delta, method="mc",
+        n_draws=n * (1 + len(rows) * (stages - 1)))

@@ -24,6 +24,10 @@ from .rewards import LowRankReward, QuadraticReward
 from .tilts import sample_linear_tilt
 
 PROX_TIE_TOL = 1e-9
+# Projected gradient ascent stops a row at this gradient-mapping norm and
+# gives up after this many steps
+PGA_TOL = 1e-8
+PGA_MAX_ITER = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +99,7 @@ def prox_quadratic_batch(reward: QuadraticReward, lam: float, ys: np.ndarray,
 # Concave backend (projected gradient ascent)
 # ---------------------------------------------------------------------------
 
-def prox_concave(reward, lam: float, y, C: float, tol: float = 1e-8,
-                 step: float = None, max_iter: int = 200_000) -> np.ndarray:
+def prox_concave(reward, lam: float, y, C: float) -> np.ndarray:
     """Projected gradient ascent on x -> r(x) - lam ||x - y||^2, which is
     2*lam strongly concave for concave r, at a point y (d,) or at every row
     of a batch (n, d).
@@ -104,21 +107,19 @@ def prox_concave(reward, lam: float, y, C: float, tol: float = 1e-8,
     The reward must expose ``value``/``grad`` and be flagged concave.  A
     point is handed to the oracles as (d,), a batch as the (rows, d) block
     of rows still ascending.  Each row keeps its own step size and stall
-    count, and stops when its gradient-mapping norm drops below tol; strong
-    concavity then certifies its objective within tol * 2C of the optimum.
+    count, and stops when its gradient-mapping norm drops below PGA_TOL;
+    strong concavity then certifies its objective within PGA_TOL * 2C of
+    the optimum.  The step starts at 1 / (2 lam_max(B) + 2 lam) for a
+    quadratic and at 1 / (2 lam) for any other reward.
     """
     if getattr(reward, "concave", False) is not True:
         raise ValidationError("prox_concave requires a concave reward oracle")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     _check_prox_args(lam, C, y, reward.d)
-    if not tol > 0:
-        raise ValidationError(f"need tol > 0, got {tol}")
-
-    if step is None:
-        if isinstance(reward, QuadraticReward):
-            step = 1.0 / (2.0 * float(np.linalg.eigvalsh(reward.B)[-1]) + 2.0 * lam)
-        else:
-            step = 1.0 / (2.0 * lam)
+    if isinstance(reward, QuadraticReward):
+        step = 1.0 / (2.0 * float(np.linalg.eigvalsh(reward.B)[-1]) + 2.0 * lam)
+    else:
+        step = 1.0 / (2.0 * lam)
 
     def oracle(fn, x, shape):
         out = np.asarray(fn(x[0] if y.ndim == 1 else x), dtype=float)
@@ -139,10 +140,10 @@ def prox_concave(reward, lam: float, y, C: float, tol: float = 1e-8,
     fx = objective(x, ys)
     steps = np.full(len(x), float(step))
     stalls = np.zeros(len(x), dtype=int)
-    for _ in range(max_iter):
+    for _ in range(PGA_MAX_ITER):
         g = oracle(reward.grad, x, x.shape) - 2.0 * lam * (x - ys)
         x_next = project_ball(x + steps[:, None] * g, C)
-        done = np.linalg.norm(x - x_next, axis=1) / steps <= tol
+        done = np.linalg.norm(x - x_next, axis=1) / steps <= PGA_TOL
         out[live[done]] = x_next[done]
         live, ys, x, x_next, fx, steps, stalls = (
             a[~done] for a in (live, ys, x, x_next, fx, steps, stalls))
@@ -156,11 +157,12 @@ def prox_concave(reward, lam: float, y, C: float, tol: float = 1e-8,
             i = int(np.argmax(stalls))
             raise NumericalError(
                 f"prox_concave stalled: step {steps[i]:.3e}, gradient map "
-                f"{np.linalg.norm(x[i] - x_next[i]) / steps[i]:.3e} > tol {tol}")
+                f"{np.linalg.norm(x[i] - x_next[i]) / steps[i]:.3e} > tol "
+                f"{PGA_TOL}")
         x[~worse] = x_next[~worse]
         fx[~worse] = f_next[~worse]
-    raise NumericalError(f"prox_concave did not reach tol={tol} within "
-                         f"{max_iter} iterations")
+    raise NumericalError(f"prox_concave did not reach tol={PGA_TOL} within "
+                         f"{PGA_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +219,6 @@ class Alg2Params:
         return cls(h=float(h), eps_P=float(eps_P),
                    net_cardinality_bound=float((1.0 + 2.0 * C / h) ** r_A),
                    r_A=int(r_A))
-
-    def to_dict(self) -> dict:
-        return {"h": self.h, "eps_P": self.eps_P,
-                "net_cardinality_bound": self.net_cardinality_bound,
-                "r_A": self.r_A}
 
 
 def reduced_objective(decomp: LowRankDecomp, f, lam: float, y: np.ndarray,

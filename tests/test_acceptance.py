@@ -164,16 +164,13 @@ def test_criterion_07_normalizer_estimation():
         else:
             model = random_gmm(rng, 1, int(rng.integers(1, 3)))
         C = model.support_radius
-        if trial % 5 < 3:
-            vc = float(rng.uniform(0.2, 1.2))
-            backend = "mc"
-        else:
-            vc = float(rng.uniform(1.5, 3.0))
-            backend = "annealed"
+        # the steeper tilts run as products of ratio estimates
+        vc = float(rng.uniform(0.2, 1.2) if trial % 5 < 3
+                   else rng.uniform(1.5, 3.0))
         v = np.array([vc / C]) * (1 if rng.random() < 0.5 else -1)
         est = ra.estimate_normalizer(model, v, eta=eta, delta=delta,
                                      seed=int(rng.integers(2**31)),
-                                     backend=backend)
+                                     backend="mc")
         truth = float(np.exp(ra.tilts.log_normalizer_exact(model, v)))
         hits += abs(est.value - truth) <= eta * truth
         trials += 1
@@ -238,7 +235,7 @@ def test_criterion_09_prox_backends():
                                - (r.b / 2 + lam * y))
         max_kkt = max(max_kkt, resid,
                       abs(nu * (np.linalg.norm(x_closed) - C)))
-        x_pga = ra.prox_concave(r, lam, y, C, tol=1e-10)
+        x_pga = ra.prox_concave(r, lam, y, C)
         max_backend_dev = max(max_backend_dev,
                               float(np.linalg.norm(x_closed - x_pga)))
 

@@ -300,16 +300,26 @@ def test_align_kl_diffusion_one_piece_steep_tilt(model_file, tmp_path):
     assert abs(np.mean(samples > 0.5) - np.exp(3) / (1 + np.exp(3))) < 0.08
 
 
-def test_estimate_z_stochastic_backends(model_file, capsys):
-    for backend in ("mc", "annealed"):
-        rc = main(["estimate-z", "--model", model_file, "--v", "0.8",
-                   "--eta", "0.2", "--delta", "0.1", "--backend", backend,
+def test_estimate_z_stochastic_backend(model_file, capsys):
+    # one stream of base draws at v = 0.8; a product of ratios at v = 3
+    for v in (0.8, 3.0):
+        rc = main(["estimate-z", "--model", model_file, "--v", str(v),
+                   "--eta", "0.2", "--delta", "0.1", "--backend", "mc",
                    "--seed", "1"])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
-        truth = (1 + np.exp(0.8)) / 2
+        truth = (1 + np.exp(v)) / 2
         assert abs(out["value"] - truth) <= 0.4 * truth
         assert out["n_draws"] > 0
+
+
+def test_estimate_z_annealed_backend_gone(model_file, capsys):
+    # the mc backend took over the annealed one's steep tilts
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate-z", "--model", model_file, "--v", "3",
+              "--backend", "annealed"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'annealed'" in capsys.readouterr().err
 
 
 def test_linear_reward_adapter(model_file, tmp_path):
@@ -439,7 +449,7 @@ def test_malformed_reward_file_rejected(tmp_path, capsys, text):
 
 
 def test_estimate_z_wrong_tilt_length_rejected(model_file, capsys):
-    for backend in ("exact", "mc", "annealed"):
+    for backend in ("exact", "mc"):
         rc = main(["estimate-z", "--model", model_file, "--v", "0.1,0.2",
                    "--backend", backend])
         assert rc == 2

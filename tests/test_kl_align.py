@@ -632,7 +632,7 @@ class TestSampleKLAligned:
         assert len(np.unique(res.proposal.tilt_vectors)) == 3
         p_left = np.mean(res.batch.points[:, 0] < -0.25)
         assert abs(p_left - 1.0 / (1.0 + np.exp(-0.5))) < 0.08
-        assert res.report()["normalizer"] == "mc, exact base draws"
+        assert res.report()["normalizer"] == "mc, exact draws"
 
     def test_determinism(self):
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)

@@ -178,6 +178,13 @@ class TestOracles:
         assert tilted.probs == pytest.approx(
             [1 / (1 + np.e), np.e / (1 + np.e)], abs=1e-14)
 
+    def test_kl_tilt_zero_mass_atom(self):
+        # log 0 = -inf is the atom's logit: no divide-by-zero warning
+        p = ra.DiscreteModel([[0.0], [0.5], [1.0]], [0.5, 0.0, 0.5], 1.0)
+        tilted = metrics.oracle_kl_tilt(p, ra.LinearReward([1.0]))
+        assert tilted.probs == pytest.approx(
+            [1 / (1 + np.e), 0.0, np.e / (1 + np.e)], abs=1e-14)
+
     def test_kl_tilt_constant_reward(self):
         rng = np.random.default_rng(8)
         p = random_discrete(rng, 6, 2)

@@ -217,7 +217,9 @@ class TestEstimateNormalizer:
         assert est.n_draws > 50 * MC_BLOCK
         assert peak < 1_000_000
 
-    def test_annealed_agrees_with_exact(self):
+    def test_mc_staged_agrees_with_exact(self):
+        # ||v||C up to 4 on mixtures: the one-stream count passes the cap
+        # at eta = 0.2, so these run as products of ratios
         rng = np.random.default_rng(13)
         for _ in range(3):
             m = random_gmm(rng, 1, 2)
@@ -225,15 +227,44 @@ class TestEstimateNormalizer:
             v = np.array([vc / m.support_radius])
             eta = 0.2
             est = ra.estimate_normalizer(m, v, eta=eta, delta=0.05, seed=rng,
-                                         backend="annealed")
+                                         backend="mc")
             truth = np.exp(log_normalizer_exact(m, v))
             assert abs(est.value - truth) <= 2 * eta * truth
 
-    def test_mc_budget_error(self):
-        m = std_normal_1d()
-        with pytest.raises(ra.BudgetError):
-            ra.estimate_normalizer(m, np.array([1.0]), eta=0.01, delta=0.01,
-                                   seed=0, backend="mc")
+    def test_mc_steep_tilt_within_budget(self):
+        # v = 3 on two atoms: one stream of base draws would need 3e7 draws,
+        # over the cap; the stage plan needs about 3.5e5
+        m, v, eta = two_point(), np.array([3.0]), 0.1
+        assert tilts._stage_plan(3.0, eta, 0.05, 1)[0] > 1
+        est = ra.estimate_normalizer(m, v, eta=eta, delta=0.05, seed=0,
+                                     backend="mc")
+        assert est.n_draws < 1_749_462
+        assert abs(est.value / np.cosh(3.0) - 1) <= eta
+
+    def test_mc_one_stage_is_one_stream(self):
+        # where S = 1 is cheapest, the estimate is one Hoeffding-sized mean
+        # over one stream of base draws, to the bit
+        m = ra.DiscreteModel([[-0.5], [0.25], [1.0]], [0.2, 0.3, 0.5], 1.0)
+        for V in (np.array([0.6]), np.array([[0.2], [-0.7]])):
+            est = ra.estimate_normalizer(m, V, eta=0.1, delta=0.1, seed=4,
+                                         backend="mc")
+            vc = float(np.max(np.abs(V)))
+            assert est.n_draws == int(np.ceil(
+                np.exp(4 * vc) * np.log(2 / 0.1) / (2 * 0.1**2)))
+            want = np.log(_mean_exp(m, V, est.n_draws,
+                                    np.random.default_rng(4)))
+            assert np.array_equal(np.atleast_1d(est.log_value), want)
+
+    # over the cap at every stage count: the plan is checked before any
+    # count becomes an int, over a bounded range of stage counts
+    @pytest.mark.parametrize("m, V, eta, delta", [
+        (std_normal_1d(), np.array([1.0]), 0.01, 0.01),
+        (two_point(), np.array([[4.0], [-4.0], [2.0]]), 0.05, 0.05 / 3),
+        (two_point(), np.array([1e308]), 0.05, 0.05)])
+    def test_mc_budget_error(self, m, V, eta, delta):
+        with np.errstate(over="ignore"), pytest.raises(ra.BudgetError):
+            ra.estimate_normalizer(m, V, eta=eta, delta=delta, seed=0,
+                                   backend="mc")
 
     def test_parameter_gates(self):
         with pytest.raises(ra.ValidationError):
@@ -354,7 +385,17 @@ class TestTiltMatrix:
         want = np.log(np.mean(np.exp(xs @ V.T), axis=0))
         assert np.max(np.abs(est.log_value - want)) <= 1e-12
 
-    def test_annealed_takes_one_tilt(self):
-        with pytest.raises(ra.ValidationError):
-            ra.estimate_normalizer(two_point(), np.ones((2, 1)), eta=0.2,
-                                   delta=0.2, seed=0, backend="annealed")
+    def test_mc_staged_tilt_matrix(self):
+        # three tilts at ||v||C = 3 with the KL diffusion path's eta and
+        # delta/m: one stream would need 1.56e8 draws; the stages share one
+        # S, and each row lands within eta of the closed form
+        m, c = two_point(), 3.0
+        V = np.array([[c], [-c], [c / 2]])
+        eta, delta = 0.05, 0.05 / 3
+        stages, n = tilts._stage_plan(c, eta, delta, 3)
+        assert stages > 1
+        est = ra.estimate_normalizer(m, V, eta=eta, delta=delta, seed=1,
+                                     backend="mc")
+        assert est.n_draws == n * (1 + 3 * (stages - 1)) <= tilts.MC_SAMPLE_CAP
+        err = np.exp(est.log_value - log_normalizer_exact(m, V)) - 1
+        assert np.all(np.abs(err) <= eta)

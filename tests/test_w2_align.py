@@ -27,6 +27,14 @@ class NegAbs:
         return np.array([-np.sign(float(np.atleast_1d(x)[0]))])
 
 
+class OpaqueConcave:
+    """A concave reward seen only through its value and grad oracles."""
+    concave = True
+
+    def __init__(self, reward):
+        self.d, self.value, self.grad = reward.d, reward.value, reward.grad
+
+
 class TestProxQuadratic:
     def test_fig1_map(self):
         r = fig1_reward()
@@ -127,17 +135,17 @@ class TestProxConcave:
             y = rng.standard_normal(d)
             C = float(rng.uniform(0.8, 3.0))
             closed = ra.prox_quadratic(r.B, r.b, lam, y, C)
-            pga = ra.prox_concave(r, lam, y, C, tol=1e-9)
+            pga = ra.prox_concave(r, lam, y, C)
             assert np.linalg.norm(closed - pga) <= 1e-6
 
     def test_constant_reward_projects(self):
         r = ra.QuadraticReward(np.zeros((2, 2)), np.zeros(2))
         y = np.array([3.0, 4.0])
-        x = ra.prox_concave(r, 1.0, y, 1.0, tol=1e-10)
+        x = ra.prox_concave(r, 1.0, y, 1.0)
         assert x == pytest.approx([0.6, 0.8], abs=1e-8)
 
     def test_neg_abs_piecewise(self):
-        x = ra.prox_concave(NegAbs(), 1.0, np.array([2.0]), 10.0, tol=1e-10)
+        x = ra.prox_concave(NegAbs(), 1.0, np.array([2.0]), 10.0)
         assert x == pytest.approx([1.5], abs=1e-8)
         grid = oracle_prox_grid(NegAbs(), 1.0, np.array([2.0]), 10.0, 1e-4)
         assert np.linalg.norm(x - grid) <= 2e-4
@@ -156,29 +164,32 @@ class TestProxConcave:
             lam, C = float(rng.uniform(0.3, 1.5)), 1.0
             # small ys stay inside the ball, large ones are pushed onto it
             ys = rng.standard_normal((40, d)) * np.repeat([0.05, 4.0], 20)[:, None]
-            xs = ra.prox_concave(r, lam, ys, C, tol=1e-10)
+            xs = ra.prox_concave(r, lam, ys, C)
             assert xs.shape == ys.shape
             norms = np.linalg.norm(xs, axis=1)
             assert np.any(norms < C - 1e-6) and np.any(norms > C - 1e-12)
-            rows = np.array([ra.prox_concave(r, lam, y, C, tol=1e-10)
+            rows = np.array([ra.prox_concave(r, lam, y, C)
                              for y in ys])
             assert np.max(np.abs(xs - rows)) <= 1e-12
 
     def test_oversized_step_halves_per_row(self):
-        # from 40 times the safe step, each row halves its own step when its
-        # own objective drops, so rows leave at different step sizes; one
-        # step shared by the batch would change the paths and the results
+        # a concave quadratic behind plain oracles starts at the step
+        # 1/(2 lam), far above its safe 1/(2 lam_max(B) + 2 lam); each row
+        # halves its own step when its own objective drops, so rows leave
+        # at different step sizes; one step shared by the batch would
+        # change the paths and the results
         rng = np.random.default_rng(33)
         M = rng.standard_normal((3, 3))
-        r = ra.QuadraticReward(M @ M.T, rng.standard_normal(3))
+        q = ra.QuadraticReward(20.0 * M @ M.T, rng.standard_normal(3))
+        r = OpaqueConcave(q)
         lam, C = 0.5, 1.0
-        step = 40.0 / (2.0 * np.linalg.eigvalsh(r.B)[-1] + 2.0 * lam)
+        safe = 1.0 / (2.0 * np.linalg.eigvalsh(q.B)[-1] + 2.0 * lam)
+        assert 1.0 / (2.0 * lam) > 100 * safe
         ys = rng.standard_normal((30, 3)) * np.repeat([0.1, 3.0], 15)[:, None]
-        xs = ra.prox_concave(r, lam, ys, C, tol=1e-6, step=step)
-        rows = np.array([ra.prox_concave(r, lam, y, C, tol=1e-6, step=step)
-                         for y in ys])
+        xs = ra.prox_concave(r, lam, ys, C)
+        rows = np.array([ra.prox_concave(r, lam, y, C) for y in ys])
         assert np.max(np.abs(xs - rows)) <= 1e-12
-        closed = ra.prox_quadratic(r.B, r.b, lam, ys, C)
+        closed = ra.prox_quadratic(q.B, q.b, lam, ys, C)
         assert np.max(np.linalg.norm(xs - closed, axis=1)) <= 1e-5
 
     def test_single_point_oracle_refused_on_batch(self):
@@ -193,12 +204,13 @@ class TestProxConcave:
         with pytest.raises(ra.ValidationError, match="batch"):
             ra.prox_concave(r, 0.5, np.array([[0.1, 0.2], [0.0, 0.0]]), 1.0)
 
-    def test_batch_iteration_cap(self):
+    def test_batch_iteration_cap(self, monkeypatch):
         r = ra.QuadraticReward([[1.0, 0.3], [0.3, 0.2]], [0.3, -0.2])
         ys = np.array([[0.5, 0.5], [2.0, -1.0]])
-        assert np.all(np.isfinite(ra.prox_concave(r, 0.5, ys, 1.0, tol=1e-10)))
+        assert np.all(np.isfinite(ra.prox_concave(r, 0.5, ys, 1.0)))
+        monkeypatch.setattr(ra.w2_align, "PGA_MAX_ITER", 2)
         with pytest.raises(ra.NumericalError):
-            ra.prox_concave(r, 0.5, ys, 1.0, tol=1e-10, max_iter=2)
+            ra.prox_concave(r, 0.5, ys, 1.0)
 
 
 class TestAlg2Prox:
