@@ -18,7 +18,6 @@ import time
 from dataclasses import asdict
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import (BudgetError, NumericalError, RewardAlignError,
@@ -49,6 +48,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _write_manifest(out_dir: str, name: str, config: dict, derived: dict,
                     diagnostics: dict, wall_clock: float) -> dict:
+    import scipy  # here, so that importing the CLI loads no scipy
     manifest = {
         "config": config,
         "config_hash": _config_hash(config),

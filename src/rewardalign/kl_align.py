@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import (BudgetError, EnvelopeViolationError, ValidationError,
                      finite)
-from .models import (DiscreteModel, Model, SampleBatch, _logsumexp,
-                     _rng_from, _seed_tag, check_count, recommended_steps,
-                     sample_exact)
+from .models import (DiscreteModel, Model, SampleBatch, _group_rows,
+                     _logsumexp, _rng_from, _seed_tag, check_count,
+                     recommended_steps, sample_exact)
 # bound though unused here: bench/tracer.py wraps it in this module by name
 from .models import sample_via_diffusion  # noqa: F401
 from .rewards import LowDimFunction, first_order
@@ -173,10 +173,7 @@ def _collapse_net_pieces(env: Envelope) -> Envelope:
     dominates the ones it replaces, so f <= G' <= f + 1 + log m' still
     holds.  Same-slope offsets from the net differ by rounding alone.  An
     envelope with distinct slopes comes back as it is."""
-    rows = np.ascontiguousarray(env.slopes)
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
-    _, first, group = np.unique(keys.ravel(), return_index=True,
-                                return_inverse=True)
+    first, group = _group_rows(env.slopes)
     if first.size == env.m:
         return env
     top = np.full(first.size, -np.inf)

@@ -5,7 +5,9 @@ Everything here is exact or refuses: 1D Wasserstein through quantile
 couplings, multivariate empirical W2 through assignment, weighted discrete
 W2 through the transportation LP, KL tilts by direct renormalization, and
 proximal maps by dense grid search.  These ground the acceptance tests, so
-no approximate solver is allowed to stand in.
+no approximate solver is allowed to stand in.  Each function imports the
+scipy routine it uses where it runs, so importing this module (as
+``import rewardalign`` does) loads no scipy.
 """
 
 from __future__ import annotations
@@ -13,12 +15,9 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.special import logsumexp
 
 from .errors import BudgetError, CapabilityError, ValidationError
-from .models import DiscreteModel, project_ball
+from .models import DiscreteModel, _group_rows, project_ball
 
 ASSIGNMENT_CAP = 512
 LP_CELL_CAP = 1 << 22
@@ -49,9 +48,8 @@ def empirical_to_discrete(points: np.ndarray, C: float) -> DiscreteModel:
     """Frequency law of a sample: rows match exactly, by bytes as in
     ``tv_discrete``, through a 1-D sort of one opaque key per row."""
     pts = np.ascontiguousarray(np.atleast_2d(points), dtype=float)
-    keys = pts.view(np.dtype((np.void, pts.itemsize * pts.shape[1])))
-    _, first, counts = np.unique(keys.ravel(), return_index=True,
-                                 return_counts=True)
+    first, group = _group_rows(pts)
+    counts = np.bincount(group)
     return DiscreteModel(pts[first], counts / counts.sum(), C)
 
 
@@ -116,14 +114,15 @@ def _w2_1d(xs, ws, ys, vs) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _transport_constraints(n: int, m: int) -> sparse.csr_matrix:
+def _transport_constraints(n: int, m: int):
     """Row sums then column sums of an n x m plan (raveled row-major) as
-    one sparse equality matrix.
+    one sparse CSR equality matrix.
 
     A pure function of the shape, built once per shape and shared
     read-only: a sweep of small LPs spends a large share of each call on
     building it.
     """
+    from scipy import sparse
     rows_p = sparse.kron(sparse.eye(n), np.ones((1, m)))
     rows_q = sparse.kron(np.ones((1, n)), sparse.eye(m))
     A_eq = sparse.vstack([rows_p, rows_q]).tocsr()
@@ -135,6 +134,7 @@ def _transport_constraints(n: int, m: int) -> sparse.csr_matrix:
 def _lp_transport_cost(px, pw, qx, qw) -> float:
     """Exact optimal squared-cost transport between weighted atom sets via
     the transportation LP (HiGHS)."""
+    from scipy.optimize import linprog
     n, m = len(pw), len(qw)
     if n * m > LP_CELL_CAP:
         raise CapabilityError(f"transport LP with {n * m} cells refused; "
@@ -191,6 +191,7 @@ def w2_empirical(xs: np.ndarray, ys: np.ndarray) -> float:
         raise CapabilityError(
             f"exact multivariate W2 needs equal sizes <= {ASSIGNMENT_CAP}; "
             f"got {n} vs {m}.  Subsample and retry.")
+    from scipy.optimize import linear_sum_assignment
     diff = xs[:, None, :] - ys[None, :, :]
     cost = np.sum(diff * diff, axis=2)
     ridx, cidx = linear_sum_assignment(cost)
@@ -278,6 +279,7 @@ def check_rejection_stability(q: DiscreteModel, q_hat: DiscreteModel, a_fn,
 def oracle_kl_tilt(p: DiscreteModel, reward) -> DiscreteModel:
     """Direct renormalization q_i ~ p_i exp(r(x_i)) (the exact KL optimizer
     on a finite base)."""
+    from scipy.special import logsumexp
     r_vals = np.asarray(reward.value(p.atoms), dtype=float)
     with np.errstate(divide="ignore"):  # an atom of mass 0 keeps mass 0
         logits = np.log(p.probs) + r_vals

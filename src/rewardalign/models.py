@@ -10,11 +10,13 @@ the regime where the density is not available.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import chdtrc
+# numpy would load numpy.random inside the first draw; load it at import
+from numpy.random import Generator, default_rng
 
 from .errors import (ConfigurationError, NumericalError, ValidationError,
                      finite)
@@ -88,6 +90,20 @@ def _probability_vector(name: str, p, n: int) -> tuple:
         return p, np.log(p)
 
 
+def _chi2_tail(d: int, x: float) -> float:
+    """P(chi^2_d > x) for an integer d >= 1 in closed form.  With h = x/2
+    and a = (d mod 2)/2 it is sum_{j < d//2} e^-h h^(j+a) / Gamma(j+a+1),
+    plus erfc(sqrt h) when d is odd.  Each term is formed in the log
+    domain, so none overflows and one underflows only below 1e-308."""
+    h, a = x / 2.0, (d % 2) / 2.0
+    log_h = math.log(h) if h > 0.0 else -math.inf
+    out = math.erfc(math.sqrt(h)) if a else 0.0
+    for j in range(d // 2):
+        p = j + a
+        out += math.exp((p * log_h if p else 0.0) - h - math.lgamma(p + 1.0))
+    return out
+
+
 class GaussianMixtureModel:
     """Gaussian mixture whose untruncated mass outside the support ball is
     negligible (< 1e-10 per a chi-square tail bound).
@@ -149,7 +165,8 @@ class GaussianMixtureModel:
         gap = np.maximum(self.support_radius
                          - np.linalg.norm(self.means, axis=1), 0.0)
         t = gap / np.sqrt(self._eigvals[:, -1])
-        return float(self.weights @ chdtrc(self.d, t * t))
+        return float(self.weights @ [_chi2_tail(self.d, v)
+                                     for v in (t * t).tolist()])
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Untruncated log-density at x (d,) or (n, d), as an (n,) array."""
@@ -277,6 +294,22 @@ def _logsumexp(logw: np.ndarray, axis: int = 0) -> np.ndarray:
                 + np.log(np.exp(logw - shift).sum(axis=axis)))
 
 
+def _group_rows(rows: np.ndarray) -> tuple:
+    """Rows of a 2-D array grouped by exact bytes: each group's first row
+    and each row's group, groups in sorted-key order.  The ``first`` and
+    ``inverse`` of ``np.unique`` on the rows' opaque keys, through a stable
+    sort, without the ``numpy.ma`` import ``np.unique`` can pull in."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    perm = keys.ravel().argsort(kind="stable")
+    ordered = keys.ravel()[perm]
+    new = np.ones(perm.size, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    group = np.empty(perm.size, dtype=np.intp)
+    group[perm] = np.cumsum(new) - 1
+    return perm[new], group
+
+
 def score(model: Model, sigma, x: np.ndarray) -> np.ndarray:
     """Exact score ``grad log p_sigma(x)`` of the noised model at x (d,) or
     (n, d), mirroring its shape: a softmax over the (J, n) log-weights,
@@ -333,10 +366,10 @@ def score_oracle(model: Model) -> ScoreOracle:
 # Exact sampling
 # ---------------------------------------------------------------------------
 
-def _rng_from(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
+def _rng_from(seed) -> Generator:
+    if isinstance(seed, Generator):
         return seed
-    return np.random.default_rng(seed)
+    return default_rng(seed)
 
 
 def _seed_tag(seed) -> int:
@@ -346,7 +379,7 @@ def _seed_tag(seed) -> int:
 
 
 def _sample_gmm_raw(model: GaussianMixtureModel, n: int,
-                    rng: np.random.Generator) -> np.ndarray:
+                    rng: Generator) -> np.ndarray:
     comps = rng.choice(model.n_components, size=n, p=model.weights)
     z = rng.standard_normal((n, model.d))
     out = model.means[comps] + np.einsum("nij,nj->ni", model._chols[comps], z)

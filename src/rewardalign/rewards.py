@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError, finite
-from .models import _logsumexp, _read_spec
+from .models import _group_rows, _logsumexp, _read_spec
 
 # First-order oracles must be valid slightly beyond the declared ball.
 DOMAIN_SLACK = 1e-3
@@ -125,8 +125,9 @@ def make_max_affine(pieces) -> LowDimFunction:
         g = slopes[np.argmax(top, axis=0)]
         tied = np.flatnonzero(top.sum(axis=0) > 1)
         sets = top[:, tied].T  # one row per tied point
-        for t in np.unique(sets, axis=0):  # one hull solve per tie set
-            g[tied[np.all(sets == t, axis=1)]] = _min_norm_in_hull(slopes[t])
+        first, group = _group_rows(sets)
+        for j, i in enumerate(first):  # one hull solve per tie set
+            g[tied[group == j]] = _min_norm_in_hull(slopes[sets[i]])
         return g[0] if u.ndim == 1 else g
 
     return LowDimFunction(value=value, k=k, lipschitz=L, radius=np.inf,

@@ -2,13 +2,13 @@
 
 Each suite runs a seeded sweep of randomized instances against an exact
 oracle or inequality and reports measured slacks.  The test suite calls the
-same functions, so the CLI report and pytest agree by construction.
+same functions, so the CLI report and pytest agree by construction.  scipy
+is imported where a check uses it, as in ``metrics``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import chdtri, logsumexp
 
 from . import metrics
 from .kl_align import (Envelope, _collapse_net_pieces, build_envelope,
@@ -55,6 +55,7 @@ def random_gmm(rng, d, n_components, margin=5.0) -> GaussianMixtureModel:
     """Random mixture, means in [-1.5, 1.5]^d, whose support radius leaves
     ``margin`` of headroom, so moderate exact tilts keep the mass invariant
     satisfied."""
+    from scipy.special import chdtri
     means = rng.uniform(-1.5, 1.5, (n_components, d))
     covs = np.empty((n_components, d, d))
     for j in range(n_components):
@@ -85,6 +86,7 @@ def random_orthogonal_rows(rng, k, d, op_norm=1.0):
 
 def run_envelope_suite(seed: int = 0, n_instances: int = 100,
                        n_points: int = 1000) -> dict:
+    from scipy.special import logsumexp
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -282,6 +284,7 @@ def run_lemma_suite(seed: int = 0, n_instances: int = 200) -> dict:
 # ---------------------------------------------------------------------------
 
 def run_oracle_suite(seed: int = 0) -> dict:
+    from scipy.special import logsumexp
     rng = np.random.default_rng(seed)
     checks = []
 

@@ -6,13 +6,13 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import chdtrc, chdtri, logsumexp
+from scipy.special import chdtri, logsumexp
 from scipy.stats import chi2, multivariate_normal
 
 import rewardalign as ra
 from rewardalign.models import (DIFFUSION_STEP_CAP, SIGMA_MAX, SIGMA_MIN,
-                                _logsumexp, noised_log_density,
-                                recommended_steps)
+                                _chi2_tail, _group_rows, _logsumexp,
+                                noised_log_density, recommended_steps)
 from rewardalign.rewards import make_logsumexp_function
 from rewardalign.validate import random_discrete, random_gmm, random_unit_ball
 
@@ -445,12 +445,17 @@ class TestMixtureChecks:
 
 class TestChiSquareTails:
     def test_special_functions_equal_scipy_stats(self):
-        # the library calls scipy.special directly, which is what chi2.sf
-        # and chi2.isf compute, so the values are the same bytes
-        x = np.linspace(0.0, 120.0, 4001)
-        for d in range(1, 8):
-            assert np.array_equal(chdtrc(d, x), chi2.sf(x, df=d))
+        # the library's closed-form tail against chi2.sf, far into the
+        # tail; random_gmm's scipy.special quantile is chi2.isf's bytes
+        x = np.linspace(0.0, 1000.0, 2001)
+        for d in range(1, 41):
+            tail = [_chi2_tail(d, v) for v in x.tolist()]
+            np.testing.assert_allclose(tail, chi2.sf(x, df=d), rtol=1e-12,
+                                       atol=0)
             assert chdtri(d, 1e-13) == chi2.isf(1e-13, df=d)
+        # e^-x/2 alone underflows here; the log-domain terms do not
+        assert _chi2_tail(2000, 2000.0) == pytest.approx(
+            chi2.sf(2000.0, df=2000), rel=1e-12)
 
     def test_mass_outside_ball_equals_chi2_sf(self):
         rng = np.random.default_rng(3)
@@ -467,11 +472,86 @@ class TestChiSquareTails:
         code = ("import sys, rewardalign, rewardalign.validate, "
                 "rewardalign.metrics; "
                 "print('scipy.stats' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ,
-                                  "PYTHONPATH": os.pathsep.join(sys.path)})
-        assert out.stdout.strip() == "False"
+        assert _run_python(code) == "False"
+
+
+def _run_python(code: str) -> str:
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": os.pathsep.join(sys.path)})
+    return out.stdout.strip()
+
+
+class TestImports:
+    def test_import_leaves_out_scipy(self):
+        # scipy loads on first use of a reference check, never at import
+        code = ("import sys, rewardalign, rewardalign.metrics, "
+                "rewardalign.validate; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        assert _run_python(code) == "[]"
+
+    def test_sampler_passes_import_nothing(self):
+        # a module a pass imports lazily is paid inside the first timed
+        # pass (np.unique pulls in numpy.ma, np.random its generators)
+        code = """
+import sys
+import numpy as np
+import rewardalign as ra
+before = set(sys.modules)
+atoms = ra.DiscreteModel([[-0.5], [0.0], [0.5]], [0.3, 0.3, 0.4], 1.0)
+gmm = ra.GaussianMixtureModel([0.5, 0.5], [[-1.0], [1.0]],
+                              [[[0.1]], [[0.1]]], 4.0)
+tied = ra.make_max_affine([([1.0], 0.0), ([1.0], 0.0), ([-1.0], 0.0)])
+tied.radius = 1.0
+f = ra.make_max_affine([([0.5], 0.0), ([-0.5], 0.1)])
+f.radius = 4.0
+eye = np.eye(1)
+kl = dict(eps=0.5, delta=0.1, n=5)
+ra.sample_kl_aligned(atoms, eye, tied, seed=1, **kl)
+ra.sample_kl_aligned(gmm, eye, f, seed=2, **kl)
+ra.sample_kl_aligned(atoms, eye, tied, seed=3, backend="diffusion", **kl)
+quad = ra.QuadraticReward([[0.4]], [0.3])
+lse = ra.LogSumExpReward([1.0, 0.5], [[1.0], [-0.8]], eye)
+ra.sample_w2_aligned(atoms, quad, lam=0.5, n=5, seed=4, backend="quad")
+ra.sample_w2_aligned(atoms, quad, lam=0.5, n=5, seed=5, backend="pga")
+ra.sample_w2_aligned(atoms, lse, lam=0.3, n=5, seed=6, backend="lowrank",
+                     eps=0.3)
+print(sorted(set(sys.modules) - before))
+"""
+        assert _run_python(code) == "[]"
+
+
+class TestGroupRows:
+    @staticmethod
+    def _unique(rows):
+        rows = np.ascontiguousarray(rows)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+        _, first, group = np.unique(keys.ravel(), return_index=True,
+                                    return_inverse=True)
+        return first, group
+
+    @pytest.mark.parametrize("case", ["repeats", "signed_zero", "ties",
+                                      "empty"])
+    def test_equals_np_unique(self, case):
+        rng = np.random.default_rng(5)
+        if case == "repeats":
+            rows = rng.random((12, 3))[rng.integers(0, 12, 60)]
+        elif case == "signed_zero":
+            # -0.0 == 0.0 as floats, but the bytes differ: two groups
+            rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0],
+                             [-0.0, 1.0], [1.0, -0.0]])
+        elif case == "ties":
+            rows = rng.random((40, 4)) > 0.6
+        else:
+            rows = np.zeros((0, 3), dtype=bool)
+        first, group = _group_rows(rows)
+        want_first, want_group = self._unique(rows)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(group, want_group)
+        if case == "signed_zero":
+            assert first.size == 3
 
 
 def _with_nan(tree):
