@@ -16,8 +16,8 @@ class ValidationError(RewardAlignError):
 
 
 class ConfigurationError(ValidationError):
-    """A model/reward combination that cannot satisfy its invariants
-    (e.g. tilted mixture mass escaping the support ball)."""
+    """A model that cannot satisfy its invariants (e.g. a caller-built
+    mixture whose mass escapes the support ball)."""
 
 
 class BudgetError(RewardAlignError):

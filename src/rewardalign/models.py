@@ -105,12 +105,12 @@ def _chi2_tail(d: int, x: float) -> float:
 
 
 class GaussianMixtureModel:
-    """Gaussian mixture whose untruncated mass outside the support ball is
-    negligible (< 1e-10 per a chi-square tail bound).
-
-    Closed forms (density, score, moment generating function, linear tilt)
-    ignore the truncation; the construction-time mass invariant keeps the
-    induced error below every test tolerance.
+    """Gaussian mixture on the ball B(C), truncated by ``sample_exact``
+    alone.  Closed forms (density, score, linear tilt) ignore the ball, so
+    a caller-built mixture must leave < 1e-10 untruncated mass outside it
+    (a chi-square tail bound, checked at construction).  A derived law
+    (``check_support=False``: a noised mixture, a ``tilt_exact`` tilt)
+    skips it; only its closed forms, which no sampler reads, see leaks.
 
     Attributes:
         weights: (J,) mixture weights.
@@ -127,7 +127,6 @@ class GaussianMixtureModel:
             covs = covs[None, :, :]
         self.covs = covs
         self.support_radius = float(finite("C", support_radius, positive=True))
-        self.support_checked = bool(check_support)
 
         J, d = self.means.shape
         self.weights, self._log_weights = _probability_vector(
@@ -263,12 +262,8 @@ def load_model(path) -> Model:
 # ---------------------------------------------------------------------------
 
 def noised_params(model: GaussianMixtureModel, sigma) -> GaussianMixtureModel:
-    """Parameters of the noised mixture: means a*mu_j, covariances
-    a^2 Sigma_j + sigma^2 I, same weights (a = sqrt(1 - sigma^2)).
-
-    The returned model is not support-checked: noised laws are genuinely
-    unbounded and only the base is required to live in B(C).
-    """
+    """The noised mixture, a derived law (no support check): means a mu_j,
+    covariances a^2 Sigma_j + sigma^2 I, same weights, a = sqrt(1 - sigma^2)."""
     a, s2 = _noise(sigma)
     return GaussianMixtureModel(model.weights, a * model.means,
                                 a * a * model.covs + s2 * np.eye(model.d),
@@ -393,9 +388,9 @@ def check_count(n) -> None:
 
 
 def sample_exact(model: Model, n: int, seed) -> SampleBatch:
-    """i.i.d. exact draws.  Gaussian mixtures are rejected against the
-    support ball (acceptance ~ 1 by the mass invariant); atom sets use a
-    categorical draw."""
+    """i.i.d. exact draws of the model truncated to its ball.  A Gaussian
+    mixture draw outside is redrawn, component and point, whatever mass
+    leaks (ConfigurationError after 1e6 redraws); atoms are categorical."""
     check_count(n)
     rng = _rng_from(seed)
     C = model.support_radius
@@ -405,17 +400,16 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
         pts = model.atoms[idx]
     else:
         pts = _sample_gmm_raw(model, n, rng)
-        if model.support_checked:
-            bad = np.linalg.norm(pts, axis=1) > C
-            failures = 0
-            while np.any(bad):
-                failures += int(bad.sum())
-                if failures > 10**6:
-                    raise ConfigurationError(
-                        "rejection against the support ball failed 1e6 times; "
-                        "support radius too tight for this mixture")
-                pts[bad] = _sample_gmm_raw(model, int(bad.sum()), rng)
-                bad[bad] = np.linalg.norm(pts[bad], axis=1) > C
+        bad = np.linalg.norm(pts, axis=1) > C
+        failures = 0
+        while np.any(bad):
+            failures += int(bad.sum())
+            if failures > 10**6:
+                raise ConfigurationError(
+                    "rejection against the support ball failed 1e6 times; "
+                    "support radius too tight for this mixture")
+            pts[bad] = _sample_gmm_raw(model, int(bad.sum()), rng)
+            bad[bad] = np.linalg.norm(pts[bad], axis=1) > C
 
     return SampleBatch(points=pts, seed=_seed_tag(seed),
                        producer=f"sample_exact/{type(model).__name__}",

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ValidationError, finite
+from .errors import NumericalError, ValidationError, finite
 from .models import _group_rows, _logsumexp, _read_spec
 
 # First-order oracles must be valid slightly beyond the declared ball.
@@ -41,12 +41,27 @@ class LowDimFunction:
     convex: bool = False
 
 
+def oracle_answer(out, rows: int, k: int = None) -> np.ndarray:
+    """The one gate of oracle answers: ``out`` as (rows,) values, or (rows,
+    k) subgradients given k (a point is one row).  ValidationError unless
+    one entry per queried row, NumericalError on NaN; +-inf passes."""
+    out = np.asarray(out, dtype=float)
+    shape = (rows, k) if k else (rows,)
+    if out.size != rows * (k or 1) or (k and out.shape[-1:] != (k,)):
+        raise ValidationError(
+            f"oracle answered {rows} queried row(s) with shape {out.shape}; "
+            f"a batch (n, k) needs (n,) values and (n, k) subgradients")
+    if np.isnan(out.min(initial=np.inf)):  # NaN propagates; no temporary
+        raise NumericalError(f"oracle answered NaN to {rows} queried row(s)")
+    return out.reshape(shape)
+
+
 def first_order(f: LowDimFunction, u: np.ndarray):
     """First-order oracle at a point ``(k,)`` or a batch ``(n, k)``:
     ``(f(u), g)`` as ``(float, (k,))`` or ``((n,), (n, k))``, g a
-    subgradient.  The one check of oracle answers: raises without a
-    subgradient oracle, outside the domain ball (with its small validity
-    margin), on answers not shaped like the query, or where |g| > L > 0."""
+    subgradient.  Raises without a subgradient oracle, outside the domain
+    ball (with its small validity margin), where |g| > L > 0, and where
+    ``oracle_answer`` refuses an answer."""
     u = np.asarray(u, dtype=float)
     rows = np.atleast_2d(u)
     if f.grad is None:
@@ -55,17 +70,13 @@ def first_order(f: LowDimFunction, u: np.ndarray):
     if norm > f.radius * (1.0 + DOMAIN_SLACK) + 1e-12:
         raise ValidationError(f"first-order query at norm {norm:.6g} outside "
                               f"the declared ball of radius {f.radius:.6g}")
-    val = np.asarray(f.value(u), dtype=float)
-    g = np.asarray(f.grad(u), dtype=float)
-    if g.shape != u.shape or val.size != len(rows):
-        raise ValidationError(
-            f"oracle answered a {u.shape} query with values {val.shape} and "
-            f"subgradients {g.shape}; a batch (n, k) needs (n,) and (n, k)")
-    g_norm = np.linalg.norm(np.atleast_2d(g), axis=1).max(initial=0.0)
+    val = oracle_answer(f.value(u), len(rows))
+    g = oracle_answer(f.grad(u), len(rows), rows.shape[1])
+    g_norm = np.linalg.norm(g, axis=1).max(initial=0.0)
     if f.lipschitz > 0 and g_norm > f.lipschitz * (1 + 1e-9):
         raise ValidationError(f"subgradient norm {g_norm:.6g} exceeds the "
                               f"declared Lipschitz constant {f.lipschitz:.6g}")
-    return (float(val), g) if u.ndim == 1 else (val.reshape(-1), g)
+    return (float(val[0]), g[0]) if u.ndim == 1 else (val, g)
 
 
 def _min_norm_in_hull(vectors: np.ndarray) -> np.ndarray:

@@ -83,8 +83,10 @@ def tilt_exact(model: Model, V, log_pi=None) -> Model:
 
     Atoms are reweighted.  Tilt i moves mixture component j to mean
     mu_j + Sigma_j v_i with weight pi_i * w'_ij and the same Sigma_j: m*J
-    components, tilt-major, support mass re-checked.
-    """
+    components, tilt-major, no support check.  As e^{<v,x>} N(x; mu_j,
+    Sigma_j) = M_j(v) N(x; mu_j + Sigma_j v, Sigma_j), ``sample_exact``
+    draws p 1_B sum_i (pi_i / Z_i) e^{<v_i, x>} (Z_i untruncated): the
+    truncated base's tilt, or envelope tilt if pi_i ~ e^{b_i} Z_i."""
     V = _tilt_rows(model, V)
     log_pi = np.zeros(len(V)) if log_pi is None else np.asarray(log_pi, float)
     if log_pi.shape != (len(V),) or not np.isfinite(log_pi.max()):
@@ -104,7 +106,7 @@ def tilt_exact(model: Model, V, log_pi=None) -> Model:
     return GaussianMixtureModel(weights / weights.sum(),
                                 means.reshape(-1, model.d),
                                 np.tile(model.covs, (len(V), 1, 1)),
-                                model.support_radius)
+                                model.support_radius, check_support=False)
 
 
 def log_normalizer_exact(model: Model, V):

@@ -20,7 +20,7 @@ from .models import (Model, SampleBatch, _rng_from, _seed_tag, check_count,
                      project_ball)
 # bound though unused here: bench/tracer.py wraps them in this module by name
 from .models import sample_exact, sample_via_diffusion  # noqa: F401
-from .rewards import LowRankReward, QuadraticReward
+from .rewards import LowRankReward, QuadraticReward, oracle_answer
 from .tilts import sample_linear_tilt
 
 PROX_TIE_TOL = 1e-9
@@ -121,17 +121,9 @@ def prox_concave(reward, lam: float, y, C: float) -> np.ndarray:
     else:
         step = 1.0 / (2.0 * lam)
 
-    def oracle(fn, x, shape):
-        out = np.asarray(fn(x[0] if y.ndim == 1 else x), dtype=float)
-        if out.size != np.prod(shape):
-            raise ValidationError(
-                f"reward oracle returned shape {out.shape} for {len(x)} "
-                f"point(s); a batch needs oracles that take (n, d)")
-        return out.reshape(shape)
-
     def objective(x, yr):
-        return (oracle(reward.value, x, len(x))
-                - lam * np.sum((x - yr) ** 2, axis=1))
+        fx = reward.value(x[0] if y.ndim == 1 else x)
+        return oracle_answer(fx, len(x)) - lam * np.sum((x - yr) ** 2, axis=1)
 
     ys = np.atleast_2d(y)
     out = np.empty_like(ys)
@@ -141,7 +133,8 @@ def prox_concave(reward, lam: float, y, C: float) -> np.ndarray:
     steps = np.full(len(x), float(step))
     stalls = np.zeros(len(x), dtype=int)
     for _ in range(PGA_MAX_ITER):
-        g = oracle(reward.grad, x, x.shape) - 2.0 * lam * (x - ys)
+        g = oracle_answer(reward.grad(x[0] if y.ndim == 1 else x), len(x),
+                          x.shape[1]) - 2.0 * lam * (x - ys)
         x_next = project_ball(x + steps[:, None] * g, C)
         done = np.linalg.norm(x - x_next, axis=1) / steps <= PGA_TOL
         out[live[done]] = x_next[done]
@@ -229,7 +222,7 @@ def reduced_objective(decomp: LowRankDecomp, f, lam: float, y: np.ndarray,
     u_y = decomp.V1.T @ y
     w_norm = float(np.linalg.norm(decomp.V0.T @ y))
     rho = np.sqrt(np.maximum(C**2 - np.sum(us**2, axis=1), 0.0))
-    fvals = np.asarray(f(us * decomp.Sigma @ decomp.U.T), dtype=float)
+    fvals = oracle_answer(f(us * decomp.Sigma @ decomp.U.T), len(us))
     return fvals - lam * (np.sum((us - u_y) ** 2, axis=1)
                           + np.maximum(w_norm - rho, 0.0) ** 2)
 
@@ -269,7 +262,7 @@ def alg2_prox(decomp: LowRankDecomp, f, lam: float, y, C: float, eps: float,
     if net is None:
         params = Alg2Params.from_problem(L, decomp.S, lam, C, eps, decomp.r_A)
         net = build_net(decomp.r_A, C, params.h).points
-    fvals = np.asarray(f(net * decomp.Sigma @ decomp.U.T), dtype=float)
+    fvals = oracle_answer(f(net * decomp.Sigma @ decomp.U.T), len(net))
     sq = np.sum(net**2, axis=1)
     rho = np.sqrt(np.maximum(C**2 - sq, 0.0))
     order = np.argsort(rho)
@@ -314,7 +307,7 @@ def objective_value(ys: np.ndarray, xs: np.ndarray, reward, lam: float):
     along the produced coupling; lower-bounds the alignment objective."""
     ys = np.atleast_2d(ys)
     xs = np.atleast_2d(xs)
-    vals = (np.asarray(reward.value(xs), dtype=float)
+    vals = (oracle_answer(reward.value(xs), len(xs))
             - lam * np.sum((xs - ys) ** 2, axis=1))
     n = len(vals)
     stderr = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0

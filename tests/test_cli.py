@@ -6,7 +6,9 @@ import pytest
 
 import rewardalign as ra
 from rewardalign.cli import fig1_base, fig1_reward, main, reproduce_fig1
-from rewardalign.models import DIFFUSION_STEP_CAP, recommended_steps
+from rewardalign import tilts
+from rewardalign.models import (DIFFUSION_STEP_CAP, SUPPORT_MASS_TOL,
+                                recommended_steps)
 
 
 @pytest.fixture
@@ -311,6 +313,40 @@ def test_estimate_z_stochastic_backend(model_file, capsys):
         truth = (1 + np.exp(v)) / 2
         assert abs(out["value"] - truth) <= 0.4 * truth
         assert out["n_draws"] > 0
+
+
+def test_align_kl_fig1_steep_linear_reward(gmm_file, tmp_path, capsys):
+    # theta = 4 moves the fig-1 mode past the 1e-10 mass budget of C = 8:
+    # the derived proposal is truncated by its draws, not refused (exit 2)
+    reward = tmp_path / "lin4.json"
+    reward.write_text(json.dumps({"type": "linear", "theta": [4.0]}))
+    out_dir = str(tmp_path / "lin4")
+    rc = main(["align-kl", "--model", gmm_file, "--reward", str(reward),
+               "--n", "2000", "--seed", "1", "--out", out_dir])
+    assert rc == 0, capsys.readouterr().err
+    samples = np.loadtxt(os.path.join(out_dir, "samples.csv"), delimiter=",",
+                         skiprows=1)
+    assert np.all(np.abs(samples) <= 8.0)
+
+
+def test_estimate_z_mc_stages_past_the_mass_budget(tmp_path, capsys):
+    # N(0, 0.1) on C = 2.2 at ||v||C = 4.5: the last of mc's S stage
+    # tilts leaks more than 1e-10 of its mass, and its draws are truncated
+    spec = {"type": "gmm", "weights": [1.0], "means": [[0.0]],
+            "covs": [[[0.1]]], "C": 2.2}
+    S, _ = tilts._stage_plan(4.5, 0.1, 0.05, 1)
+    last = ra.tilt_exact(ra.model_from_dict(spec), [(S - 1) / S * 4.5 / 2.2])
+    assert last.mass_outside_ball() >= SUPPORT_MASS_TOL
+    model = tmp_path / "tight.json"
+    model.write_text(json.dumps(spec))
+    out = {}
+    for backend in ("exact", "mc"):
+        rc = main(["estimate-z", "--model", str(model), "--v",
+                   repr(4.5 / 2.2), "--eta", "0.1", "--delta", "0.05",
+                   "--backend", backend, "--seed", "0"])
+        assert rc == 0
+        out[backend] = json.loads(capsys.readouterr().out)
+    assert abs(out["mc"]["value"] / out["exact"]["value"] - 1.0) <= 0.1
 
 
 def test_estimate_z_annealed_backend_gone(model_file, capsys):

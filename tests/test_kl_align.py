@@ -6,7 +6,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import rewardalign as ra
-from rewardalign.cli import main
+from rewardalign.cli import fig1_base, main
 from rewardalign.kl_align import (Net, _collapse_net_pieces, _serve,
                                   proposal_law_discrete)
 from rewardalign.metrics import (QuadratureTilt1D, empirical_to_discrete,
@@ -621,6 +621,23 @@ class TestSampleKLAligned:
         w2 = w2_1d_samples_vs_quantiles(res.batch.points[:, 0], truth.ppf)
         assert w2 <= 0.02
         assert res.envelope.m > 1
+
+    def test_fig1_steep_slope_both_backends(self):
+        # slope 6 on the fig-1 base: the tilted mode leaks about 1e-5 of
+        # its mass past C = 8, which once refused the exact backend only
+        base = fig1_base()
+        f = ra.make_max_affine([(np.array([6.0]), 0.0)])
+        truth = QuadratureTilt1D(base, ra.LinearReward([6.0]))
+        w2 = {}
+        for backend, n in (("exact", 10**5), ("diffusion", 2000)):
+            res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.3,
+                                       delta=0.05, seed=3, n=n,
+                                       backend=backend)
+            pts = res.batch.points[:, 0]
+            assert np.all(np.abs(pts) <= 8.0)
+            w2[backend] = w2_1d_samples_vs_quantiles(pts, truth.ppf)
+        assert w2["exact"] <= 0.02
+        assert w2["diffusion"] <= 0.1
 
     def test_diffusion_backend_distinct_tilts(self):
         # |u| on atoms {-1, 0.5}: the envelope's pieces tilt by -1, 0 and

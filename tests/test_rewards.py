@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import rewardalign as ra
 from rewardalign.kl_align import build_net
-from rewardalign.rewards import DOMAIN_SLACK, make_logsumexp_function
+from rewardalign.rewards import (DOMAIN_SLACK, make_logsumexp_function,
+                                 oracle_answer)
 from rewardalign.validate import random_maxaffine, random_unit_ball
 
 
@@ -136,6 +138,91 @@ class TestFirstOrder:
                               radius=1.0)
         with pytest.raises(ra.ValidationError):
             ra.first_order(f, np.array([0.0]))
+
+
+def scalar_answer(value):
+    """A value oracle that answers any query with one number."""
+    return lambda x: float(np.ravel(value(x))[0])
+
+
+def nan_answer(value):
+    """A value oracle whose answer at the first queried row is NaN."""
+    def broken(x):
+        out = np.array(value(x), dtype=float, ndmin=1)
+        out[0] = np.nan
+        return out
+    return broken
+
+
+def kl_explicit_envelope(breaks):
+    base = ra.DiscreteModel([[-0.5], [0.0], [0.5]], [0.3, 0.3, 0.4], 1.0)
+    reward = ra.LogSumExpReward([1.0, 1.0], [[1.0], [-1.0]], [[1.0]])
+    f = dataclasses.replace(reward.f, value=breaks(reward.f.value))
+    env = ra.Envelope.from_pieces(*reward.envelope_pieces())
+    ra.sample_kl_aligned(base, reward.A, f, eps=0.3, delta=0.05, seed=1,
+                         n=100, envelope=env)
+
+
+def first_order_batch(breaks):
+    f = abs_function()
+    f.radius = 1.0
+    ra.first_order(dataclasses.replace(f, value=breaks(f.value)),
+                   np.array([[0.5], [-0.2], [0.1]]))
+
+
+def alg2_prox_batch(breaks):
+    f = ra.make_max_affine([(np.array([1.0]), 0.0)])
+    ra.alg2_prox(ra.LowRankDecomp.from_matrix([[1.0, 0.0]]),
+                 breaks(f.value), lam=1.0, y=np.array([[0.0, 0.5],
+                                                       [0.3, -0.2]]),
+                 C=1.0, eps=0.1, L=1.0)
+
+
+def linear_reward(breaks):
+    r = ra.LinearReward([0.3, -0.2])
+    r.value = breaks(r.value)
+    return r
+
+
+def prox_concave_batch(breaks):
+    ra.prox_concave(linear_reward(breaks), 0.5,
+                    np.array([[0.1, 0.2], [0.0, 0.0]]), 1.0)
+
+
+def objective_value_batch(breaks):
+    ys = np.array([[0.1, 0.2], [0.0, 0.0]])
+    ra.objective_value(ys, ys, linear_reward(breaks), 0.5)
+
+
+GATED_SITES = [kl_explicit_envelope, first_order_batch, alg2_prox_batch,
+               prox_concave_batch, objective_value_batch]
+
+
+class TestOracleAnswerGate:
+    """Every consumer of a reward oracle's answers goes through
+    ``oracle_answer``: a batch answered with one number is a validation
+    error (exit 2), a NaN answer a numerical one (exit 4)."""
+
+    @pytest.mark.parametrize("site", GATED_SITES, ids=lambda s: s.__name__)
+    def test_scalar_answer_to_a_batch(self, site):
+        with pytest.raises(ra.ValidationError, match=r"batch \(n, k\)"):
+            site(scalar_answer)
+
+    @pytest.mark.parametrize("site", GATED_SITES, ids=lambda s: s.__name__)
+    def test_nan_answer(self, site):
+        with pytest.raises(ra.NumericalError, match="NaN"):
+            site(nan_answer)
+
+    def test_shapes(self):
+        assert oracle_answer(2.5, 1).shape == (1,)
+        assert oracle_answer(np.ones((3, 1)), 3).shape == (3,)
+        assert oracle_answer(np.ones(2), 1, 2).shape == (1, 2)
+        with pytest.raises(ra.ValidationError):  # (k, n) for (n, k)
+            oracle_answer(np.ones((2, 3)), 3, 2)
+        with pytest.raises(ra.ValidationError):
+            oracle_answer(np.ones(4), 3)
+        out = oracle_answer([np.inf, -np.inf], 2)  # +-inf is the caller's
+        assert np.array_equal(out, [np.inf, -np.inf])
 
 
 class TestMaxAffine:

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 import rewardalign as ra
 from rewardalign import tilts
+from rewardalign.metrics import QuadratureTilt1D, w2_1d_samples_vs_quantiles
 from rewardalign.models import recommended_steps
 from rewardalign.tilts import MC_BLOCK, _mean_exp, log_normalizer_exact
 from rewardalign.validate import random_gmm
@@ -57,10 +58,17 @@ class TestTiltExact:
         assert np.max(np.abs(lhs.means - rhs.means)) < 1e-10
         assert np.max(np.abs(lhs.weights - rhs.weights)) < 1e-10
 
-    def test_escaping_tilt_rejected(self):
-        # a huge tilt drives the mean outside the ball's mass budget
-        with pytest.raises(ra.ConfigurationError):
-            ra.tilt_exact(std_normal_1d(C=8.0), np.array([4.0]))
+    def test_escaping_tilt_is_truncated(self):
+        # the tilt's mean sits 4 sd inside the ball, past the 1e-10 mass
+        # budget of a caller-built mixture: the derived law is built, and
+        # sample_exact draws the tilt of the truncated base
+        base = std_normal_1d(C=8.0)
+        tilted = ra.tilt_exact(base, np.array([4.0]))
+        assert tilted.mass_outside_ball() >= ra.models.SUPPORT_MASS_TOL
+        pts = ra.sample_exact(tilted, 10**5, 5).points[:, 0]
+        assert np.all(np.abs(pts) <= 8.0)
+        truth = QuadratureTilt1D(base, ra.LinearReward([4.0]))
+        assert w2_1d_samples_vs_quantiles(pts, truth.ppf) <= 0.02
 
 
 class TestTiltedScore:
