@@ -26,18 +26,10 @@ from .models import (DiscreteModel, Model, SampleBatch, _group_rows,
                      recommended_steps, sample_exact)
 # bound though unused here: bench/tracer.py wraps it in this module by name
 from .models import sample_via_diffusion  # noqa: F401
-from .rewards import LowDimFunction, first_order, oracle_answer
+from .rewards import AffinePieces, LowDimFunction, first_order, oracle_answer
 from .tilts import estimate_normalizer, sample_linear_tilt, tilt_exact
 
 NET_CARDINALITY_CAP = 1_000_000
-
-# Scores per block in Envelope.value (128 KiB of float64, inside L2, reused
-# by the allocator from block to block).  A block of at least m rows
-# (m <= 128) is piece-major; the two layouts measured even near m = 180.
-# A block holds at least ENVELOPE_MIN_ROWS rows, so at large m the
-# per-block Python cost stays small against its exponentials.
-ENVELOPE_BLOCK = 16384
-ENVELOPE_MIN_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -95,29 +87,13 @@ def build_net(k: int, R: float, h: float) -> Net:
     return Net(points=points[fresh])
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(AffinePieces):
     """Log-sum-exp upper envelope G(u) = 1 + log sum_i exp(b_i + <z_i, u>)
     built from supporting hyperplanes; satisfies f <= G <= f + 1 + log m
     on the net's ball.  ``sample_kl_aligned`` keeps one net piece per
     distinct slope, so there the bounds hold with m' <= m pieces."""
 
-    slopes: np.ndarray   # (m, k)
-    offsets: np.ndarray  # (m,)
-
-    def __post_init__(self):
-        slopes = np.atleast_2d(finite("envelope slopes", self.slopes))
-        offsets = finite("envelope offsets", self.offsets)
-        m = len(slopes)
-        if slopes.ndim != 2 or offsets.shape != (m,) or m == 0:
-            raise ValidationError("an envelope needs slopes (m, k) and "
-                                  "offsets (m,), m >= 1")
-        object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "offsets", offsets)
-
-    @property
-    def m(self) -> int:
-        return self.slopes.shape[0]
+    what = "envelope"
 
     @property
     def gap_bound(self) -> float:
@@ -130,28 +106,8 @@ class Envelope:
         return float(np.exp(-self.gap_bound))
 
     def value(self, u: np.ndarray) -> np.ndarray:
-        """G at a point (k,) or a batch (n, k).
-
-        Rows go in blocks of about ``ENVELOPE_BLOCK`` scores, so the score
-        array stays cache-sized.  A block of at least m rows is piece-major,
-        (m, rows), and otherwise row-major, (rows, m): the max, exp, sum and
-        log run along its longer axis, which numpy reduces fastest."""
-        u = np.asarray(u, dtype=float)
-        rows = np.atleast_2d(u)
-        out = np.empty(rows.shape[0])
-        step = max(ENVELOPE_MIN_ROWS, ENVELOPE_BLOCK // self.m)
-        axis = 0 if step >= self.m else 1
-        offsets = self.offsets[:, None] if axis == 0 else self.offsets
-        for s in range(0, rows.shape[0], step):
-            scores = (self.slopes @ rows[s:s + step].T if axis == 0
-                      else rows[s:s + step] @ self.slopes.T)
-            scores += offsets
-            top = scores.max(axis=axis, keepdims=True)
-            scores -= top
-            np.exp(scores, out=scores)
-            out[s:s + step] = (1.0 + top.ravel()
-                               + np.log(scores.sum(axis=axis)))
-        return float(out[0]) if u.ndim == 1 else out
+        """G at a point (k,) or a batch (n, k), as (1 + top) + log(sum)."""
+        return self.log_sum_exp(u, plus=1.0)
 
     def to_dict(self) -> dict:
         return {"slopes": self.slopes.tolist(),

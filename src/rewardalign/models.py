@@ -390,7 +390,7 @@ def check_count(n) -> None:
 def sample_exact(model: Model, n: int, seed) -> SampleBatch:
     """i.i.d. exact draws of the model truncated to its ball.  A Gaussian
     mixture draw outside is redrawn, component and point, whatever mass
-    leaks (ConfigurationError after 1e6 redraws); atoms are categorical."""
+    leaks (ConfigurationError past 1e6 + 10 n redraws); atoms: categorical."""
     check_count(n)
     rng = _rng_from(seed)
     C = model.support_radius
@@ -404,10 +404,10 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
         failures = 0
         while np.any(bad):
             failures += int(bad.sum())
-            if failures > 10**6:
+            if failures > 10**6 + 10 * n:
                 raise ConfigurationError(
-                    "rejection against the support ball failed 1e6 times; "
-                    "support radius too tight for this mixture")
+                    f"rejection against the support ball failed {failures} "
+                    f"times for n = {n}; support radius too tight")
             pts[bad] = _sample_gmm_raw(model, int(bad.sum()), rng)
             bad[bad] = np.linalg.norm(pts[bad], axis=1) > C
 

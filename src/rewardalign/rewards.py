@@ -107,6 +107,74 @@ def _min_norm_in_hull(vectors: np.ndarray) -> np.ndarray:
     return best if best is not None else vectors[0].copy()
 
 
+# Scores per block of rows (128 KiB of float64, inside L2); at least
+# BLOCK_MIN_ROWS rows, so at large m the per-block Python cost stays small.
+BLOCK_SCORES = 16384
+BLOCK_MIN_ROWS = 16
+
+
+@dataclass(frozen=True)
+class AffinePieces:
+    """Affine pieces <s_i, u> + c_i: slopes (m, k) and offsets (m,), m >= 1,
+    every entry finite, checked here alone.  The pieces of a max-affine f,
+    of a log-sum-exp f and of the KL envelope, evaluated in row blocks."""
+
+    slopes: np.ndarray   # (m, k)
+    offsets: np.ndarray  # (m,)
+    what = "affine-piece"  # names the pieces in error messages
+
+    def __post_init__(self):
+        slopes = np.atleast_2d(finite(f"{self.what} slopes", self.slopes))
+        offsets = finite(f"{self.what} offsets", self.offsets)
+        if (slopes.ndim != 2 or offsets.shape != (len(slopes),)
+                or not offsets.size):
+            raise ValidationError(
+                f"{self.what} slopes (m, k) and offsets (m,) need m >= 1 and "
+                f"one offset per slope, got {slopes.shape}, {offsets.shape}")
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "offsets", offsets)
+
+    @property
+    def m(self) -> int:
+        return self.slopes.shape[0]
+
+    def _in_blocks(self, u, block, *shape) -> np.ndarray:
+        """``block`` on blocks of the rows of a point (k,) or a batch (n, k);
+        its (rows,) + shape answers as (n,) + shape, or the point's row."""
+        u = np.asarray(u, dtype=float)
+        rows = np.atleast_2d(u)
+        out = np.empty((len(rows),) + shape)
+        step = max(BLOCK_MIN_ROWS, BLOCK_SCORES // self.m)
+        for s in range(0, len(rows), step):
+            out[s:s + step] = block(rows[s:s + step])
+        return out if u.ndim != 1 else out[0] if shape else float(out[0])
+
+    def _scores(self, rows: np.ndarray) -> np.ndarray:
+        """Scores of a block as (m, rows): piece-major while a block holds at
+        least m rows (m^2 <= BLOCK_SCORES), else a row-major product seen
+        transposed, so every reduction over axis 0 runs along the longer
+        axis, which numpy reduces fastest (even near m = 180)."""
+        scores = (self.slopes @ rows.T if self.m ** 2 <= BLOCK_SCORES
+                  else (rows @ self.slopes.T).T)
+        scores += self.offsets[:, None]
+        return scores
+
+    def max(self, u) -> np.ndarray:
+        """max_i (<s_i, u> + c_i) at a point (k,) or a batch (n, k)."""
+        return self._in_blocks(u, lambda rows: self._scores(rows).max(axis=0))
+
+    def log_sum_exp(self, u, plus: float = 0.0) -> np.ndarray:
+        """plus + log sum_i exp(<s_i, u> + c_i) at a point (k,) or a batch
+        (n, k), max-shifted and added as (plus + top) + log(sum)."""
+        def block(rows):
+            scores = self._scores(rows)
+            top = scores.max(axis=0)
+            scores -= top
+            np.exp(scores, out=scores)
+            return (plus + top) + np.log(scores.sum(axis=0))
+        return self._in_blocks(u, block)
+
+
 def make_max_affine(pieces) -> LowDimFunction:
     """Convex max of affine pieces ``f(u) = max_i (<s_i, u> + c_i)``.
 
@@ -114,58 +182,44 @@ def make_max_affine(pieces) -> LowDimFunction:
     hull of the maximizing slopes (so |.| at 0 yields 0), which makes runs
     reproducible.  L is ``max_i ||s_i||``.
     """
-    if len(pieces) == 0:
-        raise ValidationError("need at least one affine piece")
-    slopes = np.atleast_2d(finite("max-affine slopes", [p[0] for p in pieces]))
-    offsets = finite("max-affine offsets", [p[1] for p in pieces])
-    k = slopes.shape[1]
-    L = float(np.max(np.linalg.norm(slopes, axis=1)))
+    aff = AffinePieces([p[0] for p in pieces], [p[1] for p in pieces])
+    k = aff.slopes.shape[1]
 
-    # values piece-major, (p, n): numpy reduces over the long axis fastest
-    def value(u):
-        u = np.asarray(u, dtype=float)
-        vals = slopes @ np.atleast_2d(u).T
-        vals += offsets[:, None]  # in place: one (p, n) temporary, not two
-        out = vals.max(axis=0)
-        return float(out[0]) if u.ndim == 1 else out
-
-    def grad(u):
-        u = np.asarray(u, dtype=float)
-        vals = slopes @ np.atleast_2d(u).T + offsets[:, None]
-        top = vals >= vals.max(axis=0) - 1e-12
-        g = slopes[np.argmax(top, axis=0)]
+    def grad_block(rows):
+        scores = aff._scores(rows)
+        top = scores >= scores.max(axis=0) - 1e-12
+        g = aff.slopes[np.argmax(top, axis=0)]
         tied = np.flatnonzero(top.sum(axis=0) > 1)
         sets = top[:, tied].T  # one row per tied point
         first, group = _group_rows(sets)
         for j, i in enumerate(first):  # one hull solve per tie set
-            g[tied[group == j]] = _min_norm_in_hull(slopes[sets[i]])
-        return g[0] if u.ndim == 1 else g
+            g[tied[group == j]] = _min_norm_in_hull(aff.slopes[sets[i]])
+        return g
 
-    return LowDimFunction(value=value, k=k, lipschitz=L, radius=np.inf,
-                          grad=grad, convex=True)
+    L = float(np.linalg.norm(aff.slopes, axis=1).max())
+    return LowDimFunction(value=aff.max, k=k, lipschitz=L, radius=np.inf,
+                          grad=lambda u: aff._in_blocks(u, grad_block, k),
+                          convex=True)
 
 
 def make_logsumexp_function(weights, slopes) -> LowDimFunction:
-    """Smooth convex ``f(u) = log sum_i w_i exp(<z_i, u>)`` with exact
-    gradient (softmax-weighted slope average); values piece-major."""
-    w = finite("log-sum-exp weights", weights, positive=True)
-    z = np.atleast_2d(finite("log-sum-exp slopes", slopes))
-    logw = np.log(w)
-    L = float(np.max(np.linalg.norm(z, axis=1)))
+    """Smooth convex ``f(u) = log sum_i w_i exp(<z_i, u>)``, the log-sum-exp
+    of the pieces (z_i, log w_i), with exact gradient (softmax-weighted
+    slope average)."""
+    aff = AffinePieces(slopes, np.log(finite("log-sum-exp weights", weights,
+                                             positive=True)))
+    z, logw = aff.slopes, aff.offsets
 
-    def value(u):
-        u = np.asarray(u, dtype=float)
-        out = _logsumexp(z @ np.atleast_2d(u).T + logw[:, None], axis=0)
-        return float(out[0]) if u.ndim == 1 else out
+    def grad_block(rows):
+        # (rows, 1, k): one vector-matrix product per row, so a point and
+        # the same row of a batch agree bit for bit
+        s = rows[:, None, :] @ z.T + logw
+        return (np.exp(s - _logsumexp(s, axis=-1)[..., None]) @ z)[:, 0]
 
-    def grad(u):
-        # (.., 1, k) rows: one vector-matrix product per row, as for a point
-        u = np.asarray(u, dtype=float)[..., None, :]
-        s = u @ z.T + logw
-        return (np.exp(s - _logsumexp(s, axis=-1)[..., None]) @ z)[..., 0, :]
-
-    return LowDimFunction(value=value, k=z.shape[1], lipschitz=L,
-                          radius=np.inf, grad=grad, convex=True)
+    return LowDimFunction(
+        value=aff.log_sum_exp, k=z.shape[1],
+        lipschitz=float(np.linalg.norm(z, axis=1).max()), radius=np.inf,
+        grad=lambda u: aff._in_blocks(u, grad_block, z.shape[1]), convex=True)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +308,9 @@ class LogSumExpReward(LowRankReward):
     """r(x) = log sum_i w_i exp(<z_i, Ax>), convex and smooth."""
 
     def __init__(self, weights, slopes, A):
+        super().__init__(A, make_logsumexp_function(weights, slopes))
         self.weights = np.asarray(weights, dtype=float)
         self.slopes = np.atleast_2d(np.asarray(slopes, dtype=float))
-        super().__init__(A, make_logsumexp_function(weights, slopes))
 
     def envelope_pieces(self):
         """Exact log-sum-exp pieces (slopes, log-weights) of this reward."""

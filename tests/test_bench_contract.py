@@ -21,3 +21,17 @@ def test_tracer_installs_and_restores():
     with Installed(Tracer(), []):
         assert kl_align.build_proposal is not build_proposal
     assert kl_align.build_proposal is build_proposal
+
+
+def test_traced_kl_call_reaches_the_envelope_and_reward_oracles():
+    # the per-layer metrics kl_align.envelope_value.* and rewards.value.*
+    # read these wrappers; a refactor that bypassed them would zero them
+    import rewardalign as ra
+    base = ra.DiscreteModel([[0.0], [0.5], [1.0]], [0.2, 0.3, 0.5], 1.0)
+    f = ra.make_max_affine([([1.0], 0.0), ([-1.0], 0.2)])
+    tracer = Tracer()
+    with Installed(tracer, [f]):
+        res = ra.sample_kl_aligned(base, [[1.0]], f, 0.3, 0.05, seed=0, n=20)
+    assert res.net_pieces > 1  # a net envelope, not an explicit one
+    for name in ("kl_align.envelope_value", "rewards.value"):
+        assert tracer.get(name).calls >= 1, name

@@ -386,6 +386,11 @@ TWO_ATOMS = ('{"type": "discrete", "atoms": [[0.0], [0.5]], '
 QUAD = '{"type": "quadratic", "B": [[0.15]], "b": [0.6]}'
 MAXAFF = ('{"type": "lowrank_maxaffine", "A": [[1.0]], '
           '"pieces": [[[1.0], 0.0]], "L": 1.0, "R": 1.0}')
+# log-sum-exp weights and slopes of different lengths
+LSE_2W_1Z = ('{"type": "logsumexp", "w": [1.0, 0.5], "z": [[1.0]], '
+             '"A": [[1.0]]}')
+LSE_3W_2Z = ('{"type": "logsumexp", "w": [1.0, 0.5, 2.0], '
+             '"z": [[1.0], [-1.0]], "A": [[1.0]]}')
 
 
 @pytest.mark.parametrize("cmd, model, reward, extra, code", [
@@ -405,6 +410,9 @@ MAXAFF = ('{"type": "lowrank_maxaffine", "A": [[1.0]], '
     ("align-kl", '{"type": "discrete", "atoms": [[0.0]], "probs": [1.0], '
      '"C": 0}', MAXAFF, [], 2),
     ("align-kl", TWO_ATOMS.replace("0.0", "NaN"), MAXAFF, [], 2),
+    ("align-w2", TWO_ATOMS, LSE_2W_1Z, ["lowrank"], 2),
+    ("align-kl", TWO_ATOMS, LSE_2W_1Z, [], 2),
+    ("align-kl", TWO_ATOMS, LSE_3W_2Z, [], 2),
     ("estimate-z", TWO_ATOMS, None, ["--backend", "mc", "--v", "nan"], 2),
     ("estimate-z", TWO_ATOMS, None, ["--backend", "mc", "--v", "1e308"], 3),
     ("prox-demo", None, QUAD.replace("0.6", "1e308"), ["--y", "0.0"], 4),

@@ -160,8 +160,8 @@ class TestBuildEnvelope:
     def test_value_in_blocks_matches_logsumexp(self, m, k):
         # m <= 128 runs piece-major blocks, larger m row-major ones; the
         # rows fill two blocks and spill one row into a third
-        from rewardalign.kl_align import ENVELOPE_BLOCK, ENVELOPE_MIN_ROWS
-        step = max(ENVELOPE_MIN_ROWS, ENVELOPE_BLOCK // m)
+        from rewardalign.rewards import BLOCK_MIN_ROWS, BLOCK_SCORES
+        step = max(BLOCK_MIN_ROWS, BLOCK_SCORES // m)
         rng = np.random.default_rng(11)
         env = ra.Envelope.from_pieces(rng.standard_normal((m, k)),
                                       rng.standard_normal(m))

@@ -252,6 +252,17 @@ class TestSampleExact:
         with pytest.raises(ra.ConfigurationError):
             ra.GaussianMixtureModel([1.0], [[0.0]], [[[1.0]]], 2.0)
 
+    def test_redraw_cap_scales_with_n(self):
+        # the right mode on the sphere: about half the mass leaks, so about
+        # two tries per draw, and 2e6 draws make about 2e6 redraws
+        half_out = ra.tilt_exact(fig1_gmm(), [6 / 0.49])
+        pts = ra.sample_exact(half_out, 2 * 10**6, 3).points
+        assert np.abs(pts).max() <= 8.0
+        # slope 20 leaves about 3e-8 of its mass in the ball: refused
+        gone = ra.tilt_exact(fig1_gmm(), [20.0])
+        with pytest.raises(ra.ConfigurationError, match="support ball"):
+            ra.sample_exact(gone, 1000, 3)
+
     def test_seed_recorded(self):
         m = ra.DiscreteModel([[-1.0], [1.0]], [0.5, 0.5], 1.0)
         oracle = ra.score_oracle(m)
@@ -586,6 +597,19 @@ def test_nan_in_any_constructor_entry_rejected(build, args):
     for bad in variants:
         with pytest.raises(ra.ValidationError, match="finite|inf"):
             build(*bad)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: ra.make_max_affine([([1.0], 0.0), ([1.0, 2.0], 0.0)]), "slopes"),
+    (lambda: ra.DiscreteModel([[0.0], [0.5, 1.0]], [0.5, 0.5], 1.0), "atoms"),
+    (lambda: ra.LinearReward("ab"), "theta"),
+    (lambda: ra.QuadraticReward([[1.0]], [{}], 0.0), "b"),
+], ids=["max-affine", "atoms", "theta", "b"])
+def test_ragged_or_non_numeric_entry_rejected(build, name):
+    # numpy cannot read these as one float array: a validation error
+    # naming the input, not numpy's ValueError or TypeError
+    with pytest.raises(ra.ValidationError, match=name):
+        build()
 
 
 def test_envelope_shapes_and_sample_gate():

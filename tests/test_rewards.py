@@ -367,6 +367,41 @@ class TestLogSumExp:
             assert np.allclose(vals, direct, rtol=0, atol=1e-12)
         assert f.value(u[3]) == pytest.approx(direct[3], rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("w, z", [([1.0, 0.5], [[1.0]]),
+                                      ([1.0, 0.5, 2.0], [[1.0], [-1.0]])])
+    def test_weights_and_slopes_of_different_lengths_rejected(self, w, z):
+        with pytest.raises(ra.ValidationError, match="one offset per slope"):
+            make_logsumexp_function(w, z)
+        with pytest.raises(ra.ValidationError, match="one offset per slope"):
+            ra.LogSumExpReward(w, z, [[1.0]])
+
+
+def _piece_evaluations():
+    rng = np.random.default_rng(5)
+    S, c = rng.normal(size=(200, 2)), rng.normal(size=200)
+    maxaff = ra.make_max_affine(list(zip(S, c)))
+    lse = make_logsumexp_function(np.exp(c), S)
+    return {"envelope value": ra.Envelope(S, c).value,
+            "max-affine value": maxaff.value,
+            "max-affine first_order": lambda u: ra.first_order(maxaff, u),
+            "log-sum-exp value": lse.value,
+            "log-sum-exp grad": lse.grad}
+
+
+@pytest.mark.parametrize("name", list(_piece_evaluations()))
+def test_piece_evaluations_run_in_bounded_blocks(name):
+    # 200 pieces x 20,000 rows (k = 2): one (m, n) score array alone would
+    # take 32 MB, a block of about 16,384 scores 128 KiB
+    evaluate = _piece_evaluations()[name]
+    u = np.random.default_rng(6).normal(size=(20_000, 2))
+    tracemalloc.start()
+    try:
+        evaluate(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
 
 class TestJson:
     def test_round_trips(self):
