@@ -12,9 +12,8 @@ from .models import (DiscreteModel, GaussianMixtureModel, SampleBatch,
                      project_ball, sample_exact, sample_via_diffusion, score,
                      score_oracle)
 from .rewards import (LinearReward, LogSumExpReward, LowDimFunction,
-                      LowRankReward, MaxAffineLowRankReward, QuadraticReward,
-                      first_order, load_reward, make_max_affine,
-                      reward_from_dict)
+                      LowRankReward, QuadraticReward, first_order,
+                      load_reward, make_max_affine, reward_from_dict)
 from .tilts import (NormalizerEstimate, estimate_normalizer,
                     sample_linear_tilt, tilt_exact, tilted_score)
 from .kl_align import (Alg1Params, Envelope, MixtureProposal, Net,

@@ -86,12 +86,9 @@ def _as_lowrank(reward) -> LowRankReward:
     if isinstance(reward, LowRankReward):
         return reward
     if isinstance(reward, LinearReward):
-        norm = float(np.linalg.norm(reward.theta))
-        if norm == 0.0:
-            return LowRankReward(np.zeros((1, reward.d)),
-                                 make_max_affine([(np.zeros(1), 0.0)]))
-        f = make_max_affine([(np.array([norm]), 0.0)])
-        return LowRankReward(reward.theta[None, :] / norm, f)
+        norm = float(np.linalg.norm(reward.theta))  # 0: A = 0, f = 0
+        return LowRankReward(reward.theta[None, :] / (norm or 1.0),
+                             make_max_affine([(np.array([norm]), 0.0)]))
     raise ValidationError(
         "KL alignment needs a low-rank convex reward (lowrank_maxaffine, "
         "logsumexp, or linear); quadratic rewards are outside this sampler")

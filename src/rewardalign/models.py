@@ -18,8 +18,8 @@ import numpy as np
 # numpy would load numpy.random inside the first draw; load it at import
 from numpy.random import Generator, default_rng
 
-from .errors import (ConfigurationError, NumericalError, ValidationError,
-                     finite)
+from .errors import (CapabilityError, ConfigurationError, NumericalError,
+                     ValidationError, finite)
 
 # Untruncated mass allowed outside the support ball at construction time.
 SUPPORT_MASS_TOL = 1e-10
@@ -225,6 +225,14 @@ class DiscreteModel:
 Model = Union[GaussianMixtureModel, DiscreteModel]
 
 
+def closed_form(model) -> Model:
+    """``model`` if a Gaussian mixture or atoms: the one check of exact
+    draws, tilts and normalizers (a ScoreOracle has scores alone)."""
+    if not isinstance(model, (GaussianMixtureModel, DiscreteModel)):
+        raise CapabilityError(f"{type(model).__name__} has no closed forms")
+    return model
+
+
 def model_from_dict(spec: dict) -> Model:
     """Build a model from its JSON document form."""
     if not isinstance(spec, dict):
@@ -348,6 +356,9 @@ class ScoreOracle:
     def __call__(self, sigma: float, x: np.ndarray) -> np.ndarray:
         return self.fn(sigma, x)
 
+    # C, under the name the samplers read a model's ball radius by
+    support_radius = property(lambda self: self.C)
+
 
 def score_oracle(model: Model) -> ScoreOracle:
     """Closed-form score oracle of a model (Gaussian mixture or atoms)."""
@@ -392,8 +403,8 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
     mixture draw outside is redrawn, component and point, whatever mass
     leaks (ConfigurationError past 1e6 + 10 n redraws); atoms: categorical."""
     check_count(n)
+    C = closed_form(model).support_radius
     rng = _rng_from(seed)
-    C = model.support_radius
 
     if isinstance(model, DiscreteModel):
         idx = rng.choice(model.n_atoms, size=n, p=model.probs)

@@ -31,6 +31,8 @@ class LowDimFunction:
     (a (1, k) product against an (n, k) one): compare them with a
     tolerance.  ``lipschitz`` is the declared constant on the ball of
     radius ``radius``; oracles must remain valid on radius*(1 + 1e-3).
+    ``pieces``, ``reduction`` ("max" or "logsumexp"): f's own pieces, set
+    by its builder alone (None on a black box), never read off the oracles.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -39,6 +41,8 @@ class LowDimFunction:
     radius: float
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     convex: bool = False
+    pieces: Optional[AffinePieces] = None
+    reduction: Optional[str] = None
 
 
 def oracle_answer(out, rows: int, k: int = None) -> np.ndarray:
@@ -199,7 +203,7 @@ def make_max_affine(pieces) -> LowDimFunction:
     L = float(np.linalg.norm(aff.slopes, axis=1).max())
     return LowDimFunction(value=aff.max, k=k, lipschitz=L, radius=np.inf,
                           grad=lambda u: aff._in_blocks(u, grad_block, k),
-                          convex=True)
+                          convex=True, pieces=aff, reduction="max")
 
 
 def make_logsumexp_function(weights, slopes) -> LowDimFunction:
@@ -219,7 +223,8 @@ def make_logsumexp_function(weights, slopes) -> LowDimFunction:
     return LowDimFunction(
         value=aff.log_sum_exp, k=z.shape[1],
         lipschitz=float(np.linalg.norm(z, axis=1).max()), radius=np.inf,
-        grad=lambda u: aff._in_blocks(u, grad_block, z.shape[1]), convex=True)
+        grad=lambda u: aff._in_blocks(u, grad_block, z.shape[1]), convex=True,
+        pieces=aff, reduction="logsumexp")
 
 
 # ---------------------------------------------------------------------------
@@ -295,47 +300,33 @@ class LowRankReward:
         self.k, self.d = self.A.shape
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        u = x @ self.A.T
-        return self.f.value(u)
+        return self.f.value(np.asarray(x, dtype=float) @ self.A.T)
 
     def to_dict(self):
-        raise ValidationError("black-box low-rank rewards are not serializable; "
-                              "use the max-affine or logsumexp forms")
+        """The spec of either piece form, from ``f.pieces``; no R if inf."""
+        f, p = self.f, self.f.pieces
+        if p is None:
+            raise ValidationError("a black-box f has no pieces to serialize")
+        if f.reduction == "logsumexp":  # the spec's own w: exp(log w) != w
+            w = getattr(self, "weights", np.exp(p.offsets))
+            return {"type": "logsumexp", "w": w.tolist(),
+                    "z": p.slopes.tolist(), "A": self.A.tolist()}
+        pieces = zip(p.slopes.tolist(), p.offsets.tolist())
+        spec = {"type": "lowrank_maxaffine", "A": self.A.tolist(),
+                "pieces": [list(sc) for sc in pieces], "L": f.lipschitz}
+        return spec if f.radius == np.inf else {**spec, "R": f.radius}
 
 
 class LogSumExpReward(LowRankReward):
-    """r(x) = log sum_i w_i exp(<z_i, Ax>), convex and smooth."""
+    """r(x) = log sum_i w_i exp(<z_i, Ax>), convex and smooth; keeps w."""
 
     def __init__(self, weights, slopes, A):
         super().__init__(A, make_logsumexp_function(weights, slopes))
         self.weights = np.asarray(weights, dtype=float)
-        self.slopes = np.atleast_2d(np.asarray(slopes, dtype=float))
 
     def envelope_pieces(self):
         """Exact log-sum-exp pieces (slopes, log-weights) of this reward."""
-        return self.slopes.copy(), np.log(self.weights)
-
-    def to_dict(self):
-        return {"type": "logsumexp", "w": self.weights.tolist(),
-                "z": self.slopes.tolist(), "A": self.A.tolist()}
-
-
-class MaxAffineLowRankReward(LowRankReward):
-    """Serializable low-rank reward with a max-affine f."""
-
-    def __init__(self, A, pieces, radius=None):
-        f = make_max_affine(pieces)
-        f.radius = np.inf if radius is None else float(radius)
-        if not f.radius > 0:  # inf: no declared ball
-            raise ValidationError(f"R must be positive or inf, got {radius}")
-        super().__init__(A, f)
-        self.pieces = [(np.asarray(s, dtype=float), float(c)) for s, c in pieces]
-
-    def to_dict(self):
-        return {"type": "lowrank_maxaffine", "A": self.A.tolist(),
-                "pieces": [[s.tolist(), c] for s, c in self.pieces],
-                "L": self.f.lipschitz, "R": self.f.radius}
+        return self.f.pieces.slopes.copy(), self.f.pieces.offsets.copy()
 
 
 def reward_from_dict(spec: dict):
@@ -349,16 +340,19 @@ def reward_from_dict(spec: dict):
         if kind == "quadratic":
             return QuadraticReward(spec["B"], spec["b"], spec.get("c", 0.0))
         if kind == "lowrank_maxaffine":
-            pieces = [(p[0], p[1]) for p in spec["pieces"]]
-            r = MaxAffineLowRankReward(spec["A"], pieces, spec.get("R"))
+            f = make_max_affine([(p[0], p[1]) for p in spec["pieces"]])
+            R = spec.get("R")  # absent or null: no declared ball
+            f.radius = np.inf if R is None else float(R)
+            if not f.radius > 0:
+                raise ValidationError(f"R must be positive or inf, got {R}")
             if "L" in spec:
                 declared = float(finite("L", spec["L"]))
-                if not declared + 1e-12 >= r.f.lipschitz:
+                if not declared + 1e-12 >= f.lipschitz:
                     raise ValidationError(
                         f"declared L={declared} below the max piece slope "
-                        f"{r.f.lipschitz:.6g}")
-                r.f.lipschitz = declared
-            return r
+                        f"{f.lipschitz:.6g}")
+                f.lipschitz = declared
+            return LowRankReward(spec["A"], f)
         if kind == "logsumexp":
             return LogSumExpReward(spec["w"], spec["z"], spec["A"])
     except (LookupError, TypeError, ValueError) as exc:

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError, finite
+from .errors import BudgetError, NumericalError, ValidationError, finite
 from .models import (DiscreteModel, GaussianMixtureModel, Model,
                      SampleBatch, ScoreOracle, _logsumexp, _noise,
-                     _rng_from, recommended_steps, sample_exact,
-                     sample_via_diffusion, score_oracle)
+                     _rng_from, closed_form, recommended_steps,
+                     sample_exact, sample_via_diffusion, score_oracle)
 
 MC_SAMPLE_CAP = 10_000_000
 # S stages take over S^3 log(2) / 2 draws (eta_S <= eta / S): no more fit
@@ -40,9 +40,9 @@ class NormalizerEstimate:
     method: str
     n_draws: int = 0
 
-    def __post_init__(self):
-        if not np.all(np.asarray(self.log_value) > -np.inf):
-            raise ValidationError("normalizer estimate must be positive")
+    def __post_init__(self):  # finite input, exp over- or underflowed
+        if not np.all(np.isfinite(self.log_value)):
+            raise NumericalError("log normalizer is not finite")
 
     @property
     def value(self):
@@ -52,8 +52,8 @@ class NormalizerEstimate:
 
 def _tilt_rows(model: Model, V) -> np.ndarray:
     """V as a finite (m, d) tilt matrix; one tilt (d,) is the m = 1 case."""
-    V = finite("tilt", V)
-    if V.shape[-1:] != (model.d,) or V.ndim not in (1, 2) or V.size == 0:
+    V, d = finite("tilt", V), closed_form(model).d
+    if V.shape[-1:] != (d,) or V.ndim not in (1, 2) or V.size == 0:
         raise ValidationError("tilt vector dimension mismatch")
     return np.atleast_2d(V)
 
@@ -153,9 +153,7 @@ def sample_linear_tilt(base, v, eps: float, seed, backend: str = "exact",
         raise ValidationError(f"a tilt on the {backend} backend has shape "
                               f"{' or '.join(map(str, shapes[backend]))}")
 
-    if backend == "exact":
-        if not isinstance(base, (GaussianMixtureModel, DiscreteModel)):
-            raise ValidationError("exact backend needs a closed-form model")
+    if backend == "exact":  # both check that base has closed forms
         return sample_exact(base if v is None else tilt_exact(base, v), n,
                             seed)
 

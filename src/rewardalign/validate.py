@@ -15,8 +15,8 @@ from .kl_align import (Envelope, _collapse_net_pieces, build_envelope,
                        build_net, build_proposal, proposal_law_discrete)
 from .models import (DiscreteModel, GaussianMixtureModel, sample_exact,
                      score, score_oracle, noised_log_density)
-from .rewards import (LinearReward, LogSumExpReward, LowDimFunction,
-                      QuadraticReward, make_max_affine)
+from .rewards import (LinearReward, LowDimFunction, QuadraticReward,
+                      make_logsumexp_function, make_max_affine)
 from .tilts import tilt_exact, tilted_score
 
 
@@ -162,12 +162,11 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
         k = int(rng.integers(1, min(d, 2) + 1))
         m = int(rng.integers(1, 6))
         A = random_orthogonal_rows(rng, k, d, op_norm=1.0)
-        reward = LogSumExpReward(rng.uniform(0.2, 2.0, m),
-                                 rng.standard_normal((m, k)), A)
-        env = Envelope.from_pieces(*reward.envelope_pieces())
-        xs = random_unit_ball(rng, 100, d)
-        u = xs @ A.T
-        acc = np.exp(np.asarray(reward.f.value(u)) - env.value(u))
+        f = make_logsumexp_function(rng.uniform(0.2, 2.0, m),
+                                    rng.standard_normal((m, k)))
+        env = Envelope.from_pieces(f.pieces.slopes, f.pieces.offsets)
+        u = random_unit_ball(rng, 100, d) @ A.T
+        acc = np.exp(np.asarray(f.value(u)) - env.value(u))
         worst_dev = max(worst_dev, float(np.max(np.abs(acc - np.exp(-1.0)))))
     checks.append({"name": "logsumexp_self_reward",
                    "passed": worst_dev <= 1e-12, "max_dev": worst_dev})

@@ -12,6 +12,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 from tracer import Installed, Tracer  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 from rewardalign import kl_align  # noqa: E402
 
@@ -35,3 +36,11 @@ def test_traced_kl_call_reaches_the_envelope_and_reward_oracles():
     assert res.net_pieces > 1  # a net envelope, not an explicit one
     for name in ("kl_align.envelope_value", "rewards.value"):
         assert tracer.get(name).calls >= 1, name
+
+
+def test_every_workload_builds_at_smoke_size():
+    # construction only: a library name a workload calls that is renamed
+    # or unbound fails here, not only in the benchmark's own tests
+    for name, build in WORKLOADS.items():
+        wl = build(0, smoke=True)
+        assert wl.name == name and wl.calls and wl.rewards

@@ -415,6 +415,11 @@ LSE_3W_2Z = ('{"type": "logsumexp", "w": [1.0, 0.5, 2.0], '
     ("align-kl", TWO_ATOMS, LSE_3W_2Z, [], 2),
     ("estimate-z", TWO_ATOMS, None, ["--backend", "mc", "--v", "nan"], 2),
     ("estimate-z", TWO_ATOMS, None, ["--backend", "mc", "--v", "1e308"], 3),
+    # log Z = v^2 var / 2 overflows to +inf; <v, x> to -inf on every atom
+    ("estimate-z", '{"type": "gmm", "weights": [1.0], "means": [[0.0]], '
+     '"covs": [[[0.01]]], "C": 1.0}', None, ["--v", "1e200"], 4),
+    ("estimate-z", '{"type": "discrete", "atoms": [[2.0], [3.0]], '
+     '"probs": [0.5, 0.5], "C": 3.0}', None, ["--v=-1e308"], 4),
     ("prox-demo", None, QUAD.replace("0.6", "1e308"), ["--y", "0.0"], 4),
     ("estimate-z", TWO_ATOMS, None, ["--v", "1,abc"], 2),
     ("prox-demo", None, QUAD, ["--y", "0.5,x"], 2),
@@ -440,6 +445,30 @@ def test_bad_or_non_finite_input_exit_code(tmp_path, capsys, cmd, model,
     assert "nan" not in capsys.readouterr().out.lower()
     for name in ("samples.csv", "pairs.csv"):
         assert not os.path.exists(os.path.join(out_dir, name))
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("align-kl", []),
+    ("align-w2", ["--lambda", "0.15", "--backend", "lowrank"]),
+])
+def test_manifest_without_R_is_strict_json(model_file, tmp_path, cmd, extra):
+    # no R declares no ball: the serialized spec leaves R out
+    spec = {"type": "lowrank_maxaffine", "A": [[1.0]],
+            "pieces": [[[1.0], 0.0]]}
+    reward = tmp_path / "noR.json"
+    reward.write_text(json.dumps(spec))
+    out_dir = str(tmp_path / "out")
+    assert main([cmd, "--model", model_file, "--reward", str(reward),
+                 "--n", "20", "--out", out_dir] + extra) == 0
+
+    def reject(name):
+        raise AssertionError(f"non-JSON constant {name}")
+
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        manifest = json.loads(fh.read(), parse_constant=reject)
+    assert manifest["config"]["reward"] == {**spec, "L": 1.0}
+    back = ra.reward_from_dict(manifest["config"]["reward"])
+    assert back.f.radius == np.inf
 
 
 def test_model_spec_missing_key_rejected(tmp_path, capsys):

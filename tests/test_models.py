@@ -584,7 +584,9 @@ def _abs_f():
     (ra.QuadraticReward, ([[1.0, 0.0], [0.0, 2.0]], [0.5, 1.0], 0.2)),
     (lambda A: ra.LowRankReward(A, _abs_f()), ([[1.0, 0.5]],)),
     (ra.LogSumExpReward, ([1.0, 0.5], [[1.0], [-1.0]], [[1.0, 0.5]])),
-    (ra.MaxAffineLowRankReward, ([[1.0, 0.5]], [([1.0], 0.0)], 2.0)),
+    (lambda A, pieces, R: ra.reward_from_dict(
+        {"type": "lowrank_maxaffine", "A": A, "pieces": pieces, "R": R}),
+     ([[1.0, 0.5]], [[[1.0], 0.0]], 2.0)),
     (ra.make_max_affine, ([([1.0], 0.0), ([-1.0], 0.5)],)),
     (make_logsumexp_function, ([1.0, 0.5], [[1.0], [-1.0]])),
     (ra.Envelope, ([[1.0], [-1.0]], [0.0, 0.5])),
@@ -617,9 +619,11 @@ def test_envelope_shapes_and_sample_gate():
                             (np.zeros((0, 2)), np.zeros(0))):
         with pytest.raises(ra.ValidationError, match="envelope"):
             ra.Envelope(np.asarray(slopes), np.asarray(offsets))
-    # the radius: inf declares no ball
-    assert ra.MaxAffineLowRankReward([[1.0]], [([1.0], 0.0)],
-                                     np.inf).f.radius == np.inf
+    # the radius: inf, null or no R declares no ball
+    for R in ({"R": np.inf}, {"R": None}, {}):
+        spec = {"type": "lowrank_maxaffine", "A": [[1.0]],
+                "pieces": [[[1.0], 0.0]], **R}
+        assert ra.reward_from_dict(spec).f.radius == np.inf
     with pytest.raises(ra.NumericalError):
         ra.SampleBatch(points=[[0.0], [np.inf]], seed=0, producer="t", d=1)
 
@@ -655,3 +659,49 @@ def test_one_count_check_for_every_sampler(n):
                                               0.05, 0, n=n)):
         with pytest.raises(ra.ValidationError, match="n must be"):
             draw()
+
+
+class TestBareScoreOracle:
+    """A ScoreOracle that wraps ``score(model, .)`` and exposes nothing
+    else, as the base of every sampler path."""
+
+    model = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
+    linear = ra.make_max_affine([([1.0], 0.0)])  # one envelope piece
+    kink = ra.make_max_affine([([1.0], 0.0), ([-1.0], 0.0)])  # m' = 2
+
+    def bare(self):
+        return ra.ScoreOracle(fn=lambda s, x: ra.score(self.model, s, x),
+                              d=1, C=1.0)
+
+    @pytest.mark.parametrize("path", [
+        lambda b, f, g: ra.sample_kl_aligned(b, [[1.0]], f, 0.5, 0.1, 0, 5),
+        lambda b, f, g: ra.sample_kl_aligned(b, [[1.0]], g, 0.5, 0.1, 0, 5,
+                                             backend="diffusion"),
+        lambda b, f, g: ra.sample_w2_aligned(b, ra.LinearReward([1.0]), 0.5,
+                                             5, 0, backend="pga"),
+        lambda b, f, g: ra.estimate_normalizer(b, [1.0], 0.1, 0.1, seed=0,
+                                               backend="mc"),
+        lambda b, f, g: ra.estimate_normalizer(b, [1.0], 0.1, 0.1),
+        lambda b, f, g: ra.sample_exact(b, 5, 0),
+        lambda b, f, g: ra.tilt_exact(b, [1.0]),
+        lambda b, f, g: ra.sample_linear_tilt(b, [1.0], 0.1, 0),
+    ], ids=["kl-exact", "kl-diffusion-m2", "w2-exact-base", "normalizer-mc",
+            "normalizer-exact", "sample-exact", "tilt-exact",
+            "linear-tilt-exact"])
+    def test_closed_form_paths_refuse_it(self, path):
+        with pytest.raises(ra.CapabilityError, match="no closed forms"):
+            path(self.bare(), self.linear, self.kink)
+
+    @pytest.mark.parametrize("run", [
+        lambda b, f: ra.sample_w2_aligned(
+            b, ra.LinearReward([1.0]), 0.5, 30, 4, backend="pga",
+            base_backend="diffusion").xs,
+        lambda b, f: ra.sample_kl_aligned(
+            b, [[1.0]], ra.make_max_affine([([0.0], 0.0)]), 0.5, 0.1, 4, 30,
+            backend="diffusion").batch.points,
+        lambda b, f: ra.sample_kl_aligned(b, [[1.0]], f, 0.5, 0.1, 4, 30,
+                                          backend="diffusion").batch.points,
+    ], ids=["w2-diffusion-base", "kl-base-shortcut", "kl-diffusion-m1"])
+    def test_diffusion_paths_draw_the_models_bytes(self, run):
+        assert (run(self.bare(), self.linear).tobytes()
+                == run(self.model, self.linear).tobytes())

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -419,6 +420,63 @@ class TestJson:
             x = np.array([0.4] * r2.d if hasattr(r2, "d") else [0.4])
             assert float(np.asarray(r.value(x))) == pytest.approx(
                 float(np.asarray(r2.value(x))))
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "lowrank_maxaffine", "A": [[1.0, 0.0]],
+         "pieces": [[[1.0], 0.0], [[-1.0], 0.5]], "R": 2.0},
+        {"type": "lowrank_maxaffine", "A": [[1.0, 0.0]],
+         "pieces": [[[1.0], 0.0], [[-1.0], 0.5]]},
+        {"type": "lowrank_maxaffine", "A": [[0.6, 0.8]],
+         "pieces": [[[0.5], 0.1]], "L": 1.5, "R": None},
+        {"type": "lowrank_maxaffine", "A": [[0.6, 0.8]],
+         "pieces": [[[0.5], 0.1]], "L": 1.5, "R": 3.0},
+        # exp(log 0.1) != 0.1: the spec's own w is what is written
+        {"type": "logsumexp", "w": [0.1, 1.7], "z": [[1.0], [-1.0]],
+         "A": [[1.0, 0.5]]},
+    ], ids=["R", "no-R", "L-null-R", "L-R", "logsumexp"])
+    def test_serialized_spec_reads_back_to_the_same_bytes(self, spec):
+        def reject(name):
+            raise AssertionError(f"non-JSON constant {name}")
+
+        text = json.dumps(ra.reward_from_dict(spec).to_dict())
+        back = ra.reward_from_dict(json.loads(text, parse_constant=reject))
+        assert json.dumps(back.to_dict()) == text
+        out = json.loads(text)
+        assert ("R" in out) == (spec.get("R") is not None)
+        for key in ("L", "w"):
+            if key in spec:
+                assert out[key] == spec[key]
+
+    def test_black_box_is_not_serializable(self):
+        f = ra.LowDimFunction(value=lambda u: np.sum(u, axis=-1), k=1,
+                              lipschitz=1.0, radius=1.0, convex=True)
+        assert f.pieces is None and f.reduction is None
+        with pytest.raises(ra.ValidationError, match="black-box"):
+            ra.LowRankReward([[1.0]], f).to_dict()
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "lowrank_maxaffine", "A": [[1.0]],
+         "pieces": [[[1.0], 0.0], [[-1.0], 0.2]], "R": 1.0},
+        {"type": "logsumexp", "w": [1.0, 0.5], "z": [[1.0], [-1.0]],
+         "A": [[1.0]]},
+    ], ids=["max-affine", "logsumexp"])
+    def test_wrapped_oracles_change_no_piece_spec_or_sample(self, spec):
+        # the benchmark's tracer replaces f.value and f.grad on the object
+        # by pass-through wrappers: nothing may read pieces off them
+        base = ra.DiscreteModel([[0.0], [0.5], [1.0]], [0.2, 0.3, 0.5], 1.0)
+        r = ra.reward_from_dict(spec)
+
+        def observed():
+            res = ra.sample_kl_aligned(base, r.A, r.f, 0.3, 0.05, seed=3,
+                                       n=40)
+            return r.f.pieces, r.to_dict(), res.batch.points.tobytes()
+
+        before = observed()
+        for name in ("value", "grad"):
+            inner = getattr(r.f, name)
+            setattr(r.f, name, lambda *a, inner=inner, **k: inner(*a, **k))
+        after = observed()
+        assert after[0] is before[0] and after[1:] == before[1:]
 
     def test_understated_lipschitz_rejected(self):
         with pytest.raises(ra.ValidationError):
