@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericalError, ValidationError, finite
-from .models import _group_rows, _logsumexp, _read_spec
+from .models import _logsumexp, _read_spec
 
 # First-order oracles must be valid slightly beyond the declared ball.
 DOMAIN_SLACK = 1e-3
@@ -81,34 +81,6 @@ def first_order(f: LowDimFunction, u: np.ndarray):
         raise ValidationError(f"subgradient norm {g_norm:.6g} exceeds the "
                               f"declared Lipschitz constant {f.lipschitz:.6g}")
     return (float(val[0]), g[0]) if u.ndim == 1 else (val, g)
-
-
-def _min_norm_in_hull(vectors: np.ndarray) -> np.ndarray:
-    """Exact minimum-norm point of the convex hull of a handful of vectors
-    (subset enumeration of the simplex QP's KKT systems)."""
-    t = vectors.shape[0]
-    if t > 12:  # ties this wide only arise from degenerate inputs
-        return vectors[np.argmin(np.linalg.norm(vectors, axis=1))].copy()
-    best, best_sq = None, np.inf
-    for mask in range(1, 1 << t):
-        idx = [i for i in range(t) if mask >> i & 1]
-        S = vectors[idx]
-        j = len(idx)
-        G = S @ S.T
-        kkt = np.zeros((j + 1, j + 1))
-        kkt[:j, :j] = 2.0 * G
-        kkt[:j, j] = 1.0
-        kkt[j, :j] = 1.0
-        rhs = np.zeros(j + 1)
-        rhs[j] = 1.0
-        lam = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:j]
-        if np.any(lam < -1e-12) or abs(lam.sum() - 1.0) > 1e-9:
-            continue
-        point = lam @ S
-        sq = float(point @ point)
-        if sq < best_sq - 1e-15:
-            best_sq, best = sq, point
-    return best if best is not None else vectors[0].copy()
 
 
 # Scores per block of rows (128 KiB of float64, inside L2); at least
@@ -182,23 +154,21 @@ class AffinePieces:
 def make_max_affine(pieces) -> LowDimFunction:
     """Convex max of affine pieces ``f(u) = max_i (<s_i, u> + c_i)``.
 
-    The subgradient at a kink is the minimum-norm element of the convex
-    hull of the maximizing slopes (so |.| at 0 yields 0), which makes runs
-    reproducible.  L is ``max_i ||s_i||``.
+    The subgradient is the slope of the first piece (lowest index) whose
+    score is within 1e-12 of the max, so |u| = max(u, -u) at 0 yields +1
+    and every answer is one of f's own slopes, bit for bit.  Pieces tied
+    in exact arithmetic may score ulps apart; the 1e-12 mask, not a bare
+    argmax, still picks the lowest index among them.  L is max_i ||s_i||.
     """
     aff = AffinePieces([p[0] for p in pieces], [p[1] for p in pieces])
     k = aff.slopes.shape[1]
 
     def grad_block(rows):
-        scores = aff._scores(rows)
-        top = scores >= scores.max(axis=0) - 1e-12
-        g = aff.slopes[np.argmax(top, axis=0)]
-        tied = np.flatnonzero(top.sum(axis=0) > 1)
-        sets = top[:, tied].T  # one row per tied point
-        first, group = _group_rows(sets)
-        for j, i in enumerate(first):  # one hull solve per tie set
-            g[tied[group == j]] = _min_norm_in_hull(aff.slopes[sets[i]])
-        return g
+        # (rows, 1, k): one vector-matrix product per row, so a point and
+        # the same row of a batch get the same scores, bit for bit
+        scores = (rows[:, None, :] @ aff.slopes.T)[:, 0] + aff.offsets
+        top = scores >= scores.max(axis=1, keepdims=True) - 1e-12
+        return aff.slopes[np.argmax(top, axis=1)]
 
     L = float(np.linalg.norm(aff.slopes, axis=1).max())
     return LowDimFunction(value=aff.max, k=k, lipschitz=L, radius=np.inf,

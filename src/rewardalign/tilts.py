@@ -62,17 +62,19 @@ def _tilt_blocks(model: Model, V: np.ndarray):
     """Yield (rows, logw, log_z) per block of tilts: log-weights
     log p_a + <v_i, x_a> over atoms (TILT_BLOCK-sized blocks), or
     log w_j + <v_i, mu_j> + v_i' Sigma_j v_i / 2 over components (one
-    block), and their log-sum-exp per tilt, the log normalizer."""
+    block), and their log-sum-exp per tilt, the log normalizer (non-finite
+    if logits overflow: NormalizerEstimate and the tilted model refuse it)."""
     atoms = isinstance(model, DiscreteModel)
     step = max(1, TILT_BLOCK // model.n_atoms) if atoms else len(V)
     for s in range(0, len(V), step):
         W = V[s:s + step]
-        if atoms:
-            logw = model._log_probs + W @ model.atoms.T
-        else:
-            logw = model._log_weights + (
-                W @ model.means.T
-                + 0.5 * np.einsum("ia,jab,ib->ij", W, model.covs, W))
+        with np.errstate(over="ignore"):  # see the docstring
+            if atoms:
+                logw = model._log_probs + W @ model.atoms.T
+            else:
+                logw = model._log_weights + (
+                    W @ model.means.T
+                    + 0.5 * np.einsum("ia,jab,ib->ij", W, model.covs, W))
         yield slice(s, s + step), logw, _logsumexp(logw, axis=1)
 
 
@@ -226,7 +228,8 @@ def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
     if backend != "mc":
         raise ValidationError(f"unknown backend {backend!r}")
 
-    vc = float(np.linalg.norm(rows, axis=1).max() * base.support_radius)
+    with np.errstate(over="ignore"):  # inf: _stage_plan's cap refuses it
+        vc = float(np.linalg.norm(rows, axis=1).max() * base.support_radius)
     stages, n = _stage_plan(vc, eta, delta, len(rows))
     rng = _rng_from(seed)
     steps = rows / stages

@@ -55,6 +55,8 @@ def prox_quadratic(Bmat, b, lam: float, y, C: float) -> np.ndarray:
     return _prox_quadratic_kkt(Bmat, b, lam, y, C)[0]
 
 
+# Norms past the float max give a non-finite x: the output gates refuse it.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _prox_quadratic_kkt(Bmat, b, lam, y, C):
     """x and its KKT multiplier nu (shaped like y without its last axis):
     one eigh of B, and one bisection in its eigenbasis for all rows."""

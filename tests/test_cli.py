@@ -262,6 +262,26 @@ def test_constant_reward_base_shortcut(model_file, tmp_path):
     assert abs(np.mean(samples > 0.5) - 0.5) < 0.03
 
 
+def test_base_shortcut_run_removes_a_stale_envelope(model_file, tmp_path):
+    # a run with an envelope, then a base-shortcut run into the same dir:
+    # the directory holds the second run's files alone
+    out_dir = str(tmp_path / "out")
+    env_path = os.path.join(out_dir, "envelope.json")
+    for spec, has_envelope in (
+            ({"type": "lowrank_maxaffine", "A": [[1.0]],
+              "pieces": [[[1.0], 0.0], [[-1.0], 0.0]], "R": 1.0}, True),
+            ({"type": "linear", "theta": [0.0]}, False)):
+        reward = tmp_path / "reward.json"
+        reward.write_text(json.dumps(spec))
+        assert main(["align-kl", "--model", model_file, "--reward",
+                     str(reward), "--n", "50", "--seed", "5",
+                     "--out", out_dir]) == 0
+        manifest = json.loads(open(os.path.join(out_dir,
+                                                 "manifest.json")).read())
+        assert manifest["diagnostics"]["used_base_shortcut"] != has_envelope
+        assert os.path.exists(env_path) == has_envelope
+
+
 def test_base_shortcut_manifest_names_diffusion(model_file, tmp_path):
     reward = tmp_path / "const.json"
     reward.write_text(json.dumps({
@@ -440,9 +460,10 @@ def test_bad_or_non_finite_input_exit_code(tmp_path, capsys, cmd, model,
         argv += ["--lambda", "0.15"] + extra
     else:
         argv += extra
-    with np.errstate(all="ignore"):
-        assert main(argv) == code
-    assert "nan" not in capsys.readouterr().out.lower()
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert "nan" not in out.lower()
+    assert len(err.splitlines()) == 1, err
     for name in ("samples.csv", "pairs.csv"):
         assert not os.path.exists(os.path.join(out_dir, name))
 

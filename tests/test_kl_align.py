@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 import rewardalign as ra
@@ -97,9 +98,10 @@ class TestBuildEnvelope:
         net = Net(points=np.array([[-1.0], [-0.5], [0.0], [0.5], [1.0]]))
         env = ra.build_envelope(abs_function(), net)
         u = np.array([0.25])
-        expected = 1 + np.log(2 * np.exp(-0.25) + 1 + 2 * np.exp(0.25))
+        # the kink at 0 takes the first piece's slope +1: 2 pieces -u, 3 u
+        expected = 1 + np.log(2 * np.exp(-0.25) + 3 * np.exp(0.25))
         assert env.value(u) == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(2.6343, abs=5e-5)
+        assert expected == pytest.approx(2.6882, abs=5e-5)
         assert 0.25 <= env.value(u) <= 0.25 + 1 + np.log(5) + 1e-12
 
     def test_affine_gap_is_exact(self):
@@ -640,13 +642,13 @@ class TestSampleKLAligned:
         assert w2["diffusion"] <= 0.1
 
     def test_diffusion_backend_distinct_tilts(self):
-        # |u| on atoms {-1, 0.5}: the envelope's pieces tilt by -1, 0 and
-        # +1, so the rows of one reverse pass carry different tilts
+        # |u| on atoms {-1, 0.5}: the envelope's pieces tilt by -1 and +1,
+        # so the rows of one reverse pass carry different tilts
         base = ra.DiscreteModel([[-1.0], [0.5]], [0.5, 0.5], 1.0)
         res = ra.sample_kl_aligned(base, np.eye(1), abs_function(), eps=0.5,
                                    delta=0.1, seed=1, n=400,
                                    backend="diffusion")
-        assert len(np.unique(res.proposal.tilt_vectors)) == 3
+        assert res.envelope.m == len(np.unique(res.proposal.tilt_vectors)) == 2
         p_left = np.mean(res.batch.points[:, 0] < -0.25)
         assert abs(p_left - 1.0 / (1.0 + np.exp(-0.5))) < 0.08
         assert res.report()["normalizer"] == "mc, exact draws"
@@ -723,6 +725,36 @@ class TestNetPieceCollapse:
                 gv = kept.value(us)
                 assert np.min(gv - fv) >= -1e-9
                 assert np.min(fv + kept.gap_bound - gv) >= -1e-9
+
+    @given(st.integers(1, 2).flatmap(lambda k: st.lists(
+        st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+        min_size=1, max_size=5)))
+    @example([[1], [-1]])  # |u|
+    @example([[0, 1], [3, -3]])  # a net point 1e-12 off a kink
+    @settings(max_examples=60, deadline=None)
+    def test_max_affine_net_envelope_is_its_own_pieces(self, slopes):
+        # pieces through the origin with integer slopes: every kink is a
+        # line through 0, on the net; the subgradient is always a slope of
+        # f, so the collapsed envelope is a subset of f's pieces
+        k = len(slopes[0])
+        f = ra.make_max_affine([(np.array(z, float), 0.0) for z in slopes])
+        assume(f.lipschitz > 0)
+        f.radius = 1.0
+        net = ra.build_net(k, 1.0, 1 / (2 * f.lipschitz))
+        kept = _collapse_net_pieces(ra.build_envelope(f, net))
+        own = {z.tobytes() for z in f.pieces.slopes}
+        assert {z.tobytes() for z in kept.slopes} <= own
+        us = np.vstack([net.points, random_unit_ball(
+            np.random.default_rng(k), 500, k)])
+        fv, gv = np.asarray(f.value(us)), kept.value(us)
+        assert np.min(gv - fv) >= -1e-9
+        assert np.min(fv + kept.gap_bound - gv) >= -1e-9
+        # exact ties on the net, ulp-near ties one ulp off each net point
+        near = np.vstack([net.points, np.nextafter(net.points, np.inf),
+                          np.nextafter(net.points, -np.inf)])
+        g = f.grad(near)
+        assert np.array_equal(g, [f.grad(u) for u in near])
+        assert {z.tobytes() for z in g} <= own
 
     def test_envelope_suite_checks_collapsed_envelope(self):
         rep = run_envelope_suite(seed=3, n_instances=30, n_points=300)
@@ -811,10 +843,12 @@ class TestNetPieceCollapse:
         kept = _collapse_net_pieces(env)
         assert kept.slopes.tobytes() == env.slopes.tobytes()
         assert kept.offsets.tobytes() == env.offsets.tobytes()
-        # a net envelope whose slopes are already distinct: |u| with a
-        # net point at the kink has slopes -1, 0 and +1
+        # a net envelope whose slopes are already distinct: |u| as
+        # max(0, -u, u), with a net point at the kink, has slopes -1, 0, +1
+        f = ra.make_max_affine([([0.0], 0.0), ([-1.0], 0.0), ([1.0], 0.0)])
         net = Net(points=np.array([[-1.0], [0.0], [1.0]]))
-        env = ra.build_envelope(abs_function(), net)
+        env = ra.build_envelope(f, net)
+        assert np.array_equal(env.slopes, [[-1.0], [0.0], [1.0]])
         kept = _collapse_net_pieces(env)
         assert kept.slopes.tobytes() == env.slopes.tobytes()
         assert kept.offsets.tobytes() == env.offsets.tobytes()

@@ -62,19 +62,19 @@ class TestFirstOrder:
         assert val == pytest.approx(0.5)
         assert g == pytest.approx([1.0])
 
-    def test_abs_kink_min_norm_tiebreak(self):
-        # the subdifferential of |.| at 0 is [-1, 1]; the tie-break picks
-        # its minimum-norm element, 0
+    def test_abs_kink_first_piece_tiebreak(self):
+        # the subdifferential of |u| = max(u, -u) at 0 is [-1, 1]; the
+        # tie-break picks the first tied piece's slope, +1
         f = abs_function()
         f.radius = 1.0
         val, g = ra.first_order(f, np.array([0.0]))
         assert val == 0.0
-        assert g == pytest.approx([0.0], abs=1e-15)
+        assert np.array_equal(g, [1.0])
 
-    def test_min_norm_hull_2d_kink(self):
+    def test_2d_kink_first_piece(self):
         f = ra.make_max_affine([([1.0, 1.0], 0.0), ([1.0, -1.0], 0.0)])
         _, g = ra.first_order(f, np.array([0.5, 0.0]))
-        assert g == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert np.array_equal(g, [1.0, 1.0])
 
     def test_quadratic_like_gradient(self):
         f = ra.LowDimFunction(
@@ -110,8 +110,8 @@ class TestFirstOrder:
         assert np.array_equal(g, np.array([gu for _, gu in rows]))
         # the value oracle's point and batch products may differ by ulps
         assert np.allclose(vals, [v for v, _ in rows], rtol=0, atol=1e-14)
-        if f.k == 1:  # |.|: the tie-break gives 0 at the kink
-            assert g[np.flatnonzero(pts[:, 0] == 0.0)[0]] == [0.0]
+        if f.k == 1:  # |u| = max(u, -u): the first piece's +1 at the kink
+            assert g[np.flatnonzero(pts[:, 0] == 0.0)[0]] == [1.0]
 
     def test_point_only_grad_rejects_batch(self):
         f = ra.LowDimFunction(
