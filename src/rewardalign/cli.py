@@ -24,7 +24,7 @@ from .errors import (BudgetError, NumericalError, RewardAlignError,
                      ValidationError)
 from .kl_align import sample_kl_aligned
 from .metrics import QuadratureTilt1D
-from .models import (GaussianMixtureModel, SampleBatch, load_model,
+from .models import (GaussianMixtureModel, SampleBatch, load_model, norms,
                      sample_exact)
 from .rewards import (LinearReward, LowRankReward, QuadraticReward,
                       load_reward, make_max_affine)
@@ -86,7 +86,7 @@ def _as_lowrank(reward) -> LowRankReward:
     if isinstance(reward, LowRankReward):
         return reward
     if isinstance(reward, LinearReward):
-        norm = float(np.linalg.norm(reward.theta))  # 0: A = 0, f = 0
+        norm = float(norms(reward.theta)[0])  # 0: A = 0, f = 0
         return LowRankReward(reward.theta[None, :] / (norm or 1.0),
                              make_max_affine([(np.array([norm]), 0.0)]))
     raise ValidationError(

@@ -1,12 +1,11 @@
 """KL alignment for convex low-dimensional rewards r(x) = f(Ax).
 
-Pipeline: cover the projected ball with an h-net, build a log-sum-exp
-upper envelope of f from supporting hyperplanes, keep one piece per
-distinct hyperplane slope (the largest offset), sample the envelope tilt
-as a mixture of linear tilts, and correct to the target by rejection with
-acceptance exp(f - G).  The sandwich f <= G <= f + 1 + log m', the
-acceptance floor and the rejection budget all follow the number m' of
-pieces kept, not the number of net points.  Candidates come as one
+Pipeline: a log-sum-exp upper envelope G of f on the projected ball (f's
+own pieces, f <= G <= f + log m'; for a black-box f, an h-net's raised
+supporting hyperplanes, one per distinct slope, f <= G <= f + 1 + log m'),
+the envelope tilt sampled as a mixture of linear tilts, and rejection with
+acceptance exp(f - G).  The acceptance floor and the rejection budget
+follow the number m' of pieces kept.  Candidates come as one
 i.i.d. stream, drawn in passes sized by the acceptance floor; output
 slots take them in order.  Each slot gets at most N_rej candidates and
 then falls back to a base sample, so the work is bounded by n * N_rej
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import (BudgetError, EnvelopeViolationError, ValidationError,
                      finite)
 from .models import (DiscreteModel, Model, SampleBatch, _group_rows,
-                     _logsumexp, _rng_from, _seed_tag, check_count,
+                     _logsumexp, _rng_from, _seed_tag, check_count, norms,
                      recommended_steps, sample_exact)
 # bound though unused here: bench/tracer.py wraps it in this module by name
 from .models import sample_via_diffusion  # noqa: F401
@@ -88,36 +87,19 @@ def build_net(k: int, R: float, h: float) -> Net:
 
 
 class Envelope(AffinePieces):
-    """Log-sum-exp upper envelope G(u) = 1 + log sum_i exp(b_i + <z_i, u>)
-    built from supporting hyperplanes; satisfies f <= G <= f + 1 + log m
-    on the net's ball.  ``sample_kl_aligned`` keeps one net piece per
-    distinct slope, so there the bounds hold with m' <= m pieces."""
+    """Log-sum-exp upper envelope G(u) = log sum_i exp(b_i + <z_i, u>): its
+    pieces alone; ``compute_params`` owns its gap bound and floor."""
 
     what = "envelope"
-
-    @property
-    def gap_bound(self) -> float:
-        """B = 1 + log m."""
-        return 1.0 + float(np.log(self.m))
-
-    @property
-    def acceptance_floor(self) -> float:
-        """a0 = exp(-B)."""
-        return float(np.exp(-self.gap_bound))
-
-    def value(self, u: np.ndarray) -> np.ndarray:
-        """G at a point (k,) or a batch (n, k), as (1 + top) + log(sum)."""
-        return self.log_sum_exp(u, plus=1.0)
+    value = AffinePieces.log_sum_exp  # G, by the name bench/tracer.py wraps
 
     def to_dict(self) -> dict:
         return {"slopes": self.slopes.tolist(),
-                "offsets": self.offsets.tolist(),
-                "m": self.m, "gap_bound": self.gap_bound}
+                "offsets": self.offsets.tolist(), "m": self.m}
 
     @classmethod
     def from_pieces(cls, slopes, offsets) -> "Envelope":
-        """Envelope with explicitly given pieces (e.g. the exact pieces of
-        a log-sum-exp reward)."""
+        """The envelope of explicitly given pieces, used as given."""
         return cls(slopes=slopes, offsets=offsets)
 
 
@@ -125,7 +107,7 @@ def _collapse_net_pieces(env: Envelope) -> Envelope:
     """One piece per distinct slope (exact bytes), with the largest offset
     of its group, groups in first-occurrence order.
 
-    Valid for supporting hyperplanes only: each is <= f, and the kept piece
+    Valid for net pieces only: each is <= f + 1, and the kept piece
     dominates the ones it replaces, so f <= G' <= f + 1 + log m' still
     holds.  Same-slope offsets from the net differ by rounding alone.  An
     envelope with distinct slopes comes back as it is."""
@@ -140,10 +122,31 @@ def _collapse_net_pieces(env: Envelope) -> Envelope:
 
 def build_envelope(f: LowDimFunction, net: Net) -> Envelope:
     """One batch first-order oracle call on the whole net; piece i is the
-    supporting hyperplane at net point i."""
+    supporting hyperplane at net point i raised by the covering slack
+    2Lh = 1 (h = 1/(2L)), so f <= G <= f + 1 + log m on the net's ball."""
     vals, slopes = first_order(f, net.points)
-    offsets = vals - np.einsum("ij,ij->i", slopes, net.points)
+    offsets = vals - np.einsum("ij,ij->i", slopes, net.points) + 1.0
     return Envelope(slopes=slopes, offsets=offsets)
+
+
+def own_envelope(f: LowDimFunction, R: float) -> Envelope:
+    """The envelope of an f with pieces on B(R), from ``f.pieces`` alone:
+    every piece of a log-sum-exp f (G = f), and every piece of a max-affine
+    f that no other piece tops on all of B(R), where piece j tops piece i
+    iff b_j - b_i >= R ||z_j - z_i||; of pieces that top each other the
+    first is kept.  The kept pieces have f's max on B(R), so there
+    f <= G <= f + log m'."""
+    p = f.pieces
+    if f.reduction == "logsumexp":
+        return Envelope(slopes=p.slopes, offsets=p.offsets)
+    keep = np.ones(p.m, dtype=bool)
+    for i in range(p.m):
+        reach = R * norms(p.slopes - p.slopes[i])
+        topped = p.offsets - p.offsets[i] >= reach
+        # a later piece tops i only if i does not top it back
+        topped[i:] &= p.offsets[i] - p.offsets[i:] < reach[i:]
+        keep[i] = not topped.any()
+    return Envelope(slopes=p.slopes[keep], offsets=p.offsets[keep])
 
 
 @dataclass(frozen=True)
@@ -238,9 +241,9 @@ class KLAlignResult:
     ``proposal_draws`` counts the candidates up to the end of the last
     served slot; the discarded tail of the last pass is not in it.
     ``passes`` counts proposal draws of a whole pass each.
-    ``envelope`` is the envelope the sampler used: on the net path, one
-    piece per distinct slope out of ``net_pieces`` net pieces; an explicit
-    envelope as given (``net_pieces`` is then its own ``m``).
+    ``envelope`` is the envelope the sampler used: for a black-box f, one
+    piece per distinct slope out of ``net_pieces`` net pieces; else
+    ``net_pieces`` is its own ``m``.
     """
 
     batch: SampleBatch
@@ -253,7 +256,7 @@ class KLAlignResult:
     diffusion_steps: int = 0
     eta_used: float = 0.0
     passes: int = 0  # proposal passes (reverse passes on diffusion)
-    net_pieces: int = 0  # envelope pieces before the per-slope collapse
+    net_pieces: int = 0  # envelope pieces before a net's per-slope collapse
 
     @property
     def acceptance_rate(self) -> float:
@@ -333,10 +336,10 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     """Sample from the KL-aligned law q(x) ~ p(x) exp(f(Ax)) for convex f.
 
     Requires f flagged convex and L-Lipschitz on the projected ball of
-    radius ||A||_op * C.  L = 0 short-circuits to base sampling.  An
-    explicit ``envelope`` overrides the net construction (used when the
-    reward is itself a log-sum-exp with known pieces) and is used as
-    given; a net envelope keeps one piece per distinct slope.
+    radius R = ||A||_op * C.  L = 0 short-circuits to base sampling.  The
+    envelope is ``envelope`` exactly as given, else ``own_envelope(f, R)``
+    for an f with pieces, else (a black box) the net envelope with one
+    piece per distinct slope.
     """
     if not f.convex:
         raise ValidationError("KL alignment requires a convex reward; "
@@ -372,12 +375,12 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
 
     op_norm = float(np.linalg.norm(A, 2))
     R = op_norm * C
-    if envelope is None:
-        net = build_net(f.k, R, 1.0 / (2.0 * L))
-        envelope = build_envelope(f, net)
+    if envelope is None and f.pieces is None:
+        envelope = build_envelope(f, build_net(f.k, R, 1.0 / (2.0 * L)))
         net_pieces = envelope.m
         envelope = _collapse_net_pieces(envelope)
     else:
+        envelope = own_envelope(f, R) if envelope is None else envelope
         net_pieces = envelope.m
     params = compute_params(L, op_norm, C, envelope.m, eps)
     # the schedule's eta is far below any Monte Carlo budget; the oracle-only
@@ -438,9 +441,9 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         pts[done:done + outcome.size][hit] = (taken if atoms is None
                                               else atoms[taken])
         fell[done:done + outcome.size] = ~hit
-        # free this pass's candidates before the next draw makes its own
-        del cand, log_a, ok
         done += outcome.size
+        # free this pass's candidates before the next draw makes its own
+        del cand, log_a, ok, outcome, hit, taken
         draws += used
         passes += 1
 

@@ -49,6 +49,20 @@ def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
     return x * scale
 
 
+def norms(rows) -> np.ndarray:
+    """Row norms of (n, k) (a (k,) vector is one row), ``np.linalg.norm``'s
+    unless the squares overflow: then scaled by the row's largest |entry|,
+    so a finite row's norm is inf only past the float max."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    with np.errstate(over="ignore"):
+        out = np.linalg.norm(rows, axis=1)
+        for i in np.flatnonzero(np.isinf(out)):
+            top = np.abs(rows[i]).max()
+            if top < np.inf:  # an inf entry keeps its inf norm
+                out[i] = np.linalg.norm(rows[i] / top) * top
+    return out
+
+
 def _noise(sigma) -> tuple:
     """(a, sigma^2) at a noise level sigma in (0, 1): the noised law is
     that of a X + sigma Z, with signal scale a = sqrt(1 - sigma^2)."""

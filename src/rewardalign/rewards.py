@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericalError, ValidationError, finite
-from .models import _logsumexp, _read_spec
+from .models import _logsumexp, _read_spec, norms
 
 # First-order oracles must be valid slightly beyond the declared ball.
 DOMAIN_SLACK = 1e-3
@@ -70,13 +70,13 @@ def first_order(f: LowDimFunction, u: np.ndarray):
     rows = np.atleast_2d(u)
     if f.grad is None:
         raise ValidationError("no subgradient oracle declared for this function")
-    norm = np.linalg.norm(rows, axis=1).max(initial=0.0)
+    norm = norms(rows).max(initial=0.0)
     if norm > f.radius * (1.0 + DOMAIN_SLACK) + 1e-12:
         raise ValidationError(f"first-order query at norm {norm:.6g} outside "
                               f"the declared ball of radius {f.radius:.6g}")
     val = oracle_answer(f.value(u), len(rows))
     g = oracle_answer(f.grad(u), len(rows), rows.shape[1])
-    g_norm = np.linalg.norm(g, axis=1).max(initial=0.0)
+    g_norm = norms(g).max(initial=0.0)
     if f.lipschitz > 0 and g_norm > f.lipschitz * (1 + 1e-9):
         raise ValidationError(f"subgradient norm {g_norm:.6g} exceeds the "
                               f"declared Lipschitz constant {f.lipschitz:.6g}")
@@ -139,15 +139,15 @@ class AffinePieces:
         """max_i (<s_i, u> + c_i) at a point (k,) or a batch (n, k)."""
         return self._in_blocks(u, lambda rows: self._scores(rows).max(axis=0))
 
-    def log_sum_exp(self, u, plus: float = 0.0) -> np.ndarray:
-        """plus + log sum_i exp(<s_i, u> + c_i) at a point (k,) or a batch
-        (n, k), max-shifted and added as (plus + top) + log(sum)."""
+    def log_sum_exp(self, u) -> np.ndarray:
+        """log sum_i exp(<s_i, u> + c_i) at a point (k,) or a batch (n, k),
+        max-shifted and added as top + log(sum)."""
         def block(rows):
             scores = self._scores(rows)
             top = scores.max(axis=0)
             scores -= top
             np.exp(scores, out=scores)
-            return (plus + top) + np.log(scores.sum(axis=0))
+            return top + np.log(scores.sum(axis=0))
         return self._in_blocks(u, block)
 
 
@@ -158,7 +158,8 @@ def make_max_affine(pieces) -> LowDimFunction:
     score is within 1e-12 of the max, so |u| = max(u, -u) at 0 yields +1
     and every answer is one of f's own slopes, bit for bit.  Pieces tied
     in exact arithmetic may score ulps apart; the 1e-12 mask, not a bare
-    argmax, still picks the lowest index among them.  L is max_i ||s_i||.
+    argmax, still picks the lowest index among them.  L is max_i ||s_i||,
+    by ``norms``, so no square overflows.
     """
     aff = AffinePieces([p[0] for p in pieces], [p[1] for p in pieces])
     k = aff.slopes.shape[1]
@@ -170,7 +171,7 @@ def make_max_affine(pieces) -> LowDimFunction:
         top = scores >= scores.max(axis=1, keepdims=True) - 1e-12
         return aff.slopes[np.argmax(top, axis=1)]
 
-    L = float(np.linalg.norm(aff.slopes, axis=1).max())
+    L = float(norms(aff.slopes).max())
     return LowDimFunction(value=aff.max, k=k, lipschitz=L, radius=np.inf,
                           grad=lambda u: aff._in_blocks(u, grad_block, k),
                           convex=True, pieces=aff, reduction="max")
@@ -192,7 +193,7 @@ def make_logsumexp_function(weights, slopes) -> LowDimFunction:
 
     return LowDimFunction(
         value=aff.log_sum_exp, k=z.shape[1],
-        lipschitz=float(np.linalg.norm(z, axis=1).max()), radius=np.inf,
+        lipschitz=float(norms(z).max()), radius=np.inf,
         grad=lambda u: aff._in_blocks(u, grad_block, z.shape[1]), convex=True,
         pieces=aff, reduction="logsumexp")
 

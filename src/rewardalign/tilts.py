@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BudgetError, NumericalError, ValidationError, finite
 from .models import (DiscreteModel, GaussianMixtureModel, Model,
                      SampleBatch, ScoreOracle, _logsumexp, _noise,
-                     _rng_from, closed_form, recommended_steps,
+                     _rng_from, closed_form, norms, recommended_steps,
                      sample_exact, sample_via_diffusion, score_oracle)
 
 MC_SAMPLE_CAP = 10_000_000
@@ -62,8 +62,8 @@ def _tilt_blocks(model: Model, V: np.ndarray):
     """Yield (rows, logw, log_z) per block of tilts: log-weights
     log p_a + <v_i, x_a> over atoms (TILT_BLOCK-sized blocks), or
     log w_j + <v_i, mu_j> + v_i' Sigma_j v_i / 2 over components (one
-    block), and their log-sum-exp per tilt, the log normalizer (non-finite
-    if logits overflow: NormalizerEstimate and the tilted model refuse it)."""
+    block), and their log-sum-exp per tilt, the log normalizer: a
+    NumericalError where it is not finite (logits past the float max)."""
     atoms = isinstance(model, DiscreteModel)
     step = max(1, TILT_BLOCK // model.n_atoms) if atoms else len(V)
     for s in range(0, len(V), step):
@@ -75,7 +75,10 @@ def _tilt_blocks(model: Model, V: np.ndarray):
                 logw = model._log_weights + (
                     W @ model.means.T
                     + 0.5 * np.einsum("ia,jab,ib->ij", W, model.covs, W))
-        yield slice(s, s + step), logw, _logsumexp(logw, axis=1)
+        log_z = _logsumexp(logw, axis=1)
+        if not np.isfinite(log_z).all():
+            raise NumericalError("log normalizer is not finite")
+        yield slice(s, s + step), logw, log_z
 
 
 def tilt_exact(model: Model, V, log_pi=None) -> Model:
@@ -228,8 +231,7 @@ def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
     if backend != "mc":
         raise ValidationError(f"unknown backend {backend!r}")
 
-    with np.errstate(over="ignore"):  # inf: _stage_plan's cap refuses it
-        vc = float(np.linalg.norm(rows, axis=1).max() * base.support_radius)
+    vc = float(norms(rows).max()) * base.support_radius  # inf meets the cap
     stages, n = _stage_plan(vc, eta, delta, len(rows))
     rng = _rng_from(seed)
     steps = rows / stages

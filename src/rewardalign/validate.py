@@ -12,7 +12,8 @@ import numpy as np
 
 from . import metrics
 from .kl_align import (Envelope, _collapse_net_pieces, build_envelope,
-                       build_net, build_proposal, proposal_law_discrete)
+                       build_net, build_proposal, own_envelope,
+                       proposal_law_discrete)
 from .models import (DiscreteModel, GaussianMixtureModel, sample_exact,
                      score, score_oracle, noised_log_density)
 from .rewards import (LinearReward, LowDimFunction, QuadraticReward,
@@ -90,10 +91,12 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
     rng = np.random.default_rng(seed)
     checks = []
 
-    # the net envelope, and the one-piece-per-slope envelope the sampler
-    # uses, whose gap bound comes from its own m'
-    worst_low = worst_high = np.inf
-    worst_low_c = worst_high_c = np.inf
+    # f <= G <= f + B on the ball: the net envelope and the one piece per
+    # slope the sampler keeps of it for a black box (B = 1 + log m'), and
+    # f's own envelope (B = log m')
+    sandwiches = {name: [np.inf, np.inf] for name in (
+        "envelope_sandwich", "collapsed_envelope_sandwich",
+        "own_envelope_sandwich")}
     keeps_largest = True
     for _ in range(n_instances):
         k = int(rng.integers(1, 4))
@@ -104,14 +107,12 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
         env = build_envelope(f, net)
         us = random_unit_ball(rng, n_points, k, radius=R)
         fv = np.asarray(f.value(us))
-        gv = env.value(us)
-        worst_low = min(worst_low, float(np.min(gv - fv)))
-        worst_high = min(worst_high, float(np.min(fv + env.gap_bound - gv)))
-        kept = _collapse_net_pieces(env)
-        gv = kept.value(us)
-        worst_low_c = min(worst_low_c, float(np.min(gv - fv)))
-        worst_high_c = min(worst_high_c,
-                           float(np.min(fv + kept.gap_bound - gv)))
+        kept, own = _collapse_net_pieces(env), own_envelope(f, R)
+        for worst, G, B in zip(sandwiches.values(), (env, kept, own), (
+                1.0 + np.log(env.m), 1.0 + np.log(kept.m), np.log(own.m))):
+            gv = G.value(us)
+            worst[0] = min(worst[0], float(np.min(gv - fv)))
+            worst[1] = min(worst[1], float(np.min(fv + B - gv)))
         # lowered same-slope copies before and after the net pieces must
         # not change the offset each slope keeps
         pieces = (np.vstack([env.slopes] * 3), np.concatenate(
@@ -119,14 +120,9 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
         padded = _collapse_net_pieces(Envelope(*pieces))
         keeps_largest &= (np.array_equal(padded.slopes, kept.slopes)
                           and np.array_equal(padded.offsets, kept.offsets))
-    checks.append({"name": "envelope_sandwich",
-                   "passed": worst_low >= -1e-9 and worst_high >= -1e-9,
-                   "min_slack_lower": worst_low,
-                   "min_slack_upper": worst_high})
-    checks.append({"name": "collapsed_envelope_sandwich",
-                   "passed": worst_low_c >= -1e-9 and worst_high_c >= -1e-9,
-                   "min_slack_lower": worst_low_c,
-                   "min_slack_upper": worst_high_c})
+    for name, (low, high) in sandwiches.items():
+        checks.append({"name": name, "passed": low >= -1e-9 and high >= -1e-9,
+                       "min_slack_lower": low, "min_slack_upper": high})
     checks.append({"name": "collapse_keeps_largest_offset",
                    "passed": bool(keeps_largest)})
 
@@ -155,7 +151,7 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
                    "passed": worst_floor_c >= -1e-9,
                    "min_margin": worst_floor_c})
 
-    # log-sum-exp self reward: exact pieces imply constant acceptance 1/e
+    # log-sum-exp self reward: its own envelope is G = f, so acceptance 1
     worst_dev = 0.0
     for _ in range(20):
         d = int(rng.integers(1, 4))
@@ -164,10 +160,10 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
         A = random_orthogonal_rows(rng, k, d, op_norm=1.0)
         f = make_logsumexp_function(rng.uniform(0.2, 2.0, m),
                                     rng.standard_normal((m, k)))
-        env = Envelope.from_pieces(f.pieces.slopes, f.pieces.offsets)
+        env = own_envelope(f, 1.0)
         u = random_unit_ball(rng, 100, d) @ A.T
         acc = np.exp(np.asarray(f.value(u)) - env.value(u))
-        worst_dev = max(worst_dev, float(np.max(np.abs(acc - np.exp(-1.0)))))
+        worst_dev = max(worst_dev, float(np.max(np.abs(acc - 1.0))))
     checks.append({"name": "logsumexp_self_reward",
                    "passed": worst_dev <= 1e-12, "max_dev": worst_dev})
 
@@ -184,12 +180,12 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
 
 
 def _floor_margin(base, A, f, env, rng) -> float:
-    """Smallest exp(f - G) - a0 over 200 draws of the exact envelope tilt."""
+    """Smallest exp(f - G) - exp(-(1 + log m)) over 200 envelope tilt draws."""
     proposal = build_proposal(base, env, A, eta=1e-12, delta=0.1, seed=rng)
     model = tilt_exact(base, proposal.tilt_vectors, proposal.log_pi)
     u = sample_exact(model, 200, rng).points @ A.T
     log_a = np.asarray(f.value(u)) - env.value(u)
-    return float(np.min(np.exp(log_a) - env.acceptance_floor))
+    return float(np.min(np.exp(log_a) - np.exp(-(1.0 + np.log(env.m)))))
 
 
 # ---------------------------------------------------------------------------

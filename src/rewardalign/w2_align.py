@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError, finite
 from .kl_align import build_net
 from .models import (Model, SampleBatch, _rng_from, _seed_tag, check_count,
-                     project_ball)
+                     norms, project_ball)
 # bound though unused here: bench/tracer.py wraps them in this module by name
 from .models import sample_exact, sample_via_diffusion  # noqa: F401
 from .rewards import LowRankReward, QuadraticReward, oracle_answer
@@ -55,7 +55,8 @@ def prox_quadratic(Bmat, b, lam: float, y, C: float) -> np.ndarray:
     return _prox_quadratic_kkt(Bmat, b, lam, y, C)[0]
 
 
-# Norms past the float max give a non-finite x: the output gates refuse it.
+# Scaled norms keep finite input finite; a non-finite x (rhs past the float
+# max) is refused by the output gates.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _prox_quadratic_kkt(Bmat, b, lam, y, C):
     """x and its KKT multiplier nu (shaped like y without its last axis):
@@ -74,20 +75,20 @@ def _prox_quadratic_kkt(Bmat, b, lam, y, C):
     w = rhs @ evecs                          # coordinates in B's eigenbasis
     z = w / (evals + lam)
     nu = np.zeros(len(w))
-    over = np.flatnonzero(np.linalg.norm(z, axis=1) > C)
+    over = np.flatnonzero(norms(z) > C)
     wo = w[over]
     lo = np.zeros(len(over))
-    hi = lam + np.linalg.norm(rhs[over], axis=1) / C
+    hi = lam + norms(rhs[over]) / C
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        outside = np.linalg.norm(wo / (evals + lam + mid[:, None]), axis=1) > C
+        outside = norms(wo / (evals + lam + mid[:, None])) > C
         lo = np.where(outside, mid, lo)
         hi = np.where(outside, hi, mid)
     nu[over] = 0.5 * (lo + hi)
     z[over] = wo / (evals + lam + nu[over, None])
     x = z @ evecs.T
     # land exactly on the sphere; the direction is already converged
-    x[over] *= C / np.linalg.norm(x[over], axis=1, keepdims=True)
+    x[over] *= C / norms(x[over])[:, None]
     return x.reshape(y.shape), nu.reshape(y.shape[:-1])
 
 

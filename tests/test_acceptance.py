@@ -100,17 +100,21 @@ def test_criterion_04_envelope_suite():
     rep = run_envelope_suite(seed=7, n_instances=100, n_points=1000)
     by_name = {c["name"]: c for c in rep["checks"]}
     sandwich = by_name["envelope_sandwich"]
+    own = by_name["own_envelope_sandwich"]
     floor = by_name["acceptance_floor"]
     selfr = by_name["logsumexp_self_reward"]
     ok = (sandwich["min_slack_lower"] >= -1e-9
           and sandwich["min_slack_upper"] >= -1e-9
+          and own["min_slack_lower"] >= -1e-9
+          and own["min_slack_upper"] >= -1e-9
           and floor["min_margin"] >= -1e-9
           and selfr["max_dev"] <= 1e-12)
     _report(4, ok,
             f"sandwich slacks ({sandwich['min_slack_lower']:.1e}, "
-            f"{sandwich['min_slack_upper']:.1e}) >= -1e-9, floor margin "
-            f"{floor['min_margin']:.1e} >= -1e-9, self-reward dev "
-            f"{selfr['max_dev']:.1e} <= 1e-12")
+            f"{sandwich['min_slack_upper']:.1e}), own-piece slacks "
+            f"({own['min_slack_lower']:.1e}, {own['min_slack_upper']:.1e}) "
+            f">= -1e-9, floor margin {floor['min_margin']:.1e} >= -1e-9, "
+            f"self-reward dev {selfr['max_dev']:.1e} <= 1e-12")
 
 
 def test_criterion_05_rejection_budget(alg1_oracle_runs):

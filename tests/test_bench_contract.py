@@ -26,10 +26,13 @@ def test_tracer_installs_and_restores():
 
 def test_traced_kl_call_reaches_the_envelope_and_reward_oracles():
     # the per-layer metrics kl_align.envelope_value.* and rewards.value.*
-    # read these wrappers; a refactor that bypassed them would zero them
+    # read these wrappers; a refactor that bypassed them would zero them.
+    # A black-box f (no pieces) takes the net path
+    import dataclasses
     import rewardalign as ra
     base = ra.DiscreteModel([[0.0], [0.5], [1.0]], [0.2, 0.3, 0.5], 1.0)
-    f = ra.make_max_affine([([1.0], 0.0), ([-1.0], 0.2)])
+    f = dataclasses.replace(ra.make_max_affine([([1.0], 0.0), ([-1.0], 0.2)]),
+                            pieces=None, reduction=None)
     tracer = Tracer()
     with Installed(tracer, [f]):
         res = ra.sample_kl_aligned(base, [[1.0]], f, 0.3, 0.05, seed=0, n=20)

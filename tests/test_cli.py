@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -118,9 +119,8 @@ def test_align_kl_run(model_file, kl_reward_file, tmp_path, capsys):
     diag = manifest["diagnostics"]
     assert 1 <= diag["passes"] <= params.N_rej
     assert diag["proposal_draws"] <= 5000 * params.N_rej
-    # f(u) = u: every net piece has slope 1, so one piece is kept
-    assert diag["net_pieces"] == ra.build_net(1, 1.0, 0.5).m
-    assert diag["m"] == env["m"] == 1
+    # f(u) = u: a CLI reward has pieces, and its one piece is its envelope
+    assert diag["net_pieces"] == diag["m"] == env["m"] == 1
 
 
 def test_align_kl_byte_identical_reruns(model_file, kl_reward_file, tmp_path):
@@ -282,6 +282,62 @@ def test_base_shortcut_run_removes_a_stale_envelope(model_file, tmp_path):
         assert os.path.exists(env_path) == has_envelope
 
 
+def test_linear_reward_past_the_square_overflow(tmp_path, capsys):
+    # ||theta||^2 passes the float max, ||theta|| = 1e200 does not: the
+    # tilt puts every sample on the atom at C = 3
+    model, reward = tmp_path / "model.json", tmp_path / "reward.json"
+    model.write_text(json.dumps({"type": "discrete", "atoms": [[2.0], [3.0]],
+                                 "probs": [0.5, 0.5], "C": 3.0}))
+    reward.write_text(json.dumps({"type": "linear", "theta": [1e200]}))
+    out_dir = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["align-kl", "--model", str(model), "--reward",
+                     str(reward), "--n", "200", "--out", out_dir]) == 0
+    assert capsys.readouterr().err == ""
+    samples = np.loadtxt(os.path.join(out_dir, "samples.csv"),
+                         delimiter=",", skiprows=1)
+    assert np.all(samples == 3.0)
+
+
+def test_prox_demo_norm_past_the_square_overflow(tmp_path, capsys):
+    # b = 1e308: the unconstrained point's norm squares past the float max;
+    # the prox is the sphere point +C
+    reward = tmp_path / "quad.json"
+    reward.write_text(json.dumps({"type": "quadratic", "B": [[0.15]],
+                                  "b": [1e308]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["prox-demo", "--reward", str(reward), "--lambda",
+                     "0.15", "--y", "0.0", "--C", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["T_lambda_y"] == [3.0]
+    assert err == ""
+
+
+def test_logsumexp_reward_is_its_own_envelope(tmp_path):
+    # a 2-piece log-sum-exp reward on 4 atoms in 2D: G = f, so no net,
+    # acceptance 1 and one candidate per slot in one pass
+    model, reward = tmp_path / "model.json", tmp_path / "reward.json"
+    model.write_text(json.dumps({
+        "type": "discrete", "atoms": [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5],
+                                      [0.3, -0.4]],
+        "probs": [0.1, 0.2, 0.3, 0.4], "C": 1.0}))
+    reward.write_text(json.dumps({"type": "logsumexp", "w": [1.0, 0.7],
+                                  "z": [[0.5], [-0.5]], "A": [[0.6, 0.8]]}))
+    out_dir = str(tmp_path / "out")
+    assert main(["align-kl", "--model", str(model), "--reward", str(reward),
+                 "--eps", "0.3", "--n", "2000", "--seed", "7",
+                 "--out", out_dir]) == 0
+    manifest = json.loads(open(os.path.join(out_dir, "manifest.json")).read())
+    diag = manifest["diagnostics"]
+    assert diag["m"] == diag["net_pieces"] == 2
+    assert diag["acceptance_rate"] == 1.0
+    assert (diag["proposal_draws"], diag["passes"]) == (2000, 1)
+    env = json.loads(open(os.path.join(out_dir, "envelope.json")).read())
+    assert set(env) == {"slopes", "offsets", "m"}
+
+
 def test_base_shortcut_manifest_names_diffusion(model_file, tmp_path):
     reward = tmp_path / "const.json"
     reward.write_text(json.dumps({
@@ -418,8 +474,10 @@ LSE_3W_2Z = ('{"type": "logsumexp", "w": [1.0, 0.5, 2.0], '
     ("align-w2", TWO_ATOMS.replace("0.0", "NaN"), QUAD, ["quad"], 2),
     ("align-w2", '{"type": "gmm", "weights": [1.0], "means": [[NaN]], '
      '"covs": [[[0.01]]], "C": 1.0}', QUAD, ["quad"], 2),
-    # finite input, non-finite transport: the output gate
-    ("align-w2", TWO_ATOMS, QUAD.replace("0.6", "1e308"), ["quad"], 4),
+    # finite input, non-finite transport (b/2 + lambda y overflows): the
+    # output gate
+    ("prox-demo", None, QUAD.replace("0.6", "1.7e308"),
+     ["--y", "1.7e308", "--lambda", "1"], 4),
     ("align-w2", TWO_ATOMS, '{"type": "linear", "theta": [NaN]}', ["pga"], 2),
     ("align-w2", TWO_ATOMS, MAXAFF, ["lowrank", "--eps", "nan"], 2),
     ("align-w2", TWO_ATOMS, MAXAFF, ["lowrank", "--eps", "inf"], 2),
@@ -440,7 +498,10 @@ LSE_3W_2Z = ('{"type": "logsumexp", "w": [1.0, 0.5, 2.0], '
      '"covs": [[[0.01]]], "C": 1.0}', None, ["--v", "1e200"], 4),
     ("estimate-z", '{"type": "discrete", "atoms": [[2.0], [3.0]], '
      '"probs": [0.5, 0.5], "C": 3.0}', None, ["--v=-1e308"], 4),
-    ("prox-demo", None, QUAD.replace("0.6", "1e308"), ["--y", "0.0"], 4),
+    # a finite tilt whose log normalizer overflows (v^2 var / 2)
+    ("align-kl", '{"type": "gmm", "weights": [1.0], "means": [[0.0]], '
+     '"covs": [[[0.01]]], "C": 1.0}', '{"type": "linear", "theta": [1e200]}',
+     [], 4),
     ("estimate-z", TWO_ATOMS, None, ["--v", "1,abc"], 2),
     ("prox-demo", None, QUAD, ["--y", "0.5,x"], 2),
 ])

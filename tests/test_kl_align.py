@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -9,11 +10,12 @@ from scipy.spatial import cKDTree
 import rewardalign as ra
 from rewardalign.cli import fig1_base, main
 from rewardalign.kl_align import (Net, _collapse_net_pieces, _serve,
-                                  proposal_law_discrete)
+                                  own_envelope, proposal_law_discrete)
 from rewardalign.metrics import (QuadratureTilt1D, empirical_to_discrete,
                                  oracle_kl_tilt, tv_discrete,
                                  w2_1d_samples_vs_quantiles)
 from rewardalign.models import DIFFUSION_STEP_CAP, recommended_steps
+from rewardalign.rewards import make_logsumexp_function
 from rewardalign.validate import (random_discrete, random_maxaffine,
                                   random_orthogonal_rows, random_unit_ball,
                                   run_envelope_suite)
@@ -127,7 +129,7 @@ class TestBuildEnvelope:
             fv = np.asarray(f.value(us))
             gv = env.value(us)
             assert np.all(fv <= gv + 1e-9)
-            assert np.all(gv <= fv + env.gap_bound + 1e-9)
+            assert np.all(gv <= fv + 1 + np.log(env.m) + 1e-9)
 
     def test_slope_bound_enforced(self):
         f = abs_function()
@@ -170,7 +172,7 @@ class TestBuildEnvelope:
         us = rng.standard_normal((2 * step + 1, k)) * 3.0
         scores = us @ env.slopes.T + env.offsets
         top = scores.max(axis=1)
-        direct = 1.0 + top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
+        direct = top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
         vals = env.value(us)
         # at k = 1 the scores are exact products, so the values match the
         # row formula bit for bit, except where the piece-major block adds
@@ -485,18 +487,19 @@ class TestSampleKLAligned:
         env = ra.Envelope.from_pieces(*reward.envelope_pieces())
         res = ra.sample_kl_aligned(base, reward.A, reward.f, eps=0.3,
                                    delta=0.05, seed=7, n=2000, envelope=env)
-        # acceptance = 1/e exactly, so the empirical rate concentrates there
-        assert abs(res.acceptance_rate - np.exp(-1)) < 0.03
+        # G = f, so every candidate is accepted
+        assert res.acceptance_rate == 1.0
 
     def test_fallback_law_at_exact_acceptance(self):
-        # one explicit log-sum-exp piece: G = f + 1, so each candidate is
-        # accepted with probability exactly 1/e and a slot falls back
-        # after N_rej = 16 rejects with probability (1 - 1/e)^16
+        # one explicit log-sum-exp piece raised by 1: G = f + 1, so each
+        # candidate is accepted with probability exactly 1/e and a slot
+        # falls back after N_rej = 16 rejects with probability (1 - 1/e)^16
         rng = np.random.default_rng(12)
         base = random_discrete(rng, 6, 2)
         reward = ra.LogSumExpReward([1.0], [[0.5]],
                                     random_orthogonal_rows(rng, 1, 2))
-        env = ra.Envelope.from_pieces(*reward.envelope_pieces())
+        z, b = reward.envelope_pieces()
+        env = ra.Envelope.from_pieces(z, b + 1.0)
         n = 10**5
         res = ra.sample_kl_aligned(base, reward.A, reward.f, eps=0.99,
                                    delta=0.05, seed=13, n=n, envelope=env)
@@ -531,7 +534,8 @@ class TestSampleKLAligned:
         reward = ra.LogSumExpReward([1.0], [[0.5]],
                                     random_orthogonal_rows(rng, 1, 2))
         A, f = reward.A, reward.f
-        env = ra.Envelope.from_pieces(*reward.envelope_pieces())
+        z, b = reward.envelope_pieces()
+        env = ra.Envelope.from_pieces(z, b + 1.0)  # G = f + 1
         model = proposal_law_discrete(base, env, A)
         u = model.atoms @ A.T
         log_a = np.asarray(f.value(u)) - env.value(u)
@@ -678,7 +682,7 @@ class TestSampleKLAligned:
             pts = ra.sample_exact(tilted, int((comps == i).sum()), rng).points
             u = pts @ A.T
             acc = np.exp(np.asarray(f.value(u)) - env.value(u))
-            assert np.all(acc >= env.acceptance_floor - 1e-9)
+            assert np.all(acc >= np.exp(-(1 + np.log(env.m))) - 1e-9)
             assert np.all(acc <= 1.0 + 1e-9)
 
 
@@ -724,7 +728,7 @@ class TestNetPieceCollapse:
                 assert kept.m <= n_pieces
                 gv = kept.value(us)
                 assert np.min(gv - fv) >= -1e-9
-                assert np.min(fv + kept.gap_bound - gv) >= -1e-9
+                assert np.min(fv + 1 + np.log(kept.m) - gv) >= -1e-9
 
     @given(st.integers(1, 2).flatmap(lambda k: st.lists(
         st.lists(st.integers(-3, 3), min_size=k, max_size=k),
@@ -748,7 +752,7 @@ class TestNetPieceCollapse:
             np.random.default_rng(k), 500, k)])
         fv, gv = np.asarray(f.value(us)), kept.value(us)
         assert np.min(gv - fv) >= -1e-9
-        assert np.min(fv + kept.gap_bound - gv) >= -1e-9
+        assert np.min(fv + 1 + np.log(kept.m) - gv) >= -1e-9
         # exact ties on the net, ulp-near ties one ulp off each net point
         near = np.vstack([net.points, np.nextafter(net.points, np.inf),
                           np.nextafter(net.points, -np.inf)])
@@ -763,6 +767,10 @@ class TestNetPieceCollapse:
         assert sandwich["min_slack_lower"] >= -1e-9
         assert sandwich["min_slack_upper"] >= -1e-9
         assert by_name["collapsed_acceptance_floor"]["min_margin"] >= -1e-9
+        own = by_name["own_envelope_sandwich"]
+        assert own["min_slack_lower"] >= -1e-9
+        assert own["min_slack_upper"] >= -1e-9
+        assert by_name["logsumexp_self_reward"]["max_dev"] <= 1e-12
         assert rep["passed"]
 
     def test_ulp_offsets_keep_the_largest(self):
@@ -780,9 +788,11 @@ class TestNetPieceCollapse:
         assert np.array_equal(kept.offsets, [up2, 1.0, down])
 
     def test_criterion3_instance_collapses_to_one_piece(self):
-        # 37 net pieces on one affine reward: one piece kept, so G' = f + 1
-        # and every candidate is accepted with probability 1/e
+        # 37 net pieces on a black-box copy of one affine reward: one piece
+        # kept, so G' = f + 1 and every candidate is accepted with
+        # probability 1/e
         base, A, f, seed = criterion3_instance(2)
+        f = dataclasses.replace(f, pieces=None, reduction=None)
         res = ra.sample_kl_aligned(base, A, f, eps=0.1, delta=0.05,
                                    seed=seed, n=2 * 10**4)
         assert (res.net_pieces, res.envelope.m) == (37, 1)
@@ -814,12 +824,13 @@ class TestNetPieceCollapse:
                    "--n", "500", "--seed", str(seed), "--out", out])
         assert rc == 0
         manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+        # a CLI reward has pieces: its one piece is its own envelope
         diag = manifest["diagnostics"]
-        assert (diag["net_pieces"], diag["m"]) == (37, 1)
+        assert (diag["net_pieces"], diag["m"]) == (1, 1)
         assert manifest["derived_parameters"]["m"] == 1
 
     def test_explicit_envelope_used_as_given(self):
-        # two exact log-sum-exp pieces sharing a slope: G = f + 1 only with
+        # two exact log-sum-exp pieces sharing a slope: G = f only with
         # both, so an explicit envelope must not be collapsed
         rng = np.random.default_rng(6)
         base = random_discrete(rng, 6, 2)
@@ -833,8 +844,8 @@ class TestNetPieceCollapse:
         assert res.report()["net_pieces"] == res.report()["m"] == 2
         u = base.atoms @ reward.A.T
         acc = np.exp(np.asarray(reward.f.value(u)) - env.value(u))
-        assert np.max(np.abs(acc - np.exp(-1.0))) <= 1e-12
-        assert abs(res.acceptance_rate - np.exp(-1)) < 0.03
+        assert np.max(np.abs(acc - 1.0)) <= 1e-12
+        assert abs(res.acceptance_rate - 1.0) < 0.03
 
     def test_distinct_slopes_unchanged(self):
         rng = np.random.default_rng(9)
@@ -852,3 +863,98 @@ class TestNetPieceCollapse:
         kept = _collapse_net_pieces(env)
         assert kept.slopes.tobytes() == env.slopes.tobytes()
         assert kept.offsets.tobytes() == env.offsets.tobytes()
+
+
+def random_pieces(rng, k, m):
+    """m random pieces in k dimensions, offsets spread wide enough that
+    some pieces are topped on the whole unit-scale ball."""
+    return rng.standard_normal((m, k)), rng.uniform(-3.0, 3.0, m)
+
+
+class TestOwnEnvelope:
+    def test_sandwich_brute_force(self):
+        # f <= G <= f + log m' on ball samples; G = f bit for bit for a
+        # log-sum-exp f, which keeps all its pieces
+        rng = np.random.default_rng(41)
+        pruned = 0
+        for _ in range(60):
+            k, m = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            R = float(rng.uniform(0.1, 2.0))
+            z, b = random_pieces(rng, k, m)
+            us = random_unit_ball(rng, 500, k, radius=R)
+            f = ra.make_max_affine(list(zip(z, b)))
+            env = own_envelope(f, R)
+            pruned += m - env.m
+            fv, gv = f.value(us), env.value(us)
+            assert np.min(gv - fv) >= -1e-12
+            assert np.min(fv + np.log(env.m) - gv) >= -1e-12
+            f = make_logsumexp_function(np.exp(b), z)
+            env = own_envelope(f, R)
+            assert env.m == m
+            assert np.array_equal(env.value(us), f.value(us))
+        assert pruned > 0
+
+    def test_prune_keeps_the_max_on_the_ball(self):
+        # every dropped piece is topped on all of B(R): the max over the
+        # kept pieces' scores is the max over all of them, bit for bit,
+        # on the sphere and inside it
+        rng = np.random.default_rng(42)
+        for _ in range(60):
+            k, m = int(rng.integers(1, 4)), int(rng.integers(2, 12))
+            R = float(rng.uniform(0.1, 2.0))
+            z, b = random_pieces(rng, k, m)
+            f = ra.make_max_affine(list(zip(z, b)))
+            kept = own_envelope(f, R)
+            idx = [next(i for i in range(m) if np.array_equal(z[i], s))
+                   for s in kept.slopes]
+            us = random_unit_ball(rng, 400, k, radius=R)
+            sphere = random_unit_ball(rng, 400, k)
+            sphere *= R / np.linalg.norm(sphere, axis=1, keepdims=True)
+            scores = np.vstack([us, sphere]) @ z.T + b
+            assert np.array_equal(scores[:, idx].max(axis=1),
+                                  scores.max(axis=1))
+
+    def test_topped_and_equal_pieces(self):
+        # on B(1): u - 2 lies under u; -u - 10 under u; the second copy
+        # of u goes, the first stays; |u| keeps both pieces
+        f = ra.make_max_affine([([1.0], 0.0), ([1.0], -2.0), ([-1.0], -10.0),
+                                ([1.0], 0.0)])
+        env = own_envelope(f, 1.0)
+        assert np.array_equal(env.slopes, [[1.0]])
+        assert np.array_equal(env.offsets, [0.0])
+        # u - 2 tops -u exactly at R = 1 (b_i - b_j = R ||z_i - z_j||)
+        f = ra.make_max_affine([([-1.0], -2.0), ([1.0], 0.0)])
+        assert own_envelope(f, 1.0).m == 1
+        assert own_envelope(f, 1.0 + 1e-9).m == 2
+        assert own_envelope(abs_function(), 1.0).m == 2
+
+    def test_sampler_reads_pieces_not_oracles(self):
+        # the pieces alone make the envelope: wrapping value, as the bench
+        # tracer does, and dropping grad leave the sample bytes unchanged
+        base = random_discrete(np.random.default_rng(43), 6, 1)
+        f = ra.make_max_affine([([0.8], 0.0), ([-0.5], 0.1), ([0.1], -3.0)])
+        f.radius = 1.0
+        wrapped = dataclasses.replace(f, value=lambda u: f.value(u),
+                                      grad=None)
+        runs = [ra.sample_kl_aligned(base, np.eye(1), g, eps=0.1, delta=0.05,
+                                     seed=44, n=500) for g in (f, wrapped)]
+        assert runs[0].envelope.m == runs[0].net_pieces == 2
+        assert np.array_equal(runs[0].batch.points, runs[1].batch.points)
+
+    def test_bare_score_oracle_runs_at_one_piece(self):
+        # max(u, -u - 10) on B(1) is u: its own envelope has one piece, so
+        # the diffusion backend needs no Monte Carlo normalizer and runs on
+        # scores alone; both pieces would need exact draws
+        base = ra.score_oracle(ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5],
+                                                1.0))
+        f = ra.make_max_affine([([1.0], 0.0), ([-1.0], -10.0)])
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.5, delta=0.1,
+                                   seed=5, n=400, backend="diffusion")
+        assert res.envelope.m == res.params.m == 1
+        p1 = np.mean(res.batch.points[:, 0] > 0.5)
+        assert abs(p1 - np.e / (1 + np.e)) < 0.08
+        both = ra.Envelope.from_pieces(f.pieces.slopes, f.pieces.offsets)
+        with pytest.raises(ra.CapabilityError):
+            ra.sample_kl_aligned(base, np.eye(1), f, eps=0.5, delta=0.1,
+                                 seed=5, n=400, backend="diffusion",
+                                 envelope=both)

@@ -55,6 +55,21 @@ class TestEval:
 
 
 class TestFirstOrder:
+    @pytest.mark.parametrize("g, L, ok", [([np.inf], 1.0, False),
+                                          ([1e200], 1e200, True)])
+    def test_subgradient_norm_past_the_square_overflow(self, g, L, ok):
+        # an inf subgradient exceeds every L; a finite one whose square
+        # overflows is measured by its scaled norm, 1e200
+        f = ra.LowDimFunction(
+            value=lambda u: np.zeros(len(np.atleast_2d(u))), k=1,
+            lipschitz=L, radius=1.0, convex=True,
+            grad=lambda u: np.tile(g, (len(np.atleast_2d(u)), 1)))
+        if ok:
+            assert ra.first_order(f, np.array([[0.5]]))[1][0, 0] == 1e200
+        else:
+            with pytest.raises(ra.ValidationError, match="inf exceeds"):
+                ra.first_order(f, np.array([[0.5]]))
+
     def test_abs_away_from_kink(self):
         f = abs_function()
         f.radius = 2.0

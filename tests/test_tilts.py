@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,20 @@ class TestTiltExact:
         assert np.all(np.abs(pts) <= 8.0)
         truth = QuadratureTilt1D(base, ra.LinearReward([4.0]))
         assert w2_1d_samples_vs_quantiles(pts, truth.ppf) <= 0.02
+
+    @pytest.mark.parametrize("model, v", [
+        (ra.DiscreteModel([[2.0], [3.0]], [0.5, 0.5], 3.0), [-1e308]),
+        (ra.GaussianMixtureModel([1.0], [[0.0]], [[[0.01]]], 1.0), [1e200])])
+    def test_non_finite_log_normalizer_is_numerical(self, model, v):
+        # <v, x> underflows to -inf on every atom; v^2 var / 2 overflows to
+        # +inf: refused as the normalizer estimate refuses it, unwarned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ra.NumericalError, match="not finite"):
+                ra.tilt_exact(model, np.array(v))
+            with pytest.raises(ra.NumericalError, match="not finite"):
+                ra.estimate_normalizer(model, np.array(v), eta=0.1,
+                                       delta=0.1)
 
 
 class TestTiltedScore:
