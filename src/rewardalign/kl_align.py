@@ -25,7 +25,8 @@ from .models import (DiscreteModel, Model, SampleBatch, _group_rows,
                      recommended_steps, sample_exact)
 # bound though unused here: bench/tracer.py wraps it in this module by name
 from .models import sample_via_diffusion  # noqa: F401
-from .rewards import AffinePieces, LowDimFunction, first_order, oracle_answer
+from .rewards import (AffinePieces, LowDimFunction, check_domain, first_order,
+                      oracle_answer)
 from .tilts import estimate_normalizer, sample_linear_tilt, tilt_exact
 
 NET_CARDINALITY_CAP = 1_000_000
@@ -132,21 +133,28 @@ def build_envelope(f: LowDimFunction, net: Net) -> Envelope:
 def own_envelope(f: LowDimFunction, R: float) -> Envelope:
     """The envelope of an f with pieces on B(R), from ``f.pieces`` alone:
     every piece of a log-sum-exp f (G = f), and every piece of a max-affine
-    f that no other piece tops on all of B(R), where piece j tops piece i
-    iff b_j - b_i >= R ||z_j - z_i||; of pieces that top each other the
-    first is kept.  The kept pieces have f's max on B(R), so there
-    f <= G <= f + log m'."""
+    f that no other piece tops on all of B(R'), R' = R (1 + 1e-9), where
+    piece j tops piece i iff b_j - b_i >= R' ||z_j - z_i||; of pieces that
+    top each other the first is kept.  The kept pieces have f's max on
+    B(R'), so there f <= G <= f + log m'.  R' covers the candidates that
+    leave B(R) by rounding (atoms up to C (1 + 1e-12), ||A|| itself)."""
     p = f.pieces
     if f.reduction == "logsumexp":
         return Envelope(slopes=p.slopes, offsets=p.offsets)
     keep = np.ones(p.m, dtype=bool)
     for i in range(p.m):
-        reach = R * norms(p.slopes - p.slopes[i])
+        reach = R * (1.0 + 1e-9) * norms(p.slopes - p.slopes[i])
         topped = p.offsets - p.offsets[i] >= reach
         # a later piece tops i only if i does not top it back
         topped[i:] &= p.offsets[i] - p.offsets[i:] < reach[i:]
         keep[i] = not topped.any()
     return Envelope(slopes=p.slopes[keep], offsets=p.offsets[keep])
+
+
+def gap_bound(m: int) -> float:
+    """B = 1 + log m, the most an m-piece net envelope exceeds f by; the
+    acceptance floor is a0 = exp(-B)."""
+    return 1.0 + float(np.log(m))
 
 
 @dataclass(frozen=True)
@@ -173,7 +181,7 @@ def compute_params(L: float, A_opnorm: float, C: float, m: int,
         raise ValidationError("eps must be in (0,1)")
     if m < 1:
         raise ValidationError("m must be >= 1")
-    B = 1.0 + np.log(m)
+    B = gap_bound(m)
     a0 = float(np.exp(-B))
     L_a = 2.0 * L * A_opnorm
     rho = min(eps**2 * a0 / (32.0 * C * (1.0 + 2.0 * C * L_a)),
@@ -181,7 +189,7 @@ def compute_params(L: float, A_opnorm: float, C: float, m: int,
     eta = min(0.5, rho**2 / (128.0 * C**2))
     N_rej = int(np.ceil((2.0 / a0) * np.log(16.0 * C**2 / eps**2)))
     h = np.inf if L == 0 else 1.0 / (2.0 * L)
-    return Alg1Params(h=h, m=m, B=float(B), a0=a0, L_a=L_a, rho=float(rho),
+    return Alg1Params(h=h, m=m, B=B, a0=a0, L_a=L_a, rho=float(rho),
                       eps_lin=float(rho / 2.0), eta=float(eta), N_rej=N_rej)
 
 
@@ -375,6 +383,7 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
 
     op_norm = float(np.linalg.norm(A, 2))
     R = op_norm * C
+    check_domain(f, R)
     if envelope is None and f.pieces is None:
         envelope = build_envelope(f, build_net(f.k, R, 1.0 / (2.0 * L)))
         net_pieces = envelope.m

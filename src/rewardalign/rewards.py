@@ -60,6 +60,14 @@ def oracle_answer(out, rows: int, k: int = None) -> np.ndarray:
     return out.reshape(shape)
 
 
+def check_domain(f: LowDimFunction, norm: float) -> None:
+    """ValidationError unless points of norm ``norm`` lie in f's declared
+    ball (with its small validity margin)."""
+    if norm > f.radius * (1.0 + DOMAIN_SLACK) + 1e-12:
+        raise ValidationError(f"query at norm {norm:.6g} outside the "
+                              f"declared ball of radius {f.radius:.6g}")
+
+
 def first_order(f: LowDimFunction, u: np.ndarray):
     """First-order oracle at a point ``(k,)`` or a batch ``(n, k)``:
     ``(f(u), g)`` as ``(float, (k,))`` or ``((n,), (n, k))``, g a
@@ -70,10 +78,7 @@ def first_order(f: LowDimFunction, u: np.ndarray):
     rows = np.atleast_2d(u)
     if f.grad is None:
         raise ValidationError("no subgradient oracle declared for this function")
-    norm = norms(rows).max(initial=0.0)
-    if norm > f.radius * (1.0 + DOMAIN_SLACK) + 1e-12:
-        raise ValidationError(f"first-order query at norm {norm:.6g} outside "
-                              f"the declared ball of radius {f.radius:.6g}")
+    check_domain(f, norms(rows).max(initial=0.0))
     val = oracle_answer(f.value(u), len(rows))
     g = oracle_answer(f.grad(u), len(rows), rows.shape[1])
     g_norm = norms(g).max(initial=0.0)

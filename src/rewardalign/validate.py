@@ -12,7 +12,7 @@ import numpy as np
 
 from . import metrics
 from .kl_align import (Envelope, _collapse_net_pieces, build_envelope,
-                       build_net, build_proposal, own_envelope,
+                       build_net, build_proposal, gap_bound, own_envelope,
                        proposal_law_discrete)
 from .models import (DiscreteModel, GaussianMixtureModel, sample_exact,
                      score, score_oracle, noised_log_density)
@@ -109,7 +109,7 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
         fv = np.asarray(f.value(us))
         kept, own = _collapse_net_pieces(env), own_envelope(f, R)
         for worst, G, B in zip(sandwiches.values(), (env, kept, own), (
-                1.0 + np.log(env.m), 1.0 + np.log(kept.m), np.log(own.m))):
+                gap_bound(env.m), gap_bound(kept.m), np.log(own.m))):
             gv = G.value(us)
             worst[0] = min(worst[0], float(np.min(gv - fv)))
             worst[1] = min(worst[1], float(np.min(fv + B - gv)))
@@ -180,12 +180,12 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
 
 
 def _floor_margin(base, A, f, env, rng) -> float:
-    """Smallest exp(f - G) - exp(-(1 + log m)) over 200 envelope tilt draws."""
+    """Smallest exp(f - G) - a0 over 200 envelope tilt draws."""
     proposal = build_proposal(base, env, A, eta=1e-12, delta=0.1, seed=rng)
     model = tilt_exact(base, proposal.tilt_vectors, proposal.log_pi)
     u = sample_exact(model, 200, rng).points @ A.T
     log_a = np.asarray(f.value(u)) - env.value(u)
-    return float(np.min(np.exp(log_a) - np.exp(-(1.0 + np.log(env.m)))))
+    return float(np.min(np.exp(log_a) - np.exp(-gap_bound(env.m))))
 
 
 # ---------------------------------------------------------------------------

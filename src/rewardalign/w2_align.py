@@ -312,9 +312,15 @@ def objective_value(ys: np.ndarray, xs: np.ndarray, reward, lam: float):
     xs = np.atleast_2d(xs)
     vals = (oracle_answer(reward.value(xs), len(xs))
             - lam * np.sum((xs - ys) ** 2, axis=1))
-    n = len(vals)
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError("objective values r(X) - lam ||X - Y||^2 "
+                             "must be finite")
+    # scaled by 2^-e (exact) below 1, so sums of values near the float max
+    # stay finite
+    e = max(int(np.frexp(np.max(np.abs(vals)))[1]), 0)
+    vals, n = np.ldexp(vals, -e), len(vals)
     stderr = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return float(np.mean(vals)), stderr
+    return float(np.ldexp(np.mean(vals), e)), float(np.ldexp(stderr, e))
 
 
 def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,

@@ -315,6 +315,29 @@ def test_prox_demo_norm_past_the_square_overflow(tmp_path, capsys):
     assert err == ""
 
 
+def test_align_w2_objective_near_the_float_max(tmp_path, capsys):
+    # b = 1e308 moves both atoms to x = 1, where r(x) is about 1e308: the
+    # objective's mean and spread stay finite and the manifest strict JSON
+    model, reward = tmp_path / "model.json", tmp_path / "quad.json"
+    model.write_text(TWO_ATOMS)
+    reward.write_text(QUAD.replace("0.6", "1e308"))
+    out_dir = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["align-w2", "--model", str(model), "--reward",
+                     str(reward), "--lambda", "0.15", "--backend", "quad",
+                     "--n", "50", "--out", out_dir]) == 0
+    assert capsys.readouterr().err == ""
+
+    def reject(name):
+        raise AssertionError(f"non-JSON constant {name}")
+
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        diag = json.loads(fh.read(), parse_constant=reject)["diagnostics"]
+    assert diag["objective_value"] == pytest.approx(1e308, rel=1e-12)
+    assert 0.0 <= diag["objective_stderr"] < 1e300
+
+
 def test_logsumexp_reward_is_its_own_envelope(tmp_path):
     # a 2-piece log-sum-exp reward on 4 atoms in 2D: G = f, so no net,
     # acceptance 1 and one candidate per slot in one pass
@@ -504,6 +527,12 @@ LSE_3W_2Z = ('{"type": "logsumexp", "w": [1.0, 0.5, 2.0], '
      [], 4),
     ("estimate-z", TWO_ATOMS, None, ["--v", "1,abc"], 2),
     ("prox-demo", None, QUAD, ["--y", "0.5,x"], 2),
+    # the align-w2 output gate: b/2 + lambda y overflows on the atom at 1
+    ("align-w2", '{"type": "discrete", "atoms": [[1.0]], "probs": [1.0], '
+     '"C": 1.0}', QUAD.replace("0.6", "1.7e308"),
+     ["quad", "--lambda", "1e308"], 4),
+    # a declared ball R = 0.5 short of ||A|| C = 1, though f has pieces
+    ("align-kl", TWO_ATOMS, MAXAFF.replace('"R": 1.0', '"R": 0.5'), [], 2),
 ])
 def test_bad_or_non_finite_input_exit_code(tmp_path, capsys, cmd, model,
                                            reward, extra, code):

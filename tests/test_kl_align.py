@@ -10,7 +10,8 @@ from scipy.spatial import cKDTree
 import rewardalign as ra
 from rewardalign.cli import fig1_base, main
 from rewardalign.kl_align import (Net, _collapse_net_pieces, _serve,
-                                  own_envelope, proposal_law_discrete)
+                                  gap_bound, own_envelope,
+                                  proposal_law_discrete)
 from rewardalign.metrics import (QuadratureTilt1D, empirical_to_discrete,
                                  oracle_kl_tilt, tv_discrete,
                                  w2_1d_samples_vs_quantiles)
@@ -129,7 +130,7 @@ class TestBuildEnvelope:
             fv = np.asarray(f.value(us))
             gv = env.value(us)
             assert np.all(fv <= gv + 1e-9)
-            assert np.all(gv <= fv + 1 + np.log(env.m) + 1e-9)
+            assert np.all(gv <= fv + gap_bound(env.m) + 1e-9)
 
     def test_slope_bound_enforced(self):
         f = abs_function()
@@ -682,7 +683,7 @@ class TestSampleKLAligned:
             pts = ra.sample_exact(tilted, int((comps == i).sum()), rng).points
             u = pts @ A.T
             acc = np.exp(np.asarray(f.value(u)) - env.value(u))
-            assert np.all(acc >= np.exp(-(1 + np.log(env.m))) - 1e-9)
+            assert np.all(acc >= np.exp(-gap_bound(env.m)) - 1e-9)
             assert np.all(acc <= 1.0 + 1e-9)
 
 
@@ -728,7 +729,7 @@ class TestNetPieceCollapse:
                 assert kept.m <= n_pieces
                 gv = kept.value(us)
                 assert np.min(gv - fv) >= -1e-9
-                assert np.min(fv + 1 + np.log(kept.m) - gv) >= -1e-9
+                assert np.min(fv + gap_bound(kept.m) - gv) >= -1e-9
 
     @given(st.integers(1, 2).flatmap(lambda k: st.lists(
         st.lists(st.integers(-3, 3), min_size=k, max_size=k),
@@ -752,7 +753,7 @@ class TestNetPieceCollapse:
             np.random.default_rng(k), 500, k)])
         fv, gv = np.asarray(f.value(us)), kept.value(us)
         assert np.min(gv - fv) >= -1e-9
-        assert np.min(fv + 1 + np.log(kept.m) - gv) >= -1e-9
+        assert np.min(fv + gap_bound(kept.m) - gv) >= -1e-9
         # exact ties on the net, ulp-near ties one ulp off each net point
         near = np.vstack([net.points, np.nextafter(net.points, np.inf),
                           np.nextafter(net.points, -np.inf)])
@@ -922,11 +923,23 @@ class TestOwnEnvelope:
         env = own_envelope(f, 1.0)
         assert np.array_equal(env.slopes, [[1.0]])
         assert np.array_equal(env.offsets, [0.0])
-        # u - 2 tops -u exactly at R = 1 (b_i - b_j = R ||z_i - z_j||)
+        # u tops -u - 2 exactly on B(1) (b_j - b_i = R ||z_j - z_i||): both
+        # stay, since candidates can leave B(R) by rounding; on a ball past
+        # that margin -u - 2 goes
         f = ra.make_max_affine([([-1.0], -2.0), ([1.0], 0.0)])
-        assert own_envelope(f, 1.0).m == 1
-        assert own_envelope(f, 1.0 + 1e-9).m == 2
+        assert own_envelope(f, 1.0).m == 2
+        assert own_envelope(f, 1.0 - 1e-8).m == 1
         assert own_envelope(abs_function(), 1.0).m == 2
+
+    def test_tie_on_the_sphere_with_an_atom_past_C(self):
+        # the two pieces of max(1000u, -1000u - 2000) tie at u = -1, and an
+        # atom at -(1 + 1e-12) <= C (1 + 1e-12) lies where the second is
+        # 2e-9 above the first: it stays, so the envelope dominates f there
+        base = ra.DiscreteModel([[-(1.0 + 1e-12)], [0.5]], [0.5, 0.5], 1.0)
+        f = ra.make_max_affine([([1000.0], 0.0), ([-1000.0], -2000.0)])
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.3, delta=0.1,
+                                   seed=1, n=100)
+        assert res.envelope.m == 2
 
     def test_sampler_reads_pieces_not_oracles(self):
         # the pieces alone make the envelope: wrapping value, as the bench

@@ -4,7 +4,7 @@ import pytest
 import rewardalign as ra
 from rewardalign.metrics import oracle_prox_grid, w2_discrete
 from rewardalign.models import DIFFUSION_STEP_CAP
-from rewardalign.w2_align import (Alg2Params, LowRankDecomp,
+from rewardalign.w2_align import (Alg2Params, LowRankDecomp, objective_value,
                                   prox_quadratic_batch, reduced_objective)
 from rewardalign.validate import random_discrete, random_unit_ball
 
@@ -429,6 +429,31 @@ class TestPushforward:
 
 
 class TestObjective:
+    def test_scaled_mean_matches_plain_and_stays_finite(self):
+        # the power-of-two scaling is exact: plain mean and spread bit for
+        # bit where they are finite, finite ones near the float max
+        rng = np.random.default_rng(14)
+
+        class Values:
+            def __init__(self, vals):
+                self.vals = vals
+
+            def value(self, xs):
+                return self.vals
+
+        ys = np.zeros((50, 1))
+        for scale in (1e-3, 1.0, 7.5, 1e12):
+            vals = rng.normal(scale, scale, 50)
+            got = objective_value(ys, ys, Values(vals), 1.0)
+            assert got == (float(np.mean(vals)),
+                           float(np.std(vals, ddof=1) / np.sqrt(50)))
+        mean, se = objective_value(ys, ys, Values(np.full(50, 1.7e308)), 1.0)
+        assert mean == pytest.approx(1.7e308, rel=1e-12)
+        assert 0.0 <= se < 1e300
+        with pytest.raises(ra.NumericalError):
+            objective_value(ys, ys, Values(np.r_[np.full(49, 1.0), -np.inf]),
+                            1.0)
+
     def test_fig1_quadrature_value(self):
         # E_Y[max_x r(x) - lam (x - Y)^2] via the closed-form map:
         # V(y) = r(T(y)) - lam (T(y) - y)^2 with T(y) = 1 + y/2
