@@ -89,7 +89,7 @@ def build_net(k: int, R: float, h: float) -> Net:
 
 class Envelope(AffinePieces):
     """Log-sum-exp upper envelope G(u) = log sum_i exp(b_i + <z_i, u>): its
-    pieces alone; ``compute_params`` owns its gap bound and floor."""
+    pieces alone; ``gap_bound`` and ``compute_params`` give its bounds."""
 
     what = "envelope"
     value = AffinePieces.log_sum_exp  # G, by the name bench/tracer.py wraps
