@@ -31,7 +31,8 @@ from .rewards import (LinearReward, LowRankReward, QuadraticReward,
 from .tilts import estimate_normalizer
 from .validate import (run_all_suites, run_envelope_suite, run_lemma_suite,
                        run_oracle_suite)
-from .w2_align import prox_quadratic, prox_concave, sample_w2_aligned
+from .w2_align import (prox_concave, prox_max_affine, prox_quadratic,
+                       sample_w2_aligned)
 
 
 def _config_hash(config: dict) -> str:
@@ -167,6 +168,8 @@ def cmd_prox_demo(args) -> int:
     y = _parse_vector(args.y)
     if isinstance(reward, QuadraticReward):
         x = prox_quadratic(reward.B, reward.b, args.lam, y, args.C)
+    elif isinstance(reward, LowRankReward) and reward.f.reduction == "max":
+        x = prox_max_affine(reward, args.lam, y, args.C)
     else:
         x = prox_concave(reward, args.lam, y, args.C)
     x = SampleBatch(points=x[None], seed=-1, producer="prox-demo",

@@ -176,7 +176,8 @@ def compute_params(L: float, A_opnorm: float, C: float, m: int,
                    eps: float) -> Alg1Params:
     """Parameter block: gap bound, acceptance floor, perturbation budget
     rho, per-tilt sampling accuracy, normalizer accuracy, and the per-slot
-    candidate budget N_rej = ceil(2/a0 * log(16 C^2 / eps^2))."""
+    candidate budget N_rej = ceil(2/a0 * log(16 C^2 / eps^2)), taken as
+    ceil(2/a0 * 2 log(4 C / eps))."""
     if not (0.0 < eps < 1.0):
         raise ValidationError("eps must be in (0,1)")
     if m < 1:
@@ -186,8 +187,10 @@ def compute_params(L: float, A_opnorm: float, C: float, m: int,
     L_a = 2.0 * L * A_opnorm
     rho = min(eps**2 * a0 / (32.0 * C * (1.0 + 2.0 * C * L_a)),
               a0 / (4.0 * max(1.0, L_a)))
-    eta = min(0.5, rho**2 / (128.0 * C**2))
-    N_rej = int(np.ceil((2.0 / a0) * np.log(16.0 * C**2 / eps**2)))
+    # in logs and ratios: a Python float C**2 raises OverflowError past
+    # C = 1.3e154
+    eta = min(0.5, (rho / C)**2 / 128.0)
+    N_rej = int(np.ceil((2.0 / a0) * 2.0 * (np.log(4.0 / eps) + np.log(C))))
     h = np.inf if L == 0 else 1.0 / (2.0 * L)
     return Alg1Params(h=h, m=m, B=B, a0=a0, L_a=L_a, rho=float(rho),
                       eps_lin=float(rho / 2.0), eta=float(eta), N_rej=N_rej)

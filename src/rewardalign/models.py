@@ -44,8 +44,8 @@ def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
     Accepts a single vector ``(d,)`` or a batch ``(n, d)``.
     """
     x = np.asarray(x, dtype=float)
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
+    r = norms(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1] + (1,))
+    scale = np.where(r > radius, radius / np.maximum(r, 1e-300), 1.0)
     return x * scale
 
 
@@ -212,8 +212,7 @@ class DiscreteModel:
         self.support_radius = float(finite("C", support_radius, positive=True))
         self.probs, self._log_probs = _probability_vector(
             "probs", probs, len(self.atoms))
-        norms = np.linalg.norm(self.atoms, axis=1)
-        if np.any(norms > self.support_radius * (1 + 1e-12)):
+        if np.any(norms(self.atoms) > self.support_radius * (1 + 1e-12)):
             raise ValidationError("every atom must have norm <= C")
 
     @property

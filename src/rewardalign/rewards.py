@@ -18,6 +18,9 @@ from .models import _logsumexp, _read_spec, norms
 
 # First-order oracles must be valid slightly beyond the declared ball.
 DOMAIN_SLACK = 1e-3
+# The one tie rule of max-affine pieces: the lowest-index piece whose score
+# is within this of the max wins
+PIECE_TIE_TOL = 1e-12
 
 
 @dataclass
@@ -173,7 +176,7 @@ def make_max_affine(pieces) -> LowDimFunction:
         # (rows, 1, k): one vector-matrix product per row, so a point and
         # the same row of a batch get the same scores, bit for bit
         scores = (rows[:, None, :] @ aff.slopes.T)[:, 0] + aff.offsets
-        top = scores >= scores.max(axis=1, keepdims=True) - 1e-12
+        top = scores >= scores.max(axis=1, keepdims=True) - PIECE_TIE_TOL
         return aff.slopes[np.argmax(top, axis=1)]
 
     L = float(norms(aff.slopes).max())

@@ -3,8 +3,9 @@ sampler.
 
 Three prox backends: a closed-form / trust-region solver for concave
 quadratics, projected gradient ascent for general concave rewards, and a
-low-rank net search that needs only reward values.  The aligned law is the
-pushforward of the base under the prox map, returned as an explicit
+low-rank backend: the exact best of m ball projections for a max-affine
+f, else a net search that needs only reward values.  The aligned law is
+the pushforward of the base under the prox map, returned as an explicit
 coupling.
 """
 
@@ -20,7 +21,8 @@ from .models import (Model, SampleBatch, _rng_from, _seed_tag, check_count,
                      norms, project_ball)
 # bound though unused here: bench/tracer.py wraps them in this module by name
 from .models import sample_exact, sample_via_diffusion  # noqa: F401
-from .rewards import LowRankReward, QuadraticReward, oracle_answer
+from .rewards import (PIECE_TIE_TOL, LowRankReward, QuadraticReward,
+                      oracle_answer)
 from .tilts import sample_linear_tilt
 
 PROX_TIE_TOL = 1e-9
@@ -162,8 +164,49 @@ def prox_concave(reward, lam: float, y, C: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Low-rank backend (net search on the reduced objective)
+# Low-rank backend: exact prox of a max-affine f, else a net search
 # ---------------------------------------------------------------------------
+
+@np.errstate(over="ignore", invalid="ignore")  # the output gates refuse NaN
+def prox_max_affine(reward: LowRankReward, lam: float, y,
+                    C: float) -> np.ndarray:
+    """Exact prox of a max-affine r(x) = max_i (<a_i, x> + c_i), a_i = A' s_i,
+    over B(C), at a point y (d,) or at every row of a batch (n, d), read
+    from ``reward.f.pieces`` alone, never from the ``f.value``/``f.grad``
+    oracles.
+
+    The maxima swap, so the prox is the best of the m piece maximizers
+    Proj_B(y + a_i / (2 lam)).  Ties follow the max-affine subgradient's
+    rule: each row takes the lowest-index piece whose objective is within
+    PIECE_TIE_TOL of the max.  Two passes over the pieces (the max, then
+    the first piece within reach of it) keep memory at O(n d), and every
+    operation is row-wise, so a point and the same row of a batch agree
+    bit for bit.
+    """
+    if reward.f.reduction != "max":
+        raise ValidationError("prox_max_affine needs a max-affine f")
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    _check_prox_args(lam, C, y, reward.d)
+    pieces, ys = reward.f.pieces, np.atleast_2d(y)
+    a = pieces.slopes @ reward.A  # (m, d): rows a_i = A' s_i
+
+    def piece(i):
+        x = project_ball(ys + a[i] / (2.0 * lam), C)
+        return x, (np.sum(x * a[i], axis=1) + pieces.offsets[i]
+                   - lam * np.sum((x - ys) ** 2, axis=1))
+
+    top = np.full(len(ys), -np.inf)
+    for i in range(pieces.m):
+        top = np.fmax(top, piece(i)[1])
+    out = np.full_like(ys, np.nan)  # NaN where no objective is a number
+    left = np.ones(len(ys), dtype=bool)
+    for i in range(pieces.m):
+        x, obj = piece(i)
+        take = left & (obj >= top - PIECE_TIE_TOL)
+        out[take] = x[take]
+        left &= ~take
+    return out.reshape(y.shape)
+
 
 @dataclass(frozen=True)
 class LowRankDecomp:
@@ -209,12 +252,18 @@ class Alg2Params:
                      eps: float, r_A: int) -> "Alg2Params":
         if not (lam > 0 and eps > 0):
             raise ValidationError(f"need lam > 0 and eps > 0: {lam, eps}")
+        # eps^2 / (288 lam^2 C^3) as a square of a ratio: a Python float
+        # power raises OverflowError past the float max
         h = min(eps / (6.0 * (L * S + 4.0 * lam * C)),
-                eps**2 / (288.0 * lam**2 * C**3))
+                (eps / (12.0 * lam * C)) ** 2 / (2.0 * C))
+        with np.errstate(over="ignore"):
+            bound = np.float64(1.0 + 2.0 * C / h) ** r_A if h > 0 else np.inf
+        if not bound < np.inf:
+            raise ValidationError(f"the net schedule overflows: h = {h:.3g} "
+                                  f"at lam={lam}, C={C}, eps={eps}")
         eps_P = eps / (24.0 * lam * C)
         return cls(h=float(h), eps_P=float(eps_P),
-                   net_cardinality_bound=float((1.0 + 2.0 * C / h) ** r_A),
-                   r_A=int(r_A))
+                   net_cardinality_bound=float(bound), r_A=int(r_A))
 
 
 def reduced_objective(decomp: LowRankDecomp, f, lam: float, y: np.ndarray,
@@ -310,8 +359,9 @@ def objective_value(ys: np.ndarray, xs: np.ndarray, reward, lam: float):
     along the produced coupling; lower-bounds the alignment objective."""
     ys = np.atleast_2d(ys)
     xs = np.atleast_2d(xs)
-    vals = (oracle_answer(reward.value(xs), len(xs))
-            - lam * np.sum((xs - ys) ** 2, axis=1))
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        vals = (oracle_answer(reward.value(xs), len(xs))
+                - lam * np.sum((xs - ys) ** 2, axis=1))
     if not np.all(np.isfinite(vals)):
         raise NumericalError("objective values r(X) - lam ||X - Y||^2 "
                              "must be finite")
@@ -331,9 +381,12 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
     transport map; returns the coupling so the transport is auditable.
 
     backend: "quad" (closed-form concave quadratic), "pga" (projected
-    gradient ascent, concave oracle), "lowrank" (value-oracle net search).
-    The base draw is ``sample_linear_tilt`` with no tilt on ``base_backend``
-    ("exact" or "diffusion"), with W2 target eps, or eps_P on lowrank.
+    gradient ascent, concave oracle), "lowrank" (``prox_max_affine`` for a
+    max-affine f, else the value-oracle net search ``alg2_prox``; the
+    batch's producer is ``w2_align/lowrank/max_affine`` or
+    ``w2_align/lowrank/alg2``).  The base draw is ``sample_linear_tilt``
+    with no tilt on ``base_backend`` ("exact" or "diffusion"), with W2
+    target eps, or eps_P on lowrank.
     """
     check_count(n)
     finite("lambda", lam, positive=True)
@@ -359,18 +412,23 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
     ys = sample_linear_tilt(base, None, eps_P, rng, base_backend, n=n,
                             steps=steps).points
 
+    producer = f"w2_align/{backend}"
     if backend == "quad":
         xs = prox_quadratic_batch(reward, lam, ys, C)
     elif backend == "pga":
         xs = prox_concave(reward, lam, ys, C)
+    elif reward.f.reduction == "max":
+        xs = prox_max_affine(reward, lam, ys, C)
+        producer += "/max_affine"
     else:
         # built inline, so alg2_prox holds the only reference to the net
         xs = alg2_prox(decomp, reward.f.value, lam, ys, C, eps,
                        reward.f.lipschitz,
                        net=build_net(decomp.r_A, C, params.h).points)
+        producer += "/alg2"
 
-    batch = SampleBatch(points=xs, seed=seed_tag,
-                        producer=f"w2_align/{backend}", d=base.d)
+    batch = SampleBatch(points=xs, seed=seed_tag, producer=producer,
+                        d=base.d)
     obj, se = objective_value(ys, xs, reward, lam)
     return W2AlignResult(ys=ys, batch=batch, objective=obj,
                          objective_stderr=se, params=params)

@@ -21,7 +21,7 @@ from rewardalign.validate import (random_discrete, random_gmm,
                                   random_unit_ball, run_envelope_suite,
                                   run_lemma_suite)
 from rewardalign.w2_align import (Alg2Params, LowRankDecomp, alg2_prox,
-                                  prox_quadratic_batch)
+                                  prox_max_affine, prox_quadratic_batch)
 
 
 def _report(num, passed, detail):
@@ -206,15 +206,18 @@ def test_criterion_08_alg2_epsilon_optimality():
         ys = np.array([random_unit_ball(rng, 1, d)[0] for _ in range(n_y)])
         # one grid-oracle call per config: its ys share one reward pass
         gxs = oracle_prox_grid(reward, lam, ys, C, resolution=params.h / 10.0)
-        for y, gx in zip(ys, gxs):
+        # the exact max-affine prox the sampler dispatches to: never below
+        # Alg 2 or the grid oracle, beyond round-off
+        exs = prox_max_affine(reward, lam, ys, C)
+        for y, gx, ex in zip(ys, gxs, exs):
             x = alg2_prox(decomp, f.value, lam, y, C, eps, L, net=net)
-            val = (float(np.asarray(reward.value(x[None]))[0])
-                   - lam * float(np.sum((x - y) ** 2)))
-            oracle_val = (float(np.asarray(reward.value(gx[None]))[0])
-                          - lam * float(np.sum((gx - y) ** 2)))
+            val, oracle_val, exact_val = (
+                float(np.asarray(reward.value(z[None]))[0])
+                - lam * float(np.sum((z - y) ** 2)) for z in (x, gx, ex))
             worst_gap = max(worst_gap, oracle_val - val)
             n_points += 1
             assert val >= oracle_val - eps / 3.0
+            assert exact_val >= max(val, oracle_val) - 1e-12
     elapsed = time.perf_counter() - t0
     _report(8, worst_gap <= eps / 3.0 and n_points == 100 and elapsed < 120.0,
             f"{n_points} y-points, worst oracle-minus-achieved gap "

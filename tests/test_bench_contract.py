@@ -41,6 +41,27 @@ def test_traced_kl_call_reaches_the_envelope_and_reward_oracles():
         assert tracer.get(name).calls >= 1, name
 
 
+def test_traced_lowrank_black_box_reaches_the_net_search():
+    # a max-affine f takes the exact prox, so no bench call reaches the net
+    # search; a black-box f (no pieces) still does, and the per-layer
+    # metrics w2_align.alg2_prox.* and w2_align.net_points read these
+    # wrappers
+    import dataclasses
+    import rewardalign as ra
+    base = ra.DiscreteModel([[0.5, 0.0], [-0.5, 0.3]], [0.5, 0.5], 1.0)
+    f = dataclasses.replace(ra.make_max_affine([([1.0], 0.0), ([-1.0], 0.2)]),
+                            pieces=None, reduction=None)
+    tracer = Tracer()
+    with Installed(tracer, [f]):
+        res = ra.sample_w2_aligned(base, ra.LowRankReward([[0.8, 0.0]], f),
+                                   lam=0.3, n=5, seed=0, backend="lowrank",
+                                   eps=0.3)
+    assert res.batch.producer == "w2_align/lowrank/alg2"
+    for name in ("w2_align.alg2_prox", "kl_align.build_net"):
+        assert tracer.get(name).calls >= 1, name
+    assert tracer.counters["w2_align.net_points"] > 0
+
+
 def test_every_workload_builds_at_smoke_size():
     # construction only: a library name a workload calls that is renamed
     # or unbound fails here, not only in the benchmark's own tests

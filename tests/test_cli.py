@@ -95,6 +95,28 @@ def test_prox_demo_linear_reward(tmp_path, capsys):
     assert np.max(np.abs(np.array(out["T_lambda_y"]) - want)) <= 1e-8
 
 
+def test_prox_demo_max_affine_reward(tmp_path, capsys):
+    # a max-affine low-rank reward is not concave: it takes the exact prox
+    reward = tmp_path / "maxaff.json"
+    reward.write_text(json.dumps({"type": "lowrank_maxaffine",
+                                  "A": [[1.0, 0.0]],
+                                  "pieces": [[[1.0], 0.0], [[-1.0], 0.0]]}))
+    rc = main(["prox-demo", "--reward", str(reward), "--lambda", "0.5",
+               "--y", "0.1,0.2", "--C", "1.0"])
+    assert rc == 0
+    x = np.array(json.loads(capsys.readouterr().out)["T_lambda_y"])
+    y, r = np.array([0.1, 0.2]), ra.load_reward(str(reward))
+    gx = ra.metrics.oracle_prox_grid(r, 0.5, y, 1.0, resolution=1e-3)
+
+    def objective(z):
+        return float(r.value(z)) - 0.5 * float(np.sum((z - y) ** 2))
+
+    assert np.max(np.abs(x - gx)) <= 1e-3
+    assert objective(x) >= objective(gx) - 1e-12
+    # the best piece, +u: y + (1, 0) projected onto the unit ball
+    assert np.array_equal(x, ra.project_ball(y + [1.0, 0.0], 1.0))
+
+
 def test_align_kl_run(model_file, kl_reward_file, tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     rc = main(["align-kl", "--model", model_file, "--reward", kl_reward_file,
@@ -298,6 +320,47 @@ def test_linear_reward_past_the_square_overflow(tmp_path, capsys):
     samples = np.loadtxt(os.path.join(out_dir, "samples.csv"),
                          delimiter=",", skiprows=1)
     assert np.all(samples == 3.0)
+
+
+def test_align_kl_support_radius_past_the_square_overflow(tmp_path, capsys):
+    # C^2 passes the float max: the schedule is taken in logs and ratios,
+    # so the run ends with a documented code, not an OverflowError
+    model, reward = tmp_path / "model.json", tmp_path / "reward.json"
+    model.write_text(json.dumps({"type": "discrete", "atoms": [[0.0], [1.0]],
+                                 "probs": [0.5, 0.5], "C": 1e200}))
+    reward.write_text(json.dumps({"type": "linear", "theta": [1.0]}))
+    out_dir = str(tmp_path / "out")
+    assert main(["align-kl", "--model", str(model), "--reward", str(reward),
+                 "--n", "200", "--out", out_dir]) == 0
+    assert capsys.readouterr().err == ""
+    samples = np.loadtxt(os.path.join(out_dir, "samples.csv"),
+                         delimiter=",", skiprows=1)
+    assert set(np.unique(samples)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("cmd, reward, extra, code", [
+    # the tilt e^u on one atom: the atom itself
+    ("align-kl", {"type": "linear", "theta": [1.0]}, [], 0),
+    # the net schedule's spacing underflows at C = 1.7e308
+    ("align-w2", {"type": "lowrank_maxaffine", "A": [[1.0]],
+                  "pieces": [[[1.0], 0.0], [[-1.0], 0.0]]},
+     ["--lambda", "0.15", "--backend", "lowrank"], 2),
+    # x - y is about 0.85e308: the objective is not finite
+    ("align-w2", {"type": "quadratic", "B": [[0.15]], "b": [0.6]},
+     ["--lambda", "0.15", "--backend", "quad"], 4),
+])
+def test_atom_norm_past_the_square_overflow(tmp_path, capsys, cmd, reward,
+                                            extra, code):
+    # ||atom||^2 passes the float max, ||atom|| = C does not: the model is
+    # accepted, and each run ends with its documented code and one line
+    model, path = tmp_path / "model.json", tmp_path / "reward.json"
+    model.write_text(json.dumps({"type": "discrete", "atoms": [[1.7e308]],
+                                 "probs": [1.0], "C": 1.7e308}))
+    path.write_text(json.dumps(reward))
+    assert main([cmd, "--model", str(model), "--reward", str(path),
+                 "--n", "5", "--out", str(tmp_path / "out")] + extra) == code
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == (code != 0), err
 
 
 def test_prox_demo_norm_past_the_square_overflow(tmp_path, capsys):

@@ -216,6 +216,12 @@ class TestComputeParams:
         with pytest.raises(ra.ValidationError):
             ra.compute_params(1.0, 1.0, 1.0, 5, eps=1.5)
 
+    def test_support_radius_past_the_square_overflow(self):
+        # C^2 overflows a Python float: rho underflows to 0, N_rej is finite
+        p = ra.compute_params(L=1.0, A_opnorm=1.0, C=1e200, m=1, eps=0.1)
+        assert p.eta == 0.0
+        assert p.N_rej == int(np.ceil(2 / p.a0 * 2 * np.log(4e200 / 0.1)))
+
 
 class TestBuildProposal:
     def test_two_point_symmetric(self):

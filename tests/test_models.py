@@ -292,6 +292,13 @@ class TestProjectBall:
         assert out[0] == pytest.approx([0.6, 0.8])
         assert out[1] == pytest.approx([0.1, 0.0])
 
+    def test_norm_past_the_square_overflow(self):
+        # ||x||^2 overflows, ||x|| does not: the sphere point, not 0
+        for x in (np.array([3e200, 4e200]), np.array([[3e200, 4e200]])):
+            out = ra.project_ball(x, 1.0)
+            assert out.shape == x.shape
+            assert out.ravel() == pytest.approx([0.6, 0.8], rel=1e-15)
+
 
 class TestDiffusionSampler:
     def test_standard_normal_w2(self):
@@ -430,6 +437,14 @@ class TestJson:
         m2 = ra.model_from_dict(m.to_dict())
         assert np.array_equal(m2.atoms, m.atoms)
         assert np.array_equal(m2.probs, m.probs)
+
+    def test_atom_norm_past_the_square_overflow(self):
+        # ||atom||^2 overflows, ||atom|| = C does not (every test runs with
+        # RuntimeWarning as an error)
+        m = ra.DiscreteModel([[1.7e308]], [1.0], 1.7e308)
+        assert m.support_radius == 1.7e308
+        with pytest.raises(ra.ValidationError, match="norm <= C"):
+            ra.DiscreteModel([[1.7e308, 1.7e308]], [1.0], 1.7e308)
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ra.ValidationError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,121 @@ class TestAlg2Prox:
         A = np.array([[1.0, 0.0], [2.0, 0.0]])  # rank 1, k=2, d=2
         de = LowRankDecomp.from_matrix(A)
         assert de.r_A == 1
+
+
+def random_lowrank_maxaffine(rng, r_A, d, m):
+    A = rng.standard_normal((r_A, d))
+    f = ra.make_max_affine([(rng.standard_normal(r_A),
+                             float(rng.uniform(-0.5, 0.5))) for _ in range(m)])
+    return ra.LowRankReward(A, f)
+
+
+def prox_objective(reward, lam, y, x):
+    return (float(np.asarray(reward.value(x)))
+            - lam * float(np.sum((x - y) ** 2)))
+
+
+class TestProxMaxAffine:
+    def test_not_below_alg2_or_grid_oracle(self):
+        # base points inside and outside the ball, d <= 4
+        rng = np.random.default_rng(52)
+        for _ in range(12):
+            r_A = int(rng.integers(1, 3))
+            d = int(rng.integers(r_A, 5))
+            reward = random_lowrank_maxaffine(rng, r_A, d,
+                                              int(rng.integers(1, 6)))
+            f, lam = reward.f, float(rng.uniform(0.05, 0.3))
+            ys = random_unit_ball(rng, 6, d) * rng.uniform(0.2, 2.0, (6, 1))
+            exact = ra.prox_max_affine(reward, lam, ys, 1.0)
+            alg2 = ra.alg2_prox(LowRankDecomp.from_matrix(reward.A), f.value,
+                                lam, ys, 1.0, 0.5, f.lipschitz)
+            grid = oracle_prox_grid(reward, lam, ys, 1.0, resolution=0.02)
+            for y, x, xa, xg in zip(ys, exact, alg2, grid):
+                assert np.linalg.norm(x) <= 1.0 + 1e-12
+                best = max(prox_objective(reward, lam, y, xa),
+                           prox_objective(reward, lam, y, xg))
+                assert prox_objective(reward, lam, y, x) >= best - 1e-12
+
+    def test_tie_takes_the_lowest_index(self):
+        # slopes +-1 tie exactly at y = (0, 0.5); offsets 5e-13 apart are
+        # still a tie, 1e-9 apart are not
+        A, y = np.array([[1.0, 0.0]]), np.array([0.0, 0.5])
+        right = ra.project_ball(y + [1.0, 0.0], 1.0)
+        left = ra.project_ball(y + [-1.0, 0.0], 1.0)
+        for slopes, c1, want in (((1.0, -1.0), 0.0, right),
+                                 ((-1.0, 1.0), 0.0, left),
+                                 ((1.0, -1.0), 5e-13, right),
+                                 ((1.0, -1.0), 1e-9, left)):
+            f = ra.make_max_affine([([slopes[0]], 0.0), ([slopes[1]], c1)])
+            x = ra.prox_max_affine(ra.LowRankReward(A, f), 0.5, y, 1.0)
+            assert np.array_equal(x, want)
+
+    def test_point_equals_batch_row(self):
+        rng = np.random.default_rng(53)
+        for r_A, d in ((1, 1), (1, 3), (2, 2), (2, 4)):
+            reward = random_lowrank_maxaffine(rng, r_A, d, 5)
+            ys = random_unit_ball(rng, 30, d) * rng.uniform(0.2, 2.0, (30, 1))
+            xs = ra.prox_max_affine(reward, 0.3, ys, 1.0)
+            rows = np.array([ra.prox_max_affine(reward, 0.3, y, 1.0)
+                             for y in ys])
+            assert np.array_equal(xs, rows)
+
+    def test_reads_the_pieces_alone(self):
+        def oracle(u):
+            raise AssertionError("an oracle was called")
+
+        reward = random_lowrank_maxaffine(np.random.default_rng(54), 2, 3, 4)
+        blind = ra.LowRankReward(reward.A, dataclasses.replace(
+            reward.f, value=oracle, grad=oracle))
+        ys = random_unit_ball(np.random.default_rng(55), 8, 3)
+        assert np.array_equal(ra.prox_max_affine(blind, 0.2, ys, 1.0),
+                              ra.prox_max_affine(reward, 0.2, ys, 1.0))
+
+    @pytest.mark.parametrize("kind", ["logsumexp", "black box"])
+    def test_refuses_other_rewards(self, kind):
+        reward = ra.LogSumExpReward([1.0, 0.5], [[1.0], [-0.8]], [[1.0, 0.0]])
+        if kind == "black box":
+            reward = ra.LowRankReward(reward.A, dataclasses.replace(
+                ra.make_max_affine([([1.0], 0.0)]), pieces=None,
+                reduction=None))
+        with pytest.raises(ra.ValidationError, match="max-affine"):
+            ra.prox_max_affine(reward, 0.5, np.zeros(2), 1.0)
+
+    def test_lowrank_dispatch(self, monkeypatch):
+        # a max-affine f takes the exact prox; a log-sum-exp f and a black
+        # box take the net search.  The base draw and the schedule do not
+        # depend on which prox runs
+        searched = []
+        search = ra.w2_align.alg2_prox
+
+        def spy(*args, **kwargs):
+            searched.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(ra.w2_align, "alg2_prox", spy)
+        base = random_discrete(np.random.default_rng(56), 6, 2)
+        A = np.array([[0.8, 0.0]])
+        f = ra.make_max_affine([([1.0], 0.0), ([-1.0], 0.2)])
+        black = dataclasses.replace(f, pieces=None, reduction=None)
+        runs = {}
+        for name, reward in (
+                ("max_affine", ra.LowRankReward(A, f)),
+                ("alg2", ra.LogSumExpReward([1.0, 0.5], [[1.0], [-0.8]], A)),
+                ("black box", ra.LowRankReward(A, black))):
+            searched.clear()
+            runs[name] = ra.sample_w2_aligned(base, reward, lam=0.3, n=12,
+                                              seed=3, backend="lowrank",
+                                              eps=0.3)
+            prox = "max_affine" if name == "max_affine" else "alg2"
+            assert runs[name].batch.producer == f"w2_align/lowrank/{prox}"
+            assert len(searched) == (prox == "alg2")
+        exact, black = runs["max_affine"], runs["black box"]
+        assert np.array_equal(exact.ys, black.ys)
+        assert exact.params == black.params
+        reward = ra.LowRankReward(A, f)
+        for y, x, xb in zip(exact.ys, exact.xs, black.xs):
+            assert (prox_objective(reward, 0.3, y, x)
+                    >= prox_objective(reward, 0.3, y, xb) - 1e-12)
 
 
 class TestPushforward:
