@@ -61,25 +61,28 @@ def build_net(k: int, R: float, h: float) -> Net:
         return Net(points=np.zeros((1, k)))
 
     s = 2.0 * h / np.sqrt(k)
-    n_side = int(np.floor((R + s / 2.0) / s))
-    ticks = s * np.arange(-n_side, n_side + 1)
-    predicted = len(ticks) ** k
-    if predicted > NET_CARDINALITY_CAP:
+    # counted in floats before any allocation: a count past the float max
+    # is inf, and refused like any count over the cap
+    with np.errstate(over="ignore"):
+        n_side = np.floor((R + s / 2.0) / s)
+        predicted = (2.0 * n_side + 1.0) ** k
+    if not predicted <= NET_CARDINALITY_CAP:
         raise BudgetError(
-            f"net would have {predicted} lattice points "
+            f"net would have {predicted:.6g} lattice points "
             f"(cap {NET_CARDINALITY_CAP}); "
             f"reduce LR or the dimension k")
+    ticks = s * np.arange(-int(n_side), int(n_side) + 1)
 
     grids = np.meshgrid(*([ticks] * k), indexing="ij", copy=False)
     lattice = np.stack(grids, axis=-1).reshape(-1, k)
-    norms = np.linalg.norm(lattice, axis=1)
+    radii = np.linalg.norm(lattice, axis=1)
 
-    inside = lattice[norms <= R]
-    near = (norms > R) & (norms - R <= h)
-    projected = lattice[near] * (R / norms[near])[:, None]
+    inside = lattice[radii <= R]
+    near = (radii > R) & (radii - R <= h)
+    projected = lattice[near] * (R / radii[near])[:, None]
     points = np.vstack([inside, projected])
     # only the rows and their sorted copy need to be alive at the sort
-    del lattice, norms, near, inside, projected
+    del lattice, radii, near, inside, projected
     np.round(points, 12, out=points)
     points = points[np.lexsort(points.T[::-1])]
     fresh = np.ones(len(points), dtype=bool)
@@ -143,7 +146,8 @@ def own_envelope(f: LowDimFunction, R: float) -> Envelope:
         return Envelope(slopes=p.slopes, offsets=p.offsets)
     keep = np.ones(p.m, dtype=bool)
     for i in range(p.m):
-        reach = R * (1.0 + 1e-9) * norms(p.slopes - p.slopes[i])
+        with np.errstate(over="ignore"):  # a reach past the float max: inf
+            reach = R * (1.0 + 1e-9) * norms(p.slopes - p.slopes[i])
         topped = p.offsets - p.offsets[i] >= reach
         # a later piece tops i only if i does not top it back
         topped[i:] &= p.offsets[i] - p.offsets[i:] < reach[i:]

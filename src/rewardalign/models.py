@@ -305,7 +305,8 @@ def _logsumexp(logw: np.ndarray, axis: int = 0) -> np.ndarray:
     shift = logw.max(axis=axis, keepdims=True)
     if not np.isfinite(shift).all():  # a row of -inf sums to 0: log 0
         shift = np.nan_to_num(shift, neginf=0.0)
-    with np.errstate(divide="ignore"):
+    # a term more than the float max below the shift is e^-inf = 0
+    with np.errstate(divide="ignore", over="ignore"):
         return (shift.squeeze(axis)
                 + np.log(np.exp(logw - shift).sum(axis=axis)))
 

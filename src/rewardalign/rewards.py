@@ -153,7 +153,8 @@ class AffinePieces:
         def block(rows):
             scores = self._scores(rows)
             top = scores.max(axis=0)
-            scores -= top
+            with np.errstate(over="ignore"):  # past -float max: e^-inf = 0
+                scores -= top
             np.exp(scores, out=scores)
             return top + np.log(scores.sum(axis=0))
         return self._in_blocks(u, block)

@@ -97,16 +97,16 @@ def tilt_exact(model: Model, V, log_pi=None) -> Model:
     if log_pi.shape != (len(V),) or not np.isfinite(log_pi.max()):
         raise ValidationError("log_pi: one log-weight per tilt, max finite")
     log_pi = log_pi - log_pi.max()
-    # pi_i * tilt_i per block of tilts, over atoms or components
+    # pi_i * tilt_i per block of tilts, over atoms or components; a
+    # log-weight past -float max is -inf, weight 0
     blocks = (np.exp(logw + (log_pi[rows] - log_z)[:, None])
               for rows, logw, log_z in _tilt_blocks(model, V))
-
-    if isinstance(model, DiscreteModel):
-        probs = sum(block.sum(axis=0) for block in blocks)
-        return DiscreteModel(model.atoms, probs / probs.sum(),
-                             model.support_radius)
-
-    weights = next(blocks).ravel()
+    with np.errstate(over="ignore"):
+        if isinstance(model, DiscreteModel):
+            probs = sum(block.sum(axis=0) for block in blocks)
+            return DiscreteModel(model.atoms, probs / probs.sum(),
+                                 model.support_radius)
+        weights = next(blocks).ravel()
     means = model.means + np.einsum("jab,ib->ija", model.covs, V)
     return GaussianMixtureModel(weights / weights.sum(),
                                 means.reshape(-1, model.d),

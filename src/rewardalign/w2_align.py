@@ -127,8 +127,9 @@ def prox_concave(reward, lam: float, y, C: float) -> np.ndarray:
         step = 1.0 / (2.0 * lam)
 
     def objective(x, yr):
-        fx = reward.value(x[0] if y.ndim == 1 else x)
-        return oracle_answer(fx, len(x)) - lam * np.sum((x - yr) ** 2, axis=1)
+        fx = oracle_answer(reward.value(x[0] if y.ndim == 1 else x), len(x))
+        with np.errstate(over="ignore"):  # objective_value refuses -inf
+            return fx - lam * np.sum((x - yr) ** 2, axis=1)
 
     ys = np.atleast_2d(y)
     out = np.empty_like(ys)
@@ -141,7 +142,7 @@ def prox_concave(reward, lam: float, y, C: float) -> np.ndarray:
         g = oracle_answer(reward.grad(x[0] if y.ndim == 1 else x), len(x),
                           x.shape[1]) - 2.0 * lam * (x - ys)
         x_next = project_ball(x + steps[:, None] * g, C)
-        done = np.linalg.norm(x - x_next, axis=1) / steps <= PGA_TOL
+        done = norms(x - x_next) / steps <= PGA_TOL
         out[live[done]] = x_next[done]
         live, ys, x, x_next, fx, steps, stalls = (
             a[~done] for a in (live, ys, x, x_next, fx, steps, stalls))
@@ -210,13 +211,12 @@ def prox_max_affine(reward: LowRankReward, lam: float, y,
 
 @dataclass(frozen=True)
 class LowRankDecomp:
-    """Compact SVD A = U diag(Sigma) V1' plus an orthonormal completion V0
-    of the row space."""
+    """Compact SVD A = U diag(Sigma) V1' of A's row space; a point y enters
+    the rest only through its residual w_y = y - V1 V1' y (O(d r))."""
 
     U: np.ndarray       # (k, r)
     Sigma: np.ndarray   # (r,)
     V1: np.ndarray      # (d, r)
-    V0: np.ndarray      # (d, d - r)
     r_A: int
     S: float            # operator norm of A
 
@@ -224,13 +224,13 @@ class LowRankDecomp:
     def from_matrix(cls, A) -> "LowRankDecomp":
         A = np.atleast_2d(np.asarray(A, dtype=float))
         k, d = A.shape
-        U_full, svals, Vt = np.linalg.svd(A, full_matrices=True)
+        U, svals, Vt = np.linalg.svd(A, full_matrices=False)
         tol = max(k, d) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
         r = int(np.sum(svals > tol))
         if r == 0:
             raise ValidationError("A is the zero matrix; the reward is constant")
-        decomp = cls(U=U_full[:, :r], Sigma=svals[:r], V1=Vt[:r].T,
-                     V0=Vt[r:].T, r_A=r, S=float(svals[0]))
+        decomp = cls(U=U[:, :r], Sigma=svals[:r], V1=Vt[:r].T, r_A=r,
+                     S=float(svals[0]))
         recon = decomp.U @ np.diag(decomp.Sigma) @ decomp.V1.T
         if np.linalg.norm(recon - A) > 1e-10 * max(1.0, float(svals[0])):
             raise NumericalError("SVD reconstruction drift above 1e-10")
@@ -272,7 +272,7 @@ def reduced_objective(decomp: LowRankDecomp, f, lam: float, y: np.ndarray,
     evaluated at a batch of reduced coordinates ``us`` (n, r)."""
     us = np.atleast_2d(us)
     u_y = decomp.V1.T @ y
-    w_norm = float(np.linalg.norm(decomp.V0.T @ y))
+    w_norm = float(np.linalg.norm(y - decomp.V1 @ u_y))
     rho = np.sqrt(np.maximum(C**2 - np.sum(us**2, axis=1), 0.0))
     fvals = oracle_answer(f(us * decomp.Sigma @ decomp.U.T), len(us))
     return fvals - lam * (np.sum((us - u_y) ** 2, axis=1)
@@ -281,14 +281,14 @@ def reduced_objective(decomp: LowRankDecomp, f, lam: float, y: np.ndarray,
 
 def lift_reduced_point(decomp: LowRankDecomp, y: np.ndarray, u: np.ndarray,
                        C: float) -> np.ndarray:
-    """x(u) = V1 u + V0 w(u), with w(u) the projection of y's orthogonal
-    part onto the leftover radius; at one u (r,) or each row of (n, r)."""
+    """x(u) = V1 u + w_y min(1, rho(u) / ||w_y||): y's residual w_y =
+    y - V1 V1' y, cut to the leftover radius; at u (r,) or per row of (n, r)."""
     rho = np.sqrt(np.maximum(C**2 - np.sum(u * u, axis=-1, keepdims=True),
                              0.0))
-    w_y = decomp.V0.T @ y
+    w_y = y - decomp.V1 @ (decomp.V1.T @ y)
     w_norm = float(np.linalg.norm(w_y))
     w = np.where(w_norm <= rho, w_y, w_y * (rho / max(w_norm, 1e-300)))
-    return u @ decomp.V1.T + w @ decomp.V0.T
+    return u @ decomp.V1.T + w
 
 
 def alg2_prox(decomp: LowRankDecomp, f, lam: float, y, C: float, eps: float,
@@ -322,8 +322,9 @@ def alg2_prox(decomp: LowRankDecomp, f, lam: float, y, C: float, eps: float,
     bracket = fvals[order] - lam * sq[order]
     xs = []
     for yi in np.atleast_2d(y):
-        w_norm = float(np.linalg.norm(decomp.V0.T @ yi))
-        vals = net @ (2.0 * lam * (decomp.V1.T @ yi))
+        u_y = decomp.V1.T @ yi
+        w_norm = float(np.linalg.norm(yi - decomp.V1 @ u_y))
+        vals = net @ (2.0 * lam * u_y)
         vals += bracket
         j = np.searchsorted(rho, w_norm)        # rows with rho < ||w_y||
         vals[:j] -= lam * (w_norm - rho[:j]) ** 2

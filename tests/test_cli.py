@@ -363,6 +363,35 @@ def test_atom_norm_past_the_square_overflow(tmp_path, capsys, cmd, reward,
     assert len(err.splitlines()) == (code != 0), err
 
 
+def test_atoms_at_both_ends_of_the_float_range(tmp_path, capsys):
+    # atoms at +-1.7e308 = +-C: a stopping norm, a squared distance, an
+    # envelope reach and log-weights pass the float max; each ends in inf,
+    # or in e^-inf = 0, with no numpy warning and the same exit code and
+    # samples as when each printed one
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"type": "discrete",
+                                 "atoms": [[1.7e308], [-1.7e308]],
+                                 "probs": [0.5, 0.5], "C": 1.7e308}))
+    runs = [("align-w2", {"type": "quadratic", "B": [[0.5]], "b": [0.1]},
+             ["--lambda", "0.5", "--backend", "pga"], 4),
+            ("align-kl", {"type": "lowrank_maxaffine", "A": [[1.0]],
+                          "pieces": [[[1.0], 0.0], [[-1.0], 0.5]]}, [], 0)]
+    for cmd, reward, extra, code in runs:
+        path, out_dir = tmp_path / f"{cmd}.json", str(tmp_path / cmd)
+        path.write_text(json.dumps(reward))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([cmd, "--model", str(model), "--reward", str(path),
+                         "--n", "5", "--out", out_dir] + extra) == code
+        assert len(capsys.readouterr().err.splitlines()) == (code != 0)
+    samples = np.loadtxt(os.path.join(out_dir, "samples.csv"),
+                         delimiter=",", skiprows=1)
+    assert np.array_equal(samples, 1.7e308 * np.array([-1, 1, 1, 1, -1]))
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        diag = json.load(fh)["diagnostics"]
+    assert (diag["acceptance_rate"], diag["fallback_count"]) == (1.0, 0)
+
+
 def test_prox_demo_norm_past_the_square_overflow(tmp_path, capsys):
     # b = 1e308: the unconstrained point's norm squares past the float max;
     # the prox is the sphere point +C

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,21 @@ class TestBuildNet:
     def test_cardinality_cap(self):
         with pytest.raises(ra.BudgetError):
             ra.build_net(3, 10.0, 0.001)
+
+    def test_refuses_before_it_allocates(self):
+        # the count comes from n_side alone: 2e12 lattice points are refused
+        # without their ticks, and a count past the float max is a budget
+        # refusal too (RuntimeWarning is an error under pytest)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ra.BudgetError):
+                ra.build_net(2, 1e4, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        with pytest.raises(ra.BudgetError, match="inf lattice points"):
+            ra.build_net(1, 1e300, 1e-300)
 
     def test_cardinality_stays_reasonable(self):
         # grid spacing 2h/sqrt(k) keeps m below (1 + 2R/h)^k for k <= 4

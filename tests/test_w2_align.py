@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 import rewardalign as ra
 from rewardalign.metrics import oracle_prox_grid, w2_discrete
 from rewardalign.models import DIFFUSION_STEP_CAP
-from rewardalign.w2_align import (Alg2Params, LowRankDecomp, objective_value,
+from rewardalign.w2_align import (Alg2Params, LowRankDecomp,
+                                  lift_reduced_point, objective_value,
                                   prox_quadratic_batch, reduced_objective)
 from rewardalign.validate import random_discrete, random_unit_ball
 
@@ -311,18 +313,80 @@ class TestAlg2Prox:
         assert np.array_equal(xs[1], lifts[0])
 
     def test_decomposition_invariants(self):
+        # the row space alone: U Sigma V1' = A with V1 orthonormal, and the
+        # three readers of y's residual y - V1 V1' y agree with the formulas
+        # in an orthonormal completion V0 of a full SVD, for rank-deficient
+        # A, r_A = d, and base points inside and outside the ball
         rng = np.random.default_rng(3)
-        A = rng.standard_normal((2, 5))
-        de = LowRankDecomp.from_matrix(A)
-        assert np.linalg.norm(de.U @ np.diag(de.Sigma) @ de.V1.T - A) <= 1e-10
-        assert np.allclose(de.V1.T @ de.V1, np.eye(de.r_A), atol=1e-10)
-        assert np.allclose(de.V0.T @ de.V0, np.eye(5 - de.r_A), atol=1e-10)
-        assert np.allclose(de.V1.T @ de.V0, 0.0, atol=1e-10)
+        shapes = [(1, 1), (2, 2), (3, 3), (3, 2), (1, 8), (2, 5), (3, 8)]
+        cases = [rng.standard_normal(s) for s in shapes]
+        cases += [np.outer(rng.standard_normal(3), rng.standard_normal(5)),
+                  np.outer(rng.standard_normal(2), rng.standard_normal(2))]
+        low = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3))
+        cases.append(low)  # rank 2 of 3
+        for A in cases:
+            k, d = A.shape
+            de = LowRankDecomp.from_matrix(A)
+            assert de.r_A == np.linalg.matrix_rank(A)
+            assert [fd.name for fd in dataclasses.fields(de)] == [
+                "U", "Sigma", "V1", "r_A", "S"]
+            assert (np.linalg.norm(de.U @ np.diag(de.Sigma) @ de.V1.T - A)
+                    <= 1e-12 * max(1.0, de.S))
+            assert np.allclose(de.V1.T @ de.V1, np.eye(de.r_A), atol=1e-12)
+            V0 = np.linalg.svd(A, full_matrices=True)[2][de.r_A:].T
+            f = ra.make_max_affine([(rng.standard_normal(k),
+                                     float(rng.uniform(-0.2, 0.2)))
+                                    for _ in range(3)])
+            lam, C = float(rng.uniform(0.1, 1.0)), 1.0
+            net = ra.build_net(de.r_A, C, 0.1).points
+            rho = np.sqrt(np.maximum(C**2 - np.sum(net**2, axis=1), 0.0))
+            ys = random_unit_ball(rng, 6, d) * rng.uniform(0.2, 2.0, (6, 1))
+            xs = ra.alg2_prox(de, f.value, lam, ys, C, 0.1, f.lipschitz,
+                              net=net)
+            for y, x in zip(ys, xs):
+                u_y, w_y = de.V1.T @ y, V0.T @ y
+                w_norm = np.linalg.norm(w_y)
+                phi = (f.value(net * de.Sigma @ de.U.T)
+                       - lam * (np.sum((net - u_y) ** 2, axis=1)
+                                + np.maximum(w_norm - rho, 0.0) ** 2))
+                assert np.allclose(reduced_objective(de, f.value, lam, y, C,
+                                                     net), phi,
+                                   rtol=0, atol=1e-12)
+                scale = np.minimum(1.0, rho / max(w_norm, 1e-300))
+                lifts = net @ de.V1.T + (scale[:, None] * w_y) @ V0.T
+                assert np.allclose(lift_reduced_point(de, y, net, C), lifts,
+                                   rtol=0, atol=1e-12)
+                i = np.argmin(np.linalg.norm(lifts - x, axis=1))
+                assert np.linalg.norm(lifts[i] - x) <= 1e-12
+                assert phi[i] >= phi.max() - ra.w2_align.PROX_TIE_TOL - 1e-12
 
     def test_rank_deficient_matrix(self):
         A = np.array([[1.0, 0.0], [2.0, 0.0]])  # rank 1, k=2, d=2
         de = LowRankDecomp.from_matrix(A)
         assert de.r_A == 1
+
+    def test_memory_grows_with_d_times_rank(self):
+        # at d = 4000 a d x d factor alone is 128 MB: the decomposition and
+        # both low-rank proxes keep to O(d k) arrays plus the net
+        rng = np.random.default_rng(6)
+        d = 4000
+        A = rng.standard_normal((2, d)) / np.sqrt(d)
+        base = random_discrete(rng, 8, d)
+        slopes, offsets = [[1.0, 0.0], [-1.0, 0.5]], [0.0, 0.1]
+        calls = [(lambda: LowRankDecomp.from_matrix(A), 2)]
+        for reward in (ra.LowRankReward(A, ra.make_max_affine(
+                           list(zip(slopes, offsets)))),
+                       ra.LogSumExpReward([1.0, 1.0], slopes, A)):
+            calls.append((lambda r=reward: ra.sample_w2_aligned(
+                base, r, 0.5, 5, 1, backend="lowrank", eps=0.5), 16))
+        for call, cap_mb in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < cap_mb * 2**20, peak
 
 
 def random_lowrank_maxaffine(rng, r_A, d, m):
