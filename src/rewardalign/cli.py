@@ -113,14 +113,11 @@ def cmd_align_kl(args) -> int:
                                backend=args.backend)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "samples.csv"), x=result.batch.points)
-    env = os.path.join(args.out, "envelope.json")
-    if result.envelope is not None:
-        _write_atomic(env, json.dumps(result.envelope.to_dict(), indent=2))
-    elif os.path.exists(env):  # an earlier run's, not this one's
-        os.remove(env)
-    derived = asdict(result.params) if result.params else {"L": 0.0}
-    _write_manifest(args.out, "manifest.json", config, derived,
-                    result.report(), time.perf_counter() - t0)
+    _write_atomic(os.path.join(args.out, "envelope.json"),
+                  json.dumps(result.envelope.to_dict(), indent=2))
+    _write_manifest(args.out, "manifest.json", config,
+                    asdict(result.params), result.report(),
+                    time.perf_counter() - t0)
     print(json.dumps({"out": args.out, **result.report()}, indent=2))
     return 0
 

@@ -53,11 +53,12 @@ def build_net(k: int, R: float, h: float) -> Net:
 
     Points are rounded to 12 decimals and put in lexicographic order, and
     a point equal to the one before it is dropped, so a projection that
-    meets another point is kept once.
+    meets another point is kept once.  At R = 0 or h = inf the net is the
+    origin alone.
     """
-    if not (k >= 1 and 0 < h < np.inf and 0 <= R < np.inf):
-        raise ValidationError(f"need k >= 1, finite h > 0, R >= 0: {k, h, R}")
-    if R == 0:
+    if not (k >= 1 and h > 0 and 0 <= R < np.inf):
+        raise ValidationError(f"need k >= 1, h > 0, finite R >= 0: {k, h, R}")
+    if R == 0 or h == np.inf:
         return Net(points=np.zeros((1, k)))
 
     s = 2.0 * h / np.sqrt(k)
@@ -69,8 +70,8 @@ def build_net(k: int, R: float, h: float) -> Net:
     if not predicted <= NET_CARDINALITY_CAP:
         raise BudgetError(
             f"net would have {predicted:.6g} lattice points "
-            f"(cap {NET_CARDINALITY_CAP}); "
-            f"reduce LR or the dimension k")
+            f"(cap {NET_CARDINALITY_CAP}) at k = {k}, R = {R:.6g}, "
+            f"h = {h:.6g}")
     ticks = s * np.arange(-int(n_side), int(n_side) + 1)
 
     grids = np.meshgrid(*([ticks] * k), indexing="ij", copy=False)
@@ -163,9 +164,8 @@ def gap_bound(m: int) -> float:
 
 @dataclass(frozen=True)
 class Alg1Params:
-    """Derived parameter schedule for the rejection sampler."""
+    """The rejection sampler's schedule; every field finite, checked here."""
 
-    h: float
     m: int
     B: float
     a0: float
@@ -174,6 +174,9 @@ class Alg1Params:
     eps_lin: float
     eta: float
     N_rej: int
+
+    def __post_init__(self):
+        finite(f"the KL schedule {self}", list(vars(self).values()))
 
 
 def compute_params(L: float, A_opnorm: float, C: float, m: int,
@@ -188,15 +191,17 @@ def compute_params(L: float, A_opnorm: float, C: float, m: int,
         raise ValidationError("m must be >= 1")
     B = gap_bound(m)
     a0 = float(np.exp(-B))
-    L_a = 2.0 * L * A_opnorm
-    rho = min(eps**2 * a0 / (32.0 * C * (1.0 + 2.0 * C * L_a)),
-              a0 / (4.0 * max(1.0, L_a)))
-    # in logs and ratios: a Python float C**2 raises OverflowError past
-    # C = 1.3e154
-    eta = min(0.5, (rho / C)**2 / 128.0)
+    # in float64, logs and ratios: past the float max a value is inf (NaN
+    # for an inf L on A = 0), which __post_init__ refuses; products come
+    # before the factor 2, so a finite zero never meets an inf
+    L, A_opnorm, C = np.float64(L), np.float64(A_opnorm), np.float64(C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        L_a = 2.0 * (L * A_opnorm)
+        rho = min(eps**2 * a0 / (32.0 * C * (1.0 + 2.0 * (C * L_a))),
+                  a0 / (4.0 * max(1.0, L_a)))
+        eta = min(0.5, (rho / C)**2 / 128.0)
     N_rej = int(np.ceil((2.0 / a0) * 2.0 * (np.log(4.0 / eps) + np.log(C))))
-    h = np.inf if L == 0 else 1.0 / (2.0 * L)
-    return Alg1Params(h=h, m=m, B=B, a0=a0, L_a=L_a, rho=float(rho),
+    return Alg1Params(m=m, B=B, a0=a0, L_a=float(L_a), rho=float(rho),
                       eps_lin=float(rho / 2.0), eta=float(eta), N_rej=N_rej)
 
 
@@ -258,7 +263,8 @@ class KLAlignResult:
     ``passes`` counts proposal draws of a whole pass each.
     ``envelope`` is the envelope the sampler used: for a black-box f, one
     piece per distinct slope out of ``net_pieces`` net pieces; else
-    ``net_pieces`` is its own ``m``.
+    ``net_pieces`` is its own ``m``.  ``params``, ``envelope`` and
+    ``proposal`` are set on every call, a constant reward's included.
     """
 
     batch: SampleBatch
@@ -279,27 +285,19 @@ class KLAlignResult:
         return (len(self.batch) - self.fallback_count) / max(
             self.proposal_draws, 1)
 
-    @property
-    def used_base_shortcut(self) -> bool:
-        """A reward with L = 0 is the base itself: no schedule was made."""
-        return self.params is None
-
     def report(self) -> dict:
         rep = {"acceptance_rate": self.acceptance_rate,
                "fallback_count": self.fallback_count,
                "proposal_draws": self.proposal_draws,
                "passes": self.passes,
-               "used_base_shortcut": self.used_base_shortcut,
                "backend": self.backend}
         if self.backend == "diffusion":
             rep["diffusion_steps"] = self.diffusion_steps
-        if self.params is not None:
-            # the base shortcut and a one-piece envelope estimate none
-            if self.backend == "diffusion" and self.proposal.m > 1:
+            if self.proposal.m > 1:  # a one-piece envelope estimates none
                 rep["eta_used"] = self.eta_used
                 rep["normalizer"] = "mc, exact draws"
-            rep["net_pieces"] = self.net_pieces
-            rep.update(asdict(self.params))
+        rep["net_pieces"] = self.net_pieces
+        rep.update(asdict(self.params))
         return rep
 
 
@@ -351,10 +349,12 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     """Sample from the KL-aligned law q(x) ~ p(x) exp(f(Ax)) for convex f.
 
     Requires f flagged convex and L-Lipschitz on the projected ball of
-    radius R = ||A||_op * C.  L = 0 short-circuits to base sampling.  The
-    envelope is ``envelope`` exactly as given, else ``own_envelope(f, R)``
-    for an f with pieces, else (a black box) the net envelope with one
-    piece per distinct slope.
+    radius R = ||A||_op * C.  Every call takes one path: envelope, schedule
+    (``compute_params``), proposal, rejection, fallback.  The envelope is
+    ``envelope`` exactly as given, else ``own_envelope(f, R)`` for an f
+    with pieces, else (a black box) the net envelope of spacing
+    h = 1/(2L) with one piece per distinct slope; at L = 0, h = inf and the
+    net is the origin.  A constant f thus has a one-piece envelope.
     """
     if not f.convex:
         raise ValidationError("KL alignment requires a convex reward; "
@@ -374,31 +374,20 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                               f"columns, got {envelope.slopes.shape[1]}")
     rng = _rng_from(seed)
     C = base.support_radius
-    L = f.lipschitz
-    seed_tag = _seed_tag(seed)
-
-    if L == 0 and envelope is None:
-        batch = sample_linear_tilt(base, None, eps, rng, backend, n=n)
-        batch = SampleBatch(points=batch.points, seed=seed_tag,
-                            producer="kl_align/base_shortcut", d=base.d)
-        return KLAlignResult(batch=batch, params=None, envelope=None,
-                             proposal=None, fallback_count=0,
-                             proposal_draws=n, backend=backend,
-                             diffusion_steps=(0 if backend == "exact"
-                                              else recommended_steps(eps, C)),
-                             passes=1)
 
     op_norm = float(np.linalg.norm(A, 2))
     R = op_norm * C
     check_domain(f, R)
     if envelope is None and f.pieces is None:
-        envelope = build_envelope(f, build_net(f.k, R, 1.0 / (2.0 * L)))
+        with np.errstate(divide="ignore", over="ignore"):  # L = 0: h = inf
+            h = 1.0 / (2.0 * np.float64(f.lipschitz))
+        envelope = build_envelope(f, build_net(f.k, R, h))
         net_pieces = envelope.m
         envelope = _collapse_net_pieces(envelope)
     else:
         envelope = own_envelope(f, R) if envelope is None else envelope
         net_pieces = envelope.m
-    params = compute_params(L, op_norm, C, envelope.m, eps)
+    params = compute_params(f.lipschitz, op_norm, C, envelope.m, eps)
     # the schedule's eta is far below any Monte Carlo budget; the oracle-only
     # path floors it and records the substitution in the result
     eta_used = params.eta if backend == "exact" else max(params.eta, 0.05)
@@ -468,8 +457,8 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         pts[fell] = sample_linear_tilt(base, None, eps, rng, backend,
                                        n=fallback).points
 
-    batch = SampleBatch(points=pts, seed=seed_tag, producer="kl_align/alg1",
-                        d=base.d)
+    batch = SampleBatch(points=pts, seed=_seed_tag(seed),
+                        producer="kl_align/alg1", d=base.d)
     return KLAlignResult(batch=batch, params=params, envelope=envelope,
                          proposal=proposal, fallback_count=fallback,
                          proposal_draws=draws,

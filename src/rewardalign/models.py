@@ -41,25 +41,29 @@ DIFFUSION_STEP_CAP = 1000
 def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the centered ball of the given radius.
 
-    Accepts a single vector ``(d,)`` or a batch ``(n, d)``.
+    Accepts a single vector ``(d,)`` or a batch ``(n, d)``.  Only the rows
+    outside are divided, each by radius / its norm (< 1, so no overflow).
     """
     x = np.asarray(x, dtype=float)
     r = norms(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1] + (1,))
-    scale = np.where(r > radius, radius / np.maximum(r, 1e-300), 1.0)
-    return x * scale
+    return x * np.divide(radius, r, out=np.ones_like(r), where=r > radius)
 
 
 def norms(rows) -> np.ndarray:
     """Row norms of (n, k) (a (k,) vector is one row), ``np.linalg.norm``'s
-    unless the squares overflow: then scaled by the row's largest |entry|,
-    so a finite row's norm is inf only past the float max."""
+    unless the squares overflow or underflow: then scaled by the row's
+    largest |entry|, so a finite row's norm is inf only past the float max,
+    and 0 only for a zero row."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     with np.errstate(over="ignore"):
         out = np.linalg.norm(rows, axis=1)
-        for i in np.flatnonzero(np.isinf(out)):
-            top = np.abs(rows[i]).max()
-            if top < np.inf:  # an inf entry keeps its inf norm
-                out[i] = np.linalg.norm(rows[i] / top) * top
+        # below 1.5e-154 the squares underflow; a zero row keeps its 0, and
+        # a row with an inf entry its inf
+        redo = np.flatnonzero(np.isinf(out) | (out < 1.5e-154))
+        tops = np.abs(rows[redo]).max(axis=1, initial=0.0)
+        keep = (tops > 0) & (tops < np.inf)
+        for i, top in zip(redo[keep].tolist(), tops[keep].tolist()):
+            out[i] = np.linalg.norm(rows[i] / top) * top
     return out
 
 
@@ -108,7 +112,10 @@ def _chi2_tail(d: int, x: float) -> float:
     """P(chi^2_d > x) for an integer d >= 1 in closed form.  With h = x/2
     and a = (d mod 2)/2 it is sum_{j < d//2} e^-h h^(j+a) / Gamma(j+a+1),
     plus erfc(sqrt h) when d is odd.  Each term is formed in the log
-    domain, so none overflows and one underflows only below 1e-308."""
+    domain, so none overflows and one underflows only below 1e-308.  The
+    tail at x = inf is 0."""
+    if x == math.inf:
+        return 0.0
     h, a = x / 2.0, (d % 2) / 2.0
     log_h = math.log(h) if h > 0.0 else -math.inf
     out = math.erfc(math.sqrt(h)) if a else 0.0
@@ -157,7 +164,7 @@ class GaussianMixtureModel:
             raise ValidationError("covariances must be positive definite")
         if check_support:
             mass = self.mass_outside_ball()
-            if mass >= SUPPORT_MASS_TOL:
+            if not mass < SUPPORT_MASS_TOL:
                 raise ConfigurationError(
                     f"untruncated mass outside the support ball is {mass:.3e} "
                     f">= {SUPPORT_MASS_TOL:.0e}; enlarge C or tighten the mixture")
@@ -174,12 +181,13 @@ class GaussianMixtureModel:
 
     def mass_outside_ball(self) -> float:
         """Chi-square tail upper bound on the untruncated mass outside B(C)."""
-        # a component centred at or beyond the sphere counts whole (t = 0)
-        gap = np.maximum(self.support_radius
-                         - np.linalg.norm(self.means, axis=1), 0.0)
-        t = gap / np.sqrt(self._eigvals[:, -1])
+        # a component centred at or beyond the sphere counts whole (t = 0);
+        # a t^2 past the float max is inf, whose tail is 0
+        gap = np.maximum(self.support_radius - norms(self.means), 0.0)
+        with np.errstate(over="ignore"):
+            t2 = (gap / np.sqrt(self._eigvals[:, -1])) ** 2
         return float(self.weights @ [_chi2_tail(self.d, v)
-                                     for v in (t * t).tolist()])
+                                     for v in t2.tolist()])
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Untruncated log-density at x (d,) or (n, d), as an (n,) array."""

@@ -104,6 +104,9 @@ def prox_quadratic_batch(reward: QuadraticReward, lam: float, ys: np.ndarray,
 # Concave backend (projected gradient ascent)
 # ---------------------------------------------------------------------------
 
+# Values past the float max are inf, inf - inf is NaN: a NaN point ends in
+# a NaN oracle answer, a NaN or inf result in the output gates (exit 4).
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def prox_concave(reward, lam: float, y, C: float) -> np.ndarray:
     """Projected gradient ascent on x -> r(x) - lam ||x - y||^2, which is
     2*lam strongly concave for concave r, at a point y (d,) or at every row
@@ -121,15 +124,14 @@ def prox_concave(reward, lam: float, y, C: float) -> np.ndarray:
         raise ValidationError("prox_concave requires a concave reward oracle")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     _check_prox_args(lam, C, y, reward.d)
-    if isinstance(reward, QuadraticReward):
-        step = 1.0 / (2.0 * float(np.linalg.eigvalsh(reward.B)[-1]) + 2.0 * lam)
+    if isinstance(reward, QuadraticReward):  # 2 lam_max(B) may overflow
+        step = 0.5 / (float(np.linalg.eigvalsh(reward.B)[-1]) + lam)
     else:
         step = 1.0 / (2.0 * lam)
 
     def objective(x, yr):
         fx = oracle_answer(reward.value(x[0] if y.ndim == 1 else x), len(x))
-        with np.errstate(over="ignore"):  # objective_value refuses -inf
-            return fx - lam * np.sum((x - yr) ** 2, axis=1)
+        return fx - lam * np.sum((x - yr) ** 2, axis=1)
 
     ys = np.atleast_2d(y)
     out = np.empty_like(ys)
@@ -240,28 +242,29 @@ class LowRankDecomp:
 @dataclass(frozen=True)
 class Alg2Params:
     """Net spacing and base-sampling accuracy for the low-rank search on
-    the rank-r_A ball."""
+    the rank-r_A ball; every field finite, checked here alone."""
 
     h: float
     eps_P: float
     net_cardinality_bound: float
     r_A: int
 
+    def __post_init__(self):
+        finite(f"the low-rank schedule {self}", list(vars(self).values()))
+
     @classmethod
     def from_problem(cls, L: float, S: float, lam: float, C: float,
                      eps: float, r_A: int) -> "Alg2Params":
         if not (lam > 0 and eps > 0):
             raise ValidationError(f"need lam > 0 and eps > 0: {lam, eps}")
-        # eps^2 / (288 lam^2 C^3) as a square of a ratio: a Python float
-        # power raises OverflowError past the float max
-        h = min(eps / (6.0 * (L * S + 4.0 * lam * C)),
-                (eps / (12.0 * lam * C)) ** 2 / (2.0 * C))
-        with np.errstate(over="ignore"):
-            bound = np.float64(1.0 + 2.0 * C / h) ** r_A if h > 0 else np.inf
-        if not bound < np.inf:
-            raise ValidationError(f"the net schedule overflows: h = {h:.3g} "
-                                  f"at lam={lam}, C={C}, eps={eps}")
-        eps_P = eps / (24.0 * lam * C)
+        # in float64, eps^2 / (288 lam^2 C^3) as a square of a ratio: a
+        # value past the float max is inf, and h = 0 makes the bound inf
+        L, lam, C = np.float64(L), np.float64(lam), np.float64(C)
+        with np.errstate(over="ignore", divide="ignore"):
+            h = min(eps / (6.0 * (L * S + 4.0 * lam * C)),
+                    (eps / (12.0 * lam * C)) ** 2 / (2.0 * C))
+            bound = (1.0 + 2.0 * C / h) ** r_A
+            eps_P = eps / (24.0 * lam * C)
         return cls(h=float(h), eps_P=float(eps_P),
                    net_cardinality_bound=float(bound), r_A=int(r_A))
 
@@ -360,7 +363,7 @@ def objective_value(ys: np.ndarray, xs: np.ndarray, reward, lam: float):
     along the produced coupling; lower-bounds the alignment objective."""
     ys = np.atleast_2d(ys)
     xs = np.atleast_2d(xs)
-    with np.errstate(over="ignore"):  # an overflow is refused just below
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
         vals = (oracle_answer(reward.value(xs), len(xs))
                 - lam * np.sum((xs - ys) ** 2, axis=1))
     if not np.all(np.isfinite(vals)):

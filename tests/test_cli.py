@@ -1,6 +1,7 @@
 import json
 import os
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ import pytest
 import rewardalign as ra
 from rewardalign.cli import fig1_base, fig1_reward, main, reproduce_fig1
 from rewardalign import tilts
-from rewardalign.models import (DIFFUSION_STEP_CAP, SUPPORT_MASS_TOL,
-                                recommended_steps)
+from rewardalign.models import SUPPORT_MASS_TOL, recommended_steps
 
 
 @pytest.fixture
@@ -270,7 +270,9 @@ def test_reproduce_fig1_small(tmp_path):
         assert os.path.exists(os.path.join(str(tmp_path / "fig1"), name))
 
 
-def test_constant_reward_base_shortcut(model_file, tmp_path):
+def test_constant_reward_takes_the_one_pipeline(model_file, tmp_path):
+    # f = 0 is its own one-piece envelope: every candidate is accepted, and
+    # the law is the base's
     reward = tmp_path / "const.json"
     reward.write_text(json.dumps({"type": "linear", "theta": [0.0]}))
     out_dir = str(tmp_path / "const_out")
@@ -278,21 +280,27 @@ def test_constant_reward_base_shortcut(model_file, tmp_path):
                "--n", "3000", "--seed", "5", "--out", out_dir])
     assert rc == 0
     manifest = json.loads(open(os.path.join(out_dir, "manifest.json")).read())
-    assert manifest["diagnostics"]["used_base_shortcut"]
+    diag = manifest["diagnostics"]
+    assert (diag["acceptance_rate"], diag["fallback_count"]) == (1.0, 0)
+    assert diag["m"] == diag["net_pieces"] == 1
+    env = json.loads(open(os.path.join(out_dir, "envelope.json")).read())
+    assert env == {"slopes": [[0.0]], "offsets": [0.0], "m": 1}
     samples = np.loadtxt(os.path.join(out_dir, "samples.csv"), delimiter=",",
                          skiprows=1)
     assert abs(np.mean(samples > 0.5) - 0.5) < 0.03
 
 
-def test_base_shortcut_run_removes_a_stale_envelope(model_file, tmp_path):
-    # a run with an envelope, then a base-shortcut run into the same dir:
-    # the directory holds the second run's files alone
+def test_each_run_into_one_directory_writes_its_envelope(model_file,
+                                                          tmp_path):
+    # a two-piece reward, then a constant one into the same directory:
+    # each run leaves its own envelope.json
     out_dir = str(tmp_path / "out")
     env_path = os.path.join(out_dir, "envelope.json")
-    for spec, has_envelope in (
+    for spec, slopes in (
             ({"type": "lowrank_maxaffine", "A": [[1.0]],
-              "pieces": [[[1.0], 0.0], [[-1.0], 0.0]], "R": 1.0}, True),
-            ({"type": "linear", "theta": [0.0]}, False)):
+              "pieces": [[[1.0], 0.0], [[-1.0], 0.0]], "R": 1.0},
+             [[1.0], [-1.0]]),
+            ({"type": "linear", "theta": [0.0]}, [[0.0]])):
         reward = tmp_path / "reward.json"
         reward.write_text(json.dumps(spec))
         assert main(["align-kl", "--model", model_file, "--reward",
@@ -300,8 +308,43 @@ def test_base_shortcut_run_removes_a_stale_envelope(model_file, tmp_path):
                      "--out", out_dir]) == 0
         manifest = json.loads(open(os.path.join(out_dir,
                                                  "manifest.json")).read())
-        assert manifest["diagnostics"]["used_base_shortcut"] != has_envelope
-        assert os.path.exists(env_path) == has_envelope
+        env = json.loads(open(env_path).read())
+        assert env["slopes"] == slopes
+        assert env["m"] == manifest["diagnostics"]["m"] == len(slopes)
+
+
+@pytest.mark.parametrize("slope", [0.0, 1e-9])
+def test_reward_outside_its_declared_ball_exits_2(model_file, tmp_path,
+                                                  capsys, slope):
+    # R = 0.1 against a projected ball of radius 1: a constant reward is
+    # refused like any other
+    reward = tmp_path / "small_ball.json"
+    reward.write_text(json.dumps({"type": "lowrank_maxaffine", "A": [[1.0]],
+                                  "pieces": [[[slope], 0.3]], "R": 0.1}))
+    out_dir = str(tmp_path / "out")
+    assert main(["align-kl", "--model", model_file, "--reward", str(reward),
+                 "--n", "10", "--out", out_dir]) == 2
+    assert "outside the declared ball" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out_dir, "samples.csv"))
+
+
+def test_zero_lipschitz_manifest_is_strict_json_without_h(model_file,
+                                                          tmp_path):
+    reward = tmp_path / "const.json"
+    reward.write_text(json.dumps({"type": "lowrank_maxaffine", "A": [[1.0]],
+                                  "pieces": [[[0.0], 0.3]], "L": 0.0}))
+    out_dir = str(tmp_path / "out")
+    assert main(["align-kl", "--model", model_file, "--reward", str(reward),
+                 "--n", "20", "--out", out_dir]) == 0
+
+    def reject(name):
+        raise AssertionError(f"non-JSON constant {name}")
+
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        manifest = json.loads(fh.read(), parse_constant=reject)
+    derived = manifest["derived_parameters"]
+    assert "h" not in derived
+    assert derived == asdict(ra.compute_params(0.0, 1.0, 1.0, 1, 0.1))
 
 
 def test_linear_reward_past_the_square_overflow(tmp_path, capsys):
@@ -392,6 +435,69 @@ def test_atoms_at_both_ends_of_the_float_range(tmp_path, capsys):
     assert (diag["acceptance_rate"], diag["fallback_count"]) == (1.0, 0)
 
 
+def test_schedules_at_a_tiny_radius(tmp_path, capsys):
+    # C = 1e-300: (rho / C)^2 and (eps / (12 lam C))^2 pass the float max
+    # and end in inf inside a min, not in OverflowError; N_rej <= 0, so
+    # every KL slot falls back to a base draw
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"type": "discrete",
+                                 "atoms": [[0.0], [1e-300]],
+                                 "probs": [0.5, 0.5], "C": 1e-300}))
+    runs = [("align-kl", {"type": "lowrank_maxaffine", "A": [[1.0]],
+                          "pieces": [[[1.0], 0.0], [[-1.0], 0.5]]}, []),
+            ("align-w2", {"type": "logsumexp", "w": [1.0, 0.5],
+                          "z": [[1.0], [-1.0]], "A": [[1.0]]},
+             ["--lambda", "0.5", "--backend", "lowrank"])]
+    for cmd, reward, extra in runs:
+        path, out_dir = tmp_path / f"{cmd}.json", str(tmp_path / cmd)
+        path.write_text(json.dumps(reward))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([cmd, "--model", str(model), "--reward", str(path),
+                         "--n", "5", "--out", out_dir] + extra) == 0
+        assert capsys.readouterr().err == ""
+        with open(os.path.join(out_dir, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert all(np.isfinite(v) for v in
+                   manifest["derived_parameters"].values()
+                   if not isinstance(v, str))
+    assert manifest["derived_parameters"]["net_cardinality_bound"] == 1.0
+    with open(os.path.join(tmp_path, "align-kl", "manifest.json")) as fh:
+        diag = json.load(fh)["diagnostics"]
+    assert diag["N_rej"] <= 0 and diag["fallback_count"] == 5
+
+
+@pytest.mark.parametrize("reward", [
+    {"type": "linear", "theta": [1.7e308]},
+    {"type": "lowrank_maxaffine", "A": [[1.0]],
+     "pieces": [[[1.7e308], 0.0], [[-1.0], 0.5]]}])
+def test_kl_schedule_past_the_float_max_is_refused(model_file, tmp_path,
+                                                   capsys, reward):
+    # L_a = 2 L ||A|| = inf: the schedule is refused where it is made
+    # (exit 2), not run degenerate with "L_a": Infinity in the manifest
+    path, out_dir = tmp_path / "reward.json", str(tmp_path / "out")
+    path.write_text(json.dumps(reward))
+    assert main(["align-kl", "--model", model_file, "--reward", str(path),
+                 "--n", "5", "--out", out_dir]) == 2
+    err = capsys.readouterr().err
+    assert "KL schedule" in err and len(err.splitlines()) == 1
+    assert not os.path.exists(os.path.join(out_dir, "manifest.json"))
+
+
+def test_prox_demo_value_past_the_float_max(tmp_path, capsys):
+    # r(x) = 1.7e308 x overflows at x = C = 1e154 inside prox_concave's
+    # objective: inf there, with no numpy warning, and the prox is +C
+    reward = tmp_path / "linear.json"
+    reward.write_text(json.dumps({"type": "linear", "theta": [1.7e308]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["prox-demo", "--reward", str(reward), "--lambda", "0.5",
+                     "--y", "0.0", "--C", "1e154"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["T_lambda_y"] == [1e154]
+    assert err == ""
+
+
 def test_prox_demo_norm_past_the_square_overflow(tmp_path, capsys):
     # b = 1e308: the unconstrained point's norm squares past the float max;
     # the prox is the sphere point +C
@@ -453,7 +559,9 @@ def test_logsumexp_reward_is_its_own_envelope(tmp_path):
     assert set(env) == {"slopes", "offsets", "m"}
 
 
-def test_base_shortcut_manifest_names_diffusion(model_file, tmp_path):
+def test_constant_reward_manifest_names_diffusion(model_file, tmp_path):
+    # the diffusion draw of a constant reward follows the general step
+    # rule: W2 target max(eps_lin, eps / 8) = 0.0625, 3 C / 0.0625 steps
     reward = tmp_path / "const.json"
     reward.write_text(json.dumps({
         "type": "lowrank_maxaffine", "A": [[1.0]],
@@ -465,10 +573,10 @@ def test_base_shortcut_manifest_names_diffusion(model_file, tmp_path):
     assert rc == 0
     manifest = json.loads(open(os.path.join(out_dir, "manifest.json")).read())
     diag = manifest["diagnostics"]
-    assert diag["used_base_shortcut"]
     assert diag["backend"] == "diffusion"
-    assert diag["diffusion_steps"] == min(recommended_steps(0.5, 1.0),
-                                          DIFFUSION_STEP_CAP)
+    assert diag["diffusion_steps"] == recommended_steps(0.5 / 8, 1.0) == 48
+    assert (diag["acceptance_rate"], diag["fallback_count"]) == (1.0, 0)
+    assert diag["m"] == 1
 
 
 def test_align_kl_diffusion_one_piece_steep_tilt(model_file, tmp_path):

@@ -16,7 +16,7 @@ from rewardalign.kl_align import (Net, _collapse_net_pieces, _serve,
 from rewardalign.metrics import (QuadratureTilt1D, empirical_to_discrete,
                                  oracle_kl_tilt, tv_discrete,
                                  w2_1d_samples_vs_quantiles)
-from rewardalign.models import DIFFUSION_STEP_CAP, recommended_steps
+from rewardalign.models import recommended_steps
 from rewardalign.rewards import make_logsumexp_function
 from rewardalign.validate import (random_discrete, random_maxaffine,
                                   random_orthogonal_rows, random_unit_ball,
@@ -72,6 +72,11 @@ class TestBuildNet:
         assert net.m == 1
         assert np.all(net.points == 0.0)
 
+    def test_infinite_spacing_is_the_origin(self):
+        # h = 1/(2L) at L = 0: every ball point is within inf of the origin
+        net = ra.build_net(2, 5.0, np.inf)
+        assert np.array_equal(net.points, np.zeros((1, 2)))
+
     def test_2d_covering_random_points(self):
         net = ra.build_net(2, 1.0, 0.5)
         rng = np.random.default_rng(0)
@@ -85,7 +90,8 @@ class TestBuildNet:
         assert np.any(np.isclose(np.abs(net.points[:, 0]), 1.0))
 
     def test_cardinality_cap(self):
-        with pytest.raises(ra.BudgetError):
+        # the message names the net's own inputs, whichever caller set them
+        with pytest.raises(ra.BudgetError, match="k = 3, R = 10, h = 0.001"):
             ra.build_net(3, 10.0, 0.001)
 
     def test_refuses_before_it_allocates(self):
@@ -237,6 +243,26 @@ class TestComputeParams:
         p = ra.compute_params(L=1.0, A_opnorm=1.0, C=1e200, m=1, eps=0.1)
         assert p.eta == 0.0
         assert p.N_rej == int(np.ceil(2 / p.a0 * 2 * np.log(4e200 / 0.1)))
+
+
+class TestScheduleIsFinite:
+    def test_tiny_radius(self):
+        # (rho / C)^2 passes the float max: inf inside the min, eta = 0.5;
+        # log(4 C / eps) < 0, so N_rej <= 0 and every slot falls back
+        p = ra.compute_params(L=1.0, A_opnorm=1.0, C=1e-300, m=2, eps=0.1)
+        assert p.eta == 0.5 and p.N_rej <= 0
+        assert np.all(np.isfinite(list(dataclasses.asdict(p).values())))
+
+    def test_constant_reward_at_the_float_max(self):
+        # L_a = 0 and 2 C = inf: C L_a comes first, so rho is 0, not NaN
+        p = ra.compute_params(L=0.0, A_opnorm=0.0, C=1.7e308, m=1, eps=0.1)
+        assert (p.L_a, p.rho, p.eta) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("L, A_opnorm", [(1.7e308, 1.0), (np.inf, 0.0)])
+    def test_non_finite_field_refused(self, L, A_opnorm):
+        # L_a = 2 L ||A|| is inf, or NaN for an inf L on A = 0
+        with pytest.raises(ra.ValidationError, match="KL schedule"):
+            ra.compute_params(L, A_opnorm, C=1.0, m=1, eps=0.1)
 
 
 class TestBuildProposal:
@@ -393,9 +419,53 @@ class TestSampleKLAligned:
         f.lipschitz = 0.0
         res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1, delta=0.05,
                                    seed=8, n=10**5)
-        assert res.used_base_shortcut
+        # its own one-piece envelope, G = f: every candidate is accepted
+        assert (res.acceptance_rate, res.fallback_count) == (1.0, 0)
+        assert res.envelope.m == 1
+        assert res.batch.producer == "kl_align/alg1"
         emp = empirical_to_discrete(res.batch.points, 1.0)
         assert tv_discrete(emp, base) <= 0.02
+
+    def test_declared_zero_lipschitz_draws_the_tilted_law(self):
+        # a declared L = 0 on f(u) = u only sets the schedule: the envelope
+        # is f's own piece, so the law is the tilt, not the base
+        base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
+        f = ra.make_max_affine([(np.array([1.0]), 0.0)])
+        f.lipschitz = 0.0
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1, delta=0.05,
+                                   seed=17, n=2 * 10**4)
+        p1 = np.mean(res.batch.points[:, 0] > 0.5)
+        assert abs(p1 - np.e / (1 + np.e)) < 0.02
+        assert (res.acceptance_rate, res.fallback_count) == (1.0, 0)
+
+    def test_constant_black_box_one_point_net(self):
+        # L = 0: h = 1/(2L) = inf, the net is the origin and the envelope
+        # one piece, f + 1: acceptance e^-1, and the law is the base's
+        base = ra.DiscreteModel([[-1.0], [0.0], [1.0]], [0.2, 0.5, 0.3], 1.0)
+        f = ra.LowDimFunction(
+            value=lambda u: np.full(np.shape(u)[:-1], 0.7), k=1,
+            lipschitz=0.0, radius=1.0, convex=True,
+            grad=lambda u: np.zeros(np.shape(u)))
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1, delta=0.05,
+                                   seed=8, n=10**5)
+        assert res.net_pieces == res.envelope.m == 1
+        assert res.envelope.to_dict() == {"slopes": [[0.0]],
+                                          "offsets": [1.7], "m": 1}
+        assert abs(res.acceptance_rate - np.exp(-1.0)) < 0.01
+        emp = empirical_to_discrete(res.batch.points, 1.0)
+        assert tv_discrete(emp, base) <= 0.02
+
+    def test_slopes_whose_squares_underflow_keep_their_pieces(self):
+        # ||1e-300|| is 1e-300, not 0: L > 0, and each piece reaches past
+        # the other over B(1.7e308), so both stay in the envelope and the
+        # tilt e^f puts every sample on the atom where f = 1.7e8
+        base = ra.DiscreteModel([[0.0], [1.7e308]], [0.5, 0.5], 1.7e308)
+        f = ra.make_max_affine([([1e-300], 0.0), ([-1e-300], 0.5)])
+        assert f.lipschitz == 1e-300
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1, delta=0.05,
+                                   seed=1, n=50)
+        assert res.envelope.m == 2
+        assert np.all(res.batch.points == 1.7e308)
 
     def test_tilt_beyond_exp_range(self):
         # log Z ~ 800 overflows exp: the proposal stays in log space and
@@ -408,9 +478,10 @@ class TestSampleKLAligned:
         assert np.all(np.isfinite(res.proposal.log_pi))
         assert np.all(res.batch.points == 1.0)
 
-    def test_base_shortcut_reports_diffusion_backend(self, monkeypatch):
-        # L = 0 on the diffusion backend: the report names the backend and
-        # the reverse steps the base draw ran, and claims no normalizer
+    def test_constant_reward_reports_diffusion_backend(self, monkeypatch):
+        # f = 0.3 on the diffusion backend: one reverse pass at the general
+        # step rule (W2 target eps / 8: 48 steps at eps 0.5), every
+        # candidate accepted, and no normalizer for the one piece
         steps = []
         reverse = ra.tilts.sample_via_diffusion
 
@@ -424,8 +495,10 @@ class TestSampleKLAligned:
         res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.5, delta=0.05,
                                    seed=2, n=20, backend="diffusion")
         rep = res.report()
-        assert res.used_base_shortcut
-        assert steps == [min(recommended_steps(0.5, 1.0), DIFFUSION_STEP_CAP)]
+        assert steps == [recommended_steps(0.5 / 8, 1.0)] == [48]
+        assert (res.acceptance_rate, res.fallback_count) == (1.0, 0)
+        assert res.envelope.m == 1
+        assert res.batch.producer == "kl_align/alg1"
         assert rep["backend"] == "diffusion"
         assert rep["diffusion_steps"] == steps[0]
         assert "normalizer" not in rep and "eta_used" not in rep

@@ -12,7 +12,8 @@ from scipy.stats import chi2, multivariate_normal
 import rewardalign as ra
 from rewardalign.models import (DIFFUSION_STEP_CAP, SIGMA_MAX, SIGMA_MIN,
                                 _chi2_tail, _group_rows, _logsumexp,
-                                noised_log_density, recommended_steps)
+                                noised_log_density, norms,
+                                recommended_steps)
 from rewardalign.rewards import make_logsumexp_function
 from rewardalign.validate import random_discrete, random_gmm, random_unit_ball
 
@@ -292,6 +293,23 @@ class TestProjectBall:
         assert out[0] == pytest.approx([0.6, 0.8])
         assert out[1] == pytest.approx([0.1, 0.0])
 
+    def test_only_rows_outside_are_scaled(self):
+        # an inside row keeps its bytes and is never divided: at radius
+        # 1.7e308, radius / ||1e-300|| would pass the float max
+        pts = np.array([[1e-300, 0.0], [0.0, 0.0], [3e307, 4e307],
+                        [1.25e308, 1.25e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ra.project_ball(pts, 1.7e308)
+        assert np.array_equal(out[:3], pts[:3])
+        r = norms(pts[3:])
+        assert np.array_equal(out[3:], pts[3:] * (1.7e308 / r)[:, None])
+
+    def test_norms_past_the_square_underflow(self):
+        # ||x||^2 underflows to a subnormal or to 0: scaled like an overflow
+        rows = [[1e-300, 0.0], [3e-160, 4e-160], [0.0, 0.0], [3.0, 4.0]]
+        assert norms(rows).tolist() == [1e-300, 5e-160, 0.0, 5.0]
+
     def test_norm_past_the_square_overflow(self):
         # ||x||^2 overflows, ||x|| does not: the sphere point, not 0
         for x in (np.array([3e200, 4e200]), np.array([[3e200, 4e200]])):
@@ -454,6 +472,17 @@ class TestJson:
 
 
 class TestMixtureChecks:
+    @pytest.mark.parametrize("C", [1e154, 1.7e308])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_huge_radius_loads_without_warning(self, C, d):
+        # (C / sd)^2 passes the float max: the tail there is 0, with no
+        # overflow warning (and no NaN tail at d >= 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = ra.GaussianMixtureModel([1.0], np.zeros((1, d)),
+                                        0.01 * np.eye(d), C)
+        assert m.mass_outside_ball() == 0.0
+
     def test_asymmetric_covariance_named(self):
         covs = np.stack([np.eye(2) * 0.1] * 3)
         covs[2, 0, 1] += 1e-6
@@ -482,6 +511,10 @@ class TestChiSquareTails:
         # e^-x/2 alone underflows here; the log-domain terms do not
         assert _chi2_tail(2000, 2000.0) == pytest.approx(
             chi2.sf(2000.0, df=2000), rel=1e-12)
+
+    def test_tail_at_infinity_is_zero(self):
+        # h^p e^-h at h = inf is inf * 0 in logs; the tail there is 0
+        assert [_chi2_tail(d, np.inf) for d in (1, 2, 3, 4)] == [0.0] * 4
 
     def test_mass_outside_ball_equals_chi2_sf(self):
         rng = np.random.default_rng(3)

@@ -142,6 +142,13 @@ class TestProxConcave:
             pga = ra.prox_concave(r, lam, y, C)
             assert np.linalg.norm(closed - pga) <= 1e-6
 
+    def test_step_of_a_curvature_near_the_float_max(self):
+        # lam_max = 1.7e308: 1 / (2 lam_max + 2 lam) would be 1 / inf, a zero
+        # step at which no row can stop; 0.5 / (lam_max + lam) is 2.9e-309,
+        # and r(x) ~ 1.7e308 x pushes x to the sphere +C
+        r = ra.QuadraticReward([[1.7e308]], [1.7e308])
+        assert ra.prox_concave(r, 0.5, np.zeros(1), 1e-300) == [1e-300]
+
     def test_constant_reward_projects(self):
         r = ra.QuadraticReward(np.zeros((2, 2)), np.zeros(2))
         y = np.array([3.0, 4.0])
@@ -215,6 +222,22 @@ class TestProxConcave:
         monkeypatch.setattr(ra.w2_align, "PGA_MAX_ITER", 2)
         with pytest.raises(ra.NumericalError):
             ra.prox_concave(r, 0.5, ys, 1.0)
+
+
+class TestAlg2Params:
+    def test_tiny_radius_is_finite(self):
+        # (eps / (12 lam C))^2 passes the float max: inf inside the min
+        p = Alg2Params.from_problem(L=1.0, S=1.0, lam=0.5, C=1e-300,
+                                    eps=0.1, r_A=1)
+        assert p.h == 0.1 / (6.0 * (1.0 + 2e-300))
+        assert p.net_cardinality_bound == 1.0
+        assert np.isfinite(p.eps_P)
+
+    @pytest.mark.parametrize("L, C", [(1.0, 1.7e308), (np.inf, 1.0)])
+    def test_non_finite_field_refused(self, L, C):
+        # h underflows to 0 (at C = 1.7e308, or L = inf): the bound is inf
+        with pytest.raises(ra.ValidationError, match="low-rank schedule"):
+            Alg2Params.from_problem(L, 1.0, 0.5, C, 0.1, 1)
 
 
 class TestAlg2Prox:
