@@ -53,12 +53,12 @@ def build_net(k: int, R: float, h: float) -> Net:
 
     Points are rounded to 12 decimals and put in lexicographic order, and
     a point equal to the one before it is dropped, so a projection that
-    meets another point is kept once.  At R = 0 or h = inf the net is the
-    origin alone.
+    meets another point is kept once.  At k = 0, R = 0 or h = inf the net
+    is the origin alone.  No other code refuses a net for its size.
     """
-    if not (k >= 1 and h > 0 and 0 <= R < np.inf):
-        raise ValidationError(f"need k >= 1, h > 0, finite R >= 0: {k, h, R}")
-    if R == 0 or h == np.inf:
+    if not (k >= 0 and h > 0 and 0 <= R < np.inf):
+        raise ValidationError(f"need k >= 0, h > 0, finite R >= 0: {k, h, R}")
+    if k == 0 or R == 0 or h == np.inf:
         return Net(points=np.zeros((1, k)))
 
     s = 2.0 * h / np.sqrt(k)
@@ -416,9 +416,9 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                 xs = sample_exact(model, count, rng).points
                 return xs, _log_acceptance(f, envelope, xs @ A.T)
     else:
-        # the theory-driven eps_lin can be far below what any discretization
-        # reaches: the W2 target is floored at eps / 8 (24 C / eps steps)
-        eps_draw = max(params.eps_lin, eps / 8.0)
+        # W2 target eps / 8 (24 C / eps steps); eps_lin > eps / 8 needs
+        # C < eps a0 / 8, where both take the 25-step floor
+        eps_draw = eps / 8.0
         diff_steps = recommended_steps(eps_draw, C)
         pi = proposal.pi
 

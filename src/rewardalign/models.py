@@ -42,11 +42,18 @@ def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the centered ball of the given radius.
 
     Accepts a single vector ``(d,)`` or a batch ``(n, d)``.  Only the rows
-    outside are divided, each by radius / its norm (< 1, so no overflow).
+    outside are scaled, each by radius / its norm (< 1, so no overflow),
+    a finite row past the float max in norm by its largest |entry| first.
     """
     x = np.asarray(x, dtype=float)
-    r = norms(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1] + (1,))
-    return x * np.divide(radius, r, out=np.ones_like(r), where=r > radius)
+    rows = x.reshape(-1, x.shape[-1])
+    r = norms(rows)
+    out = rows * np.divide(radius, r, out=np.ones_like(r),
+                           where=r > radius)[:, None]
+    for i in np.flatnonzero(np.isinf(r) & (r > radius)).tolist():
+        if (top := np.abs(rows[i]).max()) < np.inf:
+            out[i] = rows[i] / top * (radius / np.linalg.norm(rows[i] / top))
+    return out.reshape(x.shape)
 
 
 def norms(rows) -> np.ndarray:

@@ -275,8 +275,8 @@ class LowRankReward:
     def __init__(self, A, f: LowDimFunction):
         self.A = np.atleast_2d(finite("A", A))
         self.f = f
-        if self.A.shape[0] != f.k:
-            raise ValidationError("A row count must match f's dimension")
+        if self.A.shape[0] != f.k or not self.A.shape[1]:
+            raise ValidationError(f"A must be k x d, k = {f.k}, d >= 1")
         self.k, self.d = self.A.shape
 
     def value(self, x):

@@ -226,27 +226,25 @@ class LowRankDecomp:
     def from_matrix(cls, A) -> "LowRankDecomp":
         A = np.atleast_2d(np.asarray(A, dtype=float))
         k, d = A.shape
+        if not (k and d):
+            raise ValidationError(f"A needs a row and a column, got {A.shape}")
         U, svals, Vt = np.linalg.svd(A, full_matrices=False)
-        tol = max(k, d) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-        r = int(np.sum(svals > tol))
-        if r == 0:
-            raise ValidationError("A is the zero matrix; the reward is constant")
-        decomp = cls(U=U[:, :r], Sigma=svals[:r], V1=Vt[:r].T, r_A=r,
-                     S=float(svals[0]))
-        recon = decomp.U @ np.diag(decomp.Sigma) @ decomp.V1.T
+        r = int(np.sum(svals > max(k, d) * np.finfo(float).eps * svals[0]))
+        recon = (U[:, :r] * svals[:r]) @ Vt[:r]
         if np.linalg.norm(recon - A) > 1e-10 * max(1.0, float(svals[0])):
             raise NumericalError("SVD reconstruction drift above 1e-10")
-        return decomp
+        return cls(U=U[:, :r], Sigma=svals[:r], V1=Vt[:r].T, r_A=r,
+                   S=float(svals[0]))
 
 
 @dataclass(frozen=True)
 class Alg2Params:
     """Net spacing and base-sampling accuracy for the low-rank search on
-    the rank-r_A ball; every field finite, checked here alone."""
+    the rank-r_A ball; every field finite, checked here alone.  A net too
+    large is refused by ``build_net`` alone, when ``alg2_prox`` builds it."""
 
     h: float
     eps_P: float
-    net_cardinality_bound: float
     r_A: int
 
     def __post_init__(self):
@@ -257,16 +255,14 @@ class Alg2Params:
                      eps: float, r_A: int) -> "Alg2Params":
         if not (lam > 0 and eps > 0):
             raise ValidationError(f"need lam > 0 and eps > 0: {lam, eps}")
-        # in float64, eps^2 / (288 lam^2 C^3) as a square of a ratio: a
-        # value past the float max is inf, and h = 0 makes the bound inf
+        # in float64, eps^2 / (288 lam^2 C^3) as a square of a ratio: past
+        # the float max inf (h = 0: build_net), NaN for an inf L on A = 0
         L, lam, C = np.float64(L), np.float64(lam), np.float64(C)
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             h = min(eps / (6.0 * (L * S + 4.0 * lam * C)),
                     (eps / (12.0 * lam * C)) ** 2 / (2.0 * C))
-            bound = (1.0 + 2.0 * C / h) ** r_A
             eps_P = eps / (24.0 * lam * C)
-        return cls(h=float(h), eps_P=float(eps_P),
-                   net_cardinality_bound=float(bound), r_A=int(r_A))
+        return cls(h=float(h), eps_P=float(eps_P), r_A=int(r_A))
 
 
 def reduced_objective(decomp: LowRankDecomp, f, lam: float, y: np.ndarray,
@@ -388,7 +384,8 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
     gradient ascent, concave oracle), "lowrank" (``prox_max_affine`` for a
     max-affine f, else the value-oracle net search ``alg2_prox``; the
     batch's producer is ``w2_align/lowrank/max_affine`` or
-    ``w2_align/lowrank/alg2``).  The base draw is ``sample_linear_tilt``
+    ``w2_align/lowrank/alg2``; any rank of A, 0 included, and only
+    ``build_net`` refuses a net).  The base draw is ``sample_linear_tilt``
     with no tilt on ``base_backend`` ("exact" or "diffusion"), with W2
     target eps, or eps_P on lowrank.
     """
@@ -403,18 +400,18 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
         raise ValidationError("pga backend needs a concave reward oracle")
     if backend == "lowrank" and not isinstance(reward, LowRankReward):
         raise ValidationError("lowrank backend needs a LowRankReward")
+    if reward.d != base.d:
+        raise ValidationError(f"reward on d = {reward.d}, base on {base.d}")
     rng = _rng_from(seed)
     C = base.support_radius
-    seed_tag = _seed_tag(seed)
 
-    eps_P, params = eps, None
+    params = None
     if backend == "lowrank":
         decomp = LowRankDecomp.from_matrix(reward.A)
         params = Alg2Params.from_problem(reward.f.lipschitz, decomp.S, lam,
                                          C, eps, decomp.r_A)
-        eps_P = params.eps_P
-    ys = sample_linear_tilt(base, None, eps_P, rng, base_backend, n=n,
-                            steps=steps).points
+    ys = sample_linear_tilt(base, None, params.eps_P if params else eps, rng,
+                            base_backend, n=n, steps=steps).points
 
     producer = f"w2_align/{backend}"
     if backend == "quad":
@@ -425,13 +422,11 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
         xs = prox_max_affine(reward, lam, ys, C)
         producer += "/max_affine"
     else:
-        # built inline, so alg2_prox holds the only reference to the net
         xs = alg2_prox(decomp, reward.f.value, lam, ys, C, eps,
-                       reward.f.lipschitz,
-                       net=build_net(decomp.r_A, C, params.h).points)
+                       reward.f.lipschitz)
         producer += "/alg2"
 
-    batch = SampleBatch(points=xs, seed=seed_tag, producer=producer,
+    batch = SampleBatch(points=xs, seed=_seed_tag(seed), producer=producer,
                         d=base.d)
     obj, se = objective_value(ys, xs, reward, lam)
     return W2AlignResult(ys=ys, batch=batch, objective=obj,

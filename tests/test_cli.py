@@ -193,9 +193,63 @@ def test_align_w2_lowrank_manifest(tmp_path):
                                         eps=0.2, r_A=1)
     assert derived["h"] == pytest.approx(params.h)
     assert derived["eps_P"] == pytest.approx(params.eps_P)
-    assert derived["net_cardinality_bound"] == pytest.approx(
-        params.net_cardinality_bound)
     assert derived["r_A"] == 1
+
+
+@pytest.mark.parametrize("reward, code, err", [
+    ({"type": "lowrank_maxaffine", "A": [[]], "pieces": [[[1.0], 0.0]]},
+     2, "A must be k x d"),
+    ({"type": "logsumexp", "w": [1.0], "z": [[1.0]], "A": [[]]},
+     2, "A must be k x d"),
+    ({"type": "lowrank_maxaffine", "A": [[0.0, 0.0]],
+      "pieces": [[[1.0], 0.0]]}, 2, "reward on d = 2, base on 1"),
+    ({"type": "logsumexp", "w": [1.0], "z": [[1.0]], "A": [[1.0, 0.0, 0.0]]},
+     2, "reward on d = 3, base on 1"),
+    ({"type": "lowrank_maxaffine", "A": [[0.0]], "pieces": [[[1.0], 0.0]]},
+     0, ""),
+    ({"type": "logsumexp", "w": [1.0, 0.5], "z": [[1.0], [-1.0]],
+      "A": [[0.0]]}, 0, "")],
+    ids=["max-affine-no-column", "logsumexp-no-column", "max-affine-d",
+         "logsumexp-d", "max-affine-A=0", "logsumexp-A=0"])
+def test_align_w2_lowrank_matrix_shapes(model_file, tmp_path, capsys, reward,
+                                        code, err):
+    # A with no column or on another d is refused in one line; A = 0 (a
+    # constant reward) runs at rank 0 and moves no base point
+    path, out_dir = tmp_path / "reward.json", str(tmp_path / "out")
+    path.write_text(json.dumps(reward))
+    assert main(["align-w2", "--model", model_file, "--reward", str(path),
+                 "--lambda", "0.5", "--n", "5", "--seed", "1",
+                 "--backend", "lowrank", "--out", out_dir]) == code
+    stderr = capsys.readouterr().err
+    assert err in stderr and len(stderr.splitlines()) == (code != 0)
+    if code == 0:
+        pairs = np.loadtxt(os.path.join(out_dir, "pairs.csv"), delimiter=",",
+                           skiprows=1)
+        assert np.array_equal(pairs[:, 0], pairs[:, 1])
+        with open(os.path.join(out_dir, "manifest.json")) as fh:
+            assert json.load(fh)["derived_parameters"]["r_A"] == 0
+
+
+def test_align_w2_search_net_past_the_cap_is_a_budget_error(tmp_path,
+                                                            capsys):
+    # a log-sum-exp reward of rank 150 takes the net search, whose net
+    # build_net refuses before allocating it: exit 3, the budget code
+    rng = np.random.default_rng(3)
+    model, reward = tmp_path / "model.json", tmp_path / "reward.json"
+    model.write_text(json.dumps({
+        "type": "discrete", "atoms": (0.05 * np.eye(150)[:2]).tolist(),
+        "probs": [0.5, 0.5], "C": 1.0}))
+    reward.write_text(json.dumps({
+        "type": "logsumexp", "w": [1.0, 1.0],
+        "z": rng.standard_normal((2, 150)).tolist(),
+        "A": np.eye(150).tolist()}))
+    out_dir = str(tmp_path / "out")
+    assert main(["align-w2", "--model", str(model), "--reward", str(reward),
+                 "--lambda", "0.5", "--eps", "0.1", "--n", "3",
+                 "--backend", "lowrank", "--out", out_dir]) == 3
+    err = capsys.readouterr().err
+    assert "lattice points" in err and len(err.splitlines()) == 1
+    assert not os.path.exists(os.path.join(out_dir, "manifest.json"))
 
 
 def test_invalid_delta_no_partial_outputs(model_file, kl_reward_file,
@@ -461,7 +515,6 @@ def test_schedules_at_a_tiny_radius(tmp_path, capsys):
         assert all(np.isfinite(v) for v in
                    manifest["derived_parameters"].values()
                    if not isinstance(v, str))
-    assert manifest["derived_parameters"]["net_cardinality_bound"] == 1.0
     with open(os.path.join(tmp_path, "align-kl", "manifest.json")) as fh:
         diag = json.load(fh)["diagnostics"]
     assert diag["N_rej"] <= 0 and diag["fallback_count"] == 5
@@ -561,7 +614,7 @@ def test_logsumexp_reward_is_its_own_envelope(tmp_path):
 
 def test_constant_reward_manifest_names_diffusion(model_file, tmp_path):
     # the diffusion draw of a constant reward follows the general step
-    # rule: W2 target max(eps_lin, eps / 8) = 0.0625, 3 C / 0.0625 steps
+    # rule: W2 target eps / 8 = 0.0625, 3 C / 0.0625 steps
     reward = tmp_path / "const.json"
     reward.write_text(json.dumps({
         "type": "lowrank_maxaffine", "A": [[1.0]],

@@ -77,6 +77,12 @@ class TestBuildNet:
         net = ra.build_net(2, 5.0, np.inf)
         assert np.array_equal(net.points, np.zeros((1, 2)))
 
+    def test_rank_zero_is_the_origin(self):
+        # k = 0 (A = 0): the ball of R^0 is one point, whatever R and h
+        assert ra.build_net(0, 1.0, 1e-300).points.shape == (1, 0)
+        with pytest.raises(ra.ValidationError, match="k >= 0"):
+            ra.build_net(-1, 1.0, 0.1)
+
     def test_2d_covering_random_points(self):
         net = ra.build_net(2, 1.0, 0.5)
         rng = np.random.default_rng(0)

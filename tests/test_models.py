@@ -317,6 +317,23 @@ class TestProjectBall:
             assert out.shape == x.shape
             assert out.ravel() == pytest.approx([0.6, 0.8], rel=1e-15)
 
+    def test_norm_past_the_float_max(self):
+        # ||x|| itself is inf for a finite row: radius / inf would send it
+        # to 0; divided by its largest |entry| first it lands on the sphere
+        pts = np.array([[1.5e308, 1.5e308], [-1.5e308, 1e308],
+                        [1e-300, 0.0], [3e307, 4e307]])
+        for x in (pts, pts[0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = ra.project_ball(x, 1.7e308)
+            assert out.shape == x.shape
+        out = ra.project_ball(pts, 1.7e308)
+        w = np.array([[1.0, 1.0], [-1.0, 1.0 / 1.5]])
+        assert np.allclose(out[:2], w * (1.7e308 / norms(w))[:, None],
+                           rtol=1e-15, atol=0)
+        assert norms(out[:2]) == pytest.approx([1.7e308] * 2, rel=1e-15)
+        assert np.array_equal(out[2:], pts[2:])
+
 
 class TestDiffusionSampler:
     def test_standard_normal_w2(self):

@@ -493,6 +493,16 @@ class TestJson:
         after = observed()
         assert after[0] is before[0] and after[1:] == before[1:]
 
+    @pytest.mark.parametrize("spec", [
+        {"type": "lowrank_maxaffine", "A": [[]], "pieces": [[[1.0], 0.0]]},
+        {"type": "logsumexp", "w": [1.0], "z": [[1.0]], "A": [[]]},
+        {"type": "lowrank_maxaffine", "A": [[1.0], [0.0]],
+         "pieces": [[[1.0], 0.0]]},
+    ], ids=["max-affine-no-column", "logsumexp-no-column", "rows-not-k"])
+    def test_a_of_the_wrong_shape_refused(self, spec):
+        with pytest.raises(ra.ValidationError, match="A must be k x d"):
+            ra.reward_from_dict(spec)
+
     def test_understated_lipschitz_rejected(self):
         with pytest.raises(ra.ValidationError):
             ra.reward_from_dict({"type": "lowrank_maxaffine", "A": [[1.0]],

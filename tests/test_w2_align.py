@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from rewardalign.models import DIFFUSION_STEP_CAP
 from rewardalign.w2_align import (Alg2Params, LowRankDecomp,
                                   lift_reduced_point, objective_value,
                                   prox_quadratic_batch, reduced_objective)
-from rewardalign.validate import random_discrete, random_unit_ball
+from rewardalign.validate import (random_discrete, random_maxaffine,
+                                  random_orthogonal_rows, random_unit_ball)
 
 
 def fig1_reward():
@@ -223,6 +225,22 @@ class TestProxConcave:
         with pytest.raises(ra.NumericalError):
             ra.prox_concave(r, 0.5, ys, 1.0)
 
+    def test_downhill_gradient_stalls(self):
+        # a concave-flagged oracle whose gradient points downhill: every
+        # step lowers the objective by far more than the 1e-12 slack, so
+        # the step halves until the row has stalled 201 times
+        class Downhill:
+            concave, d = True, 1
+
+            def value(self, x):
+                return 1e100 * x[:, 0]
+
+            def grad(self, x):
+                return np.full_like(x, -1e100)
+
+        with pytest.raises(ra.NumericalError, match="prox_concave stalled"):
+            ra.prox_concave(Downhill(), 0.5, np.zeros((1, 1)), 1.0)
+
 
 class TestAlg2Params:
     def test_tiny_radius_is_finite(self):
@@ -230,14 +248,31 @@ class TestAlg2Params:
         p = Alg2Params.from_problem(L=1.0, S=1.0, lam=0.5, C=1e-300,
                                     eps=0.1, r_A=1)
         assert p.h == 0.1 / (6.0 * (1.0 + 2e-300))
-        assert p.net_cardinality_bound == 1.0
         assert np.isfinite(p.eps_P)
+        assert set(vars(p)) == {"h", "eps_P", "r_A"}
 
     @pytest.mark.parametrize("L, C", [(1.0, 1.7e308), (np.inf, 1.0)])
     def test_non_finite_field_refused(self, L, C):
-        # h underflows to 0 (at C = 1.7e308, or L = inf): the bound is inf
+        # h underflows to 0 (at C = 1.7e308, or L = inf): a finite schedule
+        # whose net build_net alone refuses, when alg2_prox builds one
+        assert Alg2Params.from_problem(L, 1.0, 0.5, C, 0.1, 1).h == 0.0
+        decomp = LowRankDecomp.from_matrix([[1.0]])
+        with pytest.raises(ra.ValidationError, match="h > 0"):
+            ra.alg2_prox(decomp, np.abs, 0.5, np.zeros((1, 1)), C, 0.1, L)
+        # eps / (24 lam C) with lam C = 1e-600 is inf, refused here
         with pytest.raises(ra.ValidationError, match="low-rank schedule"):
-            Alg2Params.from_problem(L, 1.0, 0.5, C, 0.1, 1)
+            Alg2Params.from_problem(L, 1.0, 1e-300, 1e-300, 0.1, 1)
+
+    def test_infinite_lipschitz_on_a_zero_matrix_refused(self):
+        # L S = inf * 0 is NaN: refused as a schedule, with no warning
+        f = ra.make_max_affine([([1.7e308, 1.7e308], 0.0), ([-1.0, 0.0], 0.5)])
+        reward = ra.LowRankReward(np.zeros((2, 1)), f)
+        base = ra.DiscreteModel([[0.0], [0.5]], [0.5, 0.5], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ra.ValidationError, match="low-rank schedule"):
+                ra.sample_w2_aligned(base, reward, 0.5, 3, 1,
+                                     backend="lowrank")
 
 
 class TestAlg2Prox:
@@ -388,6 +423,14 @@ class TestAlg2Prox:
         de = LowRankDecomp.from_matrix(A)
         assert de.r_A == 1
 
+    def test_zero_matrix_has_rank_zero(self):
+        de = LowRankDecomp.from_matrix(np.zeros((2, 3)))
+        assert (de.r_A, de.S, de.U.shape, de.V1.shape) == (0, 0.0, (2, 0),
+                                                            (3, 0))
+        for A in ([[]], np.zeros((0, 3))):
+            with pytest.raises(ra.ValidationError, match="a row and a column"):
+                LowRankDecomp.from_matrix(A)
+
     def test_memory_grows_with_d_times_rank(self):
         # at d = 4000 a d x d factor alone is 128 MB: the decomposition and
         # both low-rank proxes keep to O(d k) arrays plus the net
@@ -527,6 +570,45 @@ class TestProxMaxAffine:
                     >= prox_objective(reward, 0.3, y, xb) - 1e-12)
 
 
+    def test_high_rank_runs_without_a_net(self):
+        # rank 150 at L S = 1, C = 1, lam = 0.5, eps = 0.1: an Alg 2 net
+        # would hold (1 + 2C/h)^150 points, past the float max, yet the
+        # exact prox builds none, so the call runs
+        rng = np.random.default_rng(57)
+        base = random_discrete(rng, 20, 300)
+        reward = ra.LowRankReward(random_orthogonal_rows(rng, 150, 300),
+                                  random_maxaffine(rng, 150, 4, 1.0, 1.0))
+        res = ra.sample_w2_aligned(base, reward, lam=0.5, n=40, seed=58,
+                                   backend="lowrank", eps=0.1)
+        assert res.batch.producer == "w2_align/lowrank/max_affine"
+        assert res.params.r_A == 150
+        assert np.array_equal(res.xs,
+                              ra.prox_max_affine(reward, 0.5, res.ys, 1.0))
+
+    @pytest.mark.parametrize("kind", ["max_affine", "alg2"])
+    def test_zero_matrix_is_the_ball_projection(self, kind):
+        # A = 0: r is constant, so both proxes are the ball projection of y
+        # and the pushforward moves no base point (the base lies in B(C))
+        A = np.zeros((1, 3))
+        reward = (ra.LowRankReward(A, ra.make_max_affine([([1.0], 0.2)]))
+                  if kind == "max_affine"
+                  else ra.LogSumExpReward([1.0, 0.5], [[1.0], [-0.8]], A))
+        base = random_discrete(np.random.default_rng(61), 6, 3)
+        res = ra.sample_w2_aligned(base, reward, lam=0.5, n=30, seed=62,
+                                   backend="lowrank", eps=0.2)
+        assert res.batch.producer == f"w2_align/lowrank/{kind}"
+        assert res.params.r_A == 0
+        assert np.array_equal(res.xs, res.ys)
+        assert np.array_equal(res.xs, ra.project_ball(res.ys, 1.0))
+        ys = np.random.default_rng(63).standard_normal((20, 3)) * 2.0
+        if kind == "max_affine":
+            xs = ra.prox_max_affine(reward, 0.5, ys, 1.0)
+        else:
+            xs = ra.alg2_prox(LowRankDecomp.from_matrix(A), reward.f.value,
+                              0.5, ys, 1.0, 0.2, reward.f.lipschitz)
+        assert np.allclose(xs, ra.project_ball(ys, 1.0), rtol=1e-15, atol=0)
+
+
 class TestPushforward:
     def test_fig1_per_sample_identity(self):
         base = ra.GaussianMixtureModel([0.5, 0.5], [[-2.0], [2.0]],
@@ -582,6 +664,7 @@ class TestPushforward:
     @pytest.mark.parametrize("backend, reward, n", [
         ("exakt", fig1_reward(), 10), ("quad", ra.LinearReward([1.0]), 10),
         ("lowrank", fig1_reward(), 10),
+        ("lowrank", ra.LogSumExpReward([1.0], [[1.0]], [[1.0, 0.0]]), 10),
         ("pga", ra.QuadraticReward([[-0.5]], [0.0]), 10),
         ("quad", fig1_reward(), 2.5), ("quad", fig1_reward(), True),
         ("quad", fig1_reward(), 0)])
