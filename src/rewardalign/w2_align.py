@@ -170,7 +170,7 @@ def prox_concave(reward, lam: float, y, C: float) -> np.ndarray:
 # Low-rank backend: exact prox of a max-affine f, else a net search
 # ---------------------------------------------------------------------------
 
-@np.errstate(over="ignore", invalid="ignore")  # the output gates refuse NaN
+@np.errstate(over="ignore", invalid="ignore")  # NaN objective: row NaN, gated
 def prox_max_affine(reward: LowRankReward, lam: float, y,
                     C: float) -> np.ndarray:
     """Exact prox of a max-affine r(x) = max_i (<a_i, x> + c_i), a_i = A' s_i,
@@ -179,12 +179,13 @@ def prox_max_affine(reward: LowRankReward, lam: float, y,
     oracles.
 
     The maxima swap, so the prox is the best of the m piece maximizers
-    Proj_B(y + a_i / (2 lam)).  Ties follow the max-affine subgradient's
-    rule: each row takes the lowest-index piece whose objective is within
-    PIECE_TIE_TOL of the max.  Two passes over the pieces (the max, then
-    the first piece within reach of it) keep memory at O(n d), and every
-    operation is row-wise, so a point and the same row of a batch agree
-    bit for bit.
+    Proj_B(y + a_i / (2 lam)), along y / M + a_i / T (T = max |a_i|, M =
+    T / (2 lam)) where that sum passes the float max.  Ties follow the
+    max-affine subgradient's rule: each row takes the lowest-index piece
+    whose objective is within PIECE_TIE_TOL of the max.  Two passes over
+    the pieces (the max, then the first piece within reach of it) keep
+    memory at O(n d), and every operation is row-wise, so a point and the
+    same row of a batch agree bit for bit.
     """
     if reward.f.reduction != "max":
         raise ValidationError("prox_max_affine needs a max-affine f")
@@ -195,12 +196,16 @@ def prox_max_affine(reward: LowRankReward, lam: float, y,
 
     def piece(i):
         x = project_ball(ys + a[i] / (2.0 * lam), C)
+        if (over := np.isnan(x).any(axis=1)).any():  # the sum overflowed
+            T = np.abs(a[i]).max()
+            u = ys[over] / (T / (2.0 * lam)) + a[i] / T
+            x[over] = u * (C / norms(u))[:, None]
         return x, (np.sum(x * a[i], axis=1) + pieces.offsets[i]
                    - lam * np.sum((x - ys) ** 2, axis=1))
 
     top = np.full(len(ys), -np.inf)
     for i in range(pieces.m):
-        top = np.fmax(top, piece(i)[1])
+        top = np.maximum(top, piece(i)[1])
     out = np.full_like(ys, np.nan)  # NaN where no objective is a number
     left = np.ones(len(ys), dtype=bool)
     for i in range(pieces.m):
@@ -241,7 +246,7 @@ class LowRankDecomp:
 class Alg2Params:
     """Net spacing and base-sampling accuracy for the low-rank search on
     the rank-r_A ball; every field finite, checked here alone.  A net too
-    large is refused by ``build_net`` alone, when ``alg2_prox`` builds it."""
+    large is refused by ``build_net`` alone, when the net search builds it."""
 
     h: float
     eps_P: float
@@ -400,8 +405,6 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
         raise ValidationError("pga backend needs a concave reward oracle")
     if backend == "lowrank" and not isinstance(reward, LowRankReward):
         raise ValidationError("lowrank backend needs a LowRankReward")
-    if reward.d != base.d:
-        raise ValidationError(f"reward on d = {reward.d}, base on {base.d}")
     rng = _rng_from(seed)
     C = base.support_radius
 
@@ -423,7 +426,8 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
         producer += "/max_affine"
     else:
         xs = alg2_prox(decomp, reward.f.value, lam, ys, C, eps,
-                       reward.f.lipschitz)
+                       reward.f.lipschitz,
+                       net=build_net(decomp.r_A, C, params.h).points)
         producer += "/alg2"
 
     batch = SampleBatch(points=xs, seed=_seed_tag(seed), producer=producer,

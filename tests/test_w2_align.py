@@ -512,6 +512,30 @@ class TestProxMaxAffine:
                              for y in ys])
             assert np.array_equal(xs, rows)
 
+    @pytest.mark.parametrize("slope, lam", [(-1.7e308, 0.25), (-1e9, 1e-300)],
+                             ids=["steep-piece", "tiny-lambda"])
+    def test_piece_past_the_float_max_lands_on_the_sphere(self, slope, lam):
+        # y + a_0 / (2 lam) overflows; its maximizer is still -1, with
+        # objective |slope| - lam (1 + y)^2, far above the other piece's
+        reward = ra.LowRankReward([[1.0]], ra.make_max_affine(
+            [([slope], 0.0), ([1.0], 0.0)]))
+        ys = np.array([[0.0], [0.5], [-0.3]])
+        with np.errstate(all="raise"):
+            xs = ra.prox_max_affine(reward, lam, ys, 1.0)
+        assert np.array_equal(xs, -np.ones((3, 1)))
+        # in d = 2 the point is C a_0 / ||a_0||, y's share below rounding
+        reward = ra.LowRankReward([[1.0, 1.0]], reward.f)
+        xs = ra.prox_max_affine(reward, lam, [[0.3, -0.4], [0.0, 0.0]], 1.0)
+        assert np.allclose(xs, -np.sqrt(0.5), rtol=0, atol=1e-15)
+
+    def test_nan_objective_leaves_the_row_nan(self):
+        # a_0 = A' s_0 overflows to inf, so piece 0's objective is NaN: the
+        # row is NaN for the output gates, not another piece's point
+        reward = ra.LowRankReward([[1.7e308]], ra.make_max_affine(
+            [([10.0], 0.0), ([-1.0], 0.0)]))
+        xs = ra.prox_max_affine(reward, 0.5, np.array([[0.0], [0.5]]), 1.0)
+        assert np.isnan(xs).all()
+
     def test_reads_the_pieces_alone(self):
         def oracle(u):
             raise AssertionError("an oracle was called")
@@ -664,7 +688,6 @@ class TestPushforward:
     @pytest.mark.parametrize("backend, reward, n", [
         ("exakt", fig1_reward(), 10), ("quad", ra.LinearReward([1.0]), 10),
         ("lowrank", fig1_reward(), 10),
-        ("lowrank", ra.LogSumExpReward([1.0], [[1.0]], [[1.0, 0.0]]), 10),
         ("pga", ra.QuadraticReward([[-0.5]], [0.0]), 10),
         ("quad", fig1_reward(), 2.5), ("quad", fig1_reward(), True),
         ("quad", fig1_reward(), 0)])
