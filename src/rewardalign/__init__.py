@@ -20,6 +20,6 @@ from .kl_align import (Alg1Params, Envelope, MixtureProposal, Net,
                        build_envelope, build_net, build_proposal,
                        compute_params, sample_kl_aligned)
 from .w2_align import (Alg2Params, LowRankDecomp, alg2_prox, objective_value,
-                       prox_concave, prox_max_affine, prox_quadratic,
+                       prox_concave, prox_map, prox_max_affine, prox_quadratic,
                        sample_w2_aligned)
 from . import metrics

@@ -31,8 +31,7 @@ from .rewards import (LinearReward, LowRankReward, QuadraticReward,
 from .tilts import estimate_normalizer
 from .validate import (run_all_suites, run_envelope_suite, run_lemma_suite,
                        run_oracle_suite)
-from .w2_align import (prox_concave, prox_max_affine, prox_quadratic,
-                       sample_w2_aligned)
+from .w2_align import prox_map, sample_w2_aligned
 
 
 def _config_hash(config: dict) -> str:
@@ -163,16 +162,15 @@ def cmd_estimate_z(args) -> int:
 def cmd_prox_demo(args) -> int:
     reward = load_reward(args.reward)
     y = _parse_vector(args.y)
-    if isinstance(reward, QuadraticReward):
-        x = prox_quadratic(reward.B, reward.b, args.lam, y, args.C)
-    elif isinstance(reward, LowRankReward) and reward.f.reduction == "max":
-        x = prox_max_affine(reward, args.lam, y, args.C)
-    else:
-        x = prox_concave(reward, args.lam, y, args.C)
-    x = SampleBatch(points=x[None], seed=-1, producer="prox-demo",
-                    d=len(y)).points[0]  # the finite output gate
+    backend = ("quad" if isinstance(reward, QuadraticReward) else
+               "lowrank" if isinstance(reward, LowRankReward) else "pga")
+    T, producer, _ = prox_map(reward, args.lam, args.C, backend)
+    # y as a one-row batch, as align-w2 hands it; then the finite gate
+    x = SampleBatch(points=T(y[None]), seed=-1, producer=producer,
+                    d=len(y)).points[0]
     print(json.dumps({"y": y.tolist(), "T_lambda_y": x.tolist(),
-                      "lambda": args.lam, "C": args.C}, indent=2))
+                      "lambda": args.lam, "C": args.C,
+                      "prox": producer.removeprefix("w2_align/")}, indent=2))
     return 0
 
 

@@ -33,8 +33,8 @@ SIGMA_MIN = 1e-3
 # Largest step count ``recommended_steps`` returns.  The table in
 # tests/test_models.py::TestStepRule is flat from about 50 steps on (the
 # start bias, not the steps, is what is left), so steps past 1000 buy
-# nothing; a W2 target far below what any discretization reaches (the KL
-# backend's eps_lin, or a low-rank prox's eps_P) still gets a bounded run.
+# nothing; a W2 target far below what any discretization reaches (a KL
+# diffusion draw's eps/8, a low-rank prox's eps_P) still gets a bounded run.
 DIFFUSION_STEP_CAP = 1000
 
 

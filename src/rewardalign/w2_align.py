@@ -4,9 +4,9 @@ sampler.
 Three prox backends: a closed-form / trust-region solver for concave
 quadratics, projected gradient ascent for general concave rewards, and a
 low-rank backend: the exact best of m ball projections for a max-affine
-f, else a net search that needs only reward values.  The aligned law is
-the pushforward of the base under the prox map, returned as an explicit
-coupling.
+f, else a net search that needs only reward values; ``prox_map`` alone
+decides which serves a reward.  The aligned law is the pushforward of the
+base under the prox map, returned as an explicit coupling.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from .rewards import (PIECE_TIE_TOL, LowRankReward, QuadraticReward,
 from .tilts import sample_linear_tilt
 
 PROX_TIE_TOL = 1e-9
-# Projected gradient ascent stops a row at this gradient-mapping norm and
-# gives up after this many steps
+# Projected gradient ascent stops a row at this gradient-mapping norm, or
+# at a move of PGA_ULPS ||x||, and gives up after this many steps
 PGA_TOL = 1e-8
+PGA_ULPS = 16 * np.finfo(float).eps
 PGA_MAX_ITER = 200_000
 
 
@@ -45,35 +46,36 @@ def _check_prox_args(lam, C, y: np.ndarray, d: int) -> None:
     finite("y", y)
 
 
-def prox_quadratic(Bmat, b, lam: float, y, C: float) -> np.ndarray:
+def prox_quadratic(reward: QuadraticReward, lam: float, y,
+                   C: float) -> np.ndarray:
     """Exact maximizer of -x'Bx + b'x - lam ||x - y||^2 over the ball B(C),
-    for symmetric positive semidefinite B, at a point y (d,) or at every
-    row of a batch (n, d).
+    for a concave quadratic reward (B positive semidefinite), at a point y
+    (d,) or at every row of a batch (n, d).
 
     Unconstrained solution (B + lam I)^{-1} (b/2 + lam y); if it leaves the
     ball, the KKT multiplier is found by bisection on the monotone secular
     equation ||x(nu)|| = C.
     """
-    return _prox_quadratic_kkt(Bmat, b, lam, y, C)[0]
+    return _prox_quadratic_kkt(reward, lam, y, C)[0]
+
+
+# the same function: prox_map calls it by the name bench/tracer.py times
+prox_quadratic_batch = prox_quadratic
 
 
 # Scaled norms keep finite input finite; a non-finite x (rhs past the float
 # max) is refused by the output gates.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _prox_quadratic_kkt(Bmat, b, lam, y, C):
+def _prox_quadratic_kkt(reward: QuadraticReward, lam, y, C):
     """x and its KKT multiplier nu (shaped like y without its last axis):
     one eigh of B, and one bisection in its eigenbasis for all rows."""
-    Bmat = np.atleast_2d(np.asarray(Bmat, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    _check_prox_args(lam, C, y, Bmat.shape[0])
-    if not np.allclose(Bmat, Bmat.T, atol=1e-12):
-        raise ValidationError("B must be symmetric")
-    evals, evecs = np.linalg.eigh(Bmat)
+    _check_prox_args(lam, C, y, reward.d)
+    evals, evecs = np.linalg.eigh(reward.B)
     if evals[0] < -1e-10:
         raise ValidationError("B must be PSD (concave reward); use the "
                               "low-rank backend for non-concave rewards")
-    rhs = b / 2.0 + lam * np.atleast_2d(y)   # (n, d)
+    rhs = reward.b / 2.0 + lam * np.atleast_2d(y)   # (n, d)
     w = rhs @ evecs                          # coordinates in B's eigenbasis
     z = w / (evals + lam)
     nu = np.zeros(len(w))
@@ -94,12 +96,6 @@ def _prox_quadratic_kkt(Bmat, b, lam, y, C):
     return x.reshape(y.shape), nu.reshape(y.shape[:-1])
 
 
-def prox_quadratic_batch(reward: QuadraticReward, lam: float, ys: np.ndarray,
-                         C: float) -> np.ndarray:
-    """Prox of every row of ``ys`` (n, d) under a concave quadratic reward."""
-    return prox_quadratic(reward.B, reward.b, lam, np.atleast_2d(ys), C)
-
-
 # ---------------------------------------------------------------------------
 # Concave backend (projected gradient ascent)
 # ---------------------------------------------------------------------------
@@ -115,10 +111,11 @@ def prox_concave(reward, lam: float, y, C: float) -> np.ndarray:
     The reward must expose ``value``/``grad`` and be flagged concave.  A
     point is handed to the oracles as (d,), a batch as the (rows, d) block
     of rows still ascending.  Each row keeps its own step size and stall
-    count, and stops when its gradient-mapping norm drops below PGA_TOL;
-    strong concavity then certifies its objective within PGA_TOL * 2C of
-    the optimum.  The step starts at 1 / (2 lam_max(B) + 2 lam) for a
-    quadratic and at 1 / (2 lam) for any other reward.
+    count, and stops when its gradient-mapping norm is at most G =
+    max(PGA_TOL, PGA_ULPS ||x|| / step), a move of 16 ulps being the finest
+    float64 resolves at x; strong concavity then certifies its objective
+    within G * 2C of the optimum.  The step starts at 1 / (2 lam_max(B) +
+    2 lam) for a quadratic and at 1 / (2 lam) for any other reward.
     """
     if getattr(reward, "concave", False) is not True:
         raise ValidationError("prox_concave requires a concave reward oracle")
@@ -144,7 +141,8 @@ def prox_concave(reward, lam: float, y, C: float) -> np.ndarray:
         g = oracle_answer(reward.grad(x[0] if y.ndim == 1 else x), len(x),
                           x.shape[1]) - 2.0 * lam * (x - ys)
         x_next = project_ball(x + steps[:, None] * g, C)
-        done = norms(x - x_next) / steps <= PGA_TOL
+        move = norms(x - x_next)
+        done = (move / steps <= PGA_TOL) | (move <= PGA_ULPS * norms(x))
         out[live[done]] = x_next[done]
         live, ys, x, x_next, fx, steps, stalls = (
             a[~done] for a in (live, ys, x, x_next, fx, steps, stalls))
@@ -222,10 +220,16 @@ class LowRankDecomp:
     the rest only through its residual w_y = y - V1 V1' y (O(d r))."""
 
     U: np.ndarray       # (k, r)
-    Sigma: np.ndarray   # (r,)
+    Sigma: np.ndarray   # (r,), descending
     V1: np.ndarray      # (d, r)
-    r_A: int
-    S: float            # operator norm of A
+
+    @property
+    def r_A(self) -> int:
+        return len(self.Sigma)
+
+    @property
+    def S(self) -> float:  # operator norm of A, 0 at rank 0
+        return float(self.Sigma.max(initial=0.0))
 
     @classmethod
     def from_matrix(cls, A) -> "LowRankDecomp":
@@ -238,8 +242,7 @@ class LowRankDecomp:
         recon = (U[:, :r] * svals[:r]) @ Vt[:r]
         if np.linalg.norm(recon - A) > 1e-10 * max(1.0, float(svals[0])):
             raise NumericalError("SVD reconstruction drift above 1e-10")
-        return cls(U=U[:, :r], Sigma=svals[:r], V1=Vt[:r].T, r_A=r,
-                   S=float(svals[0]))
+        return cls(U=U[:, :r], Sigma=svals[:r], V1=Vt[:r].T)
 
 
 @dataclass(frozen=True)
@@ -295,15 +298,15 @@ def lift_reduced_point(decomp: LowRankDecomp, y: np.ndarray, u: np.ndarray,
     return u @ decomp.V1.T + w
 
 
-def alg2_prox(decomp: LowRankDecomp, f, lam: float, y, C: float, eps: float,
-              L: float, net: "np.ndarray | None" = None) -> np.ndarray:
+def alg2_prox(decomp: LowRankDecomp, f, lam: float, y, C: float,
+              h: float) -> np.ndarray:
     """Value-oracle prox via exhaustive search of the reduced objective on
-    an h-net of the rank-r_A ball; guarantees the achieved objective is
-    within eps/3 of the pointwise optimum V(y).
+    the h-net of the rank-r_A ball that it builds (``build_net``, which
+    alone refuses a net); at the ``Alg2Params`` spacing h of an eps the
+    achieved objective is within eps/3 of the pointwise optimum V(y).
 
-    ``y`` is a point (d,) or a batch (n, d).  ``net`` may be passed in to
-    share one net across calls.  Ties within 1e-9 of the best value
-    resolve to the lexicographically smallest lifted point.
+    ``y`` is a point (d,) or a batch (n, d).  Ties within 1e-9 of the best
+    value resolve to the lexicographically smallest lifted point.
 
     Phi_y(u) = [f(U Sigma u) - lam ||u||^2] + 2 lam <u, u_y>
     - lam (||w_y|| - rho(u))_+^2 - lam ||u_y||^2.  The bracket and rho are
@@ -315,9 +318,7 @@ def alg2_prox(decomp: LowRankDecomp, f, lam: float, y, C: float, eps: float,
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     _check_prox_args(lam, C, y, decomp.V1.shape[0])
-    if net is None:
-        params = Alg2Params.from_problem(L, decomp.S, lam, C, eps, decomp.r_A)
-        net = build_net(decomp.r_A, C, params.h).points
+    net = build_net(decomp.r_A, C, h).points
     fvals = oracle_answer(f(net * decomp.Sigma @ decomp.U.T), len(net))
     sq = np.sum(net**2, axis=1)
     rho = np.sqrt(np.maximum(C**2 - sq, 0.0))
@@ -344,9 +345,9 @@ def alg2_prox(decomp: LowRankDecomp, f, lam: float, y, C: float, eps: float,
 
 @dataclass
 class W2AlignResult:
-    """Explicit coupling, base draws ``ys`` and transported points ``xs``
-    (the points of ``batch``), plus diagnostics; ``params`` is the
-    low-rank schedule (None on the other backends)."""
+    """Explicit coupling: base draws ``ys`` and transported points ``xs``
+    (``batch``'s points; its producer names the prox that ran), plus
+    diagnostics; ``params`` is the low-rank schedule (None on quad, pga)."""
 
     ys: np.ndarray
     batch: SampleBatch
@@ -378,58 +379,58 @@ def objective_value(ys: np.ndarray, xs: np.ndarray, reward, lam: float):
     return float(np.ldexp(np.mean(vals), e)), float(np.ldexp(stderr, e))
 
 
+def prox_map(reward, lam: float, C: float, backend: str, eps: float = 0.1):
+    """The one rule of which prox serves a reward: checks lam, C, eps and
+    the backend against the reward; returns the prox map T of a point (d,)
+    or a batch (n, d) over B(C), the producer name of its points, and the
+    low-rank schedule (None on quad and pga).  backend: "quad" (a
+    ``QuadraticReward``), "pga" (a concave oracle), "lowrank" (a
+    ``LowRankReward``: ``prox_max_affine`` for a max-affine f, else
+    ``alg2_prox`` at the schedule's h, derived once for any rank of A).
+    """
+    finite("lambda", lam, positive=True)
+    finite("C", C, positive=True)
+    finite("eps", eps, positive=True)
+    if backend == "quad" and isinstance(reward, QuadraticReward):
+        return (lambda ys: prox_quadratic_batch(reward, lam, ys, C),
+                "w2_align/quad", None)
+    if backend == "pga" and getattr(reward, "concave", False) is True:
+        return (lambda ys: prox_concave(reward, lam, ys, C),
+                "w2_align/pga", None)
+    if backend == "lowrank" and isinstance(reward, LowRankReward):
+        decomp = LowRankDecomp.from_matrix(reward.A)
+        params = Alg2Params.from_problem(reward.f.lipschitz, decomp.S, lam,
+                                         C, eps, decomp.r_A)
+        if reward.f.reduction == "max":
+            return (lambda ys: prox_max_affine(reward, lam, ys, C),
+                    "w2_align/lowrank/max_affine", params)
+        return (lambda ys: alg2_prox(decomp, reward.f.value, lam, ys, C,
+                                     params.h),
+                "w2_align/lowrank/alg2", params)
+    needs = {"quad": "a QuadraticReward", "pga": "a concave reward oracle",
+             "lowrank": "a LowRankReward"}.get(backend)
+    raise ValidationError(f"{backend} backend needs {needs}" if needs else
+                          f"unknown prox backend {backend!r}")
+
+
 def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
                       backend: str = "quad", eps: float = 0.1,
                       base_backend: str = "exact",
                       steps: int = None) -> W2AlignResult:
-    """Draw Y_1..Y_n from the base and push each through the proximal
-    transport map; returns the coupling so the transport is auditable.
-
-    backend: "quad" (closed-form concave quadratic), "pga" (projected
-    gradient ascent, concave oracle), "lowrank" (``prox_max_affine`` for a
-    max-affine f, else the value-oracle net search ``alg2_prox``; the
-    batch's producer is ``w2_align/lowrank/max_affine`` or
-    ``w2_align/lowrank/alg2``; any rank of A, 0 included, and only
-    ``build_net`` refuses a net).  The base draw is ``sample_linear_tilt``
-    with no tilt on ``base_backend`` ("exact" or "diffusion"), with W2
-    target eps, or eps_P on lowrank.
+    """Draw Y_1..Y_n from the base and push each through ``prox_map``'s
+    map for ``backend`` and the reward at C = base.support_radius, whose
+    checks all run before the base draw; returns the coupling, so the
+    transport is auditable.  The base draw is ``sample_linear_tilt`` with
+    no tilt on ``base_backend`` ("exact" or "diffusion"), with W2 target
+    eps, or the schedule's eps_P on lowrank.
     """
     check_count(n)
-    finite("lambda", lam, positive=True)
-    finite("eps", eps, positive=True)
-    if backend not in ("quad", "pga", "lowrank"):
-        raise ValidationError(f"unknown prox backend {backend!r}")
-    if backend == "quad" and not isinstance(reward, QuadraticReward):
-        raise ValidationError("quad backend needs a QuadraticReward")
-    if backend == "pga" and getattr(reward, "concave", False) is not True:
-        raise ValidationError("pga backend needs a concave reward oracle")
-    if backend == "lowrank" and not isinstance(reward, LowRankReward):
-        raise ValidationError("lowrank backend needs a LowRankReward")
-    rng = _rng_from(seed)
-    C = base.support_radius
-
-    params = None
-    if backend == "lowrank":
-        decomp = LowRankDecomp.from_matrix(reward.A)
-        params = Alg2Params.from_problem(reward.f.lipschitz, decomp.S, lam,
-                                         C, eps, decomp.r_A)
-    ys = sample_linear_tilt(base, None, params.eps_P if params else eps, rng,
-                            base_backend, n=n, steps=steps).points
-
-    producer = f"w2_align/{backend}"
-    if backend == "quad":
-        xs = prox_quadratic_batch(reward, lam, ys, C)
-    elif backend == "pga":
-        xs = prox_concave(reward, lam, ys, C)
-    elif reward.f.reduction == "max":
-        xs = prox_max_affine(reward, lam, ys, C)
-        producer += "/max_affine"
-    else:
-        xs = alg2_prox(decomp, reward.f.value, lam, ys, C, eps,
-                       reward.f.lipschitz,
-                       net=build_net(decomp.r_A, C, params.h).points)
-        producer += "/alg2"
-
+    T, producer, params = prox_map(reward, lam, base.support_radius,
+                                   backend, eps)
+    ys = sample_linear_tilt(base, None, params.eps_P if params else eps,
+                            _rng_from(seed), base_backend, n=n,
+                            steps=steps).points
+    xs = T(ys)
     batch = SampleBatch(points=xs, seed=_seed_tag(seed), producer=producer,
                         d=base.d)
     obj, se = objective_value(ys, xs, reward, lam)

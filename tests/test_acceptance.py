@@ -202,7 +202,6 @@ def test_criterion_08_alg2_epsilon_optimality():
         decomp = LowRankDecomp.from_matrix(A)
         L = f.lipschitz
         params = Alg2Params.from_problem(L, decomp.S, lam, C, eps, r_A)
-        net = ra.build_net(r_A, C, params.h).points
         ys = np.array([random_unit_ball(rng, 1, d)[0] for _ in range(n_y)])
         # one grid-oracle call per config: its ys share one reward pass
         gxs = oracle_prox_grid(reward, lam, ys, C, resolution=params.h / 10.0)
@@ -210,7 +209,7 @@ def test_criterion_08_alg2_epsilon_optimality():
         # Alg 2 or the grid oracle, beyond round-off
         exs = prox_max_affine(reward, lam, ys, C)
         for y, gx, ex in zip(ys, gxs, exs):
-            x = alg2_prox(decomp, f.value, lam, y, C, eps, L, net=net)
+            x = alg2_prox(decomp, f.value, lam, y, C, params.h)
             val, oracle_val, exact_val = (
                 float(np.asarray(reward.value(z[None]))[0])
                 - lam * float(np.sum((z - y) ** 2)) for z in (x, gx, ex))
@@ -237,7 +236,7 @@ def test_criterion_09_prox_backends():
         lam = float(rng.uniform(0.3, 1.5))
         y = rng.standard_normal(d)
         C = float(rng.uniform(0.8, 3.0))
-        x_closed, nu = ra.w2_align._prox_quadratic_kkt(r.B, r.b, lam, y, C)
+        x_closed, nu = ra.w2_align._prox_quadratic_kkt(r, lam, y, C)
         resid = np.linalg.norm((r.B + (lam + nu) * np.eye(d)) @ x_closed
                                - (r.b / 2 + lam * y))
         max_kkt = max(max_kkt, resid,
@@ -253,7 +252,7 @@ def test_criterion_09_prox_backends():
         lam = float(rng.uniform(0.2, 1.0))
         y = np.array([float(rng.uniform(1.5, 4.0))])
         C = 1.0
-        x = ra.prox_quadratic(r.B, r.b, lam, y, C)
+        x = ra.prox_quadratic(r, lam, y, C)
         assert abs(np.linalg.norm(x) - C) <= 1e-9  # constraint binds
         gx = oracle_prox_grid(r, lam, y, C, resolution=1e-5)
         max_grid_dev = max(max_grid_dev, float(np.linalg.norm(x - gx)))

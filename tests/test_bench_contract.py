@@ -68,3 +68,15 @@ def test_every_workload_builds_at_smoke_size():
     for name, build in WORKLOADS.items():
         wl = build(0, smoke=True)
         assert wl.name == name and wl.calls and wl.rewards
+
+
+def test_w2_smoke_calls_keep_their_prox():
+    # a change to the prox dispatch must not quietly move the benchmark's
+    # W2 traffic onto another prox backend
+    wl = WORKLOADS["w2-prox"](0, smoke=True)
+    producers = {call.name: call.run(seed).batch.producer
+                 for call, seed in zip(wl.calls, wl.sampler_seeds(0))}
+    assert producers == {"lowrank-r2": "w2_align/lowrank/max_affine",
+                         "pga-gmm3d": "w2_align/pga",
+                         "quad-fig1": "w2_align/quad",
+                         "quad-gmm-diffusion": "w2_align/quad"}

@@ -90,8 +90,8 @@ def test_prox_demo_linear_reward(tmp_path, capsys):
                "--y", "0.2,0.1", "--C", "1.0"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
-    want = ra.prox_quadratic(np.zeros((2, 2)), [0.4, -0.3], 0.5,
-                             np.array([0.2, 0.1]), 1.0)
+    want = ra.prox_quadratic(ra.QuadraticReward(np.zeros((2, 2)), [0.4, -0.3]),
+                             0.5, np.array([0.2, 0.1]), 1.0)
     assert np.max(np.abs(np.array(out["T_lambda_y"]) - want)) <= 1e-8
 
 
@@ -115,6 +115,72 @@ def test_prox_demo_max_affine_reward(tmp_path, capsys):
     assert objective(x) >= objective(gx) - 1e-12
     # the best piece, +u: y + (1, 0) projected onto the unit ball
     assert np.array_equal(x, ra.project_ball(y + [1.0, 0.0], 1.0))
+
+
+PROX_DEMO_REWARDS = {
+    "quad": {"type": "quadratic", "B": [[0.3, 0.0], [0.0, 0.1]],
+             "b": [0.2, -0.1]},
+    "pga": {"type": "linear", "theta": [0.4, -0.3]},
+    "lowrank/max_affine": {"type": "lowrank_maxaffine", "A": [[1.0, 0.0]],
+                           "pieces": [[[1.0], 0.0], [[-1.0], 0.0]]},
+    "lowrank/alg2": {"type": "logsumexp", "w": [1.0, 0.5],
+                     "z": [[1.0], [-0.8]], "A": [[1.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("prox", list(PROX_DEMO_REWARDS))
+def test_prox_demo_equals_the_pushforward(tmp_path, capsys, prox):
+    # prox-demo picks the backend from the reward type and runs the prox
+    # align-w2 runs, bit for bit, on a one-atom base at y
+    path = tmp_path / "reward.json"
+    path.write_text(json.dumps(PROX_DEMO_REWARDS[prox]))
+    assert main(["prox-demo", "--reward", str(path), "--lambda", "0.5",
+                 "--y", "0.3,0.2", "--C", "1.0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["prox"] == prox
+    y, reward = np.array([0.3, 0.2]), ra.load_reward(str(path))
+    res = ra.sample_w2_aligned(ra.DiscreteModel([y], [1.0], 1.0), reward,
+                               lam=0.5, n=1, seed=0,
+                               backend=prox.split("/")[0])
+    assert np.array_equal(out["T_lambda_y"], res.xs[0])
+    if prox == "lowrank/alg2":
+        # the net search at the default eps = 0.1: within eps/3 of the grid
+        gx = ra.metrics.oracle_prox_grid(reward, 0.5, y, 1.0, 1e-3)
+
+        def objective(z):
+            return float(reward.value(z)) - 0.5 * float(np.sum((z - y) ** 2))
+
+        assert objective(res.xs[0]) >= objective(gx) - 0.1 / 3
+
+
+@pytest.mark.parametrize("cmd", ["align-w2", "prox-demo"])
+def test_lowrank_search_derives_its_schedule_and_net_once(
+        model_file, tmp_path, monkeypatch, cmd):
+    calls = []
+    derive, build = ra.Alg2Params.from_problem, ra.w2_align.build_net
+
+    def spy_derive(cls, *args, **kwargs):
+        calls.append("from_problem")
+        return derive(*args, **kwargs)
+
+    def spy_build(*args, **kwargs):
+        calls.append("build_net")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(ra.Alg2Params, "from_problem",
+                        classmethod(spy_derive))
+    monkeypatch.setattr(ra.w2_align, "build_net", spy_build)
+    path = tmp_path / "reward.json"
+    path.write_text(json.dumps({"type": "logsumexp", "w": [1.0, 0.5],
+                                "z": [[1.0], [-0.8]], "A": [[1.0]]}))
+    argv = [cmd, "--reward", str(path), "--lambda", "0.5"]
+    if cmd == "prox-demo":
+        argv += ["--y", "0.3", "--C", "1.0"]
+    else:
+        argv += ["--model", model_file, "--n", "5", "--backend", "lowrank",
+                 "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert sorted(calls) == ["build_net", "from_problem"]
 
 
 def test_align_kl_run(model_file, kl_reward_file, tmp_path, capsys):
@@ -250,6 +316,10 @@ def test_align_w2_search_net_past_the_cap_is_a_budget_error(tmp_path,
     err = capsys.readouterr().err
     assert "lattice points" in err and len(err.splitlines()) == 1
     assert not os.path.exists(os.path.join(out_dir, "manifest.json"))
+    # prox-demo runs the same net search, at its default eps = 0.1
+    assert main(["prox-demo", "--reward", str(reward), "--lambda", "0.5",
+                 "--y", ",".join(["0.0"] * 150), "--C", "1.0"]) == 3
+    assert "lattice points" in capsys.readouterr().err
 
 
 def test_invalid_delta_no_partial_outputs(model_file, kl_reward_file,

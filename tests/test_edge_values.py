@@ -10,14 +10,11 @@ The grid: atoms {0, C} and the one-component mixture N(0, min(C/10, 0.1)^2)
 at each support radius C; linear, quadratic, max-affine and log-sum-exp
 rewards; every command that takes them.  Each run takes the next slope of
 the cycle SLOPES, one value per decade band, in grid order: each radius
-meets eight to ten of the ten bands.  Two regions of the product are left
-out, because runs in them can end in an allowed exit only after 8 to 24 s
-of work, more than a Tier-1 gate can pay: the pga backend on a quadratic
-with B C >= 1e7 (its gradient at the ball's scale is coarser than the 1e-8
-tolerance: 200,000 iterations, then exit 4), and align-kl on the mixture
-with a tilt s sd^2 >= C, which moves its mean out of the ball (a million
-redraws, then exit 2).  There the slope cycle moves on to the next band
-outside the region.
+meets eight to ten of the ten bands.  One region of the product is left
+out, because runs in it can end in an allowed exit only after a million
+redraws, more work than a Tier-1 gate can pay: align-kl on the mixture
+with a tilt s sd^2 >= C, which moves its mean out of the ball (exit 2).
+There the slope cycle moves on to the next band outside the region.
 """
 
 import contextlib
@@ -67,10 +64,8 @@ def reward_spec(kind, s):
     }[kind]
 
 
-def slow(C, model, rkind, cmd, s):
-    """The two regions the docstring names."""
-    if cmd[-1:] == ("pga",) and rkind == "quadratic":
-        return s * C >= 1e7
+def slow(C, model, cmd, s):
+    """The region the docstring names."""
     sd = min(C / 10.0, 0.1)
     return cmd == ("align-kl",) and model == "gmm" and s * sd * sd >= C
 
@@ -83,8 +78,8 @@ def grid():
                 for cmd in cmds:
                     if cmd == ("prox-demo",) and model != "atoms":
                         continue
-                    # every cell has a slope outside both regions: 0
-                    while slow(C, model, rkind, cmd, SLOPES[i % len(SLOPES)]):
+                    # every cell has a slope outside the region: 0
+                    while slow(C, model, cmd, SLOPES[i % len(SLOPES)]):
                         i += 1
                     s = SLOPES[i % len(SLOPES)]
                     i += 1

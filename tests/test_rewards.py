@@ -191,7 +191,8 @@ def alg2_prox_batch(breaks):
     ra.alg2_prox(ra.LowRankDecomp.from_matrix([[1.0, 0.0]]),
                  breaks(f.value), lam=1.0, y=np.array([[0.0, 0.5],
                                                        [0.3, -0.2]]),
-                 C=1.0, eps=0.1, L=1.0)
+                 C=1.0, h=ra.Alg2Params.from_problem(1.0, 1.0, 1.0, 1.0, 0.1,
+                                                     1).h)
 
 
 def linear_reward(breaks):

@@ -33,6 +33,11 @@ class NegAbs:
         return np.array([-np.sign(float(np.atleast_1d(x)[0]))])
 
 
+def schedule_h(decomp, L, lam, C, eps):
+    """The net spacing of the low-rank schedule at these values."""
+    return Alg2Params.from_problem(L, decomp.S, lam, C, eps, decomp.r_A).h
+
+
 class OpaqueConcave:
     """A concave reward seen only through its value and grad oracles."""
     concave = True
@@ -45,24 +50,26 @@ class TestProxQuadratic:
     def test_fig1_map(self):
         r = fig1_reward()
         for y, want in ((2.0, 2.0), (0.0, 1.0), (-4.0, -1.0)):
-            x = ra.prox_quadratic(r.B, r.b, 0.15, np.array([y]), 10.0)
+            x = ra.prox_quadratic(r, 0.15, np.array([y]), 10.0)
             assert x == pytest.approx([want], abs=1e-12)
 
     def test_isotropic_halving(self):
         # r(x) = -||x||^2, lam = 1: stationarity gives y/2
         y = np.array([0.8, -0.4])
-        x = ra.prox_quadratic(np.eye(2), np.zeros(2), 1.0, y, 100.0)
+        x = ra.prox_quadratic(ra.QuadraticReward(np.eye(2), np.zeros(2)),
+                              1.0, y, 100.0)
         assert x == pytest.approx(y / 2, abs=1e-12)
 
     def test_symmetric_origin(self):
-        x = ra.prox_quadratic(np.eye(3), np.zeros(3), 0.7, np.zeros(3), 1.0)
+        x = ra.prox_quadratic(ra.QuadraticReward(np.eye(3), np.zeros(3)),
+                              0.7, np.zeros(3), 1.0)
         assert x == pytest.approx(np.zeros(3), abs=1e-15)
 
     def test_ball_constrained_vs_grid_oracle(self):
         # strong pull outward makes the constraint bind
         r = ra.QuadraticReward([[0.2]], [4.0])
         lam, C, y = 0.5, 1.0, np.array([3.0])
-        x = ra.prox_quadratic(r.B, r.b, lam, y, C)
+        x = ra.prox_quadratic(r, lam, y, C)
         assert abs(np.linalg.norm(x) - C) < 1e-9
         grid = oracle_prox_grid(r, lam, y, C, resolution=1e-5)
         assert np.linalg.norm(x - grid) <= 1e-4
@@ -77,7 +84,8 @@ class TestProxQuadratic:
             lam = float(rng.uniform(0.2, 2.0))
             y = rng.standard_normal(d) * 2
             C = float(rng.uniform(0.5, 2.0))
-            x, nu = ra.w2_align._prox_quadratic_kkt(B, b, lam, y, C)
+            x, nu = ra.w2_align._prox_quadratic_kkt(ra.QuadraticReward(B, b),
+                                                    lam, y, C)
             resid = (B + (lam + nu) * np.eye(d)) @ x - (b / 2 + lam * y)
             assert np.linalg.norm(resid) <= 1e-9
             assert abs(nu * (np.linalg.norm(x) - C)) <= 1e-9
@@ -92,7 +100,8 @@ class TestProxQuadratic:
 
     def test_non_psd_rejected(self):
         with pytest.raises(ra.ValidationError):
-            ra.prox_quadratic([[-1.0]], [0.0], 1.0, np.array([0.0]), 1.0)
+            ra.prox_quadratic(ra.QuadraticReward([[-1.0]], [0.0]), 1.0,
+                              np.array([0.0]), 1.0)
 
     def test_batch_matches_rows_interior_and_boundary(self):
         rng = np.random.default_rng(30)
@@ -102,11 +111,13 @@ class TestProxQuadratic:
             lam, C = float(rng.uniform(0.3, 1.5)), 1.0
             # small ys stay inside the ball, large ones are pushed onto it
             ys = rng.standard_normal((40, d)) * np.repeat([0.05, 4.0], 20)[:, None]
-            xs, nus = ra.w2_align._prox_quadratic_kkt(B, b, lam, ys, C)
+            xs, nus = ra.w2_align._prox_quadratic_kkt(ra.QuadraticReward(B, b),
+                                                      lam, ys, C)
             assert xs.shape == ys.shape and nus.shape == (40,)
             assert np.any(nus == 0.0) and np.any(nus > 0.0)
             for y, x, nu in zip(ys, xs, nus):
-                x1, nu1 = ra.w2_align._prox_quadratic_kkt(B, b, lam, y, C)
+                x1, nu1 = ra.w2_align._prox_quadratic_kkt(
+                    ra.QuadraticReward(B, b), lam, y, C)
                 assert np.max(np.abs(x - x1)) <= 1e-12
                 assert abs(nu - nu1) <= 1e-12
                 resid = (B + (lam + nu) * np.eye(d)) @ x - (b / 2 + lam * y)
@@ -120,13 +131,13 @@ class TestProxQuadratic:
         r = fig1_reward()
         y = np.array(y)
         with pytest.raises(ra.ValidationError):
-            ra.prox_quadratic(r.B, r.b, lam, y, C)
+            ra.prox_quadratic(r, lam, y, C)
         with pytest.raises(ra.ValidationError):
             ra.prox_concave(r, lam, y, C)
         decomp = LowRankDecomp.from_matrix([[1.0]])
         f = ra.make_max_affine([(np.array([1.0]), 0.0)])
         with pytest.raises(ra.ValidationError):
-            ra.alg2_prox(decomp, f.value, lam, y, C, eps=0.1, L=1.0)
+            ra.alg2_prox(decomp, f.value, lam, y, C, h=0.1)
 
 
 class TestProxConcave:
@@ -140,7 +151,7 @@ class TestProxConcave:
             lam = float(rng.uniform(0.3, 1.5))
             y = rng.standard_normal(d)
             C = float(rng.uniform(0.8, 3.0))
-            closed = ra.prox_quadratic(r.B, r.b, lam, y, C)
+            closed = ra.prox_quadratic(r, lam, y, C)
             pga = ra.prox_concave(r, lam, y, C)
             assert np.linalg.norm(closed - pga) <= 1e-6
 
@@ -202,7 +213,7 @@ class TestProxConcave:
         xs = ra.prox_concave(r, lam, ys, C)
         rows = np.array([ra.prox_concave(r, lam, y, C) for y in ys])
         assert np.max(np.abs(xs - rows)) <= 1e-12
-        closed = ra.prox_quadratic(q.B, q.b, lam, ys, C)
+        closed = ra.prox_quadratic(q, lam, ys, C)
         assert np.max(np.linalg.norm(xs - closed, axis=1)) <= 1e-5
 
     def test_single_point_oracle_refused_on_batch(self):
@@ -224,6 +235,14 @@ class TestProxConcave:
         monkeypatch.setattr(ra.w2_align, "PGA_MAX_ITER", 2)
         with pytest.raises(ra.NumericalError):
             ra.prox_concave(r, 0.5, ys, 1.0)
+
+    def test_stops_at_the_float64_resolution(self):
+        # at |x| ~ 1.7e153 float64 resolves no move below about 2e137, far
+        # above PGA_TOL * step; the row stops at a move of 16 ulps of |x|
+        r = ra.QuadraticReward([[1.0]], [1.0])
+        y = np.array([5e153])
+        x = ra.prox_concave(r, 0.5, y, 1e154)
+        assert np.array_equal(x, ra.prox_quadratic(r, 0.5, y, 1e154))
 
     def test_downhill_gradient_stalls(self):
         # a concave-flagged oracle whose gradient points downhill: every
@@ -258,7 +277,7 @@ class TestAlg2Params:
         assert Alg2Params.from_problem(L, 1.0, 0.5, C, 0.1, 1).h == 0.0
         decomp = LowRankDecomp.from_matrix([[1.0]])
         with pytest.raises(ra.ValidationError, match="h > 0"):
-            ra.alg2_prox(decomp, np.abs, 0.5, np.zeros((1, 1)), C, 0.1, L)
+            ra.alg2_prox(decomp, np.abs, 0.5, np.zeros((1, 1)), C, 0.0)
         # eps / (24 lam C) with lam C = 1e-600 is inf, refused here
         with pytest.raises(ra.ValidationError, match="low-rank schedule"):
             Alg2Params.from_problem(L, 1.0, 1e-300, 1e-300, 0.1, 1)
@@ -281,7 +300,8 @@ class TestAlg2Prox:
         f = ra.make_max_affine([(np.array([1.0]), 0.0)])
         decomp = LowRankDecomp.from_matrix(A)
         y = np.array([0.0, 0.5])
-        x = ra.alg2_prox(decomp, f.value, lam=1.0, y=y, C=1.0, eps=0.1, L=1.0)
+        x = ra.alg2_prox(decomp, f.value, lam=1.0, y=y, C=1.0,
+                         h=schedule_h(decomp, 1.0, 1.0, 1.0, 0.1))
         assert np.linalg.norm(x - np.array([0.5, 0.5])) <= 0.01
         val = float(f.value(np.atleast_2d(x @ A.T))[0]) - 1.0 * np.sum((x - y) ** 2)
         assert val == pytest.approx(0.25, abs=0.01)
@@ -295,7 +315,8 @@ class TestAlg2Prox:
         f = ra.make_max_affine([(np.array([0.0]), 0.7)])
         decomp = LowRankDecomp.from_matrix(A)
         y = np.array([3.0, 4.0])
-        x = ra.alg2_prox(decomp, f.value, lam=0.5, y=y, C=1.0, eps=0.1, L=0.1)
+        x = ra.alg2_prox(decomp, f.value, lam=0.5, y=y, C=1.0,
+                         h=schedule_h(decomp, 0.1, 0.5, 1.0, 0.1))
         assert np.linalg.norm(x - np.array([0.6, 0.8])) <= 0.05
 
     def test_large_lambda_pins_to_y(self):
@@ -309,7 +330,8 @@ class TestAlg2Prox:
         h = Alg2Params.from_problem(L, S, lam, C, eps, decomp.r_A).h
         for _ in range(5):
             y = random_unit_ball(rng, 1, 3)[0] * 0.9
-            x = ra.alg2_prox(decomp, reward.f.value, lam, y, C, eps, L)
+            x = ra.alg2_prox(decomp, reward.f.value, lam, y, C,
+                             schedule_h(decomp, L, lam, C, eps))
             assert np.linalg.norm(x - y) <= L * S / (2 * lam) + 2 * h + 1e-6
 
     def test_batch_equals_per_point_calls(self):
@@ -320,9 +342,10 @@ class TestAlg2Prox:
                                     (rng.standard_normal(r_A), -0.2)])
             decomp = LowRankDecomp.from_matrix(A)
             ys = random_unit_ball(rng, 25, d) * 1.2
-            xs = ra.alg2_prox(decomp, f.value, 0.1, ys, 1.0, 0.3, f.lipschitz)
-            rows = np.array([ra.alg2_prox(decomp, f.value, 0.1, y, 1.0, 0.3,
-                                          f.lipschitz) for y in ys])
+            h = schedule_h(decomp, f.lipschitz, 0.1, 1.0, 0.3)
+            xs = ra.alg2_prox(decomp, f.value, 0.1, ys, 1.0, h)
+            rows = np.array([ra.alg2_prox(decomp, f.value, 0.1, y, 1.0, h)
+                             for y in ys])
             assert np.array_equal(xs, rows)
 
     def test_pick_attains_reduced_objective_max(self):
@@ -341,8 +364,7 @@ class TestAlg2Prox:
                 lam = float(rng.uniform(0.05, 2.0))
                 ys = random_unit_ball(rng, 12, d) * rng.uniform(0.2, 2.0,
                                                                 (12, 1))
-                xs = ra.alg2_prox(decomp, f.value, lam, ys, 1.0, 0.1,
-                                  f.lipschitz, net=net)
+                xs = ra.alg2_prox(decomp, f.value, lam, ys, 1.0, 0.02)
                 for y, x in zip(ys, xs):
                     gaps = np.linalg.norm(net - decomp.V1.T @ x, axis=1)
                     assert gaps.min() <= 1e-12
@@ -362,9 +384,9 @@ class TestAlg2Prox:
         ys = np.array([[0.2, -0.1], y_tie, [3.0, 4.0], y_tie])
         vals = reduced_objective(decomp, f.value, 0.5, y_tie, 1.0, net)
         assert np.sum(vals >= vals.max() - 1e-9) == 2
-        xs = ra.alg2_prox(decomp, f.value, 0.5, ys, 1.0, 0.1, 0.1, net=net)
-        rows = np.array([ra.alg2_prox(decomp, f.value, 0.5, y, 1.0, 0.1, 0.1,
-                                      net=net) for y in ys])
+        xs = ra.alg2_prox(decomp, f.value, 0.5, ys, 1.0, 0.05)
+        rows = np.array([ra.alg2_prox(decomp, f.value, 0.5, y, 1.0, 0.05)
+                         for y in ys])
         assert np.array_equal(xs, rows)
         lifts = sorted(tuple(decomp.V1 @ u + np.array([0.0, 0.3]))
                        for u in net[10:12])
@@ -387,7 +409,7 @@ class TestAlg2Prox:
             de = LowRankDecomp.from_matrix(A)
             assert de.r_A == np.linalg.matrix_rank(A)
             assert [fd.name for fd in dataclasses.fields(de)] == [
-                "U", "Sigma", "V1", "r_A", "S"]
+                "U", "Sigma", "V1"]
             assert (np.linalg.norm(de.U @ np.diag(de.Sigma) @ de.V1.T - A)
                     <= 1e-12 * max(1.0, de.S))
             assert np.allclose(de.V1.T @ de.V1, np.eye(de.r_A), atol=1e-12)
@@ -399,8 +421,7 @@ class TestAlg2Prox:
             net = ra.build_net(de.r_A, C, 0.1).points
             rho = np.sqrt(np.maximum(C**2 - np.sum(net**2, axis=1), 0.0))
             ys = random_unit_ball(rng, 6, d) * rng.uniform(0.2, 2.0, (6, 1))
-            xs = ra.alg2_prox(de, f.value, lam, ys, C, 0.1, f.lipschitz,
-                              net=net)
+            xs = ra.alg2_prox(de, f.value, lam, ys, C, 0.1)
             for y, x in zip(ys, xs):
                 u_y, w_y = de.V1.T @ y, V0.T @ y
                 w_norm = np.linalg.norm(w_y)
@@ -479,8 +500,9 @@ class TestProxMaxAffine:
             f, lam = reward.f, float(rng.uniform(0.05, 0.3))
             ys = random_unit_ball(rng, 6, d) * rng.uniform(0.2, 2.0, (6, 1))
             exact = ra.prox_max_affine(reward, lam, ys, 1.0)
-            alg2 = ra.alg2_prox(LowRankDecomp.from_matrix(reward.A), f.value,
-                                lam, ys, 1.0, 0.5, f.lipschitz)
+            decomp = LowRankDecomp.from_matrix(reward.A)
+            alg2 = ra.alg2_prox(decomp, f.value, lam, ys, 1.0,
+                                schedule_h(decomp, f.lipschitz, lam, 1.0, 0.5))
             grid = oracle_prox_grid(reward, lam, ys, 1.0, resolution=0.02)
             for y, x, xa, xg in zip(ys, exact, alg2, grid):
                 assert np.linalg.norm(x) <= 1.0 + 1e-12
@@ -628,8 +650,10 @@ class TestProxMaxAffine:
         if kind == "max_affine":
             xs = ra.prox_max_affine(reward, 0.5, ys, 1.0)
         else:
-            xs = ra.alg2_prox(LowRankDecomp.from_matrix(A), reward.f.value,
-                              0.5, ys, 1.0, 0.2, reward.f.lipschitz)
+            decomp = LowRankDecomp.from_matrix(A)
+            xs = ra.alg2_prox(decomp, reward.f.value, 0.5, ys, 1.0,
+                              schedule_h(decomp, reward.f.lipschitz, 0.5, 1.0,
+                                         0.2))
         assert np.allclose(xs, ra.project_ball(ys, 1.0), rtol=1e-15, atol=0)
 
 
@@ -709,8 +733,9 @@ class TestPushforward:
         r = ra.LinearReward([0.4, -0.3])
         res = ra.sample_w2_aligned(base, r, lam=0.5, n=50, seed=23,
                                    backend="pga")
-        closed = ra.prox_quadratic(np.zeros((2, 2)), r.theta, 0.5, res.ys,
-                                   base.support_radius)
+        closed = ra.prox_quadratic(ra.QuadraticReward(np.zeros((2, 2)),
+                                                      r.theta),
+                                   0.5, res.ys, base.support_radius)
         assert np.max(np.abs(res.xs - closed)) <= 1e-8
 
     def test_diffusion_base_steps_capped(self, monkeypatch):
@@ -812,7 +837,7 @@ class TestObjective:
         ys = rng.uniform(-C, C, 40)
 
         def V(y):
-            x = ra.prox_quadratic(r.B, r.b, lam, np.array([y]), C)
+            x = ra.prox_quadratic(r, lam, np.array([y]), C)
             return float(r.value(x)) - lam * float((x[0] - y) ** 2)
 
         for i in range(0, 40, 2):
