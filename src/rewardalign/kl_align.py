@@ -5,11 +5,16 @@ own pieces, f <= G <= f + log m'; for a black-box f, an h-net's raised
 supporting hyperplanes, one per distinct slope, f <= G <= f + 1 + log m'),
 the envelope tilt sampled as a mixture of linear tilts, and rejection with
 acceptance exp(f - G).  The acceptance floor and the rejection budget
-follow the number m' of pieces kept.  Candidates come as one
-i.i.d. stream, drawn in passes sized by the acceptance floor; output
-slots take them in order.  Each slot gets at most N_rej candidates and
-then falls back to a base sample, so the work is bounded by n * N_rej
-candidates.
+follow the number m' of pieces kept.  Each slot gets at most N_rej
+candidates and then falls back to a base sample.  On a mixture or the
+diffusion backend, candidates come as one i.i.d. stream, drawn in passes
+sized by the acceptance floor; output slots take them in order, so the
+work is bounded by n * N_rej candidates.  On an atom set the acceptance
+is a function of the atom, so the slots are drawn from their law in
+closed form: each slot's candidate count up to its first accept is one
+Geometric(alpha) draw, alpha = sum_j q_j exp(f_j - G_j), capped at N_rej,
+and the accepted slots take one draw from q exp(f - G) / alpha.  The work
+is O(n) whatever the acceptance, and no rejected candidate is drawn.
 """
 
 from __future__ import annotations
@@ -259,8 +264,10 @@ class KLAlignResult:
     """Samples and counters of one ``sample_kl_aligned`` call.
 
     ``proposal_draws`` counts the candidates up to the end of the last
-    served slot; the discarded tail of the last pass is not in it.
-    ``passes`` counts proposal draws of a whole pass each.
+    served slot; the discarded tail of the last pass is not in it.  On an
+    atom set it is sum min(G, N_rej) over the slots' trial counts G.
+    ``passes`` counts proposal draws of a whole pass each; on an atom set
+    it is 1 (0 when N_rej <= 0).
     ``envelope`` is the envelope the sampler used: for a black-box f, one
     piece per distinct slope out of ``net_pieces`` net pieces; else
     ``net_pieces`` is its own ``m``.  ``params``, ``envelope`` and
@@ -342,6 +349,32 @@ def _serve(ok: np.ndarray, carry: int, N_rej: int, slots: int):
     return out, int(start + runs * N_rej) + 1, 0
 
 
+def _geometric_slots(log_alpha: float, n: int, N_rej: int, rng):
+    """Slot outcomes of n slots that each take i.i.d. candidates, accepted
+    with probability alpha = exp(log_alpha), up to the first accept or
+    N_rej rejects (N_rej >= 1): the slots that fell back, and the
+    candidates spent, sum min(G, N_rej).
+
+    A slot's trial count G ~ Geometric(alpha) is drawn by inverse CDF from
+    one uniform u on (0, 1]: G = floor(log u / log(1 - alpha)) + 1, and the
+    slot falls back iff u <= (1 - alpha)^N_rej.  alpha is taken as at most
+    1 (f - G may round up to 1e-9 above 0); at alpha = 1 every slot takes
+    its first candidate, and at alpha = 0 (an underflow) every slot falls
+    back, with no division by log(1 - alpha) = 0.
+    """
+    with np.errstate(divide="ignore"):  # alpha = 1: log 0 = -inf
+        log_miss = np.log1p(-min(1.0, float(np.exp(log_alpha))))
+    log_u = np.log1p(-rng.random(n))  # finite: a uniform of 0 is u = 1
+    fell = log_u <= N_rej * log_miss
+    if fell.all():  # so at alpha = 0, where log(1 - alpha) = 0
+        return fell, N_rej * n
+    # min(G, N_rej) - 1 per slot; a fallen slot's G - 1 may pass the
+    # float max, and rounding may put an accepted slot's at N_rej
+    with np.errstate(over="ignore"):
+        spent = np.minimum(np.floor(log_u / log_miss), N_rej - 1).sum()
+    return fell, int(spent) + n
+
+
 def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                       delta: float, seed, n: int = 1,
                       backend: str = "exact",
@@ -395,62 +428,72 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                               seed=rng, backend=("exact" if backend == "exact"
                                                  else "mc"))
 
-    # draw(count) -> (candidates, their log acceptance); one vectorized
-    # proposal draw per pass whatever the number of envelope pieces.  Atom
-    # candidates are indices: only the ones a slot takes are gathered
-    diff_steps = 0
-    atoms = None
-    if backend == "exact":
-        # the proposal sum_i pi_i * tilt(base, v_i) as one model
-        model = tilt_exact(base, proposal.tilt_vectors, proposal.log_pi)
-        if isinstance(model, DiscreteModel):
-            # exp(f - G) is a function of the atom alone
-            atoms = model.atoms
-            atom_log_a = _log_acceptance(f, envelope, atoms @ A.T)
-
-            def draw(count):
-                idx = rng.choice(model.n_atoms, size=count, p=model.probs)
-                return idx, atom_log_a[idx]
-        else:
+    pts = np.empty((n, base.d))
+    fell = np.ones(n, dtype=bool)
+    draws = passes = diff_steps = 0
+    # the proposal sum_i pi_i * tilt(base, v_i) as one model
+    model = (tilt_exact(base, proposal.tilt_vectors, proposal.log_pi)
+             if backend == "exact" else None)
+    if isinstance(model, DiscreteModel):
+        # exp(f - G) is a function of the atom alone, so the candidates a
+        # slot spends up to its first accept are Geometric(alpha),
+        # alpha = sum_j q_j exp(f_j - G_j), and the accepted atom has law
+        # ~ q_j exp(f_j - G_j) (Devroye 1986, II.3).  Slots are drawn from
+        # that law in closed form, with the stream's law and budget; no
+        # rejected candidate is drawn
+        log_w = model._log_probs + _log_acceptance(f, envelope,
+                                                   model.atoms @ A.T)
+        if params.N_rej > 0:
+            log_alpha = _logsumexp(log_w)
+            fell, draws = _geometric_slots(log_alpha, n, params.N_rej, rng)
+            passes = 1
+            if not fell.all():
+                accepted = DiscreteModel(model.atoms,
+                                         np.exp(log_w - log_alpha), C)
+                rows = sample_exact(accepted, n - int(fell.sum()),
+                                    rng).points
+                if fell.any():
+                    pts[~fell] = rows
+                else:  # a boolean scatter costs ~20x a plain copy
+                    pts[:] = rows
+    else:
+        if model is not None:
             def draw(count):
                 xs = sample_exact(model, count, rng).points
                 return xs, _log_acceptance(f, envelope, xs @ A.T)
-    else:
-        # W2 target eps / 8 (24 C / eps steps); eps_lin > eps / 8 needs
-        # C < eps a0 / 8, where both take the 25-step floor
-        eps_draw = eps / 8.0
-        diff_steps = recommended_steps(eps_draw, C)
-        pi = proposal.pi
+        else:
+            # W2 target eps / 8 (24 C / eps steps); eps_lin > eps / 8 needs
+            # C < eps a0 / 8, where both take the 25-step floor
+            eps_draw = eps / 8.0
+            diff_steps = recommended_steps(eps_draw, C)
+            pi = proposal.pi
 
-        def draw(count):
-            # one reverse pass; row j follows the tilt of its own piece
-            comps = rng.choice(proposal.m, size=count, p=pi)
-            xs = sample_linear_tilt(base, proposal.tilt_vectors[comps],
-                                    eps_draw, rng, "diffusion", n=count,
-                                    steps=diff_steps).points
-            return xs, _log_acceptance(f, envelope, xs @ A.T)
+            def draw(count):
+                # one reverse pass; row j follows the tilt of its own piece
+                comps = rng.choice(proposal.m, size=count, p=pi)
+                xs = sample_linear_tilt(base, proposal.tilt_vectors[comps],
+                                        eps_draw, rng, "diffusion", n=count,
+                                        steps=diff_steps).points
+                return xs, _log_acceptance(f, envelope, xs @ A.T)
 
-    # slots done..n-1 wait in order; by the floor a pass of waiting/a0
-    # candidates expects at least one accept per waiting slot.  A budget
-    # N_rej <= 0 (C <= eps/4) draws no candidates: every slot falls back
-    pts = np.empty((n, base.d))
-    fell = np.ones(n, dtype=bool)
-    done = carry = draws = passes = 0
-    while done < n and params.N_rej > 0:
-        count = min(int(np.ceil((n - done) / params.a0)), n)
-        cand, log_a = draw(count)
-        ok = np.log(rng.random(count)) < log_a
-        outcome, used, carry = _serve(ok, carry, params.N_rej, n - done)
-        hit = outcome >= 0
-        taken = cand[outcome[hit]]
-        pts[done:done + outcome.size][hit] = (taken if atoms is None
-                                              else atoms[taken])
-        fell[done:done + outcome.size] = ~hit
-        done += outcome.size
-        # free this pass's candidates before the next draw makes its own
-        del cand, log_a, ok, outcome, hit, taken
-        draws += used
-        passes += 1
+        # one i.i.d. candidate stream: slots done..n-1 wait in order, and
+        # by the floor a pass of waiting/a0 candidates expects at least one
+        # accept per waiting slot.  A budget N_rej <= 0 (C <= eps/4) draws
+        # no candidates: every slot falls back
+        done = carry = 0
+        while done < n and params.N_rej > 0:
+            count = min(int(np.ceil((n - done) / params.a0)), n)
+            cand, log_a = draw(count)
+            ok = np.log(rng.random(count)) < log_a
+            outcome, used, carry = _serve(ok, carry, params.N_rej, n - done)
+            hit = outcome >= 0
+            pts[done:done + outcome.size][hit] = cand[outcome[hit]]
+            fell[done:done + outcome.size] = ~hit
+            done += outcome.size
+            # free this pass's candidates before the next draw makes its own
+            del cand, log_a, ok, outcome, hit
+            draws += used
+            passes += 1
 
     fallback = int(fell.sum())
     if fallback:

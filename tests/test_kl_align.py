@@ -14,7 +14,7 @@ from rewardalign.kl_align import (Net, _collapse_net_pieces, _serve,
                                   gap_bound, own_envelope,
                                   proposal_law_discrete)
 from rewardalign.metrics import (QuadratureTilt1D, empirical_to_discrete,
-                                 oracle_kl_tilt, tv_discrete,
+                                 mix_discrete, oracle_kl_tilt, tv_discrete,
                                  w2_1d_samples_vs_quantiles)
 from rewardalign.models import recommended_steps
 from rewardalign.rewards import make_logsumexp_function
@@ -626,39 +626,49 @@ class TestSampleKLAligned:
         emp = empirical_to_discrete(res.batch.points, 0.1)
         assert tv_discrete(emp, base) <= 0.02
 
-    def test_stream_matches_scalar_walk(self):
-        # the sampler against a candidate-by-candidate walk of the same
-        # draws, pass by pass; at acceptance 1/e and N_rej = 3 (C = 0.3)
-        # the head slot's rejects carry across passes and a quarter of the
-        # slots fall back
-        rng = np.random.default_rng(14)
-        base = random_discrete(rng, 6, 2, C=0.3)
+    @staticmethod
+    def one_piece_reward(rng, raise_by=1.0):
+        # one explicit log-sum-exp piece raised by c: G = f + c, so each
+        # candidate is accepted with probability exactly e^-c; at C = 0.3
+        # and eps = 0.99, N_rej = 3, and at c = 1 a quarter of the slots
+        # fall back
         reward = ra.LogSumExpReward([1.0], [[0.5]],
                                     random_orthogonal_rows(rng, 1, 2))
-        A, f = reward.A, reward.f
         z, b = reward.envelope_pieces()
-        env = ra.Envelope.from_pieces(z, b + 1.0)  # G = f + 1
-        model = proposal_law_discrete(base, env, A)
-        u = model.atoms @ A.T
-        log_a = np.asarray(f.value(u)) - env.value(u)
+        return reward, ra.Envelope.from_pieces(z, b + raise_by)
+
+    def test_stream_matches_scalar_walk(self):
+        # a mixture base runs the candidate stream: the sampler against a
+        # candidate-by-candidate walk of the same draws, pass by pass; the
+        # head slot's rejects carry across passes
+        rng = np.random.default_rng(14)
+        base = ra.GaussianMixtureModel([1.0], [[0.0, 0.0]],
+                                       [1e-4 * np.eye(2)], 0.3)
+        reward, env = self.one_piece_reward(rng)
+        A, f = reward.A, reward.f
         n = 2000
         for seed in range(8):
             res = ra.sample_kl_aligned(base, A, f, eps=0.99, delta=0.05,
                                        seed=seed, n=n, envelope=env)
             N_rej, a0 = res.params.N_rej, res.params.a0
             assert N_rej == 3
+            model = ra.tilt_exact(base, res.proposal.tilt_vectors,
+                                  res.proposal.log_pi)
             gen = np.random.default_rng(seed)
             pts, rejects, draws, passes = [], 0, 0, 0
             while len(pts) < n:
                 count = min(int(np.ceil((n - len(pts)) / a0)), n)
-                idx = gen.choice(model.n_atoms, size=count, p=model.probs)
-                flags = np.log(gen.random(count)) < log_a[idx]
+                xs = ra.sample_exact(model, count, gen).points
+                u = xs @ A.T
+                assert np.all(np.linalg.norm(xs, axis=1) < 0.1)
+                log_a = np.asarray(f.value(u)) - env.value(u)
+                flags = np.log(gen.random(count)) < log_a
                 passes += 1
-                for i, flag in zip(idx, flags):
+                for x, flag in zip(xs, flags):
                     draws += 1
                     rejects = 0 if flag else rejects + 1
                     if flag or rejects == N_rej:
-                        pts.append(model.atoms[i] if flag else None)
+                        pts.append(x if flag else None)
                         rejects = 0
                         if len(pts) == n:
                             break
@@ -666,9 +676,138 @@ class TestSampleKLAligned:
             fb = ra.sample_exact(base, len(fell), gen).points
             for j, x in zip(fell, fb):
                 pts[j] = x
+            assert passes > 1 and 0.2 * n < len(fell) < 0.3 * n
             assert (res.fallback_count, res.proposal_draws, res.passes) \
                 == (len(fell), draws, passes)
             assert np.array_equal(res.batch.points, np.array(pts))
+
+    def test_atom_slots_match_trial_counts(self):
+        # an atom base draws no candidate stream: each slot's trial count
+        # is Geometric(alpha) by inverse CDF from one uniform, found here
+        # slot by slot; accepted slots take one draw from q exp(f - G) /
+        # alpha, then fallbacks one base draw, from the same generator
+        rng = np.random.default_rng(14)
+        base = random_discrete(rng, 6, 2, C=0.3)
+        reward, env = self.one_piece_reward(rng)
+        A, f = reward.A, reward.f
+        model = proposal_law_discrete(base, env, A)
+        u = model.atoms @ A.T
+        w = model.probs * np.exp(np.asarray(f.value(u)) - env.value(u))
+        alpha = w.sum()
+        assert abs(alpha - np.exp(-1.0)) < 1e-12
+        n = 2000
+        for seed in range(8):
+            res = ra.sample_kl_aligned(base, A, f, eps=0.99, delta=0.05,
+                                       seed=seed, n=n, envelope=env)
+            N_rej = res.params.N_rej
+            assert N_rej == 3
+            gen = np.random.default_rng(seed)
+            trials = []
+            for v in 1.0 - gen.random(n):
+                # G = k where (1 - alpha)^k < v <= (1 - alpha)^(k - 1)
+                k = next((k for k in range(1, N_rej + 1)
+                          if v > (1.0 - alpha) ** k), None)
+                trials.append(k)
+            fell = np.array([k is None for k in trials])
+            pts = np.empty((n, 2))
+            accepted = ra.DiscreteModel(model.atoms, w / alpha, 0.3)
+            pts[~fell] = ra.sample_exact(accepted, int((~fell).sum()),
+                                         gen).points
+            pts[fell] = ra.sample_exact(base, int(fell.sum()), gen).points
+            draws = sum(N_rej if k is None else k for k in trials)
+            assert (res.fallback_count, res.proposal_draws, res.passes) \
+                == (int(fell.sum()), draws, 1)
+            assert np.array_equal(res.batch.points, pts)
+
+    def test_fallback_law_and_draws_at_exact_acceptance(self):
+        # at N_rej = 3 a slot falls back with probability
+        # beta = (1 - 1/e)^3, so the output is (1 - beta) tilt + beta base,
+        # and a slot spends min(G, 3) candidates, G ~ Geometric(1/e)
+        rng = np.random.default_rng(15)
+        base = random_discrete(rng, 6, 2, C=0.3)
+        reward, env = self.one_piece_reward(rng)
+        n = 10**5
+        res = ra.sample_kl_aligned(base, reward.A, reward.f, eps=0.99,
+                                   delta=0.05, seed=16, n=n, envelope=env)
+        N_rej, alpha = res.params.N_rej, np.exp(-1.0)
+        assert N_rej == 3
+        beta = (1.0 - alpha) ** N_rej
+        target = mix_discrete([oracle_kl_tilt(base, reward), base],
+                              [1.0 - beta, beta])
+        emp = empirical_to_discrete(res.batch.points, 0.3)
+        assert tv_discrete(emp, target) <= 0.01
+        k = np.arange(1, N_rej + 1)
+        pmf = alpha * (1.0 - alpha) ** (k - 1)
+        pmf[-1] = (1.0 - alpha) ** (N_rej - 1)
+        mean = (k * pmf).sum()
+        assert abs(mean - (1.0 - beta) / alpha) < 1e-12
+        sd = np.sqrt(n * ((k**2 * pmf).sum() - mean**2))
+        assert abs(res.proposal_draws - n * mean) <= 4 * sd
+
+    @pytest.mark.parametrize("raise_by", [1.0, 0.0])
+    def test_atom_call_draws_n_rows(self, monkeypatch, raise_by):
+        # acceptance 1/e (G = f + 1) and 1 (G = f): accepted slots and
+        # fallbacks together are n rows of exact draws, and no rejected
+        # candidate is drawn
+        rows = []
+        real = ra.models.sample_exact
+
+        def spy(model, n, seed):
+            rows.append(n)
+            return real(model, n, seed)
+
+        monkeypatch.setattr(ra.kl_align, "sample_exact", spy)
+        monkeypatch.setattr(ra.tilts, "sample_exact", spy)
+        rng = np.random.default_rng(17)
+        base = random_discrete(rng, 6, 2, C=0.3)
+        reward, env = self.one_piece_reward(rng, raise_by)
+        n = 5000
+        res = ra.sample_kl_aligned(base, reward.A, reward.f, eps=0.99,
+                                   delta=0.05, seed=18, n=n, envelope=env)
+        assert sum(rows) == n
+        assert len(rows) == (2 if res.fallback_count else 1)
+        assert (res.fallback_count > 0) == (raise_by > 0)
+
+    def test_acceptance_rounding_above_one_is_clipped(self):
+        # G = f - 1e-10 is within the 1e-9 the envelope check forgives:
+        # alpha = e^1e-10 > 1 is taken as 1, with no log of a negative
+        rng = np.random.default_rng(19)
+        base = random_discrete(rng, 6, 2, C=0.3)
+        reward, env = self.one_piece_reward(rng, -1e-10)
+        n = 1000
+        res = ra.sample_kl_aligned(base, reward.A, reward.f, eps=0.99,
+                                   delta=0.05, seed=20, n=n, envelope=env)
+        assert (res.fallback_count, res.proposal_draws, res.passes) \
+            == (0, n, 1)
+        assert res.acceptance_rate == 1.0
+
+    @pytest.mark.parametrize("raise_by, zero_uniforms",
+                             [(800.0, False), (800.0, True), (1.0, True)])
+    def test_acceptance_underflow_falls_back_every_slot(self, raise_by,
+                                                        zero_uniforms):
+        # G = f + 800: alpha = e^-800 underflows to 0, so every slot spends
+        # its N_rej candidates and falls back to the base.  A uniform of 0
+        # (the generator's low end) makes no 0/0: at alpha = 0 its slot
+        # falls back, at alpha = 1/e it accepts its first candidate
+        class ZeroUniforms(np.random.Generator):
+            def random(self, size=None, dtype=np.float64, out=None):
+                return np.zeros(size)
+
+        rng = np.random.default_rng(21)
+        base = random_discrete(rng, 6, 2, C=0.3)
+        reward, env = self.one_piece_reward(rng, raise_by)
+        gen = (ZeroUniforms if zero_uniforms
+               else np.random.Generator)(np.random.PCG64(22))
+        n = 2000
+        res = ra.sample_kl_aligned(base, reward.A, reward.f, eps=0.99,
+                                   delta=0.05, seed=gen, n=n, envelope=env)
+        N_rej = res.params.N_rej
+        fallbacks = n if raise_by == 800.0 else 0
+        assert (res.fallback_count, res.proposal_draws, res.passes) \
+            == (fallbacks, n * N_rej if fallbacks else n, 1)
+        if not zero_uniforms:
+            emp = empirical_to_discrete(res.batch.points, 0.3)
+            assert tv_discrete(emp, base) <= 0.05
 
     def test_numpy_integer_seed_recorded(self):
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
