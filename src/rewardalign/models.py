@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -80,7 +81,7 @@ def _noise(sigma) -> tuple:
     sigma = float(sigma)
     if not 0.0 < sigma < 1.0:
         raise ValidationError(f"sigma must be in (0,1), got {sigma}")
-    return float(np.sqrt(1.0 - sigma**2)), sigma**2
+    return math.sqrt(1.0 - sigma**2), sigma**2
 
 
 @dataclass(frozen=True)
@@ -200,18 +201,35 @@ class GaussianMixtureModel:
         """Untruncated log-density at x (d,) or (n, d), as an (n,) array."""
         return _logsumexp(self._components(_batch(self, x), 1.0, 0.0)[0])
 
+    @cached_property
+    def _whitening(self) -> tuple:
+        """The sigma-free factors of ``_components``, formed on first use:
+        the eigen-rows V_j' stacked as (J e, d), the projected means
+        V_j' mu_j as (J e,), the eigenvalues as (J e,), -[V_0 | ... |
+        V_{J-1}] as (d, J e), and log w_j - (d/2) log 2 pi as (J,)."""
+        vt = np.swapaxes(self._eigvecs, 1, 2)
+        flat = np.ascontiguousarray(vt.reshape(-1, self.d))
+        return (flat, (vt @ self.means[:, :, None]).ravel(),
+                self._eigvals.ravel(), -np.ascontiguousarray(flat.T),
+                self._log_weights - 0.5 * self.d * np.log(2.0 * np.pi))
+
     def _components(self, xb: np.ndarray, a: float, s2: float):
         """Terms of the mixture with means a mu_j and covariances S_j =
-        a^2 Sigma_j + s2 I = V_j diag(ev_j) V_j' at xb (n, d), component-major:
-        log(w_j N(x; a mu_j, S_j)) as (J, n), and z_j / ev_j as (J, e, n),
-        with z_j = V_j'(x - a mu_j) in component j's eigen-coordinates e."""
-        ev = a * a * self._eigvals + s2                       # (J, e)
-        vt = np.swapaxes(self._eigvecs, 1, 2)                 # V_j'
-        z = vt @ xb.T - a * (vt @ self.means[:, :, None])
-        zw = z / ev[:, :, None]
-        logp = (self._log_weights - 0.5 * np.sum(np.log(ev), axis=1)
-                - 0.5 * self.d * np.log(2.0 * np.pi))[:, None]
-        return logp - 0.5 * np.sum(z * zw, axis=1), zw
+        a^2 Sigma_j + s2 I = V_j diag(ev_j) V_j' at xb (n, d), with e
+        eigen-coordinates per component and r = ev^(-1/2) as (J e,):
+        log(w_j N(x; a mu_j, S_j)) as (J, n); the whitened coordinates
+        y_j = diag(r_j) V_j'(x - a mu_j), stacked as (J e, n) from one
+        GEMM; and K = -[V_0 diag(r_0) | ... ] as (d, J e), which maps y_j
+        to -S_j^(-1)(x - a mu_j) = -V_j diag(r_j) y_j."""
+        vt, vt_mu, lam, neg_v, const = self._whitening
+        r = (lam * (a * a) + s2) ** -0.5
+        y = np.dot(r[:, None] * vt, xb.T)
+        y -= (r * (a * vt_mu))[:, None]
+        J, n = len(const), len(xb)
+        logw = np.square(y).reshape(J, -1, n).sum(axis=1)
+        logw *= -0.5
+        logw += (const + np.log(r).reshape(J, -1).sum(axis=1))[:, None]
+        return logw, y, neg_v * r
 
     def to_dict(self) -> dict:
         return {"type": "gmm", "weights": self.weights.tolist(),
@@ -238,12 +256,30 @@ class DiscreteModel:
     def n_atoms(self) -> int:
         return self.atoms.shape[0]
 
+    @cached_property
+    def _centred(self) -> tuple:
+        """The atoms' mean c (d,), the centred atoms x_j - c (J, d), and
+        log p_j - (d/2) log 2 pi and ||x_j - c||^2 as (J,), formed on first
+        use; a square past the float max is inf, without a warning."""
+        with np.errstate(over="ignore"):
+            c = (self.atoms / self.n_atoms).sum(axis=0)
+            b = self.atoms - c
+            return (c, b, self._log_probs - 0.5 * self.d * np.log(2.0 * np.pi),
+                    np.square(b).sum(axis=1))
+
     def _components(self, xb: np.ndarray, a: float, s2: float):
-        """log(p_j N(x; a x_j, s2 I)) + ||x||^2 / (2 s2) at xb (n, d), as
-        (J, n): the ||x||^2 term is the same for every j; and None."""
-        c = (self._log_probs - 0.5 * self.d * np.log(2.0 * np.pi * s2)
-             - (0.5 * a * a / s2) * np.sum(self.atoms**2, axis=1))
-        return (a / s2) * (self.atoms @ xb.T) + c[:, None], None
+        """Terms of the atoms at xb (n, d), expanded around their mean c:
+        with u = x - a c and b_j = x_j - c, ||x - a x_j||^2 = ||u||^2 -
+        2 a b_j.u + a^2 ||b_j||^2.  Returns log(p_j N(x; a x_j, s2 I)) +
+        ||u||^2 / (2 s2) as (J, n), the ||u||^2 term being the same for
+        every j; u as (d, n); and the slopes g_j = (a / s2) b_j as (J, d)."""
+        c, b, const, b2 = self._centred
+        u = np.subtract(xb.T, (a * c)[:, None], order="C")
+        g = b * (a / s2)
+        logw = np.dot(g, u)
+        logw += (const - 0.5 * self.d * math.log(s2)
+                 - (0.5 * a * a / s2) * b2)[:, None]
+        return logw, u, g
 
     def to_dict(self) -> dict:
         return {"type": "discrete", "atoms": self.atoms.tolist(),
@@ -348,17 +384,26 @@ def score(model: Model, sigma, x: np.ndarray) -> np.ndarray:
     max-shifted over axis 0; NumericalError if it degenerates (non-finite)."""
     a, s2 = _noise(sigma)
     xb = _batch(model, x)
-    logw, zw = model._components(xb, a, s2)
+    # the score is linear in y, through k: for atoms u = x - a c (d, n)
+    # and the slopes g (J, d); for a mixture the whitened y (J e, n) and K
+    logw, y, k = model._components(xb, a, s2)
     shift = logw.max(axis=0)
-    if not np.all(np.isfinite(shift)):
+    if not np.isfinite(shift).all():
         raise NumericalError("score query numerically unreachable")
-    resp = np.exp(logw - shift)
+    resp = logw  # the softmax, in place
+    resp -= shift
+    np.exp(resp, out=resp)
     resp /= resp.sum(axis=0)
-    if isinstance(model, DiscreteModel):
-        out = (a * (resp.T @ model.atoms) - xb) / s2
-    else:  # sum_j resp_j * -S_j^{-1}(x - a mu_j) = -sum_j V_j resp_j zw_j
-        out = -(model._eigvecs @ (resp[:, None] * zw)).sum(axis=0).T
-    if not np.all(np.isfinite(out)):
+    if isinstance(model, DiscreteModel):  # sum_j resp_j (a b_j - u) / s2
+        y /= -s2
+        out = np.dot(k.T, resp)
+        out += y
+    else:  # sum_j resp_j * -S_j^{-1}(x - a mu_j) = K (resp * y)
+        yv = y.reshape(len(resp), -1, len(xb))
+        yv *= resp[:, None]
+        out = np.dot(k, y)
+    out = out.T
+    if not np.isfinite(out).all():
         raise NumericalError("non-finite score value")
     return out[0] if np.ndim(x) == 1 else out
 
@@ -366,10 +411,10 @@ def score(model: Model, sigma, x: np.ndarray) -> np.ndarray:
 def noised_log_density(model: Model, sigma, x: np.ndarray) -> np.ndarray:
     """Log-density of the noised model at x (d,) or (n, d), as (n,)."""
     a, s2 = _noise(sigma)
-    xb = _batch(model, x)
-    out = _logsumexp(model._components(xb, a, s2)[0])
+    logw, u, _ = model._components(_batch(model, x), a, s2)
+    out = _logsumexp(logw)
     if isinstance(model, DiscreteModel):  # the term _components leaves out
-        out -= 0.5 * np.sum(xb * xb, axis=1) / s2
+        out -= np.square(u).sum(axis=0) / (2.0 * s2)
     return out
 
 
@@ -496,6 +541,12 @@ def sample_via_diffusion(oracle: ScoreOracle, n: int = 1, steps: int = None,
     is the x0 prediction on the first step and afterwards
     (1 + 1/(2r)) x0_t - 1/(2r) x0_{t-1} with r = h_{t-1} / h_t, which is
     (3 x0_t - x0_{t-1}) / 2 on this uniform grid.
+
+    With u = x + sigma^2 s = a x0 for the score s, the update is linear in
+    the rows [x, u_{t-1}, s], so each step is one (2, 3) matrix, formed up
+    front, applied to them in one GEMM that writes [x', u_t].  The loop
+    copies each score into its own buffer and never writes into an array
+    it did not allocate.
     """
     if not (isinstance(steps, (int, np.integer)) and steps >= 2):
         raise ValidationError(f"steps must be an integer >= 2, got {steps!r}")
@@ -503,25 +554,34 @@ def sample_via_diffusion(oracle: ScoreOracle, n: int = 1, steps: int = None,
     lams = np.linspace(np.log(np.sqrt(1.0 - SIGMA_MAX**2) / SIGMA_MAX),
                        np.log(np.sqrt(1.0 - SIGMA_MIN**2) / SIGMA_MIN), steps)
     sig = 1.0 / np.sqrt(1.0 + np.exp(2.0 * lams))
-    sigmas, alphas = sig.tolist(), (sig * np.exp(lams)).tolist()
-    decay = -np.expm1(lams[0] - lams[1])  # 1 - e^{-h}, the same every step
-    x = rng.standard_normal((n, oracle.d))
-    for t in range(steps):
-        s = sigmas[t]
+    alpha, s2 = sig * np.exp(lams), sig * sig
+    # a' (1 - e^{-h}), the weight of D, and the weight of u_t = a x0_t in
+    # the update: D is x0 on the first step, and h the same every step
+    gain = -np.expm1(lams[0] - lams[1]) * alpha[1:]
+    g = 1.5 * gain / alpha[:-1]
+    g[0] = gain[0] / alpha[0]
+    W = np.zeros((steps, 2, 3))
+    W[:, 1, 0], W[:, 1, 2] = 1.0, s2  # u_t = x + sigma^2 s
+    W[:-1, 0, 0] = sig[1:] / sig[:-1] + g
+    W[1:-1, 0, 1] = -0.5 * gain[1:] / alpha[:-2]  # -(gain / 2) x0_{t-1}
+    W[:-1, 0, 2] = g * s2[:-1]
+    W[-1, 0] = W[-1, 1] / alpha[-1]  # the last x is the x0 prediction
+    d = oracle.d
+    cur, nxt = np.zeros((3, n * d)), np.empty((3, n * d))
+    cur[0] = rng.standard_normal((n, d)).ravel()
+    for t, s in enumerate(sig.tolist()):
+        x = cur[0].reshape(n, d)
         sc = np.asarray(oracle(s, x), dtype=float)
-        if not np.all(np.isfinite(sc)):
+        if sc.shape != x.shape:
+            raise ValidationError(f"score oracle returned shape {sc.shape} "
+                                  f"for a query of shape {x.shape}")
+        if not np.isfinite(sc).all():
             raise NumericalError(f"score oracle returned non-finite values "
                                  f"at sigma={s:.3g}")
-        x0 = sc * (s * s)
-        x0 += x
-        x0 /= alphas[t]
-        if t + 1 == steps:
-            x = x0
-            break
-        D = x0 if t == 0 else 1.5 * x0 - 0.5 * x0_prev
-        x = (sigmas[t + 1] / s) * x + (alphas[t + 1] * decay) * D
-        x0_prev = x0
-    x = project_ball(x, oracle.C)
+        np.copyto(cur[2].reshape(n, d), sc)
+        np.dot(W[t], cur, out=nxt[:2])
+        cur, nxt = nxt, cur
+    x = project_ball(cur[0].reshape(n, d), oracle.C)
     return SampleBatch(points=x, seed=_seed_tag(seed),
                        producer=f"diffusion/{oracle.tag}/steps={steps}",
                        d=oracle.d)

@@ -80,3 +80,20 @@ def test_w2_smoke_calls_keep_their_prox():
                          "pga-gmm3d": "w2_align/pga",
                          "quad-fig1": "w2_align/quad",
                          "quad-gmm-diffusion": "w2_align/quad"}
+
+
+def test_traced_diffusion_draw_counts_one_score_call_per_step():
+    # the per-layer metrics models.score.* and models.diffusion_steps read
+    # these wrappers; a sampler or score oracle that bypassed the name
+    # models.score would zero the one and not the other
+    import rewardalign as ra
+    base = ra.GaussianMixtureModel([0.5, 0.5], [[-2.0], [2.0]],
+                                   [[[0.49]], [[0.49]]], 8.0)
+    pull = ra.QuadraticReward([[0.05]], [3.0])
+    tracer = Tracer()
+    with Installed(tracer, [pull]):
+        ra.sample_w2_aligned(base, pull, 0.15, 20, 0, backend="quad",
+                             base_backend="diffusion", steps=37)
+    assert tracer.get("models.score").calls == 37
+    assert tracer.get("models.score").rows == 37 * 20
+    assert tracer.counters["models.diffusion_steps"] == 37

@@ -148,10 +148,14 @@ class TestScore:
             expected = np.einsum("nj,njd->nd", resp, kernels)
             assert np.max(np.abs(ra.score(m, sigma, xs) - expected)) <= 1e-10
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_atom_score_matches_unexpanded_softmax(self, d):
+    # seeds 8 and 47 at d = 1 put points near a decision boundary, where an
+    # expansion around the origin, not the atoms' mean, lost a digit
+    @pytest.mark.parametrize("seed, d", [(31, 1), (32, 2), (33, 3), (8, 1),
+                                         (47, 1)],
+                             ids=["1", "2", "3", "seed8-d1", "seed47-d1"])
+    def test_atom_score_matches_unexpanded_softmax(self, seed, d):
         # score expands ||x - a x_j||^2; the reference softmax does not
-        rng = np.random.default_rng(30 + d)
+        rng = np.random.default_rng(seed)
         m = random_discrete(rng, 5, d, C=1.5)
         xs = random_unit_ball(rng, 200, d, radius=2 * m.support_radius)
         for sigma in (SIGMA_MAX, 0.5, 1e-2, SIGMA_MIN):
@@ -165,27 +169,60 @@ class TestScore:
             err = np.linalg.norm(ra.score(m, sigma, xs) - expected, axis=1)
             assert np.all(err <= 1e-10 * np.linalg.norm(expected, axis=1))
 
-    def test_mixture_score_matches_per_component_solve_at_schedule_ends(self):
+    def test_mixture_score_and_density_match_per_component_solve(self):
+        # every noise level of a 48-step schedule; non-diagonal covariances,
+        # so each component has e > 1 eigen-coordinates when d > 1
+        lams = np.linspace(np.log(np.sqrt(1 - SIGMA_MAX**2) / SIGMA_MAX),
+                           np.log(np.sqrt(1 - SIGMA_MIN**2) / SIGMA_MIN), 48)
         rng = np.random.default_rng(23)
-        for d in (1, 2, 3):
-            m = random_gmm(rng, d, 3)
-            xs = random_unit_ball(rng, 50, d, radius=2 * m.support_radius)
-            for sigma in (SIGMA_MAX, SIGMA_MIN):
-                a = np.sqrt(1 - sigma**2)
-                logp = np.empty((len(xs), 3))
-                kernels = np.empty((len(xs), 3, d))
-                for j in range(3):
-                    S = a * a * m.covs[j] + sigma**2 * np.eye(d)
-                    diff = xs - a * m.means[j]
-                    sol = np.linalg.solve(S, diff.T).T
-                    logp[:, j] = (np.log(m.weights[j])
-                                  - 0.5 * np.sum(diff * sol, axis=1)
-                                  - 0.5 * np.linalg.slogdet(S)[1])
-                    kernels[:, j] = -sol
-                resp = np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
-                expected = np.einsum("nj,njd->nd", resp, kernels)
-                got = ra.score(m, sigma, xs)
-                assert np.max(np.abs(got - expected)) <= 1e-10
+        for J in (1, 3):
+            for d in (1, 2, 3, 4):
+                m = random_gmm(rng, d, J)
+                xs = random_unit_ball(rng, 50, d, radius=2 * m.support_radius)
+                for lam in lams:
+                    sigma = 1.0 / np.sqrt(1.0 + np.exp(2.0 * lam))
+                    a = np.sqrt(1 - sigma**2)
+                    logp = np.empty((len(xs), J))
+                    kernels = np.empty((len(xs), J, d))
+                    for j in range(J):
+                        S = a * a * m.covs[j] + sigma**2 * np.eye(d)
+                        diff = xs - a * m.means[j]
+                        sol = np.linalg.solve(S, diff.T).T
+                        logp[:, j] = (np.log(m.weights[j])
+                                      - 0.5 * np.sum(diff * sol, axis=1)
+                                      - 0.5 * np.linalg.slogdet(S)[1]
+                                      - 0.5 * d * np.log(2 * np.pi))
+                        kernels[:, j] = -sol
+                    dens = logsumexp(logp, axis=1)
+                    resp = np.exp(logp - dens[:, None])
+                    expected = np.einsum("nj,njd->nd", resp, kernels)
+                    got = ra.score(m, sigma, xs)
+                    assert np.max(np.abs(got - expected)) <= 1e-10, (J, d)
+                    got = noised_log_density(m, sigma, xs)
+                    assert np.all(np.abs(got - dens)
+                                  <= 1e-10 * np.maximum(1, np.abs(dens)))
+
+    def test_point_is_its_batch_row(self):
+        # a point is a batch of one row.  Not bit for bit: BLAS picks its
+        # kernel by the batch width, so a row's rounding moves with it (a
+        # few ulps; 1e-15 relative at most here)
+        for J in (1, 3):
+            for d in (1, 2, 3, 4):
+                rng = np.random.default_rng(10 * J + d)
+                for m in (random_gmm(rng, d, J),
+                          random_discrete(rng, J + 1, d, C=1.5)):
+                    xs = random_unit_ball(rng, 7, d,
+                                          radius=2 * m.support_radius)
+                    for sigma in (SIGMA_MAX, 0.5, 1e-2, SIGMA_MIN):
+                        sb = ra.score(m, sigma, xs)
+                        db = noised_log_density(m, sigma, xs)
+                        for x, s, dens in zip(xs, sb, db):
+                            point = ra.score(m, sigma, x)
+                            assert point.shape == (d,)
+                            assert np.max(np.abs(point - s)) <= (
+                                1e-14 * np.max(np.abs(s)))
+                            assert noised_log_density(m, sigma, x) == (
+                                pytest.approx(dens, rel=1e-14, abs=1e-14))
 
 
 # every query entry on both families; log_density exists on mixtures only
@@ -392,6 +429,23 @@ class TestDiffusionSampler:
         bad = ra.ScoreOracle(fn=lambda s, x: x * np.nan, d=1, C=1.0)
         with pytest.raises(ra.NumericalError):
             ra.sample_via_diffusion(bad, n=2, steps=10, seed=0)
+
+    def test_wrong_shaped_oracle_refused(self):
+        for shape in ((2,), (2, 2), (1, 1)):
+            bad = ra.ScoreOracle(fn=lambda s, x: np.zeros(shape), d=1, C=1.0)
+            with pytest.raises(ra.ValidationError, match="returned shape"):
+                ra.sample_via_diffusion(bad, n=2, steps=10, seed=0)
+
+    def test_no_write_through_to_the_score(self):
+        # an oracle may hand back the same array on every call; the sampler
+        # must neither write into it nor draw differently from fresh copies
+        cached = np.random.default_rng(4).standard_normal((50, 2))
+        kept = cached.copy()
+        draws = [ra.sample_via_diffusion(
+            ra.ScoreOracle(fn=fn, d=2, C=10.0), n=50, steps=30, seed=8)
+            for fn in (lambda s, x: cached, lambda s, x: cached.copy())]
+        assert np.array_equal(cached, kept)
+        assert draws[0].points.tobytes() == draws[1].points.tobytes()
 
     @pytest.mark.parametrize("model", [
         fig1_gmm(),
