@@ -213,13 +213,14 @@ def compute_params(L: float, A_opnorm: float, C: float, m: int,
 @dataclass(frozen=True)
 class MixtureProposal:
     """Envelope tilt realized as a mixture of linear tilts: tilt vectors
-    v_i = A' z_i, normalizer estimates (NaN for the one tilt of a one-piece
-    envelope, which needs none), and stability-safe weights
-    pi_i ~ w_i Zhat_i computed in log space."""
+    v_i = A' z_i, normalizer estimates and their method (NaN and "" for the
+    one tilt of a one-piece envelope, which needs none), and stability-safe
+    weights pi_i ~ w_i Zhat_i computed in log space."""
 
     tilt_vectors: np.ndarray  # (m, d)
     log_zhat: np.ndarray      # (m,)
     log_pi: np.ndarray        # (m,)
+    normalizer: str = ""
 
     @property
     def pi(self) -> np.ndarray:
@@ -242,12 +243,12 @@ def build_proposal(base: Model, env: Envelope, A, eta: float, delta: float,
     if env.m == 1:
         return MixtureProposal(tilt_vectors=vs, log_zhat=np.full(1, np.nan),
                                log_pi=np.zeros(1))
-    log_zhat = estimate_normalizer(base, vs, eta=max(eta, 1e-12),
-                                   delta=delta / env.m, seed=seed,
-                                   backend=backend).log_value
-    logits = env.offsets + log_zhat
+    est = estimate_normalizer(base, vs, eta=max(eta, 1e-12),
+                              delta=delta / env.m, seed=seed, backend=backend)
+    logits = env.offsets + est.log_value
     log_pi = logits - _logsumexp(logits)
-    return MixtureProposal(tilt_vectors=vs, log_zhat=log_zhat, log_pi=log_pi)
+    return MixtureProposal(tilt_vectors=vs, log_zhat=est.log_value,
+                           log_pi=log_pi, normalizer=est.method)
 
 
 def proposal_law_discrete(base: DiscreteModel, env: Envelope,
@@ -302,7 +303,7 @@ class KLAlignResult:
             rep["diffusion_steps"] = self.diffusion_steps
             if self.proposal.m > 1:  # a one-piece envelope estimates none
                 rep["eta_used"] = self.eta_used
-                rep["normalizer"] = "mc, exact draws"
+                rep["normalizer"] = self.proposal.normalizer
         rep["net_pieces"] = self.net_pieces
         rep.update(asdict(self.params))
         return rep

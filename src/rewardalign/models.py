@@ -197,6 +197,19 @@ class GaussianMixtureModel:
         return float(self.weights @ [_chi2_tail(self.d, v)
                                      for v in t2.tolist()])
 
+    @cached_property
+    def _in_ball_bound(self) -> float:
+        """Upper bound on the untruncated mass in B(C): P_j(||X|| <= C) <=
+        P_j(<e, X> <= C) = erfc((||mu_j|| - C) / (sqrt(2) s_j)) / 2 with
+        e = mu_j / ||mu_j||, s_j^2 = e' Sigma_j e; 1 for a mean inside."""
+        with np.errstate(invalid="ignore", over="ignore"):  # mu_j = 0: NaN
+            e = self.means / np.abs(self.means).max(axis=1, keepdims=True)
+            e /= np.linalg.norm(e, axis=1, keepdims=True)
+            s2 = np.einsum("ja,jab,jb->j", e, self.covs, e)
+            z = (norms(self.means) - self.support_radius) / np.sqrt(2 * s2)
+        return float(self.weights @ [0.5 * math.erfc(x) if x > 0 else 1.0
+                                     for x in z.tolist()])
+
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Untruncated log-density at x (d,) or (n, d), as an (n,) array."""
         return _logsumexp(self._components(_batch(self, x), 1.0, 0.0)[0])
@@ -473,9 +486,11 @@ def check_count(n) -> None:
 
 
 def sample_exact(model: Model, n: int, seed) -> SampleBatch:
-    """i.i.d. exact draws of the model truncated to its ball.  A Gaussian
-    mixture draw outside is redrawn, component and point, whatever mass
-    leaks (ConfigurationError past 1e6 + 10 n redraws); atoms: categorical."""
+    """i.i.d. exact draws of the model truncated to its ball; atoms are
+    categorical.  A Gaussian mixture draw outside is redrawn, component and
+    point, whatever mass leaks: ConfigurationError past 1e6 + 10 n redraws,
+    or before any draw where its at most 1e6 + 11 n raw draws would all land
+    outside with probability >= 1 - 1e-9 (by an in-ball mass bound)."""
     check_count(n)
     C = closed_form(model).support_radius
     rng = _rng_from(seed)
@@ -485,6 +500,9 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
         # the rows atoms[idx], gathered by take: 8-10x faster at d >= 2
         pts = np.take(model.atoms, idx, axis=0)
     else:
+        if (10**6 + 11 * n) * (p := model._in_ball_bound) <= 1e-9:
+            raise ConfigurationError(f"rejection against the support ball "
+                                     f"would fail: in-ball mass <= {p:.1e}")
         pts = _sample_gmm_raw(model, n, rng)
         bad = np.linalg.norm(pts, axis=1) > C
         failures = 0

@@ -1,7 +1,6 @@
 """The linear-tilt primitive: exact tilts of closed-form bases, a
-tilted-score identity for oracle-only bases, approximate tilt sampling,
-and normalizer estimation in closed form or by Monte Carlo over exact
-draws, as a product of ratios along the tilt.
+tilted-score identity for oracle-only bases, approximate tilt sampling, and
+normalizer estimation in closed form or by path sampling over those draws.
 
 A tilt is a vector v (d,) or a matrix V (m, d) of m tilts, one per row.
 A pi-mixture of tilts of atoms or a Gaussian mixture is again one model.
@@ -20,11 +19,9 @@ from .models import (DiscreteModel, GaussianMixtureModel, Model,
                      sample_exact, sample_via_diffusion, score_oracle)
 
 MC_SAMPLE_CAP = 10_000_000
-# S stages take over S^3 log(2) / 2 draws (eta_S <= eta / S): no more fit
-MAX_STAGES = int(np.cbrt(2.0 * MC_SAMPLE_CAP / np.log(2.0)))
 
-# Draws per block when a Monte Carlo normalizer sums exp(<v, X>), and
-# entries per (tilts x atoms) or (draws x tilts) temporary (512 KiB).
+# Draws per block of a Monte Carlo normalizer, and entries per
+# (tilts x atoms) temporary (512 KiB).
 MC_BLOCK = 8192
 TILT_BLOCK = 65536
 
@@ -50,10 +47,10 @@ class NormalizerEstimate:
         return np.exp(self.log_value)
 
 
-def _tilt_rows(model: Model, V) -> np.ndarray:
+def _tilt_rows(base, V) -> np.ndarray:
     """V as a finite (m, d) tilt matrix; one tilt (d,) is the m = 1 case."""
-    V, d = finite("tilt", V), closed_form(model).d
-    if V.shape[-1:] != (d,) or V.ndim not in (1, 2) or V.size == 0:
+    V = finite("tilt", V)
+    if V.shape[-1:] != (base.d,) or V.ndim not in (1, 2) or V.size == 0:
         raise ValidationError("tilt vector dimension mismatch")
     return np.atleast_2d(V)
 
@@ -92,7 +89,7 @@ def tilt_exact(model: Model, V, log_pi=None) -> Model:
     Sigma_j) = M_j(v) N(x; mu_j + Sigma_j v, Sigma_j), ``sample_exact``
     draws p 1_B sum_i (pi_i / Z_i) e^{<v_i, x>} (Z_i untruncated): the
     truncated base's tilt, or envelope tilt if pi_i ~ e^{b_i} Z_i."""
-    V = _tilt_rows(model, V)
+    V = _tilt_rows(closed_form(model), V)
     log_pi = np.zeros(len(V)) if log_pi is None else np.asarray(log_pi, float)
     if log_pi.shape != (len(V),) or not np.isfinite(log_pi.max()):
         raise ValidationError("log_pi: one log-weight per tilt, max finite")
@@ -116,8 +113,8 @@ def tilt_exact(model: Model, V, log_pi=None) -> Model:
 
 def log_normalizer_exact(model: Model, V):
     """log Z_P(v) in closed form per tilt; a float for one tilt (d,)."""
-    out = np.concatenate([log_z for _, _, log_z
-                          in _tilt_blocks(model, _tilt_rows(model, V))])
+    out = np.concatenate([log_z for _, _, log_z in _tilt_blocks(
+        model, _tilt_rows(closed_form(model), V))])
     return float(out[0]) if np.ndim(V) == 1 else out
 
 
@@ -176,51 +173,25 @@ def sample_linear_tilt(base, v, eps: float, seed, backend: str = "exact",
 # Normalizer estimation
 # ---------------------------------------------------------------------------
 
-def _mean_exp(model: Model, V, n: int, rng) -> np.ndarray:
-    """Mean of exp(<v_i, X>) per tilt row over one stream of n exact draws,
-    summed in blocks of at most MC_BLOCK draws and TILT_BLOCK terms, so
-    memory stays flat in n and m."""
-    rows = np.atleast_2d(V)
-    total = np.zeros(len(rows))
-    block = min(MC_BLOCK, max(1, TILT_BLOCK // len(rows)))
-    for s in range(0, n, block):
-        xs = sample_exact(model, min(block, n - s), rng).points
-        total += np.exp(xs @ rows.T).sum(axis=0)
-    return total / n
-
-
-def _stage_plan(vc: float, eta: float, delta: float, m: int):
-    """(S, n): the stage count and draws per stream with the fewest draws
-    n (1 + m (S - 1)) in all, checked against MC_SAMPLE_CAP before the int
-    (at large vc every count is inf).  Stage j estimates Z((j+1) v/S) /
-    Z(j v/S) = E_{tilt(j v/S)} exp(<v/S, X>) to relative accuracy
-    eta_S = (1 + eta)^(1/S) - 1 with failure probability delta/S, so the
-    product is within (1 +- eta_S)^S, inside 1 +- eta.  Hoeffding: the
-    crude e^{4 vc/S} covers range^2 / mean^2 of exp(<v/S, X>)."""
-    S = np.arange(1, MAX_STAGES + 1)
-    eta_s = np.expm1(np.log1p(eta) / S)
-    eta_s[0] = eta  # S = 1 is the one-stream mean, to the bit
-    with np.errstate(all="ignore"):
-        n = np.ceil(np.exp(4.0 * vc / S) * np.log(2.0 * S / delta)
-                    / (2.0 * eta_s**2))
-        total = n * (1 + m * (S - 1))
-    best = int(np.argmin(total))
-    if not total[best] <= MC_SAMPLE_CAP:
-        raise BudgetError(f"normalizer needs {total[best]:.3g} draws (cap "
-                          f"{MC_SAMPLE_CAP}); reduce ||v||C")
-    return best + 1, int(n[best])
-
-
 def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
                         backend: str = "exact") -> NormalizerEstimate:
     """Estimate log Z_P(v) per tilt to relative accuracy eta on Z, with
     failure probability delta per tilt.
 
-    exact: closed form.  mc: a product of S ratio estimates along
-    (j/S) v_i with one S for all tilts (``_stage_plan``).  Stage 0 is one
-    stream of base draws shared by all tilts (a union bound over tilts
-    needs no independence); stage j >= 1 draws each tilt from
-    tilt(j v_i/S).  At S = 1 it is one mean of exp(<v_i, X>).
+    exact: closed form.  mc: path sampling (Gelman and Meng 1998), log Z(v)
+    = int_0^1 g(t) dt, g(t) = E_{tilt(t v)} <v, X>, by the midpoint rule
+    over K panels, n draws per node.  With <v, X> in [-B, B], B = ||v|| C,
+    K and n hold three error terms on log Z to log(1 + eta) in all, split
+    in halves on exact draws or thirds on diffusion draws:
+    - quadrature: g'' = kappa_3 and |kappa_3| <= 2 B^3, so B^3 / (12 K^2);
+    - sampling: Hoeffding over all N = K n draws needs
+      N >= 2 B^2 log(2 / delta) / eps_s^2, whatever K;
+    - draws: ``sample_linear_tilt(base, t v, ...)``, exact on a closed-form
+      base, diffusion on a ScoreOracle, whose W2 error eps_d moves g by at
+      most ||v|| eps_d; its steps are ``recommended_steps(eps_d, C)``, so
+      this term rests on that empirical step rule.
+    Rows draw in order, a zero tilt none, MC_BLOCK rows at a time; the
+    total meets MC_SAMPLE_CAP before any int (a huge B makes it inf).
     """
     if not (0.0 < eta < 1.0 and 0.0 < delta < 1.0):
         raise ValidationError("eta and delta must lie in (0,1)")
@@ -231,16 +202,26 @@ def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
     if backend != "mc":
         raise ValidationError(f"unknown backend {backend!r}")
 
-    vc = float(norms(rows).max()) * base.support_radius  # inf meets the cap
-    stages, n = _stage_plan(vc, eta, delta, len(rows))
+    source = "diffusion" if isinstance(base, ScoreOracle) else "exact"
+    eps = np.log1p(eta) / (3.0 if source == "diffusion" else 2.0)
+    B = norms(rows) * (C := base.support_radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = np.maximum(np.ceil(np.sqrt(B**3 / (12.0 * eps))), 1.0)
+        N = np.ceil(2.0 * B**2 * np.log(2.0 / delta) / eps**2)
+        draws = np.fmax(K * np.ceil(N / K), N)  # K = N = inf: inf / inf
+    if not (total := draws.sum()) <= MC_SAMPLE_CAP:
+        raise BudgetError(f"normalizer needs {total:.3g} draws (cap "
+                          f"{MC_SAMPLE_CAP}); reduce ||v||C")
     rng = _rng_from(seed)
-    steps = rows / stages
-    log_value = np.log(_mean_exp(base, steps, n, rng))
-    for j in range(1, stages):
-        for i, v in enumerate(steps):
-            log_value[i] += np.log(_mean_exp(tilt_exact(base, j * v), v, n,
-                                             rng))[0]
+    log_value = np.zeros(len(rows))
+    for i, v in enumerate(rows):
+        k, n = int(K[i]), int(draws[i] / K[i])  # n draws per node
+        for t in ((np.arange(k) + 0.5) / k).tolist():
+            for s in range(0, n, MC_BLOCK):
+                xs = sample_linear_tilt(base, t * v, eps * C / B[i], rng,
+                                        source, n=min(MC_BLOCK, n - s))
+                log_value[i] += (xs.points @ v).sum()
+    log_value /= np.maximum(draws, 1)
     return NormalizerEstimate(
         log_value=float(log_value[0]) if np.ndim(V) == 1 else log_value,
-        eta=eta, delta=delta, method="mc",
-        n_draws=n * (1 + len(rows) * (stages - 1)))
+        eta=eta, delta=delta, method=f"mc, {source} draws", n_draws=int(total))

@@ -168,7 +168,7 @@ def test_criterion_07_normalizer_estimation():
         else:
             model = random_gmm(rng, 1, int(rng.integers(1, 3)))
         C = model.support_radius
-        # the steeper tilts run as products of ratio estimates
+        # the steeper tilts take more midpoint panels
         vc = float(rng.uniform(0.2, 1.2) if trial % 5 < 3
                    else rng.uniform(1.5, 3.0))
         v = np.array([vc / C]) * (1 if rng.random() < 0.5 else -1)

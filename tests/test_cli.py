@@ -1,5 +1,6 @@
 import json
 import os
+import time
 import warnings
 from dataclasses import asdict
 
@@ -8,7 +9,6 @@ import pytest
 
 import rewardalign as ra
 from rewardalign.cli import fig1_base, fig1_reward, main, reproduce_fig1
-from rewardalign import tilts
 from rewardalign.models import SUPPORT_MASS_TOL, recommended_steps
 
 
@@ -725,7 +725,7 @@ def test_align_kl_diffusion_one_piece_steep_tilt(model_file, tmp_path):
 
 
 def test_estimate_z_stochastic_backend(model_file, capsys):
-    # one stream of base draws at v = 0.8; a product of ratios at v = 3
+    # path sampling over tilted draws, at a mild and a steep tilt
     for v in (0.8, 3.0):
         rc = main(["estimate-z", "--model", model_file, "--v", str(v),
                    "--eta", "0.2", "--delta", "0.1", "--backend", "mc",
@@ -751,13 +751,29 @@ def test_align_kl_fig1_steep_linear_reward(gmm_file, tmp_path, capsys):
     assert np.all(np.abs(samples) <= 8.0)
 
 
-def test_estimate_z_mc_stages_past_the_mass_budget(tmp_path, capsys):
-    # N(0, 0.1) on C = 2.2 at ||v||C = 4.5: the last of mc's S stage
-    # tilts leaks more than 1e-10 of its mass, and its draws are truncated
+def test_align_kl_tilt_out_of_the_ball_refused_at_once(tmp_path, capsys):
+    # theta = 1e8 moves N(0, 0.0225)'s mean to 2.25e6, far outside C = 1:
+    # the in-ball mass bound refuses it before the million redraws
+    model, reward = tmp_path / "m.json", tmp_path / "r.json"
+    model.write_text(json.dumps({"type": "gmm", "weights": [1.0],
+                                 "means": [[0.0]], "covs": [[[0.0225]]],
+                                 "C": 1.0}))
+    reward.write_text(json.dumps({"type": "linear", "theta": [1e8]}))
+    start = time.perf_counter()
+    rc = main(["align-kl", "--model", str(model), "--reward", str(reward),
+               "--n", "20", "--seed", "1", "--out", str(tmp_path / "out")])
+    assert rc == 2 and time.perf_counter() - start < 1.0
+    assert "support ball" in capsys.readouterr().err
+
+
+def test_estimate_z_mc_nodes_past_the_mass_budget(tmp_path, capsys):
+    # N(0, 0.1) on C = 2.2 at ||v||C = 4.5: the last of mc's K node tilts
+    # (K from the quadrature bound) leaks more than 1e-10 of its mass, and
+    # its draws are truncated
     spec = {"type": "gmm", "weights": [1.0], "means": [[0.0]],
             "covs": [[[0.1]]], "C": 2.2}
-    S, _ = tilts._stage_plan(4.5, 0.1, 0.05, 1)
-    last = ra.tilt_exact(ra.model_from_dict(spec), [(S - 1) / S * 4.5 / 2.2])
+    K = np.ceil(np.sqrt(4.5**3 / (12 * np.log1p(0.1) / 2)))
+    last = ra.tilt_exact(ra.model_from_dict(spec), [(K - 0.5) / K * 4.5 / 2.2])
     assert last.mass_outside_ball() >= SUPPORT_MASS_TOL
     model = tmp_path / "tight.json"
     model.write_text(json.dumps(spec))

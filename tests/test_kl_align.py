@@ -1196,8 +1196,9 @@ class TestOwnEnvelope:
 
     def test_bare_score_oracle_runs_at_one_piece(self):
         # max(u, -u - 10) on B(1) is u: its own envelope has one piece, so
-        # the diffusion backend needs no Monte Carlo normalizer and runs on
-        # scores alone; both pieces would need exact draws
+        # the diffusion backend needs no Monte Carlo normalizer; both
+        # pieces take theirs by path sampling over reverse passes, and
+        # either way the run is on scores alone
         base = ra.score_oracle(ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5],
                                                 1.0))
         f = ra.make_max_affine([([1.0], 0.0), ([-1.0], -10.0)])
@@ -1207,7 +1208,9 @@ class TestOwnEnvelope:
         p1 = np.mean(res.batch.points[:, 0] > 0.5)
         assert abs(p1 - np.e / (1 + np.e)) < 0.08
         both = ra.Envelope.from_pieces(f.pieces.slopes, f.pieces.offsets)
-        with pytest.raises(ra.CapabilityError):
-            ra.sample_kl_aligned(base, np.eye(1), f, eps=0.5, delta=0.1,
-                                 seed=5, n=400, backend="diffusion",
-                                 envelope=both)
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.5, delta=0.1,
+                                   seed=5, n=400, backend="diffusion",
+                                   envelope=both)
+        assert res.report()["normalizer"] == "mc, diffusion draws"
+        p1 = np.mean(res.batch.points[:, 0] > 0.5)
+        assert abs(p1 - np.e / (1 + np.e)) < 0.08

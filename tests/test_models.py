@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import chdtri, logsumexp
-from scipy.stats import chi2, multivariate_normal
+from scipy.stats import chi2, multivariate_normal, norm
 
 import rewardalign as ra
 from rewardalign.models import (DIFFUSION_STEP_CAP, SIGMA_MAX, SIGMA_MIN,
@@ -300,6 +300,24 @@ class TestSampleExact:
         gone = ra.tilt_exact(fig1_gmm(), [20.0])
         with pytest.raises(ra.ConfigurationError, match="support ball"):
             ra.sample_exact(gone, 1000, 3)
+
+    def test_refused_before_any_draw(self):
+        # the normal tail along the mean bounds the in-ball mass (in 1-D
+        # the bound is one side of the exact interval mass; 1 inside)
+        for mu in (0.5, 1.5, 3.0):
+            m = ra.GaussianMixtureModel([1.0], [[mu]], [[[0.04]]], 1.0,
+                                        check_support=False)
+            inside = norm.cdf((1 - mu) / 0.2) - norm.cdf((-1 - mu) / 0.2)
+            assert m._in_ball_bound >= inside
+        # both means far out: refused with no draw from the stream
+        far = ra.GaussianMixtureModel([0.5, 0.5], [[30.0, 40.0], [-50.0, 0]],
+                                      [np.eye(2) * 0.01] * 2, 1.0,
+                                      check_support=False)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ra.ConfigurationError, match="support ball"):
+            ra.sample_exact(far, 5, rng)
+        assert rng.bit_generator.state == state
 
     def test_seed_recorded(self):
         m = ra.DiscreteModel([[-1.0], [1.0]], [0.5, 0.5], 1.0)
@@ -786,30 +804,70 @@ class TestBareScoreOracle:
 
     model = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
     linear = ra.make_max_affine([([1.0], 0.0)])  # one envelope piece
-    kink = ra.make_max_affine([([1.0], 0.0), ([-1.0], 0.0)])  # m' = 2
 
     def bare(self):
         return ra.ScoreOracle(fn=lambda s, x: ra.score(self.model, s, x),
                               d=1, C=1.0)
 
     @pytest.mark.parametrize("path", [
-        lambda b, f, g: ra.sample_kl_aligned(b, [[1.0]], f, 0.5, 0.1, 0, 5),
-        lambda b, f, g: ra.sample_kl_aligned(b, [[1.0]], g, 0.5, 0.1, 0, 5,
-                                             backend="diffusion"),
-        lambda b, f, g: ra.sample_w2_aligned(b, ra.LinearReward([1.0]), 0.5,
-                                             5, 0, backend="pga"),
-        lambda b, f, g: ra.estimate_normalizer(b, [1.0], 0.1, 0.1, seed=0,
-                                               backend="mc"),
-        lambda b, f, g: ra.estimate_normalizer(b, [1.0], 0.1, 0.1),
-        lambda b, f, g: ra.sample_exact(b, 5, 0),
-        lambda b, f, g: ra.tilt_exact(b, [1.0]),
-        lambda b, f, g: ra.sample_linear_tilt(b, [1.0], 0.1, 0),
-    ], ids=["kl-exact", "kl-diffusion-m2", "w2-exact-base", "normalizer-mc",
-            "normalizer-exact", "sample-exact", "tilt-exact",
-            "linear-tilt-exact"])
+        lambda b, f: ra.sample_kl_aligned(b, [[1.0]], f, 0.5, 0.1, 0, 5),
+        lambda b, f: ra.sample_w2_aligned(b, ra.LinearReward([1.0]), 0.5, 5,
+                                          0, backend="pga"),
+        lambda b, f: ra.estimate_normalizer(b, [1.0], 0.1, 0.1),
+        lambda b, f: ra.sample_exact(b, 5, 0),
+        lambda b, f: ra.tilt_exact(b, [1.0]),
+        lambda b, f: ra.sample_linear_tilt(b, [1.0], 0.1, 0),
+    ], ids=["kl-exact", "w2-exact-base", "normalizer-exact", "sample-exact",
+            "tilt-exact", "linear-tilt-exact"])
     def test_closed_form_paths_refuse_it(self, path):
         with pytest.raises(ra.CapabilityError, match="no closed forms"):
-            path(self.bare(), self.linear, self.kink)
+            path(self.bare(), self.linear)
+
+    @pytest.mark.parametrize("path", ["normalizer-mc", "kl-diffusion-m2"])
+    def test_bare_oracle_runs_at_m2(self, monkeypatch, path):
+        # |u| on atoms {-1, 0.5} (test_diffusion_backend_distinct_tilts),
+        # from an oracle that holds no model and with every exact draw
+        # patched to raise: the two tilt normalizers and the KL draws come
+        # from reverse passes on the oracle's scores alone
+        atoms, log_p = np.array([[-1.0], [0.5]]), np.log([0.5, 0.5])
+
+        def fn(sigma, x):  # score of a X + sigma Z: (E[a X | x] - x) / s2
+            a, s2 = np.sqrt(1.0 - sigma**2), sigma**2
+            logw = log_p - ((x[:, None, :] - a * atoms)**2).sum(-1) / (2 * s2)
+            w = np.exp(logw - logw.max(axis=1, keepdims=True))
+            return (a * (w / w.sum(axis=1, keepdims=True)) @ atoms - x) / s2
+
+        oracle = ra.ScoreOracle(fn=fn, d=1, C=1.0, tag="bare")
+        model = ra.DiscreteModel(atoms, [0.5, 0.5], 1.0)
+        x = np.linspace(-1.5, 1.5, 7)[:, None]
+        for sigma in (0.01, 0.5, 0.99):
+            assert np.allclose(oracle(sigma, x), ra.score(model, sigma, x),
+                               rtol=1e-9, atol=1e-9)
+
+        def no_exact(*args, **kwargs):
+            raise AssertionError("an exact draw on the oracle path")
+
+        for module in (ra.models, ra.tilts, ra.kl_align):
+            monkeypatch.setattr(module, "sample_exact", no_exact)
+        if path == "normalizer-mc":
+            V = np.array([[-1.0], [1.0]])
+            est = ra.estimate_normalizer(oracle, V, eta=0.1, delta=0.1,
+                                         seed=0, backend="mc")
+            assert est.method == "mc, diffusion draws" and est.n_draws > 0
+            err = np.expm1(est.log_value - ra.tilts.log_normalizer_exact(
+                model, V))
+            assert np.all(np.abs(err) <= 0.1)
+            return
+        kink = ra.make_max_affine([(np.array([1.0]), 0.0),
+                                   (np.array([-1.0]), 0.0)])
+        kink.radius = 1.0
+        res = ra.sample_kl_aligned(oracle, np.eye(1), kink, eps=0.5,
+                                   delta=0.1, seed=1, n=400,
+                                   backend="diffusion")
+        assert res.envelope.m == len(np.unique(res.proposal.tilt_vectors)) == 2
+        p_left = np.mean(res.batch.points[:, 0] < -0.25)
+        assert abs(p_left - 1.0 / (1.0 + np.exp(-0.5))) < 0.08
+        assert res.report()["normalizer"] == "mc, diffusion draws"
 
     @pytest.mark.parametrize("run", [
         lambda b, f: ra.sample_w2_aligned(

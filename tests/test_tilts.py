@@ -9,7 +9,7 @@ import rewardalign as ra
 from rewardalign import tilts
 from rewardalign.metrics import QuadratureTilt1D, w2_1d_samples_vs_quantiles
 from rewardalign.models import recommended_steps
-from rewardalign.tilts import MC_BLOCK, _mean_exp, log_normalizer_exact
+from rewardalign.tilts import MC_BLOCK, log_normalizer_exact
 from rewardalign.validate import random_gmm
 
 
@@ -200,6 +200,7 @@ class TestEstimateNormalizer:
             est = ra.estimate_normalizer(two_point(), np.zeros(1), eta=0.2,
                                          delta=0.2, seed=0, backend=backend)
             assert est.value == pytest.approx(1.0, rel=1e-12)
+            assert est.n_draws == 0  # a zero tilt makes no draws
 
     def test_two_point_cosh(self):
         est = ra.estimate_normalizer(two_point(), np.array([1.0]),
@@ -218,21 +219,24 @@ class TestEstimateNormalizer:
         assert hits >= 40
 
     def test_mc_sums_every_block(self):
-        # an atom set's blocked draws are the one-shot draws of the same
-        # stream; 3 blocks and a partial one
+        # at ||v||C = 0.3 and eta = 0.009 the rule takes one panel (K = 1),
+        # so every draw is from tilt(v / 2): 3 blocks and a partial one,
+        # which an atom set draws as the one-shot draws of the same stream
         m = ra.DiscreteModel([[-0.5], [0.25], [1.0]], [0.2, 0.3, 0.5], 1.0)
-        v = np.array([0.8])
-        n = 3 * MC_BLOCK + 5
-        got = _mean_exp(m, v, n, np.random.default_rng(3))
-        xs = ra.sample_exact(m, n, np.random.default_rng(3)).points
-        assert got == pytest.approx(np.mean(np.exp(xs @ v)), rel=1e-12)
+        v = np.array([0.3])
+        est = ra.estimate_normalizer(m, v, eta=0.009, delta=0.1, seed=3,
+                                     backend="mc")
+        assert 3 * MC_BLOCK < est.n_draws < 4 * MC_BLOCK
+        xs = ra.sample_exact(ra.tilt_exact(m, v / 2), est.n_draws,
+                             np.random.default_rng(3)).points
+        assert est.log_value == pytest.approx(np.mean(xs @ v), rel=1e-12)
 
     def test_mc_memory_flat_in_draws(self):
         # about 4.6e5 draws; one-shot draws would hold several MB
         m = two_point()
         tracemalloc.start()
         try:
-            est = ra.estimate_normalizer(m, np.array([0.0]), eta=0.002,
+            est = ra.estimate_normalizer(m, np.array([0.25]), eta=0.002,
                                          delta=0.05, seed=0, backend="mc")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -240,9 +244,9 @@ class TestEstimateNormalizer:
         assert est.n_draws > 50 * MC_BLOCK
         assert peak < 1_000_000
 
-    def test_mc_staged_agrees_with_exact(self):
-        # ||v||C up to 4 on mixtures: the one-stream count passes the cap
-        # at eta = 0.2, so these run as products of ratios
+    def test_mc_mixture_agrees_with_exact(self):
+        # ||v||C up to 4 on mixtures: every draw is an exact draw of a
+        # tilted mixture, truncated to the ball
         rng = np.random.default_rng(13)
         for _ in range(3):
             m = random_gmm(rng, 1, 2)
@@ -255,34 +259,52 @@ class TestEstimateNormalizer:
             assert abs(est.value - truth) <= 2 * eta * truth
 
     def test_mc_steep_tilt_within_budget(self):
-        # v = 3 on two atoms: one stream of base draws would need 3e7 draws,
-        # over the cap; the stage plan needs about 3.5e5
+        # v = 3 on two atoms: one stream of exp(<v, X>) over base draws
+        # would need 3e7 draws, over the cap; the bounds on <v, X> in
+        # [-3, 3] need under 3e4
         m, v, eta = two_point(), np.array([3.0]), 0.1
-        assert tilts._stage_plan(3.0, eta, 0.05, 1)[0] > 1
         est = ra.estimate_normalizer(m, v, eta=eta, delta=0.05, seed=0,
                                      backend="mc")
-        assert est.n_draws < 1_749_462
+        assert est.n_draws < 30_000
         assert abs(est.value / np.cosh(3.0) - 1) <= eta
 
-    def test_mc_one_stage_is_one_stream(self):
-        # where S = 1 is cheapest, the estimate is one Hoeffding-sized mean
-        # over one stream of base draws, to the bit
-        m = ra.DiscreteModel([[-0.5], [0.25], [1.0]], [0.2, 0.3, 0.5], 1.0)
-        for V in (np.array([0.6]), np.array([[0.2], [-0.7]])):
-            est = ra.estimate_normalizer(m, V, eta=0.1, delta=0.1, seed=4,
-                                         backend="mc")
-            vc = float(np.max(np.abs(V)))
-            assert est.n_draws == int(np.ceil(
-                np.exp(4 * vc) * np.log(2 / 0.1) / (2 * 0.1**2)))
-            want = np.log(_mean_exp(m, V, est.n_draws,
-                                    np.random.default_rng(4)))
-            assert np.array_equal(np.atleast_1d(est.log_value), want)
+    def test_mc_bound_over_a_seed_sweep(self):
+        # 20 fixed seeds at ||v||C in {0.5, 3, 10} on two atoms and a 1-D
+        # mixture: at least a 1 - delta share of each cell's estimates lie
+        # within log(1 + eta) of the closed form
+        eta, delta = 0.1, 0.1
+        for m in (two_point(), ra.GaussianMixtureModel(
+                [0.4, 0.6], [[-0.6], [0.7]], [[[0.5]], [[0.3]]], 6.0)):
+            for vc in (0.5, 3.0, 10.0):
+                v = np.array([vc / m.support_radius])
+                err = [abs(ra.estimate_normalizer(
+                    m, v, eta=eta, delta=delta, seed=seed, backend="mc"
+                ).log_value - log_normalizer_exact(m, v))
+                       for seed in range(20)]
+                assert np.mean(np.array(err) <= np.log1p(eta)) >= 1 - delta
 
-    # over the cap at every stage count: the plan is checked before any
-    # count becomes an int, over a bounded range of stage counts
+    def test_mc_midpoint_nodes_in_order(self):
+        # K and K n follow the quadrature and Hoeffding bounds at B = 1.5,
+        # and the estimate is the mean of <v, X> over n draws from each
+        # tilt((k + 1/2) v / K), node after node from one stream
+        m = ra.DiscreteModel([[-0.5], [0.25], [1.0]], [0.2, 0.3, 0.5], 1.0)
+        v, eta, delta = np.array([1.5]), 0.1, 0.1
+        est = ra.estimate_normalizer(m, v, eta=eta, delta=delta, seed=4,
+                                     backend="mc")
+        eps = np.log1p(eta) / 2  # exact draws: quadrature and sampling
+        K = int(np.ceil(np.sqrt(1.5**3 / (12 * eps))))
+        n = int(np.ceil(np.ceil(2 * 1.5**2 * np.log(2 / delta) / eps**2) / K))
+        assert K > 1 and est.n_draws == K * n
+        rng = np.random.default_rng(4)
+        means = [np.mean(ra.sample_exact(ra.tilt_exact(m, (k + 0.5) / K * v),
+                                         n, rng).points @ v)
+                 for k in range(K)]
+        assert est.log_value == pytest.approx(np.mean(means), rel=1e-12)
+
+    # over the cap: the draw count is checked before it becomes an int
     @pytest.mark.parametrize("m, V, eta, delta", [
         (std_normal_1d(), np.array([1.0]), 0.01, 0.01),
-        (two_point(), np.array([[4.0], [-4.0], [2.0]]), 0.05, 0.05 / 3),
+        (two_point(), np.array([[40.0], [-40.0], [20.0]]), 0.05, 0.05 / 3),
         (two_point(), np.array([1e308]), 0.05, 0.05)])
     def test_mc_budget_error(self, m, V, eta, delta):
         with np.errstate(over="ignore"), pytest.raises(ra.BudgetError):
@@ -393,32 +415,30 @@ class TestTiltMatrix:
             hits += np.abs(est.value - truth) <= eta * truth
         assert np.all(hits >= (1 - delta) * trials)
 
-    def test_mc_rows_share_one_stream(self):
-        # one stream of max n_i draws: the count of the largest ||v_i||C,
-        # and each row's mean is the mean over that one stream
+    def test_mc_rows_draw_in_order(self):
+        # each row makes its own draws, row after row from one stream, and
+        # a zero row makes none
         m = ra.DiscreteModel([[-0.5], [0.25], [1.0]], [0.2, 0.3, 0.5], 1.0)
-        V = np.array([[0.2], [0.9], [-0.4]])
+        V = np.array([[0.2], [0.0], [0.9], [-0.4]])
         est = ra.estimate_normalizer(m, V, eta=0.1, delta=0.1, seed=5,
                                      backend="mc")
-        alone = ra.estimate_normalizer(m, V[1], eta=0.1, delta=0.1, seed=5,
-                                       backend="mc")
-        assert est.n_draws == alone.n_draws
-        assert est.log_value[1] == pytest.approx(alone.log_value, rel=1e-12)
-        xs = ra.sample_exact(m, est.n_draws, np.random.default_rng(5)).points
-        want = np.log(np.mean(np.exp(xs @ V.T), axis=0))
-        assert np.max(np.abs(est.log_value - want)) <= 1e-12
+        rng = np.random.default_rng(5)
+        alone = [ra.estimate_normalizer(m, v, eta=0.1, delta=0.1, seed=rng,
+                                        backend="mc") for v in V]
+        assert est.n_draws == sum(a.n_draws for a in alone)
+        assert alone[1].n_draws == 0 and est.log_value[1] == 0.0
+        assert np.array_equal(est.log_value, [a.log_value for a in alone])
 
-    def test_mc_staged_tilt_matrix(self):
+    def test_mc_steep_tilt_matrix(self):
         # three tilts at ||v||C = 3 with the KL diffusion path's eta and
-        # delta/m: one stream would need 1.56e8 draws; the stages share one
-        # S, and each row lands within eta of the closed form
+        # delta/m: one stream of exp(<v, X>) would need 1.56e8 draws; path
+        # sampling stays under the cap, and each row lands within eta of
+        # the closed form
         m, c = two_point(), 3.0
         V = np.array([[c], [-c], [c / 2]])
         eta, delta = 0.05, 0.05 / 3
-        stages, n = tilts._stage_plan(c, eta, delta, 3)
-        assert stages > 1
         est = ra.estimate_normalizer(m, V, eta=eta, delta=delta, seed=1,
                                      backend="mc")
-        assert est.n_draws == n * (1 + 3 * (stages - 1)) <= tilts.MC_SAMPLE_CAP
+        assert 0 < est.n_draws <= tilts.MC_SAMPLE_CAP
         err = np.exp(est.log_value - log_normalizer_exact(m, V)) - 1
         assert np.all(np.abs(err) <= eta)
