@@ -223,11 +223,6 @@ class MixtureProposal:
     normalizer: str = ""
 
     @property
-    def pi(self) -> np.ndarray:
-        p = np.exp(self.log_pi)
-        return p / p.sum()
-
-    @property
     def m(self) -> int:
         return self.tilt_vectors.shape[0]
 
@@ -432,16 +427,14 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     pts = np.empty((n, base.d))
     fell = np.ones(n, dtype=bool)
     draws = passes = diff_steps = 0
-    # the proposal sum_i pi_i * tilt(base, v_i) as one model
-    model = (tilt_exact(base, proposal.tilt_vectors, proposal.log_pi)
-             if backend == "exact" else None)
-    if isinstance(model, DiscreteModel):
+    if backend == "exact" and isinstance(base, DiscreteModel):
         # exp(f - G) is a function of the atom alone, so the candidates a
         # slot spends up to its first accept are Geometric(alpha),
         # alpha = sum_j q_j exp(f_j - G_j), and the accepted atom has law
         # ~ q_j exp(f_j - G_j) (Devroye 1986, II.3).  Slots are drawn from
         # that law in closed form, with the stream's law and budget; no
         # rejected candidate is drawn
+        model = tilt_exact(base, proposal.tilt_vectors, proposal.log_pi)
         log_w = model._log_probs + _log_acceptance(f, envelope,
                                                    model.atoms @ A.T)
         if params.N_rej > 0:
@@ -458,24 +451,19 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                 else:  # a boolean scatter costs ~20x a plain copy
                     pts[:] = rows
     else:
-        if model is not None:
-            def draw(count):
-                xs = sample_exact(model, count, rng).points
-                return xs, _log_acceptance(f, envelope, xs @ A.T)
-        else:
-            # W2 target eps / 8 (24 C / eps steps); eps_lin > eps / 8 needs
-            # C < eps a0 / 8, where both take the 25-step floor
-            eps_draw = eps / 8.0
+        # W2 target eps / 8 (24 C / eps steps on diffusion); eps_lin > eps / 8
+        # needs C < eps a0 / 8, where both take the 25-step floor
+        eps_draw = eps / 8.0
+        if backend == "diffusion":
             diff_steps = recommended_steps(eps_draw, C)
-            pi = proposal.pi
 
-            def draw(count):
-                # one reverse pass; row j follows the tilt of its own piece
-                comps = rng.choice(proposal.m, size=count, p=pi)
-                xs = sample_linear_tilt(base, proposal.tilt_vectors[comps],
-                                        eps_draw, rng, "diffusion", n=count,
-                                        steps=diff_steps).points
-                return xs, _log_acceptance(f, envelope, xs @ A.T)
+        def draw(count):
+            # the proposal sum_i pi_i * tilt(base, v_i); on diffusion, one
+            # reverse pass whose row j follows the tilt of its own piece
+            xs = sample_linear_tilt(base, proposal.tilt_vectors, eps_draw,
+                                    rng, backend, n=count,
+                                    log_pi=proposal.log_pi).points
+            return xs, _log_acceptance(f, envelope, xs @ A.T)
 
         # one i.i.d. candidate stream: slots done..n-1 wait in order, and
         # by the floor a pass of waiting/a0 candidates expects at least one

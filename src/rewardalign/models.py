@@ -67,6 +67,8 @@ def norms(rows) -> np.ndarray:
         out = np.linalg.norm(rows, axis=1)
         # below 1.5e-154 the squares underflow; a zero row keeps its 0, and
         # a row with an inf entry its inf
+        if 1.5e-154 <= out.min(initial=1.0) <= out.max(initial=1.0) < np.inf:
+            return out
         redo = np.flatnonzero(np.isinf(out) | (out < 1.5e-154))
         tops = np.abs(rows[redo]).max(axis=1, initial=0.0)
         keep = (tops > 0) & (tops < np.inf)
@@ -566,6 +568,7 @@ def sample_via_diffusion(oracle: ScoreOracle, n: int = 1, steps: int = None,
     copies each score into its own buffer and never writes into an array
     it did not allocate.
     """
+    check_count(n)
     if not (isinstance(steps, (int, np.integer)) and steps >= 2):
         raise ValidationError(f"steps must be an integer >= 2, got {steps!r}")
     rng = _rng_from(seed)

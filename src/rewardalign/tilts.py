@@ -2,21 +2,22 @@
 tilted-score identity for oracle-only bases, approximate tilt sampling, and
 normalizer estimation in closed form or by path sampling over those draws.
 
-A tilt is a vector v (d,) or a matrix V (m, d) of m tilts, one per row.
-A pi-mixture of tilts of atoms or a Gaussian mixture is again one model.
+A tilt is a vector v (d,) or a matrix V (m, d): the pi-mixture of m tilts,
+one per row, which for atoms or a Gaussian mixture is again one model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BudgetError, NumericalError, ValidationError, finite
 from .models import (DiscreteModel, GaussianMixtureModel, Model,
                      SampleBatch, ScoreOracle, _logsumexp, _noise,
-                     _rng_from, closed_form, norms, recommended_steps,
-                     sample_exact, sample_via_diffusion, score_oracle)
+                     _rng_from, _seed_tag, check_count, closed_form, norms,
+                     recommended_steps, sample_exact, sample_via_diffusion,
+                     score_oracle)
 
 MC_SAMPLE_CAP = 10_000_000
 
@@ -47,12 +48,18 @@ class NormalizerEstimate:
         return np.exp(self.log_value)
 
 
-def _tilt_rows(base, V) -> np.ndarray:
-    """V as a finite (m, d) tilt matrix; one tilt (d,) is the m = 1 case."""
+def _tilt_rows(base, V, log_pi=None) -> tuple:
+    """V as a finite (m, d) tilt matrix, one tilt (d,) being the m = 1
+    case, and log_pi as one log-weight per tilt shifted to max 0, zeros
+    when None: the one check of tilts and their mixture weights."""
     V = finite("tilt", V)
     if V.shape[-1:] != (base.d,) or V.ndim not in (1, 2) or V.size == 0:
         raise ValidationError("tilt vector dimension mismatch")
-    return np.atleast_2d(V)
+    V = np.atleast_2d(V)
+    log_pi = np.zeros(len(V)) if log_pi is None else np.asarray(log_pi, float)
+    if log_pi.shape != (len(V),) or not np.isfinite(log_pi.max()):
+        raise ValidationError("log_pi: one log-weight per tilt, max finite")
+    return V, log_pi - log_pi.max()
 
 
 def _tilt_blocks(model: Model, V: np.ndarray):
@@ -89,11 +96,7 @@ def tilt_exact(model: Model, V, log_pi=None) -> Model:
     Sigma_j) = M_j(v) N(x; mu_j + Sigma_j v, Sigma_j), ``sample_exact``
     draws p 1_B sum_i (pi_i / Z_i) e^{<v_i, x>} (Z_i untruncated): the
     truncated base's tilt, or envelope tilt if pi_i ~ e^{b_i} Z_i."""
-    V = _tilt_rows(closed_form(model), V)
-    log_pi = np.zeros(len(V)) if log_pi is None else np.asarray(log_pi, float)
-    if log_pi.shape != (len(V),) or not np.isfinite(log_pi.max()):
-        raise ValidationError("log_pi: one log-weight per tilt, max finite")
-    log_pi = log_pi - log_pi.max()
+    V, log_pi = _tilt_rows(closed_form(model), V, log_pi)
     # pi_i * tilt_i per block of tilts, over atoms or components; a
     # log-weight past -float max is -inf, weight 0
     blocks = (np.exp(logw + (log_pi[rows] - log_z)[:, None])
@@ -114,7 +117,7 @@ def tilt_exact(model: Model, V, log_pi=None) -> Model:
 def log_normalizer_exact(model: Model, V):
     """log Z_P(v) in closed form per tilt; a float for one tilt (d,)."""
     out = np.concatenate([log_z for _, _, log_z in _tilt_blocks(
-        model, _tilt_rows(closed_form(model), V))])
+        model, _tilt_rows(closed_form(model), V)[0])])
     return float(out[0]) if np.ndim(V) == 1 else out
 
 
@@ -133,40 +136,43 @@ def tilted_score(base: ScoreOracle, v, sigma, x: np.ndarray) -> np.ndarray:
     return v / a + np.asarray(base(float(sigma), shifted), dtype=float)
 
 
-def sample_linear_tilt(base, v, eps: float, seed, backend: str = "exact",
-                       n: int = 1, steps: int = None) -> SampleBatch:
-    """Draw from the linear tilt of the base: the one draw path of the
-    samplers.  ``v=None`` is the zero tilt, the base itself, drawn as
-    ``sample_exact`` or ``sample_via_diffusion(score_oracle(base))`` would.
-
-    backend="exact" needs a closed-form model and samples the tilted model
-    directly, for one tilt (d,); backend="diffusion" accepts a model or a
-    ScoreOracle and runs the reverse process on the tilted score, for one
-    tilt (d,) or one per row (n, d), in ``steps`` steps or, when None,
-    ``recommended_steps`` of the W2 target eps (capped).  Outputs live in
-    the support ball either way.
+def sample_linear_tilt(base, V, eps: float, seed, backend: str = "exact",
+                       n: int = 1, steps: int = None,
+                       log_pi=None) -> SampleBatch:
+    """Draw from the tilt of the base by V, on ``tilt_exact``'s contract:
+    the one draw path of the samplers.  ``V=None`` is the base itself,
+    drawn as ``sample_exact`` or ``sample_via_diffusion(score_oracle(base))``
+    would.  backend="exact" draws ``sample_exact(tilt_exact(base, V,
+    log_pi))`` on a closed-form model; backend="diffusion" takes a model or
+    a ScoreOracle and makes one reverse pass on the tilted score, in
+    ``steps`` steps or ``recommended_steps`` of the W2 target eps.  For a
+    matrix V (m = 1 too) each row first draws its tilt from pi, from the
+    same stream.  Outputs live in the support ball either way.
     """
+    check_count(n)
     if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")
-    shapes = {"exact": [(base.d,)], "diffusion": [(base.d,), (n, base.d)]}
-    if backend not in shapes:
+    if backend not in ("exact", "diffusion"):
         raise ValidationError(f"unknown backend {backend!r}")
-    if v is not None and finite("tilt", v).shape not in shapes[backend]:
-        raise ValidationError(f"a tilt on the {backend} backend has shape "
-                              f"{' or '.join(map(str, shapes[backend]))}")
 
     if backend == "exact":  # both check that base has closed forms
-        return sample_exact(base if v is None else tilt_exact(base, v), n,
-                            seed)
+        return sample_exact(
+            base if V is None else tilt_exact(base, V, log_pi), n, seed)
 
     oracle = base if isinstance(base, ScoreOracle) else score_oracle(base)
-    if v is not None:
-        untilted, v = oracle, np.asarray(v, dtype=float)
-        oracle = ScoreOracle(fn=lambda s, xb: tilted_score(untilted, v, s, xb),
-                             d=oracle.d, C=oracle.C, tag=f"tilt({oracle.tag})")
     if steps is None:
         steps = recommended_steps(eps, oracle.C)
-    return sample_via_diffusion(oracle, n=n, steps=steps, seed=seed)
+    if V is None:
+        return sample_via_diffusion(oracle, n=n, steps=steps, seed=seed)
+    rows, log_pi = _tilt_rows(oracle, V, log_pi)
+    rng = _rng_from(seed)
+    if np.ndim(V) == 2:  # one tilt per row of the batch
+        pi = np.exp(log_pi)
+        rows = rows[rng.choice(len(rows), size=n, p=pi / pi.sum())]
+    tilted = ScoreOracle(fn=lambda s, xb: tilted_score(oracle, rows, s, xb),
+                         d=oracle.d, C=oracle.C, tag=f"tilt({oracle.tag})")
+    batch = sample_via_diffusion(tilted, n=n, steps=steps, seed=rng)
+    return replace(batch, seed=_seed_tag(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -180,22 +186,24 @@ def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
 
     exact: closed form.  mc: path sampling (Gelman and Meng 1998), log Z(v)
     = int_0^1 g(t) dt, g(t) = E_{tilt(t v)} <v, X>, by the midpoint rule
-    over K panels, n draws per node.  With <v, X> in [-B, B], B = ||v|| C,
-    K and n hold three error terms on log Z to log(1 + eta) in all, split
-    in halves on exact draws or thirds on diffusion draws:
+    over K panels at t_k = (k + 1/2) / K, from N i.i.d. draws of the equal
+    mixture of the tilts t_k v, whose mean of <v, X> is the midpoint sum.
+    With <v, X> in [-B, B], B = ||v|| C, K and N hold three error terms on
+    log Z to log(1 + eta) in all, in halves on exact draws or thirds on
+    diffusion draws:
     - quadrature: g'' = kappa_3 and |kappa_3| <= 2 B^3, so B^3 / (12 K^2);
-    - sampling: Hoeffding over all N = K n draws needs
+    - sampling: Hoeffding over the N draws needs
       N >= 2 B^2 log(2 / delta) / eps_s^2, whatever K;
-    - draws: ``sample_linear_tilt(base, t v, ...)``, exact on a closed-form
-      base, diffusion on a ScoreOracle, whose W2 error eps_d moves g by at
-      most ||v|| eps_d; its steps are ``recommended_steps(eps_d, C)``, so
-      this term rests on that empirical step rule.
+    - draws: ``sample_linear_tilt`` of the nodes, exact on a closed-form
+      base, diffusion on a ScoreOracle, where each row's W2 error eps_d to
+      its node's tilt moves g by at most ||v|| eps_d; its steps are
+      ``recommended_steps(eps_d, C)``, so this term rests on that step rule.
     Rows draw in order, a zero tilt none, MC_BLOCK rows at a time; the
     total meets MC_SAMPLE_CAP before any int (a huge B makes it inf).
     """
     if not (0.0 < eta < 1.0 and 0.0 < delta < 1.0):
         raise ValidationError("eta and delta must lie in (0,1)")
-    rows = _tilt_rows(base, V)
+    rows, _ = _tilt_rows(base, V)
     if backend == "exact":
         return NormalizerEstimate(log_value=log_normalizer_exact(base, V),
                                   eta=eta, delta=delta, method="exact")
@@ -208,20 +216,19 @@ def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
     with np.errstate(over="ignore", invalid="ignore"):
         K = np.maximum(np.ceil(np.sqrt(B**3 / (12.0 * eps))), 1.0)
         N = np.ceil(2.0 * B**2 * np.log(2.0 / delta) / eps**2)
-        draws = np.fmax(K * np.ceil(N / K), N)  # K = N = inf: inf / inf
-    if not (total := draws.sum()) <= MC_SAMPLE_CAP:
+    if not (total := N.sum()) <= MC_SAMPLE_CAP:
         raise BudgetError(f"normalizer needs {total:.3g} draws (cap "
                           f"{MC_SAMPLE_CAP}); reduce ||v||C")
     rng = _rng_from(seed)
     log_value = np.zeros(len(rows))
     for i, v in enumerate(rows):
-        k, n = int(K[i]), int(draws[i] / K[i])  # n draws per node
-        for t in ((np.arange(k) + 0.5) / k).tolist():
-            for s in range(0, n, MC_BLOCK):
-                xs = sample_linear_tilt(base, t * v, eps * C / B[i], rng,
-                                        source, n=min(MC_BLOCK, n - s))
-                log_value[i] += (xs.points @ v).sum()
-    log_value /= np.maximum(draws, 1)
+        k, n = int(K[i]), int(N[i])
+        nodes = ((np.arange(k) + 0.5) / k)[:, None] * v
+        for s in range(0, n, MC_BLOCK):
+            xs = sample_linear_tilt(base, nodes, eps * C / B[i], rng, source,
+                                    n=min(MC_BLOCK, n - s))
+            log_value[i] += (xs.points @ v).sum()
+    log_value /= np.maximum(N, 1)
     return NormalizerEstimate(
         log_value=float(log_value[0]) if np.ndim(V) == 1 else log_value,
         eta=eta, delta=delta, method=f"mc, {source} draws", n_draws=int(total))

@@ -14,11 +14,11 @@ from . import metrics
 from .kl_align import (Envelope, _collapse_net_pieces, build_envelope,
                        build_net, build_proposal, gap_bound, own_envelope,
                        proposal_law_discrete)
-from .models import (DiscreteModel, GaussianMixtureModel, sample_exact,
-                     score, score_oracle, noised_log_density)
+from .models import (DiscreteModel, GaussianMixtureModel, score,
+                     score_oracle, noised_log_density)
 from .rewards import (LinearReward, LowDimFunction, QuadraticReward,
                       make_logsumexp_function, make_max_affine)
-from .tilts import tilt_exact, tilted_score
+from .tilts import sample_linear_tilt, tilt_exact, tilted_score
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +180,9 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
 def _floor_margin(base, A, f, env, rng) -> float:
     """Smallest exp(f - G) - a0 over 200 envelope tilt draws."""
     proposal = build_proposal(base, env, A, eta=1e-12, delta=0.1, seed=rng)
-    model = tilt_exact(base, proposal.tilt_vectors, proposal.log_pi)
-    u = sample_exact(model, 200, rng).points @ A.T
+    # exact draws of the proposal; eps is read on the diffusion backend alone
+    u = sample_linear_tilt(base, proposal.tilt_vectors, 1.0, rng, n=200,
+                           log_pi=proposal.log_pi).points @ A.T
     log_a = np.asarray(f.value(u)) - env.value(u)
     return float(np.min(np.exp(log_a) - np.exp(-gap_bound(env.m))))
 

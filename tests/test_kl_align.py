@@ -277,7 +277,7 @@ class TestBuildProposal:
         env = ra.Envelope.from_pieces([[1.0], [-1.0]], [0.0, 0.0])
         prop = ra.build_proposal(base, env, np.eye(1), eta=0.1, delta=0.1,
                                  seed=0)
-        assert prop.pi == pytest.approx([0.5, 0.5], abs=1e-14)
+        assert np.exp(prop.log_pi) == pytest.approx([0.5, 0.5], abs=1e-14)
         assert np.exp(prop.log_zhat) == pytest.approx([np.cosh(1.0)] * 2,
                                                       rel=1e-12)
         # the mixture law equals the base here (density ~ 2 cosh at +-1)
@@ -288,7 +288,7 @@ class TestBuildProposal:
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
         env = ra.Envelope.from_pieces([[1.0]], [0.0])
         prop = ra.build_proposal(base, env, np.eye(1), eta=0.1, delta=0.1)
-        assert prop.pi == pytest.approx([1.0])
+        assert np.exp(prop.log_pi) == pytest.approx([1.0])
 
     def test_exact_backend_weights_match_direct_normalization(self):
         rng = np.random.default_rng(3)
@@ -301,7 +301,7 @@ class TestBuildProposal:
             [log_normalizer_exact(base, v) for v in prop.tilt_vectors])
         expect = np.exp(logits - logits.max())
         expect /= expect.sum()
-        assert prop.pi == pytest.approx(expect, abs=1e-12)
+        assert np.exp(prop.log_pi) == pytest.approx(expect, abs=1e-12)
 
     def test_mixture_identity_random(self):
         rng = np.random.default_rng(4)
@@ -917,7 +917,7 @@ class TestSampleKLAligned:
         env = ra.build_envelope(
             f, ra.build_net(2, 1.2 * base.support_radius, 1 / 1.6))
         prop = ra.build_proposal(base, env, A, eta=1e-9, delta=0.1, seed=rng)
-        comps = rng.choice(env.m, size=500, p=prop.pi)
+        comps = rng.choice(env.m, size=500, p=np.exp(prop.log_pi))
         for i in np.unique(comps):
             tilted = ra.tilt_exact(base, prop.tilt_vectors[i])
             pts = ra.sample_exact(tilted, int((comps == i).sum()), rng).points

@@ -786,11 +786,13 @@ def test_zero_weight_is_silent():
                            else tilted.weights)
 
 
-@pytest.mark.parametrize("n", [0, -1, 2.0, True])
+@pytest.mark.parametrize("n", [0, -1, 2.0, 2.5, True])
 def test_one_count_check_for_every_sampler(n):
     base = ra.DiscreteModel([[0.0], [0.5]], [0.5, 0.5], 1.0)
     reward = ra.QuadraticReward([[0.15]], [0.6])
     for draw in (lambda: ra.sample_exact(base, n, 0),
+                 lambda: ra.sample_via_diffusion(ra.score_oracle(base), n=n,
+                                                 steps=5, seed=0),
                  lambda: ra.sample_w2_aligned(base, reward, 0.15, n, 0),
                  lambda: ra.sample_kl_aligned(base, [[1.0]], _abs_f(), 0.1,
                                               0.05, 0, n=n)):

@@ -163,26 +163,65 @@ class TestSampleLinearTilt:
                                          steps=steps, seed=8)
         assert np.array_equal(reverse.points, direct.points)
 
-    def test_one_tilt_per_row_on_diffusion(self):
+    def test_mixture_on_diffusion_is_one_reverse_pass(self):
+        # each row draws its tilt from pi, then one reverse pass follows
+        # the per-row tilted scores, all from the same stream
         base = two_point()
-        V = np.linspace(-1.0, 1.0, 40)[:, None]
+        V = np.array([[-1.0], [0.2], [1.0]])
+        log_pi = np.log([0.2, 0.3, 0.5])
         batch = ra.sample_linear_tilt(base, V, 0.1, seed=2, n=40,
-                                      backend="diffusion", steps=30)
+                                      backend="diffusion", steps=30,
+                                      log_pi=log_pi)
+        rng = np.random.default_rng(2)
+        pi = np.exp(log_pi - log_pi.max())
+        rows = V[rng.choice(3, size=40, p=pi / pi.sum())]
         oracle = ra.score_oracle(base)
         tilted = ra.ScoreOracle(
-            fn=lambda s, x: ra.tilted_score(oracle, V, s, x), d=1, C=1.0)
-        direct = ra.sample_via_diffusion(tilted, n=40, steps=30, seed=2)
+            fn=lambda s, x: ra.tilted_score(oracle, rows, s, x), d=1, C=1.0)
+        direct = ra.sample_via_diffusion(tilted, n=40, steps=30, seed=rng)
         assert np.array_equal(batch.points, direct.points)
 
-    @pytest.mark.parametrize("backend, v", [
-        ("exact", np.ones((5, 1))), ("exact", np.ones((1, 1))),
-        ("exact", np.ones(2)), ("diffusion", np.ones((4, 1))),
-        ("diffusion", np.ones((5, 2))), ("diffusion", np.ones((1, 5, 1))),
-        ("diffusion", np.array(1.0)), ("exact", np.array([np.nan]))])
-    def test_tilt_shape_checked(self, backend, v):
+    @pytest.mark.parametrize("base", [
+        two_point(), random_gmm(np.random.default_rng(4), 2, 3)],
+        ids=["atoms", "gmm"])
+    def test_mixture_on_exact_is_the_tilt_model(self, base):
+        V = np.linspace(-0.8, 0.6, 3 * base.d).reshape(3, base.d)
+        for log_pi in (None, np.log([0.5, 0.3, 0.2])):
+            batch = ra.sample_linear_tilt(base, V, 0.1, seed=5, n=300,
+                                          log_pi=log_pi)
+            direct = ra.sample_exact(ra.tilt_exact(base, V, log_pi), 300, 5)
+            assert np.array_equal(batch.points, direct.points)
+
+    @pytest.mark.parametrize("backend", ["exact", "diffusion"])
+    def test_int_seed_recorded_with_a_tilt_matrix(self, backend):
+        batch = ra.sample_linear_tilt(two_point(), np.ones((2, 1)), 0.1,
+                                      seed=17, n=5, backend=backend, steps=5)
+        assert batch.seed == 17
+
+    @pytest.mark.parametrize("backend", ["exact", "diffusion"])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True])
+    def test_count_checked_before_the_component_draw(self, backend, n):
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(ra.ValidationError, match="n must be"):
+            ra.sample_linear_tilt(two_point(), np.ones((2, 1)), 0.1, rng,
+                                  backend=backend, n=n, steps=5)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("backend", ["exact", "diffusion"])
+    @pytest.mark.parametrize("v, log_pi", [
+        (np.ones(2), None), (np.ones((5, 2)), None),
+        (np.ones((1, 5, 1)), None), (np.array(1.0), None),
+        (np.zeros((0, 1)), None), (np.array([np.nan]), None),
+        (np.array([[0.5], [np.nan]]), None),
+        (np.ones((3, 1)), np.zeros(2)), (np.ones(1), np.zeros(2)),
+        (np.ones((2, 1)), np.array([0.0, np.nan]))],
+        ids=["vector-d", "matrix-d", "3-D", "0-D", "empty", "nan-vector",
+             "nan-matrix", "log_pi-length", "log_pi-vector", "log_pi-nan"])
+    def test_tilt_shape_checked(self, backend, v, log_pi):
         with pytest.raises(ra.ValidationError):
             ra.sample_linear_tilt(two_point(), v, 0.1, seed=0, n=5,
-                                  backend=backend)
+                                  backend=backend, log_pi=log_pi)
 
 
 class TestEstimateNormalizer:
@@ -220,14 +259,17 @@ class TestEstimateNormalizer:
 
     def test_mc_sums_every_block(self):
         # at ||v||C = 0.3 and eta = 0.009 the rule takes one panel (K = 1),
-        # so every draw is from tilt(v / 2): 3 blocks and a partial one,
-        # which an atom set draws as the one-shot draws of the same stream
+        # so every draw is from the one-node mixture tilt(v / 2): 3 blocks
+        # and a partial one, which an atom set draws as the one-shot draws
+        # of the same stream
         m = ra.DiscreteModel([[-0.5], [0.25], [1.0]], [0.2, 0.3, 0.5], 1.0)
-        v = np.array([0.3])
-        est = ra.estimate_normalizer(m, v, eta=0.009, delta=0.1, seed=3,
+        v, eta, delta = np.array([0.3]), 0.009, 0.1
+        est = ra.estimate_normalizer(m, v, eta=eta, delta=delta, seed=3,
                                      backend="mc")
-        assert 3 * MC_BLOCK < est.n_draws < 4 * MC_BLOCK
-        xs = ra.sample_exact(ra.tilt_exact(m, v / 2), est.n_draws,
+        eps = np.log1p(eta) / 2
+        N = int(np.ceil(2 * 0.3**2 * np.log(2 / delta) / eps**2))
+        assert est.n_draws == N and 3 * MC_BLOCK < N < 4 * MC_BLOCK
+        xs = ra.sample_exact(ra.tilt_exact(m, v[None] / 2), N,
                              np.random.default_rng(3)).points
         assert est.log_value == pytest.approx(np.mean(xs @ v), rel=1e-12)
 
@@ -284,22 +326,25 @@ class TestEstimateNormalizer:
                 assert np.mean(np.array(err) <= np.log1p(eta)) >= 1 - delta
 
     def test_mc_midpoint_nodes_in_order(self):
-        # K and K n follow the quadrature and Hoeffding bounds at B = 1.5,
-        # and the estimate is the mean of <v, X> over n draws from each
-        # tilt((k + 1/2) v / K), node after node from one stream
+        # K and N follow the quadrature and Hoeffding bounds at B = 1.5, and
+        # the estimate is the mean of <v, X> over N draws from the equal
+        # mixture of the tilts ((k + 1/2) / K) v, whose mean of <v, X> is
+        # the midpoint sum
         m = ra.DiscreteModel([[-0.5], [0.25], [1.0]], [0.2, 0.3, 0.5], 1.0)
         v, eta, delta = np.array([1.5]), 0.1, 0.1
         est = ra.estimate_normalizer(m, v, eta=eta, delta=delta, seed=4,
                                      backend="mc")
         eps = np.log1p(eta) / 2  # exact draws: quadrature and sampling
         K = int(np.ceil(np.sqrt(1.5**3 / (12 * eps))))
-        n = int(np.ceil(np.ceil(2 * 1.5**2 * np.log(2 / delta) / eps**2) / K))
-        assert K > 1 and est.n_draws == K * n
-        rng = np.random.default_rng(4)
-        means = [np.mean(ra.sample_exact(ra.tilt_exact(m, (k + 0.5) / K * v),
-                                         n, rng).points @ v)
-                 for k in range(K)]
-        assert est.log_value == pytest.approx(np.mean(means), rel=1e-12)
+        N = int(np.ceil(2 * 1.5**2 * np.log(2 / delta) / eps**2))
+        assert K > 1 and est.n_draws == N < MC_BLOCK
+        nodes = ((np.arange(K) + 0.5) / K)[:, None] * v
+        mix = ra.tilt_exact(m, nodes)
+        midpoint = np.mean([ra.tilt_exact(m, t).probs for t in nodes], axis=0)
+        assert mix.probs @ m.atoms @ v == pytest.approx(
+            midpoint @ m.atoms @ v, rel=1e-12)
+        xs = ra.sample_exact(mix, N, np.random.default_rng(4)).points
+        assert est.log_value == pytest.approx(np.mean(xs @ v), rel=1e-12)
 
     # over the cap: the draw count is checked before it becomes an int
     @pytest.mark.parametrize("m, V, eta, delta", [
