@@ -214,13 +214,15 @@ def compute_params(L: float, A_opnorm: float, C: float, m: int,
 class MixtureProposal:
     """Envelope tilt realized as a mixture of linear tilts: tilt vectors
     v_i = A' z_i, normalizer estimates and their method (NaN and "" for the
-    one tilt of a one-piece envelope, which needs none), and stability-safe
-    weights pi_i ~ w_i Zhat_i computed in log space."""
+    one tilt of a one-piece envelope, which needs none), stability-safe
+    weights pi_i ~ w_i Zhat_i computed in log space, and ``law``, the
+    mixture sum_i pi_i * tilt(base, v_i) as one model (None on "mc")."""
 
     tilt_vectors: np.ndarray  # (m, d)
     log_zhat: np.ndarray      # (m,)
     log_pi: np.ndarray        # (m,)
     normalizer: str = ""
+    law: Model = None
 
     @property
     def m(self) -> int:
@@ -232,27 +234,21 @@ def build_proposal(base: Model, env: Envelope, A, eta: float, delta: float,
     """Estimate every tilt normalizer, in one call with per-row failure
     budget delta/m, and normalize the weights in log space.  One piece
     (m = 1) has pi = 1 whatever Zhat is: no estimate is made, and
-    ``log_zhat`` is NaN."""
+    ``log_zhat`` is NaN.  On the exact backend the mixture is built once,
+    as ``law = tilt_exact(base, V, log_pi)``, for every draw to share."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     vs = env.slopes @ A  # (m, d): rows are A' z_i
-    if env.m == 1:
-        return MixtureProposal(tilt_vectors=vs, log_zhat=np.full(1, np.nan),
-                               log_pi=np.zeros(1))
-    est = estimate_normalizer(base, vs, eta=max(eta, 1e-12),
-                              delta=delta / env.m, seed=seed, backend=backend)
-    logits = env.offsets + est.log_value
-    log_pi = logits - _logsumexp(logits)
-    return MixtureProposal(tilt_vectors=vs, log_zhat=est.log_value,
-                           log_pi=log_pi, normalizer=est.method)
-
-
-def proposal_law_discrete(base: DiscreteModel, env: Envelope,
-                          A) -> DiscreteModel:
-    """The exact mixture law sum_i pi_i * tilt(base, v_i) on a discrete
-    base, with exact normalizers (used to check the mixture identity)."""
-    # the exact backend uses eta and delta only to validate them
-    p = build_proposal(base, env, A, eta=0.5, delta=0.5)
-    return tilt_exact(base, p.tilt_vectors, p.log_pi)
+    log_zhat, log_pi, method = np.full(1, np.nan), np.zeros(1), ""
+    if env.m > 1:
+        est = estimate_normalizer(base, vs, eta=max(eta, 1e-12),
+                                  delta=delta / env.m, seed=seed,
+                                  backend=backend)
+        logits = env.offsets + est.log_value
+        log_zhat, method = est.log_value, est.method
+        log_pi = logits - _logsumexp(logits)
+    law = tilt_exact(base, vs, log_pi) if backend == "exact" else None
+    return MixtureProposal(tilt_vectors=vs, log_zhat=log_zhat, log_pi=log_pi,
+                           normalizer=method, law=law)
 
 
 @dataclass
@@ -434,7 +430,7 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         # ~ q_j exp(f_j - G_j) (Devroye 1986, II.3).  Slots are drawn from
         # that law in closed form, with the stream's law and budget; no
         # rejected candidate is drawn
-        model = tilt_exact(base, proposal.tilt_vectors, proposal.log_pi)
+        model = proposal.law
         log_w = model._log_probs + _log_acceptance(f, envelope,
                                                    model.atoms @ A.T)
         if params.N_rej > 0:
@@ -457,14 +453,10 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         if backend == "diffusion":
             diff_steps = recommended_steps(eps_draw, C)
 
-        def draw(count):
-            # the proposal sum_i pi_i * tilt(base, v_i); on diffusion, one
-            # reverse pass whose row j follows the tilt of its own piece
-            xs = sample_linear_tilt(base, proposal.tilt_vectors, eps_draw,
-                                    rng, backend, n=count,
-                                    log_pi=proposal.log_pi).points
-            return xs, _log_acceptance(f, envelope, xs @ A.T)
-
+        # the proposal sum_i pi_i * tilt(base, v_i): its law as built, or on
+        # diffusion one reverse pass whose row j follows its own piece's tilt
+        law, tilt = ((proposal.law, None) if backend == "exact"
+                     else (base, proposal.tilt_vectors))
         # one i.i.d. candidate stream: slots done..n-1 wait in order, and
         # by the floor a pass of waiting/a0 candidates expects at least one
         # accept per waiting slot.  A budget N_rej <= 0 (C <= eps/4) draws
@@ -472,7 +464,9 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         done = carry = 0
         while done < n and params.N_rej > 0:
             count = min(int(np.ceil((n - done) / params.a0)), n)
-            cand, log_a = draw(count)
+            cand = sample_linear_tilt(law, tilt, eps_draw, rng, backend,
+                                      n=count, log_pi=proposal.log_pi).points
+            log_a = _log_acceptance(f, envelope, cand @ A.T)
             ok = np.log(rng.random(count)) < log_a
             outcome, used, carry = _serve(ok, carry, params.N_rej, n - done)
             hit = outcome >= 0

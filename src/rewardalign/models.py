@@ -491,8 +491,9 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
     """i.i.d. exact draws of the model truncated to its ball; atoms are
     categorical.  A Gaussian mixture draw outside is redrawn, component and
     point, whatever mass leaks: ConfigurationError past 1e6 + 10 n redraws,
-    or before any draw where its at most 1e6 + 11 n raw draws would all land
-    outside with probability >= 1 - 1e-9 (by an in-ball mass bound)."""
+    or before any draw where its at most N = 1e6 + 11 n raw draws would land
+    n inside with probability <= mu^n / n! <= 1e-9 (mu = N p for an in-ball
+    mass bound p, by the union bound over n-subsets)."""
     check_count(n)
     C = closed_form(model).support_radius
     rng = _rng_from(seed)
@@ -502,7 +503,9 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
         # the rows atoms[idx], gathered by take: 8-10x faster at d >= 2
         pts = np.take(model.atoms, idx, axis=0)
     else:
-        if (10**6 + 11 * n) * (p := model._in_ball_bound) <= 1e-9:
+        mu = (10**6 + 11 * n) * (p := model._in_ball_bound)
+        if mu == 0 or (n * math.log(mu) - math.lgamma(n + 1)
+                       <= math.log(1e-9)):
             raise ConfigurationError(f"rejection against the support ball "
                                      f"would fail: in-ball mass <= {p:.1e}")
         pts = _sample_gmm_raw(model, n, rng)

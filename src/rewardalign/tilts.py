@@ -198,8 +198,9 @@ def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
       base, diffusion on a ScoreOracle, where each row's W2 error eps_d to
       its node's tilt moves g by at most ||v|| eps_d; its steps are
       ``recommended_steps(eps_d, C)``, so this term rests on that step rule.
-    Rows draw in order, a zero tilt none, MC_BLOCK rows at a time; the
-    total meets MC_SAMPLE_CAP before any int (a huge B makes it inf).
+    Rows draw in order, a zero tilt none, MC_BLOCK rows at a time, exact
+    ones from one node mixture per tilt; the total meets MC_SAMPLE_CAP
+    before any int (a huge B makes it inf).
     """
     if not (0.0 < eta < 1.0 and 0.0 < delta < 1.0):
         raise ValidationError("eta and delta must lie in (0,1)")
@@ -224,8 +225,10 @@ def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
     for i, v in enumerate(rows):
         k, n = int(K[i]), int(N[i])
         nodes = ((np.arange(k) + 0.5) / k)[:, None] * v
+        law, tilt = ((tilt_exact(base, nodes), None) if source == "exact"
+                     else (base, nodes))
         for s in range(0, n, MC_BLOCK):
-            xs = sample_linear_tilt(base, nodes, eps * C / B[i], rng, source,
+            xs = sample_linear_tilt(law, tilt, eps * C / B[i], rng, source,
                                     n=min(MC_BLOCK, n - s))
             log_value[i] += (xs.points @ v).sum()
     log_value /= np.maximum(N, 1)

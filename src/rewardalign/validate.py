@@ -12,8 +12,7 @@ import numpy as np
 
 from . import metrics
 from .kl_align import (Envelope, _collapse_net_pieces, build_envelope,
-                       build_net, build_proposal, gap_bound, own_envelope,
-                       proposal_law_discrete)
+                       build_net, build_proposal, gap_bound, own_envelope)
 from .models import (DiscreteModel, GaussianMixtureModel, score,
                      score_oracle, noised_log_density)
 from .rewards import (LinearReward, LowDimFunction, QuadraticReward,
@@ -181,8 +180,7 @@ def _floor_margin(base, A, f, env, rng) -> float:
     """Smallest exp(f - G) - a0 over 200 envelope tilt draws."""
     proposal = build_proposal(base, env, A, eta=1e-12, delta=0.1, seed=rng)
     # exact draws of the proposal; eps is read on the diffusion backend alone
-    u = sample_linear_tilt(base, proposal.tilt_vectors, 1.0, rng, n=200,
-                           log_pi=proposal.log_pi).points @ A.T
+    u = sample_linear_tilt(proposal.law, None, 1.0, rng, n=200).points @ A.T
     log_a = np.asarray(f.value(u)) - env.value(u)
     return float(np.min(np.exp(log_a) - np.exp(-gap_bound(env.m))))
 
@@ -362,7 +360,8 @@ def run_oracle_suite(seed: int = 0) -> dict:
         R = base.support_radius
         f = random_maxaffine(rng, k, int(rng.integers(1, 4)), L, R)
         env = build_envelope(f, build_net(k, R, 1.0 / (2 * L)))
-        mixture = proposal_law_discrete(base, env, A)
+        # the exact backend uses eta and delta only to validate them
+        mixture = build_proposal(base, env, A, eta=0.5, delta=0.5).law
         g_vals = env.value(base.atoms @ A.T)
         logits = np.log(base.probs) + g_vals
         direct = np.exp(logits - logsumexp(logits))

@@ -11,8 +11,7 @@ from scipy.spatial import cKDTree
 import rewardalign as ra
 from rewardalign.cli import fig1_base, main
 from rewardalign.kl_align import (Net, _collapse_net_pieces, _serve,
-                                  gap_bound, own_envelope,
-                                  proposal_law_discrete)
+                                  gap_bound, own_envelope)
 from rewardalign.metrics import (QuadratureTilt1D, empirical_to_discrete,
                                  mix_discrete, oracle_kl_tilt, tv_discrete,
                                  w2_1d_samples_vs_quantiles)
@@ -281,8 +280,7 @@ class TestBuildProposal:
         assert np.exp(prop.log_zhat) == pytest.approx([np.cosh(1.0)] * 2,
                                                       rel=1e-12)
         # the mixture law equals the base here (density ~ 2 cosh at +-1)
-        mixture = proposal_law_discrete(base, env, np.eye(1))
-        assert tv_discrete(mixture, base) < 1e-14
+        assert tv_discrete(prop.law, base) < 1e-14
 
     def test_single_component(self):
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
@@ -315,7 +313,8 @@ class TestBuildProposal:
                                  base.support_radius)
             env = ra.build_envelope(f, ra.build_net(k, base.support_radius,
                                                     1 / (2 * L)))
-            mixture = proposal_law_discrete(base, env, A)
+            mixture = ra.build_proposal(base, env, A, eta=0.5,
+                                        delta=0.5).law
             g_vals = env.value(base.atoms @ A.T)
             logits = np.log(base.probs) + g_vals
             probs = np.exp(logits - logits.max())
@@ -323,6 +322,28 @@ class TestBuildProposal:
             direct = ra.DiscreteModel(base.atoms, probs, base.support_radius)
             assert tv_discrete(mixture, direct) <= 1e-10
 
+    def test_law_is_the_tilt_model(self):
+        # the exact backend builds the mixture once, as tilt_exact builds
+        # it; Monte Carlo normalizers build none
+        rng = np.random.default_rng(5)
+        gmm = ra.GaussianMixtureModel([0.4, 0.6], [[-0.6], [0.7]],
+                                      [[[0.04]], [[0.09]]], 3.0)
+        env = ra.Envelope.from_pieces([[1.5], [-1.0], [0.3]],
+                                      [0.0, 0.2, -0.1])
+        for base in (random_discrete(rng, 7, 1), gmm):
+            prop = ra.build_proposal(base, env, np.eye(1), eta=0.1,
+                                     delta=0.1)
+            model = ra.tilt_exact(base, prop.tilt_vectors, prop.log_pi)
+            if isinstance(base, ra.DiscreteModel):
+                assert np.array_equal(prop.law.probs, model.probs)
+                assert np.array_equal(prop.law.atoms, model.atoms)
+            else:
+                for field in ("weights", "means", "covs"):
+                    assert np.array_equal(getattr(prop.law, field),
+                                          getattr(model, field))
+            mc = ra.build_proposal(base, env, np.eye(1), eta=0.2, delta=0.2,
+                                   seed=0, backend="mc")
+            assert mc.law is None
 
     def test_gmm_proposal_is_weighted_sum_of_tilts(self):
         rng = np.random.default_rng(9)
@@ -681,6 +702,25 @@ class TestSampleKLAligned:
                 == (len(fell), draws, passes)
             assert np.array_equal(res.batch.points, np.array(pts))
 
+    def test_stream_draws_the_built_law(self, monkeypatch):
+        # an exact mixture's proposal law is built once, by build_proposal:
+        # no pass of the candidate stream builds a tilt model, and the
+        # draws are the same
+        base = ra.GaussianMixtureModel([0.4, 0.6], [[-0.6], [0.7]],
+                                       [[[0.04]], [[0.09]]], 3.0)
+        f = abs_function(3.0)
+        want = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.5, delta=0.05,
+                                    seed=3, n=500)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a tilt model built after build_proposal")
+
+        monkeypatch.setattr(ra.tilts, "tilt_exact", no_build)
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.5, delta=0.05,
+                                   seed=3, n=500)
+        assert res.proposal.m == 2 and res.passes >= 2
+        assert np.array_equal(res.batch.points, want.batch.points)
+
     def test_atom_slots_match_trial_counts(self):
         # an atom base draws no candidate stream: each slot's trial count
         # is Geometric(alpha) by inverse CDF from one uniform, found here
@@ -690,7 +730,7 @@ class TestSampleKLAligned:
         base = random_discrete(rng, 6, 2, C=0.3)
         reward, env = self.one_piece_reward(rng)
         A, f = reward.A, reward.f
-        model = proposal_law_discrete(base, env, A)
+        model = ra.build_proposal(base, env, A, eta=0.5, delta=0.5).law
         u = model.atoms @ A.T
         w = model.probs * np.exp(np.asarray(f.value(u)) - env.value(u))
         alpha = w.sum()

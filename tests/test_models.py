@@ -301,6 +301,17 @@ class TestSampleExact:
         with pytest.raises(ra.ConfigurationError, match="support ball"):
             ra.sample_exact(gone, 1000, 3)
 
+    def test_few_in_ball_draws_refused_before_any_draw(self):
+        # slope 20: mu = N p ~ 0.03 expected in-ball raw draws, so n of them
+        # are out of reach, n = 5 by the n-subset union bound mu^n / n!
+        gone = ra.tilt_exact(fig1_gmm(), [20.0])
+        for n in (1000, 5):
+            rng = np.random.default_rng(3)
+            state = rng.bit_generator.state
+            with pytest.raises(ra.ConfigurationError, match="would fail"):
+                ra.sample_exact(gone, n, rng)
+            assert rng.bit_generator.state == state
+
     def test_refused_before_any_draw(self):
         # the normal tail along the mean bounds the in-ball mass (in 1-D
         # the bound is one side of the exact interval mass; 1 inside)

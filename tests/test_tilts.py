@@ -273,6 +273,21 @@ class TestEstimateNormalizer:
                              np.random.default_rng(3)).points
         assert est.log_value == pytest.approx(np.mean(xs @ v), rel=1e-12)
 
+    def test_mc_builds_one_law_per_tilt(self, monkeypatch):
+        # exact draws come from one node mixture per tilt, built before its
+        # blocks: two tilts of more than one block each build two models
+        m = ra.DiscreteModel([[-0.5], [0.25], [1.0]], [0.2, 0.3, 0.5], 1.0)
+        built, original = [], tilts.tilt_exact
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tilts, "tilt_exact", counted)
+        est = ra.estimate_normalizer(m, np.array([[0.3], [-0.3]]), eta=0.009,
+                                     delta=0.1, seed=3, backend="mc")
+        assert est.n_draws > 4 * MC_BLOCK and len(built) == 2
+
     def test_mc_memory_flat_in_draws(self):
         # about 4.6e5 draws; one-shot draws would hold several MB
         m = two_point()
