@@ -25,9 +25,10 @@ import numpy as np
 
 from .errors import (BudgetError, EnvelopeViolationError, ValidationError,
                      finite)
-from .models import (DiscreteModel, Model, SampleBatch, _group_rows,
-                     _logsumexp, _rng_from, _seed_tag, check_count, norms,
-                     recommended_steps, sample_exact)
+from .models import (DiscreteModel, Model, SampleBatch, ScoreOracle,
+                     _group_rows, _logsumexp, _rng_from, _seed_tag,
+                     check_count, closed_form, norms, recommended_steps,
+                     sample_exact)
 # bound though unused here: bench/tracer.py wraps it in this module by name
 from .models import sample_via_diffusion  # noqa: F401
 from .rewards import (AffinePieces, LowDimFunction, check_domain, first_order,
@@ -216,7 +217,7 @@ class MixtureProposal:
     v_i = A' z_i, normalizer estimates and their method (NaN and "" for the
     one tilt of a one-piece envelope, which needs none), stability-safe
     weights pi_i ~ w_i Zhat_i computed in log space, and ``law``, the
-    mixture sum_i pi_i * tilt(base, v_i) as one model (None on "mc")."""
+    mixture sum_i pi_i * tilt(base, v_i) as one model (None on diffusion)."""
 
     tilt_vectors: np.ndarray  # (m, d)
     log_zhat: np.ndarray      # (m,)
@@ -231,18 +232,20 @@ class MixtureProposal:
 
 def build_proposal(base: Model, env: Envelope, A, eta: float, delta: float,
                    seed=None, backend: str = "exact") -> MixtureProposal:
-    """Estimate every tilt normalizer, in one call with per-row failure
-    budget delta/m, and normalize the weights in log space.  One piece
-    (m = 1) has pi = 1 whatever Zhat is: no estimate is made, and
-    ``log_zhat`` is NaN.  On the exact backend the mixture is built once,
-    as ``law = tilt_exact(base, V, log_pi)``, for every draw to share."""
+    """Estimate every tilt normalizer in one call (failure budget delta/m
+    per row), in closed form or by path sampling on a ScoreOracle, and
+    normalize the weights in log space.  One piece (m = 1) has pi = 1: no
+    estimate, NaN ``log_zhat``.  On exact a ScoreOracle is refused first,
+    and the mixture is built once, ``law = tilt_exact(base, V, log_pi)``."""
+    if backend == "exact":
+        closed_form(base)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     vs = env.slopes @ A  # (m, d): rows are A' z_i
     log_zhat, log_pi, method = np.full(1, np.nan), np.zeros(1), ""
     if env.m > 1:
-        est = estimate_normalizer(base, vs, eta=max(eta, 1e-12),
-                                  delta=delta / env.m, seed=seed,
-                                  backend=backend)
+        est = estimate_normalizer(
+            base, vs, eta=max(eta, 1e-12), delta=delta / env.m, seed=seed,
+            backend="mc" if isinstance(base, ScoreOracle) else "exact")
         logits = env.offsets + est.log_value
         log_zhat, method = est.log_value, est.method
         log_pi = logits - _logsumexp(logits)
@@ -292,12 +295,10 @@ class KLAlignResult:
                "backend": self.backend}
         if self.backend == "diffusion":
             rep["diffusion_steps"] = self.diffusion_steps
-            if self.proposal.m > 1:  # a one-piece envelope estimates none
-                rep["eta_used"] = self.eta_used
-                rep["normalizer"] = self.proposal.normalizer
-        rep["net_pieces"] = self.net_pieces
-        rep.update(asdict(self.params))
-        return rep
+        if self.proposal.normalizer.startswith("mc"):  # path sampling ran
+            rep["eta_used"] = self.eta_used
+            rep["normalizer"] = self.proposal.normalizer
+        return {**rep, "net_pieces": self.net_pieces, **asdict(self.params)}
 
 
 def _log_acceptance(f: LowDimFunction, envelope: Envelope,
@@ -375,7 +376,8 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
 
     Requires f flagged convex and L-Lipschitz on the projected ball of
     radius R = ||A||_op * C.  Every call takes one path: envelope, schedule
-    (``compute_params``), proposal, rejection, fallback.  The envelope is
+    (``compute_params``), proposal (its normalizers follow the base, not
+    ``backend``: ``build_proposal``), rejection, fallback.  The envelope is
     ``envelope`` exactly as given, else ``own_envelope(f, R)`` for an f
     with pieces, else (a black box) the net envelope of spacing
     h = 1/(2L) with one piece per distinct slope; at L = 0, h = inf and the
@@ -413,12 +415,10 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         envelope = own_envelope(f, R) if envelope is None else envelope
         net_pieces = envelope.m
     params = compute_params(f.lipschitz, op_norm, C, envelope.m, eps)
-    # the schedule's eta is far below any Monte Carlo budget; the oracle-only
-    # path floors it and records the substitution in the result
-    eta_used = params.eta if backend == "exact" else max(params.eta, 0.05)
+    # path sampling floors the schedule's far smaller eta (see report())
+    eta_used = max(params.eta, 0.05 if isinstance(base, ScoreOracle) else 0.0)
     proposal = build_proposal(base, envelope, A, eta=eta_used, delta=delta,
-                              seed=rng, backend=("exact" if backend == "exact"
-                                                 else "mc"))
+                              seed=rng, backend=backend)
 
     pts = np.empty((n, base.d))
     fell = np.ones(n, dtype=bool)

@@ -493,7 +493,13 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
     point, whatever mass leaks: ConfigurationError past 1e6 + 10 n redraws,
     or before any draw where its at most N = 1e6 + 11 n raw draws would land
     n inside with probability <= mu^n / n! <= 1e-9 (mu = N p for an in-ball
-    mass bound p, by the union bound over n-subsets)."""
+    mass bound p, by the union bound over n-subsets).  After the first n
+    rows, a round for the need rows still outside draws ceil(need / p) rows
+    (at most the redraws left plus need, and max(n, 2^20 / d^2)), keeps its
+    first need in-ball rows, and counts its outside rows up to the last one
+    kept as redraws.  With no mean outside the ball p is 1 up to rounding,
+    read as 1, so a round is exactly the rows to redraw, row j for outside
+    row j."""
     check_count(n)
     C = closed_form(model).support_radius
     rng = _rng_from(seed)
@@ -509,16 +515,29 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
             raise ConfigurationError(f"rejection against the support ball "
                                      f"would fail: in-ball mass <= {p:.1e}")
         pts = _sample_gmm_raw(model, n, rng)
-        bad = np.linalg.norm(pts, axis=1) > C
-        failures = 0
-        while np.any(bad):
-            failures += int(bad.sum())
-            if failures > 10**6 + 10 * n:
+        bad = np.flatnonzero(np.linalg.norm(pts, axis=1) > C)
+        failures, cap = bad.size, 10**6 + 10 * n
+        # a round past the first keeps its (rows, d, d) factor gather under
+        # about 8 MiB; p within 1e-9 of 1 (every mean inside) reads 1
+        block, p = max(n, -(-2**20 // model.d**2)), min(p * (1 + 1e-9), 1.0)
+        while bad.size:
+            if failures > cap:
                 raise ConfigurationError(
                     f"rejection against the support ball failed {failures} "
                     f"times for n = {n}; support radius too tight")
-            pts[bad] = _sample_gmm_raw(model, int(bad.sum()), rng)
-            bad[bad] = np.linalg.norm(pts[bad], axis=1) > C
+            need = bad.size
+            rows = min(math.ceil(need / p), cap - failures + need, block)
+            new = _sample_gmm_raw(model, rows, rng)
+            kept = np.flatnonzero(np.linalg.norm(new, axis=1) <= C)[:need]
+            used = kept[-1] + 1 if kept.size == need else rows
+            failures += int(used) - kept.size
+            # kept row j < need fills outside row j, as a round of need rows
+            # does; the later kept rows fill the ones left, in order
+            head = kept[kept < need]
+            pts[bad[head]] = new[head]
+            bad = np.delete(bad, head)
+            pts[bad[:kept.size - head.size]] = new[kept[head.size:]]
+            bad = bad[kept.size - head.size:]
 
     return SampleBatch(points=pts, seed=_seed_tag(seed),
                        producer=f"sample_exact/{type(model).__name__}",

@@ -31,6 +31,8 @@ PROX_TIE_TOL = 1e-9
 PGA_TOL = 1e-8
 PGA_ULPS = 16 * np.finfo(float).eps
 PGA_MAX_ITER = 200_000
+_NOT_PSD = ("B must be PSD (concave reward); use the low-rank backend for "
+           "non-concave rewards")
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +75,7 @@ def _prox_quadratic_kkt(reward: QuadraticReward, lam, y, C):
     _check_prox_args(lam, C, y, reward.d)
     evals, evecs = np.linalg.eigh(reward.B)
     if evals[0] < -1e-10:
-        raise ValidationError("B must be PSD (concave reward); use the "
-                              "low-rank backend for non-concave rewards")
+        raise ValidationError(_NOT_PSD)
     rhs = reward.b / 2.0 + lam * np.atleast_2d(y)   # (n, d)
     w = rhs @ evecs                          # coordinates in B's eigenbasis
     z = w / (evals + lam)
@@ -392,6 +393,8 @@ def prox_map(reward, lam: float, C: float, backend: str, eps: float = 0.1):
     finite("C", C, positive=True)
     finite("eps", eps, positive=True)
     if backend == "quad" and isinstance(reward, QuadraticReward):
+        if not reward.concave:
+            raise ValidationError(_NOT_PSD)
         return (lambda ys: prox_quadratic_batch(reward, lam, ys, C),
                 "w2_align/quad", None)
     if backend == "pga" and getattr(reward, "concave", False) is True:
@@ -419,14 +422,20 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
                       steps: int = None) -> W2AlignResult:
     """Draw Y_1..Y_n from the base and push each through ``prox_map``'s
     map for ``backend`` and the reward at C = base.support_radius, whose
-    checks all run before the base draw; returns the coupling, so the
-    transport is auditable.  The base draw is ``sample_linear_tilt`` with
-    no tilt on ``base_backend`` ("exact" or "diffusion"), with W2 target
-    eps, or the schedule's eps_P on lowrank.
+    checks all run before the base draw, as does the check that the reward
+    and the base share d; returns the coupling, so the transport is
+    auditable.  The base draw is ``sample_linear_tilt`` with no tilt on
+    ``base_backend`` ("exact" or "diffusion"), with W2 target eps, or the
+    schedule's eps_P on lowrank.  One refusal comes after the draw: a net
+    search's net, refused by ``build_net`` (its size, or a spacing of 0)
+    when ``alg2_prox`` builds it.
     """
     check_count(n)
     T, producer, params = prox_map(reward, lam, base.support_radius,
                                    backend, eps)
+    if reward.d != base.d:
+        raise ValidationError(f"the reward has d = {reward.d}, the base "
+                              f"d = {base.d}")
     ys = sample_linear_tilt(base, None, params.eps_P if params else eps,
                             _rng_from(seed), base_backend, n=n,
                             steps=steps).points

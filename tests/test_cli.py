@@ -268,9 +268,9 @@ def test_align_w2_lowrank_manifest(tmp_path):
     ({"type": "logsumexp", "w": [1.0], "z": [[1.0]], "A": [[]]},
      2, "A must be k x d"),
     ({"type": "lowrank_maxaffine", "A": [[0.0, 0.0]],
-      "pieces": [[[1.0], 0.0]]}, 2, "y must have last axis 2"),
+      "pieces": [[[1.0], 0.0]]}, 2, "the reward has d = 2, the base d = 1"),
     ({"type": "logsumexp", "w": [1.0], "z": [[1.0]], "A": [[1.0, 0.0, 0.0]]},
-     2, "y must have last axis 3"),
+     2, "the reward has d = 3, the base d = 1"),
     ({"type": "lowrank_maxaffine", "A": [[0.0]], "pieces": [[[1.0], 0.0]]},
      0, ""),
     ({"type": "logsumexp", "w": [1.0, 0.5], "z": [[1.0], [-1.0]],

@@ -324,7 +324,7 @@ class TestBuildProposal:
 
     def test_law_is_the_tilt_model(self):
         # the exact backend builds the mixture once, as tilt_exact builds
-        # it; Monte Carlo normalizers build none
+        # it; the diffusion backend builds none
         rng = np.random.default_rng(5)
         gmm = ra.GaussianMixtureModel([0.4, 0.6], [[-0.6], [0.7]],
                                       [[[0.04]], [[0.09]]], 3.0)
@@ -341,9 +341,9 @@ class TestBuildProposal:
                 for field in ("weights", "means", "covs"):
                     assert np.array_equal(getattr(prop.law, field),
                                           getattr(model, field))
-            mc = ra.build_proposal(base, env, np.eye(1), eta=0.2, delta=0.2,
-                                   seed=0, backend="mc")
-            assert mc.law is None
+            diff = ra.build_proposal(base, env, np.eye(1), eta=0.2,
+                                     delta=0.2, seed=0, backend="diffusion")
+            assert diff.law is None
 
     def test_gmm_proposal_is_weighted_sum_of_tilts(self):
         rng = np.random.default_rng(9)
@@ -936,7 +936,62 @@ class TestSampleKLAligned:
         assert res.envelope.m == len(np.unique(res.proposal.tilt_vectors)) == 2
         p_left = np.mean(res.batch.points[:, 0] < -0.25)
         assert abs(p_left - 1.0 / (1.0 + np.exp(-0.5))) < 0.08
-        assert res.report()["normalizer"] == "mc, exact draws"
+        # a closed-form base takes its normalizers in closed form whichever
+        # backend draws, so the report names no path-sampling estimate
+        assert res.proposal.normalizer == "exact"
+        assert "normalizer" not in res.report()
+        assert "eta_used" not in res.report()
+
+    def test_closed_form_base_takes_exact_normalizers_on_both_backends(
+            self, monkeypatch):
+        # the base picks the normalizer route, not the draw backend: on
+        # atoms and on a mixture both backends build one proposal, bit for bit
+        estimate = ra.kl_align.estimate_normalizer
+
+        def exact_only(*args, backend, **kwargs):
+            assert backend == "exact", f"{backend} normalizer on a closed form"
+            return estimate(*args, backend=backend, **kwargs)
+
+        monkeypatch.setattr(ra.kl_align, "estimate_normalizer", exact_only)
+        atoms = ra.DiscreteModel([[-1.0], [0.2], [0.8]], [0.3, 0.3, 0.4], 1.0)
+        gmm = ra.GaussianMixtureModel([0.4, 0.6], [[-0.6], [0.7]],
+                                      [[[0.04]], [[0.09]]], 3.0)
+        for base in (atoms, gmm):
+            f = abs_function(base.support_radius)
+            runs = [ra.sample_kl_aligned(base, np.eye(1), f, eps=0.5,
+                                         delta=0.1, seed=3, n=20,
+                                         backend=backend)
+                    for backend in ("exact", "diffusion")]
+            assert runs[0].proposal.m == runs[1].proposal.m == 2
+            for field in ("log_zhat", "log_pi"):
+                assert np.array_equal(getattr(runs[0].proposal, field),
+                                      getattr(runs[1].proposal, field))
+            assert runs[1].proposal.normalizer == "exact"
+            assert runs[1].eta_used == runs[0].eta_used == runs[0].params.eta
+
+    def test_steep_two_piece_diffusion_run_on_atoms(self):
+        # slopes +-40 on C = 1: path sampling would ask 3.97e7 draws (cap
+        # 1e7), the closed form none
+        base = ra.DiscreteModel([[-1.0], [0.2], [0.8]], [1 / 3] * 3, 1.0)
+        f = ra.make_max_affine([([40.0], 0.0), ([-40.0], 0.0)])
+        f.radius = 1.0
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.5, delta=0.1,
+                                   seed=0, n=200, backend="diffusion")
+        pts = res.batch.points
+        assert pts.shape == (200, 1) and np.isfinite(pts).all()
+        assert np.all(np.abs(pts) <= 1.0)
+
+    def test_score_oracle_on_exact_backend_refused_before_any_work(self):
+        # two pieces on a bare ScoreOracle: no closed form, so the exact
+        # backend refuses it before a path-sampling estimate draws
+        base = ra.score_oracle(ra.DiscreteModel([[-1.0], [0.5]], [0.5, 0.5],
+                                                1.0))
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ra.CapabilityError):
+            ra.sample_kl_aligned(base, np.eye(1), abs_function(), eps=0.5,
+                                 delta=0.1, seed=rng, n=20, backend="exact")
+        assert rng.bit_generator.state == state
 
     def test_determinism(self):
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)

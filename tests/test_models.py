@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -300,6 +301,52 @@ class TestSampleExact:
         gone = ra.tilt_exact(fig1_gmm(), [20.0])
         with pytest.raises(ra.ConfigurationError, match="support ball"):
             ra.sample_exact(gone, 1000, 3)
+
+    def test_leaky_small_n_draws_in_rounds_of_need_over_p(self):
+        # slope 18 leaves about 3e-5 of its mass in the ball, slope 20 about
+        # 3e-8, both past n = 4 of the pre-draw refusal: rounds of need / p
+        # rows serve the first and reach the redraw cap on the second (at
+        # seed 0; about 3% of seeds land a row in the ball) in a few draws,
+        # where one-row rounds took seconds
+        for slope, n, served in ((18.0, 5, True), (20.0, 1, False)):
+            law = ra.tilt_exact(fig1_gmm(), [slope])
+            start = time.perf_counter()
+            if served:
+                pts = ra.sample_exact(law, n, 0).points
+                assert pts.shape == (n, 1) and np.abs(pts).max() <= 8.0
+            else:
+                with pytest.raises(ra.ConfigurationError, match="failed"):
+                    ra.sample_exact(law, n, 0)
+            assert time.perf_counter() - start < 1.0
+
+    def test_round_is_the_rows_to_redraw_with_every_mean_inside(
+            self, monkeypatch):
+        # ten weights of 0.1 put the in-ball bound at 1 - 1.1e-16: each
+        # redraw round is exactly the rows the last one left outside, and
+        # the draw keeps the bytes of rounds that redraw row j in place
+        raw, rounds = ra.models._sample_gmm_raw, []
+
+        def counted(model, n, rng):
+            out = raw(model, n, rng)
+            rounds.append((n, int(np.sum(norms(out) > 1.0))))
+            return out
+
+        monkeypatch.setattr(ra.models, "_sample_gmm_raw", counted)
+        means = np.linspace(-0.9, 0.9, 10)[:, None]
+        m = ra.GaussianMixtureModel([0.1] * 10, means, [[[0.09]]] * 10, 1.0,
+                                    check_support=False)
+        assert m._in_ball_bound < 1.0
+        pts = ra.sample_exact(m, 50000, 0).points
+        assert len(rounds) > 3 and rounds[-1][1] == 0
+        for (_, out), (rows, _) in zip(rounds, rounds[1:]):
+            assert rows == out
+        rng = np.random.default_rng(0)
+        want = raw(m, 50000, rng)
+        bad = norms(want) > 1.0
+        while bad.any():
+            want[bad] = raw(m, int(bad.sum()), rng)
+            bad[bad] = norms(want[bad]) > 1.0
+        assert np.array_equal(pts, want)
 
     def test_few_in_ball_draws_refused_before_any_draw(self):
         # slope 20: mu = N p ~ 0.03 expected in-ball raw draws, so n of them

@@ -714,7 +714,13 @@ class TestPushforward:
         ("lowrank", fig1_reward(), 10),
         ("pga", ra.QuadraticReward([[-0.5]], [0.0]), 10),
         ("quad", fig1_reward(), 2.5), ("quad", fig1_reward(), True),
-        ("quad", fig1_reward(), 0)])
+        ("quad", fig1_reward(), 0),
+        # a non-concave quadratic, and rewards on d = 2 over a 1-D base
+        ("quad", ra.QuadraticReward([[-0.5]], [0.0]), 10),
+        ("quad", ra.QuadraticReward(np.eye(2), np.zeros(2)), 10),
+        ("pga", ra.LinearReward([0.4, -0.3]), 10),
+        ("lowrank", ra.LowRankReward([[0.6, 0.8]], ra.make_max_affine(
+            [([1.0], 0.0), ([-1.0], 0.0)])), 10)])
     def test_bad_arguments_rejected_before_base_draw(self, monkeypatch,
                                                      backend, reward, n):
         def no_draw(*args, **kwargs):
