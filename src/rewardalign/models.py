@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import cycle, repeat
+from operator import itemgetter
 from typing import Callable, Union
 
 import numpy as np
@@ -37,6 +40,10 @@ SIGMA_MIN = 1e-3
 # nothing; a W2 target far below what any discretization reaches (a KL
 # diffusion draw's eps/8, a low-rank prox's eps_P) still gets a bounded run.
 DIFFUSION_STEP_CAP = 1000
+
+# Entries per block of a reverse pass's noise table, and per (tilts x atoms)
+# temporary of ``tilts`` (512 KiB).
+TILT_BLOCK = 65536
 
 
 def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
@@ -83,7 +90,8 @@ def _noise(sigma) -> tuple:
     sigma = float(sigma)
     if not 0.0 < sigma < 1.0:
         raise ValidationError(f"sigma must be in (0,1), got {sigma}")
-    return math.sqrt(1.0 - sigma**2), sigma**2
+    s2 = sigma * sigma  # as ``_noise_rows`` forms it, bit for bit
+    return math.sqrt(1.0 - s2), s2
 
 
 @dataclass(frozen=True)
@@ -214,37 +222,69 @@ class GaussianMixtureModel:
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Untruncated log-density at x (d,) or (n, d), as an (n,) array."""
-        return _logsumexp(self._components(_batch(self, x), 1.0, 0.0)[0])
+        xb = _batch(self, x)
+        factors = [f[0] for f in self._noise_factors(np.ones(1), np.zeros(1))]
+        return _logsumexp(self._components(xb.T, factors,
+                                           self._workspace(len(xb)))[0])
 
     @cached_property
     def _whitening(self) -> tuple:
-        """The sigma-free factors of ``_components``, formed on first use:
-        the eigen-rows V_j' stacked as (J e, d), the projected means
-        V_j' mu_j as (J e,), the eigenvalues as (J e,), -[V_0 | ... |
-        V_{J-1}] as (d, J e), and log w_j - (d/2) log 2 pi as (J,)."""
+        """The sigma-free factors of ``_noise_factors``, formed on first
+        use: the eigen-rows V_j' stacked as (J e, d), the projected means
+        V_j' mu_j as (J e,), the eigenvalues as (J e,), log w_j - (d/2) log
+        2 pi as (J,), and -1/2 as (1, J), which sums the softmax times -1/2
+        by one GEMM."""
         vt = np.swapaxes(self._eigvecs, 1, 2)
-        flat = np.ascontiguousarray(vt.reshape(-1, self.d))
-        return (flat, (vt @ self.means[:, :, None]).ravel(),
-                self._eigvals.ravel(), -np.ascontiguousarray(flat.T),
-                self._log_weights - 0.5 * self.d * np.log(2.0 * np.pi))
+        return (np.ascontiguousarray(vt.reshape(-1, self.d)),
+                (vt @ self.means[:, :, None]).ravel(), self._eigvals.ravel(),
+                self._log_weights - 0.5 * self.d * np.log(2.0 * np.pi),
+                np.full((1, self.n_components), -0.5))
 
-    def _components(self, xb: np.ndarray, a: float, s2: float):
-        """Terms of the mixture with means a mu_j and covariances S_j =
-        a^2 Sigma_j + s2 I = V_j diag(ev_j) V_j' at xb (n, d), with e
-        eigen-coordinates per component and r = ev^(-1/2) as (J e,):
-        log(w_j N(x; a mu_j, S_j)) as (J, n); the whitened coordinates
-        y_j = diag(r_j) V_j'(x - a mu_j), stacked as (J e, n) from one
-        GEMM; and K = -[V_0 diag(r_0) | ... ] as (d, J e), which maps y_j
-        to -S_j^(-1)(x - a mu_j) = -V_j diag(r_j) y_j."""
-        vt, vt_mu, lam, neg_v, const = self._whitening
-        r = (lam * (a * a) + s2) ** -0.5
-        y = np.dot(r[:, None] * vt, xb.T)
-        y -= (r * (a * vt_mu))[:, None]
-        J, n = len(const), len(xb)
-        logw = np.square(y).reshape(J, -1, n).sum(axis=1)
-        logw *= -0.5
-        logw += (const + np.log(r).reshape(J, -1).sum(axis=1))[:, None]
-        return logw, y, neg_v * r
+    @property
+    def _factor_width(self) -> int:
+        """Entries of ``_noise_factors`` per noise level."""
+        J, d = self.means.shape
+        return J * d * (d + 1) + J
+
+    def _noise_factors(self, a: np.ndarray, s2: np.ndarray) -> tuple:
+        """The sigma-only factors of ``_components`` at k noise levels (a,
+        s2 as (k,)), for means a mu_j and covariances S_j = a^2 Sigma_j +
+        s2 I = V_j diag(ev_j) V_j', with r = ev^(-1/2) over the e = d
+        eigen-coordinates of each component and h = r / sqrt(2): H = [diag(
+        h_0) V_0' ; ... ] as (k, J e, d), a h V'mu as (k, J e, 1), and log
+        w_j - (d/2) log 2 pi + sum_e log r as (k, J, 1)."""
+        vt, vt_mu, lam, const, _ = self._whitening
+        r = (lam * (a * a)[:, None] + s2[:, None]) ** -0.5
+        h = r * math.sqrt(0.5)
+        log_r = np.log(r).reshape(len(a), len(const), -1).sum(axis=2)
+        return (h[:, :, None] * vt, (h * (a[:, None] * vt_mu))[:, :, None],
+                (const + log_r)[:, :, None])
+
+    def _workspace(self, n: int) -> tuple:
+        """The arrays a score at n queries works in, which a pass keeps
+        across its steps: y (J e, n), its squares (J e, n) where e > 1, the
+        log-weights (J, n), and the softmax's shift and sum (1, n)."""
+        J, d = self.means.shape
+        return (np.empty((J * d, n)), np.empty((J * d, n)) if d > 1 else None,
+                np.empty((J, n)), np.empty((1, n)), np.empty((1, n)))
+
+    def _components(self, xt: np.ndarray, factors, work) -> tuple:
+        """Terms of the mixture at the columns of xt (d, n), from one noise
+        level's ``_noise_factors``, in ``_workspace(n)``: log(w_j N(x; a
+        mu_j, S_j)) as (J, n); the whitened coordinates y_j = diag(r_j)
+        V_j'(x - a mu_j) / sqrt(2) as (J e, n) from one GEMM, ||y_j||^2
+        being the quadratic term; and H, as -S_j^(-1)(x - a mu_j) = -2 H_j'
+        y_j with H_j component j's rows of H."""
+        hvt, hmu, const = factors
+        y, sq, logw = work[:3]
+        np.dot(hvt, xt, out=y)
+        y -= hmu
+        if sq is None:  # one eigen-coordinate per component
+            np.square(y, out=logw)
+        else:
+            np.square(y, out=sq)
+            sq.reshape(len(logw), -1, xt.shape[1]).sum(axis=1, out=logw)
+        return np.subtract(const, logw, out=logw), y, hvt
 
     def to_dict(self) -> dict:
         return {"type": "gmm", "weights": self.weights.tolist(),
@@ -273,28 +313,57 @@ class DiscreteModel:
 
     @cached_property
     def _centred(self) -> tuple:
-        """The atoms' mean c (d,), the centred atoms x_j - c (J, d), and
-        log p_j - (d/2) log 2 pi and ||x_j - c||^2 as (J,), formed on first
-        use; a square past the float max is inf, without a warning."""
+        """The sigma-free factors of ``_noise_factors``, formed on first
+        use: the atoms' mean c (d,), the centred atoms b_j = x_j - c as (J,
+        d), [b'; 1'] as (d + 1, J), and log p_j - (d/2) log 2 pi and
+        ||b_j||^2 as (J,); a square past the float max is inf, without a
+        warning."""
         with np.errstate(over="ignore"):
             c = (self.atoms / self.n_atoms).sum(axis=0)
             b = self.atoms - c
-            return (c, b, self._log_probs - 0.5 * self.d * np.log(2.0 * np.pi),
+            return (c, b, np.vstack([b.T, np.ones(self.n_atoms)]),
+                    self._log_probs - 0.5 * self.d * np.log(2.0 * np.pi),
                     np.square(b).sum(axis=1))
 
-    def _components(self, xb: np.ndarray, a: float, s2: float):
-        """Terms of the atoms at xb (n, d), expanded around their mean c:
-        with u = x - a c and b_j = x_j - c, ||x - a x_j||^2 = ||u||^2 -
-        2 a b_j.u + a^2 ||b_j||^2.  Returns log(p_j N(x; a x_j, s2 I)) +
-        ||u||^2 / (2 s2) as (J, n), the ||u||^2 term being the same for
-        every j; u as (d, n); and the slopes g_j = (a / s2) b_j as (J, d)."""
-        c, b, const, b2 = self._centred
-        u = np.subtract(xb.T, (a * c)[:, None], order="C")
-        g = b * (a / s2)
-        logw = np.dot(g, u)
-        logw += (const - 0.5 * self.d * math.log(s2)
-                 - (0.5 * a * a / s2) * b2)[:, None]
-        return logw, u, g
+    @property
+    def _factor_width(self) -> int:
+        """Entries of ``_noise_factors`` per noise level."""
+        return self.n_atoms + self.d + 1
+
+    def _noise_factors(self, a: np.ndarray, s2: np.ndarray) -> tuple:
+        """The sigma-only factors of ``_components`` at k noise levels (a,
+        s2 as (k,)), from the atoms expanded around their mean c: with u =
+        x - a c, ||x - a x_j||^2 = ||u||^2 - 2 a b_j.u + a^2 ||b_j||^2.
+        a c as (k, d, 1), the slopes' scale a / s2 as (k,), and log p_j -
+        (a^2 / (2 s2)) ||b_j||^2 - (d/2) log(2 pi s2) as (k, J, 1), formed
+        in place."""
+        c, _, _, const, b2 = self._centred
+        cst = np.multiply.outer(-0.5 * a * a / s2, b2)
+        cst += const
+        cst -= (0.5 * self.d * np.log(s2))[:, None]
+        return (a[:, None] * c)[:, :, None], a / s2, cst[:, :, None]
+
+    def _workspace(self, n: int) -> tuple:
+        """The arrays a score at n queries works in, which a pass keeps
+        across its steps: u (d, n), the log-weights (J, n), the softmax's
+        shift (1, n), and [b'; 1'] times the softmax (d + 1, n)."""
+        return (np.empty((self.d, n)), np.empty((self.n_atoms, n)),
+                np.empty((1, n)), np.empty((self.d + 1, n)))
+
+    def _components(self, xt: np.ndarray, factors, work) -> tuple:
+        """Terms of the atoms at the columns of xt (d, n), from one noise
+        level's ``_noise_factors``, in ``_workspace(n)``: log(p_j N(x; a
+        x_j, s2 I)) + ||u||^2 / (2 s2) as (J, n), the ||u||^2 term being
+        the same for every j; the scaled (a / s2) u as (d, n), so that the
+        slopes g_j = (a / s2) b_j apply as b_j; and [b'; 1']."""
+        ac, scale, const = factors
+        _, b, baug, _, _ = self._centred
+        us, logw = work[:2]
+        np.subtract(xt, ac, out=us)
+        us *= scale
+        np.dot(b, us, out=logw)
+        logw += const
+        return logw, us, baug
 
     def to_dict(self) -> dict:
         return {"type": "discrete", "atoms": self.atoms.tolist(),
@@ -393,43 +462,106 @@ def _group_rows(rows: np.ndarray) -> tuple:
     return perm[new], group
 
 
+class _NoiseRow(tuple):
+    """One noise level of a noise table: sigma, a = sqrt(1 - sigma^2), s2 =
+    sigma^2, ``out``, the (d, n) array ``score`` writes the transposed
+    score into (None: a new one), ``work``, the model's ``_workspace(n)``,
+    and the model's ``_noise_factors``."""
+
+    __slots__ = ()
+    sigma, a, s2, out, work, factors = (property(itemgetter(i))
+                                        for i in range(6))
+
+
+def _noise_rows(model: Model, sig: np.ndarray, n: int, outs=(None,)):
+    """A ``_NoiseRow`` per noise level of sig (each in (0, 1)) for n
+    queries, their ``out`` taken from outs in turn and one workspace for
+    all: the noise table of a reverse pass, formed in blocks of as many
+    levels as hold at most TILT_BLOCK factor entries, or of one level
+    where its own factors are more.  A level's row has the same bytes in
+    every block."""
+    step = max(1, TILT_BLOCK // model._factor_width)
+    outs, work = cycle(outs), repeat(model._workspace(n))
+    for start in range(0, len(sig), step):
+        block = sig[start:start + step]
+        s2 = block * block
+        a = np.sqrt(1.0 - s2)
+        factors = model._noise_factors(a, s2)
+        yield from map(_NoiseRow, zip(block.tolist(), a.tolist(), s2.tolist(),
+                                      outs, work, zip(*factors)))
+        del factors  # before the next block is formed
+
+
+def _noise_row(model: Model, sigma, n: int) -> _NoiseRow:
+    """The one-row noise table of a float sigma in (0, 1), for n queries."""
+    _noise(sigma)
+    return next(_noise_rows(model, np.array([float(sigma)]), n))
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite: a finite sum says so at once,
+    and only one that is not (a NaN, an inf, or an overflow) takes the
+    entrywise test.  Not a BLAS dot, which may start threads at large n."""
+    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
+
+
 def score(model: Model, sigma, x: np.ndarray) -> np.ndarray:
     """Exact score ``grad log p_sigma(x)`` of the noised model at x (d,) or
     (n, d), mirroring its shape: a softmax over the (J, n) log-weights,
-    max-shifted over axis 0; NumericalError if it degenerates (non-finite)."""
-    a, s2 = _noise(sigma)
-    xb = _batch(model, x)
-    # the score is linear in y, through k: for atoms u = x - a c (d, n)
-    # and the slopes g (J, d); for a mixture the whitened y (J e, n) and K
-    logw, y, k = model._components(xb, a, s2)
-    shift = logw.max(axis=0)
-    if not np.isfinite(shift).all():
+    max-shifted over axis 0; NumericalError if it degenerates (non-finite).
+
+    ``sigma`` may also be a row of a noise table of this model, made by
+    ``sample_via_diffusion`` for x (n, d): the score is then written into
+    the row's ``out`` and returned as its (n, d) transpose, and the pass
+    checks it.  A float sigma builds its one-row table, so both give the
+    same bytes."""
+    row = sigma if isinstance(sigma, _NoiseRow) else None
+    if row is None:
+        xb = _batch(model, x)
+        row = _noise_row(model, sigma, len(xb))
+    else:
+        xb = x
+    # the score is linear in y, through k: for atoms the scaled u (d, n)
+    # and [b'; 1'] (d + 1, J), whose last row sums the softmax for its
+    # norm; for a mixture the whitened y (J e, n) and H (J e, d)
+    logw, y, k = model._components(xb.T, row.factors, row.work)
+    shift, tail = row.work[-2:]
+    logw.max(axis=0, keepdims=True, out=shift)
+    if row is not sigma and not _all_finite(shift):
         raise NumericalError("score query numerically unreachable")
-    resp = logw  # the softmax, in place
+    resp = logw  # the softmax, in place, normalized on the score
     resp -= shift
     np.exp(resp, out=resp)
-    resp /= resp.sum(axis=0)
     if isinstance(model, DiscreteModel):  # sum_j resp_j (a b_j - u) / s2
-        y /= -s2
-        out = np.dot(k.T, resp)
-        out += y
-    else:  # sum_j resp_j * -S_j^{-1}(x - a mu_j) = K (resp * y)
-        yv = y.reshape(len(resp), -1, len(xb))
-        yv *= resp[:, None]
-        out = np.dot(k, y)
-    out = out.T
-    if not np.isfinite(out).all():
+        np.dot(k, resp, out=tail)
+        out = np.divide(tail[:-1], tail[-1:], out=row.out)
+        out *= row.factors[1]  # a / s2; the scaled u over a is u / s2
+        y /= row.a
+        out -= y
+    else:  # sum_j resp_j * -S_j^{-1}(x - a mu_j) = -2 H' (resp * y)
+        if len(y) > len(resp):
+            yv = y.reshape(len(resp), -1, y.shape[1])
+            yv *= resp[:, None]
+        else:
+            y *= resp
+        out = np.dot(k.T, y, out=row.out)
+        out /= np.dot(model._whitening[-1], resp, out=tail)
+    if row is sigma:
+        return out.T
+    if not _all_finite(out):
         raise NumericalError("non-finite score value")
+    out = out.T
     return out[0] if np.ndim(x) == 1 else out
 
 
 def noised_log_density(model: Model, sigma, x: np.ndarray) -> np.ndarray:
     """Log-density of the noised model at x (d,) or (n, d), as (n,)."""
-    a, s2 = _noise(sigma)
-    logw, u, _ = model._components(_batch(model, x), a, s2)
+    xb = _batch(model, x)
+    row = _noise_row(model, sigma, len(xb))
+    logw, us, _ = model._components(xb.T, row.factors, row.work)
     out = _logsumexp(logw)
     if isinstance(model, DiscreteModel):  # the term _components leaves out
-        out -= np.square(u).sum(axis=0) / (2.0 * s2)
+        out -= np.square(us / row.a).sum(axis=0) * (row.s2 / 2.0)
     return out
 
 
@@ -450,9 +582,12 @@ class ScoreOracle:
 
 
 def score_oracle(model: Model) -> ScoreOracle:
-    """Closed-form score oracle of a model (Gaussian mixture or atoms)."""
+    """Closed-form score oracle of a model (Gaussian mixture or atoms).
+    Its fn names the model as ``table_model``, so ``sample_via_diffusion``
+    hands it rows of that model's noise table in place of sigma."""
     def fn(sigma, xb):
         return score(model, sigma, xb)
+    fn.table_model = model
     return ScoreOracle(fn=fn, d=model.d, C=model.support_radius,
                        tag=f"exact_{type(model).__name__}")
 
@@ -586,9 +721,22 @@ def sample_via_diffusion(oracle: ScoreOracle, n: int = 1, steps: int = None,
 
     With u = x + sigma^2 s = a x0 for the score s, the update is linear in
     the rows [x, u_{t-1}, s], so each step is one (2, 3) matrix, formed up
-    front, applied to them in one GEMM that writes [x', u_t].  The loop
-    copies each score into its own buffer and never writes into an array
-    it did not allocate.
+    front, applied to them in one GEMM that writes [x', u_t].  Each row is
+    held d-major, as (d, n); the oracle sees x as its (n, d) transpose.
+
+    On a closed-form oracle (``score_oracle``, or ``sample_linear_tilt``'s
+    tilt of one) the pass first builds the model's noise table over its
+    levels: every factor of the score that depends on sigma alone, formed
+    in blocks of at most TILT_BLOCK entries (one level per block where a
+    level's factors are more).  Each step then hands the oracle its
+    level's row, ``score`` runs on it in arrays the pass keeps across its
+    steps and writes into the pass's score buffer, and the step checks
+    that buffer once.  A level's row has the
+    same bytes as the one-row table of ``score(model, sigma, x)`` at a
+    float sigma, so a bare ScoreOracle wrapping ``score`` draws the same
+    bytes.  Any other oracle is called with a float sigma; its answer is
+    checked for shape and finite values and copied into the buffer, and
+    the loop never writes into an array it did not allocate.
     """
     check_count(n)
     if not (isinstance(steps, (int, np.integer)) and steps >= 2):
@@ -610,21 +758,39 @@ def sample_via_diffusion(oracle: ScoreOracle, n: int = 1, steps: int = None,
     W[:-1, 0, 2] = g * s2[:-1]
     W[-1, 0] = W[-1, 1] / alpha[-1]  # the last x is the x0 prediction
     d = oracle.d
-    cur, nxt = np.zeros((3, n * d)), np.empty((3, n * d))
-    cur[0] = rng.standard_normal((n, d)).ravel()
-    for t, s in enumerate(sig.tolist()):
-        x = cur[0].reshape(n, d)
-        sc = np.asarray(oracle(s, x), dtype=float)
-        if sc.shape != x.shape:
-            raise ValidationError(f"score oracle returned shape {sc.shape} "
-                                  f"for a query of shape {x.shape}")
-        if not np.isfinite(sc).all():
-            raise NumericalError(f"score oracle returned non-finite values "
-                                 f"at sigma={s:.3g}")
-        np.copyto(cur[2].reshape(n, d), sc)
-        np.dot(W[t], cur, out=nxt[:2])
-        cur, nxt = nxt, cur
-    x = project_ball(cur[0].reshape(n, d), oracle.C)
+    # the rows [x, u_{t-1}, s], each (d, n), of the two states: a step
+    # reads x and writes s in one, then [x', u_t] in the other
+    cur, nxt = np.zeros((3, d, n)), np.empty((3, d, n))
+    cur[0] = rng.standard_normal((n, d)).T
+    views = [(p[0].T, p[2], p.reshape(3, -1), q[:2].reshape(2, -1))
+             for p, q in ((cur, nxt), (nxt, cur))]
+    model = getattr(oracle.fn, "table_model", None)
+    levels = (sig.tolist() if model is None
+              else _noise_rows(model, sig, n, [v[1] for v in views]))
+    # a closed-form step leaves its score's checks to this loop: a softmax
+    # shift that is not finite makes NaN there, without a warning
+    with (nullcontext() if model is None
+          else np.errstate(over="ignore", invalid="ignore")):
+        t = 0
+        for level in levels:
+            x, out, state, nxt_state = views[t & 1]
+            if model is None:
+                sc = np.asarray(oracle(level, x), dtype=float)
+                if sc.shape != x.shape:
+                    raise ValidationError(f"score oracle returned shape "
+                                          f"{sc.shape} for a query of shape "
+                                          f"{x.shape}")
+                np.copyto(out, sc.T)
+            else:
+                oracle(level, x)
+            if not _all_finite(out):
+                s = level if model is None else level.sigma
+                raise NumericalError(f"score oracle returned non-finite "
+                                     f"values at sigma={s:.3g}")
+            np.dot(W[t], state, out=nxt_state)
+            t += 1
+            del level  # so the table forms its next block without this row
+    x = project_ball(np.ascontiguousarray(views[steps & 1][0]), oracle.C)
     return SampleBatch(points=x, seed=_seed_tag(seed),
                        producer=f"diffusion/{oracle.tag}/steps={steps}",
                        d=oracle.d)

@@ -9,6 +9,7 @@ estimated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -250,9 +251,15 @@ class QuadraticReward:
             raise ValidationError("B and b dimensions disagree")
         self.d = self.b.shape[0]
 
+    @cached_property
+    def _eigh(self) -> tuple:
+        """``np.linalg.eigh(B)``, taken once: the concavity check and the
+        exact prox both read it."""
+        return np.linalg.eigh(self.B)
+
     @property
     def concave(self) -> bool:
-        return bool(np.linalg.eigvalsh(self.B)[0] >= -1e-10)
+        return bool(self._eigh[0][0] >= -1e-10)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)

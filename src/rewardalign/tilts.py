@@ -13,18 +13,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BudgetError, NumericalError, ValidationError, finite
-from .models import (DiscreteModel, GaussianMixtureModel, Model,
-                     SampleBatch, ScoreOracle, _logsumexp, _noise,
+from .models import (TILT_BLOCK, DiscreteModel, GaussianMixtureModel, Model,
+                     SampleBatch, ScoreOracle, _logsumexp, _noise, _NoiseRow,
                      _rng_from, _seed_tag, check_count, closed_form, norms,
                      recommended_steps, sample_exact, sample_via_diffusion,
                      score_oracle)
 
 MC_SAMPLE_CAP = 10_000_000
 
-# Draws per block of a Monte Carlo normalizer, and entries per
-# (tilts x atoms) temporary (512 KiB).
+# Draws per block of a Monte Carlo normalizer.
 MC_BLOCK = 8192
-TILT_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -128,11 +126,18 @@ def tilted_score(base: ScoreOracle, v, sigma, x: np.ndarray) -> np.ndarray:
     with a = sqrt(1 - sigma^2), which holds because linear tilts commute
     with Gaussian noising up to a shift (verified against closed forms in
     the test suite).  ``v`` is one tilt (d,) or one tilt per row of ``x``
-    (n, d); the identity holds row by row.
+    (n, d); the identity holds row by row.  ``sigma`` may also be a row of
+    a noise table of the base's model, as ``score`` takes it: the base
+    score is then written into the pass's buffer, and the tilt's v/a added
+    there.
     """
-    a, s2 = _noise(sigma)
+    row = sigma if isinstance(sigma, _NoiseRow) else None
+    a, s2 = _noise(sigma) if row is None else (row.a, row.s2)
     v = np.asarray(v, dtype=float)
     shifted = np.asarray(x, dtype=float) + (s2 / a) * v
+    if row is not None:
+        sc = base(row, shifted)
+        return np.add(v / a, sc, out=sc)
     return v / a + np.asarray(base(float(sigma), shifted), dtype=float)
 
 
@@ -169,8 +174,12 @@ def sample_linear_tilt(base, V, eps: float, seed, backend: str = "exact",
     if np.ndim(V) == 2:  # one tilt per row of the batch
         pi = np.exp(log_pi)
         rows = rows[rng.choice(len(rows), size=n, p=pi / pi.sum())]
-    tilted = ScoreOracle(fn=lambda s, xb: tilted_score(oracle, rows, s, xb),
-                         d=oracle.d, C=oracle.C, tag=f"tilt({oracle.tag})")
+
+    def fn(s, xb):  # takes the base's noise-table rows, if it has them
+        return tilted_score(oracle, rows, s, xb)
+    fn.table_model = getattr(oracle.fn, "table_model", None)
+    tilted = ScoreOracle(fn=fn, d=oracle.d, C=oracle.C,
+                         tag=f"tilt({oracle.tag})")
     batch = sample_via_diffusion(tilted, n=n, steps=steps, seed=rng)
     return replace(batch, seed=_seed_tag(seed))
 

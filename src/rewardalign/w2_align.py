@@ -70,10 +70,13 @@ prox_quadratic_batch = prox_quadratic
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _prox_quadratic_kkt(reward: QuadraticReward, lam, y, C):
     """x and its KKT multiplier nu (shaped like y without its last axis):
-    one eigh of B, and one bisection in its eigenbasis for all rows."""
+    the reward's one eigh of B, and one bisection in its eigenbasis for
+    the rows outside the ball, if any.  The bisection stops after 100
+    halvings or at the first that moves no bracket end, since each later
+    one would repeat it."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     _check_prox_args(lam, C, y, reward.d)
-    evals, evecs = np.linalg.eigh(reward.B)
+    evals, evecs = reward._eigh
     if evals[0] < -1e-10:
         raise ValidationError(_NOT_PSD)
     rhs = reward.b / 2.0 + lam * np.atleast_2d(y)   # (n, d)
@@ -84,11 +87,14 @@ def _prox_quadratic_kkt(reward: QuadraticReward, lam, y, C):
     wo = w[over]
     lo = np.zeros(len(over))
     hi = lam + norms(rhs[over]) / C
-    for _ in range(100):
+    for _ in range(100 if over.size else 0):
         mid = 0.5 * (lo + hi)
         outside = norms(wo / (evals + lam + mid[:, None])) > C
-        lo = np.where(outside, mid, lo)
-        hi = np.where(outside, hi, mid)
+        lo_next = np.where(outside, mid, lo)
+        hi_next = np.where(outside, hi, mid)
+        if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
+            break
+        lo, hi = lo_next, hi_next
     nu[over] = 0.5 * (lo + hi)
     z[over] = wo / (evals + lam + nu[over, None])
     x = z @ evecs.T

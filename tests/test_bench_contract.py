@@ -97,3 +97,24 @@ def test_traced_diffusion_draw_counts_one_score_call_per_step():
     assert tracer.get("models.score").calls == 37
     assert tracer.get("models.score").rows == 37 * 20
     assert tracer.counters["models.diffusion_steps"] == 37
+
+
+def test_traced_tilted_diffusion_counts_one_call_of_each_score_per_step():
+    # kl-oracle's shape: KL diffusion on atoms, each rejection pass one
+    # reverse pass on the tilted score; every step makes one
+    # tilts.tilted_score call and, inside it, one models.score call
+    import rewardalign as ra
+    base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
+    f = ra.make_max_affine([([1.0], 0.0)])
+    f.radius = 1.0
+    tracer = Tracer()
+    with Installed(tracer, [f]):
+        res = ra.sample_kl_aligned(base, [[1.0]], f, eps=0.5, delta=0.1,
+                                   seed=1, n=60, backend="diffusion")
+    steps = tracer.counters["models.diffusion_steps"]
+    passes = tracer.get("models.sample_via_diffusion")
+    assert steps > 0 and steps == passes.calls * 48
+    assert tracer.get("models.score").calls == steps
+    assert tracer.get("tilts.tilted_score").calls == steps
+    assert tracer.get("models.score").rows == 48 * passes.rows
+    assert res.batch.points.shape == (60, 1)

@@ -1003,3 +1003,25 @@ def test_pair_csv_bytes(gmm_file, quad_reward_file, tmp_path):
                               seed=5, backend="quad")
     got = open(os.path.join(fig_dir, "w2_pairs.csv"), "rb").read()
     assert got == _pairs_text(w2.ys, w2.xs).encode()
+
+
+def test_align_kl_diffusion_nan_score_exits_4(model_file, kl_reward_file,
+                                             tmp_path, monkeypatch, capsys):
+    # a bare oracle (no noise table) whose score turns NaN at one step:
+    # the reverse pass refuses it, naming the noise level, and the CLI
+    # maps that NumericalError to exit 4
+    def bare_oracle(model):
+        calls = []
+
+        def fn(sigma, x):
+            calls.append(sigma)
+            sc = ra.score(model, sigma, x)
+            return sc * np.nan if len(calls) == 7 else sc
+        return ra.ScoreOracle(fn=fn, d=model.d, C=model.support_radius)
+
+    monkeypatch.setattr(ra.tilts, "score_oracle", bare_oracle)
+    rc = main(["align-kl", "--model", model_file, "--reward", kl_reward_file,
+               "--eps", "0.5", "--delta", "0.1", "--n", "20", "--seed", "3",
+               "--backend", "diffusion", "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert "non-finite values at sigma=" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -942,3 +943,141 @@ class TestBareScoreOracle:
     def test_diffusion_paths_draw_the_models_bytes(self, run):
         assert (run(self.bare(), self.linear).tobytes()
                 == run(self.model, self.linear).tobytes())
+
+
+def _closed_form_bases():
+    """Atoms in d = 1-3 and full-covariance mixtures (e = d, J >= 3)."""
+    rng = np.random.default_rng(51)
+    atoms = [random_discrete(rng, 6, d, C=1.5) for d in (1, 2, 3)]
+    return atoms + [random_gmm(rng, d, J) for d, J in ((1, 3), (2, 3),
+                                                        (3, 4))]
+
+
+class TestNoiseTable:
+    """The per-pass noise tables of ``sample_via_diffusion``: every
+    sigma-only factor of a closed-form score, formed once per pass."""
+
+    @pytest.mark.parametrize("model", _closed_form_bases(),
+                             ids=["atoms-d1", "atoms-d2", "atoms-d3",
+                                  "gmm-d1", "gmm-d2", "gmm-d3"])
+    def test_float_sigma_is_its_table_row(self, model):
+        # SIGMA_MAX, a middle level and SIGMA_MIN inside one block of a
+        # 41-level table: a float sigma builds its one-row table and runs
+        # the same kernel, bit for bit
+        sig = np.geomspace(SIGMA_MAX, SIGMA_MIN, 41)
+        xs = random_unit_ball(np.random.default_rng(52), 30, model.d,
+                              radius=2 * model.support_radius)
+        out = np.empty((model.d, len(xs)))
+        rows = list(ra.models._noise_rows(model, sig, len(xs), [out]))
+        for t in (0, 20, 40):
+            got = ra.score(model, rows[t], xs)
+            want = ra.score(model, rows[t].sigma, xs)
+            assert np.shares_memory(got, out)
+            assert got.tobytes() == want.tobytes(), rows[t].sigma
+
+    def test_blocks_hold_at_most_tilt_block_entries(self, monkeypatch):
+        # a 300-step pass on a mixture whose factors take 21 entries per
+        # level: blocks of three levels under a 64-entry cap, and the same
+        # bytes as the pass in one block
+        model = random_gmm(np.random.default_rng(53), 2, 3)
+        oracle = ra.score_oracle(model)
+        whole = ra.sample_via_diffusion(oracle, n=50, steps=300, seed=4)
+        form = type(model)._noise_factors
+        sizes = []
+
+        def recorded(self, a, s2):
+            factors = form(self, a, s2)
+            sizes.append(sum(np.size(f) for f in factors))
+            return factors
+
+        monkeypatch.setattr(type(model), "_noise_factors", recorded)
+        monkeypatch.setattr(ra.models, "TILT_BLOCK", 64)
+        blocked = ra.sample_via_diffusion(oracle, n=50, steps=300, seed=4)
+        assert len(sizes) == 100 and max(sizes) <= 64
+        assert blocked.points.tobytes() == whole.points.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_wide_atom_set_peak_memory(self, d):
+        # 1e5 atoms: a level's factors outnumber TILT_BLOCK, so the table
+        # holds one level at a time and the peak is one step's.  A score
+        # call before the tables held the (J, n) log-weights, the (J, d)
+        # slopes and two (J,) temporaries: (n + d + 2) J floats
+        J, n = 100_000, 10
+        rng = np.random.default_rng(54)
+        model = ra.DiscreteModel(rng.uniform(-0.5, 0.5, (J, d)),
+                                 np.full(J, 1.0 / J), 1.0)
+        oracle = ra.score_oracle(model)
+        ra.sample_via_diffusion(oracle, n=n, steps=2, seed=0)  # caches
+        tracemalloc.start()
+        try:
+            ra.sample_via_diffusion(oracle, n=n, steps=20, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (n + d + 2) * J * 8
+
+    def test_unreachable_query_raises(self):
+        # y^2 overflows for both components: every log-weight is -inf
+        with np.errstate(over="ignore"):
+            with pytest.raises(ra.NumericalError, match="unreachable"):
+                ra.score(fig1_gmm(), 0.5, np.array([[1e200]]))
+
+    def test_non_finite_table_row_is_refused_naming_sigma(self,
+                                                          monkeypatch):
+        # a closed-form step's score is checked once, by the pass; a NaN
+        # level makes a NaN score there, with no warning on the way
+        model = fig1_gmm()
+        form = type(model)._noise_factors
+
+        def broken(self, a, s2):
+            hvt, hmu, const = form(self, a, s2)
+            const[len(a) // 2] = np.nan
+            return hvt, hmu, const
+
+        monkeypatch.setattr(type(model), "_noise_factors", broken)
+        # the pass's nine levels, uniform in log-SNR: one block, NaN at 4
+        lams = np.linspace(np.log(np.sqrt(1 - SIGMA_MAX**2) / SIGMA_MAX),
+                           np.log(np.sqrt(1 - SIGMA_MIN**2) / SIGMA_MIN), 9)
+        sigma = 1.0 / np.sqrt(1.0 + np.exp(2.0 * lams[4]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ra.NumericalError,
+                               match=f"sigma={sigma:.3g}$"):
+                ra.sample_via_diffusion(ra.score_oracle(model), n=20,
+                                        steps=9, seed=0)
+
+    def test_bare_oracle_nan_at_one_step_is_refused(self):
+        model = fig1_gmm()
+        calls = []
+
+        def fn(sigma, x):
+            calls.append(sigma)
+            sc = ra.score(model, sigma, x)
+            return sc * np.nan if len(calls) == 7 else sc
+
+        oracle = ra.ScoreOracle(fn=fn, d=1, C=8.0)
+        with pytest.raises(ra.NumericalError,
+                           match="non-finite values at sigma=") as err:
+            ra.sample_via_diffusion(oracle, n=20, steps=30, seed=0)
+        assert f"sigma={calls[-1]:.3g}" in str(err.value)
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize("tilts", [None, 2], ids=["untilted",
+                                                      "row-tilts-m2"])
+    @pytest.mark.parametrize("model", [
+        random_gmm(np.random.default_rng(55), 3, 3),
+        random_discrete(np.random.default_rng(56), 5, 2, C=1.5)],
+        ids=["gmm-d3", "atoms-d2"])
+    def test_pass_is_the_bare_oracle_pass(self, model, tilts):
+        # the noise-table pass and a bare oracle wrapping score (floats
+        # in, its own checks) draw the same bytes, tilted per row or not
+        bare = ra.ScoreOracle(fn=lambda s, x: ra.score(model, s, x),
+                              d=model.d, C=model.support_radius, tag="bare")
+        V = None if tilts is None else np.linspace(
+            -0.6, 0.8, tilts * model.d).reshape(tilts, model.d)
+        draws = [ra.sample_linear_tilt(base, V, 0.1, 9, backend="diffusion",
+                                       n=200, steps=40,
+                                       log_pi=None if V is None
+                                       else np.log([0.3, 0.7]))
+                 for base in (model, bare)]
+        assert draws[0].points.tobytes() == draws[1].points.tobytes()

@@ -124,6 +124,65 @@ class TestProxQuadratic:
                 assert np.linalg.norm(resid) <= 1e-9
                 assert abs(nu * (np.linalg.norm(x) - C)) <= 1e-9
 
+    @staticmethod
+    def kkt_reference(B, b, lam, ys, C):
+        """The exact prox by the full 100-halving bisection, from its own
+        eigh of B."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            evals, evecs = np.linalg.eigh(B)
+            rhs = b / 2.0 + lam * ys
+            w = rhs @ evecs
+            z = w / (evals + lam)
+            over = np.flatnonzero(np.linalg.norm(z, axis=1) > C)
+            wo, lo = w[over], np.zeros(len(over))
+            hi = lam + np.linalg.norm(rhs[over], axis=1) / C
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                outside = np.linalg.norm(wo / (evals + lam + mid[:, None]),
+                                         axis=1) > C
+                lo = np.where(outside, mid, lo)
+                hi = np.where(outside, hi, mid)
+            nu = np.zeros(len(w))
+            nu[over] = 0.5 * (lo + hi)
+            z[over] = wo / (evals + lam + nu[over, None])
+            x = z @ evecs.T
+            x[over] *= C / np.linalg.norm(x[over], axis=1)[:, None]
+        return x, nu
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_bisection_stops_on_the_same_bytes(self, d):
+        # a bisection ended at its first halving that moves no bracket end
+        # repeats it from there on: the bytes of all 100 halvings
+        rng = np.random.default_rng(57 + d)
+        M = rng.standard_normal((d, d))
+        B, b = M @ M.T / d, rng.standard_normal(d)
+        ys = rng.standard_normal((60, d)) * np.repeat([0.05, 4.0], 30)[:, None]
+        x, nu = ra.w2_align._prox_quadratic_kkt(ra.QuadraticReward(B, b),
+                                                0.7, ys, 1.0)
+        want_x, want_nu = self.kkt_reference(B, b, 0.7, ys, 1.0)
+        assert np.count_nonzero(nu) >= 20
+        assert x.tobytes() == want_x.tobytes()
+        assert nu.tobytes() == want_nu.tobytes()
+
+    def test_one_eigendecomposition_per_reward(self, monkeypatch):
+        # prox_map's concavity check and the prox read one cached eigh(B);
+        # the quad bytes are those of the full bisection
+        rng = np.random.default_rng(59)
+        M = rng.standard_normal((3, 3))
+        B, b = M @ M.T / 3, 4.0 * rng.standard_normal(3)
+        base = random_discrete(rng, 8, 3, C=1.0)
+        reward = ra.QuadraticReward(B, b)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            orig = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=orig, **k: (
+                calls.append(_f.__name__), _f(*a, **k))[1])
+        res = ra.sample_w2_aligned(base, reward, 0.5, 200, 3, backend="quad")
+        assert calls == ["eigh"]
+        want, _ = self.kkt_reference(B, b, 0.5, res.ys, 1.0)
+        assert res.xs.tobytes() == want.tobytes()
+        assert np.any(np.abs(np.linalg.norm(res.xs, axis=1) - 1.0) < 1e-12)
+
     @pytest.mark.parametrize("lam, C, y", [
         (1.0, -1.0, [0.0]), (1.0, np.nan, [0.0]), (1.0, np.inf, [0.0]),
         (np.nan, 1.0, [0.0]), (0.0, 1.0, [0.0]), (1.0, 1.0, [0.0, 1.0])])
