@@ -415,19 +415,24 @@ class QuadratureTilt1D:
             raise CapabilityError("quadrature tilt is 1D only")
         C = model.support_radius
         self.grid = np.linspace(-C, C, QUADRATURE_GRID)
-        log_dens = model.log_density(self.grid[:, None])
+        # the mixture's log-density up to a constant, from its weights,
+        # means and variances alone: no kernel shared with the samplers
+        var = model.covs[:, :1, 0]
+        terms = np.subtract.outer(model.means[:, 0], self.grid)**2 / -2 / var
+        with np.errstate(divide="ignore"):  # a zero weight's term is -inf
+            terms += np.log(model.weights[:, None] / np.sqrt(var))
+        log_dens = terms.max(axis=0)
+        log_dens += np.log(np.exp(terms - log_dens, out=terms).sum(axis=0))
         if reward is not None:
             log_dens = log_dens + np.asarray(reward.value(self.grid[:, None]),
                                              dtype=float)
-        log_dens -= log_dens.max()
-        dens = np.exp(log_dens)
+        dens = np.exp(log_dens - log_dens.max())
         dx = self.grid[1] - self.grid[0]
         mids = 0.5 * (dens[1:] + dens[:-1]) * dx
         total = mids.sum()
         self.density = dens / total
-        cdf = np.concatenate([[0.0], np.cumsum(mids) / total])
-        cdf[-1] = 1.0
-        self.cdf = cdf
+        self.cdf = np.concatenate([[0.0], np.cumsum(mids) / total])
+        self.cdf[-1] = 1.0
 
     def ppf(self, q):
         return np.interp(q, self.cdf, self.grid)

@@ -572,7 +572,13 @@ class ScoreOracle:
     fn: Callable[[float, np.ndarray], np.ndarray]
     d: int
     C: float
-    tag: str = "closed_form"
+    tag: str = "oracle"
+
+    def __post_init__(self):  # d as ``check_count`` checks n
+        if self.d is True or not (isinstance(self.d, (int, np.integer))
+                                  and self.d >= 1):
+            raise ValidationError(f"d must be an integer >= 1, got {self.d!r}")
+        finite("C", self.C, positive=True)
 
     def __call__(self, sigma: float, x: np.ndarray) -> np.ndarray:
         return self.fn(sigma, x)
@@ -624,17 +630,14 @@ def check_count(n) -> None:
 
 def sample_exact(model: Model, n: int, seed) -> SampleBatch:
     """i.i.d. exact draws of the model truncated to its ball; atoms are
-    categorical.  A Gaussian mixture draw outside is redrawn, component and
-    point, whatever mass leaks: ConfigurationError past 1e6 + 10 n redraws,
-    or before any draw where its at most N = 1e6 + 11 n raw draws would land
-    n inside with probability <= mu^n / n! <= 1e-9 (mu = N p for an in-ball
-    mass bound p, by the union bound over n-subsets).  After the first n
-    rows, a round for the need rows still outside draws ceil(need / p) rows
-    (at most the redraws left plus need, and max(n, 2^20 / d^2)), keeps its
-    first need in-ball rows, and counts its outside rows up to the last one
-    kept as redraws.  With no mean outside the ball p is 1 up to rounding,
-    read as 1, so a round is exactly the rows to redraw, row j for outside
-    row j."""
+    categorical.  A Gaussian mixture is drawn in rounds from one budget of
+    N = 1e6 + 11 n raw draws, refused before any draw where N would land n
+    inside with probability <= mu^n / n! <= 1e-9 (mu = N p for an in-ball
+    mass bound p, read as 1 within 1e-9 of it; union bound over n-subsets).
+    Each round draws min(ceil(need / p), N - spent, ceil(2^20 / d^2)) rows
+    for the need still missing and keeps its first need in-ball rows, in
+    order and uncopied if that is all it drew; it spends its rows up to the
+    last one kept, or all of them.  ConfigurationError once N are spent."""
     check_count(n)
     C = closed_form(model).support_radius
     rng = _rng_from(seed)
@@ -644,35 +647,26 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
         # the rows atoms[idx], gathered by take: 8-10x faster at d >= 2
         pts = np.take(model.atoms, idx, axis=0)
     else:
-        mu = (10**6 + 11 * n) * (p := model._in_ball_bound)
+        mu = (budget := 10**6 + 11 * n) * (p := model._in_ball_bound)
         if mu == 0 or (n * math.log(mu) - math.lgamma(n + 1)
                        <= math.log(1e-9)):
             raise ConfigurationError(f"rejection against the support ball "
                                      f"would fail: in-ball mass <= {p:.1e}")
-        pts = _sample_gmm_raw(model, n, rng)
-        bad = np.flatnonzero(np.linalg.norm(pts, axis=1) > C)
-        failures, cap = bad.size, 10**6 + 10 * n
-        # a round past the first keeps its (rows, d, d) factor gather under
-        # about 8 MiB; p within 1e-9 of 1 (every mean inside) reads 1
-        block, p = max(n, -(-2**20 // model.d**2)), min(p * (1 + 1e-9), 1.0)
-        while bad.size:
-            if failures > cap:
-                raise ConfigurationError(
-                    f"rejection against the support ball failed {failures} "
-                    f"times for n = {n}; support radius too tight")
-            need = bad.size
-            rows = min(math.ceil(need / p), cap - failures + need, block)
+        # a round's (rows, d, d) factor gather stays under about 8 MiB
+        block, p = -(-2**20 // model.d**2), min(p * (1 + 1e-9), 1.0)
+        parts, need, spent = [], n, 0
+        while need:
+            if spent >= budget:
+                raise ConfigurationError(f"rejection against the support "
+                                         f"ball failed: {spent} draws kept "
+                                         f"{n - need} of n = {n}")
+            rows = min(math.ceil(need / p), budget - spent, block)
             new = _sample_gmm_raw(model, rows, rng)
             kept = np.flatnonzero(np.linalg.norm(new, axis=1) <= C)[:need]
-            used = kept[-1] + 1 if kept.size == need else rows
-            failures += int(used) - kept.size
-            # kept row j < need fills outside row j, as a round of need rows
-            # does; the later kept rows fill the ones left, in order
-            head = kept[kept < need]
-            pts[bad[head]] = new[head]
-            bad = np.delete(bad, head)
-            pts[bad[:kept.size - head.size]] = new[kept[head.size:]]
-            bad = bad[kept.size - head.size:]
+            spent += int(kept[-1]) + 1 if kept.size == need else rows
+            parts.append(new if kept.size == rows else new[kept])
+            need -= kept.size
+        pts = parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     return SampleBatch(points=pts, seed=_seed_tag(seed),
                        producer=f"sample_exact/{type(model).__name__}",

@@ -248,6 +248,22 @@ class TestOracles:
 
 
 class TestQuadrature:
+    def test_density_shares_no_kernel_with_the_sampler(self, monkeypatch):
+        # the truth of the diffusion W2 gates reads the mixture's weights,
+        # means and variances, never the score kernel it checks
+        base = ra.GaussianMixtureModel([0.3, 0.7], [[-2.0], [1.5]],
+                                       [[[0.49]], [[0.25]]], 8.0)
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the score kernel ran")
+
+        monkeypatch.setattr(ra.GaussianMixtureModel, "_components",
+                            no_kernel)
+        quad = metrics.QuadratureTilt1D(base)
+        monkeypatch.undo()
+        log_dens = base.log_density(quad.grid[:, None])
+        assert np.ptp(np.log(quad.density) - log_dens) <= 1e-12
+
     def test_tilt_matches_discrete_enumeration(self):
         base = ra.GaussianMixtureModel([1.0], [[0.0]], [[[1.0]]], 8.0)
         quad = metrics.QuadratureTilt1D(base, ra.LinearReward([1.0]))

@@ -324,7 +324,7 @@ class TestSampleExact:
             self, monkeypatch):
         # ten weights of 0.1 put the in-ball bound at 1 - 1.1e-16: each
         # redraw round is exactly the rows the last one left outside, and
-        # the draw keeps the bytes of rounds that redraw row j in place
+        # the draw is each round's in-ball rows, packed in draw order
         raw, rounds = ra.models._sample_gmm_raw, []
 
         def counted(model, n, rng):
@@ -341,13 +341,85 @@ class TestSampleExact:
         assert len(rounds) > 3 and rounds[-1][1] == 0
         for (_, out), (rows, _) in zip(rounds, rounds[1:]):
             assert rows == out
-        rng = np.random.default_rng(0)
-        want = raw(m, 50000, rng)
-        bad = norms(want) > 1.0
-        while bad.any():
-            want[bad] = raw(m, int(bad.sum()), rng)
-            bad[bad] = norms(want[bad]) > 1.0
-        assert np.array_equal(pts, want)
+        rng, want, need = np.random.default_rng(0), [], 50000
+        while need:
+            new = raw(m, need, rng)
+            want.append(new[norms(new) <= 1.0])
+            need -= len(want[-1])
+        assert np.array_equal(pts, np.concatenate(want))
+
+    @staticmethod
+    def _ball_gmm(d, J=3):
+        """J isotropic components of sd 0.1 near the origin of R^d, in the
+        ball of radius 4: no raw draw lands outside it."""
+        means = 0.05 * np.random.default_rng(d).standard_normal((J, d))
+        return ra.GaussianMixtureModel([1 / J] * J, means,
+                                       [0.01 * np.eye(d)] * J, 4.0)
+
+    @staticmethod
+    def _counted(monkeypatch):
+        raw, rows = ra.models._sample_gmm_raw, []
+
+        def counted(model, n, rng):
+            rows.append(n)
+            return raw(model, n, rng)
+
+        monkeypatch.setattr(ra.models, "_sample_gmm_raw", counted)
+        return rows
+
+    def test_every_round_draws_at_most_the_row_cap(self, monkeypatch):
+        # the first round too: 2^20 / 40^2 rounds up to 656 rows, so 2000
+        # draws take four rounds, and with nothing rejected they are the
+        # rounds' raw draws in order
+        m, raw = self._ball_gmm(40), ra.models._sample_gmm_raw
+        rows = self._counted(monkeypatch)
+        pts = ra.sample_exact(m, 2000, 5).points
+        assert rows == [656, 656, 656, 32]
+        rng = np.random.default_rng(5)
+        want = [raw(m, k, rng) for k in rows]
+        assert np.array_equal(pts, np.concatenate(want))
+        # a leaky law's redraw rounds keep the cap: slope 400 moves every
+        # mean onto the sphere, and about half the draws fall outside
+        rows.clear()
+        half_out = ra.tilt_exact(m, [400.0] + [0.0] * 39)
+        pts = ra.sample_exact(half_out, 2000, 5).points
+        assert max(rows) == 656 and sum(rows) > 3000
+        assert norms(pts).max() <= 4.0
+
+    def test_round_that_rejects_nothing_is_the_raw_draw(self, monkeypatch):
+        # one round that keeps every row hands on the array it drew
+        m, drawn = self._ball_gmm(3), []
+        raw = ra.models._sample_gmm_raw
+
+        def kept(model, n, rng):
+            drawn.append(raw(model, n, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(ra.models, "_sample_gmm_raw", kept)
+        pts = ra.sample_exact(m, 400, 7).points
+        assert len(drawn) == 1 and pts is drawn[0]
+        assert np.array_equal(pts, raw(m, 400, np.random.default_rng(7)))
+
+    def test_large_d_draw_memory_is_bounded(self):
+        # d = 200, J = 3, n = 5000: rounds of 27 rows hold a (27, d, d)
+        # factor gather, where one (n, d, d) gather took 1.5 GiB
+        m = self._ball_gmm(200)
+        tracemalloc.start()
+        try:
+            pts = ra.sample_exact(m, 5000, 0).points
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pts.shape == (5000, 200) and peak < 64 * 2**20, peak
+
+    def test_refused_leaky_draw_spends_at_most_its_budget(self, monkeypatch):
+        # slope 20, n = 1: past the pre-draw refusal, but no row of the
+        # budget of 1e6 + 11 n raw draws lands in the ball at seed 0
+        rows = self._counted(monkeypatch)
+        law = ra.tilt_exact(fig1_gmm(), [20.0])
+        with pytest.raises(ra.ConfigurationError, match="failed"):
+            ra.sample_exact(law, 1, 0)
+        assert 0 < sum(rows) <= 10**6 + 11
 
     def test_few_in_ball_draws_refused_before_any_draw(self):
         # slope 20: mu = N p ~ 0.03 expected in-ball raw draws, so n of them
@@ -869,6 +941,21 @@ class TestBareScoreOracle:
     def bare(self):
         return ra.ScoreOracle(fn=lambda s, x: ra.score(self.model, s, x),
                               d=1, C=1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("d", 1.5), ("d", True), ("d", -1), ("d", 0), ("d", "1"),
+        ("C", -1.0), ("C", 0.0), ("C", np.nan), ("C", np.inf), ("C", "x")])
+    def test_bad_d_or_C_refused_at_construction(self, name, value):
+        args = {"fn": self.bare().fn, "d": 1, "C": 1.0, name: value}
+        with pytest.raises(ra.ValidationError, match=f"^{name} must"):
+            ra.ScoreOracle(**args)
+
+    def test_producer_names_a_bare_oracle(self):
+        batch = ra.sample_via_diffusion(self.bare(), n=2, steps=10, seed=0)
+        assert batch.producer == "diffusion/oracle/steps=10"
+        exact = ra.sample_via_diffusion(ra.score_oracle(self.model), n=2,
+                                        steps=10, seed=0)
+        assert exact.producer == "diffusion/exact_DiscreteModel/steps=10"
 
     @pytest.mark.parametrize("path", [
         lambda b, f: ra.sample_kl_aligned(b, [[1.0]], f, 0.5, 0.1, 0, 5),
