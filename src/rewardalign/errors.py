@@ -54,3 +54,10 @@ def finite(name: str, x, positive: bool = False) -> np.ndarray:
         raise ValidationError(f"{name} must be finite"
                               f"{' and positive' * positive}")
     return arr
+
+
+def scalar(name: str, x, positive: bool = False) -> float:
+    """``finite``'s check of one number, which must also be 0-d."""
+    if (arr := finite(name, x, positive)).ndim:
+        raise ValidationError(f"{name} must be one number, got {arr.shape}")
+    return float(arr)

@@ -8,8 +8,9 @@ acceptance exp(f - G).  The acceptance floor and the rejection budget
 follow the number m' of pieces kept.  Each slot gets at most N_rej
 candidates and then falls back to a base sample.  On a mixture or the
 diffusion backend, candidates come as one i.i.d. stream, drawn in passes
-sized by the acceptance floor; output slots take them in order, so the
-work is bounded by n * N_rej candidates.  On an atom set the acceptance
+sized by the acceptance floor and capped at ROW_BLOCK rows; output slots
+take them in order, so the work is bounded by n * N_rej candidates, and the
+last pass overshoots by at most one block.  On an atom set the acceptance
 is a function of the atom, so the slots are drawn from their law in
 closed form: each slot's candidate count up to its first accept is one
 Geometric(alpha) draw, alpha = sum_j q_j exp(f_j - G_j), capped at N_rej,
@@ -25,10 +26,10 @@ import numpy as np
 
 from .errors import (BudgetError, EnvelopeViolationError, ValidationError,
                      finite)
-from .models import (DiscreteModel, Model, SampleBatch, ScoreOracle,
-                     _group_rows, _logsumexp, _rng_from, _seed_tag,
-                     check_count, closed_form, norms, recommended_steps,
-                     sample_exact)
+from .models import (ROW_BLOCK, DiscreteModel, Model, SampleBatch,
+                     ScoreOracle, _group_rows, _logsumexp, _rng_from,
+                     _seed_tag, check_count, closed_form, norms,
+                     recommended_steps, sample_exact)
 # bound though unused here: bench/tracer.py wraps it in this module by name
 from .models import sample_via_diffusion  # noqa: F401
 from .rewards import (AffinePieces, LowDimFunction, check_domain, first_order,
@@ -459,11 +460,12 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                      else (base, proposal.tilt_vectors))
         # one i.i.d. candidate stream: slots done..n-1 wait in order, and
         # by the floor a pass of waiting/a0 candidates expects at least one
-        # accept per waiting slot.  A budget N_rej <= 0 (C <= eps/4) draws
-        # no candidates: every slot falls back
+        # accept per waiting slot; a pass holds at most ROW_BLOCK of them.
+        # A budget N_rej <= 0 (C <= eps/4) draws no candidates: every slot
+        # falls back
         done = carry = 0
         while done < n and params.N_rej > 0:
-            count = min(int(np.ceil((n - done) / params.a0)), n)
+            count = min(int(np.ceil((n - done) / params.a0)), n, ROW_BLOCK)
             cand = sample_linear_tilt(law, tilt, eps_draw, rng, backend,
                                       n=count, log_pi=proposal.log_pi).points
             log_a = _log_acceptance(f, envelope, cand @ A.T)

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random import Generator, default_rng
 
 from .errors import (CapabilityError, ConfigurationError, NumericalError,
-                     ValidationError, finite)
+                     ValidationError, finite, scalar)
 
 # Untruncated mass allowed outside the support ball at construction time.
 SUPPORT_MASS_TOL = 1e-10
@@ -44,6 +44,10 @@ DIFFUSION_STEP_CAP = 1000
 # Entries per block of a reverse pass's noise table, and per (tilts x atoms)
 # temporary of ``tilts`` (512 KiB).
 TILT_BLOCK = 65536
+
+# Rows per block of a row stream: a KL candidate pass, a mixture draw round,
+# a W2 prox block.  Only the output grows with n.
+ROW_BLOCK = 2**14
 
 
 def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
@@ -107,7 +111,9 @@ class SampleBatch:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ValidationError("points must have shape (n, d)")
-        if not np.all(np.isfinite(pts)):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf
+            ok = _all_finite(pts)
+        if not ok:
             raise NumericalError(f"{self.producer} produced non-finite points")
         object.__setattr__(self, "points", pts)
 
@@ -165,7 +171,7 @@ class GaussianMixtureModel:
         if covs.ndim == 2:
             covs = covs[None, :, :]
         self.covs = covs
-        self.support_radius = float(finite("C", support_radius, positive=True))
+        self.support_radius = scalar("C", support_radius, positive=True)
 
         J, d = self.means.shape
         self.weights, self._log_weights = _probability_vector(
@@ -297,7 +303,7 @@ class DiscreteModel:
 
     def __init__(self, atoms, probs, support_radius):
         self.atoms = np.atleast_2d(finite("atoms", atoms))
-        self.support_radius = float(finite("C", support_radius, positive=True))
+        self.support_radius = scalar("C", support_radius, positive=True)
         self.probs, self._log_probs = _probability_vector(
             "probs", probs, len(self.atoms))
         if np.any(norms(self.atoms) > self.support_radius * (1 + 1e-12)):
@@ -578,7 +584,7 @@ class ScoreOracle:
         if self.d is True or not (isinstance(self.d, (int, np.integer))
                                   and self.d >= 1):
             raise ValidationError(f"d must be an integer >= 1, got {self.d!r}")
-        finite("C", self.C, positive=True)
+        scalar("C", self.C, positive=True)
 
     def __call__(self, sigma: float, x: np.ndarray) -> np.ndarray:
         return self.fn(sigma, x)
@@ -634,10 +640,12 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
     N = 1e6 + 11 n raw draws, refused before any draw where N would land n
     inside with probability <= mu^n / n! <= 1e-9 (mu = N p for an in-ball
     mass bound p, read as 1 within 1e-9 of it; union bound over n-subsets).
-    Each round draws min(ceil(need / p), N - spent, ceil(2^20 / d^2)) rows
-    for the need still missing and keeps its first need in-ball rows, in
-    order and uncopied if that is all it drew; it spends its rows up to the
-    last one kept, or all of them.  ConfigurationError once N are spent."""
+    Each round draws min(ceil(need / p), N - spent, ROW_BLOCK, ceil(2^20 /
+    d^2)) rows for the need still missing and writes its first need in-ball
+    rows, in order, into one (n, d) output; a draw done in one round is
+    handed on as drawn (uncopied if it kept every row).  A round spends its
+    rows up to the last one kept, or all of them.  ConfigurationError once
+    N are spent."""
     check_count(n)
     C = closed_form(model).support_radius
     rng = _rng_from(seed)
@@ -653,8 +661,8 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
             raise ConfigurationError(f"rejection against the support ball "
                                      f"would fail: in-ball mass <= {p:.1e}")
         # a round's (rows, d, d) factor gather stays under about 8 MiB
-        block, p = -(-2**20 // model.d**2), min(p * (1 + 1e-9), 1.0)
-        parts, need, spent = [], n, 0
+        block = min(ROW_BLOCK, -(-2**20 // model.d**2))
+        p, pts, need, spent = min(p * (1 + 1e-9), 1.0), None, n, 0
         while need:
             if spent >= budget:
                 raise ConfigurationError(f"rejection against the support "
@@ -664,9 +672,13 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
             new = _sample_gmm_raw(model, rows, rng)
             kept = np.flatnonzero(np.linalg.norm(new, axis=1) <= C)[:need]
             spent += int(kept[-1]) + 1 if kept.size == need else rows
-            parts.append(new if kept.size == rows else new[kept])
+            got = new if kept.size == rows else new[kept]
+            if kept.size == n:  # one round: its rows are the draw
+                pts = got
+            else:
+                pts = np.empty((n, model.d)) if pts is None else pts
+                pts[n - need:n - need + kept.size] = got
             need -= kept.size
-        pts = parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     return SampleBatch(points=pts, seed=_seed_tag(seed),
                        producer=f"sample_exact/{type(model).__name__}",

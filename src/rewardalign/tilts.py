@@ -119,7 +119,8 @@ def log_normalizer_exact(model: Model, V):
     return float(out[0]) if np.ndim(V) == 1 else out
 
 
-def tilted_score(base: ScoreOracle, v, sigma, x: np.ndarray) -> np.ndarray:
+def tilted_score(base: ScoreOracle, v, sigma, x: np.ndarray,
+                 work: np.ndarray = None) -> np.ndarray:
     """Score of the noised tilted base, from base scores alone.
 
     Uses the identity grad log ptilde_sigma(x) = v/a + s_sigma(x + (sigma^2/a) v)
@@ -127,18 +128,20 @@ def tilted_score(base: ScoreOracle, v, sigma, x: np.ndarray) -> np.ndarray:
     with Gaussian noising up to a shift (verified against closed forms in
     the test suite).  ``v`` is one tilt (d,) or one tilt per row of ``x``
     (n, d); the identity holds row by row.  ``sigma`` may also be a row of
-    a noise table of the base's model, as ``score`` takes it: the base
-    score is then written into the pass's buffer, and the tilt's v/a added
-    there.
+    a noise table of the base's model, as ``score`` takes it: the shifted
+    query and then v/a are formed in ``work`` (an array shaped like x, new
+    when None), and the base score in the pass's buffer, where v/a is added.
     """
-    row = sigma if isinstance(sigma, _NoiseRow) else None
-    a, s2 = _noise(sigma) if row is None else (row.a, row.s2)
     v = np.asarray(v, dtype=float)
-    shifted = np.asarray(x, dtype=float) + (s2 / a) * v
-    if row is not None:
-        sc = base(row, shifted)
-        return np.add(v / a, sc, out=sc)
-    return v / a + np.asarray(base(float(sigma), shifted), dtype=float)
+    if not isinstance(sigma, _NoiseRow):
+        a, s2 = _noise(sigma)
+        shifted = np.asarray(x, dtype=float) + (s2 / a) * v
+        return v / a + np.asarray(base(float(sigma), shifted), dtype=float)
+    work = np.empty(np.shape(x)) if work is None else work
+    np.multiply(v, sigma.s2 / sigma.a, out=work)
+    work += x
+    sc = base(sigma, work)
+    return np.add(np.divide(v, sigma.a, out=work), sc, out=sc)
 
 
 def sample_linear_tilt(base, V, eps: float, seed, backend: str = "exact",
@@ -171,13 +174,17 @@ def sample_linear_tilt(base, V, eps: float, seed, backend: str = "exact",
         return sample_via_diffusion(oracle, n=n, steps=steps, seed=seed)
     rows, log_pi = _tilt_rows(oracle, V, log_pi)
     rng = _rng_from(seed)
-    if np.ndim(V) == 2:  # one tilt per row of the batch
+    if np.ndim(V) == 2:  # one tilt per row, held d-major as the pass's x
         pi = np.exp(log_pi)
-        rows = rows[rng.choice(len(rows), size=n, p=pi / pi.sum())]
+        rows = np.take(rows.T, rng.choice(len(rows), size=n, p=pi / pi.sum()),
+                       axis=1).T
+    table = getattr(oracle.fn, "table_model", None)
+    # a noise-table pass forms each step's shift, then v/a, in one buffer
+    work = None if table is None else np.empty((oracle.d, n)).T
 
     def fn(s, xb):  # takes the base's noise-table rows, if it has them
-        return tilted_score(oracle, rows, s, xb)
-    fn.table_model = getattr(oracle.fn, "table_model", None)
+        return tilted_score(oracle, rows, s, xb, work)
+    fn.table_model = table
     tilted = ScoreOracle(fn=fn, d=oracle.d, C=oracle.C,
                          tag=f"tilt({oracle.tag})")
     batch = sample_via_diffusion(tilted, n=n, steps=steps, seed=rng)

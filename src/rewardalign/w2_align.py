@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, finite
 from .kl_align import build_net
-from .models import (Model, SampleBatch, _rng_from, _seed_tag, check_count,
-                     norms, project_ball)
+from .models import (ROW_BLOCK, Model, SampleBatch, _all_finite, _rng_from,
+                     _seed_tag, check_count, norms, project_ball)
 # bound though unused here: bench/tracer.py wraps them in this module by name
 from .models import sample_exact, sample_via_diffusion  # noqa: F401
 from .rewards import (PIECE_TIE_TOL, LowRankReward, QuadraticReward,
@@ -369,21 +369,29 @@ class W2AlignResult:
 
 def objective_value(ys: np.ndarray, xs: np.ndarray, reward, lam: float):
     """Empirical mean and standard error of r(X_i) - lam ||X_i - Y_i||^2
-    along the produced coupling; lower-bounds the alignment objective."""
+    along the produced coupling; lower-bounds the alignment objective.  The
+    values are formed ROW_BLOCK rows at a time into one (n,) array, and the
+    summary works in it."""
     ys = np.atleast_2d(ys)
     xs = np.atleast_2d(xs)
+    vals = np.empty(n := len(xs))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        vals = (oracle_answer(reward.value(xs), len(xs))
-                - lam * np.sum((xs - ys) ** 2, axis=1))
-    if not np.all(np.isfinite(vals)):
+        for s in range(0, n, ROW_BLOCK):
+            x = xs[s:s + ROW_BLOCK]
+            vals[s:s + ROW_BLOCK] = (oracle_answer(reward.value(x), len(x))
+                                     - lam * np.sum((x - ys[s:s + ROW_BLOCK])
+                                                    ** 2, axis=1))
+        finite_vals = _all_finite(vals)
+    if not finite_vals:
         raise NumericalError("objective values r(X) - lam ||X - Y||^2 "
                              "must be finite")
     # scaled by 2^-e (exact) below 1, so sums of values near the float max
-    # stay finite
-    e = max(int(np.frexp(np.max(np.abs(vals)))[1]), 0)
-    vals, n = np.ldexp(vals, -e), len(vals)
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return float(np.ldexp(np.mean(vals), e)), float(np.ldexp(stderr, e))
+    # stay finite; np.std's steps, in place
+    e = max(int(np.frexp(max(vals.max(), -vals.min()))[1]), 0)
+    mean = np.ldexp(vals, -e, out=vals).mean()
+    np.square(np.subtract(vals, mean, out=vals), out=vals)
+    se = float(np.sqrt(vals.sum() / (n - 1)) / np.sqrt(n)) if n > 1 else 0.0
+    return float(np.ldexp(mean, e)), float(np.ldexp(se, e))
 
 
 def prox_map(reward, lam: float, C: float, backend: str, eps: float = 0.1):
@@ -432,9 +440,11 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
     and the base share d; returns the coupling, so the transport is
     auditable.  The base draw is ``sample_linear_tilt`` with no tilt on
     ``base_backend`` ("exact" or "diffusion"), with W2 target eps, or the
-    schedule's eps_P on lowrank.  One refusal comes after the draw: a net
-    search's net, refused by ``build_net`` (its size, or a spacing of 0)
-    when ``alg2_prox`` builds it.
+    schedule's eps_P on lowrank.  The prox map and ``objective_value`` run
+    ROW_BLOCK rows at a time, into one (n, d) ``xs`` and one (n,) array of
+    values.  One refusal comes after the draw: a net search's net, refused
+    by ``build_net`` (its size, or a spacing of 0) when ``alg2_prox``
+    builds it.
     """
     check_count(n)
     T, producer, params = prox_map(reward, lam, base.support_radius,
@@ -445,7 +455,9 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
     ys = sample_linear_tilt(base, None, params.eps_P if params else eps,
                             _rng_from(seed), base_backend, n=n,
                             steps=steps).points
-    xs = T(ys)
+    xs = np.empty_like(ys)
+    for s in range(0, n, ROW_BLOCK):
+        xs[s:s + ROW_BLOCK] = T(ys[s:s + ROW_BLOCK])
     batch = SampleBatch(points=xs, seed=_seed_tag(seed), producer=producer,
                         d=base.d)
     obj, se = objective_value(ys, xs, reward, lam)

@@ -15,7 +15,7 @@ from rewardalign.kl_align import (Net, _collapse_net_pieces, _serve,
 from rewardalign.metrics import (QuadratureTilt1D, empirical_to_discrete,
                                  mix_discrete, oracle_kl_tilt, tv_discrete,
                                  w2_1d_samples_vs_quantiles)
-from rewardalign.models import recommended_steps
+from rewardalign.models import ROW_BLOCK, recommended_steps
 from rewardalign.rewards import make_logsumexp_function
 from rewardalign.validate import (random_discrete, random_maxaffine,
                                   random_orthogonal_rows, random_unit_ball,
@@ -894,20 +894,69 @@ class TestSampleKLAligned:
         assert abs(p1 - np.e / (1 + np.e)) < 0.08
         assert "normalizer" not in res.report()
 
-    def test_gmm_base_matches_quadrature(self):
-        # one-mode 1D mixture: W2 to the quadrature truth at criterion 2's
-        # tolerance, through the flattened m*J-component proposal
+    @staticmethod
+    def gmm_maxaffine():
+        # a one-mode 1D mixture and a two-piece max-affine reward
         base = ra.GaussianMixtureModel([0.4, 0.6], [[-0.6], [0.7]],
                                        [[[0.5]], [[0.3]]], 6.0)
         f = ra.make_max_affine([(np.array([0.25]), 0.0),
                                 (np.array([-0.15]), 0.1)])
         f.radius = 6.0
+        return base, f
+
+    def test_gmm_base_matches_quadrature(self):
+        # one-mode 1D mixture: W2 to the quadrature truth at criterion 2's
+        # tolerance, through the flattened m*J-component proposal
+        base, f = self.gmm_maxaffine()
         res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1, delta=0.05,
                                    seed=21, n=10**5)
         truth = QuadratureTilt1D(base, ra.LowRankReward(np.eye(1), f))
         w2 = w2_1d_samples_vs_quantiles(res.batch.points[:, 0], truth.ppf)
         assert w2 <= 0.02
         assert res.envelope.m > 1
+
+    def test_multi_pass_stream_matches_quadrature(self, monkeypatch):
+        # n = 5 ROW_BLOCK: the candidate stream is cut into passes of at
+        # most ROW_BLOCK rows, and the output still has the quadrature law
+        # at criterion 2's tolerance; the same seed gives the same bytes
+        base, f = self.gmm_maxaffine()
+        counts, draw = [], ra.kl_align.sample_linear_tilt
+
+        def spy(*args, **kwargs):
+            counts.append(kwargs["n"])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(ra.kl_align, "sample_linear_tilt", spy)
+        n = 5 * ROW_BLOCK
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1, delta=0.05,
+                                   seed=22, n=n)
+        passes = counts[:res.passes]
+        assert res.passes > 5 and max(passes) == ROW_BLOCK
+        assert res.proposal_draws <= sum(passes)
+        truth = QuadratureTilt1D(base, ra.LowRankReward(np.eye(1), f))
+        w2 = w2_1d_samples_vs_quantiles(res.batch.points[:, 0], truth.ppf)
+        assert w2 <= 0.02
+        again = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1, delta=0.05,
+                                     seed=22, n=n)
+        assert np.array_equal(again.batch.points, res.batch.points)
+
+    def test_peak_memory_is_the_output_plus_blocks(self):
+        # a 2e5-row mixture call holds its points and one flag per slot,
+        # and besides them a fixed number of ROW_BLOCK-row temporaries
+        # (6.6 blocks of d floats measured, at any n), not a pass of n rows
+        base, f = self.gmm_maxaffine()
+        n, d = 200_000, 1
+        ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1, delta=0.05,
+                             seed=23, n=10)  # the model's cached factors
+        tracemalloc.start()
+        try:
+            res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1,
+                                       delta=0.05, seed=23, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.passes > 10
+        assert peak <= 8 * n * d + n + 10 * 8 * ROW_BLOCK * d, peak
 
     def test_fig1_steep_slope_both_backends(self):
         # slope 6 on the fig-1 base: the tilted mode leaks about 1e-5 of

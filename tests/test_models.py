@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -12,8 +13,9 @@ from scipy.special import chdtri, logsumexp
 from scipy.stats import chi2, multivariate_normal, norm
 
 import rewardalign as ra
-from rewardalign.models import (DIFFUSION_STEP_CAP, SIGMA_MAX, SIGMA_MIN,
-                                _chi2_tail, _group_rows, _logsumexp,
+from rewardalign.cli import main
+from rewardalign.models import (DIFFUSION_STEP_CAP, ROW_BLOCK, SIGMA_MAX,
+                                SIGMA_MIN, _chi2_tail, _group_rows, _logsumexp,
                                 noised_log_density, norms,
                                 recommended_steps)
 from rewardalign.rewards import make_logsumexp_function
@@ -323,8 +325,9 @@ class TestSampleExact:
     def test_round_is_the_rows_to_redraw_with_every_mean_inside(
             self, monkeypatch):
         # ten weights of 0.1 put the in-ball bound at 1 - 1.1e-16: each
-        # redraw round is exactly the rows the last one left outside, and
-        # the draw is each round's in-ball rows, packed in draw order
+        # round is exactly the rows still missing (the last one's outside
+        # rows), at most ROW_BLOCK, and the draw is each round's in-ball
+        # rows, packed in draw order
         raw, rounds = ra.models._sample_gmm_raw, []
 
         def counted(model, n, rng):
@@ -338,12 +341,14 @@ class TestSampleExact:
                                     check_support=False)
         assert m._in_ball_bound < 1.0
         pts = ra.sample_exact(m, 50000, 0).points
-        assert len(rounds) > 3 and rounds[-1][1] == 0
-        for (_, out), (rows, _) in zip(rounds, rounds[1:]):
-            assert rows == out
+        assert len(rounds) > 4 and rounds[-1][1] == 0
+        need = 50000
+        for rows, out in rounds:
+            assert rows == min(need, ROW_BLOCK)
+            need -= rows - out
         rng, want, need = np.random.default_rng(0), [], 50000
         while need:
-            new = raw(m, need, rng)
+            new = raw(m, min(need, ROW_BLOCK), rng)
             want.append(new[norms(new) <= 1.0])
             need -= len(want[-1])
         assert np.array_equal(pts, np.concatenate(want))
@@ -689,6 +694,28 @@ class TestJson:
             ra.DiscreteModel([[0.0], [1.0]], [0.6, 0.6], 1.0)
         with pytest.raises(ra.ValidationError):
             ra.model_from_dict({"type": "mystery"})
+
+
+    @pytest.mark.parametrize("owner", ["oracle", "gmm", "discrete"])
+    def test_non_scalar_radius_refused(self, owner, tmp_path, capsys):
+        # C = [1, 2] is finite entry by entry: each owner of a radius
+        # refuses it as not one number, and a model spec with it exits 2
+        C = [1.0, 2.0]
+        build = {"oracle": lambda: ra.ScoreOracle(fn=lambda s, x: -x, d=1,
+                                                  C=C),
+                 "gmm": lambda: ra.GaussianMixtureModel([1.0], [[0.0]],
+                                                        [[[0.01]]], C),
+                 "discrete": lambda: ra.DiscreteModel([[0.0]], [1.0], C)}
+        with pytest.raises(ra.ValidationError, match="^C must be one number"):
+            build[owner]()
+        if owner != "oracle":
+            spec = {"gmm": {"type": "gmm", "weights": [1.0],
+                            "means": [[0.0]], "covs": [[[0.01]]]},
+                    "discrete": {"type": "discrete", "atoms": [[0.0]],
+                                 "probs": [1.0]}}[owner]
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps({**spec, "C": C}))
+            assert main(["estimate-z", "--model", str(path), "--v", "1"]) == 2
 
 
 class TestMixtureChecks:

@@ -7,7 +7,7 @@ import pytest
 
 import rewardalign as ra
 from rewardalign.metrics import oracle_prox_grid, w2_discrete
-from rewardalign.models import DIFFUSION_STEP_CAP
+from rewardalign.models import DIFFUSION_STEP_CAP, ROW_BLOCK
 from rewardalign.w2_align import (Alg2Params, LowRankDecomp,
                                   lift_reduced_point, objective_value,
                                   prox_quadratic_batch, reduced_objective)
@@ -723,6 +723,29 @@ class TestPushforward:
         res = ra.sample_w2_aligned(base, fig1_reward(), lam=0.15, n=2000,
                                    seed=4, backend="quad")
         assert np.max(np.abs(res.xs - (1 + res.ys / 2))) <= 1e-12
+
+    def test_blocked_prox_holds_the_coupling_plus_blocks(self):
+        # a 2e5-row quad call pushes ROW_BLOCK rows at a time: its points
+        # are the prox of the whole batch, bit for bit, and it holds ys, xs
+        # and one value per row, and besides them a fixed number of
+        # ROW_BLOCK-row temporaries (about 3 blocks of d floats measured)
+        base = ra.GaussianMixtureModel([0.5, 0.5], [[-2.0], [2.0]],
+                                       [[[0.49]], [[0.49]]], 8.0)
+        n, d = 200_000, 1
+        ra.sample_w2_aligned(base, fig1_reward(), 0.15, 10, 1)  # caches
+        tracemalloc.start()
+        try:
+            res = ra.sample_w2_aligned(base, fig1_reward(), 0.15, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * (2 * d + 1) + 10 * 8 * ROW_BLOCK * d, peak
+        assert np.array_equal(res.xs, prox_quadratic_batch(
+            fig1_reward(), 0.15, res.ys, 8.0))
+        vals = (np.asarray(fig1_reward().value(res.xs))
+                - 0.15 * np.sum((res.xs - res.ys) ** 2, axis=1))
+        assert (res.objective, res.objective_stderr) == pytest.approx(
+            (np.mean(vals), np.std(vals, ddof=1) / np.sqrt(n)), rel=1e-12)
 
     def test_numpy_integer_seed_recorded(self):
         base = ra.DiscreteModel([[-1.0], [1.0]], [0.5, 0.5], 1.0)
