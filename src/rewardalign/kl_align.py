@@ -4,18 +4,19 @@ Pipeline: a log-sum-exp upper envelope G of f on the projected ball (f's
 own pieces, f <= G <= f + log m'; for a black-box f, an h-net's raised
 supporting hyperplanes, one per distinct slope, f <= G <= f + 1 + log m'),
 the envelope tilt sampled as a mixture of linear tilts, and rejection with
-acceptance exp(f - G).  The acceptance floor and the rejection budget
-follow the number m' of pieces kept.  Each slot gets at most N_rej
-candidates and then falls back to a base sample.  On a mixture or the
+acceptance exp(f - G).  The acceptance floor and the rejection budget follow
+the number m' of pieces kept (``compute_params``: m', B, a0 and N_rej are
+the schedule).  Each slot gets at most N_rej candidates and then falls back
+to a base sample, drawn to the candidates' accuracy.  On a mixture or the
 diffusion backend, candidates come as one i.i.d. stream, drawn in passes
 sized by the acceptance floor and capped at ROW_BLOCK rows; output slots
 take them in order, so the work is bounded by n * N_rej candidates, and the
-last pass overshoots by at most one block.  On an atom set the acceptance
-is a function of the atom, so the slots are drawn from their law in
-closed form: each slot's candidate count up to its first accept is one
+last pass overshoots by at most one block.  On an atom set the acceptance is
+a function of the atom, so the slots are drawn from their law in closed
+form: each slot's candidate count up to its first accept is one
 Geometric(alpha) draw, alpha = sum_j q_j exp(f_j - G_j), capped at N_rej,
-and the accepted slots take one draw from q exp(f - G) / alpha.  The work
-is O(n) whatever the acceptance, and no rejected candidate is drawn.
+and the accepted slots take one draw from q exp(f - G) / alpha.  The work is
+O(n) whatever the acceptance, and no rejected candidate is drawn.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from .rewards import (AffinePieces, LowDimFunction, check_domain, first_order,
 from .tilts import estimate_normalizer, sample_linear_tilt, tilt_exact
 
 NET_CARDINALITY_CAP = 1_000_000
+
+# Relative accuracy eta of the normalizers path-sampled on a ScoreOracle
+PATH_SAMPLING_ETA = 0.05
 
 
 @dataclass(frozen=True)
@@ -171,45 +175,34 @@ def gap_bound(m: int) -> float:
 
 @dataclass(frozen=True)
 class Alg1Params:
-    """The rejection sampler's schedule; every field finite, checked here."""
+    """The rejection sampler's schedule, the four numbers it reads: m
+    pieces, gap bound B, acceptance floor a0 = exp(-B) and per-slot budget
+    N_rej.  Every field finite, checked here; N_rej is then an int."""
 
     m: int
     B: float
     a0: float
-    L_a: float
-    rho: float
-    eps_lin: float
-    eta: float
     N_rej: int
 
     def __post_init__(self):
         finite(f"the KL schedule {self}", list(vars(self).values()))
+        object.__setattr__(self, "N_rej", int(self.N_rej))
 
 
-def compute_params(L: float, A_opnorm: float, C: float, m: int,
-                   eps: float) -> Alg1Params:
-    """Parameter block: gap bound, acceptance floor, perturbation budget
-    rho, per-tilt sampling accuracy, normalizer accuracy, and the per-slot
+def compute_params(C: float, m: int, eps: float) -> Alg1Params:
+    """The schedule of an m-piece envelope on the ball of radius C: gap
+    bound B = 1 + log m, acceptance floor a0 = exp(-B), and the per-slot
     candidate budget N_rej = ceil(2/a0 * log(16 C^2 / eps^2)), taken as
-    ceil(2/a0 * 2 log(4 C / eps))."""
+    ceil(2/a0 * 2 log(4 C / eps)).  A subnormal eps puts 4 / eps, and so
+    N_rej, past the float max: inf, which Alg1Params refuses."""
     if not (0.0 < eps < 1.0):
         raise ValidationError("eps must be in (0,1)")
     if m < 1:
         raise ValidationError("m must be >= 1")
     B = gap_bound(m)
     a0 = float(np.exp(-B))
-    # in float64, logs and ratios: past the float max a value is inf (NaN
-    # for an inf L on A = 0), which __post_init__ refuses; products come
-    # before the factor 2, so a finite zero never meets an inf
-    L, A_opnorm, C = np.float64(L), np.float64(A_opnorm), np.float64(C)
-    with np.errstate(over="ignore", invalid="ignore"):
-        L_a = 2.0 * (L * A_opnorm)
-        rho = min(eps**2 * a0 / (32.0 * C * (1.0 + 2.0 * (C * L_a))),
-                  a0 / (4.0 * max(1.0, L_a)))
-        eta = min(0.5, (rho / C)**2 / 128.0)
-    N_rej = int(np.ceil((2.0 / a0) * 2.0 * (np.log(4.0 / eps) + np.log(C))))
-    return Alg1Params(m=m, B=B, a0=a0, L_a=float(L_a), rho=float(rho),
-                      eps_lin=float(rho / 2.0), eta=float(eta), N_rej=N_rej)
+    N_rej = np.ceil((2.0 / a0) * 2.0 * (np.log(4.0 / eps) + np.log(C)))
+    return Alg1Params(m=m, B=B, a0=a0, N_rej=N_rej)
 
 
 @dataclass(frozen=True)
@@ -245,7 +238,7 @@ def build_proposal(base: Model, env: Envelope, A, eta: float, delta: float,
     log_zhat, log_pi, method = np.full(1, np.nan), np.zeros(1), ""
     if env.m > 1:
         est = estimate_normalizer(
-            base, vs, eta=max(eta, 1e-12), delta=delta / env.m, seed=seed,
+            base, vs, eta=eta, delta=delta / env.m, seed=seed,
             backend="mc" if isinstance(base, ScoreOracle) else "exact")
         logits = env.offsets + est.log_value
         log_zhat, method = est.log_value, est.method
@@ -268,6 +261,9 @@ class KLAlignResult:
     piece per distinct slope out of ``net_pieces`` net pieces; else
     ``net_pieces`` is its own ``m``.  ``params``, ``envelope`` and
     ``proposal`` are set on every call, a constant reward's included.
+    ``diffusion_steps`` (0 on exact) is the step count of every candidate
+    and fallback pass (normalizers size their own); ``report()`` gives
+    ``eta`` only where path sampling ran.
     """
 
     batch: SampleBatch
@@ -278,7 +274,6 @@ class KLAlignResult:
     proposal_draws: int
     backend: str = "exact"
     diffusion_steps: int = 0
-    eta_used: float = 0.0
     passes: int = 0  # proposal passes (reverse passes on diffusion)
     net_pieces: int = 0  # envelope pieces before a net's per-slope collapse
 
@@ -297,7 +292,7 @@ class KLAlignResult:
         if self.backend == "diffusion":
             rep["diffusion_steps"] = self.diffusion_steps
         if self.proposal.normalizer.startswith("mc"):  # path sampling ran
-            rep["eta_used"] = self.eta_used
+            rep["eta"] = PATH_SAMPLING_ETA
             rep["normalizer"] = self.proposal.normalizer
         return {**rep, "net_pieces": self.net_pieces, **asdict(self.params)}
 
@@ -378,9 +373,10 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     Requires f flagged convex and L-Lipschitz on the projected ball of
     radius R = ||A||_op * C.  Every call takes one path: envelope, schedule
     (``compute_params``), proposal (its normalizers follow the base, not
-    ``backend``: ``build_proposal``), rejection, fallback.  The envelope is
-    ``envelope`` exactly as given, else ``own_envelope(f, R)`` for an f
-    with pieces, else (a black box) the net envelope of spacing
+    ``backend``: ``build_proposal``), rejection, fallback.  Every draw
+    targets W2 eps / 8: on diffusion, one step count for every pass.  The
+    envelope is ``envelope`` exactly as given, else ``own_envelope(f, R)``
+    for an f with pieces, else (a black box) the net envelope of spacing
     h = 1/(2L) with one piece per distinct slope; at L = 0, h = inf and the
     net is the origin.  A constant f thus has a one-piece envelope.
     """
@@ -402,9 +398,7 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                               f"columns, got {envelope.slopes.shape[1]}")
     rng = _rng_from(seed)
     C = base.support_radius
-
-    op_norm = float(np.linalg.norm(A, 2))
-    R = op_norm * C
+    R = float(np.linalg.norm(A, 2)) * C
     check_domain(f, R)
     if envelope is None and f.pieces is None:
         with np.errstate(divide="ignore", over="ignore"):  # L = 0: h = inf
@@ -415,15 +409,18 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
     else:
         envelope = own_envelope(f, R) if envelope is None else envelope
         net_pieces = envelope.m
-    params = compute_params(f.lipschitz, op_norm, C, envelope.m, eps)
-    # path sampling floors the schedule's far smaller eta (see report())
-    eta_used = max(params.eta, 0.05 if isinstance(base, ScoreOracle) else 0.0)
-    proposal = build_proposal(base, envelope, A, eta=eta_used, delta=delta,
-                              seed=rng, backend=backend)
+    params = compute_params(C, envelope.m, eps)
+    proposal = build_proposal(base, envelope, A, eta=PATH_SAMPLING_ETA,
+                              delta=delta, seed=rng, backend=backend)
+    # every draw, candidate or fallback, targets W2 eps / 8; on diffusion
+    # each reverse pass runs the one step count this gives
+    eps_draw = eps / 8.0
+    diff_steps = (recommended_steps(eps_draw, C) if backend == "diffusion"
+                  else 0)
 
     pts = np.empty((n, base.d))
     fell = np.ones(n, dtype=bool)
-    draws = passes = diff_steps = 0
+    draws = passes = 0
     if backend == "exact" and isinstance(base, DiscreteModel):
         # exp(f - G) is a function of the atom alone, so the candidates a
         # slot spends up to its first accept are Geometric(alpha),
@@ -448,12 +445,6 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                 else:  # a boolean scatter costs ~20x a plain copy
                     pts[:] = rows
     else:
-        # W2 target eps / 8 (24 C / eps steps on diffusion); eps_lin > eps / 8
-        # needs C < eps a0 / 8, where both take the 25-step floor
-        eps_draw = eps / 8.0
-        if backend == "diffusion":
-            diff_steps = recommended_steps(eps_draw, C)
-
         # the proposal sum_i pi_i * tilt(base, v_i): its law as built, or on
         # diffusion one reverse pass whose row j follows its own piece's tilt
         law, tilt = ((proposal.law, None) if backend == "exact"
@@ -467,7 +458,8 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         while done < n and params.N_rej > 0:
             count = min(int(np.ceil((n - done) / params.a0)), n, ROW_BLOCK)
             cand = sample_linear_tilt(law, tilt, eps_draw, rng, backend,
-                                      n=count, log_pi=proposal.log_pi).points
+                                      n=count, steps=diff_steps,
+                                      log_pi=proposal.log_pi).points
             log_a = _log_acceptance(f, envelope, cand @ A.T)
             ok = np.log(rng.random(count)) < log_a
             outcome, used, carry = _serve(ok, carry, params.N_rej, n - done)
@@ -482,8 +474,8 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
 
     fallback = int(fell.sum())
     if fallback:
-        pts[fell] = sample_linear_tilt(base, None, eps, rng, backend,
-                                       n=fallback).points
+        pts[fell] = sample_linear_tilt(base, None, eps_draw, rng, backend,
+                                       n=fallback, steps=diff_steps).points
 
     batch = SampleBatch(points=pts, seed=_seed_tag(seed),
                         producer="kl_align/alg1", d=base.d)
@@ -491,6 +483,5 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                          proposal=proposal, fallback_count=fallback,
                          proposal_draws=draws,
                          backend=backend, diffusion_steps=diff_steps,
-                         eta_used=eta_used, passes=passes,
-                         net_pieces=net_pieces)
+                         passes=passes, net_pieces=net_pieces)
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, finite
+from .errors import NumericalError, ValidationError, finite, scalar
 from .models import _logsumexp, _read_spec, norms
 
 # First-order oracles must be valid slightly beyond the declared ball.
@@ -220,6 +220,9 @@ class LinearReward:
 
     def __init__(self, theta):
         self.theta = finite("theta", theta)
+        if self.theta.ndim != 1:
+            raise ValidationError(f"theta must be a vector (d,), got shape "
+                                  f"{self.theta.shape}")
         self.d = self.theta.shape[0]
 
     def value(self, x):
@@ -244,17 +247,18 @@ class QuadraticReward:
     def __init__(self, B, b, c: float = 0.0):
         self.B = np.atleast_2d(finite("B", B))
         self.b = np.atleast_1d(finite("b", b))
-        self.c = float(finite("c", c))
+        self.c = scalar("c", c)
+        self.d = self.b.shape[0]
+        if self.b.ndim != 1 or self.B.shape != (self.d, self.d):
+            raise ValidationError(f"B must be (d, d) and b (d,), got shapes "
+                                  f"{self.B.shape} and {self.b.shape}")
         if not np.allclose(self.B, self.B.T, atol=1e-12):
             raise ValidationError("B must be symmetric")
-        if self.B.shape[0] != self.b.shape[0]:
-            raise ValidationError("B and b dimensions disagree")
-        self.d = self.b.shape[0]
 
     @cached_property
     def _eigh(self) -> tuple:
-        """``np.linalg.eigh(B)``, taken once: the concavity check and the
-        exact prox both read it."""
+        """``np.linalg.eigh(B)``, taken once: the concavity check, the exact
+        prox and ``prox_concave``'s first step all read it."""
         return np.linalg.eigh(self.B)
 
     @property
@@ -282,8 +286,9 @@ class LowRankReward:
     def __init__(self, A, f: LowDimFunction):
         self.A = np.atleast_2d(finite("A", A))
         self.f = f
-        if self.A.shape[0] != f.k or not self.A.shape[1]:
-            raise ValidationError(f"A must be k x d, k = {f.k}, d >= 1")
+        if self.A.ndim != 2 or self.A.shape[0] != f.k or not self.A.shape[1]:
+            raise ValidationError(f"A must be k x d, k = {f.k}, d >= 1, got "
+                                  f"shape {self.A.shape}")
         self.k, self.d = self.A.shape
 
     def value(self, x):

@@ -129,7 +129,7 @@ def prox_concave(reward, lam: float, y, C: float) -> np.ndarray:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     _check_prox_args(lam, C, y, reward.d)
     if isinstance(reward, QuadraticReward):  # 2 lam_max(B) may overflow
-        step = 0.5 / (float(np.linalg.eigvalsh(reward.B)[-1]) + lam)
+        step = 0.5 / (float(reward._eigh[0][-1]) + lam)
     else:
         step = 1.0 / (2.0 * lam)
 

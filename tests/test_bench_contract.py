@@ -118,3 +118,26 @@ def test_traced_tilted_diffusion_counts_one_call_of_each_score_per_step():
     assert tracer.get("tilts.tilted_score").calls == steps
     assert tracer.get("models.score").rows == 48 * passes.rows
     assert res.batch.points.shape == (60, 1)
+
+
+def test_traced_fallback_diffusion_pass_counts_the_same_steps():
+    # the same shape with an explicit envelope raised by 50: every slot
+    # falls back, and the fallback pass, on the base's own score, runs the
+    # candidates' 48 steps, so steps == passes.calls * 48 still holds
+    import rewardalign as ra
+    base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
+    f = ra.make_max_affine([([1.0], 0.0)])
+    f.radius = 1.0
+    raised = ra.Envelope.from_pieces([[1.0]], [50.0])
+    tracer = Tracer()
+    with Installed(tracer, [f]):
+        res = ra.sample_kl_aligned(base, [[1.0]], f, eps=0.5, delta=0.1,
+                                   seed=1, n=6, backend="diffusion",
+                                   envelope=raised)
+    assert res.fallback_count == 6 and res.diffusion_steps == 48
+    steps = tracer.counters["models.diffusion_steps"]
+    passes = tracer.get("models.sample_via_diffusion")
+    assert passes.calls == res.passes + 1
+    assert steps == passes.calls * 48
+    assert tracer.get("models.score").calls == steps
+    assert tracer.get("tilts.tilted_score").calls == steps - 48

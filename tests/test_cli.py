@@ -195,8 +195,7 @@ def test_align_kl_run(model_file, kl_reward_file, tmp_path, capsys):
     manifest = json.loads(open(os.path.join(out_dir, "manifest.json")).read())
     # manifest parameters equal an independent recomputation
     env = json.loads(open(os.path.join(out_dir, "envelope.json")).read())
-    params = ra.compute_params(L=1.0, A_opnorm=1.0, C=1.0, m=env["m"],
-                               eps=0.1)
+    params = ra.compute_params(C=1.0, m=env["m"], eps=0.1)
     assert manifest["derived_parameters"]["N_rej"] == params.N_rej
     assert manifest["derived_parameters"]["a0"] == pytest.approx(params.a0)
     assert manifest["derived_parameters"]["B"] == pytest.approx(params.B)
@@ -294,6 +293,41 @@ def test_align_w2_lowrank_matrix_shapes(model_file, tmp_path, capsys, reward,
         assert np.array_equal(pairs[:, 0], pairs[:, 1])
         with open(os.path.join(out_dir, "manifest.json")) as fh:
             assert json.load(fh)["derived_parameters"]["r_A"] == 0
+
+
+QUAD_2D_B = {"type": "quadratic", "B": [[1.0, 0.0], [0.0, 1.0]],
+             "b": [[0.1], [0.2]]}
+
+
+@pytest.mark.parametrize("cmd, reward, extra, err", [
+    ("align-kl", {"type": "linear", "theta": [[1.0, 2.0], [3.0, 4.0]]}, [],
+     "theta must be a vector"),
+    ("align-w2", QUAD_2D_B, ["--backend", "quad"], "B must be (d, d)"),
+    ("align-w2", QUAD_2D_B, ["--backend", "pga"], "B must be (d, d)"),
+    ("prox-demo", QUAD_2D_B, ["--y", "0,0"], "B must be (d, d)"),
+    ("align-w2", {"type": "quadratic", "B": [[1.0, 0.0], [0.0, 1.0]],
+                  "b": [0.1, 0.2], "c": [1.0, 2.0]}, ["--backend", "quad"],
+     "c must be one number")],
+    ids=["kl-linear-theta", "w2-quad-b", "w2-pga-b", "prox-demo-b",
+         "w2-quad-c"])
+def test_malformed_reward_shape_is_a_validation_error(tmp_path, capsys, cmd,
+                                                      reward, extra, err):
+    # each reward checks the shapes of its arrays where it is built: one
+    # line and exit 2, never a bare numpy error
+    model, path = tmp_path / "model.json", tmp_path / "reward.json"
+    model.write_text(json.dumps({"type": "discrete",
+                                 "atoms": [[0.0, 0.0], [0.5, 0.5]],
+                                 "probs": [0.5, 0.5], "C": 1.0}))
+    path.write_text(json.dumps(reward))
+    argv = [cmd, "--reward", str(path)] + extra
+    if cmd != "prox-demo":
+        argv += ["--model", str(model), "--n", "5",
+                 "--out", str(tmp_path / "out")]
+    if cmd != "align-kl":
+        argv += ["--lambda", "0.5"]
+    assert main(argv) == 2
+    stderr = capsys.readouterr().err
+    assert err in stderr and len(stderr.splitlines()) == 1
 
 
 def test_align_w2_search_net_past_the_cap_is_a_budget_error(tmp_path,
@@ -468,7 +502,7 @@ def test_zero_lipschitz_manifest_is_strict_json_without_h(model_file,
         manifest = json.loads(fh.read(), parse_constant=reject)
     derived = manifest["derived_parameters"]
     assert "h" not in derived
-    assert derived == asdict(ra.compute_params(0.0, 1.0, 1.0, 1, 0.1))
+    assert derived == asdict(ra.compute_params(1.0, 1, 0.1))
 
 
 def test_linear_reward_past_the_square_overflow(tmp_path, capsys):
@@ -594,17 +628,34 @@ def test_schedules_at_a_tiny_radius(tmp_path, capsys):
     {"type": "linear", "theta": [1.7e308]},
     {"type": "lowrank_maxaffine", "A": [[1.0]],
      "pieces": [[[1.7e308], 0.0], [[-1.0], 0.5]]}])
-def test_kl_schedule_past_the_float_max_is_refused(model_file, tmp_path,
-                                                   capsys, reward):
-    # L_a = 2 L ||A|| = inf: the schedule is refused where it is made
-    # (exit 2), not run degenerate with "L_a": Infinity in the manifest
-    path, out_dir = tmp_path / "reward.json", str(tmp_path / "out")
+def test_kl_reward_past_the_float_max(model_file, tmp_path, capsys, reward):
+    # a slope of 1.7e308 on atoms {0, 1}: the schedule reads only m, C and
+    # eps, so it is finite.  exact runs, and the tilt puts every sample on
+    # atom 1 with a strict-JSON manifest; diffusion's tilted score is not
+    # finite, a numerical error (exit 4) that writes no manifest
+    path = tmp_path / "reward.json"
     path.write_text(json.dumps(reward))
-    assert main(["align-kl", "--model", model_file, "--reward", str(path),
-                 "--n", "5", "--out", out_dir]) == 2
-    err = capsys.readouterr().err
-    assert "KL schedule" in err and len(err.splitlines()) == 1
-    assert not os.path.exists(os.path.join(out_dir, "manifest.json"))
+
+    def reject(name):
+        raise AssertionError(f"non-JSON constant {name}")
+
+    for backend, code in (("exact", 0), ("diffusion", 4)):
+        out_dir = str(tmp_path / backend)
+        argv = ["align-kl", "--model", model_file, "--reward", str(path),
+                "--n", "5", "--backend", backend, "--out", out_dir]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        manifest = os.path.join(out_dir, "manifest.json")
+        if code:
+            assert "numerical error" in err and len(err.splitlines()) == 1
+            assert not os.path.exists(manifest)
+            continue
+        assert err == ""
+        with open(manifest) as fh:
+            json.loads(fh.read(), parse_constant=reject)
+        samples = np.loadtxt(os.path.join(out_dir, "samples.csv"),
+                             delimiter=",", skiprows=1)
+        assert np.array_equal(samples, np.ones(5))
 
 
 def test_prox_demo_value_past_the_float_max(tmp_path, capsys):
@@ -717,7 +768,7 @@ def test_align_kl_diffusion_one_piece_steep_tilt(model_file, tmp_path):
     manifest = json.loads(open(os.path.join(out_dir, "manifest.json")).read())
     diag = manifest["diagnostics"]
     assert diag["m"] == 1
-    assert "normalizer" not in diag and "eta_used" not in diag
+    assert "normalizer" not in diag and "eta" not in diag
     samples = np.loadtxt(os.path.join(out_dir, "samples.csv"), delimiter=",",
                          skiprows=1)
     # the tolerance of test_diffusion_backend_end_to_end

@@ -216,58 +216,66 @@ class TestBuildEnvelope:
 
 class TestComputeParams:
     def test_worked_example_m5(self):
-        p = ra.compute_params(L=1.0, A_opnorm=1.0, C=1.0, m=5, eps=0.1)
+        p = ra.compute_params(C=1.0, m=5, eps=0.1)
         assert p.a0 == pytest.approx(np.exp(-1.0) / 5, rel=1e-12)
         assert p.N_rej == 201
 
     def test_worked_example_m1(self):
-        p = ra.compute_params(L=1.0, A_opnorm=1.0, C=1.0, m=1, eps=1 - 1e-12)
+        p = ra.compute_params(C=1.0, m=1, eps=1 - 1e-12)
         assert p.N_rej == 16
 
     def test_schedule_formulas(self):
-        L, S, C, m, eps = 0.8, 1.3, 2.0, 7, 0.2
-        p = ra.compute_params(L, S, C, m, eps)
+        C, m, eps = 2.0, 7, 0.2
+        p = ra.compute_params(C, m, eps)
         a0 = np.exp(-(1 + np.log(m)))
-        L_a = 2 * L * S
-        rho = min(eps**2 * a0 / (32 * C * (1 + 2 * C * L_a)),
-                  a0 / (4 * max(1.0, L_a)))
+        # the four numbers the sampler reads are the whole schedule
+        assert [f.name for f in dataclasses.fields(p)] == [
+            "m", "B", "a0", "N_rej"]
+        assert p.m == m
         assert p.B == pytest.approx(1 + np.log(m))
         assert p.a0 == pytest.approx(a0)
-        assert p.L_a == pytest.approx(L_a)
-        assert p.rho == pytest.approx(rho)
-        assert p.eps_lin == pytest.approx(rho / 2)
-        assert p.eta == pytest.approx(min(0.5, rho**2 / (128 * C**2)))
         assert p.N_rej == int(np.ceil(2 / a0 * np.log(16 * C**2 / eps**2)))
+        assert type(p.N_rej) is int
 
     def test_eps_gate(self):
         with pytest.raises(ra.ValidationError):
-            ra.compute_params(1.0, 1.0, 1.0, 5, eps=1.5)
+            ra.compute_params(1.0, 5, eps=1.5)
 
     def test_support_radius_past_the_square_overflow(self):
-        # C^2 overflows a Python float: rho underflows to 0, N_rej is finite
-        p = ra.compute_params(L=1.0, A_opnorm=1.0, C=1e200, m=1, eps=0.1)
-        assert p.eta == 0.0
+        # C^2 overflows a Python float; N_rej takes log C, and is finite
+        p = ra.compute_params(C=1e200, m=1, eps=0.1)
         assert p.N_rej == int(np.ceil(2 / p.a0 * 2 * np.log(4e200 / 0.1)))
 
 
 class TestScheduleIsFinite:
     def test_tiny_radius(self):
-        # (rho / C)^2 passes the float max: inf inside the min, eta = 0.5;
         # log(4 C / eps) < 0, so N_rej <= 0 and every slot falls back
-        p = ra.compute_params(L=1.0, A_opnorm=1.0, C=1e-300, m=2, eps=0.1)
-        assert p.eta == 0.5 and p.N_rej <= 0
+        p = ra.compute_params(C=1e-300, m=2, eps=0.1)
+        assert p.N_rej <= 0
         assert np.all(np.isfinite(list(dataclasses.asdict(p).values())))
 
     def test_constant_reward_at_the_float_max(self):
-        # L_a = 0 and 2 C = inf: C L_a comes first, so rho is 0, not NaN
-        p = ra.compute_params(L=0.0, A_opnorm=0.0, C=1.7e308, m=1, eps=0.1)
-        assert (p.L_a, p.rho, p.eta) == (0.0, 0.0, 0.0)
+        # a constant f on atoms at C = 1.7e308: one piece, a finite
+        # schedule, and every slot accepted (f - G = 0 on every atom)
+        base = ra.DiscreteModel([[0.0], [1.7e308]], [0.5, 0.5], 1.7e308)
+        f = ra.make_max_affine([([0.0], 0.3)])
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.1, delta=0.1,
+                                   seed=0, n=20)
+        assert res.params.m == 1 and res.params.a0 == np.exp(-1.0)
+        assert res.params.N_rej == int(np.ceil(
+            2 / np.exp(-1.0) * 2 * (np.log(40.0) + np.log(1.7e308))))
+        assert res.fallback_count == 0
 
-    @pytest.mark.parametrize("L, A_opnorm", [(1.7e308, 1.0), (np.inf, 0.0)])
-    def test_non_finite_field_refused(self, L, A_opnorm):
-        # L_a = 2 L ||A|| is inf, or NaN for an inf L on A = 0
+    @pytest.mark.parametrize("eps", [5e-324, 1e-308])
+    def test_non_finite_field_refused(self, eps):
+        # a subnormal eps puts 4 / eps, and so N_rej, past the float max:
+        # refused by the schedule's finite gate, here and in the sampler
         with pytest.raises(ra.ValidationError, match="KL schedule"):
-            ra.compute_params(L, A_opnorm, C=1.0, m=1, eps=0.1)
+            ra.compute_params(C=1.0, m=1, eps=eps)
+        base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
+        with pytest.raises(ra.ValidationError, match="KL schedule"):
+            ra.sample_kl_aligned(base, np.eye(1), abs_function(), eps=eps,
+                                 delta=0.1, seed=0, n=5)
 
 
 class TestBuildProposal:
@@ -528,7 +536,31 @@ class TestSampleKLAligned:
         assert res.batch.producer == "kl_align/alg1"
         assert rep["backend"] == "diffusion"
         assert rep["diffusion_steps"] == steps[0]
-        assert "normalizer" not in rep and "eta_used" not in rep
+        assert "normalizer" not in rep and "eta" not in rep
+
+    def test_fallback_pass_runs_the_reported_steps(self, monkeypatch):
+        # an explicit envelope raised by 50 accepts with probability
+        # e^-50: every slot spends its N_rej candidates and falls back, and
+        # the fallback pass runs the candidates' step count too
+        steps = []
+        reverse = ra.tilts.sample_via_diffusion
+
+        def spy(*args, **kwargs):
+            steps.append(kwargs["steps"])
+            return reverse(*args, **kwargs)
+
+        monkeypatch.setattr(ra.tilts, "sample_via_diffusion", spy)
+        base = ra.DiscreteModel([[-1.0], [0.5]], [0.5, 0.5], 1.0)
+        raised = ra.Envelope.from_pieces([[1.0], [-1.0]], [50.0, 50.0])
+        res = ra.sample_kl_aligned(base, np.eye(1), abs_function(), eps=0.5,
+                                   delta=0.1, seed=3, n=5, backend="diffusion",
+                                   envelope=raised)
+        assert res.fallback_count == 5
+        assert res.proposal_draws == 5 * res.params.N_rej
+        assert len(steps) == res.passes + 1  # the candidates' and the fallback
+        assert steps == [res.diffusion_steps] * len(steps)
+        assert res.diffusion_steps == recommended_steps(0.5 / 8, 1.0) == 48
+        assert np.isin(res.batch.points, [-1.0, 0.5]).all()
 
     @pytest.mark.parametrize("eps", [np.nan, 5.0, -1.0])
     def test_eps_checked_at_base_shortcut(self, eps):
@@ -872,7 +904,7 @@ class TestSampleKLAligned:
         assert rep["backend"] == "diffusion"
         assert rep["diffusion_steps"] > 0
         # one envelope piece: pi = 1, so no normalizer is estimated
-        assert "normalizer" not in rep and "eta_used" not in rep
+        assert "normalizer" not in rep and "eta" not in rep
         assert np.all(np.abs(res.batch.points) <= 1.0 + 1e-12)
 
     @pytest.mark.parametrize("backend", ["exact", "diffusion"])
@@ -989,7 +1021,7 @@ class TestSampleKLAligned:
         # backend draws, so the report names no path-sampling estimate
         assert res.proposal.normalizer == "exact"
         assert "normalizer" not in res.report()
-        assert "eta_used" not in res.report()
+        assert "eta" not in res.report()
 
     def test_closed_form_base_takes_exact_normalizers_on_both_backends(
             self, monkeypatch):
@@ -1016,7 +1048,8 @@ class TestSampleKLAligned:
                 assert np.array_equal(getattr(runs[0].proposal, field),
                                       getattr(runs[1].proposal, field))
             assert runs[1].proposal.normalizer == "exact"
-            assert runs[1].eta_used == runs[0].eta_used == runs[0].params.eta
+            # no normalizer was path-sampled, so no run reports an eta
+            assert all("eta" not in run.report() for run in runs)
 
     def test_steep_two_piece_diffusion_run_on_atoms(self):
         # slopes +-40 on C = 1: path sampling would ask 3.97e7 draws (cap
@@ -1183,8 +1216,7 @@ class TestNetPieceCollapse:
         assert (res.net_pieces, res.envelope.m) == (37, 1)
         rep = res.report()
         assert (rep["net_pieces"], rep["m"]) == (37, 1)
-        params = ra.compute_params(f.lipschitz, float(np.linalg.norm(A, 2)),
-                                   base.support_radius, m=1, eps=0.1)
+        params = ra.compute_params(base.support_radius, m=1, eps=0.1)
         assert res.params.N_rej == params.N_rej
         p = np.exp(-1.0)
         sd = np.sqrt(p * (1 - p) / res.proposal_draws)
@@ -1358,3 +1390,25 @@ class TestOwnEnvelope:
         assert res.report()["normalizer"] == "mc, diffusion draws"
         p1 = np.mean(res.batch.points[:, 0] > 0.5)
         assert abs(p1 - np.e / (1 + np.e)) < 0.08
+
+    def test_bare_score_oracle_reports_the_eta_it_ran(self, monkeypatch):
+        # two pieces on a bare ScoreOracle take path-sampled normalizers:
+        # the report holds one eta, the one they were estimated at
+        seen = []
+        estimate = ra.kl_align.estimate_normalizer
+
+        def spy(*args, eta, **kwargs):
+            seen.append(eta)
+            return estimate(*args, eta=eta, **kwargs)
+
+        monkeypatch.setattr(ra.kl_align, "estimate_normalizer", spy)
+        base = ra.score_oracle(ra.DiscreteModel([[-1.0], [0.5]], [0.5, 0.5],
+                                                1.0))
+        f = ra.make_max_affine([([0.2], 0.0), ([-0.2], 0.0)])
+        res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.5, delta=0.1,
+                                   seed=2, n=50, backend="diffusion")
+        rep = res.report()
+        assert res.params.m == 2
+        assert rep["normalizer"] == "mc, diffusion draws"
+        assert [key for key in rep if key.startswith("eta")] == ["eta"]
+        assert seen == [rep["eta"]] == [ra.kl_align.PATH_SAMPLING_ETA]

@@ -17,6 +17,26 @@ def abs_function():
     return ra.make_max_affine([(np.array([1.0]), 0.0), (np.array([-1.0]), 0.0)])
 
 
+@pytest.mark.parametrize("build, err", [
+    (lambda: ra.LinearReward(1.0), "theta must be a vector"),
+    (lambda: ra.LinearReward([[1.0, 2.0], [3.0, 4.0]]),
+     "theta must be a vector"),
+    (lambda: ra.QuadraticReward(np.eye(2), [[0.1], [0.2]]),
+     r"B must be \(d, d\) and b \(d,\)"),
+    (lambda: ra.QuadraticReward(np.ones((2, 3)), [0.1, 0.2]),
+     r"B must be \(d, d\) and b \(d,\)"),
+    (lambda: ra.QuadraticReward(np.eye(2), [0.1, 0.2], c=[1.0, 2.0]),
+     "c must be one number"),
+    (lambda: ra.LowRankReward(np.ones((1, 2, 2)), abs_function()),
+     "A must be k x d")],
+    ids=["theta-0d", "theta-2d", "b-2d", "B-not-square", "c-1d", "A-3d"])
+def test_reward_array_shapes_checked(build, err):
+    # each owner checks the shapes of its arrays: theta (d,), B (d, d),
+    # b (d,), c one number, A 2-D; a ValidationError, not numpy's
+    with pytest.raises(ra.ValidationError, match=err):
+        build()
+
+
 class TestEval:
     def test_linear_dot(self):
         r = ra.LinearReward([1.0, 2.0])
