@@ -224,13 +224,14 @@ class MixtureProposal:
         return self.tilt_vectors.shape[0]
 
 
-def build_proposal(base: Model, env: Envelope, A, eta: float, delta: float,
-                   seed=None, backend: str = "exact") -> MixtureProposal:
+def build_proposal(base: Model, env: Envelope, A, delta: float, seed=None,
+                   backend: str = "exact") -> MixtureProposal:
     """Estimate every tilt normalizer in one call (failure budget delta/m
-    per row), in closed form or by path sampling on a ScoreOracle, and
-    normalize the weights in log space.  One piece (m = 1) has pi = 1: no
-    estimate, NaN ``log_zhat``.  On exact a ScoreOracle is refused first,
-    and the mixture is built once, ``law = tilt_exact(base, V, log_pi)``."""
+    per row), in closed form or by path sampling on a ScoreOracle at
+    relative accuracy PATH_SAMPLING_ETA, and normalize the weights in log
+    space.  One piece (m = 1) has pi = 1: no estimate, NaN ``log_zhat``.
+    On exact a ScoreOracle is refused first, and the mixture is built
+    once, ``law = tilt_exact(base, V, log_pi)``."""
     if backend == "exact":
         closed_form(base)
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -238,7 +239,7 @@ def build_proposal(base: Model, env: Envelope, A, eta: float, delta: float,
     log_zhat, log_pi, method = np.full(1, np.nan), np.zeros(1), ""
     if env.m > 1:
         est = estimate_normalizer(
-            base, vs, eta=eta, delta=delta / env.m, seed=seed,
+            base, vs, eta=PATH_SAMPLING_ETA, delta=delta / env.m, seed=seed,
             backend="mc" if isinstance(base, ScoreOracle) else "exact")
         logits = env.offsets + est.log_value
         log_zhat, method = est.log_value, est.method
@@ -410,13 +411,12 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         envelope = own_envelope(f, R) if envelope is None else envelope
         net_pieces = envelope.m
     params = compute_params(C, envelope.m, eps)
-    proposal = build_proposal(base, envelope, A, eta=PATH_SAMPLING_ETA,
-                              delta=delta, seed=rng, backend=backend)
-    # every draw, candidate or fallback, targets W2 eps / 8; on diffusion
-    # each reverse pass runs the one step count this gives
-    eps_draw = eps / 8.0
-    diff_steps = (recommended_steps(eps_draw, C) if backend == "diffusion"
-                  else 0)
+    proposal = build_proposal(base, envelope, A, delta=delta, seed=rng,
+                              backend=backend)
+    # every draw, candidate or fallback, targets W2 eps / 8: on diffusion
+    # each reverse pass runs the one step count this gives, on exact none
+    steps = (recommended_steps(eps / 8.0, C) if backend == "diffusion"
+             else None)
 
     pts = np.empty((n, base.d))
     fell = np.ones(n, dtype=bool)
@@ -457,8 +457,7 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         done = carry = 0
         while done < n and params.N_rej > 0:
             count = min(int(np.ceil((n - done) / params.a0)), n, ROW_BLOCK)
-            cand = sample_linear_tilt(law, tilt, eps_draw, rng, backend,
-                                      n=count, steps=diff_steps,
+            cand = sample_linear_tilt(law, tilt, rng, n=count, steps=steps,
                                       log_pi=proposal.log_pi).points
             log_a = _log_acceptance(f, envelope, cand @ A.T)
             ok = np.log(rng.random(count)) < log_a
@@ -474,14 +473,14 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
 
     fallback = int(fell.sum())
     if fallback:
-        pts[fell] = sample_linear_tilt(base, None, eps_draw, rng, backend,
-                                       n=fallback, steps=diff_steps).points
+        pts[fell] = sample_linear_tilt(base, None, rng, n=fallback,
+                                       steps=steps).points
 
     batch = SampleBatch(points=pts, seed=_seed_tag(seed),
                         producer="kl_align/alg1", d=base.d)
     return KLAlignResult(batch=batch, params=params, envelope=envelope,
                          proposal=proposal, fallback_count=fallback,
                          proposal_draws=draws,
-                         backend=backend, diffusion_steps=diff_steps,
+                         backend=backend, diffusion_steps=steps or 0,
                          passes=passes, net_pieces=net_pieces)
 

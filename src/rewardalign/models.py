@@ -226,13 +226,6 @@ class GaussianMixtureModel:
         return float(self.weights @ [0.5 * math.erfc(x) if x > 0 else 1.0
                                      for x in z.tolist()])
 
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        """Untruncated log-density at x (d,) or (n, d), as an (n,) array."""
-        xb = _batch(self, x)
-        factors = [f[0] for f in self._noise_factors(np.ones(1), np.zeros(1))]
-        return _logsumexp(self._components(xb.T, factors,
-                                           self._workspace(len(xb)))[0])
-
     @cached_property
     def _whitening(self) -> tuple:
         """The sigma-free factors of ``_noise_factors``, formed on first
@@ -692,8 +685,8 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
 def recommended_steps(eps_p: float, C: float) -> int:
     """Step count of :func:`sample_via_diffusion` for a W2 target eps_p on
     a base in the ball of radius C: max(25, ceil(3 C / eps_p)), capped at
-    ``DIFFUSION_STEP_CAP``.  Every draw that is not given its steps takes
-    them from here, so the cap holds on every path.
+    ``DIFFUSION_STEP_CAP``.  Every sampler that is not given a step count
+    converts its W2 target here, so the cap holds on each of those paths.
 
     Validated empirically by ``tests/test_models.py::TestStepRule``, not
     derived.  The update is second order: against a 1000-step run from the

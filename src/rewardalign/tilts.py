@@ -13,16 +13,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BudgetError, NumericalError, ValidationError, finite
-from .models import (TILT_BLOCK, DiscreteModel, GaussianMixtureModel, Model,
-                     SampleBatch, ScoreOracle, _logsumexp, _noise, _NoiseRow,
-                     _rng_from, _seed_tag, check_count, closed_form, norms,
-                     recommended_steps, sample_exact, sample_via_diffusion,
-                     score_oracle)
+from .models import (ROW_BLOCK, TILT_BLOCK, DiscreteModel,
+                     GaussianMixtureModel, Model, SampleBatch, ScoreOracle,
+                     _logsumexp, _noise, _NoiseRow, _rng_from, _seed_tag,
+                     check_count, closed_form, norms, recommended_steps,
+                     sample_exact, sample_via_diffusion, score_oracle)
 
 MC_SAMPLE_CAP = 10_000_000
-
-# Draws per block of a Monte Carlo normalizer.
-MC_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -144,32 +141,23 @@ def tilted_score(base: ScoreOracle, v, sigma, x: np.ndarray,
     return np.add(np.divide(v, sigma.a, out=work), sc, out=sc)
 
 
-def sample_linear_tilt(base, V, eps: float, seed, backend: str = "exact",
-                       n: int = 1, steps: int = None,
+def sample_linear_tilt(base, V, seed, n: int = 1, steps: int = None,
                        log_pi=None) -> SampleBatch:
     """Draw from the tilt of the base by V, on ``tilt_exact``'s contract:
     the one draw path of the samplers.  ``V=None`` is the base itself,
     drawn as ``sample_exact`` or ``sample_via_diffusion(score_oracle(base))``
-    would.  backend="exact" draws ``sample_exact(tilt_exact(base, V,
-    log_pi))`` on a closed-form model; backend="diffusion" takes a model or
-    a ScoreOracle and makes one reverse pass on the tilted score, in
-    ``steps`` steps or ``recommended_steps`` of the W2 target eps.  For a
-    matrix V (m = 1 too) each row first draws its tilt from pi, from the
-    same stream.  Outputs live in the support ball either way.
+    would.  steps=None draws ``sample_exact(tilt_exact(base, V, log_pi))``
+    on a closed-form model; an integer makes one reverse pass of that many
+    steps on the tilted score, of a model or a ScoreOracle.  For a matrix
+    V (m = 1 too) each row first draws its tilt from pi, from the same
+    stream.  Outputs live in the support ball either way.
     """
     check_count(n)
-    if not eps > 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
-    if backend not in ("exact", "diffusion"):
-        raise ValidationError(f"unknown backend {backend!r}")
-
-    if backend == "exact":  # both check that base has closed forms
+    if steps is None:  # both check that base has closed forms
         return sample_exact(
             base if V is None else tilt_exact(base, V, log_pi), n, seed)
 
     oracle = base if isinstance(base, ScoreOracle) else score_oracle(base)
-    if steps is None:
-        steps = recommended_steps(eps, oracle.C)
     if V is None:
         return sample_via_diffusion(oracle, n=n, steps=steps, seed=seed)
     rows, log_pi = _tilt_rows(oracle, V, log_pi)
@@ -214,7 +202,7 @@ def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
       base, diffusion on a ScoreOracle, where each row's W2 error eps_d to
       its node's tilt moves g by at most ||v|| eps_d; its steps are
       ``recommended_steps(eps_d, C)``, so this term rests on that step rule.
-    Rows draw in order, a zero tilt none, MC_BLOCK rows at a time, exact
+    Rows draw in order, a zero tilt none, ROW_BLOCK rows at a time, exact
     ones from one node mixture per tilt; the total meets MC_SAMPLE_CAP
     before any int (a huge B makes it inf).
     """
@@ -240,12 +228,15 @@ def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
     log_value = np.zeros(len(rows))
     for i, v in enumerate(rows):
         k, n = int(K[i]), int(N[i])
+        if n == 0:  # a zero tilt
+            continue
         nodes = ((np.arange(k) + 0.5) / k)[:, None] * v
-        law, tilt = ((tilt_exact(base, nodes), None) if source == "exact"
-                     else (base, nodes))
-        for s in range(0, n, MC_BLOCK):
-            xs = sample_linear_tilt(law, tilt, eps * C / B[i], rng, source,
-                                    n=min(MC_BLOCK, n - s))
+        law, tilt, steps = (
+            (tilt_exact(base, nodes), None, None) if source == "exact"
+            else (base, nodes, recommended_steps(eps * C / B[i], C)))
+        for s in range(0, n, ROW_BLOCK):
+            xs = sample_linear_tilt(law, tilt, rng, n=min(ROW_BLOCK, n - s),
+                                    steps=steps)
             log_value[i] += (xs.points @ v).sum()
     log_value /= np.maximum(N, 1)
     return NormalizerEstimate(

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError, finite
 from .kl_align import build_net
 from .models import (ROW_BLOCK, Model, SampleBatch, _all_finite, _rng_from,
-                     _seed_tag, check_count, norms, project_ball)
+                     _seed_tag, check_count, norms, project_ball,
+                     recommended_steps)
 # bound though unused here: bench/tracer.py wraps them in this module by name
 from .models import sample_exact, sample_via_diffusion  # noqa: F401
 from .rewards import (PIECE_TIE_TOL, LowRankReward, QuadraticReward,
@@ -76,9 +77,9 @@ def _prox_quadratic_kkt(reward: QuadraticReward, lam, y, C):
     one would repeat it."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     _check_prox_args(lam, C, y, reward.d)
-    evals, evecs = reward._eigh
-    if evals[0] < -1e-10:
+    if not reward.concave:
         raise ValidationError(_NOT_PSD)
+    evals, evecs = reward._eigh
     rhs = reward.b / 2.0 + lam * np.atleast_2d(y)   # (n, d)
     w = rhs @ evecs                          # coordinates in B's eigenbasis
     z = w / (evals + lam)
@@ -438,13 +439,15 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
     map for ``backend`` and the reward at C = base.support_radius, whose
     checks all run before the base draw, as does the check that the reward
     and the base share d; returns the coupling, so the transport is
-    auditable.  The base draw is ``sample_linear_tilt`` with no tilt on
-    ``base_backend`` ("exact" or "diffusion"), with W2 target eps, or the
-    schedule's eps_P on lowrank.  The prox map and ``objective_value`` run
-    ROW_BLOCK rows at a time, into one (n, d) ``xs`` and one (n,) array of
-    values.  One refusal comes after the draw: a net search's net, refused
-    by ``build_net`` (its size, or a spacing of 0) when ``alg2_prox``
-    builds it.
+    auditable.  The base draw is ``sample_linear_tilt`` with no tilt, at
+    the W2 target eps (the schedule's eps_P on lowrank), which must be
+    positive: exact on ``base_backend="exact"``, where ``steps`` is not
+    read, or on "diffusion" one reverse pass of ``steps`` steps, by
+    default ``recommended_steps`` of the target.  The prox map and
+    ``objective_value`` run ROW_BLOCK rows at a time, into one (n, d)
+    ``xs`` and one (n,) array of values.  One refusal comes after the
+    draw: a net search's net, refused by ``build_net`` (its size, or a
+    spacing of 0) when ``alg2_prox`` builds it.
     """
     check_count(n)
     T, producer, params = prox_map(reward, lam, base.support_radius,
@@ -452,8 +455,17 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
     if reward.d != base.d:
         raise ValidationError(f"the reward has d = {reward.d}, the base "
                               f"d = {base.d}")
-    ys = sample_linear_tilt(base, None, params.eps_P if params else eps,
-                            _rng_from(seed), base_backend, n=n,
+    target = params.eps_P if params else eps
+    if not target > 0:  # eps_P underflows where lam C passes the float max
+        raise ValidationError(f"the base draw's W2 target must be positive, "
+                              f"got {target}")
+    if base_backend == "exact":
+        steps = None
+    elif base_backend != "diffusion":
+        raise ValidationError(f"unknown base backend {base_backend!r}")
+    elif steps is None:
+        steps = recommended_steps(target, base.support_radius)
+    ys = sample_linear_tilt(base, None, _rng_from(seed), n=n,
                             steps=steps).points
     xs = np.empty_like(ys)
     for s in range(0, n, ROW_BLOCK):

@@ -282,8 +282,7 @@ class TestBuildProposal:
     def test_two_point_symmetric(self):
         base = ra.DiscreteModel([[-1.0], [1.0]], [0.5, 0.5], 1.0)
         env = ra.Envelope.from_pieces([[1.0], [-1.0]], [0.0, 0.0])
-        prop = ra.build_proposal(base, env, np.eye(1), eta=0.1, delta=0.1,
-                                 seed=0)
+        prop = ra.build_proposal(base, env, np.eye(1), delta=0.1, seed=0)
         assert np.exp(prop.log_pi) == pytest.approx([0.5, 0.5], abs=1e-14)
         assert np.exp(prop.log_zhat) == pytest.approx([np.cosh(1.0)] * 2,
                                                       rel=1e-12)
@@ -293,7 +292,7 @@ class TestBuildProposal:
     def test_single_component(self):
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
         env = ra.Envelope.from_pieces([[1.0]], [0.0])
-        prop = ra.build_proposal(base, env, np.eye(1), eta=0.1, delta=0.1)
+        prop = ra.build_proposal(base, env, np.eye(1), delta=0.1)
         assert np.exp(prop.log_pi) == pytest.approx([1.0])
 
     def test_exact_backend_weights_match_direct_normalization(self):
@@ -301,7 +300,7 @@ class TestBuildProposal:
         base = random_discrete(rng, 6, 2)
         env = ra.Envelope.from_pieces(rng.standard_normal((4, 2)) * 0.5,
                                       rng.uniform(-1, 1, 4))
-        prop = ra.build_proposal(base, env, np.eye(2), eta=1e-9, delta=0.1)
+        prop = ra.build_proposal(base, env, np.eye(2), delta=0.1)
         from rewardalign.tilts import log_normalizer_exact
         logits = env.offsets + np.array(
             [log_normalizer_exact(base, v) for v in prop.tilt_vectors])
@@ -321,8 +320,7 @@ class TestBuildProposal:
                                  base.support_radius)
             env = ra.build_envelope(f, ra.build_net(k, base.support_radius,
                                                     1 / (2 * L)))
-            mixture = ra.build_proposal(base, env, A, eta=0.5,
-                                        delta=0.5).law
+            mixture = ra.build_proposal(base, env, A, delta=0.5).law
             g_vals = env.value(base.atoms @ A.T)
             logits = np.log(base.probs) + g_vals
             probs = np.exp(logits - logits.max())
@@ -339,8 +337,7 @@ class TestBuildProposal:
         env = ra.Envelope.from_pieces([[1.5], [-1.0], [0.3]],
                                       [0.0, 0.2, -0.1])
         for base in (random_discrete(rng, 7, 1), gmm):
-            prop = ra.build_proposal(base, env, np.eye(1), eta=0.1,
-                                     delta=0.1)
+            prop = ra.build_proposal(base, env, np.eye(1), delta=0.1)
             model = ra.tilt_exact(base, prop.tilt_vectors, prop.log_pi)
             if isinstance(base, ra.DiscreteModel):
                 assert np.array_equal(prop.law.probs, model.probs)
@@ -349,8 +346,8 @@ class TestBuildProposal:
                 for field in ("weights", "means", "covs"):
                     assert np.array_equal(getattr(prop.law, field),
                                           getattr(model, field))
-            diff = ra.build_proposal(base, env, np.eye(1), eta=0.2,
-                                     delta=0.2, seed=0, backend="diffusion")
+            diff = ra.build_proposal(base, env, np.eye(1), delta=0.2, seed=0,
+                                     backend="diffusion")
             assert diff.law is None
 
     def test_gmm_proposal_is_weighted_sum_of_tilts(self):
@@ -762,7 +759,7 @@ class TestSampleKLAligned:
         base = random_discrete(rng, 6, 2, C=0.3)
         reward, env = self.one_piece_reward(rng)
         A, f = reward.A, reward.f
-        model = ra.build_proposal(base, env, A, eta=0.5, delta=0.5).law
+        model = ra.build_proposal(base, env, A, delta=0.5).law
         u = model.atoms @ A.T
         w = model.probs * np.exp(np.asarray(f.value(u)) - env.value(u))
         alpha = w.sum()
@@ -1093,7 +1090,7 @@ class TestSampleKLAligned:
                              R=1.2 * base.support_radius)
         env = ra.build_envelope(
             f, ra.build_net(2, 1.2 * base.support_radius, 1 / 1.6))
-        prop = ra.build_proposal(base, env, A, eta=1e-9, delta=0.1, seed=rng)
+        prop = ra.build_proposal(base, env, A, delta=0.1, seed=rng)
         comps = rng.choice(env.m, size=500, p=np.exp(prop.log_pi))
         for i in np.unique(comps):
             tilted = ra.tilt_exact(base, prop.tilt_vectors[i])

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 import rewardalign as ra
 from rewardalign import metrics
@@ -261,7 +263,9 @@ class TestQuadrature:
                             no_kernel)
         quad = metrics.QuadratureTilt1D(base)
         monkeypatch.undo()
-        log_dens = base.log_density(quad.grid[:, None])
+        log_dens = logsumexp([np.log(w) + multivariate_normal(mu, cov).logpdf(
+            quad.grid) for w, mu, cov in zip(base.weights, base.means,
+                                             base.covs)], axis=0)
         assert np.ptp(np.log(quad.density) - log_dens) <= 1e-12
 
     def test_tilt_matches_discrete_enumeration(self):
@@ -288,7 +292,8 @@ class TestQuadrature:
                                        [[[0.49]], [[0.49]]], 8.0)
         reward = ra.QuadraticReward([[0.15]], [0.6], c=-0.6)
         grid = np.linspace(-6, 6, 64)
-        probs = np.exp(base.log_density(grid[:, None]))
+        probs = sum(w * multivariate_normal(mu, cov).pdf(grid)
+                    for w, mu, cov in zip(base.weights, base.means, base.covs))
         probs /= probs.sum()
         disc = ra.DiscreteModel(grid[:, None], probs, 8.0)
         tilted = metrics.oracle_kl_tilt(disc, reward)

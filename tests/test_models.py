@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import chdtri, logsumexp
-from scipy.stats import chi2, multivariate_normal, norm
+from scipy.stats import chi2, norm
 
 import rewardalign as ra
 from rewardalign.cli import main
@@ -229,7 +229,7 @@ class TestScore:
                                 pytest.approx(dens, rel=1e-14, abs=1e-14))
 
 
-# every query entry on both families; log_density exists on mixtures only
+# every query entry on both families
 QUERIES = {
     "score/gmm": lambda x: ra.score(std_normal_1d(), 0.5, x),
     "score/atoms": lambda x: ra.score(TWO_ATOMS, 0.5, x),
@@ -237,7 +237,6 @@ QUERIES = {
                                                            0.5, x),
     "noised_log_density/atoms": lambda x: noised_log_density(TWO_ATOMS,
                                                              0.5, x),
-    "log_density/gmm": lambda x: std_normal_1d().log_density(x),
 }
 
 
@@ -252,19 +251,6 @@ def test_query_shape_is_point_or_batch(query):
     assert np.shape(fn(np.array([0.3]))) == (1,)
     batch = (4, 1) if query.startswith("score") else (4,)
     assert np.shape(fn(np.full((4, 1), 0.3))) == batch
-
-
-class TestLogDensity:
-    def test_matches_scipy_mixture(self):
-        rng = np.random.default_rng(22)
-        for d, J in ((1, 2), (2, 3), (3, 3)):
-            m = random_gmm(rng, d, J)
-            xs = random_unit_ball(rng, 40, d, radius=m.support_radius / 2)
-            comps = [np.log(m.weights[j])
-                     + multivariate_normal(m.means[j], m.covs[j]).logpdf(xs)
-                     for j in range(J)]
-            expected = logsumexp(np.array(comps).reshape(J, -1), axis=0)
-            assert np.max(np.abs(m.log_density(xs) - expected)) <= 1e-12
 
 
 class TestSampleExact:
@@ -573,8 +559,8 @@ class TestDiffusionSampler:
         # atoms {0, 1} tilted by v = 1 put e/(1+e) on atom 1; the W2 target
         # 0.0625 is what the KL diffusion backend asks at eps = 0.5
         n = 4 * 10**4
-        batch = ra.sample_linear_tilt(TWO_ATOMS, np.array([1.0]), 0.0625, 31,
-                                      backend="diffusion", n=n)
+        batch = ra.sample_linear_tilt(TWO_ATOMS, np.array([1.0]), 31, n=n,
+                                      steps=recommended_steps(0.0625, 1.0))
         p = np.e / (1 + np.e)
         mass = np.mean(batch.points[:, 0] > 0.5)
         assert abs(mass - p) <= 4 * np.sqrt(p * (1 - p) / n), mass
@@ -623,8 +609,8 @@ def _step_row(steps):
         row.append(ra.metrics.w2_empirical(
             x, ra.sample_exact(model, 10**4, 22).points))
     v = np.array([1.0])
-    x = ra.sample_linear_tilt(TWO_ATOMS, v, 1.0, 23, backend="diffusion",
-                              n=4 * 10**4, steps=steps).points
+    x = ra.sample_linear_tilt(TWO_ATOMS, v, 23, n=4 * 10**4,
+                              steps=steps).points
     target = ra.metrics.oracle_kl_tilt(TWO_ATOMS, ra.LinearReward(v))
     row.append(ra.metrics.w2_discrete(
         ra.metrics.empirical_to_discrete(x, 1.0), target))
@@ -991,7 +977,7 @@ class TestBareScoreOracle:
         lambda b, f: ra.estimate_normalizer(b, [1.0], 0.1, 0.1),
         lambda b, f: ra.sample_exact(b, 5, 0),
         lambda b, f: ra.tilt_exact(b, [1.0]),
-        lambda b, f: ra.sample_linear_tilt(b, [1.0], 0.1, 0),
+        lambda b, f: ra.sample_linear_tilt(b, [1.0], 0, steps=None),
     ], ids=["kl-exact", "w2-exact-base", "normalizer-exact", "sample-exact",
             "tilt-exact", "linear-tilt-exact"])
     def test_closed_form_paths_refuse_it(self, path):
@@ -1189,8 +1175,7 @@ class TestNoiseTable:
                               d=model.d, C=model.support_radius, tag="bare")
         V = None if tilts is None else np.linspace(
             -0.6, 0.8, tilts * model.d).reshape(tilts, model.d)
-        draws = [ra.sample_linear_tilt(base, V, 0.1, 9, backend="diffusion",
-                                       n=200, steps=40,
+        draws = [ra.sample_linear_tilt(base, V, 9, n=200, steps=40,
                                        log_pi=None if V is None
                                        else np.log([0.3, 0.7]))
                  for base in (model, bare)]

@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import multivariate_normal
 
 import rewardalign as ra
 from rewardalign import tilts
 from rewardalign.metrics import QuadratureTilt1D, w2_1d_samples_vs_quantiles
-from rewardalign.models import recommended_steps
-from rewardalign.tilts import MC_BLOCK, log_normalizer_exact
+from rewardalign.models import ROW_BLOCK, recommended_steps
+from rewardalign.tilts import log_normalizer_exact
 from rewardalign.validate import random_gmm
 
 
@@ -31,7 +32,8 @@ class TestTiltExact:
         Z, _ = quad(lambda x: np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)
                     * np.exp(x), -12, 12)
         for x in (-0.5, 0.8, 2.0):
-            lhs = np.exp(tilted.log_density(np.array([[x]])))[0]
+            lhs = sum(w * multivariate_normal(mu, cov).pdf(x) for w, mu, cov
+                      in zip(tilted.weights, tilted.means, tilted.covs))
             rhs = (np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)) * np.exp(x) / Z
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -127,38 +129,38 @@ class TestTiltedScore:
 class TestSampleLinearTilt:
     def test_exact_gaussian_mean(self):
         batch = ra.sample_linear_tilt(std_normal_1d(), np.array([1.0]),
-                                      eps=0.1, seed=21, n=10**5)
+                                      seed=21, n=10**5)
         assert abs(batch.points.mean() - 1.0) < 0.02
 
     def test_zero_tilt_is_base(self):
         m = two_point()
-        b1 = ra.sample_linear_tilt(m, np.zeros(1), eps=0.1, seed=5, n=4000)
+        b1 = ra.sample_linear_tilt(m, np.zeros(1), seed=5, n=4000)
         assert abs(np.mean(b1.points[:, 0] > 0) - 0.5) < 0.03
 
     def test_diffusion_two_point_mass(self):
         m = two_point()
-        batch = ra.sample_linear_tilt(m, np.array([1.0]), eps=0.05, seed=12,
-                                      backend="diffusion", n=10**4)
+        batch = ra.sample_linear_tilt(m, np.array([1.0]), seed=12, n=10**4,
+                                      steps=recommended_steps(0.05, 1.0))
         rounded = np.where(batch.points[:, 0] > 0, 1.0, -1.0)
         target = np.e / (np.e + np.exp(-1.0))
         assert abs(np.mean(rounded > 0) - target) < 0.03
 
     def test_support_stays_in_ball(self):
         m = std_normal_1d()
-        batch = ra.sample_linear_tilt(m, np.array([0.3]), eps=0.2, seed=3,
-                                      backend="diffusion", n=200)
+        batch = ra.sample_linear_tilt(m, np.array([0.3]), seed=3, n=200,
+                                      steps=recommended_steps(0.2, 8.0))
         assert np.all(np.linalg.norm(batch.points, axis=1) <= m.support_radius + 1e-12)
 
     @pytest.mark.parametrize("base", [two_point(), std_normal_1d(),
                                       random_gmm(np.random.default_rng(4), 3,
                                                  2)])
     def test_no_tilt_is_the_base_draw(self, base):
-        exact = ra.sample_linear_tilt(base, None, 0.2, seed=8, n=300)
+        exact = ra.sample_linear_tilt(base, None, seed=8, n=300)
         assert np.array_equal(exact.points,
                               ra.sample_exact(base, 300, 8).points)
         steps = recommended_steps(0.2, base.support_radius)
-        reverse = ra.sample_linear_tilt(base, None, 0.2, seed=8, n=300,
-                                        backend="diffusion")
+        reverse = ra.sample_linear_tilt(base, None, seed=8, n=300,
+                                        steps=steps)
         direct = ra.sample_via_diffusion(ra.score_oracle(base), n=300,
                                          steps=steps, seed=8)
         assert np.array_equal(reverse.points, direct.points)
@@ -169,8 +171,7 @@ class TestSampleLinearTilt:
         base = two_point()
         V = np.array([[-1.0], [0.2], [1.0]])
         log_pi = np.log([0.2, 0.3, 0.5])
-        batch = ra.sample_linear_tilt(base, V, 0.1, seed=2, n=40,
-                                      backend="diffusion", steps=30,
+        batch = ra.sample_linear_tilt(base, V, seed=2, n=40, steps=30,
                                       log_pi=log_pi)
         rng = np.random.default_rng(2)
         pi = np.exp(log_pi - log_pi.max())
@@ -187,28 +188,28 @@ class TestSampleLinearTilt:
     def test_mixture_on_exact_is_the_tilt_model(self, base):
         V = np.linspace(-0.8, 0.6, 3 * base.d).reshape(3, base.d)
         for log_pi in (None, np.log([0.5, 0.3, 0.2])):
-            batch = ra.sample_linear_tilt(base, V, 0.1, seed=5, n=300,
+            batch = ra.sample_linear_tilt(base, V, seed=5, n=300,
                                           log_pi=log_pi)
             direct = ra.sample_exact(ra.tilt_exact(base, V, log_pi), 300, 5)
             assert np.array_equal(batch.points, direct.points)
 
-    @pytest.mark.parametrize("backend", ["exact", "diffusion"])
-    def test_int_seed_recorded_with_a_tilt_matrix(self, backend):
-        batch = ra.sample_linear_tilt(two_point(), np.ones((2, 1)), 0.1,
-                                      seed=17, n=5, backend=backend, steps=5)
+    @pytest.mark.parametrize("steps", [None, 5], ids=["exact", "diffusion"])
+    def test_int_seed_recorded_with_a_tilt_matrix(self, steps):
+        batch = ra.sample_linear_tilt(two_point(), np.ones((2, 1)), seed=17,
+                                      n=5, steps=steps)
         assert batch.seed == 17
 
-    @pytest.mark.parametrize("backend", ["exact", "diffusion"])
+    @pytest.mark.parametrize("steps", [None, 5], ids=["exact", "diffusion"])
     @pytest.mark.parametrize("n", [0, -1, 2.5, True])
-    def test_count_checked_before_the_component_draw(self, backend, n):
+    def test_count_checked_before_the_component_draw(self, steps, n):
         rng = np.random.default_rng(6)
         state = rng.bit_generator.state
         with pytest.raises(ra.ValidationError, match="n must be"):
-            ra.sample_linear_tilt(two_point(), np.ones((2, 1)), 0.1, rng,
-                                  backend=backend, n=n, steps=5)
+            ra.sample_linear_tilt(two_point(), np.ones((2, 1)), rng, n=n,
+                                  steps=steps)
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("backend", ["exact", "diffusion"])
+    @pytest.mark.parametrize("steps", [None, 5], ids=["exact", "diffusion"])
     @pytest.mark.parametrize("v, log_pi", [
         (np.ones(2), None), (np.ones((5, 2)), None),
         (np.ones((1, 5, 1)), None), (np.array(1.0), None),
@@ -218,10 +219,10 @@ class TestSampleLinearTilt:
         (np.ones((2, 1)), np.array([0.0, np.nan]))],
         ids=["vector-d", "matrix-d", "3-D", "0-D", "empty", "nan-vector",
              "nan-matrix", "log_pi-length", "log_pi-vector", "log_pi-nan"])
-    def test_tilt_shape_checked(self, backend, v, log_pi):
+    def test_tilt_shape_checked(self, steps, v, log_pi):
         with pytest.raises(ra.ValidationError):
-            ra.sample_linear_tilt(two_point(), v, 0.1, seed=0, n=5,
-                                  backend=backend, log_pi=log_pi)
+            ra.sample_linear_tilt(two_point(), v, seed=0, n=5, steps=steps,
+                                  log_pi=log_pi)
 
 
 class TestEstimateNormalizer:
@@ -259,7 +260,7 @@ class TestEstimateNormalizer:
 
     def test_mc_sums_every_block(self):
         # at ||v||C = 0.3 and eta = 0.009 the rule takes one panel (K = 1),
-        # so every draw is from the one-node mixture tilt(v / 2): 3 blocks
+        # so every draw is from the one-node mixture tilt(v / 2): a block
         # and a partial one, which an atom set draws as the one-shot draws
         # of the same stream
         m = ra.DiscreteModel([[-0.5], [0.25], [1.0]], [0.2, 0.3, 0.5], 1.0)
@@ -268,7 +269,7 @@ class TestEstimateNormalizer:
                                      backend="mc")
         eps = np.log1p(eta) / 2
         N = int(np.ceil(2 * 0.3**2 * np.log(2 / delta) / eps**2))
-        assert est.n_draws == N and 3 * MC_BLOCK < N < 4 * MC_BLOCK
+        assert est.n_draws == N and ROW_BLOCK < N < 2 * ROW_BLOCK
         xs = ra.sample_exact(ra.tilt_exact(m, v[None] / 2), N,
                              np.random.default_rng(3)).points
         assert est.log_value == pytest.approx(np.mean(xs @ v), rel=1e-12)
@@ -286,7 +287,7 @@ class TestEstimateNormalizer:
         monkeypatch.setattr(tilts, "tilt_exact", counted)
         est = ra.estimate_normalizer(m, np.array([[0.3], [-0.3]]), eta=0.009,
                                      delta=0.1, seed=3, backend="mc")
-        assert est.n_draws > 4 * MC_BLOCK and len(built) == 2
+        assert est.n_draws > 2 * ROW_BLOCK and len(built) == 2
 
     def test_mc_memory_flat_in_draws(self):
         # about 4.6e5 draws; one-shot draws would hold several MB
@@ -298,7 +299,7 @@ class TestEstimateNormalizer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert est.n_draws > 50 * MC_BLOCK
+        assert est.n_draws > 25 * ROW_BLOCK
         assert peak < 1_000_000
 
     def test_mc_mixture_agrees_with_exact(self):
@@ -352,7 +353,7 @@ class TestEstimateNormalizer:
         eps = np.log1p(eta) / 2  # exact draws: quadrature and sampling
         K = int(np.ceil(np.sqrt(1.5**3 / (12 * eps))))
         N = int(np.ceil(2 * 1.5**2 * np.log(2 / delta) / eps**2))
-        assert K > 1 and est.n_draws == N < MC_BLOCK
+        assert K > 1 and est.n_draws == N < ROW_BLOCK
         nodes = ((np.arange(K) + 0.5) / K)[:, None] * v
         mix = ra.tilt_exact(m, nodes)
         midpoint = np.mean([ra.tilt_exact(m, t).probs for t in nodes], axis=0)

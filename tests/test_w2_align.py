@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 import rewardalign as ra
 from rewardalign.metrics import oracle_prox_grid, w2_discrete
@@ -102,6 +103,18 @@ class TestProxQuadratic:
         with pytest.raises(ra.ValidationError):
             ra.prox_quadratic(ra.QuadraticReward([[-1.0]], [0.0]), 1.0,
                               np.array([0.0]), 1.0)
+
+    @pytest.mark.parametrize("ev", [-5e-11, -2e-10])
+    def test_refused_where_the_reward_is_not_concave(self, ev):
+        # one PSD tolerance: the prox refuses exactly where the reward's
+        # own concave flag is False
+        r = ra.QuadraticReward([[ev, 0.0], [0.0, 1.0]], [0.1, 0.0])
+        if r.concave:
+            ra.prox_quadratic(r, 1.0, np.zeros(2), 1.0)
+        else:
+            with pytest.raises(ra.ValidationError, match="PSD"):
+                ra.prox_quadratic(r, 1.0, np.zeros(2), 1.0)
+        assert r.concave == (ev > -1e-10)
 
     def test_batch_matches_rows_interior_and_boundary(self):
         rng = np.random.default_rng(30)
@@ -850,6 +863,33 @@ class TestPushforward:
                                    base_backend="diffusion", steps=300)
         assert np.max(np.abs(res.xs - (1 + res.ys / 2))) <= 1e-12
 
+    def test_unknown_base_backend_refused_before_the_draw(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        base = ra.GaussianMixtureModel([1.0], [[0.0]], [[[1.0]]], 8.0)
+        with pytest.raises(ra.ValidationError, match="bogus"):
+            ra.sample_w2_aligned(base, fig1_reward(), lam=0.15, n=5, seed=rng,
+                                 backend="quad", base_backend="bogus")
+        assert rng.bit_generator.state == state
+
+    def test_exact_base_does_not_read_steps(self):
+        # a step count does not switch an exact base draw to diffusion
+        base = ra.GaussianMixtureModel([1.0], [[0.0]], [[[1.0]]], 8.0)
+        ys = [ra.sample_w2_aligned(base, fig1_reward(), lam=0.15, n=50,
+                                   seed=9, backend="quad", **kw).ys
+              for kw in ({}, {"steps": 7})]
+        assert ys[0].tobytes() == ys[1].tobytes()
+
+    @pytest.mark.parametrize("base_backend", ["exact", "diffusion"])
+    def test_underflowed_base_target_refused(self, base_backend):
+        # at lam C past the float max the schedule's eps_P is 0
+        base = ra.DiscreteModel([[0.0]], [1.0], 1.7e308)
+        reward = ra.LowRankReward([[1.0]], ra.make_max_affine(
+            [([1.0], 0.0), ([-1.0], 0.0)]))
+        with pytest.raises(ra.ValidationError, match="W2 target"):
+            ra.sample_w2_aligned(base, reward, lam=0.15, n=5, seed=0,
+                                 backend="lowrank", base_backend=base_backend)
+
 
 class TestObjective:
     def test_scaled_mean_matches_plain_and_stays_finite(self):
@@ -885,7 +925,8 @@ class TestObjective:
         r = fig1_reward()
         lam = 0.15
         ys = np.linspace(-8, 8, 20001)
-        dens = np.exp(base.log_density(ys[:, None]))
+        dens = sum(w * multivariate_normal(mu, cov).pdf(ys)
+                   for w, mu, cov in zip(base.weights, base.means, base.covs))
         t = 1 + ys / 2
         v = (np.asarray(r.value(t[:, None])) - lam * (t - ys) ** 2)
         expected = np.trapezoid(v * dens, ys)
