@@ -613,9 +613,25 @@ def _seed_tag(seed) -> int:
     return int(seed) if isinstance(seed, (int, np.integer)) else -1
 
 
+def _categorical(p, n: int, rng: Generator) -> np.ndarray:
+    """n i.i.d. indices into the nonnegative vector p, drawn from p / sum p:
+    Multinomial(n, p) counts, each index repeated its count, then shuffled
+    uniformly (Devroye 1986, ch. III), with no CDF search.  Only the
+    positive entries enter the multinomial, so a zero entry is never drawn;
+    a law on one index returns it n times without touching the generator."""
+    p = np.asarray(p, dtype=float)
+    support = np.flatnonzero(p)
+    if support.size == 1:
+        return np.full(n, support[0], dtype=np.intp)
+    q = p[support]
+    idx = np.repeat(support, rng.multinomial(n, q / q.sum()))
+    rng.shuffle(idx)
+    return idx
+
+
 def _sample_gmm_raw(model: GaussianMixtureModel, n: int,
                     rng: Generator) -> np.ndarray:
-    comps = rng.choice(model.n_components, size=n, p=model.weights)
+    comps = _categorical(model.weights, n, rng)
     z = rng.standard_normal((n, model.d))
     out = model.means[comps] + np.einsum("nij,nj->ni", model._chols[comps], z)
     return out
@@ -627,12 +643,19 @@ def check_count(n) -> None:
         raise ValidationError(f"n must be an integer >= 1, got {n!r}")
 
 
+def check_steps(steps) -> None:
+    """The step count check of every reverse pass: an integer >= 2."""
+    if not (isinstance(steps, (int, np.integer)) and steps >= 2):
+        raise ValidationError(f"steps must be an integer >= 2, got {steps!r}")
+
+
 def sample_exact(model: Model, n: int, seed) -> SampleBatch:
-    """i.i.d. exact draws of the model truncated to its ball; atoms are
-    categorical.  A Gaussian mixture is drawn in rounds from one budget of
-    N = 1e6 + 11 n raw draws, refused before any draw where N would land n
-    inside with probability <= mu^n / n! <= 1e-9 (mu = N p for an in-ball
-    mass bound p, read as 1 within 1e-9 of it; union bound over n-subsets).
+    """i.i.d. exact draws of the model truncated to its ball; atoms, and
+    a mixture's components, are drawn by ``_categorical``.  A Gaussian
+    mixture is drawn in rounds from one budget of N = 1e6 + 11 n raw
+    draws, refused before any draw where N would land n inside with
+    probability <= mu^n / n! <= 1e-9 (mu = N p for an in-ball mass bound
+    p, read as 1 within 1e-9 of it; union bound over n-subsets).
     Each round draws min(ceil(need / p), N - spent, ROW_BLOCK, ceil(2^20 /
     d^2)) rows for the need still missing and writes its first need in-ball
     rows, in order, into one (n, d) output; a draw done in one round is
@@ -644,7 +667,7 @@ def sample_exact(model: Model, n: int, seed) -> SampleBatch:
     rng = _rng_from(seed)
 
     if isinstance(model, DiscreteModel):
-        idx = rng.choice(model.n_atoms, size=n, p=model.probs)
+        idx = _categorical(model.probs, n, rng)
         # the rows atoms[idx], gathered by take: 8-10x faster at d >= 2
         pts = np.take(model.atoms, idx, axis=0)
     else:
@@ -694,7 +717,7 @@ def recommended_steps(eps_p: float, C: float) -> int:
     50, and in the table the atom mass error shrinks like steps^-2 too.
     W2 on atoms is the square root of a mass error times their spacing, so
     it falls only like C / steps: the linear rule is the one atoms need.
-    The floor of 25 is where the table's Gaussian columns reach their
+    The floor of 25 is where the table's Gaussian columns come near their
     sampling floor.
     """
     if not eps_p > 0:
@@ -738,8 +761,7 @@ def sample_via_diffusion(oracle: ScoreOracle, n: int = 1, steps: int = None,
     the loop never writes into an array it did not allocate.
     """
     check_count(n)
-    if not (isinstance(steps, (int, np.integer)) and steps >= 2):
-        raise ValidationError(f"steps must be an integer >= 2, got {steps!r}")
+    check_steps(steps)
     rng = _rng_from(seed)
     lams = np.linspace(np.log(np.sqrt(1.0 - SIGMA_MAX**2) / SIGMA_MAX),
                        np.log(np.sqrt(1.0 - SIGMA_MIN**2) / SIGMA_MIN), steps)

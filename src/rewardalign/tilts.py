@@ -15,9 +15,10 @@ import numpy as np
 from .errors import BudgetError, NumericalError, ValidationError, finite
 from .models import (ROW_BLOCK, TILT_BLOCK, DiscreteModel,
                      GaussianMixtureModel, Model, SampleBatch, ScoreOracle,
-                     _logsumexp, _noise, _NoiseRow, _rng_from, _seed_tag,
-                     check_count, closed_form, norms, recommended_steps,
-                     sample_exact, sample_via_diffusion, score_oracle)
+                     _categorical, _logsumexp, _noise, _NoiseRow, _rng_from,
+                     _seed_tag, check_count, check_steps, closed_form, norms,
+                     recommended_steps, sample_exact, sample_via_diffusion,
+                     score_oracle)
 
 MC_SAMPLE_CAP = 10_000_000
 
@@ -149,22 +150,23 @@ def sample_linear_tilt(base, V, seed, n: int = 1, steps: int = None,
     would.  steps=None draws ``sample_exact(tilt_exact(base, V, log_pi))``
     on a closed-form model; an integer makes one reverse pass of that many
     steps on the tilted score, of a model or a ScoreOracle.  For a matrix
-    V (m = 1 too) each row first draws its tilt from pi, from the same
-    stream.  Outputs live in the support ball either way.
+    V each row first draws its tilt from pi by ``_categorical``, from the
+    same stream; at m = 1 that draw takes nothing, so v[None] draws the
+    bytes of v.  The count and the step count are checked before any
+    draw.  Outputs live in the support ball either way.
     """
     check_count(n)
     if steps is None:  # both check that base has closed forms
         return sample_exact(
             base if V is None else tilt_exact(base, V, log_pi), n, seed)
-
+    check_steps(steps)  # before the tilt draw moves the caller's stream
     oracle = base if isinstance(base, ScoreOracle) else score_oracle(base)
     if V is None:
         return sample_via_diffusion(oracle, n=n, steps=steps, seed=seed)
     rows, log_pi = _tilt_rows(oracle, V, log_pi)
     rng = _rng_from(seed)
     if np.ndim(V) == 2:  # one tilt per row, held d-major as the pass's x
-        pi = np.exp(log_pi)
-        rows = np.take(rows.T, rng.choice(len(rows), size=n, p=pi / pi.sum()),
+        rows = np.take(rows.T, _categorical(np.exp(log_pi), n, rng),
                        axis=1).T
     table = getattr(oracle.fn, "table_model", None)
     # a noise-table pass forms each step's shift, then v/a, in one buffer

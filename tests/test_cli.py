@@ -587,7 +587,7 @@ def test_atoms_at_both_ends_of_the_float_range(tmp_path, capsys):
         assert len(capsys.readouterr().err.splitlines()) == (code != 0)
     samples = np.loadtxt(os.path.join(out_dir, "samples.csv"),
                          delimiter=",", skiprows=1)
-    assert np.array_equal(samples, 1.7e308 * np.array([-1, -1, -1, -1, -1]))
+    assert np.array_equal(samples, 1.7e308 * np.array([1, 1, 1, -1, 1]))
     with open(os.path.join(out_dir, "manifest.json")) as fh:
         diag = json.load(fh)["diagnostics"]
     assert (diag["acceptance_rate"], diag["fallback_count"]) == (1.0, 0)

@@ -538,13 +538,15 @@ class TestSampleKLAligned:
     def test_fallback_pass_runs_the_reported_steps(self, monkeypatch):
         # an explicit envelope raised by 50 accepts with probability
         # e^-50: every slot spends its N_rej candidates and falls back, and
-        # the fallback pass runs the candidates' step count too
-        steps = []
+        # the fallback pass runs the candidates' step count too, and its
+        # draws are the batch
+        steps, outs = [], []
         reverse = ra.tilts.sample_via_diffusion
 
         def spy(*args, **kwargs):
             steps.append(kwargs["steps"])
-            return reverse(*args, **kwargs)
+            outs.append(reverse(*args, **kwargs))
+            return outs[-1]
 
         monkeypatch.setattr(ra.tilts, "sample_via_diffusion", spy)
         base = ra.DiscreteModel([[-1.0], [0.5]], [0.5, 0.5], 1.0)
@@ -557,7 +559,7 @@ class TestSampleKLAligned:
         assert len(steps) == res.passes + 1  # the candidates' and the fallback
         assert steps == [res.diffusion_steps] * len(steps)
         assert res.diffusion_steps == recommended_steps(0.5 / 8, 1.0) == 48
-        assert np.isin(res.batch.points, [-1.0, 0.5]).all()
+        assert np.array_equal(res.batch.points, outs[-1].points)
 
     @pytest.mark.parametrize("eps", [np.nan, 5.0, -1.0])
     def test_eps_checked_at_base_shortcut(self, eps):

@@ -175,7 +175,7 @@ class TestSampleLinearTilt:
                                       log_pi=log_pi)
         rng = np.random.default_rng(2)
         pi = np.exp(log_pi - log_pi.max())
-        rows = V[rng.choice(3, size=40, p=pi / pi.sum())]
+        rows = V[ra.models._categorical(pi, 40, rng)]
         oracle = ra.score_oracle(base)
         tilted = ra.ScoreOracle(
             fn=lambda s, x: ra.tilted_score(oracle, rows, s, x), d=1, C=1.0)
@@ -208,6 +208,52 @@ class TestSampleLinearTilt:
             ra.sample_linear_tilt(two_point(), np.ones((2, 1)), rng, n=n,
                                   steps=steps)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("steps", [1, 0, 2.5, True])
+    def test_steps_checked_before_the_tilt_draw(self, steps):
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(ra.ValidationError, match="steps must be"):
+            ra.sample_linear_tilt(two_point(), np.ones((2, 1)), rng, n=5,
+                                  steps=steps)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("base", [
+        two_point(), std_normal_1d(),
+        ra.ScoreOracle(fn=lambda s, x: -x, d=1, C=8.0)],
+        ids=["atoms", "gmm", "oracle"])
+    def test_one_tilt_row_draws_as_the_vector(self, base):
+        # a one-entry pi draws no tilt, so V = v[None] keeps v's stream
+        v = np.array([0.4])
+        a, b = (ra.sample_linear_tilt(base, V, seed=4, n=50, steps=20)
+                for V in (v, v[None]))
+        assert a.points.tobytes() == b.points.tobytes()
+
+    def test_zero_probability_is_never_drawn(self, monkeypatch):
+        # every probability vector the models accept draws: an entry up to
+        # 1 + 1e-12, a zero weight or a zero pi entry, which is never drawn
+        tiny = ra.DiscreteModel([[0.0], [1.0], [-1.0]],
+                                [1 + 5e-13, 0.0, 1e-300], 1.0)
+        for atoms in (ra.DiscreteModel([[0.0], [1.0]], [1 + 5e-13, 0.0], 1.0),
+                      tiny):
+            assert np.all(ra.sample_exact(atoms, 1000, 1).points == 0.0)
+        gmm = ra.GaussianMixtureModel([0.5, 0.0, 0.5], [[-2.0], [0.0], [2.0]],
+                                      [[[0.01]]] * 3, 8.0)
+        assert np.all(np.abs(ra.sample_exact(gmm, 1000, 2).points) > 1.0)
+        # tilts of N(0, 0.01) by -100, 0, 100 shift it to -1, 0, 1
+        narrow = ra.GaussianMixtureModel([1.0], [[0.0]], [[[0.01]]], 8.0)
+        V, log_pi = np.array([[-100.0], [0.0], [100.0]]), [0.0, -np.inf, 0.0]
+        x = ra.sample_linear_tilt(narrow, V, 3, n=1000, log_pi=log_pi).points
+        assert np.all(np.abs(x) > 0.5)
+        seen, original = [], tilts.tilted_score
+
+        def spy(oracle, v, *args):
+            seen.append(np.array(v))
+            return original(oracle, v, *args)
+
+        monkeypatch.setattr(tilts, "tilted_score", spy)
+        ra.sample_linear_tilt(narrow, V, 3, n=1000, steps=5, log_pi=log_pi)
+        assert seen and all(np.all(v[:, 0] != 0.0) for v in seen)
 
     @pytest.mark.parametrize("steps", [None, 5], ids=["exact", "diffusion"])
     @pytest.mark.parametrize("v, log_pi", [
@@ -261,8 +307,7 @@ class TestEstimateNormalizer:
     def test_mc_sums_every_block(self):
         # at ||v||C = 0.3 and eta = 0.009 the rule takes one panel (K = 1),
         # so every draw is from the one-node mixture tilt(v / 2): a block
-        # and a partial one, which an atom set draws as the one-shot draws
-        # of the same stream
+        # and then a partial one, drawn in turn from one stream
         m = ra.DiscreteModel([[-0.5], [0.25], [1.0]], [0.2, 0.3, 0.5], 1.0)
         v, eta, delta = np.array([0.3]), 0.009, 0.1
         est = ra.estimate_normalizer(m, v, eta=eta, delta=delta, seed=3,
@@ -270,8 +315,9 @@ class TestEstimateNormalizer:
         eps = np.log1p(eta) / 2
         N = int(np.ceil(2 * 0.3**2 * np.log(2 / delta) / eps**2))
         assert est.n_draws == N and ROW_BLOCK < N < 2 * ROW_BLOCK
-        xs = ra.sample_exact(ra.tilt_exact(m, v[None] / 2), N,
-                             np.random.default_rng(3)).points
+        law, rng = ra.tilt_exact(m, v[None] / 2), np.random.default_rng(3)
+        xs = np.concatenate([ra.sample_exact(law, k, rng).points
+                             for k in (ROW_BLOCK, N - ROW_BLOCK)])
         assert est.log_value == pytest.approx(np.mean(xs @ v), rel=1e-12)
 
     def test_mc_builds_one_law_per_tilt(self, monkeypatch):
