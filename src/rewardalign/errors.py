@@ -44,10 +44,11 @@ def finite(name: str, x, positive: bool = False) -> np.ndarray:
     """``x`` as a float array; raises ValidationError naming ``name``
     unless every entry is finite (and > 0 if ``positive``).  The one input
     check of the library: NaN fails it, and so does what numpy cannot
-    read as one float array (a ragged or non-numeric entry)."""
+    read as one float array (a ragged or non-numeric entry, or an integer
+    past the float max)."""
     try:
         arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} must be an array of finite numbers: "
                               f"{exc}") from exc
     if not np.all(np.isfinite(arr) & ((arr > 0) | (not positive))):

@@ -230,60 +230,73 @@ class GaussianMixtureModel:
     def _whitening(self) -> tuple:
         """The sigma-free factors of ``_noise_factors``, formed on first
         use: the eigen-rows V_j' stacked as (J e, d), the projected means
-        V_j' mu_j as (J e,), the eigenvalues as (J e,), log w_j - (d/2) log
-        2 pi as (J,), and -1/2 as (1, J), which sums the softmax times -1/2
-        by one GEMM."""
+        V_j' mu_j as (J e,), the eigenvalues as (J e,), and log w_j - (d/2)
+        log 2 pi as (J,)."""
         vt = np.swapaxes(self._eigvecs, 1, 2)
         return (np.ascontiguousarray(vt.reshape(-1, self.d)),
                 (vt @ self.means[:, :, None]).ravel(), self._eigvals.ravel(),
-                self._log_weights - 0.5 * self.d * np.log(2.0 * np.pi),
-                np.full((1, self.n_components), -0.5))
+                self._log_weights - 0.5 * self.d * np.log(2.0 * np.pi))
 
     @property
     def _factor_width(self) -> int:
         """Entries of ``_noise_factors`` per noise level."""
         J, d = self.means.shape
-        return J * d * (d + 1) + J
+        return J * d * (d + 1) + (d + 1) * (J * d + J) + J
 
     def _noise_factors(self, a: np.ndarray, s2: np.ndarray) -> tuple:
         """The sigma-only factors of ``_components`` at k noise levels (a,
         s2 as (k,)), for means a mu_j and covariances S_j = a^2 Sigma_j +
         s2 I = V_j diag(ev_j) V_j', with r = ev^(-1/2) over the e = d
-        eigen-coordinates of each component and h = r / sqrt(2): H = [diag(
-        h_0) V_0' ; ... ] as (k, J e, d), a h V'mu as (k, J e, 1), and log
-        w_j - (d/2) log 2 pi + sum_e log r as (k, J, 1)."""
-        vt, vt_mu, lam, const, _ = self._whitening
+        eigen-coordinates of each component and h = r / sqrt(2): the
+        whitening [H | -a h V'mu] as (k, J e, d + 1), H = [diag(h_0) V_0' ;
+        ... ]; the output matrix [[H', 0], [0, -1/2 1']] as (k, d + 1, J e
+        + J); and log w_j - (d/2) log 2 pi + sum_e log r as (k, J, 1)."""
+        vt, vt_mu, lam, const = self._whitening
         r = (lam * (a * a)[:, None] + s2[:, None]) ** -0.5
         h = r * math.sqrt(0.5)
         log_r = np.log(r).reshape(len(a), len(const), -1).sum(axis=2)
-        return (h[:, :, None] * vt, (h * (a[:, None] * vt_mu))[:, :, None],
-                (const + log_r)[:, :, None])
+        white = np.empty((len(a), len(vt), self.d + 1))
+        np.multiply(h[:, :, None], vt, out=white[:, :, :-1])
+        np.multiply(h, -a[:, None] * vt_mu, out=white[:, :, -1])
+        mat = np.zeros((len(a), self.d + 1, len(vt) + len(const)))
+        mat[:, :-1, :len(vt)] = np.swapaxes(white[:, :, :-1], 1, 2)
+        mat[:, -1, len(vt):] = -0.5
+        return white, mat, (const + log_r)[:, :, None]
 
     def _workspace(self, n: int) -> tuple:
         """The arrays a score at n queries works in, which a pass keeps
-        across its steps: y (J e, n), its squares (J e, n) where e > 1, the
-        log-weights (J, n), and the softmax's shift and sum (1, n)."""
+        across its steps: [x; 1'] (d + 1, n); the stacked [y; log-weights]
+        (J e + J, n), which the softmax turns into [y; resp] and then [y *
+        resp; resp]; the squares of y (J e, n) where e > 1; and the
+        softmax's shift (1, n) and [-2 H'(y * resp); -sum resp / 2] (d + 1,
+        n)."""
         J, d = self.means.shape
-        return (np.empty((J * d, n)), np.empty((J * d, n)) if d > 1 else None,
-                np.empty((J, n)), np.empty((1, n)), np.empty((1, n)))
+        x1 = np.empty((d + 1, n))
+        x1[-1] = 1.0
+        return (x1, np.empty((J * d + J, n)),
+                np.empty((J * d, n)) if d > 1 else None,
+                np.empty((1, n)), np.empty((d + 1, n)))
 
     def _components(self, xt: np.ndarray, factors, work) -> tuple:
         """Terms of the mixture at the columns of xt (d, n), from one noise
         level's ``_noise_factors``, in ``_workspace(n)``: log(w_j N(x; a
-        mu_j, S_j)) as (J, n); the whitened coordinates y_j = diag(r_j)
-        V_j'(x - a mu_j) / sqrt(2) as (J e, n) from one GEMM, ||y_j||^2
-        being the quadratic term; and H, as -S_j^(-1)(x - a mu_j) = -2 H_j'
-        y_j with H_j component j's rows of H."""
-        hvt, hmu, const = factors
-        y, sq, logw = work[:3]
-        np.dot(hvt, xt, out=y)
-        y -= hmu
+        mu_j, S_j)) as (J, n); the whitened coordinates y_j = diag(h_j)
+        V_j'(x - a mu_j) as (J e, n), ||y_j||^2 being the quadratic term,
+        from one GEMM of the whitening by [x; 1'], x copied in once; the
+        output matrix, as -S_j^(-1)(x - a mu_j) = -2 H_j' y_j with H_j
+        component j's rows of H; and the stacked [y; log-weights] that it
+        applies to."""
+        white, mat, const = factors
+        x1, stack, sq = work[:3]
+        x1[:-1] = xt
+        y, logw = stack[:len(white)], stack[len(white):]
+        np.dot(white, x1, out=y)
         if sq is None:  # one eigen-coordinate per component
             np.square(y, out=logw)
         else:
             np.square(y, out=sq)
             sq.reshape(len(logw), -1, xt.shape[1]).sum(axis=1, out=logw)
-        return np.subtract(const, logw, out=logw), y, hvt
+        return np.subtract(const, logw, out=logw), y, mat, stack
 
     def to_dict(self) -> dict:
         return {"type": "gmm", "weights": self.weights.tolist(),
@@ -354,7 +367,8 @@ class DiscreteModel:
         level's ``_noise_factors``, in ``_workspace(n)``: log(p_j N(x; a
         x_j, s2 I)) + ||u||^2 / (2 s2) as (J, n), the ||u||^2 term being
         the same for every j; the scaled (a / s2) u as (d, n), so that the
-        slopes g_j = (a / s2) b_j apply as b_j; and [b'; 1']."""
+        slopes g_j = (a / s2) b_j apply as b_j; and [b'; 1'], which applies
+        to the log-weights once the softmax has made them resp."""
         ac, scale, const = factors
         _, b, baug, _, _ = self._centred
         us, logw = work[:2]
@@ -362,7 +376,7 @@ class DiscreteModel:
         us *= scale
         np.dot(b, us, out=logw)
         logw += const
-        return logw, us, baug
+        return logw, us, baug, logw
 
     def to_dict(self) -> dict:
         return {"type": "discrete", "atoms": self.atoms.tolist(),
@@ -520,31 +534,31 @@ def score(model: Model, sigma, x: np.ndarray) -> np.ndarray:
         row = _noise_row(model, sigma, len(xb))
     else:
         xb = x
-    # the score is linear in y, through k: for atoms the scaled u (d, n)
-    # and [b'; 1'] (d + 1, J), whose last row sums the softmax for its
-    # norm; for a mixture the whitened y (J e, n) and H (J e, d)
-    logw, y, k = model._components(xb.T, row.factors, row.work)
+    # the score is linear in y: one GEMM of k by the stacked terms gives
+    # its numerator and, in its last row, the softmax's sum times the
+    # denominator's scale.  For atoms k is [b'; 1'] (d + 1, J) by resp, the
+    # scaled u (d, n) applied after; for a mixture k is [[H', 0], [0, -1/2
+    # 1']] by [y * resp; resp], the whitened y being (J e, n)
+    logw, y, k, terms = model._components(xb.T, row.factors, row.work)
     shift, tail = row.work[-2:]
-    logw.max(axis=0, keepdims=True, out=shift)
+    np.maximum.reduce(logw, axis=0, keepdims=True, out=shift)
     if row is not sigma and not _all_finite(shift):
         raise NumericalError("score query numerically unreachable")
     resp = logw  # the softmax, in place, normalized on the score
     resp -= shift
     np.exp(resp, out=resp)
-    if isinstance(model, DiscreteModel):  # sum_j resp_j (a b_j - u) / s2
-        np.dot(k, resp, out=tail)
-        out = np.divide(tail[:-1], tail[-1:], out=row.out)
-        out *= row.factors[1]  # a / s2; the scaled u over a is u / s2
-        y /= row.a
-        out -= y
-    else:  # sum_j resp_j * -S_j^{-1}(x - a mu_j) = -2 H' (resp * y)
+    if isinstance(model, GaussianMixtureModel):  # y_j * resp_j
         if len(y) > len(resp):
             yv = y.reshape(len(resp), -1, y.shape[1])
             yv *= resp[:, None]
         else:
             y *= resp
-        out = np.dot(k.T, y, out=row.out)
-        out /= np.dot(model._whitening[-1], resp, out=tail)
+    np.dot(k, terms, out=tail)
+    out = np.divide(tail[:-1], tail[-1:], out=row.out)
+    if isinstance(model, DiscreteModel):  # sum_j resp_j (a b_j - u) / s2
+        out *= row.factors[1]  # a / s2; the scaled u over a is u / s2
+        y /= row.a
+        out -= y
     if row is sigma:
         return out.T
     if not _all_finite(out):
@@ -557,7 +571,7 @@ def noised_log_density(model: Model, sigma, x: np.ndarray) -> np.ndarray:
     """Log-density of the noised model at x (d,) or (n, d), as (n,)."""
     xb = _batch(model, x)
     row = _noise_row(model, sigma, len(xb))
-    logw, us, _ = model._components(xb.T, row.factors, row.work)
+    logw, us = model._components(xb.T, row.factors, row.work)[:2]
     out = _logsumexp(logw)
     if isinstance(model, DiscreteModel):  # the term _components leaves out
         out -= np.square(us / row.a).sum(axis=0) * (row.s2 / 2.0)
@@ -602,8 +616,14 @@ def score_oracle(model: Model) -> ScoreOracle:
 # ---------------------------------------------------------------------------
 
 def _rng_from(seed) -> Generator:
+    """The generator of a seed: a Generator itself, else ``default_rng``'s
+    of it; a negative integer seed, which numpy refuses with a bare
+    ValueError, is a ValidationError before any draw."""
     if isinstance(seed, Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got "
+                              f"{seed}")
     return default_rng(seed)
 
 

@@ -948,6 +948,51 @@ def test_bad_or_non_finite_input_exit_code(tmp_path, capsys, cmd, model,
         assert not os.path.exists(os.path.join(out_dir, name))
 
 
+# a JSON integer of 401 digits: Python reads it, a float cannot hold it
+HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("cmd, model, reward, extra", [
+    ("align-w2", TWO_ATOMS, QUAD.replace("0.15", HUGE_INT),
+     ["--lambda", "0.15", "--backend", "quad"]),
+    ("align-kl", TWO_ATOMS.replace('"C": 1.0', f'"C": {HUGE_INT}'), MAXAFF,
+     []),
+], ids=["align-w2-reward", "align-kl-model"])
+def test_integer_past_the_float_max_exits_2(tmp_path, capsys, cmd, model,
+                                            reward, extra):
+    (tmp_path / "model.json").write_text(model)
+    (tmp_path / "reward.json").write_text(reward)
+    out_dir = str(tmp_path / "out")
+    assert main([cmd, "--model", str(tmp_path / "model.json"), "--reward",
+                 str(tmp_path / "reward.json"), "--n", "5", "--out",
+                 out_dir] + extra) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize("cmd, reward, extra", [
+    ("align-kl", MAXAFF, []),
+    ("align-w2", QUAD, ["--lambda", "0.15", "--backend", "quad"]),
+])
+def test_negative_seed_exits_2_before_any_draw(tmp_path, capsys, monkeypatch,
+                                               cmd, reward, extra):
+    # numpy's default_rng refuses -1 with a bare ValueError; the seed is
+    # refused as a validation error before the generator exists
+    def no_generator(seed):
+        raise AssertionError(f"a generator was made of seed {seed}")
+
+    monkeypatch.setattr(ra.models, "default_rng", no_generator)
+    (tmp_path / "model.json").write_text(TWO_ATOMS)
+    (tmp_path / "reward.json").write_text(reward)
+    out_dir = str(tmp_path / "out")
+    assert main([cmd, "--model", str(tmp_path / "model.json"), "--reward",
+                 str(tmp_path / "reward.json"), "--n", "5", "--seed", "-1",
+                 "--out", out_dir] + extra) == 2
+    assert "seed" in capsys.readouterr().err
+    for name in ("samples.csv", "pairs.csv"):
+        assert not os.path.exists(os.path.join(out_dir, name))
+
+
 @pytest.mark.parametrize("cmd, extra", [
     ("align-kl", []),
     ("align-w2", ["--lambda", "0.15", "--backend", "lowrank"]),

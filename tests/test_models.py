@@ -1124,8 +1124,8 @@ class TestNoiseTable:
             assert got.tobytes() == want.tobytes(), rows[t].sigma
 
     def test_blocks_hold_at_most_tilt_block_entries(self, monkeypatch):
-        # a 300-step pass on a mixture whose factors take 21 entries per
-        # level: blocks of three levels under a 64-entry cap, and the same
+        # a 300-step pass on a mixture whose factors take 48 entries per
+        # level: blocks of three levels under a 144-entry cap, and the same
         # bytes as the pass in one block
         model = random_gmm(np.random.default_rng(53), 2, 3)
         oracle = ra.score_oracle(model)
@@ -1139,9 +1139,9 @@ class TestNoiseTable:
             return factors
 
         monkeypatch.setattr(type(model), "_noise_factors", recorded)
-        monkeypatch.setattr(ra.models, "TILT_BLOCK", 64)
+        monkeypatch.setattr(ra.models, "TILT_BLOCK", 144)
         blocked = ra.sample_via_diffusion(oracle, n=50, steps=300, seed=4)
-        assert len(sizes) == 100 and max(sizes) <= 64
+        assert len(sizes) == 100 and max(sizes) <= 144
         assert blocked.points.tobytes() == whole.points.tobytes()
 
     @pytest.mark.parametrize("d", [1, 3])

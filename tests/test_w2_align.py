@@ -288,6 +288,35 @@ class TestProxConcave:
         closed = ra.prox_quadratic(q, lam, ys, C)
         assert np.max(np.linalg.norm(xs - closed, axis=1)) <= 1e-5
 
+    @pytest.mark.parametrize("kappa, cap", [(10, 90), (100, 380),
+                                            (866, 900)])
+    def test_gradient_rows_at_a_condition_number(self, kappa, cap):
+        # 3-D concave quadratics with lam_min(B) = 0 and kappa = (lam_max(B)
+        # + lam) / lam, behind plain oracles, so the step starts kappa
+        # times too long.  Plain projected ascent asked 109, 742 and 5,868
+        # gradient rows per point here, the accelerated ascent 50, 113 and
+        # 261
+        lam, C = 0.5, 1.0
+        rng = np.random.default_rng(34)
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        top = lam * (kappa - 1.0)
+        B = Q @ np.diag([0.0, top / 2.0, top]) @ Q.T
+        q = ra.QuadraticReward(0.5 * (B + B.T), rng.standard_normal(3))
+        r = OpaqueConcave(q)
+        rows = []
+
+        def grad(x):
+            rows.append(len(x))
+            return q.grad(x)
+
+        r.grad = grad
+        ys = rng.standard_normal((200, 3)) * np.repeat([0.3, 2.0],
+                                                       100)[:, None]
+        xs = ra.prox_concave(r, lam, ys, C)
+        closed = ra.prox_quadratic(q, lam, ys, C)
+        assert np.max(np.linalg.norm(xs - closed, axis=1)) <= 1e-6
+        assert sum(rows) / len(ys) <= cap
+
     def test_single_point_oracle_refused_on_batch(self):
         # a gradient oracle that returns one (d,) vector whatever it is given
         class PointGrad(ra.LinearReward):
