@@ -104,12 +104,10 @@ def cmd_align_kl(args) -> int:
     raw_reward = load_reward(args.reward)
     config = {"command": "align-kl", "model": model.to_dict(),
               "reward": raw_reward.to_dict(), "eps": args.eps,
-              "delta": args.delta, "n": args.n, "seed": args.seed,
-              "backend": args.backend}
+              "delta": args.delta, "n": args.n, "seed": args.seed}
     reward = _as_lowrank(raw_reward)
     result = sample_kl_aligned(model, reward.A, reward.f, eps=args.eps,
-                               delta=args.delta, seed=args.seed, n=args.n,
-                               backend=args.backend)
+                               delta=args.delta, seed=args.seed, n=args.n)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "samples.csv"), x=result.batch.points)
     _write_atomic(os.path.join(args.out, "envelope.json"),
@@ -127,21 +125,15 @@ def cmd_align_w2(args) -> int:
     reward = load_reward(args.reward)
     config = {"command": "align-w2", "model": model.to_dict(),
               "reward": reward.to_dict(), "lambda": getattr(args, "lam"),
-              "eps": args.eps, "n": args.n, "seed": args.seed,
-              "backend": args.backend}
+              "eps": args.eps, "n": args.n, "seed": args.seed}
     result = sample_w2_aligned(model, reward, lam=args.lam, n=args.n,
-                               seed=args.seed, backend=args.backend,
-                               eps=args.eps)
+                               seed=args.seed, eps=args.eps)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "pairs.csv"), y=result.ys, x=result.xs)
-    diagnostics = {"objective_value": result.objective,
-                   "objective_stderr": result.objective_stderr}
-    derived = {"backend": args.backend}
-    if result.params is not None:
-        derived.update(asdict(result.params))
-    _write_manifest(args.out, "manifest.json", config, derived, diagnostics,
-                    time.perf_counter() - t0)
-    print(json.dumps({"out": args.out, **diagnostics}, indent=2))
+    _write_manifest(args.out, "manifest.json", config,
+                    asdict(result.params) if result.params else {},
+                    result.report(), time.perf_counter() - t0)
+    print(json.dumps({"out": args.out, **result.report()}, indent=2))
     return 0
 
 
@@ -162,9 +154,7 @@ def cmd_estimate_z(args) -> int:
 def cmd_prox_demo(args) -> int:
     reward = load_reward(args.reward)
     y = _parse_vector(args.y)
-    backend = ("quad" if isinstance(reward, QuadraticReward) else
-               "lowrank" if isinstance(reward, LowRankReward) else "pga")
-    T, producer, _ = prox_map(reward, args.lam, args.C, backend)
+    T, producer, _ = prox_map(reward, args.lam, args.C)
     # y as a one-row batch, as align-w2 hands it; then the finite gate
     x = SampleBatch(points=T(y[None]), seed=-1, producer=producer,
                     d=len(y)).points[0]
@@ -223,8 +213,7 @@ def reproduce_fig1(seed: int, n: int, out_dir: str) -> dict:
                            producer="fig1/kl_quadrature_oracle", d=1)
     _write_csv(os.path.join(out_dir, "kl.csv"), x=kl_batch.points)
 
-    w2 = sample_w2_aligned(base, reward, lam=0.15, n=n, seed=seed + 2,
-                           backend="quad")
+    w2 = sample_w2_aligned(base, reward, lam=0.15, n=n, seed=seed + 2)
     _write_csv(os.path.join(out_dir, "w2_pairs.csv"), y=w2.ys, x=w2.xs)
 
     bins = np.linspace(-6.0, 6.0, 121)
@@ -276,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     kl.add_argument("--delta", type=float, default=0.05)
     kl.add_argument("--n", type=int, default=1000)
     kl.add_argument("--seed", type=int, default=0)
-    kl.add_argument("--backend", choices=["exact", "diffusion"],
-                    default="exact")
     kl.add_argument("--out", required=True)
     kl.set_defaults(fn=cmd_align_kl)
 
@@ -288,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     w2.add_argument("--eps", type=float, default=0.1)
     w2.add_argument("--n", type=int, default=1000)
     w2.add_argument("--seed", type=int, default=0)
-    w2.add_argument("--backend", choices=["quad", "pga", "lowrank"],
-                    default="quad")
     w2.add_argument("--out", required=True)
     w2.set_defaults(fn=cmd_align_w2)
 

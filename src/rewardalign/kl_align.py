@@ -16,7 +16,9 @@ a function of the atom, so the slots are drawn from their law in closed
 form: each slot's candidate count up to its first accept is one
 Geometric(alpha) draw, alpha = sum_j q_j exp(f_j - G_j), capped at N_rej,
 and the accepted slots take one draw from q exp(f - G) / alpha.  The work is
-O(n) whatever the acceptance, and no rejected candidate is drawn.
+O(n) whatever the acceptance, and no rejected candidate is drawn.  By
+default the base picks the route (``has_closed_form``): exact on a
+closed-form model, diffusion on a ScoreOracle.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 from .errors import (BudgetError, EnvelopeViolationError, ValidationError,
                      finite)
 from .models import (ROW_BLOCK, DiscreteModel, Model, SampleBatch,
-                     ScoreOracle, _group_rows, _logsumexp, _rng_from,
-                     _seed_tag, check_count, closed_form, norms,
+                     _group_rows, _logsumexp, _rng_from, _seed_tag,
+                     check_count, closed_form, has_closed_form, norms,
                      recommended_steps, sample_exact)
 # bound though unused here: bench/tracer.py wraps it in this module by name
 from .models import sample_via_diffusion  # noqa: F401
@@ -209,44 +211,38 @@ def compute_params(C: float, m: int, eps: float) -> Alg1Params:
 class MixtureProposal:
     """Envelope tilt realized as a mixture of linear tilts: tilt vectors
     v_i = A' z_i, normalizer estimates and their method (NaN and "" for the
-    one tilt of a one-piece envelope, which needs none), stability-safe
-    weights pi_i ~ w_i Zhat_i computed in log space, and ``law``, the
-    mixture sum_i pi_i * tilt(base, v_i) as one model (None on diffusion)."""
+    one tilt of a one-piece envelope, which needs none), and
+    stability-safe weights pi_i ~ w_i Zhat_i computed in log space.  Its
+    law is ``tilt_exact(base, tilt_vectors, log_pi)``."""
 
     tilt_vectors: np.ndarray  # (m, d)
     log_zhat: np.ndarray      # (m,)
     log_pi: np.ndarray        # (m,)
     normalizer: str = ""
-    law: Model = None
 
     @property
     def m(self) -> int:
         return self.tilt_vectors.shape[0]
 
 
-def build_proposal(base: Model, env: Envelope, A, delta: float, seed=None,
-                   backend: str = "exact") -> MixtureProposal:
+def build_proposal(base: Model, env: Envelope, A, delta: float,
+                   seed=None) -> MixtureProposal:
     """Estimate every tilt normalizer in one call (failure budget delta/m
-    per row), in closed form or by path sampling on a ScoreOracle at
-    relative accuracy PATH_SAMPLING_ETA, and normalize the weights in log
-    space.  One piece (m = 1) has pi = 1: no estimate, NaN ``log_zhat``.
-    On exact a ScoreOracle is refused first, and the mixture is built
-    once, ``law = tilt_exact(base, V, log_pi)``."""
-    if backend == "exact":
-        closed_form(base)
+    per row) by ``estimate_normalizer``'s route for the base: in closed
+    form, or by path sampling on a ScoreOracle at relative accuracy
+    PATH_SAMPLING_ETA; then normalize the weights in log space.  One
+    piece (m = 1) has pi = 1: no estimate, NaN ``log_zhat``."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     vs = env.slopes @ A  # (m, d): rows are A' z_i
     log_zhat, log_pi, method = np.full(1, np.nan), np.zeros(1), ""
     if env.m > 1:
-        est = estimate_normalizer(
-            base, vs, eta=PATH_SAMPLING_ETA, delta=delta / env.m, seed=seed,
-            backend="mc" if isinstance(base, ScoreOracle) else "exact")
+        est = estimate_normalizer(base, vs, eta=PATH_SAMPLING_ETA,
+                                  delta=delta / env.m, seed=seed)
         logits = env.offsets + est.log_value
         log_zhat, method = est.log_value, est.method
         log_pi = logits - _logsumexp(logits)
-    law = tilt_exact(base, vs, log_pi) if backend == "exact" else None
     return MixtureProposal(tilt_vectors=vs, log_zhat=log_zhat, log_pi=log_pi,
-                           normalizer=method, law=law)
+                           normalizer=method)
 
 
 @dataclass
@@ -367,19 +363,21 @@ def _geometric_slots(log_alpha: float, n: int, N_rej: int, rng):
 
 def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                       delta: float, seed, n: int = 1,
-                      backend: str = "exact",
+                      backend: str = None,
                       envelope: Envelope = None) -> KLAlignResult:
     """Sample from the KL-aligned law q(x) ~ p(x) exp(f(Ax)) for convex f.
 
     Requires f flagged convex and L-Lipschitz on the projected ball of
     radius R = ||A||_op * C.  Every call takes one path: envelope, schedule
     (``compute_params``), proposal (its normalizers follow the base, not
-    ``backend``: ``build_proposal``), rejection, fallback.  Every draw
-    targets W2 eps / 8: on diffusion, one step count for every pass.  The
-    envelope is ``envelope`` exactly as given, else ``own_envelope(f, R)``
-    for an f with pieces, else (a black box) the net envelope of spacing
-    h = 1/(2L) with one piece per distinct slope; at L = 0, h = inf and the
-    net is the origin.  A constant f thus has a one-piece envelope.
+    ``backend``: ``build_proposal``), rejection, fallback.  ``backend``
+    None follows the base (``has_closed_form``); "exact" on a ScoreOracle
+    is refused before any work.  Every draw targets W2 eps / 8: on
+    diffusion, one step count for every pass.  The envelope is
+    ``envelope`` exactly as given, else ``own_envelope(f, R)`` for an f
+    with pieces, else (a black box) the net envelope of spacing h = 1/(2L)
+    with one piece per distinct slope; at L = 0, h = inf and the net is
+    the origin.  A constant f thus has a one-piece envelope.
     """
     if not f.convex:
         raise ValidationError("KL alignment requires a convex reward; "
@@ -388,8 +386,12 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         raise ValidationError(f"eps must be in (0,1), got {eps}")
     if not (0.0 < delta < 1.0):
         raise ValidationError(f"delta must be in (0,1), got {delta}")
+    if backend is None:
+        backend = "exact" if has_closed_form(base) else "diffusion"
     if backend not in ("exact", "diffusion"):
         raise ValidationError(f"unknown KL backend {backend!r}")
+    if backend == "exact":
+        closed_form(base)
     check_count(n)
     A = np.atleast_2d(finite("A", A))
     if A.shape != (f.k, base.d):
@@ -411,12 +413,16 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         envelope = own_envelope(f, R) if envelope is None else envelope
         net_pieces = envelope.m
     params = compute_params(C, envelope.m, eps)
-    proposal = build_proposal(base, envelope, A, delta=delta, seed=rng,
-                              backend=backend)
-    # every draw, candidate or fallback, targets W2 eps / 8: on diffusion
-    # each reverse pass runs the one step count this gives, on exact none
-    steps = (recommended_steps(eps / 8.0, C) if backend == "diffusion"
-             else None)
+    proposal = build_proposal(base, envelope, A, delta=delta, seed=rng)
+    # the proposal sum_i pi_i * tilt(base, v_i): on exact its law, built
+    # once; on diffusion a reverse pass whose row j follows its own piece's
+    # tilt, and every pass, the fallback's too, runs the steps of eps / 8
+    if backend == "exact":
+        law, tilt, steps = (tilt_exact(base, proposal.tilt_vectors,
+                                       proposal.log_pi), None, None)
+    else:
+        law, tilt = base, proposal.tilt_vectors
+        steps = recommended_steps(eps / 8.0, C)
 
     pts = np.empty((n, base.d))
     fell = np.ones(n, dtype=bool)
@@ -428,15 +434,14 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
         # ~ q_j exp(f_j - G_j) (Devroye 1986, II.3).  Slots are drawn from
         # that law in closed form, with the stream's law and budget; no
         # rejected candidate is drawn
-        model = proposal.law
-        log_w = model._log_probs + _log_acceptance(f, envelope,
-                                                   model.atoms @ A.T)
+        log_w = law._log_probs + _log_acceptance(f, envelope,
+                                                 law.atoms @ A.T)
         if params.N_rej > 0:
             log_alpha = _logsumexp(log_w)
             fell, draws = _geometric_slots(log_alpha, n, params.N_rej, rng)
             passes = 1
             if not fell.all():
-                accepted = DiscreteModel(model.atoms,
+                accepted = DiscreteModel(law.atoms,
                                          np.exp(log_w - log_alpha), C)
                 rows = sample_exact(accepted, n - int(fell.sum()),
                                     rng).points
@@ -445,10 +450,6 @@ def sample_kl_aligned(base: Model, A, f: LowDimFunction, eps: float,
                 else:  # a boolean scatter costs ~20x a plain copy
                     pts[:] = rows
     else:
-        # the proposal sum_i pi_i * tilt(base, v_i): its law as built, or on
-        # diffusion one reverse pass whose row j follows its own piece's tilt
-        law, tilt = ((proposal.law, None) if backend == "exact"
-                     else (base, proposal.tilt_vectors))
         # one i.i.d. candidate stream: slots done..n-1 wait in order, and
         # by the floor a pass of waiting/a0 candidates expects at least one
         # accept per waiting slot; a pass holds at most ROW_BLOCK of them.

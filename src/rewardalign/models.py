@@ -386,10 +386,16 @@ class DiscreteModel:
 Model = Union[GaussianMixtureModel, DiscreteModel]
 
 
+def has_closed_form(model) -> bool:
+    """The draw rule, which every default route reads: a Gaussian mixture
+    or atoms draws exactly, a ScoreOracle by reverse diffusion."""
+    return isinstance(model, (GaussianMixtureModel, DiscreteModel))
+
+
 def closed_form(model) -> Model:
-    """``model`` if a Gaussian mixture or atoms: the one check of exact
-    draws, tilts and normalizers (a ScoreOracle has scores alone)."""
-    if not isinstance(model, (GaussianMixtureModel, DiscreteModel)):
+    """``model`` if it ``has_closed_form``: the one check of exact draws,
+    tilts and normalizers (a ScoreOracle has scores alone)."""
+    if not has_closed_form(model):
         raise CapabilityError(f"{type(model).__name__} has no closed forms")
     return model
 
@@ -658,8 +664,10 @@ def _sample_gmm_raw(model: GaussianMixtureModel, n: int,
 
 
 def check_count(n) -> None:
-    """The sample count check of every sampler entry: an integer >= 1."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    """The sample count check of every sampler entry: an integer >= 1
+    that an array can hold."""
+    if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
+            or not 1 <= n <= np.iinfo(np.intp).max):
         raise ValidationError(f"n must be an integer >= 1, got {n!r}")
 
 

@@ -347,7 +347,7 @@ def reward_from_dict(spec: dict):
             return LowRankReward(spec["A"], f)
         if kind == "logsumexp":
             return LogSumExpReward(spec["w"], spec["z"], spec["A"])
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed {kind} reward spec: {exc!r}") from exc
     raise ValidationError(f"unknown reward type {kind!r}")
 

@@ -16,9 +16,9 @@ from .errors import BudgetError, NumericalError, ValidationError, finite
 from .models import (ROW_BLOCK, TILT_BLOCK, DiscreteModel,
                      GaussianMixtureModel, Model, SampleBatch, ScoreOracle,
                      _categorical, _logsumexp, _noise, _NoiseRow, _rng_from,
-                     _seed_tag, check_count, check_steps, closed_form, norms,
-                     recommended_steps, sample_exact, sample_via_diffusion,
-                     score_oracle)
+                     _seed_tag, check_count, check_steps, closed_form,
+                     has_closed_form, norms, recommended_steps, sample_exact,
+                     sample_via_diffusion, score_oracle)
 
 MC_SAMPLE_CAP = 10_000_000
 
@@ -186,9 +186,10 @@ def sample_linear_tilt(base, V, seed, n: int = 1, steps: int = None,
 # ---------------------------------------------------------------------------
 
 def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
-                        backend: str = "exact") -> NormalizerEstimate:
+                        backend: str = None) -> NormalizerEstimate:
     """Estimate log Z_P(v) per tilt to relative accuracy eta on Z, with
-    failure probability delta per tilt.
+    failure probability delta per tilt; ``backend`` None is exact on a
+    closed-form base, mc on a ScoreOracle (``has_closed_form``).
 
     exact: closed form.  mc: path sampling (Gelman and Meng 1998), log Z(v)
     = int_0^1 g(t) dt, g(t) = E_{tilt(t v)} <v, X>, by the midpoint rule
@@ -211,16 +212,19 @@ def estimate_normalizer(base, V, eta: float, delta: float, seed=None,
     if not (0.0 < eta < 1.0 and 0.0 < delta < 1.0):
         raise ValidationError("eta and delta must lie in (0,1)")
     rows, _ = _tilt_rows(base, V)
+    if backend is None:
+        backend = "exact" if has_closed_form(base) else "mc"
     if backend == "exact":
         return NormalizerEstimate(log_value=log_normalizer_exact(base, V),
                                   eta=eta, delta=delta, method="exact")
     if backend != "mc":
         raise ValidationError(f"unknown backend {backend!r}")
 
-    source = "diffusion" if isinstance(base, ScoreOracle) else "exact"
+    source = "exact" if has_closed_form(base) else "diffusion"
     eps = np.log1p(eta) / (3.0 if source == "diffusion" else 2.0)
     B = norms(rows) * (C := base.support_radius)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an eps^2 that underflows to 0 asks inf draws, refused below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         K = np.maximum(np.ceil(np.sqrt(B**3 / (12.0 * eps))), 1.0)
         N = np.ceil(2.0 * B**2 * np.log(2.0 / delta) / eps**2)
     if not (total := N.sum()) <= MC_SAMPLE_CAP:

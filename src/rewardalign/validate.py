@@ -179,7 +179,8 @@ def run_envelope_suite(seed: int = 0, n_instances: int = 100,
 def _floor_margin(base, A, f, env, rng) -> float:
     """Smallest exp(f - G) - a0 over 200 envelope tilt draws."""
     proposal = build_proposal(base, env, A, delta=0.1, seed=rng)
-    u = sample_linear_tilt(proposal.law, None, rng, n=200).points @ A.T
+    u = sample_linear_tilt(base, proposal.tilt_vectors, rng, n=200,
+                           log_pi=proposal.log_pi).points @ A.T
     log_a = np.asarray(f.value(u)) - env.value(u)
     return float(np.min(np.exp(log_a) - np.exp(-gap_bound(env.m))))
 
@@ -360,7 +361,8 @@ def run_oracle_suite(seed: int = 0) -> dict:
         f = random_maxaffine(rng, k, int(rng.integers(1, 4)), L, R)
         env = build_envelope(f, build_net(k, R, 1.0 / (2 * L)))
         # the exact backend uses delta only to validate it
-        mixture = build_proposal(base, env, A, delta=0.5).law
+        prop = build_proposal(base, env, A, delta=0.5)
+        mixture = tilt_exact(base, prop.tilt_vectors, prop.log_pi)
         g_vals = env.value(base.atoms @ A.T)
         logits = np.log(base.probs) + g_vals
         direct = np.exp(logits - logsumexp(logits))

@@ -5,22 +5,22 @@ Three prox backends: a closed-form / trust-region solver for concave
 quadratics, accelerated projected gradient ascent for general concave
 rewards, and a low-rank backend: the exact best of m ball projections for
 a max-affine f, else a net search that needs only reward values;
-``prox_map`` alone decides which serves a reward.  The aligned law is the
-pushforward of the base under the prox map, returned as an explicit
-coupling.
+``prox_map`` alone decides which serves a reward, by default from its
+class.  The aligned law is the pushforward of the base, drawn as the base
+picks by default, under the prox map, returned as an explicit coupling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError, finite
 from .kl_align import build_net
 from .models import (ROW_BLOCK, Model, SampleBatch, _all_finite, _rng_from,
-                     _seed_tag, check_count, norms, project_ball,
-                     recommended_steps)
+                     _seed_tag, check_count, has_closed_form, norms,
+                     project_ball, recommended_steps)
 # bound though unused here: bench/tracer.py wraps them in this module by name
 from .models import sample_exact, sample_via_diffusion  # noqa: F401
 from .rewards import (PIECE_TIE_TOL, LowRankReward, QuadraticReward,
@@ -33,8 +33,7 @@ PROX_TIE_TOL = 1e-9
 PGA_TOL = 1e-8
 PGA_ULPS = 16 * np.finfo(float).eps
 PGA_MAX_ITER = 200_000
-_NOT_PSD = ("B must be PSD (concave reward); use the low-rank backend for "
-           "non-concave rewards")
+_NOT_PSD = "B must be PSD: the W2 prox needs a concave quadratic reward"
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +397,13 @@ class W2AlignResult:
     def xs(self) -> np.ndarray:
         return self.batch.points
 
+    def report(self) -> dict:
+        """Objective, standard error, prox run and low-rank schedule."""
+        return {"objective_value": self.objective,
+                "objective_stderr": self.objective_stderr,
+                "prox": self.batch.producer.removeprefix("w2_align/"),
+                **(asdict(self.params) if self.params else {})}
+
 
 def objective_value(ys: np.ndarray, xs: np.ndarray, reward, lam: float):
     """Empirical mean and standard error of r(X_i) - lam ||X_i - Y_i||^2
@@ -426,7 +432,8 @@ def objective_value(ys: np.ndarray, xs: np.ndarray, reward, lam: float):
     return float(np.ldexp(mean, e)), float(np.ldexp(se, e))
 
 
-def prox_map(reward, lam: float, C: float, backend: str, eps: float = 0.1):
+def prox_map(reward, lam: float, C: float, backend: str = None,
+             eps: float = 0.1):
     """The one rule of which prox serves a reward: checks lam, C, eps and
     the backend against the reward; returns the prox map T of a point (d,)
     or a batch (n, d) over B(C), the producer name of its points, and the
@@ -434,10 +441,14 @@ def prox_map(reward, lam: float, C: float, backend: str, eps: float = 0.1):
     ``QuadraticReward``), "pga" (a concave oracle), "lowrank" (a
     ``LowRankReward``: ``prox_max_affine`` for a max-affine f, else
     ``alg2_prox`` at the schedule's h, derived once for any rank of A).
+    None (the rule) follows the reward's class: quad, lowrank, else pga.
     """
     finite("lambda", lam, positive=True)
     finite("C", C, positive=True)
     finite("eps", eps, positive=True)
+    if backend is None:
+        backend = ("quad" if isinstance(reward, QuadraticReward) else
+                   "lowrank" if isinstance(reward, LowRankReward) else "pga")
     if backend == "quad" and isinstance(reward, QuadraticReward):
         if not reward.concave:
             raise ValidationError(_NOT_PSD)
@@ -463,8 +474,8 @@ def prox_map(reward, lam: float, C: float, backend: str, eps: float = 0.1):
 
 
 def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
-                      backend: str = "quad", eps: float = 0.1,
-                      base_backend: str = "exact",
+                      backend: str = None, eps: float = 0.1,
+                      base_backend: str = None,
                       steps: int = None) -> W2AlignResult:
     """Draw Y_1..Y_n from the base and push each through ``prox_map``'s
     map for ``backend`` and the reward at C = base.support_radius, whose
@@ -474,11 +485,12 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
     the W2 target eps (the schedule's eps_P on lowrank), which must be
     positive: exact on ``base_backend="exact"``, where ``steps`` is not
     read, or on "diffusion" one reverse pass of ``steps`` steps, by
-    default ``recommended_steps`` of the target.  The prox map and
-    ``objective_value`` run ROW_BLOCK rows at a time, into one (n, d)
-    ``xs`` and one (n,) array of values.  One refusal comes after the
-    draw: a net search's net, refused by ``build_net`` (its size, or a
-    spacing of 0) when ``alg2_prox`` builds it.
+    default ``recommended_steps`` of the target; None follows the base
+    (``has_closed_form``).  The prox map and ``objective_value`` run
+    ROW_BLOCK rows at a time, into one (n, d) ``xs`` and one (n,) array of
+    values.  One refusal comes after the draw: a net search's net, refused
+    by ``build_net`` (its size, or a spacing of 0) when ``alg2_prox``
+    builds it.
     """
     check_count(n)
     T, producer, params = prox_map(reward, lam, base.support_radius,
@@ -490,6 +502,8 @@ def sample_w2_aligned(base: Model, reward, lam: float, n: int, seed,
     if not target > 0:  # eps_P underflows where lam C passes the float max
         raise ValidationError(f"the base draw's W2 target must be positive, "
                               f"got {target}")
+    if base_backend is None:
+        base_backend = "exact" if has_closed_form(base) else "diffusion"
     if base_backend == "exact":
         steps = None
     elif base_backend != "diffusion":

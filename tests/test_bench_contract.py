@@ -82,6 +82,21 @@ def test_w2_smoke_calls_keep_their_prox():
                          "quad-gmm-diffusion": "w2_align/quad"}
 
 
+def test_kl_smoke_calls_keep_their_route():
+    # a change to the draw rule's defaults must not quietly move the
+    # benchmark's KL traffic onto another route: kl-exact draws exactly,
+    # kl-oracle by diffusion at the steps of W2 eps / 8 (smoke eps 0.9)
+    from rewardalign.models import recommended_steps
+    for name, backend in (("kl-exact", "exact"), ("kl-oracle", "diffusion")):
+        wl = WORKLOADS[name](0, smoke=True)
+        for call, seed in zip(wl.calls, wl.sampler_seeds(0)):
+            res = call.run(seed)
+            steps = (recommended_steps(0.9 / 8, call.C)
+                     if backend == "diffusion" else 0)
+            assert res.report()["backend"] == backend, call.name
+            assert res.diffusion_steps == steps, call.name
+
+
 def test_traced_diffusion_draw_counts_one_score_call_per_step():
     # the per-layer metrics models.score.* and models.diffusion_steps read
     # these wrappers; a sampler or score oracle that bypassed the name

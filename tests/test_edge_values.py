@@ -8,10 +8,15 @@ JSON manifest (no NaN or Infinity), or print a finite prox point.
 
 The grid: atoms {0, C} and the one-component mixture N(0, min(C/10, 0.1)^2)
 at each support radius C; linear, quadratic, max-affine and log-sum-exp
-rewards; every command that takes them.  Each run takes the next slope of
-the cycle SLOPES, one value per decade band, in grid order: each radius
-meets eight to ten of the ten bands.  Every run must end in under a
-second.
+rewards; every command that takes them, and for align-w2 every prox that
+takes them, named in the run's id as ``--backend <prox>``.  The reward's
+own prox (``prox_map``'s rule) runs through the CLI, which must name it
+in the manifest; pga on a quadratic, which only the library's ``backend``
+argument reaches, runs as ``sample_w2_aligned`` with the CLI's arguments
+and its exceptions read as the CLI's exit codes.  Each run takes the next
+slope of the cycle SLOPES, one value per decade band, in grid order: each
+radius meets eight to ten of the ten bands.  Every run must end in under
+a second.
 """
 
 import contextlib
@@ -24,11 +29,15 @@ import warnings
 import numpy as np
 import pytest
 
+import rewardalign as ra
 from rewardalign.cli import main
 
 CS = (1e-300, 1.0, 1e154, 1.7e308)
 SLOPES = (0.0, 5e-324, 1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300,
           1.7e308)
+# the prox align-w2 runs on each reward kind (prox_map's rule)
+OWN_PROX = {"linear": "pga", "quadratic": "quad", "maxaffine": "lowrank",
+            "logsumexp": "lowrank"}
 # reward kind -> the commands that take it; prox-demo takes no model
 COMMANDS = {
     "linear": (("align-kl",), ("align-w2", "--backend", "pga"),
@@ -84,13 +93,30 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def library_w2(mpath, rpath, prox):
+    """align-w2's run (lambda 0.5, n 5, seed 0) on another prox than the
+    reward's own: the exit code the CLI maps its exception to, and the
+    coupling and report on 0."""
+    try:
+        res = ra.sample_w2_aligned(ra.load_model(mpath), ra.load_reward(rpath),
+                                   lam=0.5, n=5, seed=0, backend=prox)
+    except ra.BudgetError:
+        return 3, None
+    except ra.NumericalError:
+        return 4, None
+    except ra.RewardAlignError:
+        return 2, None
+    return 0, res
+
+
 @pytest.mark.parametrize("C, model, rkind, cmd, s", grid())
 def test_edge_value_run(tmp_path, C, model, rkind, cmd, s):
     mpath, rpath = tmp_path / "model.json", tmp_path / "reward.json"
     mpath.write_text(json.dumps(model_spec(model, C)))
     rpath.write_text(json.dumps(reward_spec(rkind, s)))
     out_dir = str(tmp_path / "out")
-    argv = list(cmd) + ["--reward", str(rpath)]
+    prox = cmd[2] if len(cmd) > 1 else None
+    argv = [cmd[0], "--reward", str(rpath)]
     if cmd == ("prox-demo",):
         argv += ["--lambda", "0.5", "--y", repr(C / 2.0), "--C", repr(C)]
     else:
@@ -102,7 +128,10 @@ def test_edge_value_run(tmp_path, C, model, rkind, cmd, s):
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             start = time.perf_counter()
-            code = main(argv)
+            if prox in (None, OWN_PROX[rkind]):
+                code, res = main(argv), None
+            else:
+                code, res = library_w2(mpath, rpath, prox)
             elapsed = time.perf_counter() - start
     numpy_warnings = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught
                       if issubclass(w.category, RuntimeWarning)]
@@ -112,6 +141,11 @@ def test_edge_value_run(tmp_path, C, model, rkind, cmd, s):
     assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
     if code != 0:
         return
+    if res is not None:
+        assert np.all(np.isfinite(res.ys)) and np.all(np.isfinite(res.xs))
+        assert res.report()["prox"] == prox
+        strict_json(json.dumps(res.report()))
+        return
     if cmd == ("prox-demo",):
         assert np.all(np.isfinite(strict_json(out.getvalue())["T_lambda_y"]))
         return
@@ -120,4 +154,6 @@ def test_edge_value_run(tmp_path, C, model, rkind, cmd, s):
                      skiprows=1, ndmin=2)
     assert pts.shape[0] == 5 and np.all(np.isfinite(pts))
     with open(os.path.join(out_dir, "manifest.json")) as fh:
-        strict_json(fh.read())
+        manifest = strict_json(fh.read())
+    if prox:
+        assert manifest["diagnostics"]["prox"].split("/")[0] == prox

@@ -287,7 +287,8 @@ class TestBuildProposal:
         assert np.exp(prop.log_zhat) == pytest.approx([np.cosh(1.0)] * 2,
                                                       rel=1e-12)
         # the mixture law equals the base here (density ~ 2 cosh at +-1)
-        assert tv_discrete(prop.law, base) < 1e-14
+        law = ra.tilt_exact(base, prop.tilt_vectors, prop.log_pi)
+        assert tv_discrete(law, base) < 1e-14
 
     def test_single_component(self):
         base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
@@ -320,7 +321,8 @@ class TestBuildProposal:
                                  base.support_radius)
             env = ra.build_envelope(f, ra.build_net(k, base.support_radius,
                                                     1 / (2 * L)))
-            mixture = ra.build_proposal(base, env, A, delta=0.5).law
+            prop = ra.build_proposal(base, env, A, delta=0.5)
+            mixture = ra.tilt_exact(base, prop.tilt_vectors, prop.log_pi)
             g_vals = env.value(base.atoms @ A.T)
             logits = np.log(base.probs) + g_vals
             probs = np.exp(logits - logits.max())
@@ -328,27 +330,32 @@ class TestBuildProposal:
             direct = ra.DiscreteModel(base.atoms, probs, base.support_radius)
             assert tv_discrete(mixture, direct) <= 1e-10
 
-    def test_law_is_the_tilt_model(self):
-        # the exact backend builds the mixture once, as tilt_exact builds
-        # it; the diffusion backend builds none
+    def test_law_is_the_tilt_model(self, monkeypatch):
+        # the exact route builds the proposal's law once, as the tilt model
+        # of its vectors and weights; the diffusion route builds none
+        built, tilt_exact = [], ra.kl_align.tilt_exact
+
+        def spy(base, V, log_pi):
+            built.append((base, V, log_pi))
+            return tilt_exact(base, V, log_pi)
+
+        monkeypatch.setattr(ra.kl_align, "tilt_exact", spy)
         rng = np.random.default_rng(5)
         gmm = ra.GaussianMixtureModel([0.4, 0.6], [[-0.6], [0.7]],
                                       [[[0.04]], [[0.09]]], 3.0)
         env = ra.Envelope.from_pieces([[1.5], [-1.0], [0.3]],
                                       [0.0, 0.2, -0.1])
         for base in (random_discrete(rng, 7, 1), gmm):
-            prop = ra.build_proposal(base, env, np.eye(1), delta=0.1)
-            model = ra.tilt_exact(base, prop.tilt_vectors, prop.log_pi)
-            if isinstance(base, ra.DiscreteModel):
-                assert np.array_equal(prop.law.probs, model.probs)
-                assert np.array_equal(prop.law.atoms, model.atoms)
-            else:
-                for field in ("weights", "means", "covs"):
-                    assert np.array_equal(getattr(prop.law, field),
-                                          getattr(model, field))
-            diff = ra.build_proposal(base, env, np.eye(1), delta=0.2, seed=0,
-                                     backend="diffusion")
-            assert diff.law is None
+            for backend in ("exact", "diffusion"):
+                built.clear()
+                res = ra.sample_kl_aligned(base, np.eye(1), abs_function(3.0),
+                                           eps=0.9, delta=0.1, seed=0, n=5,
+                                           backend=backend, envelope=env)
+                assert len(built) == (backend == "exact")
+                if built:
+                    b, V, log_pi = built[0]
+                    assert b is base and V is res.proposal.tilt_vectors
+                    assert log_pi is res.proposal.log_pi
 
     def test_gmm_proposal_is_weighted_sum_of_tilts(self):
         rng = np.random.default_rng(9)
@@ -734,8 +741,8 @@ class TestSampleKLAligned:
             assert np.array_equal(res.batch.points, np.array(pts))
 
     def test_stream_draws_the_built_law(self, monkeypatch):
-        # an exact mixture's proposal law is built once, by build_proposal:
-        # no pass of the candidate stream builds a tilt model, and the
+        # an exact mixture's proposal law is built once, before the
+        # candidate stream: no pass of it builds a tilt model, and the
         # draws are the same
         base = ra.GaussianMixtureModel([0.4, 0.6], [[-0.6], [0.7]],
                                        [[[0.04]], [[0.09]]], 3.0)
@@ -744,7 +751,7 @@ class TestSampleKLAligned:
                                     seed=3, n=500)
 
         def no_build(*args, **kwargs):
-            raise AssertionError("a tilt model built after build_proposal")
+            raise AssertionError("a tilt model built by a candidate pass")
 
         monkeypatch.setattr(ra.tilts, "tilt_exact", no_build)
         res = ra.sample_kl_aligned(base, np.eye(1), f, eps=0.5, delta=0.05,
@@ -761,7 +768,8 @@ class TestSampleKLAligned:
         base = random_discrete(rng, 6, 2, C=0.3)
         reward, env = self.one_piece_reward(rng)
         A, f = reward.A, reward.f
-        model = ra.build_proposal(base, env, A, delta=0.5).law
+        prop = ra.build_proposal(base, env, A, delta=0.5)
+        model = ra.tilt_exact(base, prop.tilt_vectors, prop.log_pi)
         u = model.atoms @ A.T
         w = model.probs * np.exp(np.asarray(f.value(u)) - env.value(u))
         alpha = w.sum()
@@ -1028,9 +1036,10 @@ class TestSampleKLAligned:
         # atoms and on a mixture both backends build one proposal, bit for bit
         estimate = ra.kl_align.estimate_normalizer
 
-        def exact_only(*args, backend, **kwargs):
-            assert backend == "exact", f"{backend} normalizer on a closed form"
-            return estimate(*args, backend=backend, **kwargs)
+        def exact_only(*args, **kwargs):
+            est = estimate(*args, **kwargs)
+            assert est.method == "exact", f"{est.method} on a closed form"
+            return est
 
         monkeypatch.setattr(ra.kl_align, "estimate_normalizer", exact_only)
         atoms = ra.DiscreteModel([[-1.0], [0.2], [0.8]], [0.3, 0.3, 0.4], 1.0)
@@ -1101,6 +1110,83 @@ class TestSampleKLAligned:
             acc = np.exp(np.asarray(f.value(u)) - env.value(u))
             assert np.all(acc >= np.exp(-gap_bound(env.m)) - 1e-9)
             assert np.all(acc <= 1.0 + 1e-9)
+
+
+class TestDiffusionRoute:
+    """The diffusion route on closed-form bases, which the library reaches
+    by ``backend="diffusion"`` (a model's default route is exact)."""
+
+    base = ra.DiscreteModel([[0.0], [1.0]], [0.5, 0.5], 1.0)
+
+    @staticmethod
+    def reward(slope, offset=0.0):
+        return ra.reward_from_dict({"type": "lowrank_maxaffine", "A": [[1.0]],
+                                    "pieces": [[[slope], offset]], "R": 1.0})
+
+    def test_default_route_on_a_mixture_is_exact(self):
+        gmm = ra.GaussianMixtureModel([0.4, 0.6], [[-0.6], [0.7]],
+                                      [[[0.04]], [[0.09]]], 3.0)
+        runs = [ra.sample_kl_aligned(gmm, np.eye(1), abs_function(3.0),
+                                     eps=0.5, delta=0.1, seed=4, n=300, **kw)
+                for kw in ({}, {"backend": "exact"})]
+        assert runs[0].report() == runs[1].report()
+        assert runs[0].report()["backend"] == "exact"
+        assert (runs[0].batch.points.tobytes()
+                == runs[1].batch.points.tobytes())
+
+    def test_constant_reward_reports_the_step_rule(self):
+        # the diffusion draw of a constant reward follows the general step
+        # rule: W2 target eps / 8 = 0.0625, 3 C / 0.0625 steps
+        r = self.reward(0.0, 0.3)
+        rep = ra.sample_kl_aligned(self.base, r.A, r.f, eps=0.5, delta=0.05,
+                                   seed=5, n=20, backend="diffusion").report()
+        assert rep["backend"] == "diffusion"
+        assert rep["diffusion_steps"] == recommended_steps(0.5 / 8, 1.0) == 48
+        assert (rep["acceptance_rate"], rep["fallback_count"]) == (1.0, 0)
+        assert rep["m"] == 1
+
+    def test_one_piece_steep_tilt_estimates_no_normalizer(self):
+        # f(u) = 3u is one envelope piece: no normalizer is estimated, where
+        # a Monte Carlo one would need 9.75e7 draws, over the budget
+        r = self.reward(3.0)
+        res = ra.sample_kl_aligned(self.base, r.A, r.f, eps=0.5, delta=0.1,
+                                   seed=3, n=400, backend="diffusion")
+        rep = res.report()
+        assert rep["m"] == 1
+        assert "normalizer" not in rep and "eta" not in rep
+        # the tolerance of test_diffusion_backend_end_to_end
+        p1 = np.mean(res.batch.points > 0.5)
+        assert abs(p1 - np.exp(3) / (1 + np.exp(3))) < 0.08
+
+    def test_nan_score_is_a_numerical_error(self, monkeypatch):
+        # a bare oracle (no noise table) whose score turns NaN at one step:
+        # the reverse pass refuses it, naming the noise level
+        def bare_oracle(model):
+            calls = []
+
+            def fn(sigma, x):
+                calls.append(sigma)
+                sc = ra.score(model, sigma, x)
+                return sc * np.nan if len(calls) == 7 else sc
+            return ra.ScoreOracle(fn=fn, d=model.d, C=model.support_radius)
+
+        monkeypatch.setattr(ra.tilts, "score_oracle", bare_oracle)
+        r = self.reward(1.0)
+        with pytest.raises(ra.NumericalError,
+                           match="non-finite values at sigma="):
+            ra.sample_kl_aligned(self.base, r.A, r.f, eps=0.5, delta=0.1,
+                                 seed=3, n=20, backend="diffusion")
+
+    @pytest.mark.parametrize("pieces", [[[[1.7e308], 0.0]],
+                                        [[[1.7e308], 0.0], [[-1.0], 0.5]]])
+    def test_reward_past_the_float_max_is_a_numerical_error(self, pieces):
+        # a slope of 1.7e308 on atoms {0, 1}: the tilted score is not
+        # finite (the exact route puts every sample on atom 1: test_cli)
+        r = ra.reward_from_dict({"type": "lowrank_maxaffine", "A": [[1.0]],
+                                 "pieces": pieces})
+        with pytest.raises(ra.NumericalError):
+            ra.sample_kl_aligned(self.base, r.A, r.f, eps=0.1, delta=0.05,
+                                 seed=0, n=5, backend="diffusion")
 
 
 def criterion3_instance(idx):

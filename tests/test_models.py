@@ -1019,10 +1019,12 @@ class TestBareScoreOracle:
         assert exact.producer == "diffusion/exact_DiscreteModel/steps=10"
 
     @pytest.mark.parametrize("path", [
-        lambda b, f: ra.sample_kl_aligned(b, [[1.0]], f, 0.5, 0.1, 0, 5),
+        lambda b, f: ra.sample_kl_aligned(b, [[1.0]], f, 0.5, 0.1, 0, 5,
+                                          backend="exact"),
         lambda b, f: ra.sample_w2_aligned(b, ra.LinearReward([1.0]), 0.5, 5,
-                                          0, backend="pga"),
-        lambda b, f: ra.estimate_normalizer(b, [1.0], 0.1, 0.1),
+                                          0, base_backend="exact"),
+        lambda b, f: ra.estimate_normalizer(b, [1.0], 0.1, 0.1,
+                                            backend="exact"),
         lambda b, f: ra.sample_exact(b, 5, 0),
         lambda b, f: ra.tilt_exact(b, [1.0]),
         lambda b, f: ra.sample_linear_tilt(b, [1.0], 0, steps=None),
@@ -1031,6 +1033,26 @@ class TestBareScoreOracle:
     def test_closed_form_paths_refuse_it(self, path):
         with pytest.raises(ra.CapabilityError, match="no closed forms"):
             path(self.bare(), self.linear)
+
+    @pytest.mark.parametrize("entry", ["kl", "w2", "normalizer"])
+    def test_default_route_follows_the_base(self, entry):
+        # the draw rule: by default a closed-form model takes the exact
+        # route and a bare oracle the diffusion (on normalizers, mc) route,
+        # each the same bytes as that route named explicitly
+        run, key, oracle_route = {
+            "kl": (lambda b, **kw: ra.sample_kl_aligned(
+                b, [[1.0]], self.linear, 0.5, 0.1, 3, 20, **kw).batch.points,
+                "backend", "diffusion"),
+            "w2": (lambda b, **kw: ra.sample_w2_aligned(
+                b, ra.LinearReward([1.0]), 0.5, 20, 3, **kw).xs,
+                "base_backend", "diffusion"),
+            "normalizer": (lambda b, **kw: ra.estimate_normalizer(
+                b, [1.0], 0.5, 0.5, seed=3, **kw).log_value, "backend", "mc"),
+        }[entry]
+        for base, route in ((self.model, "exact"),
+                            (self.bare(), oracle_route)):
+            assert (np.asarray(run(base)).tobytes()
+                    == np.asarray(run(base, **{key: route})).tobytes())
 
     @pytest.mark.parametrize("path", ["normalizer-mc", "kl-diffusion-m2"])
     def test_bare_oracle_runs_at_m2(self, monkeypatch, path):

@@ -858,6 +858,36 @@ class TestPushforward:
                                      backend=backend,
                                      base_backend=base_backend)
 
+    @pytest.mark.parametrize("reward, prox", [
+        (ra.QuadraticReward([[0.3, 0.0], [0.0, 0.1]], [0.2, -0.1]), "quad"),
+        (ra.LinearReward([0.4, -0.3]), "pga"),
+        (ra.LowRankReward([[1.0, 0.0]], ra.make_max_affine(
+            [([1.0], 0.0), ([-1.0], 0.0)])), "lowrank/max_affine"),
+        (ra.LogSumExpReward([1.0, 0.5], [[1.0], [-0.8]], [[1.0, 0.0]]),
+         "lowrank/alg2")], ids=["quadratic", "linear", "max-affine",
+                                "logsumexp"])
+    def test_default_prox_follows_the_reward(self, reward, prox):
+        # prox_map's rule: the reward's class picks the prox, the same
+        # bytes as that backend named explicitly
+        base = random_discrete(np.random.default_rng(24), 6, 2)
+        runs = [ra.sample_w2_aligned(base, reward, lam=0.5, n=8, seed=25,
+                                     **kw)
+                for kw in ({}, {"backend": prox.split("/")[0]})]
+        assert runs[0].report() == runs[1].report()
+        assert runs[0].report()["prox"] == prox
+        assert runs[0].xs.tobytes() == runs[1].xs.tobytes()
+
+    def test_pga_at_both_ends_of_the_float_range(self):
+        # atoms at +-1.7e308 = +-C: the pga prox's stopping norm and the
+        # objective's squared distance pass the float max; each ends in
+        # inf with no numpy warning, and the objective is refused
+        base = ra.DiscreteModel([[1.7e308], [-1.7e308]], [0.5, 0.5], 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ra.NumericalError, match="objective values"):
+                ra.sample_w2_aligned(base, ra.QuadraticReward([[0.5]], [0.1]),
+                                     lam=0.5, n=5, seed=0, backend="pga")
+
     def test_pga_linear_reward(self):
         base = random_discrete(np.random.default_rng(22), 6, 2)
         r = ra.LinearReward([0.4, -0.3])
